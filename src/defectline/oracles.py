@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import brentq, minimize_scalar
 
 from .boundary import (
     KIND_BOUND,
@@ -35,7 +33,7 @@ from .boundary import (
     connection_matrix,
 )
 from .errors import EigenSolverFailure, ScanExhausted
-from .spectrum import GRID_DENSITY, KAPPA_CEILING, ZERO_LEVEL_TOL, EigenLevel
+from .spectrum import GRID_DENSITY, KAPPA_CEILING, ZERO_LEVEL_TOL, EigenLevel, sinhc
 
 __all__ = [
     "DetScan",
@@ -140,10 +138,8 @@ class _Projection:
         whole kappa window without moving any root.
         """
         x = np.asarray(kappa, dtype=float) * self.l
-        safe = np.where(np.abs(x) < 1e-8, 1.0, x)
-        sinhc = np.where(np.abs(x) < 1e-8, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
         ch = np.cosh(x)
-        return self._reduced(self.l * sinhc, ch) / (ch * ch)
+        return self._reduced(self.l * sinhc(x), ch) / (ch * ch)
 
     def at_zero(self) -> float:
         return float(self._reduced(self.l, 1.0))
@@ -211,27 +207,31 @@ def _projected_roots(
     land on either zero (or just outside the pair), a geometric ladder of
     probe points hunts for the interior sign to bracket both crossings.
     """
-    scan_max = float(np.max(np.abs(vals)))
+    from scipy.optimize import brentq, minimize_scalar
+
+    mags = np.abs(vals)
+    scan_max = float(np.max(mags))
     if scan_max == 0.0:
         return []
     step = float(grid[1] - grid[0])
     found: list[tuple[float, int]] = []
     start = 1 if skip_origin else 0
-    for i in range(start, len(grid) - 1):
+    head = vals[start:-1]
+    for i in start + np.flatnonzero((head == 0.0) | (head * vals[start + 1:] < 0.0)):
         if vals[i] == 0.0:
             if grid[i] > 0.0:
-                touching = i > start and i + 1 < len(grid) and vals[i - 1] * vals[i + 1] > 0.0
+                touching = i > start and vals[i - 1] * vals[i + 1] > 0.0
                 r = float(grid[i])
                 found.append((r, mult_fun(r) if touching else 1))
-        elif vals[i] * vals[i + 1] < 0.0:
+        else:
             r = brentq(scalar_fun, grid[i], grid[i + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
             found.append((float(r), 1))
 
     threshold = MIN_CANDIDATE_REL * scan_max
-    for i in range(max(start, 1), len(grid) - 1):
-        v = abs(vals[i])
-        if not (v <= threshold and v < abs(vals[i - 1]) and v <= abs(vals[i + 1])):
-            continue
+    lo = max(start, 1)
+    mid = mags[lo:-1]
+    dips = (mid <= threshold) & (mid < mags[lo - 1:-2]) & (mid <= mags[lo + 1:])
+    for i in lo + np.flatnonzero(dips):
         if any(abs(grid[i] - r) <= 1.5 * step for r, _ in found):
             continue
         a, b = float(grid[i - 1]), float(grid[i + 1])
@@ -408,8 +408,10 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     contain no energy, so they are eliminated exactly, leaving an ordinary
     dense eigenproblem; when the junction block is singular the generalized
     eigenproblem is solved instead.  Eigenvalues with |Im E| > 1e-6 are
-    discarded; if fewer than n real levels remain the discretization failed
-    and EigenSolverFailure is raised.
+    discarded, and so are levels deeper than kappa l = KAPPA_CEILING, which
+    the channel and determinant solvers drop by the same convention; if fewer
+    than n real levels remain the discretization failed and
+    EigenSolverFailure is raised.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -446,6 +448,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         ham[nw, :] -= elim[0, :] * inv_h2      # right row adjacent to z2
         ev = np.linalg.eigvals(ham)
     else:
+        import scipy.linalg
+
         full = np.zeros((size + 2, size + 2), dtype=complex)
         full[:size, :size] = lap
         full[nw - 1, size + 1] = -inv_h2  # z1 column
@@ -458,6 +462,7 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         ev = ev[np.isfinite(ev)]
 
     real = np.sort(ev[np.abs(ev.imag) <= 1e-6].real)
+    real = real[real >= -((KAPPA_CEILING / bc.l) ** 2)]
     if real.size < n:
         raise EigenSolverFailure(
             f"only {real.size} real levels out of {n} requested at n_interior={n_interior}"

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .boundary import KIND_BOUND, KIND_POSITIVE, KIND_ZERO, BoundaryCondition
 from .unitary import UnitaryParams, matrix_to_params
@@ -59,6 +58,9 @@ ZERO_LEVEL_TOL = 1e-12
 
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 1e-15
+_BRENT_MAXITER = 100
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -149,36 +151,104 @@ def _fhat(theta: float, l: float, L0: float, k):
     return l * np.sinc(k * l / np.pi) * s2 + L0 * np.cos(k * l) * c2
 
 
+def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
+    # _fhat for one float, in the same operations and order as np.sinc,
+    # so it returns the same double without numpy's per-call overhead.
+    x = math.pi * (k * l / math.pi)
+    y = x if x else _EPS
+    return l * (math.sin(y) / y) * s2 + L0 * math.cos(k * l) * c2
+
+
+def sinhc(x):
+    """sinh(x)/x on arrays, with the series 1 + x^2/6 where |x| < 1e-8."""
+    small = np.abs(x) < 1e-8
+    safe = np.where(small, 1.0, x)
+    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
+
+
 def _ghat(theta: float, l: float, L0: float, kappa):
     # G(kappa)/kappa, with value T at 0; same positive roots as G.
     s2, c2 = _half_angle(theta)
-    kappa = np.asarray(kappa, dtype=float)
-    x = kappa * l
-    small = np.abs(x) < 1e-8
-    sinhc = np.where(small, 1.0 + x * x / 6.0, np.sinh(np.where(small, 1.0, x)) / np.where(small, 1.0, x))
-    return l * sinhc * s2 + L0 * np.cosh(x) * c2
+    x = np.asarray(kappa, dtype=float) * l
+    return l * sinhc(x) * s2 + L0 * np.cosh(x) * c2
 
 
-def _refine(f, a: float, b: float) -> float:
-    return float(brentq(f, a, b, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL))
+def _brentq(f, xa: float, xb: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (its brentq.c) at
+    xtol = _BRENT_XTOL and rtol = _BRENT_RTOL: the same iterates in the same
+    floating-point order, so the same double comes back.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    fcur = f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("the function value at a bracket end is NaN")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN")
+    raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
 def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool) -> list[float]:
     """Lowest n positive roots of F via sign scan of F/k from the origin."""
+    s2, c2 = _half_angle(theta)
     step = math.pi / (GRID_DENSITY * l)
-    block = 8 * GRID_DENSITY
+    # The m-th positive root (m = 1, 2, ...) lies below (m + 1/2) pi / l, so
+    # one block up to (n + 1) pi / l holds all n; later blocks only guard that.
+    block = GRID_DENSITY * (n + 1)
     roots: list[float] = []
-    f = lambda k: float(_fhat(theta, l, L0, k))
+    f = lambda k: _fhat_scalar(s2, c2, l, L0, k)
     j0 = 1 if skip_origin else 0
     while len(roots) < n:
         grid = step * np.arange(j0, j0 + block + 1)
-        vals = np.asarray(_fhat(theta, l, L0, grid))
-        for i in range(block):
-            if vals[i] == 0.0:
+        vals = _fhat(theta, l, L0, grid)
+        head = vals[:-1]
+        for i in np.flatnonzero((head == 0.0) | (head * vals[1:] < 0.0)):
+            if head[i] == 0.0:
                 if grid[i] > 0.0:
                     roots.append(float(grid[i]))
-            elif vals[i] * vals[i + 1] < 0.0:
-                roots.append(_refine(f, float(grid[i]), float(grid[i + 1])))
+            else:
+                roots.append(_brentq(f, float(grid[i]), float(grid[i + 1])))
             if len(roots) == n:
                 break
         j0 += block
@@ -198,7 +268,7 @@ def _find_bound(theta: float, l: float, L0: float) -> float | None:
     if g(cap) >= 0.0:
         # Root exists mathematically but lies beyond the overflow-safe window.
         return None
-    return _refine(g, 0.0, cap)
+    return _brentq(g, 0.0, cap)
 
 
 def solve_channel(ch: Channel, n: int, tag: str | None = None) -> list[EigenLevel]:

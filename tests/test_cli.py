@@ -7,10 +7,15 @@ them.
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import defectline
 from defectline import (
     BoundaryCondition,
     UnitaryParams,
@@ -21,11 +26,29 @@ from defectline.cli import main
 
 PI = math.pi
 
+README_ARGV = ("spectrum", "--xi", "2.0", "--rho", "0.9", "-n", "2")
+README_STDOUT = (
+    '{"index": 0, "channel": "minus", "kind": "positive", "k_or_kappa": 1.8852237200532831, '
+    '"E": 3.5540684746515394, "degenerate": false}\n'
+    '{"index": 0, "channel": "plus", "kind": "positive", "k_or_kappa": 2.8125884873330338, '
+    '"E": 7.9106539990783231, "degenerate": false}\n'
+)
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _python(*args):
+    # A fresh interpreter that imports this checkout of the package.
+    src = str(Path(defectline.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def _json_lines(out):
@@ -48,6 +71,12 @@ def test_spectrum_csv_anchor(capsys):
     assert first[1] in ("plus", "minus") and first[2] == "positive"
     assert abs(float(first[4]) - PI**2) <= 1e-9
     assert first[5] == "true"  # Dirichlet levels come in degenerate pairs
+
+
+def test_readme_spectrum_example_byte_identical(capsys):
+    code, out, _ = _run(capsys, *README_ARGV)
+    assert code == 0
+    assert out == README_STDOUT
 
 
 def test_spectrum_theta_flags_match_angle_flags(capsys):
@@ -225,6 +254,18 @@ def test_oracle_compare_pass(capsys):
         assert set(rec) == {"level", "E_channel", "E_det", "E_fd", "delta_det", "delta_fd"}
 
 
+def test_oracle_compare_drops_fd_levels_below_the_floor(capsys):
+    # theta_plus = 3.1716 binds a level near kappa l = 67, past the kappa l = 50
+    # floor that the channel and det solvers apply; FD must drop it too.
+    code, out, _ = _run(
+        capsys, "oracle-compare", "--theta-plus", "3.1716", "--theta-minus", "1.0", "-n", "3"
+    )
+    assert code == 0
+    recs = _json_lines(out)
+    assert abs(recs[0]["E_fd"] - 3.448) <= 1e-3
+    assert all(rec["E_fd"] > 0.0 for rec in recs)
+
+
 def test_oracle_compare_fails_on_unreachable_tolerance(capsys):
     code, out, _ = _run(
         capsys, "oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3",
@@ -257,6 +298,20 @@ def test_solver_failure_exits_3(capsys):
     )
     assert code == 3
     assert "solver failure" in err
+
+
+def test_python_dash_m_runs_main(capsys):
+    proc = _python("-m", "defectline", *README_ARGV)
+    code, out, _ = _run(capsys, *README_ARGV)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert _python("-m", "defectline", "spectrum", "-n", "0").returncode == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    proc = _python("-c", "import sys, defectline.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

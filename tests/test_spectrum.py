@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from defectline import (
     BoundaryCondition,
@@ -22,7 +23,18 @@ from defectline import (
     solve_spectrum,
     threshold,
 )
-from defectline.spectrum import GRID_DENSITY
+from defectline.spectrum import (
+    _BRENT_RTOL,
+    _BRENT_XTOL,
+    GRID_DENSITY,
+    KAPPA_CEILING,
+    _brentq,
+    _fhat,
+    _fhat_scalar,
+    _ghat,
+    _half_angle,
+    _scan_positive,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,6 +122,82 @@ def test_root_count_matches_sign_changes():
         changes = int(np.sum(vals[:-1] * vals[1:] < 0.0))
         inside = sum(1 for k in ks if a < k < b)
         assert changes == inside
+
+
+def _random_channel(rng):
+    return rng.uniform(0.0, TWO_PI), 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, 3)
+
+
+def test_brent_port_matches_scipy_brentq():
+    # scipy is the oracle here: the port must return the identical double on
+    # every sign-change cell of F/k and on bound brackets of G/kappa, and the
+    # scalar residual must equal the numpy one at every returned root.
+    rng = np.random.default_rng(71)
+    count = 0
+    while count < 10_000:
+        theta, l, L0 = _random_channel(rng)
+        s2, c2 = _half_angle(theta)
+        grid = math.pi / (GRID_DENSITY * l) * np.arange(40 * GRID_DENSITY)
+        vals = _fhat(theta, l, L0, grid)
+        f = lambda k: _fhat_scalar(s2, c2, l, L0, k)
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+            a, b = float(grid[i]), float(grid[i + 1])
+            r = _brentq(f, a, b)
+            assert r == brentq(f, a, b, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+            assert f(r) == float(_fhat(theta, l, L0, r))
+            count += 1
+    # The bound window [0, KAPPA_CEILING / l] of G/kappa takes the rarer
+    # branches of Brent's step choice.
+    count = 0
+    while count < 1000:
+        theta, l, L0 = _random_channel(rng)
+        cap = KAPPA_CEILING / l
+        g = lambda kappa: float(_ghat(theta, l, L0, kappa))
+        if threshold(Channel(theta, l, L0)) <= 0.0 or math.cos(theta / 2.0) >= 0.0 or g(cap) >= 0.0:
+            continue
+        assert _brentq(g, 0.0, cap) == brentq(g, 0.0, cap, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+        count += 1
+
+
+def _scan_positive_reference(theta, l, L0, n, skip_origin):
+    # The per-cell loop with scipy's brentq on numpy's F/k that the
+    # vectorized scan replaces; the two must agree bit for bit.
+    step = math.pi / (GRID_DENSITY * l)
+    block = 8 * GRID_DENSITY
+    f = lambda k: float(_fhat(theta, l, L0, k))
+    roots = []
+    j0 = 1 if skip_origin else 0
+    while len(roots) < n:
+        grid = step * np.arange(j0, j0 + block + 1)
+        vals = _fhat(theta, l, L0, grid)
+        for i in range(block):
+            if vals[i] == 0.0:
+                if grid[i] > 0.0:
+                    roots.append(float(grid[i]))
+            elif vals[i] * vals[i + 1] < 0.0:
+                roots.append(brentq(f, grid[i], grid[i + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL))
+            if len(roots) == n:
+                break
+        j0 += block
+    return roots
+
+
+def test_scan_matches_per_cell_reference():
+    rng = np.random.default_rng(73)
+    for i in range(60):
+        theta, l, L0 = _random_channel(rng)
+        n = int(rng.integers(1, 24))
+        skip = bool(i % 2)
+        assert _scan_positive(theta, l, L0, n, skip) == _scan_positive_reference(
+            theta, l, L0, n, skip
+        )
+    # T = 0 exactly: the origin is an exact zero of F/k and is not a level.
+    s2, c2 = _half_angle(3.3)
+    L0 = -s2 / c2
+    assert _fhat(3.3, 1.0, L0, 0.0) == 0.0
+    assert _scan_positive(3.3, 1.0, L0, 5, False) == _scan_positive_reference(
+        3.3, 1.0, L0, 5, False
+    )
 
 
 def test_interlacing_gap_bounds():
