@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -275,6 +276,8 @@ def _cmd_eigenfunction(s: _Settings, out: IO[str]) -> int:
     samples = s.get_int("samples", 200)
     if samples < 4:
         raise ValueError("--samples must be at least 4")
+    if samples % 2:
+        raise ValueError("--samples must be even: the points are split evenly over the two sides")
     level = solve_spectrum(bc, index + 1).levels[index]
     f = build_eigenfunction(bc, level)
 
@@ -493,8 +496,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         path = settings.get_str("output")
         if path is None:
             return handler(settings, sys.stdout)
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            return handler(settings, out)
+        # Render first, so a run that fails leaves an existing file untouched.
+        rendered = io.StringIO()
+        code = handler(settings, rendered)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as out:
+                out.write(rendered.getvalue())
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {path!r}: {exc}") from exc
+        return code
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ spectrum off the eigenphases that conjugation preserves by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -55,8 +55,6 @@ class SphereGrid:
 
     mu_points: tuple[float, ...]
     nu_points: tuple[float, ...]
-    mu_spacing: float = field(init=False)
-    nu_spacing: float = field(init=False)
 
     def __post_init__(self):
         mu = tuple(float(m) for m in self.mu_points)
@@ -71,12 +69,6 @@ class SphereGrid:
             raise ValueError("mu_points must include both poles 0 and pi")
         object.__setattr__(self, "mu_points", mu)
         object.__setattr__(self, "nu_points", nu)
-        object.__setattr__(
-            self, "mu_spacing", mu[1] - mu[0] if len(mu) > 1 else 0.0
-        )
-        object.__setattr__(
-            self, "nu_spacing", nu[1] - nu[0] if len(nu) > 1 else 0.0
-        )
 
     @classmethod
     def default(cls, n_mu_interior: int = 8, n_nu: int = 8) -> "SphereGrid":

@@ -308,6 +308,13 @@ def _positive_det_abs(bc: BoundaryCondition, proj: _Projection):
     return det_abs
 
 
+def _positive_mult(bc: BoundaryCondition):
+    def mult(k: float) -> int:
+        return _multiplicity(det_matrix(bc, k), 2.0 + 2.0 * bc.L0 * (abs(k) + 1.0 / bc.l))
+
+    return mult
+
+
 def _positive_roots(
     bc: BoundaryCondition,
     proj: _Projection,
@@ -319,7 +326,7 @@ def _positive_roots(
     hi = k_max if k_max is not None else (0.5 * need + 6.0) * math.pi / bc.l
     ceiling = hi if k_max is not None else 8.0 * hi
     det_abs = _positive_det_abs(bc, proj)
-    mult = lambda k: _multiplicity(det_matrix(bc, k), 2.0 + 2.0 * bc.L0 * (abs(k) + 1.0 / bc.l))
+    mult = _positive_mult(bc)
     while True:
         grid = np.arange(0.0, hi + step, step)
         vals = np.asarray(proj.positive(grid))
@@ -342,7 +349,7 @@ def det_scan(bc: BoundaryCondition, k_max: float, step: float | None = None) -> 
         vals,
         lambda x: proj.positive(x),
         _positive_det_abs(bc, proj),
-        lambda k: _multiplicity(det_matrix(bc, k), 2.0 + 2.0 * bc.L0 * (abs(k) + 1.0 / bc.l)),
+        _positive_mult(bc),
         skip_origin=_zero_level_multiplicity(bc) > 0,
     )
     return DetScan(
@@ -399,6 +406,97 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
     return levels
 
 
+def _fd_parts(bc: BoundaryCondition, n_interior: int):
+    """Spacing, sparse Laplacian, junction block J and junction patch K.
+
+    The unknowns are the interior nodes of the left half (x = -l+h ... -h)
+    followed by those of the right half (x = h ... l-h); the junction values
+    z1 = phi(0-) and z2 = phi(0+) are not among them.  The Laplacian is the
+    two decoupled 3-point stencils.  The junction rows read J (z2, z1) + K w
+    = 0, and K only touches the four nodes x = -2h, -h, h, 2h, which are
+    columns nw-2 ... nw+1.
+    """
+    import scipy.sparse
+
+    h = bc.l / n_interior
+    nw = n_interior - 1  # unknowns per side besides the junction values
+    inv_h2 = 1.0 / (h * h)
+    off = np.full(2 * nw - 1, -inv_h2)
+    off[nw - 1] = 0.0  # the two halves only talk through the junction values
+    lap = scipy.sparse.diags(
+        [off, np.full(2 * nw, 2.0 * inv_h2), off], [-1, 0, 1], format="csc", dtype=complex
+    )
+
+    u = bc.u
+    j_block = (u - np.eye(2)) + (3j * bc.L0 / (2.0 * h)) * (u + np.eye(2))
+    d_w = np.zeros((2, 4))
+    d_w[0, 2] = -4.0 / (2.0 * h)  # phi'(0+) stencil, node at x = h
+    d_w[0, 3] = 1.0 / (2.0 * h)   # node at x = 2h
+    d_w[1, 1] = -4.0 / (2.0 * h)  # phi'(0-) stencil, node at x = -h
+    d_w[1, 0] = 1.0 / (2.0 * h)   # node at x = -2h
+    k_patch = 1j * bc.L0 * (u + np.eye(2)) @ d_w
+    return h, lap, j_block, k_patch
+
+
+def _fd_eliminated(h: float, lap, j_block: np.ndarray, k_patch: np.ndarray):
+    """The FD operator with the junction values eliminated, as CSC.
+
+    Solving the junction rows for (z2, z1) and substituting them into the
+    rows next to the defect changes only rows nw-1 and nw, on columns
+    nw-2 ... nw+1; everywhere else the matrix is the Laplacian.
+    """
+    import scipy.sparse
+
+    nw = lap.shape[0] // 2
+    inv_h2 = 1.0 / (h * h)
+    elim = -np.linalg.solve(j_block, k_patch)  # (z2, z1) rows in terms of w
+    rows = np.repeat([nw - 1, nw], 4)  # left row adjacent to z1, right row adjacent to z2
+    cols = np.tile(np.arange(nw - 2, nw + 2), 2)
+    patch = scipy.sparse.csc_matrix(
+        (np.concatenate([elim[1], elim[0]]) * -inv_h2, (rows, cols)), shape=lap.shape
+    )
+    return lap + patch
+
+
+def _real_levels(ev: np.ndarray, floor: float) -> np.ndarray:
+    """Sorted real parts of the eigenvalues with |Im E| <= 1e-6, at or above floor."""
+    real = np.sort(ev[np.abs(ev.imag) <= 1e-6].real)
+    return real[real >= floor]
+
+
+def _fd_lowest(ham, n: int, floor: float) -> np.ndarray:
+    """Sorted real eigenvalues of ham at or above floor, at least n if found.
+
+    Shift-invert Arnoldi returns the k eigenvalues nearest sigma.  sigma sits
+    one unit below the higher of the floor and the Gershgorin lower bound of
+    ham, so a real level at or above the floor lies the closer to sigma the
+    lower it is, and the k nearest eigenvalues hold the lowest such levels.
+    k starts at n + 4 and doubles, up to the size - 2 that ARPACK allows,
+    while fewer than n of them are real and above the floor.  The start
+    vector and the generator for any restart vector are fixed, so repeated
+    calls return identical doubles.
+    """
+    from scipy.sparse.linalg import ArpackError, eigs
+
+    size = ham.shape[0]
+    diag = ham.diagonal()
+    radius = np.asarray(abs(ham).sum(axis=1)).ravel() - np.abs(diag)
+    sigma = max(floor, float(np.min(diag.real - radius))) - 1.0
+    k = min(n + 4, size - 2)
+    while True:
+        try:
+            ev = eigs(
+                ham, k, sigma=sigma, which="LM", v0=np.ones(size, dtype=complex),
+                return_eigenvectors=False, rng=0,
+            )
+        except ArpackError as exc:  # ArpackNoConvergence included
+            raise EigenSolverFailure(f"ARPACK failed on {size} unknowns: {exc}") from exc
+        real = _real_levels(ev, floor)
+        if real.size >= n or k >= size - 2:
+            return real
+        k = min(2 * k, size - 2)
+
+
 def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpectrum:
     """Lowest n levels of the finite-difference discretization.
 
@@ -406,63 +504,45 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     cells (h = l / n_interior); the two junction rows encode the connection
     condition with second-order one-sided derivatives.  The junction rows
     contain no energy, so they are eliminated exactly, leaving an ordinary
-    dense eigenproblem; when the junction block is singular the generalized
-    eigenproblem is solved instead.  Eigenvalues with |Im E| > 1e-6 are
-    discarded, and so are levels deeper than kappa l = KAPPA_CEILING, which
-    the channel and determinant solvers drop by the same convention; if fewer
-    than n real levels remain the discretization failed and
-    EigenSolverFailure is raised.
+    eigenproblem whose matrix is tridiagonal apart from a 2x4 patch at the
+    defect.  Its lowest levels come from a sparse shift-invert Arnoldi solve
+    (ARPACK, see _fd_lowest), deterministic to the last bit.  When the
+    junction block is singular the generalized eigenproblem is solved densely
+    instead.
+
+    Eigenvalues with |Im E| > 1e-6 are discarded, and so are levels deeper
+    than kappa l = KAPPA_CEILING, which the channel and determinant solvers
+    drop by the same convention.  If fewer than n real levels remain, or
+    ARPACK fails, the discretization failed and EigenSolverFailure is raised.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n_interior < 64:
         raise ValueError("n_interior must be at least 64")
-    h = bc.l / n_interior
-    nw = n_interior - 1  # unknowns per side besides the junction values
-    size = 2 * nw
-    inv_h2 = 1.0 / (h * h)
-
-    lap = np.zeros((size, size), dtype=complex)
-    idx = np.arange(size)
-    lap[idx, idx] = 2.0 * inv_h2
-    lap[idx[:-1], idx[:-1] + 1] = -inv_h2
-    lap[idx[:-1] + 1, idx[:-1]] = -inv_h2
-    # The two halves only talk through the junction values, not directly.
-    lap[nw - 1, nw] = 0.0
-    lap[nw, nw - 1] = 0.0
-
-    u = bc.u
-    j_block = (u - np.eye(2)) + (3j * bc.L0 / (2.0 * h)) * (u + np.eye(2))
-    d_w = np.zeros((2, size), dtype=complex)
-    d_w[0, nw] = -4.0 / (2.0 * h)      # phi'(0+) stencil, node at x = h
-    d_w[0, nw + 1] = 1.0 / (2.0 * h)   # node at x = 2h
-    d_w[1, nw - 1] = -4.0 / (2.0 * h)  # phi'(0-) stencil, node at x = -h
-    d_w[1, nw - 2] = 1.0 / (2.0 * h)   # node at x = -2h
-    k_block = 1j * bc.L0 * (u + np.eye(2)) @ d_w
+    h, lap, j_block, k_patch = _fd_parts(bc, n_interior)
+    size = lap.shape[0]
+    floor = -((KAPPA_CEILING / bc.l) ** 2)
 
     cond = np.linalg.cond(j_block)
     if np.isfinite(cond) and cond < 1e10:
-        elim = -np.linalg.solve(j_block, k_block)  # (z2, z1) rows in terms of w
-        ham = lap.copy()
-        ham[nw - 1, :] -= elim[1, :] * inv_h2  # left row adjacent to z1
-        ham[nw, :] -= elim[0, :] * inv_h2      # right row adjacent to z2
-        ev = np.linalg.eigvals(ham)
+        real = _fd_lowest(_fd_eliminated(h, lap, j_block, k_patch), n, floor)
     else:
         import scipy.linalg
 
+        nw = size // 2
+        inv_h2 = 1.0 / (h * h)
         full = np.zeros((size + 2, size + 2), dtype=complex)
-        full[:size, :size] = lap
+        full[:size, :size] = lap.toarray()
         full[nw - 1, size + 1] = -inv_h2  # z1 column
         full[nw, size] = -inv_h2          # z2 column
-        full[size:, :size] = k_block
+        full[size:, nw - 2:nw + 2] = k_patch
         full[size:, size:] = j_block
         weight = np.zeros((size + 2, size + 2), dtype=complex)
+        idx = np.arange(size)
         weight[idx, idx] = 1.0
         ev = scipy.linalg.eigvals(full, weight)
-        ev = ev[np.isfinite(ev)]
+        real = _real_levels(ev[np.isfinite(ev)], floor)
 
-    real = np.sort(ev[np.abs(ev.imag) <= 1e-6].real)
-    real = real[real >= -((KAPPA_CEILING / bc.l) ** 2)]
     if real.size < n:
         raise EigenSolverFailure(
             f"only {real.size} real levels out of {n} requested at n_interior={n_interior}"

@@ -108,7 +108,6 @@ class Spectrum:
     levels: tuple[EigenLevel, ...]
     bc_params: UnitaryParams
     count_requested: int
-    truncated: bool = False
 
 
 def _half_angle(theta: float) -> tuple[float, float]:

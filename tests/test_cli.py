@@ -175,6 +175,15 @@ def test_eigenfunction_validation_exit_codes(capsys):
     assert code == 2 and "samples" in err
 
 
+def test_eigenfunction_rejects_odd_samples(capsys):
+    # The points are split evenly over the two sides, so an odd count has no
+    # honest meaning; it used to be rounded down silently.
+    code, out, err = _run(capsys, "eigenfunction", "--xi", "1.0", "--samples", "41")
+    assert code == 2 and "even" in err and out == ""
+    code, out, _ = _run(capsys, "eigenfunction", "--xi", "1.0", "--samples", "42")
+    assert code == 0 and len(_json_lines(out)) == 43
+
+
 # ---------------------------------------------------------------- isospectral
 
 
@@ -368,3 +377,25 @@ def test_output_file_matches_stdout_and_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.read_text() == out
+
+
+def test_failed_run_leaves_output_file_untouched(tmp_path, capsys):
+    target = tmp_path / "levels.json"
+    target.write_text("previous results\n")
+    base = ("spectrum", "--xi", "2", "--rho", "0.9")
+    assert main([*base, "--l=-1", "--output", str(target)]) == 2
+    assert target.read_text() == "previous results\n"
+    exhausted = ("--solver", "det", "-n", "12", "--k-max", "3.0")
+    assert main([*base, *exhausted, "--output", str(target)]) == 3
+    assert target.read_text() == "previous results\n"
+    # a run that succeeds does replace the file
+    code, out, _ = _run(capsys, *base)
+    assert main([*base, "--output", str(target)]) == code == 0
+    assert target.read_text() == out
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    code, _, err = _run(
+        capsys, "spectrum", "--xi", "2.0", "--output", str(tmp_path / "absent" / "out.json")
+    )
+    assert code == 2 and "--output" in err

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
 
 from defectline import (
     BoundaryCondition,
@@ -21,7 +23,9 @@ from defectline import (
     params_to_matrix,
     solve_spectrum,
 )
-from defectline.spectrum import GRID_DENSITY, solve_channel
+from defectline.cli import main
+from defectline.oracles import _fd_eliminated, _fd_lowest, _fd_parts
+from defectline.spectrum import GRID_DENSITY, KAPPA_CEILING, solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 
 TWO_PI = 2.0 * math.pi
@@ -294,3 +298,93 @@ def test_fd_levels_sorted():
     bc = _random_bc(rng)
     fd = fd_spectrum(bc, 8, 128)
     assert list(fd.levels) == sorted(fd.levels)
+
+
+def _edge_bc(rng, edge: str) -> BoundaryCondition:
+    """A random defect on a box of random size, in one edge region."""
+    l, L0 = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+    a, b = rng.uniform(0.0, TWO_PI, 2)
+    if edge == "theta0":
+        a = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -2.0)
+    elif edge == "thetapi":
+        a = math.pi + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-9.0, -2.0)
+    elif edge == "threshold":  # T = l sin(a/2) + L0 cos(a/2) = 0
+        a = 2.0 * math.atan2(-L0, l)
+    elif edge == "floor":  # a bound level near kappa l = KAPPA_CEILING
+        kappa = KAPPA_CEILING * rng.uniform(0.8, 1.2) / l
+        a = 2.0 * (math.pi - math.atan(kappa * L0 / math.tanh(kappa * l)))
+    elif edge == "degenerate":
+        b = a
+    p = UnitaryParams(0.5 * (a + b), 0.5 * (a - b), rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
+    return BoundaryCondition(params_to_matrix(p), l, L0)
+
+
+def test_fd_matches_dense_eigvals_of_the_eliminated_matrix():
+    # The sparse solve must return the lowest real levels above the floor
+    # that a dense eigensolve of the very same matrix finds.
+    rng = np.random.default_rng(107)
+    edges = ("generic", "theta0", "thetapi", "threshold", "floor", "degenerate")
+    checked = 0
+    for n_int, count in ((64, 86), (128, 12), (256, 4)):
+        for i in range(count):
+            bc = _edge_bc(rng, edges[i % len(edges)])
+            n = 4 + i % 5
+            h, lap, j_block, k_patch = _fd_parts(bc, n_int)
+            assert np.linalg.cond(j_block) < 1e10  # the ordinary path
+            ev = np.linalg.eigvals(_fd_eliminated(h, lap, j_block, k_patch).toarray())
+            ref = np.sort(ev[np.abs(ev.imag) <= 1e-6].real)
+            ref = ref[ref >= -((KAPPA_CEILING / bc.l) ** 2)][:n]
+            if ref.size < n:
+                with pytest.raises(EigenSolverFailure):
+                    fd_spectrum(bc, n, n_int)
+                continue
+            got = np.array(fd_spectrum(bc, n, n_int).levels)
+            assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-6
+            checked += 1
+    assert checked >= 100
+
+
+def test_fd_repeated_calls_give_identical_doubles():
+    rng = np.random.default_rng(109)
+    for edge in ("generic", "degenerate", "floor"):
+        bc = _edge_bc(rng, edge)
+        assert fd_spectrum(bc, 8, 128).levels == fd_spectrum(bc, 8, 128).levels
+    # With only five distinct eigenvalues the Krylov space of the fixed start
+    # vector is invariant after five steps, so ARPACK draws restart vectors;
+    # their generator is seeded too.
+    ham = scipy.sparse.diags(np.repeat(np.arange(5.0), 20).astype(complex), format="csc")
+    assert np.array_equal(_fd_lowest(ham, 8, -10.0), _fd_lowest(ham, 8, -10.0))
+
+
+def test_fd_lowest_widens_the_search_past_discarded_eigenvalues():
+    # Ten eigenvalues nearer the shift than any kept level are discarded:
+    # five real ones below the floor and five complex ones.  The first solve
+    # asks for n + 4 = 7 and keeps none, so the request must double.
+    floor = -100.0
+    below = floor - 1.5 - 0.01 * np.arange(5)
+    complex_ = floor + 0.5 + 1j * (1.0 + np.arange(5))
+    kept = np.arange(40.0)
+    ham = scipy.sparse.diags(np.concatenate([below, complex_, kept]), format="csc")
+    got = _fd_lowest(ham, 3, floor)
+    assert got.size >= 3
+    assert np.max(np.abs(got[:3] - [0.0, 1.0, 2.0])) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None),
+        scipy.sparse.linalg.ArpackError(3),
+    ],
+)
+def test_fd_arpack_failures_are_typed(monkeypatch, capsys, failure):
+    def failing_eigs(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing_eigs)
+    with pytest.raises(EigenSolverFailure):
+        fd_spectrum(BoundaryCondition(np.eye(2, dtype=complex)), 4, 64)
+    code = main(["oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "64"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver failure" in err and "Traceback" not in err
