@@ -17,6 +17,15 @@ floor (kappa l > 50, trajectory ends with floored_out=True) or a branch
 entering from it.  The unique bound branch is exempt from the step-size
 continuity bound while kappa l > 2, since uniqueness already fixes its
 identity and its energy moves arbitrarily fast near the floor.
+
+A channel with winding 0 keeps its theta for the whole loop, so its ladder
+is solved once, at the start, and every step reuses it; its trajectories are
+the start ladder sampled on the moving channel's time grid.  Nearly all of
+the remaining time is in solve_channel, whose Brent refiner evaluates F/k
+and G/kappa one Python float at a time.  It does so on scalar forms of the
+grid functions, with the same operations in the same order and numpy's sinh
+and cosh (math's differ in the last bit), so every level is the same double
+as before, without the cost of a 0-d numpy array per evaluation.
 """
 
 from __future__ import annotations
@@ -169,7 +178,7 @@ class _ChannelWalk:
 
     def try_step(self, t_new: float):
         """Solve at t_new and check every branch; None means halve the step."""
-        new = self._solve(t_new)
+        new = self.levels if self.w == 0 else self._solve(t_new)
         offset = self._bottom_offset(new)
         if offset is None:
             return None

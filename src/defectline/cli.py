@@ -95,10 +95,9 @@ def _csv_value(v) -> str:
 
 def _write_records(out: IO[str], fmt: str, fields: Sequence[str], records) -> None:
     if fmt == "json":
+        keys = [(k, json.dumps(k) + ": ") for k in fields]
         for rec in records:
-            body = ", ".join(
-                f"{json.dumps(k)}: {_json_value(rec[k])}" for k in fields if k in rec
-            )
+            body = ", ".join(key + _json_value(rec[k]) for k, key in keys if k in rec)
             out.write("{" + body + "}\n")
     else:
         writer = csv.writer(out, lineterminator="\n")
@@ -301,8 +300,7 @@ def _cmd_eigenfunction(s: _Settings, out: IO[str]) -> int:
             "residual": boundary_residual(bc, v),
             "current_mismatch": current_mismatch(v),
         }
-        body = ", ".join(f"{json.dumps(k)}: {_json_value(val)}" for k, val in meta.items())
-        out.write("{" + body + "}\n")
+        _write_records(out, fmt, tuple(meta), [meta])
     rows = [
         {"x": float(x), "re": float(val.real), "im": float(val.imag)}
         for x, val in zip(grid, values)

@@ -33,7 +33,15 @@ from .boundary import (
     connection_matrix,
 )
 from .errors import EigenSolverFailure, ScanExhausted
-from .spectrum import GRID_DENSITY, KAPPA_CEILING, ZERO_LEVEL_TOL, EigenLevel, sinhc
+from .spectrum import (
+    GRID_DENSITY,
+    KAPPA_CEILING,
+    ZERO_LEVEL_TOL,
+    EigenLevel,
+    flag_degenerate,
+    sinc_kl,
+    sinhc,
+)
 
 __all__ = [
     "DetScan",
@@ -99,6 +107,13 @@ class _Projection:
     Precomputes the three bilinear coefficients of det M over (sin, k cos)
     and the constant phase sqrt(det U), so grid evaluation is vectorized and
     free of any 2x2 assembly.
+
+    positive_scalar is positive for one float, for the root refiners, which
+    call it one point at a time.  It takes the sinc step with sinc_kl, in
+    np.sinc's operations and order, and keeps the coefficients and the phase
+    as np.complex128 scalars, so its complex products and quotient are
+    numpy's: Python complex division differs from numpy's in the last bit.
+    Both forms therefore return the same doubles.
     """
 
     def __init__(self, bc: BoundaryCondition):
@@ -112,7 +127,7 @@ class _Projection:
             a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - a[0, 1] * b[1, 0] - a[1, 0] * b[0, 1]
         )
         det_u = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-        self.phase = cmath.exp(0.5j * cmath.phase(det_u))
+        self.phase = np.complex128(cmath.exp(0.5j * cmath.phase(det_u)))
 
     def _reduced(self, sigma, tau):
         # -(sigma^2 det A + tau^2 det B + sigma tau m) / phase, real part.
@@ -130,6 +145,13 @@ class _Projection:
         sigma = self.l * np.sinc(k * self.l / np.pi)
         tau = np.cos(k * self.l)
         return self._reduced(sigma, tau)
+
+    def positive_scalar(self, k: float) -> float:
+        """positive(k) for one float, with the same double out."""
+        sigma = self.l * sinc_kl(k, self.l)
+        tau = math.cos(k * self.l)
+        z = sigma * sigma * self.det_a + tau * tau * self.det_b + sigma * tau * self.mixed
+        return float((-z / self.phase).real)
 
     def bound(self, kappa):
         """Normalized projection at E = -kappa^2 <= 0; matches positive(0) at 0.
@@ -190,7 +212,8 @@ def _polish_vertex(fun, r: float, a: float, b: float) -> float:
 def _projected_roots(
     grid: np.ndarray,
     vals: np.ndarray,
-    scalar_fun,
+    fun,
+    fun_scalar,
     det_abs_fun,
     mult_fun,
     skip_origin: bool,
@@ -206,6 +229,10 @@ def _projected_roots(
     of a pair the sub-scan could not split, and since |g|-minimization may
     land on either zero (or just outside the pair), a geometric ladder of
     probe points hunts for the interior sign to bracket both crossings.
+
+    fun is the projection on arrays, for the sub-scan and the vertex polish;
+    fun_scalar is the same function on one float, for brentq, the bounded
+    minimization and the probe ladder, and must return the same doubles.
     """
     from scipy.optimize import brentq, minimize_scalar
 
@@ -224,7 +251,7 @@ def _projected_roots(
                 r = float(grid[i])
                 found.append((r, mult_fun(r) if touching else 1))
         else:
-            r = brentq(scalar_fun, grid[i], grid[i + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+            r = brentq(fun_scalar, grid[i], grid[i + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
             found.append((float(r), 1))
 
     threshold = MIN_CANDIDATE_REL * scan_max
@@ -236,15 +263,15 @@ def _projected_roots(
             continue
         a, b = float(grid[i - 1]), float(grid[i + 1])
         sub = np.linspace(a, b, 257)
-        sv = np.asarray(scalar_fun(sub))
+        sv = np.asarray(fun(sub))
         crossings = np.nonzero(sv[:-1] * sv[1:] < 0.0)[0]
         if crossings.size:
             for j in crossings:
-                r = brentq(scalar_fun, sub[j], sub[j + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+                r = brentq(fun_scalar, sub[j], sub[j + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
                 found.append((float(r), 1))
             continue
         res = minimize_scalar(
-            lambda k: abs(float(scalar_fun(k))), bounds=(a, b), method="bounded",
+            lambda k: abs(float(fun_scalar(k))), bounds=(a, b), method="bounded",
             options={"xatol": 1e-13},
         )
         r = float(res.x)
@@ -252,21 +279,21 @@ def _projected_roots(
         if det_abs_fun(r) > ROOT_ACCEPT_REL * (1.0 + local_scale):
             continue
         if mult_fun(r) == 2:
-            found.append((_polish_vertex(scalar_fun, r, a, b), 2))
+            found.append((_polish_vertex(fun, r, a, b), 2))
             continue
         s_edge = math.copysign(1.0, sv[0])
         probe = None
         delta = 4e-8 * (1.0 + abs(r))
         while delta < (b - a) and probe is None:
             for x in (r - delta, r + delta):
-                if a < x < b and float(scalar_fun(x)) * s_edge < 0.0:
+                if a < x < b and float(fun_scalar(x)) * s_edge < 0.0:
                     probe = x
                     break
             delta *= 4.0
         if probe is None:
             continue  # the dip never crosses zero: no root here
         for lo, hi in ((a, probe), (probe, b)):
-            rr = brentq(scalar_fun, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+            rr = brentq(fun_scalar, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
             found.append((float(rr), 1))
     found.sort(key=lambda t: t[0])
     return found
@@ -296,7 +323,7 @@ def _bound_roots(bc: BoundaryCondition, proj: _Projection, skip_origin: bool) ->
         scale = 2.0 + 2.0 * bc.L0 * (kappa + 1.0 / bc.l)
         return _multiplicity(det_matrix(bc, 1j * kappa) / math.cosh(kappa * bc.l), scale)
 
-    return _projected_roots(grid, vals, lambda x: proj.bound(x), det_abs, mult, skip_origin)
+    return _projected_roots(grid, vals, proj.bound, proj.bound, det_abs, mult, skip_origin)
 
 
 def _positive_det_abs(bc: BoundaryCondition, proj: _Projection):
@@ -331,7 +358,7 @@ def _positive_roots(
         grid = np.arange(0.0, hi + step, step)
         vals = np.asarray(proj.positive(grid))
         roots = _projected_roots(
-            grid, vals, lambda x: proj.positive(x), det_abs, mult, skip_origin
+            grid, vals, proj.positive, proj.positive_scalar, det_abs, mult, skip_origin
         )
         if sum(m for _, m in roots) >= need or hi >= ceiling:
             return roots
@@ -347,7 +374,8 @@ def det_scan(bc: BoundaryCondition, k_max: float, step: float | None = None) -> 
     roots = _projected_roots(
         grid,
         vals,
-        lambda x: proj.positive(x),
+        proj.positive,
+        proj.positive_scalar,
         _positive_det_abs(bc, proj),
         _positive_mult(bc),
         skip_origin=_zero_level_multiplicity(bc) > 0,
@@ -392,18 +420,7 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
         EigenLevel(E=e, k_or_kappa=k, kind=kind, channel=None, index=i)
         for i, (e, k, kind) in enumerate(entries)
     ]
-    for i in range(len(levels) - 1):
-        a, b = levels[i], levels[i + 1]
-        if abs(a.E - b.E) <= 1e-10 * (1.0 + max(abs(a.E), abs(b.E))):
-            levels[i] = EigenLevel(
-                E=a.E, k_or_kappa=a.k_or_kappa, kind=a.kind, channel=None,
-                index=a.index, degenerate_with=(None, b.index),
-            )
-            levels[i + 1] = EigenLevel(
-                E=b.E, k_or_kappa=b.k_or_kappa, kind=b.kind, channel=None,
-                index=b.index, degenerate_with=(None, a.index),
-            )
-    return levels
+    return flag_degenerate(levels, cross_channel=False)
 
 
 def _fd_parts(bc: BoundaryCondition, n_interior: int):

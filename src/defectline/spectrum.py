@@ -150,12 +150,19 @@ def _fhat(theta: float, l: float, L0: float, k):
     return l * np.sinc(k * l / np.pi) * s2 + L0 * np.cos(k * l) * c2
 
 
-def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
-    # _fhat for one float, in the same operations and order as np.sinc,
-    # so it returns the same double without numpy's per-call overhead.
+def sinc_kl(k: float, l: float) -> float:
+    """sin(kl)/(kl) for one float, in np.sinc(k * l / pi)'s operations and order.
+
+    It returns the same double as np.sinc without numpy's per-call overhead.
+    """
     x = math.pi * (k * l / math.pi)
     y = x if x else _EPS
-    return l * (math.sin(y) / y) * s2 + L0 * math.cos(k * l) * c2
+    return math.sin(y) / y
+
+
+def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
+    # _fhat for one float, with the same double out.
+    return l * sinc_kl(k, l) * s2 + L0 * math.cos(k * l) * c2
 
 
 def sinhc(x):
@@ -170,6 +177,14 @@ def _ghat(theta: float, l: float, L0: float, kappa):
     s2, c2 = _half_angle(theta)
     x = np.asarray(kappa, dtype=float) * l
     return l * sinhc(x) * s2 + L0 * np.cosh(x) * c2
+
+
+def _ghat_scalar(s2: float, c2: float, l: float, L0: float, kappa: float) -> float:
+    # _ghat for one float, in the same operations and order as sinhc.  sinh
+    # and cosh stay numpy's: math.sinh differs from them in the last bit.
+    x = kappa * l
+    sh = 1.0 + x * x / 6.0 if abs(x) < 1e-8 else float(np.sinh(x)) / x
+    return l * sh * s2 + L0 * float(np.cosh(x)) * c2
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -255,7 +270,13 @@ def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool)
 
 
 def _find_bound(theta: float, l: float, L0: float) -> float | None:
-    """The unique bound root of G below the kappa ceiling, if any."""
+    """The unique bound root of G below the kappa ceiling, if any.
+
+    Brent refines on _ghat_scalar, which returns the same doubles as _ghat
+    without building a 0-d array per call.  It calls numpy's sinh and cosh on
+    Python floats rather than math's, whose last bit differs, so the root
+    keeps its digits.
+    """
     s2, c2 = _half_angle(theta)
     if c2 >= 0.0:
         return None
@@ -263,7 +284,7 @@ def _find_bound(theta: float, l: float, L0: float) -> float | None:
     if t0 <= 0.0:
         return None
     cap = KAPPA_CEILING / l
-    g = lambda kappa: float(_ghat(theta, l, L0, kappa))
+    g = lambda kappa: _ghat_scalar(s2, c2, l, L0, kappa)
     if g(cap) >= 0.0:
         # Root exists mathematically but lies beyond the overflow-safe window.
         return None
@@ -318,11 +339,24 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     for theta, tag in ((p.theta_plus, CHANNEL_PLUS), (p.theta_minus, CHANNEL_MINUS)):
         merged.extend(solve_channel(Channel(theta, bc.l, bc.L0), n, tag))
     merged.sort(key=lambda lv: (lv.E, lv.channel != CHANNEL_PLUS))
-    merged = merged[:n]
+    levels = flag_degenerate(merged[:n], cross_channel=True)
+    return Spectrum(levels=tuple(levels), bc_params=p, count_requested=n)
 
-    for i in range(len(merged) - 1):
-        a, b = merged[i], merged[i + 1]
-        if a.channel != b.channel and abs(a.E - b.E) <= 1e-10 * (1.0 + max(abs(a.E), abs(b.E))):
-            merged[i] = replace(a, degenerate_with=(b.channel, b.index))
-            merged[i + 1] = replace(b, degenerate_with=(a.channel, a.index))
-    return Spectrum(levels=tuple(merged), bc_params=p, count_requested=n)
+
+def flag_degenerate(levels: list[EigenLevel], cross_channel: bool) -> list[EigenLevel]:
+    """Cross-reference adjacent levels of a sorted list that coincide in E.
+
+    Two neighbours within 1e-10 (relative) get each other's (channel, index)
+    in degenerate_with.  With cross_channel only pairs from different
+    channels count, as the channel solver's own channel never repeats a
+    level; without it any adjacent pair counts.
+    """
+    out = list(levels)
+    for i in range(len(out) - 1):
+        a, b = out[i], out[i + 1]
+        if cross_channel and a.channel == b.channel:
+            continue
+        if abs(a.E - b.E) <= 1e-10 * (1.0 + max(abs(a.E), abs(b.E))):
+            out[i] = replace(a, degenerate_with=(b.channel, b.index))
+            out[i + 1] = replace(b, degenerate_with=(a.channel, a.index))
+    return out

@@ -16,6 +16,7 @@ from defectline import (
     trace_path,
     trajectory_shifts,
 )
+from defectline import anholonomy
 from defectline.spectrum import solve_channel
 
 BASE = UnitaryParams(xi=2.2, rho=0.8)  # theta+ = 3.0, theta- = 1.4
@@ -120,6 +121,31 @@ def test_sample_count_and_time_range():
         assert len(tr.t_values) >= path.n_steps + 1
         assert np.all(np.diff(tr.t_values) > 0.0)
         assert tr.t_values[0] == 0.0 and tr.t_values[-1] == 1.0
+
+
+def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
+    calls = []
+
+    def counting(ch, n, tag=None):
+        calls.append(ch.theta)
+        return solve_channel(ch, n, tag)
+
+    monkeypatch.setattr(anholonomy, "solve_channel", counting)
+    path = PathSpec(winding=(1, 0), base=BASE, n_steps=64, levels_tracked=6)
+    trajectories = trace_path(path)
+    still = Channel(BASE.theta_minus).theta
+    # Once to split the tracked levels between the channels, once for the walk.
+    assert calls.count(still) == 2
+    assert len(calls) > path.n_steps
+
+    moving = [tr for tr in trajectories if tr.channel == "plus" and not tr.floored_out]
+    minus = [tr for tr in trajectories if tr.channel == "minus"]
+    assert moving and minus
+    ladder = solve_channel(Channel(BASE.theta_minus), len(minus) + 2)
+    for tr in minus:
+        assert np.array_equal(tr.t_values, moving[0].t_values)
+        assert tr.end_index == tr.start_index
+        assert np.all(tr.E_values == ladder[tr.start_index].E)
 
 
 def test_degenerate_start_is_rejected():

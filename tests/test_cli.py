@@ -5,6 +5,7 @@ handling, output formatting, and exit codes exactly as a shell user sees
 them.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -244,6 +245,46 @@ def test_trace_winding_shifts_csv(capsys):
     last = lines[-1].split(",")
     assert last[0] == "summary"
     assert last[-2:] == ["1", "0"]  # s_plus, s_minus
+
+
+# The sha256 of stdout, recorded before the loop and det root refiners moved
+# to scalar residuals and stationary channels stopped being re-solved; every
+# change there must leave these bytes as they are.
+PINNED_STDOUT_SHA256 = [
+    (
+        ("trace", "--theta-plus", "3.5", "--theta-minus", "1.0", "--w-plus", "1",
+         "--steps", "64", "--tracked", "4"),
+        "f8bf44996e96504b8dd85b611a86ce134b7d8d888422d2a9802d35303f718d33",
+    ),
+    (
+        ("trace", "--xi", "2.2", "--rho", "0.8", "--L0", "0.3", "--steps", "64", "--tracked", "4"),
+        "b00004651fc45e8acae01fd1e122ec9e5a0b8097c26b056f629cfcd9562d91f2",
+    ),
+    (
+        ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
+         "--grid-nu", "3"),
+        "efde1045bd690fb4a752f42a522e2b272882c2b9f7771c5030e5e4b7aabc69d9",
+    ),
+    (
+        ("isospectral", "--xi", "3.6", "--rho", "0.5", "-n", "6", "--l", "2.0", "--L0", "0.5",
+         "--grid-mu", "3", "--grid-nu", "4"),
+        "8b54688f9b6d13a85104a85ae1ad75aa3e88951b502a52cdcca923a08bdc16bc",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_STDOUT_SHA256, ids=["trace-1-0-bound", "trace-0-0", "iso", "iso-bound"]
+)
+def test_geometry_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trace_pinned_loop_passes_a_bound_state(capsys):
+    _, out, _ = _run(capsys, *PINNED_STDOUT_SHA256[0][0])
+    assert min(r["E"] for r in _json_lines(out) if r["record"] == "point") < 0.0
 
 
 # ------------------------------------------------------------- oracle-compare
