@@ -47,8 +47,6 @@ __all__ = [
     "loop_shift",
 ]
 
-PATH_KIND_THETA_LOOP = "theta_loop"
-
 # A bound level deeper than this (in units of 1/l) is identified by
 # uniqueness instead of by the step-continuity window.
 _KAPPA_TRUST = 2.0
@@ -67,11 +65,8 @@ class PathSpec:
     levels_tracked: int = 8
     l: float = 1.0
     L0: float = 1.0
-    kind: str = PATH_KIND_THETA_LOOP
 
     def __post_init__(self):
-        if self.kind != PATH_KIND_THETA_LOOP:
-            raise ValueError(f"unsupported path kind {self.kind!r}")
         w = tuple(self.winding)
         if len(w) != 2 or any(x != int(x) for x in w):
             raise ValueError("winding must be a pair of integers")

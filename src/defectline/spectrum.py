@@ -18,6 +18,14 @@ vanishes.  Root scanning works on the reduced functions F(k)/k and
 G(kappa)/kappa, which are entire, equal T at the origin, and carry the same
 nonzero roots — this removes the spurious root both F and G have at 0 and
 lets brackets start at the origin, where near-threshold levels live.
+
+Positive roots are found by a sign scan of F/k on the grid step * j and
+refined by a port of scipy's brentq: one bracket at a time on a pure-math
+F/k for short ladders, and every bracket in lock step on numpy arrays once a
+scan needs _ARRAY_BRENT_MIN of them.  Both give the same doubles.  The
+merged spectrum solves each channel only about n/2 deep, as far as the two
+interlacing ladders reach, and checks that depth against the merged n-th
+level before it keeps the result.
 """
 
 from __future__ import annotations
@@ -59,6 +67,13 @@ ZERO_LEVEL_TOL = 1e-12
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 1e-15
 _BRENT_MAXITER = 100
+
+# _scan_positive refines this many brackets or more in lock step with
+# _brentq_array, fewer one at a time with _brentq: the measured crossover.
+# A scan of n roots, mean over 20 random channels on a 2-core Xeon, took
+# 0.69 / 0.93 / 1.16 ms one at a time and 0.81 / 0.94 / 0.94 ms in lock step
+# at n = 48 / 64 / 80.
+_ARRAY_BRENT_MIN = 64
 
 _EPS = float(np.finfo(float).eps)
 
@@ -187,17 +202,17 @@ def _ghat_scalar(s2: float, c2: float, l: float, L0: float, kappa: float) -> flo
     return l * sh * s2 + L0 * float(np.cosh(x)) * c2
 
 
-def _brentq(f, xa: float, xb: float) -> float:
+def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
     A line-for-line port of scipy.optimize.brentq (its brentq.c) at
     xtol = _BRENT_XTOL and rtol = _BRENT_RTOL: the same iterates in the same
-    floating-point order, so the same double comes back.
+    floating-point order, so the same double comes back.  ``fa`` and ``fb``
+    are f(xa) and f(xb), which every caller already holds.
     """
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre = f(xpre)
-    fcur = f(xcur)
+    fpre, fcur = fa, fb
     if math.isnan(fpre) or math.isnan(fcur):
         raise ValueError("the function value at a bracket end is NaN")
     if fpre == 0.0:
@@ -243,8 +258,80 @@ def _brentq(f, xa: float, xb: float) -> float:
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
+def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
+    """_brentq on every bracket [xa[i], xb[i]] at once, in lock step.
+
+    Each element takes _brentq's branches and floating-point operations in
+    its order, selected with np.where, so each root is the double _brentq
+    returns, provided the vector f returns the scalar f's doubles.  The end
+    values fa and fb must be nonzero and of opposite signs, as on every
+    sign-change cell.  A bracket leaves the active set when it converges; f
+    is evaluated on the active brackets only.
+    """
+    xpre = np.array(xa, dtype=float)
+    xcur = np.array(xb, dtype=float)
+    fpre = np.array(fa, dtype=float)
+    fcur = np.array(fb, dtype=float)
+    if np.isnan(fpre).any() or np.isnan(fcur).any():
+        raise ValueError("the function value at a bracket end is NaN")
+    if ((fpre == 0.0) | (fcur == 0.0) | (np.signbit(fpre) == np.signbit(fcur))).any():
+        raise ValueError("f(a) and f(b) must be nonzero and have different signs")
+    out = xcur.copy()
+    idx = np.arange(xcur.size)
+    xblk = fblk = spre = scur = np.zeros(idx.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_BRENT_MAXITER):
+            new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+            xblk = np.where(new, xpre, xblk)
+            fblk = np.where(new, fpre, fblk)
+            spre = np.where(new, xcur - xpre, spre)
+            scur = np.where(new, xcur - xpre, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (
+                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            )
+            fpre, fcur, fblk = (
+                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            )
+            delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                out[idx[done]] = xcur[done]
+                go = ~done
+                idx, xpre, xcur, xblk = idx[go], xpre[go], xcur[go], xblk[go]
+                fpre, fcur, fblk = fpre[go], fcur[go], fblk[go]
+                spre, scur, delta, sbis = spre[go], scur[go], delta[go], sbis[go]
+            if idx.size == 0:
+                return out
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interpolate, extrapolate)
+            good = (
+                (np.abs(spre) > delta)
+                & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+            )
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur)
+            if np.isnan(fcur).any():
+                raise ValueError(f"the function value at x={xcur[np.isnan(fcur)][0]} is NaN")
+    raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
+
+
 def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool) -> list[float]:
-    """Lowest n positive roots of F via sign scan of F/k from the origin."""
+    """Lowest n positive roots of F via sign scan of F/k from the origin.
+
+    A cell of the grid holds a root when F/k changes sign across it, or when
+    F/k is exactly 0 at its left end other than at the origin (where F/k = T
+    and the root of F is spurious).  The sign-change cells refine by Brent
+    on the grid's own end values: one bracket at a time on _fhat_scalar, or
+    all of them in lock step on _fhat once there are _ARRAY_BRENT_MIN.
+    """
     s2, c2 = _half_angle(theta)
     step = math.pi / (GRID_DENSITY * l)
     # The m-th positive root (m = 1, 2, ...) lies below (m + 1/2) pi / l, so
@@ -256,15 +343,27 @@ def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool)
     while len(roots) < n:
         grid = step * np.arange(j0, j0 + block + 1)
         vals = _fhat(theta, l, L0, grid)
-        head = vals[:-1]
-        for i in np.flatnonzero((head == 0.0) | (head * vals[1:] < 0.0)):
-            if head[i] == 0.0:
-                if grid[i] > 0.0:
-                    roots.append(float(grid[i]))
-            else:
-                roots.append(_brentq(f, float(grid[i]), float(grid[i + 1])))
-            if len(roots) == n:
-                break
+        head, tail = vals[:-1], vals[1:]
+        exact = head == 0.0
+        if j0 == 0:
+            # F/k = T at the origin, where F's root is spurious.  It leaves
+            # the mask before the cut to the roots still needed, so it
+            # cannot take the place of a root.
+            exact[0] = False
+        cells = np.flatnonzero(exact | (head * tail < 0.0))[: n - len(roots)]
+        if cells.size < _ARRAY_BRENT_MIN:
+            for i in cells.tolist():
+                k = float(grid[i])
+                if not exact[i]:
+                    k = _brentq(f, k, float(grid[i + 1]), float(head[i]), float(tail[i]))
+                roots.append(k)
+        else:
+            found = grid[cells]
+            sign = ~exact[cells]
+            at = cells[sign]
+            fvec = lambda k: _fhat(theta, l, L0, k)
+            found[sign] = _brentq_array(fvec, found[sign], grid[at + 1], head[at], tail[at])
+            roots.extend(found.tolist())
         j0 += block
     return roots
 
@@ -285,10 +384,12 @@ def _find_bound(theta: float, l: float, L0: float) -> float | None:
         return None
     cap = KAPPA_CEILING / l
     g = lambda kappa: _ghat_scalar(s2, c2, l, L0, kappa)
-    if g(cap) >= 0.0:
+    g_cap = g(cap)
+    if g_cap >= 0.0:
         # Root exists mathematically but lies beyond the overflow-safe window.
         return None
-    return _brentq(g, 0.0, cap)
+    # t0 is g(0.0) to the bit: sinhc is 1 there and cosh(0) is 1.
+    return _brentq(g, 0.0, cap, t0, g_cap)
 
 
 def solve_channel(ch: Channel, n: int, tag: str | None = None) -> list[EigenLevel]:
@@ -331,14 +432,31 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     Depends only on the eigenphases (xi, rho) of the defect matrix.  Levels
     of the two channels that coincide within 1e-10 (relative) are flagged
     degenerate and cross-referenced.
+
+    Each channel holds one positive root per branch of width pi/l, so the
+    two ladders interlace and each channel is first solved only
+    (n + 1) // 2 + 2 deep; the margin of two covers a bound or zero level
+    and the offset between the branches of the two channels.  The merge is
+    kept when its n-th level lies at or below the last level solved in both
+    channels: every deeper level of a channel lies strictly above that, so
+    the full-depth merge starts with the same n levels.  Otherwise both
+    channels are solved n deep.  A channel's first m levels are the same
+    doubles whatever depth it is solved to.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     p = matrix_to_params(bc.u)
-    merged: list[EigenLevel] = []
-    for theta, tag in ((p.theta_plus, CHANNEL_PLUS), (p.theta_minus, CHANNEL_MINUS)):
-        merged.extend(solve_channel(Channel(theta, bc.l, bc.L0), n, tag))
-    merged.sort(key=lambda lv: (lv.E, lv.channel != CHANNEL_PLUS))
+    channels = (
+        (Channel(p.theta_plus, bc.l, bc.L0), CHANNEL_PLUS),
+        (Channel(p.theta_minus, bc.l, bc.L0), CHANNEL_MINUS),
+    )
+    depth = min(n, (n + 1) // 2 + 2)
+    while True:
+        parts = [solve_channel(ch, depth, tag) for ch, tag in channels]
+        merged = sorted(parts[0] + parts[1], key=lambda lv: (lv.E, lv.channel != CHANNEL_PLUS))
+        if depth == n or all(merged[n - 1].E <= part[-1].E for part in parts):
+            break
+        depth = n
     levels = flag_degenerate(merged[:n], cross_channel=True)
     return Spectrum(levels=tuple(levels), bc_params=p, count_requested=n)
 

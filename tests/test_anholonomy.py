@@ -41,8 +41,6 @@ def test_pathspec_validation():
     ok = PathSpec(winding=(1, 0), base=BASE)
     assert ok.winding == (1, 0) and ok.n_steps == 256
     with pytest.raises(ValueError):
-        PathSpec(winding=(1, 0), base=BASE, kind="radial")
-    with pytest.raises(ValueError):
         PathSpec(winding=(1, 0), base=BASE, n_steps=32)
     with pytest.raises(ValueError):
         PathSpec(winding=(1, 0), base=BASE, levels_tracked=1)

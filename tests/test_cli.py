@@ -282,6 +282,35 @@ def test_geometry_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The sha256 of stdout, recorded before long ladders moved to lock-step Brent
+# and channels to the verified merge depth: a generic defect with a bound
+# state, an exact threshold (T = 0 in the plus channel) and rho = 0, where
+# every level is a degenerate pair.
+PINNED_LADDER_SHA256 = [
+    (
+        ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "2000"),
+        "815d4ed4ba8b1cd845a57ff4c6cd5a6f74eb0a621c92a35ecbeb29ab0cc73561",
+    ),
+    (
+        ("spectrum", "--theta-plus", "4.71238898038469", "--theta-minus", "1.0", "-n", "512"),
+        "9cc649a979516d1585b735e8178ab72f7bf90d736a52ba27ba12407c5b25ad67",
+    ),
+    (
+        ("spectrum", "--xi", "2.0", "--rho", "0.0", "-n", "64"),
+        "4a81e6d2a655e56be6a1af0fdc86e3057091ea8a72c6d3574d6180638a6106cd",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", PINNED_LADDER_SHA256, ids=["generic-2000", "threshold-512", "rho0-64"]
+)
+def test_ladder_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_trace_pinned_loop_passes_a_bound_state(capsys):
     _, out, _ = _run(capsys, *PINNED_STDOUT_SHA256[0][0])
     assert min(r["E"] for r in _json_lines(out) if r["record"] == "point") < 0.0

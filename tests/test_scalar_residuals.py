@@ -1,11 +1,13 @@
-"""Property tests: each scalar residual returns its vector form's doubles.
+"""Property tests: each fast path returns the doubles of its plain form.
 
 The root refiners evaluate F/k, G/kappa and the projected determinant one
-float at a time on scalar forms of the grid functions.  The printed levels
-stay the same only while every scalar form returns exactly the double its
-vector form returns, so these tests compare with ==, not with a tolerance,
-over l and L0 across four decades and the edge regions: theta near 0 and pi,
-the threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.
+float at a time on scalar forms of the grid functions, and the channel
+solver merges two ladders solved only as deep as the merge reaches.  The
+printed levels stay the same only while every scalar form returns exactly
+the double its vector form returns and the shallow merge returns the
+full-depth one, so these tests compare with ==, not with a tolerance, over l
+and L0 across four decades and the edge regions: theta near 0 and pi, the
+threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.
 """
 
 import math
@@ -14,7 +16,15 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from defectline import BoundaryCondition, UnitaryParams, params_to_matrix
+from defectline import (
+    BoundaryCondition,
+    Channel,
+    UnitaryParams,
+    matrix_to_params,
+    params_to_matrix,
+    solve_channel,
+    solve_spectrum,
+)
 from defectline.oracles import _projected_roots, _positive_det_abs, _positive_mult, _Projection
 from defectline.spectrum import (
     GRID_DENSITY,
@@ -26,6 +36,7 @@ from defectline.spectrum import (
     _ghat,
     _ghat_scalar,
     _half_angle,
+    flag_degenerate,
 )
 
 PI = math.pi
@@ -45,12 +56,25 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @st.composite
+def phases(draw, l, L0):
+    """An eigenphase on the box (l, L0); one draw in four puts it on the
+    threshold T = 0, one in four puts its bound level within 20 % of the
+    kappa l = 50 floor."""
+    region = draw(st.integers(0, 3))
+    if region == 0:
+        return 2.0 * math.atan2(L0, -l)  # sin(theta/2) l = -cos(theta/2) L0
+    if region == 1:
+        # tan(theta/2) = -50 L0 / (l f) puts the root at kappa l near 50 / f.
+        f = draw(st.floats(0.8, 1.2))
+        return 2.0 * (PI - math.atan(KAPPA_CEILING * L0 / (l * f)))
+    return draw(angles)
+
+
+@st.composite
 def channels(draw):
-    """(theta, l, L0); one draw in four puts theta on the threshold T = 0."""
+    """(theta, l, L0) with theta from phases(l, L0)."""
     l, L0 = draw(lengths), draw(lengths)
-    if draw(st.integers(0, 3)) == 0:
-        return 2.0 * math.atan2(L0, -l), l, L0  # sin(theta/2) l = -cos(theta/2) L0
-    return draw(angles), l, L0
+    return draw(phases(l, L0)), l, L0
 
 
 def _points(seed, top):
@@ -90,7 +114,7 @@ def test_find_bound_equals_brent_on_the_vector_form(ch):
     if c2 >= 0.0 or l * s2 + L0 * c2 <= 0.0 or g(cap) >= 0.0:
         expected = None
     else:
-        expected = _brentq(g, 0.0, cap)
+        expected = _brentq(g, 0.0, cap, g(0.0), g(cap))
     assert _find_bound(theta, l, L0) == expected
 
 
@@ -125,3 +149,27 @@ def test_projected_roots_equal_with_either_residual(bc):
     scalar = _projected_roots(grid, vals, proj.positive, proj.positive_scalar, *args)
     vector = _projected_roots(grid, vals, proj.positive, proj.positive, *args)
     assert scalar == vector
+
+
+@st.composite
+def defects(draw):
+    """A defect on a box with two channels from phases(); one draw in four
+    makes them equal (rho = 0)."""
+    theta_plus, l, L0 = draw(channels())
+    theta_minus = theta_plus if draw(st.integers(0, 3)) == 0 else draw(phases(l, L0))
+    p = UnitaryParams(
+        xi=(theta_plus + theta_minus) / 2.0,
+        rho=(theta_plus - theta_minus) / 2.0,
+        mu=draw(st.floats(0.0, PI)),
+        nu=draw(st.floats(0.0, TWO_PI)),
+    )
+    return BoundaryCondition(params_to_matrix(p), l=l, L0=L0)
+
+
+@given(defects(), st.one_of(st.integers(1, 80), st.integers(80, 600)))
+def test_solve_spectrum_equals_the_full_depth_merge(bc, n):
+    p = matrix_to_params(bc.u)
+    full = solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n, "plus")
+    full += solve_channel(Channel(p.theta_minus, bc.l, bc.L0), n, "minus")
+    full.sort(key=lambda lv: (lv.E, lv.channel != "plus"))
+    assert solve_spectrum(bc, n).levels == tuple(flag_degenerate(full[:n], cross_channel=True))

@@ -15,25 +15,31 @@ from scipy.optimize import brentq
 from defectline import (
     BoundaryCondition,
     Channel,
+    EigenLevel,
     UnitaryParams,
     bound_function,
     channel_function,
+    matrix_to_params,
     params_to_matrix,
     solve_channel,
     solve_spectrum,
     threshold,
 )
+from defectline import spectrum
 from defectline.spectrum import (
+    _ARRAY_BRENT_MIN,
     _BRENT_RTOL,
     _BRENT_XTOL,
     GRID_DENSITY,
     KAPPA_CEILING,
     _brentq,
+    _brentq_array,
     _fhat,
     _fhat_scalar,
     _ghat,
     _half_angle,
     _scan_positive,
+    flag_degenerate,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -131,7 +137,9 @@ def _random_channel(rng):
 def test_brent_port_matches_scipy_brentq():
     # scipy is the oracle here: the port must return the identical double on
     # every sign-change cell of F/k and on bound brackets of G/kappa, and the
-    # scalar residual must equal the numpy one at every returned root.
+    # scalar residual must equal the numpy one at every returned root.  The
+    # lock-step port must return the same doubles on all brackets of a
+    # channel at once.
     rng = np.random.default_rng(71)
     count = 0
     while count < 10_000:
@@ -140,14 +148,22 @@ def test_brent_port_matches_scipy_brentq():
         grid = math.pi / (GRID_DENSITY * l) * np.arange(40 * GRID_DENSITY)
         vals = _fhat(theta, l, L0, grid)
         f = lambda k: _fhat_scalar(s2, c2, l, L0, k)
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        cells = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        roots = []
+        for i in cells:
             a, b = float(grid[i]), float(grid[i + 1])
-            r = _brentq(f, a, b)
+            r = _brentq(f, a, b, f(a), f(b))
             assert r == brentq(f, a, b, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
             assert f(r) == float(_fhat(theta, l, L0, r))
-            count += 1
+            roots.append(r)
+        lock_step = _brentq_array(
+            lambda k: _fhat(theta, l, L0, k), grid[cells], grid[cells + 1], vals[cells],
+            vals[cells + 1],
+        )
+        assert lock_step.tolist() == roots
+        count += len(roots)
     # The bound window [0, KAPPA_CEILING / l] of G/kappa takes the rarer
-    # branches of Brent's step choice.
+    # branches of Brent's step choice, which the F/k cells can miss.
     count = 0
     while count < 1000:
         theta, l, L0 = _random_channel(rng)
@@ -155,7 +171,13 @@ def test_brent_port_matches_scipy_brentq():
         g = lambda kappa: float(_ghat(theta, l, L0, kappa))
         if threshold(Channel(theta, l, L0)) <= 0.0 or math.cos(theta / 2.0) >= 0.0 or g(cap) >= 0.0:
             continue
-        assert _brentq(g, 0.0, cap) == brentq(g, 0.0, cap, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+        r = _brentq(g, 0.0, cap, g(0.0), g(cap))
+        assert r == brentq(g, 0.0, cap, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
+        if count < 200:
+            window = np.array([0.0, cap])
+            gw = _ghat(theta, l, L0, window)
+            g_vec = lambda kappa: _ghat(theta, l, L0, kappa)
+            assert _brentq_array(g_vec, window[:1], window[1:], gw[:1], gw[1:]).tolist() == [r]
         count += 1
 
 
@@ -183,10 +205,12 @@ def _scan_positive_reference(theta, l, L0, n, skip_origin):
 
 
 def test_scan_matches_per_cell_reference():
+    # Short scans refine one bracket at a time, long ones (n at or above
+    # _ARRAY_BRENT_MIN) in lock step; both must give the reference doubles.
     rng = np.random.default_rng(73)
-    for i in range(60):
+    for i in range(68):
         theta, l, L0 = _random_channel(rng)
-        n = int(rng.integers(1, 24))
+        n = int(rng.integers(1, 24)) if i < 60 else int(rng.integers(_ARRAY_BRENT_MIN, 600))
         skip = bool(i % 2)
         assert _scan_positive(theta, l, L0, n, skip) == _scan_positive_reference(
             theta, l, L0, n, skip
@@ -195,9 +219,10 @@ def test_scan_matches_per_cell_reference():
     s2, c2 = _half_angle(3.3)
     L0 = -s2 / c2
     assert _fhat(3.3, 1.0, L0, 0.0) == 0.0
-    assert _scan_positive(3.3, 1.0, L0, 5, False) == _scan_positive_reference(
-        3.3, 1.0, L0, 5, False
-    )
+    for n in (5, 2 * _ARRAY_BRENT_MIN):
+        assert _scan_positive(3.3, 1.0, L0, n, False) == _scan_positive_reference(
+            3.3, 1.0, L0, n, False
+        )
 
 
 def test_interlacing_gap_bounds():
@@ -306,6 +331,48 @@ def test_solve_spectrum_interleaved_example():
     # interleave starts with the minus channel.
     channels = [lv.channel for lv in levels]
     assert channels == ["minus", "plus", "minus", "plus"]
+
+
+def test_merge_depth_is_verified_against_a_lopsided_ladder(monkeypatch):
+    # Channels interlace, so each is first solved about n/2 deep.  A plus
+    # channel whose dense ladder lies below the minus channel's first level
+    # must make solve_spectrum solve both channels n deep and return the
+    # full merge.
+    real = spectrum.solve_channel
+    depths = []
+
+    def dense(n):
+        return [
+            EigenLevel(E=1e-3 * (i + 1), k_or_kappa=math.sqrt(1e-3 * (i + 1)), kind="positive",
+                       channel="plus", index=i)
+            for i in range(n)
+        ]
+
+    def counted(ch, n, tag=None):
+        depths.append((tag, n))
+        return real(ch, n, tag)
+
+    def lopsided(ch, n, tag=None):
+        if tag != "plus":
+            return counted(ch, n, tag)
+        depths.append((tag, n))
+        return dense(n)
+
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.9)))
+    n = 40
+    monkeypatch.setattr(spectrum, "solve_channel", lopsided)
+    levels = solve_spectrum(bc, n).levels
+    minus = Channel(matrix_to_params(bc.u).theta_minus)
+    full = sorted(dense(n) + real(minus, n, "minus"), key=lambda lv: (lv.E, lv.channel != "plus"))
+    assert levels == tuple(flag_degenerate(full[:n], cross_channel=True))
+    assert all(lv.channel == "plus" for lv in levels)
+    assert depths == [("plus", 22), ("minus", 22), ("plus", n), ("minus", n)]
+
+    # The real ladders interlace and the half-depth merge is kept.
+    monkeypatch.setattr(spectrum, "solve_channel", counted)
+    depths.clear()
+    solve_spectrum(bc, n)
+    assert depths == [("plus", 22), ("minus", 22)]
 
 
 def test_spectrum_independent_of_frame_angles():
