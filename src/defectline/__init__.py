@@ -48,11 +48,13 @@ from .isospectral import (
 from .oracles import DetScan, FdSpectrum, det_matrix, det_scan, det_spectrum, fd_spectrum
 from .spectrum import (
     Channel,
+    ChannelRows,
     EigenLevel,
     Spectrum,
     bound_function,
     channel_function,
     solve_channel,
+    solve_channels,
     solve_spectrum,
     threshold,
 )
@@ -79,7 +81,7 @@ __all__ = [
     "current_mismatch", "level_eigenbasis", "reflect", "sample_eigenfunction",
     # spectrum
     "Channel", "EigenLevel", "Spectrum", "bound_function", "channel_function",
-    "solve_channel", "solve_spectrum", "threshold",
+    "ChannelRows", "solve_channel", "solve_channels", "solve_spectrum", "threshold",
     # oracles
     "DetScan", "FdSpectrum", "det_matrix", "det_scan", "det_spectrum",
     "fd_spectrum",

@@ -7,36 +7,40 @@ rung of the ladder.  The per-channel integer shift is the observable this
 module measures; it depends only on the winding numbers of the loop, which
 is the numerical face of pi_1(T^2) = Z x Z.
 
-Tracking exploits two structural facts.  First, the two channels never mix
-along theta-only paths, so each is continued independently (both advance on
-one shared adaptive time grid).  Second, within a channel the branches never
-cross and at most one level is bound (E < 0) at a time, so a branch is
-identified by its position in the sorted channel spectrum, and the only
-bookkeeping events are at the bottom: a branch diving below the bound-state
-floor (kappa l > 50, trajectory ends with floored_out=True) or a branch
-entering from it.  The unique bound branch is exempt from the step-size
-continuity bound while kappa l > 2, since uniqueness already fixes its
-identity and its energy moves arbitrarily fast near the floor.
+A level is identified by a closed-form branch label, not by how far it
+moved.  With alpha = atan2(k L0 cos(theta/2), sin(theta/2)), F(k) = 0 reads
+sin(kl + alpha) = 0, so every positive root carries the integer label
+m = (kl + alpha)/pi; the bound level and the zero-energy level carry m = 0,
+and the sorted levels of a channel carry consecutive labels.  alpha is
+continuous in theta except where theta wraps past a multiple of 2 pi, where
+it jumps by pi while k moves on continuously, so the label less the number
+of 2 pi crossings is an unwrapped label that a level keeps along the whole
+loop.  A trajectory is the set of samples that share one unwrapped label,
+and its ladder shift is read off the labels.  A label that is not an
+integer to 1e-6, or labels that are not consecutive, raise
+ContinuationLost.  A tracked label that leaves the bottom of the ladder has
+dived below the bound-state floor (kappa l > 50): its trajectory ends there
+with floored_out=True.
 
-A channel with winding 0 keeps its theta for the whole loop, so its ladder
-is solved once, at the start, and every step reuses it; its trajectories are
-the start ladder sampled on the moving channel's time grid.  Nearly all of
-the remaining time is in solve_channel, whose Brent refiner evaluates F/k
-and G/kappa one Python float at a time.  It does so on scalar forms of the
-grid functions, with the same operations in the same order and numpy's sinh
-and cosh (math's differ in the last bit), so every level is the same double
-as before, without the cost of a 0-d numpy array per evaluation.
+The loop is sampled on a fixed grid, t <- min(t + 1/n_steps, 1) until t is
+within 1e-12 of 1, so the samples of a moving channel do not depend on each
+other and solve_channels solves them in one batch, with the doubles
+solve_channel returns at each sample.  The two channels never mix along
+theta-only paths, so each is labelled on its own.  The t = 0 ladder of each
+channel is solved once, deep enough both to split the tracked levels
+between the channels and to follow them; a channel with winding 0 keeps its
+theta, and its start ladder stands for every sample.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import KIND_BOUND
 from .errors import ContinuationLost, DegeneratePath, InconsistentShift
-from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, Channel, EigenLevel, solve_channel
+from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, ChannelRows, solve_channels
 from .unitary import TWO_PI, UnitaryParams
 
 __all__ = [
@@ -47,12 +51,9 @@ __all__ = [
     "loop_shift",
 ]
 
-# A bound level deeper than this (in units of 1/l) is identified by
-# uniqueness instead of by the step-continuity window.
-_KAPPA_TRUST = 2.0
-# Fraction of the local level gap the corrector may move per accepted step.
-_WINDOW_FRACTION = 0.45
-_MAX_HALVINGS = 40
+# A branch label farther than this from an integer means the levels of a
+# sample are not the roots they should be.
+_LABEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -95,142 +96,114 @@ class LevelTrajectory:
     floored_out: bool = False
 
 
-class _Branch:
-    """Mutable tracking state for one trajectory while the walk is running."""
+def _t_grid(n_steps: int) -> list[float]:
+    """The sample times: t <- min(t + 1/n_steps, 1) from 0 until t >= 1 - 1e-12."""
+    h = 1.0 / n_steps
+    ts = [0.0]
+    while ts[-1] < 1.0 - 1e-12:
+        ts.append(min(ts[-1] + h, 1.0))
+    return ts
 
-    def __init__(self, channel: str, index: int, t0: float, e0: float):
-        self.channel = channel
-        self.start_index = index
-        self.index = index
-        self.ts = [t0]
-        self.es = [e0]
-        self.floored = False
 
-    def finish(self) -> LevelTrajectory:
-        return LevelTrajectory(
-            t_values=np.array(self.ts),
-            E_values=np.array(self.es),
-            start_index=self.start_index,
-            end_index=-1 if self.floored else self.index,
-            channel=self.channel,
-            floored_out=self.floored,
+def _unwrapped_labels(rows: ChannelRows, thetas: list[float], l: float, L0: float) -> np.ndarray:
+    """Integer branch label of every level, less the 2 pi crossings of its theta.
+
+    ``thetas`` are the eigenphases before reduction into [0, 2 pi), in the
+    order of the rows.
+    """
+    s2 = np.sin(rows.theta / 2.0)[:, None]
+    c2 = np.cos(rows.theta / 2.0)[:, None]
+    k = rows.k_or_kappa
+    m = (k * l + np.arctan2(k * L0 * c2, s2)) / math.pi
+    m[rows.bound | rows.zero, 0] = 0.0
+    labels = np.rint(m)
+    if np.any(np.abs(m - labels) > _LABEL_TOL):
+        raise ContinuationLost(
+            f"a branch label is off an integer by {np.max(np.abs(m - labels)):.3g}"
         )
+    labels = labels.astype(int)
+    if np.any(np.diff(labels, axis=1) != 1):
+        raise ContinuationLost("the levels of a sample carry non-consecutive branch labels")
+    crossings = np.rint((np.array(thetas) - rows.theta) / TWO_PI).astype(int)
+    return labels - crossings[:, None]
 
 
-class _ChannelWalk:
-    """Continuation state of one channel along the loop."""
+def _start_ladders(path: PathSpec) -> dict[str, tuple[float, int, ChannelRows]]:
+    """Each channel's theta, winding and t = 0 ladder, deep enough for both uses.
 
-    def __init__(self, channel: str, theta0: float, w: int, n_tracked: int, path: PathSpec):
-        self.channel = channel
-        self.theta0 = theta0
-        self.w = w
-        self.l = path.l
-        self.L0 = path.L0
-        self.n_fetch = n_tracked + abs(w) + 2
-        self.levels = self._solve(0.0)
-        self.branches = [
-            _Branch(channel, i, 0.0, self.levels[i].E) for i in range(n_tracked)
-        ]
-
-    def _solve(self, t: float) -> list[EigenLevel]:
-        theta = self.theta0 + TWO_PI * self.w * t
-        return solve_channel(Channel(theta, l=self.l, L0=self.L0), self.n_fetch)
-
-    def _window(self, idx: int) -> float:
-        gaps = []
-        if idx > 0:
-            gaps.append(self.levels[idx].E - self.levels[idx - 1].E)
-        if idx < len(self.levels) - 1:
-            gaps.append(self.levels[idx + 1].E - self.levels[idx].E)
-        return _WINDOW_FRACTION * min(gaps)
-
-    def _bottom_offset(self, new: list[EigenLevel]) -> int | None:
-        """Index offset produced by activity at the bound-state floor.
-
-        Returns +1 when a branch entered from the floor, -1 when the lowest
-        branch dove through it, 0 when nothing happened (including a branch
-        smoothly crossing E = 0 in either direction), and None when the step
-        is too coarse to tell.
-        """
-        prev0, new0 = self.levels[0], new[0]
-        was_bound = prev0.kind == KIND_BOUND
-        is_bound = new0.kind == KIND_BOUND
-        if was_bound == is_bound:
-            return 0
-        smooth = abs(new0.E - prev0.E) <= max(self._window(0), 1e-9)
-        if was_bound:  # bound level vanished: rose through zero, or dove out
-            if smooth:
-                return 0
-            if prev0.k_or_kappa > _KAPPA_TRUST / self.l:
-                return -1
-            return None
-        # bound level appeared: lowest level descended, or one entered
-        if smooth:
-            return 0
-        if new0.k_or_kappa > _KAPPA_TRUST / self.l:
-            return 1
-        return None
-
-    def try_step(self, t_new: float):
-        """Solve at t_new and check every branch; None means halve the step."""
-        new = self.levels if self.w == 0 else self._solve(t_new)
-        offset = self._bottom_offset(new)
-        if offset is None:
-            return None
-        moves = []
-        for br in self.branches:
-            if br.floored:
-                continue
-            prev = self.levels[br.index]
-            trusted = (
-                prev.kind == KIND_BOUND and prev.k_or_kappa > _KAPPA_TRUST / self.l
-            )
-            idx = br.index + offset
-            if offset < 0 and br.index == 0:
-                if not trusted:
-                    return None
-                moves.append((br, -1, None))
-                continue
-            if idx >= len(new):
-                raise ContinuationLost(
-                    f"{self.channel} channel ran out of fetched levels at t={t_new}"
-                )
-            e_new = new[idx].E
-            if not trusted and abs(e_new - prev.E) > max(
-                self._window(br.index), 1e-9 * (1.0 + abs(prev.E))
-            ):
-                return None
-            moves.append((br, idx, e_new))
-        return new, moves
-
-    def commit(self, t_new: float, new: list[EigenLevel], moves) -> None:
-        self.levels = new
-        for br, idx, e_new in moves:
-            if idx < 0:
-                br.floored = True
-                continue
-            br.index = idx
-            br.ts.append(t_new)
-            br.es.append(e_new)
-
-
-def _tracked_counts(path: PathSpec) -> tuple[int, int, float, float]:
-    """Split the lowest levels_tracked merged levels between the channels."""
-    tp = path.base.theta_plus
-    tm = path.base.theta_minus
+    The first n levels split the tracked levels between the channels; the
+    first n_tracked + |w| + 1 are the moving channel's first sample.
+    """
     n = path.levels_tracked
-    plus = solve_channel(Channel(tp, l=path.l, L0=path.L0), n)
-    minus = solve_channel(Channel(tm, l=path.l, L0=path.L0), n)
+    ladders = {}
+    for ch, theta, w in (
+        (CHANNEL_PLUS, path.base.theta_plus, path.winding[0]),
+        (CHANNEL_MINUS, path.base.theta_minus, path.winding[1]),
+    ):
+        ladders[ch] = (theta, w, solve_channels([theta], n + abs(w) + 1, path.l, path.L0))
+    return ladders
+
+
+def _tracked_counts(ladders, n: int) -> dict[str, int]:
+    """Split the lowest n merged levels between the channels."""
     merged = sorted(
-        [(lev.E, CHANNEL_PLUS) for lev in plus] + [(lev.E, CHANNEL_MINUS) for lev in minus]
+        (e, ch) for ch, (_, _, rows) in ladders.items() for e in rows.E[0, :n].tolist()
     )[:n]
     for (e1, _), (e2, _) in zip(merged, merged[1:]):
         if abs(e2 - e1) <= 1e-8 * (1.0 + max(abs(e1), abs(e2))):
             raise DegeneratePath(
                 f"tracked levels degenerate at start: E = {e1!r} and {e2!r}"
             )
-    n_plus = sum(1 for _, ch in merged if ch == CHANNEL_PLUS)
-    return n_plus, n - n_plus, tp, tm
+    return {ch: sum(1 for _, c in merged if c == ch) for ch in ladders}
+
+
+def _follow(
+    channel: str, theta0: float, w: int, start: ChannelRows, count: int,
+    ts: list[float], path: PathSpec,
+) -> list[LevelTrajectory]:
+    """The trajectories of the lowest ``count`` levels of one channel."""
+    if w == 0:
+        return [
+            LevelTrajectory(
+                t_values=np.array(ts),
+                E_values=np.full(len(ts), start.E[0, i]),
+                start_index=i,
+                end_index=i,
+                channel=channel,
+            )
+            for i in range(count)
+        ]
+    # A tracked level's index moves by at most |w| through the 2 pi
+    # crossings and by one as the floor level comes and goes.
+    n_fetch = count + abs(w) + 1
+    thetas = [theta0 + TWO_PI * w * t for t in ts]
+    rest = solve_channels(thetas[1:], n_fetch, path.l, path.L0)
+    E = np.vstack([start.E[:, :n_fetch], rest.E])
+    labels = np.vstack([
+        _unwrapped_labels(start, thetas[:1], path.l, path.L0)[:, :n_fetch],
+        _unwrapped_labels(rest, thetas[1:], path.l, path.L0),
+    ])
+    # Row j holds the labels labels[j, 0], labels[j, 0] + 1, ...; a tracked
+    # label below that has left the ladder through the floor.
+    index = labels[0, :count] - labels[:, :1]
+    samples = np.arange(len(ts))
+    trajectories = []
+    for i in range(count):
+        gone = np.flatnonzero(index[:, i] < 0)
+        end = int(gone[0]) if gone.size else len(ts)
+        if np.any(index[:end, i] >= n_fetch):
+            raise ContinuationLost(f"{channel} channel ran out of fetched levels")
+        trajectories.append(
+            LevelTrajectory(
+                t_values=np.array(ts[:end]),
+                E_values=E[samples[:end], index[:end, i]],
+                start_index=i,
+                end_index=-1 if gone.size else int(index[-1, i]),
+                channel=channel,
+                floored_out=bool(gone.size),
+            )
+        )
+    return trajectories
 
 
 def trace_path(path: PathSpec) -> list[LevelTrajectory]:
@@ -238,42 +211,16 @@ def trace_path(path: PathSpec) -> list[LevelTrajectory]:
 
     Returns one trajectory per tracked level, ordered by starting energy.
     Raises DegeneratePath when the starting levels are not separated,
-    ContinuationLost when adaptive halving bottoms out without resolving a
-    step, and propagates solver errors from the channel solves.
+    ContinuationLost when the branch labels of a sample are not consecutive
+    integers, and propagates solver errors from the channel solves.
     """
-    n_plus, n_minus, tp, tm = _tracked_counts(path)
-    walks = []
-    if n_plus > 0 or path.winding[0] != 0:
-        walks.append(_ChannelWalk(CHANNEL_PLUS, tp, path.winding[0], n_plus, path))
-    if n_minus > 0 or path.winding[1] != 0:
-        walks.append(_ChannelWalk(CHANNEL_MINUS, tm, path.winding[1], n_minus, path))
-
-    h0 = 1.0 / path.n_steps
-    h_min = h0 / 2.0**_MAX_HALVINGS
-    t = 0.0
-    h = h0
-    while t < 1.0 - 1e-12:
-        t_new = min(t + h, 1.0)
-        results = []
-        for walk in walks:
-            r = walk.try_step(t_new)
-            if r is None:
-                break
-            results.append(r)
-        if len(results) < len(walks):
-            h *= 0.5
-            if h < h_min:
-                raise ContinuationLost(
-                    f"step size underflow at t={t}; levels move faster than "
-                    "the tracker can resolve"
-                )
-            continue
-        for walk, (new, moves) in zip(walks, results):
-            walk.commit(t_new, new, moves)
-        t = t_new
-        h = min(2.0 * h, h0)
-
-    trajectories = [br.finish() for walk in walks for br in walk.branches]
+    ladders = _start_ladders(path)
+    counts = _tracked_counts(ladders, path.levels_tracked)
+    ts = _t_grid(path.n_steps)
+    trajectories = []
+    for ch, (theta0, w, start) in ladders.items():
+        if counts[ch]:
+            trajectories += _follow(ch, theta0, w, start, counts[ch], ts, path)
     trajectories.sort(key=lambda tr: tr.E_values[0])
     return trajectories
 

@@ -4,8 +4,9 @@ Every subcommand emits either JSON lines (one object per line) or CSV with a
 fixed header, all floating-point values rendered with 17 significant digits
 so output is byte-deterministic and round-trips exactly.  Exit codes: 0 for
 success, 2 for invalid parameters (including config/flag parse problems),
-3 for solver failures; oracle-compare exits 1 when all solvers ran but a
-deviation exceeded its tolerance.
+3 for solver failures, 141 when the reader of stdout closed it early;
+oracle-compare exits 1 when all solvers ran but a deviation exceeded its
+tolerance.
 
 Boundary-condition input is either the four angles (--xi/--rho/--mu/--nu),
 the eigenphase pair (--theta-plus/--theta-minus), or the raw matrix entries
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import os
 import sys
 from typing import IO, Sequence
 
@@ -431,7 +434,10 @@ def _add_common(sp: argparse.ArgumentParser, *, matrix: bool = True) -> None:
     sp.add_argument("--config", type=str, help="key=value file supplying flag defaults")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser as it was, and
+    # building it costs more than most subcommands.
     parser = argparse.ArgumentParser(
         prog="defectline",
         description="Spectra of a particle in a box with one point defect labeled by U(2).",
@@ -470,7 +476,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="winding of theta_plus (default 0)")
     sp.add_argument("--w-minus", type=int, dest="w_minus",
                     help="winding of theta_minus (default 0)")
-    sp.add_argument("--steps", type=int, help="base step count, at least 64 (default 256)")
+    sp.add_argument("--steps", type=int,
+                    help="samples per loop: t runs 0..1 in steps of 1/steps; at least 64 (default 256)")
     sp.add_argument("--tracked", type=int, help="levels to track (default 8)")
 
     sp = sub.add_parser("oracle-compare", help="channel vs determinant vs fd on one system")
@@ -493,7 +500,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         handler = _HANDLERS[args.command]
         path = settings.get_str("output")
         if path is None:
-            return handler(settings, sys.stdout)
+            code = handler(settings, sys.stdout)
+            sys.stdout.flush()
+            return code
         # Render first, so a run that fails leaves an existing file untouched.
         rendered = io.StringIO()
         code = handler(settings, rendered)
@@ -509,3 +518,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader closed stdout early, as `defectline trace ... | head -1`
+        # does.  Point stdout at devnull so the flush at exit cannot raise
+        # again, and exit as a process ended by SIGPIPE would: 128 + 13.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141

@@ -61,7 +61,7 @@ class EigenSolverFailure(SolverError):
 
 
 class ContinuationLost(SolverError):
-    """Adaptive continuation could not keep a branch bracketed."""
+    """Continuation could not identify the levels of a sample by their branch labels."""
 
 
 class DegeneratePath(SolverError):

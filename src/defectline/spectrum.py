@@ -22,10 +22,12 @@ lets brackets start at the origin, where near-threshold levels live.
 Positive roots are found by a sign scan of F/k on the grid step * j and
 refined by a port of scipy's brentq: one bracket at a time on a pure-math
 F/k for short ladders, and every bracket in lock step on numpy arrays once a
-scan needs _ARRAY_BRENT_MIN of them.  Both give the same doubles.  The
-merged spectrum solves each channel only about n/2 deep, as far as the two
-interlacing ladders reach, and checks that depth against the merged n-th
-level before it keeps the result.
+scan needs _ARRAY_BRENT_MIN of them.  Both give the same doubles.  The scan
+takes many channels of one box at once (solve_channels, one row per
+channel), and a single channel is its one-row case, so a batch returns the
+doubles of one solve per channel.  The merged spectrum solves each channel
+only about n/2 deep, as far as the two interlacing ladders reach, and checks
+that depth against the merged n-th level before it keeps the result.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ __all__ = [
     "channel_function",
     "bound_function",
     "threshold",
+    "ChannelRows",
     "solve_channel",
+    "solve_channels",
     "solve_spectrum",
 ]
 
@@ -74,6 +78,10 @@ _BRENT_MAXITER = 100
 # 0.69 / 0.93 / 1.16 ms one at a time and 0.81 / 0.94 / 0.94 ms in lock step
 # at n = 48 / 64 / 80.
 _ARRAY_BRENT_MIN = 64
+
+# The sign scan of many channels at once takes its rows in chunks of about
+# this many grid values, so each of its temporaries stays near 64 KiB.
+_SCAN_CHUNK = 1 << 13
 
 _EPS = float(np.finfo(float).eps)
 
@@ -161,7 +169,11 @@ def threshold(ch: Channel) -> float:
 def _fhat(theta: float, l: float, L0: float, k):
     # F(k)/k, entire in k with value T at 0; same positive roots as F.
     s2, c2 = _half_angle(theta)
-    k = np.asarray(k, dtype=float)
+    return _fhat_half(s2, c2, l, L0, np.asarray(k, dtype=float))
+
+
+def _fhat_half(s2, c2, l: float, L0: float, k: np.ndarray) -> np.ndarray:
+    # _fhat on half-angles that may differ from element to element of k.
     return l * np.sinc(k * l / np.pi) * s2 + L0 * np.cos(k * l) * c2
 
 
@@ -190,7 +202,12 @@ def sinhc(x):
 def _ghat(theta: float, l: float, L0: float, kappa):
     # G(kappa)/kappa, with value T at 0; same positive roots as G.
     s2, c2 = _half_angle(theta)
-    x = np.asarray(kappa, dtype=float) * l
+    return _ghat_half(s2, c2, l, L0, np.asarray(kappa, dtype=float))
+
+
+def _ghat_half(s2, c2, l: float, L0: float, kappa: np.ndarray) -> np.ndarray:
+    # _ghat on half-angles that may differ from element to element of kappa.
+    x = kappa * l
     return l * sinhc(x) * s2 + L0 * np.cosh(x) * c2
 
 
@@ -266,7 +283,8 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
     returns, provided the vector f returns the scalar f's doubles.  The end
     values fa and fb must be nonzero and of opposite signs, as on every
     sign-change cell.  A bracket leaves the active set when it converges; f
-    is evaluated on the active brackets only.
+    is evaluated on the active brackets only, as f(x, i) with i the indices
+    of those brackets, so each bracket may carry its own function.
     """
     xpre = np.array(xa, dtype=float)
     xcur = np.array(xb, dtype=float)
@@ -317,79 +335,150 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
             spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
             xpre, fpre = xcur, fcur
             xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-            fcur = f(xcur)
+            fcur = f(xcur, idx)
             if np.isnan(fcur).any():
                 raise ValueError(f"the function value at x={xcur[np.isnan(fcur)][0]} is NaN")
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
-def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool) -> list[float]:
-    """Lowest n positive roots of F via sign scan of F/k from the origin.
+def _refine(scalar, vector, s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -> np.ndarray:
+    """Brent roots of the brackets [xa[i], xb[i]], each of its row's function.
 
-    A cell of the grid holds a root when F/k changes sign across it, or when
-    F/k is exactly 0 at its left end other than at the origin (where F/k = T
-    and the root of F is spurious).  The sign-change cells refine by Brent
-    on the grid's own end values: one bracket at a time on _fhat_scalar, or
-    all of them in lock step on _fhat once there are _ARRAY_BRENT_MIN.
+    Bracket i belongs to the channel with half-angles (s2[rows[i]],
+    c2[rows[i]]); scalar(s2, c2, l, L0, x) and vector(...) are one reduced
+    function in its float and array forms, with the same doubles.  Fewer
+    than _ARRAY_BRENT_MIN brackets refine one at a time, more in lock step.
     """
-    s2, c2 = _half_angle(theta)
+    if rows.size < _ARRAY_BRENT_MIN:
+        s2, c2 = s2.tolist(), c2.tolist()
+        return np.array([
+            _brentq(lambda x: scalar(s2[r], c2[r], l, L0, x), a, b, u, v)
+            for r, a, b, u, v in zip(rows.tolist(), xa.tolist(), xb.tolist(), fa.tolist(), fb.tolist())
+        ])
+    s2, c2 = s2[rows], c2[rows]
+    return _brentq_array(lambda x, i: vector(s2[i], c2[i], l, L0, x), xa, xb, fa, fb)
+
+
+def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin) -> None:
+    """Fill out[r, first[r]:] with the lowest positive roots of F of row r.
+
+    Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0).
+    A cell of the grid step * j holds a root when F/k changes sign across
+    it, or when F/k is exactly 0 at its left end other than at the origin
+    (where F/k = T and the root of F is spurious); a row with
+    skip_origin[r], at the threshold, leaves out the origin cell altogether.
+    The grid rows l sinc(kl) and L0 cos(kl) do not depend on the channel, so
+    they are computed once per block of columns and each channel's F/k is
+    l sinc(kl) s2 + L0 cos(kl) c2, in _fhat's operations.  The scan runs in
+    chunks of about _SCAN_CHUNK grid values, and every sign-change cell it
+    keeps refines by Brent on the grid's own end values, all rows together.
+    """
+    need = out.shape[1] - first
+    found = np.zeros(need.size, dtype=np.intp)
     step = math.pi / (GRID_DENSITY * l)
     # The m-th positive root (m = 1, 2, ...) lies below (m + 1/2) pi / l, so
     # one block up to (n + 1) pi / l holds all n; later blocks only guard that.
-    block = GRID_DENSITY * (n + 1)
-    roots: list[float] = []
-    f = lambda k: _fhat_scalar(s2, c2, l, L0, k)
-    j0 = 1 if skip_origin else 0
-    while len(roots) < n:
+    block = GRID_DENSITY * (out.shape[1] + 1)
+    j0 = 0
+    todo = np.flatnonzero(need > 0)
+    while todo.size:
         grid = step * np.arange(j0, j0 + block + 1)
-        vals = _fhat(theta, l, L0, grid)
-        head, tail = vals[:-1], vals[1:]
-        exact = head == 0.0
-        if j0 == 0:
-            # F/k = T at the origin, where F's root is spurious.  It leaves
-            # the mask before the cut to the roots still needed, so it
-            # cannot take the place of a root.
-            exact[0] = False
-        cells = np.flatnonzero(exact | (head * tail < 0.0))[: n - len(roots)]
-        if cells.size < _ARRAY_BRENT_MIN:
-            for i in cells.tolist():
-                k = float(grid[i])
-                if not exact[i]:
-                    k = _brentq(f, k, float(grid[i + 1]), float(head[i]), float(tail[i]))
-                roots.append(k)
-        else:
-            found = grid[cells]
-            sign = ~exact[cells]
-            at = cells[sign]
-            fvec = lambda k: _fhat(theta, l, L0, k)
-            found[sign] = _brentq_array(fvec, found[sign], grid[at + 1], head[at], tail[at])
-            roots.extend(found.tolist())
+        sinc_row = l * np.sinc(grid * l / np.pi)
+        cos_row = L0 * np.cos(grid * l)
+        chunk = max(1, _SCAN_CHUNK // grid.size)
+        hits = []
+        for lo in range(0, todo.size, chunk):
+            rows = todo[lo:lo + chunk]
+            vals = sinc_row * s2[rows, None] + cos_row * c2[rows, None]
+            head, tail = vals[:, :-1], vals[:, 1:]
+            hit = (head == 0.0) | (head * tail < 0.0)
+            if j0 == 0:
+                # F/k = T at the origin, where F's root is spurious.  It
+                # leaves the mask before the cut to the roots still needed,
+                # so it cannot take the place of a root.
+                hit[:, 0] = (head[:, 0] * tail[:, 0] < 0.0) & ~skip_origin[rows]
+            i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])
+            r = rows[i]
+            # The cells come row by row, so a cell's rank in its row is its
+            # distance from the row's first cell.
+            rank = found[r] + np.arange(i.size) - np.searchsorted(i, i)
+            keep = rank < need[r]
+            i, j = i[keep], j[keep]
+            hits.append((r[keep], j, rank[keep], head[i, j], tail[i, j]))
+        r, j, rank, fa, fb = (np.concatenate(parts) for parts in zip(*hits))
+        k = grid[j]
+        sign = fa != 0.0
+        if sign.any():
+            k[sign] = _refine(
+                _fhat_scalar, _fhat_half, s2, c2, l, L0, r[sign], k[sign], grid[j[sign] + 1],
+                fa[sign], fb[sign],
+            )
+        out[r, first[r] + rank] = k
+        found += np.bincount(r, minlength=found.size)
         j0 += block
-    return roots
+        todo = np.flatnonzero(found < need)
 
 
-def _find_bound(theta: float, l: float, L0: float) -> float | None:
-    """The unique bound root of G below the kappa ceiling, if any.
+def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool) -> list[float]:
+    """Lowest n positive roots of F via sign scan of F/k from the origin.
 
-    Brent refines on _ghat_scalar, which returns the same doubles as _ghat
-    without building a 0-d array per call.  It calls numpy's sinh and cosh on
-    Python floats rather than math's, whose last bit differs, so the root
-    keeps its digits.
+    The one-row case of _scan_rows.
     """
     s2, c2 = _half_angle(theta)
-    if c2 >= 0.0:
-        return None
-    t0 = l * s2 + L0 * c2
-    if t0 <= 0.0:
-        return None
+    out = np.empty((1, n))
+    _scan_rows(
+        np.array([s2]), np.array([c2]), l, L0, out, np.zeros(1, dtype=np.intp),
+        np.array([skip_origin]),
+    )
+    return out[0].tolist()
+
+
+def _solve_rows(thetas: list[float], l: float, L0: float, n: int):
+    """solve_channel's lowest n levels of each channel theta of one box (l, L0).
+
+    ``thetas`` are reduced into [0, 2 pi) already.  Returns k_or_kappa as an
+    array of one row of n per channel, and per row whether its first level
+    is bound and whether it is the zero-energy level; every other level is
+    positive.  A bound root refines by Brent on the window [0, cap] of
+    G/kappa, cap = KAPPA_CEILING / l, all rows together like the positive
+    roots; the scalar G/kappa calls numpy's sinh and cosh on Python floats
+    rather than math's, whose last bit differs, so each root keeps its
+    digits.
+    """
+    rows = len(thetas)
+    s2 = np.empty(rows)
+    c2 = np.empty(rows)
+    zero = np.zeros(rows, dtype=bool)
     cap = KAPPA_CEILING / l
-    g = lambda kappa: _ghat_scalar(s2, c2, l, L0, kappa)
-    g_cap = g(cap)
-    if g_cap >= 0.0:
-        # Root exists mathematically but lies beyond the overflow-safe window.
-        return None
-    # t0 is g(0.0) to the bit: sinhc is 1 there and cosh(0) is 1.
-    return _brentq(g, 0.0, cap, t0, g_cap)
+    brackets = []
+    for r, theta in enumerate(thetas):
+        s, c = _half_angle(theta)
+        s2[r], c2[r] = s, c
+        t0 = l * s + L0 * c
+        if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
+            # At the threshold T = 0 the E = 0 level is recorded as such;
+            # searching for a bound root there would only rediscover it at
+            # kappa ~ 0.
+            zero[r] = True
+        elif c < 0.0 < t0:
+            # The unique bound root is kept only below the ceiling, where
+            # sinh cannot overflow; a deeper level is out of desk scale.
+            g_cap = _ghat_scalar(s, c, l, L0, cap)
+            if g_cap < 0.0:
+                # t0 is G/kappa at 0 to the bit: sinhc is 1 there and cosh(0) is 1.
+                brackets.append((r, t0, g_cap))
+    k_or_kappa = np.empty((rows, n))
+    k_or_kappa[zero, 0] = 0.0
+    bound = np.zeros(rows, dtype=bool)
+    if brackets:
+        at, ga, gb = (np.array(v) for v in zip(*brackets))
+        bound[at] = True
+        k_or_kappa[at, 0] = _refine(
+            _ghat_scalar, _ghat_half, s2, c2, l, L0, at, np.zeros(at.size), np.full(at.size, cap),
+            ga, gb,
+        )
+    _scan_rows(s2, c2, l, L0, k_or_kappa, (bound | zero).astype(np.intp), zero)
+    return k_or_kappa, bound, zero
 
 
 def solve_channel(ch: Channel, n: int, tag: str | None = None) -> list[EigenLevel]:
@@ -401,29 +490,54 @@ def solve_channel(ch: Channel, n: int, tag: str | None = None) -> list[EigenLeve
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    levels: list[EigenLevel] = []
-    t0 = threshold(ch)
-    at_threshold = abs(t0) <= ZERO_LEVEL_TOL * (ch.l + ch.L0)
+    k_or_kappa, bound, zero = _solve_rows([ch.theta], ch.l, ch.L0, n)
+    levels = []
+    for i, k in enumerate(k_or_kappa[0].tolist()):
+        if i == 0 and bound[0]:
+            levels.append(EigenLevel(E=-k * k, k_or_kappa=k, kind=KIND_BOUND, channel=tag, index=0))
+        elif i == 0 and zero[0]:
+            levels.append(EigenLevel(E=0.0, k_or_kappa=0.0, kind=KIND_ZERO, channel=tag, index=0))
+        else:
+            levels.append(EigenLevel(E=k * k, k_or_kappa=k, kind=KIND_POSITIVE, channel=tag, index=i))
+    return levels
 
-    # At the threshold the E = 0 level is recorded as such; searching for a
-    # bound root there would only rediscover it at kappa ~ 0.
-    kappa = None if at_threshold else _find_bound(ch.theta, ch.l, ch.L0)
-    if kappa is not None:
-        levels.append(
-            EigenLevel(E=-kappa * kappa, k_or_kappa=kappa, kind=KIND_BOUND, channel=tag, index=0)
-        )
-    if at_threshold:
-        levels.append(
-            EigenLevel(E=0.0, k_or_kappa=0.0, kind=KIND_ZERO, channel=tag, index=len(levels))
-        )
-    need = n - len(levels)
-    if need > 0:
-        base = len(levels)
-        for i, k in enumerate(_scan_positive(ch.theta, ch.l, ch.L0, need, at_threshold)):
-            levels.append(
-                EigenLevel(E=k * k, k_or_kappa=k, kind=KIND_POSITIVE, channel=tag, index=base + i)
-            )
-    return levels[:n]
+
+@dataclass(frozen=True)
+class ChannelRows:
+    """The lowest n levels of many channels of one box, one row per channel.
+
+    Row r holds, in ``E`` and ``k_or_kappa``, the doubles that solve_channel
+    returns for the channel of eigenphase ``theta[r]`` (reduced into
+    [0, 2 pi)).  The first level of row r is bound where ``bound[r]``,
+    the zero-energy level where ``zero[r]``, and every other level is
+    positive.
+    """
+
+    theta: np.ndarray
+    E: np.ndarray
+    k_or_kappa: np.ndarray
+    bound: np.ndarray
+    zero: np.ndarray
+
+
+def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0) -> ChannelRows:
+    """solve_channel for every eigenphase in ``thetas`` on one box, in one batch.
+
+    Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  The
+    sign scan covers all channels on one grid, and every bracket of every
+    channel refines in one lock-step Brent, so a batch costs array
+    operations instead of a Python loop per root.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    Channel(0.0, l, L0)  # validates the box
+    if not all(math.isfinite(t) for t in thetas):
+        raise ValueError("theta must be finite")
+    theta = [t % (2.0 * math.pi) for t in thetas]
+    k_or_kappa, bound, zero = _solve_rows(theta, l, L0, n)
+    E = k_or_kappa * k_or_kappa
+    E[bound, 0] *= -1.0
+    return ChannelRows(theta=np.array(theta), E=E, k_or_kappa=k_or_kappa, bound=bound, zero=zero)
 
 
 def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:

@@ -48,6 +48,11 @@ _IDENTITY = np.eye(2, dtype=complex)
 CONSTRUCTION_TOL = 1e-12
 INPUT_TOL = 1e-10
 
+# matrix_to_params takes rho = acos(cos rho) while |cos rho| is at most this,
+# that is while rho is at least 0.14 from 0 and from pi, where acos errs by
+# under 1e-15.
+_ACOS_MAX = 0.99
+
 
 @dataclass(frozen=True)
 class UnitaryParams:
@@ -135,8 +140,16 @@ def matrix_to_params(u: np.ndarray) -> UnitaryParams:
     # Halving the argument leaves a pi ambiguity; fixing xi in [0, pi) picks
     # one of the two equivalent (xi, rho) <-> (xi+pi, pi-rho) labelings.
     xi = (cmath.phase(det) / 2.0) % math.pi
-    trace_term = 0.5 * (u[0, 0] + u[1, 1]) * cmath.exp(-1j * xi)
-    rho = math.acos(min(1.0, max(-1.0, trace_term.real)))
+    # e^{-i xi} U = cos(rho) I + i sin(rho) n.sigma: its half trace is
+    # cos(rho), and its traceless part, which is U's own, has Frobenius norm
+    # sqrt(2) sin(rho).  acos of the half trace loses about eps / sin(rho)
+    # near rho = 0 and pi, where atan2 of the two keeps rho to the last bits.
+    cos_rho = (0.5 * (u[0, 0] + u[1, 1]) * cmath.exp(-1j * xi)).real
+    if abs(cos_rho) <= _ACOS_MAX:
+        rho = math.acos(cos_rho)
+    else:
+        traceless = u - 0.5 * (u[0, 0] + u[1, 1]) * _IDENTITY
+        rho = math.atan2(float(np.linalg.norm(traceless)) / math.sqrt(2.0), cos_rho)
 
     lam_minus = cmath.exp(1j * (xi - rho))
     c = u - lam_minus * _IDENTITY

@@ -1,12 +1,14 @@
 """Tests for level continuation around closed eigenphase loops."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from defectline import (
     Channel,
+    ContinuationLost,
     DegeneratePath,
     InconsistentShift,
     LevelTrajectory,
@@ -17,7 +19,7 @@ from defectline import (
     trajectory_shifts,
 )
 from defectline import anholonomy
-from defectline.spectrum import solve_channel
+from defectline.spectrum import solve_channel, solve_channels
 
 BASE = UnitaryParams(xi=2.2, rho=0.8)  # theta+ = 3.0, theta- = 1.4
 
@@ -116,25 +118,30 @@ def test_branches_never_cross_within_a_channel():
 def test_sample_count_and_time_range():
     path = PathSpec(winding=(1, 0), base=BASE, n_steps=128, levels_tracked=4)
     for tr in trace_path(path):
-        assert len(tr.t_values) >= path.n_steps + 1
+        assert len(tr.t_values) == path.n_steps + 1
         assert np.all(np.diff(tr.t_values) > 0.0)
         assert tr.t_values[0] == 0.0 and tr.t_values[-1] == 1.0
 
 
 def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
+    # Work counter: each channel's t = 0 ladder is one single-row solve, and
+    # the moving channel's other samples are one batched solve, not one
+    # solve per step.
     calls = []
 
-    def counting(ch, n, tag=None):
-        calls.append(ch.theta)
-        return solve_channel(ch, n, tag)
+    def counting(thetas, n, l=1.0, L0=1.0):
+        calls.append(list(thetas))
+        return solve_channels(thetas, n, l, L0)
 
-    monkeypatch.setattr(anholonomy, "solve_channel", counting)
+    monkeypatch.setattr(anholonomy, "solve_channels", counting)
     path = PathSpec(winding=(1, 0), base=BASE, n_steps=64, levels_tracked=6)
     trajectories = trace_path(path)
-    still = Channel(BASE.theta_minus).theta
-    # Once to split the tracked levels between the channels, once for the walk.
-    assert calls.count(still) == 2
-    assert len(calls) > path.n_steps
+    ts = anholonomy._t_grid(path.n_steps)
+    assert calls == [
+        [BASE.theta_plus],
+        [BASE.theta_minus],
+        [BASE.theta_plus + 2.0 * math.pi * t for t in ts[1:]],
+    ]
 
     moving = [tr for tr in trajectories if tr.channel == "plus" and not tr.floored_out]
     minus = [tr for tr in trajectories if tr.channel == "minus"]
@@ -155,6 +162,41 @@ def test_geometry_is_respected():
     base = UnitaryParams(xi=2.2, rho=0.8)
     path = PathSpec(winding=(1, 0), base=base, n_steps=128, levels_tracked=4, l=1.6, L0=0.5)
     assert loop_shift(path) == (1, 0)
+
+
+@pytest.mark.parametrize(
+    "winding, l, L0, n_steps",
+    [((1, 0), 0.1, 10.0, 256), ((1, 0), 0.05, 10.0, 64), ((1, 0), 0.1, 20.0, 64),
+     ((2, -1), 5.0, 0.01, 64)],
+    ids=["l0.1-L0_10-256", "l0.05-64", "L0_20-64", "w2-1-l5-L0_0.01-64"],
+)
+def test_shift_is_the_winding_where_a_level_jumps_a_rung_at_the_floor(winding, l, L0, n_steps):
+    # A level that enters from or dives to the kappa l = 50 floor between
+    # two samples moves by a whole rung; a tracker that identified levels by
+    # how far they moved took that for no shift at all.
+    path = PathSpec(winding=winding, base=UnitaryParams(1.0, 0.4), n_steps=n_steps, l=l, L0=L0)
+    assert loop_shift(path) == winding
+
+
+def test_off_integer_or_gapped_labels_raise(monkeypatch):
+    good = solve_channels
+
+    def shifted(thetas, n, l=1.0, L0=1.0):
+        rows = good(thetas, n, l, L0)
+        k = rows.k_or_kappa.copy()
+        k[:, -1] *= 1.0 + 1e-3
+        return replace(rows, k_or_kappa=k)
+
+    def gapped(thetas, n, l=1.0, L0=1.0):
+        rows = good(thetas, n + 1, l, L0)
+        keep = [c for c in range(n + 1) if c != n - 1]
+        return replace(rows, E=rows.E[:, keep], k_or_kappa=rows.k_or_kappa[:, keep])
+
+    path = PathSpec(winding=(1, 0), base=BASE, n_steps=64, levels_tracked=4)
+    for fake in (shifted, gapped):
+        monkeypatch.setattr(anholonomy, "solve_channels", fake)
+        with pytest.raises(ContinuationLost):
+            trace_path(path)
 
 
 # ----------------------------------------------------- shift reconstruction

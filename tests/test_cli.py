@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import defectline
+from defectline import cli
 from defectline import (
     BoundaryCondition,
     UnitaryParams,
@@ -311,6 +312,14 @@ def test_ladder_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_trace_reports_the_winding_where_a_level_jumps_a_rung_at_the_floor(capsys):
+    # The step tracker printed s_plus 0 here at the default 256 steps.
+    code, out, _ = _run(capsys, "trace", "--xi", "1", "--rho", "0.4", "--w-plus", "1",
+                        "--l", "0.1", "--L0", "10")
+    assert code == 0
+    assert out.splitlines()[-1] == '{"record": "summary", "s_plus": 1, "s_minus": 0}'
+
+
 def test_trace_pinned_loop_passes_a_bound_state(capsys):
     _, out, _ = _run(capsys, *PINNED_STDOUT_SHA256[0][0])
     assert min(r["E"] for r in _json_lines(out) if r["record"] == "point") < 0.0
@@ -385,6 +394,45 @@ def test_python_dash_m_runs_main(capsys):
     assert proc.returncode == code == 0
     assert proc.stdout == out
     assert _python("-m", "defectline", "spectrum", "-n", "0").returncode == 2
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # `defectline trace ... | head -1`: the reader leaves after one line of
+    # about 200 kB, so a later write meets a closed pipe.
+    src = str(Path(defectline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "defectline", "trace", "--xi", "2.2", "--rho", "0.8",
+         "--w-plus", "1", "--steps", "512"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b'{"record": "trajectory"')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
+# One valid call of every subcommand.
+EVERY_SUBCOMMAND = [
+    ("spectrum", "--xi", "2.0", "--rho", "0.9", "-n", "3"),
+    ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "8"),
+    ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "2", "--grid-mu", "1", "--grid-nu", "1"),
+    ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "1", "--steps", "64", "--tracked", "3"),
+    ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "2", "--n-interior", "64"),
+]
+
+
+def test_parser_built_once_parses_like_a_fresh_one(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cached = [_run(capsys, *argv) for argv in EVERY_SUBCOMMAND]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_run(capsys, *argv) for argv in EVERY_SUBCOMMAND]
+    assert cached == fresh
+    assert all(code == 0 for code, _, _ in cached)
 
 
 def test_cli_import_leaves_scipy_unloaded():

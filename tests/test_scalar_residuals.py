@@ -1,11 +1,12 @@
 """Property tests: each fast path returns the doubles of its plain form.
 
 The root refiners evaluate F/k, G/kappa and the projected determinant one
-float at a time on scalar forms of the grid functions, and the channel
-solver merges two ladders solved only as deep as the merge reaches.  The
-printed levels stay the same only while every scalar form returns exactly
-the double its vector form returns and the shallow merge returns the
-full-depth one, so these tests compare with ==, not with a tolerance, over l
+float at a time on scalar forms of the grid functions, the channel solver
+merges two ladders solved only as deep as the merge reaches, and a loop's
+samples are solved in one batch.  The printed levels stay the same only
+while every scalar form returns exactly the double its vector form returns,
+the shallow merge returns the full-depth one and the batch returns one
+solve per sample, so these tests compare with ==, not with a tolerance, over l
 and L0 across four decades and the edge regions: theta near 0 and pi, the
 threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.
 """
@@ -26,17 +27,19 @@ from defectline import (
     solve_spectrum,
 )
 from defectline.oracles import _projected_roots, _positive_det_abs, _positive_mult, _Projection
+from defectline import anholonomy
 from defectline.spectrum import (
     GRID_DENSITY,
     KAPPA_CEILING,
+    ZERO_LEVEL_TOL,
     _brentq,
     _fhat,
     _fhat_scalar,
-    _find_bound,
     _ghat,
     _ghat_scalar,
     _half_angle,
     flag_degenerate,
+    solve_channels,
 )
 
 PI = math.pi
@@ -106,16 +109,48 @@ def test_ghat_scalar_equals_vector_form(ch, seed):
 
 
 @given(channels())
-def test_find_bound_equals_brent_on_the_vector_form(ch):
-    theta, l, L0 = ch
+def test_bound_level_equals_brent_on_the_vector_form(ch):
+    ch = Channel(*ch)
+    theta, l, L0 = ch.theta, ch.l, ch.L0
     s2, c2 = _half_angle(theta)
     cap = KAPPA_CEILING / l
+    t0 = l * s2 + L0 * c2
     g = lambda kappa: float(_ghat(theta, l, L0, kappa))
-    if c2 >= 0.0 or l * s2 + L0 * c2 <= 0.0 or g(cap) >= 0.0:
-        expected = None
+    first = solve_channel(ch, 1)[0]
+    if abs(t0) <= ZERO_LEVEL_TOL * (l + L0) or c2 >= 0.0 or t0 <= 0.0 or g(cap) >= 0.0:
+        assert first.kind != "bound"
     else:
-        expected = _brentq(g, 0.0, cap, g(0.0), g(cap))
-    assert _find_bound(theta, l, L0) == expected
+        assert first.kind == "bound"
+        assert first.k_or_kappa == _brentq(g, 0.0, cap, g(0.0), g(cap))
+
+
+@st.composite
+def loops(draw):
+    """(theta0, w, l, L0, n_steps, n): a loop of winding w from theta0, as
+    trace samples it.  Every loop with w != 0 crosses theta = 0 and pi;
+    phases() starts one in four on the threshold and one in four near the
+    floor."""
+    l, L0 = draw(lengths), draw(lengths)
+    return (
+        draw(phases(l, L0)), draw(st.integers(-2, 2)), l, L0, draw(st.integers(64, 256)),
+        draw(st.integers(1, 10)),
+    )
+
+
+@given(loops())
+def test_loop_samples_equal_solve_channel_at_every_sample(loop):
+    # The batched sampler of a loop against one solve_channel per sample.
+    theta0, w, l, L0, n_steps, n = loop
+    thetas = [theta0 + TWO_PI * w * t for t in anholonomy._t_grid(n_steps)]
+    rows = solve_channels(thetas, n, l, L0)
+    for r, theta in enumerate(thetas):
+        ch = Channel(theta, l, L0)
+        levels = solve_channel(ch, n)
+        assert rows.theta[r] == ch.theta
+        assert rows.E[r].tolist() == [lv.E for lv in levels]
+        assert rows.k_or_kappa[r].tolist() == [lv.k_or_kappa for lv in levels]
+        assert rows.bound[r] == (levels[0].kind == "bound")
+        assert rows.zero[r] == (levels[0].kind == "zero")
 
 
 @st.composite

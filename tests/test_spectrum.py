@@ -157,7 +157,7 @@ def test_brent_port_matches_scipy_brentq():
             assert f(r) == float(_fhat(theta, l, L0, r))
             roots.append(r)
         lock_step = _brentq_array(
-            lambda k: _fhat(theta, l, L0, k), grid[cells], grid[cells + 1], vals[cells],
+            lambda k, _: _fhat(theta, l, L0, k), grid[cells], grid[cells + 1], vals[cells],
             vals[cells + 1],
         )
         assert lock_step.tolist() == roots
@@ -176,7 +176,7 @@ def test_brent_port_matches_scipy_brentq():
         if count < 200:
             window = np.array([0.0, cap])
             gw = _ghat(theta, l, L0, window)
-            g_vec = lambda kappa: _ghat(theta, l, L0, kappa)
+            g_vec = lambda kappa, _: _ghat(theta, l, L0, kappa)
             assert _brentq_array(g_vec, window[:1], window[1:], gw[:1], gw[1:]).tolist() == [r]
         count += 1
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from defectline import (
     BadDirection,
@@ -125,6 +127,18 @@ def test_round_trip_from_matrix():
         u = random_unitary(rng)
         u2 = params_to_matrix(matrix_to_params(u))
         assert np.max(np.abs(u - u2)) <= 1e-10
+
+
+@given(
+    st.floats(-12.0, -2.0).map(lambda e: 10.0**e), st.booleans(), st.floats(0.1, 3.0),
+    st.floats(0.0, math.pi), st.floats(0.0, TWO_PI),
+)
+def test_rho_near_zero_and_pi_round_trips_to_the_last_bits(r, near_pi, xi, mu, nu):
+    # acos of the half trace lost rho here: 1e-7 came back 1e-2 off
+    # (relative) and 1e-9 came back as 0.
+    rho = math.pi - r if near_pi else r
+    p = matrix_to_params(params_to_matrix(UnitaryParams(xi, rho, mu, nu)))
+    assert abs(p.rho - rho) <= 1e-14
 
 
 def test_matrix_to_params_rejects_non_unitary():
