@@ -408,11 +408,10 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin)
         r, j, rank, fa, fb = (np.concatenate(parts) for parts in zip(*hits))
         k = grid[j]
         sign = fa != 0.0
-        if sign.any():
-            k[sign] = _refine(
-                _fhat_scalar, _fhat_half, s2, c2, l, L0, r[sign], k[sign], grid[j[sign] + 1],
-                fa[sign], fb[sign],
-            )
+        k[sign] = _refine(
+            _fhat_scalar, _fhat_half, s2, c2, l, L0, r[sign], k[sign], grid[j[sign] + 1],
+            fa[sign], fb[sign],
+        )
         out[r, first[r] + rank] = k
         found += np.bincount(r, minlength=found.size)
         j0 += block
