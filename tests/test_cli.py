@@ -43,13 +43,16 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def _python(*args):
-    # A fresh interpreter that imports this checkout of the package.
+def _python_env():
+    # The environment of a fresh interpreter that imports this checkout.
     src = str(Path(defectline.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _python(*args):
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=_python_env(), timeout=120
     )
 
 
@@ -399,12 +402,10 @@ def test_python_dash_m_runs_main(capsys):
 def test_closed_stdout_exits_141_without_a_traceback():
     # `defectline trace ... | head -1`: the reader leaves after one line of
     # about 200 kB, so a later write meets a closed pipe.
-    src = str(Path(defectline.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "defectline", "trace", "--xi", "2.2", "--rho", "0.8",
          "--w-plus", "1", "--steps", "512"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_python_env(),
     )
     assert proc.stdout.readline().startswith(b'{"record": "trajectory"')
     proc.stdout.close()

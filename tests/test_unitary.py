@@ -134,7 +134,7 @@ def test_round_trip_from_matrix():
     st.floats(0.0, math.pi), st.floats(0.0, TWO_PI),
 )
 def test_rho_near_zero_and_pi_round_trips_to_the_last_bits(r, near_pi, xi, mu, nu):
-    # acos of the half trace lost rho here: 1e-7 came back 1e-2 off
+    # acos of the half trace lost rho here: 1e-7 came back up to 1e-2 off
     # (relative) and 1e-9 came back as 0.
     rho = math.pi - r if near_pi else r
     p = matrix_to_params(params_to_matrix(UnitaryParams(xi, rho, mu, nu)))
