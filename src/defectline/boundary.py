@@ -221,7 +221,9 @@ def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenf
     M(k).  When the nullspace is two-dimensional the connection condition is
     void and the returned pair pulls the two channel directions back through
     the eigenframe of U, which makes the output deterministic and L2-orthogonal.
-    Raises NotAnEigenvalue when M(k) has no (numerical) nullspace at all.
+    The level's own channel comes first, so a "minus" level of a near-degenerate
+    pair gets the minus direction.  Raises NotAnEigenvalue when M(k) has no
+    (numerical) nullspace at all.
     """
     kind = level.kind
     k = level.k_or_kappa
@@ -233,8 +235,9 @@ def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenf
         # Both channels resonant, M ~ 0: amplitude pairs from the frame of U.
         frame = frame_matrix(matrix_to_params(bc.u))
         flip = np.array([[-1.0, 0.0], [0.0, 1.0]])
+        order = (1, 0) if level.channel == "minus" else (0, 1)
         return tuple(
-            _finish(kind, k, bc.l, flip @ frame.conj().T[:, j], True) for j in (0, 1)
+            _finish(kind, k, bc.l, flip @ frame.conj().T[:, j], True) for j in order
         )
     if s[1] > EIGEN_SV_TOL * (1.0 + s[0]):
         raise NotAnEigenvalue(

@@ -8,13 +8,22 @@ uniform grid with the connection condition encoded in two junction rows.
 
 det M(k) is complex but carries a constant phase: it is the product of the
 two channel functions times 4 e^{i arg(det U)/2}, so dividing by a square
-root of det U and taking the real part yields a sign-carrying real function.
-The scan works on that projection divided by E (an entire function of E with
-a finite, generically nonzero limit at E = 0), which removes the spurious
-zero every system has at k = 0 and keeps near-threshold roots bracketable
-from the origin.  On the bound side the projection is additionally divided by
-cosh^2(kappa l) to strip the exponential growth that would otherwise defeat
-relative thresholds.
+root of det U and taking the real part yields a sign-carrying real function
+g.  The scan works on g divided by E (an entire function of E with a finite,
+generically nonzero limit at E = 0), which removes the spurious zero every
+system has at k = 0 and keeps near-threshold roots bracketable from the
+origin.  On the bound side g is additionally divided by cosh^2(kappa l) to
+strip the exponential growth.
+
+One rule finds every root, for every U.  A sign change of g on the grid is a
+simple root.  A dip of |g| between two grid neighbours of its own sign is a
+pair closer than the grid, or a touch when U is scalar, and the value of g at
+the vertex, the root of the closed-form dg/dE, decides: two simple roots if g
+crosses zero there by more than its rounding bound, one double root if it
+lies within that bound, and none otherwise.  The rounding bound comes from
+the coefficients of det M, so no tolerance is set by hand.  Roots are refined
+with spectrum._brentq, a port of scipy's brentq; only the finite-difference
+solver imports scipy.
 """
 
 from __future__ import annotations
@@ -34,10 +43,14 @@ from .boundary import (
 )
 from .errors import EigenSolverFailure, ScanExhausted
 from .spectrum import (
+    _BRENT_RTOL,
+    _BRENT_XTOL,
+    _EPS,
     GRID_DENSITY,
     KAPPA_CEILING,
     ZERO_LEVEL_TOL,
     EigenLevel,
+    _brentq,
     flag_degenerate,
     sinc_kl,
     sinhc,
@@ -51,23 +64,6 @@ __all__ = [
     "det_spectrum",
     "fd_spectrum",
 ]
-
-# Candidate local minima of the projected determinant below this fraction of
-# the scan maximum are probed for an unresolved close pair or a double root.
-# The prefilter must stay loose: a genuine touch root halfway between grid
-# points is only sampled down to about (step/2)^2 times the local curvature,
-# so anything tighter silently drops off-grid double roots.  False candidates
-# just cost a cheap sub-scan and are rejected by the |det M| acceptance test.
-MIN_CANDIDATE_REL = 1e-2
-# A refined minimum counts as a root only if the (normalized) |det M| drops
-# below this fraction of its size on the candidate cell's edges.
-ROOT_ACCEPT_REL = 1e-9
-# Singular-value ratio below which M at a root counts as doubly degenerate.
-DOUBLE_SV_TOL = 1e-6
-
-_BRENT_XTOL = 1e-13
-_BRENT_RTOL = 1e-15
-
 
 @dataclass(frozen=True)
 class DetScan:
@@ -102,7 +98,7 @@ def det_matrix(bc: BoundaryCondition, k: complex) -> np.ndarray:
 
 
 class _Projection:
-    """det Mphased to the real axis and reduced by E, in both energy regimes.
+    """det M phased to the real axis and reduced by E, in both energy regimes.
 
     Precomputes the three bilinear coefficients of det M over (sin, k cos)
     and the constant phase sqrt(det U), so grid evaluation is vectorized and
@@ -163,138 +159,113 @@ class _Projection:
         ch = np.cosh(x)
         return self._reduced(self.l * sinhc(x), ch) / (ch * ch)
 
-    def at_zero(self) -> float:
-        return float(self._reduced(self.l, 1.0))
+    # dg/dE and the rounding bound of g, one float at a time.  Both regimes
+    # write g as -(sigma^2 det A + tau^2 det B + sigma tau m) / phase: sigma =
+    # sin(kl)/k and tau = cos(kl) above E = 0; sinh(kappa l)/kappa and
+    # cosh(kappa l), each divided by cosh(kappa l), below it.
 
+    def positive_slope(self, k: float) -> float:
+        """dg/dE of positive() at E = k^2, finite at k = 0."""
+        x = k * self.l
+        sigma = self.l * sinc_kl(k, self.l)
+        d_sigma = -0.5 * self.l**3 * _sinc_slope(x, -x * x)
+        return self._slope(sigma, math.cos(x), d_sigma, -0.5 * self.l * sigma)
 
-def _multiplicity(m: np.ndarray, scale: float) -> int:
-    """2 when the whole connection matrix has collapsed at the root.
+    def bound_slope(self, kappa: float) -> float:
+        """dg/dE of bound() at E = -kappa^2, finite at kappa = 0."""
+        x = kappa * self.l
+        ch = math.cosh(x)
+        sigma = self.l * (math.tanh(x) / x if x else 1.0)
+        d_sigma = -0.5 * self.l**3 * _sinc_slope(x, x * x) / ch + 0.5 * self.l * sigma * sigma
+        return self._slope(sigma, 1.0, d_sigma, 0.0)
 
-    A doubly degenerate level means a two-dimensional kernel, and for a 2x2
-    matrix that forces M itself to vanish, so the largest singular value is
-    compared against an analytic size scale for M at that wavenumber.  The
-    smaller singular value is useless as a discriminator: it is |det M| / s0
-    and dies at *every* root, double or simple.
-    """
-    s0 = float(np.linalg.svd(m, compute_uv=False)[0])
-    return 2 if s0 <= DOUBLE_SV_TOL * scale else 1
+    def positive_noise(self, k: float) -> float:
+        """First-order rounding bound of positive() at E = k^2."""
+        x = k * self.l
+        return self._noise(self.l * sinc_kl(k, self.l), math.cos(x), x)
 
+    def bound_noise(self, kappa: float) -> float:
+        """First-order rounding bound of bound() at E = -kappa^2."""
+        x = kappa * self.l
+        return self._noise(self.l * (math.tanh(x) / x if x else 1.0), 1.0, x)
 
-def _polish_vertex(fun, r: float, a: float, b: float) -> float:
-    """Sharpen a double root of the projection by local cubic fitting.
-
-    Minimizing |g| localizes a quadratic touch only down to the fp noise
-    floor of g (about 1e-8 in the wavenumber).  A quadratic fit would leave
-    the cubic asymmetry of g as a ~3.5*delta^2*(c3/c2) vertex bias, so a
-    degree-3 least-squares fit is used instead and the vertex is read off
-    the root of the fitted derivative; two re-centered passes reach ~1e-12.
-    """
-    offsets = np.array([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0])
-    for _ in range(2):
-        delta = 1e-4 * (1.0 + abs(r))
-        xs = r + delta * offsets
-        ys = np.asarray(fun(xs), dtype=float)
-        coef = np.polynomial.polynomial.polyfit(xs - r, ys, 3)
-        if not np.isfinite(coef).all() or coef[2] == 0.0:
-            break
-        c1, c2, c3 = float(coef[1]), float(coef[2]), float(coef[3])
-        x = -0.5 * c1 / c2
-        curv = 2.0 * c2 + 6.0 * c3 * x
-        if curv != 0.0:
-            x -= (c1 + 2.0 * c2 * x + 3.0 * c3 * x * x) / curv
-        if not math.isfinite(x):
-            break
-        x = min(max(x, -3.0 * delta), 3.0 * delta)
-        r = min(max(r + x, a), b)
-    return r
-
-
-def _projected_roots(
-    grid: np.ndarray,
-    vals: np.ndarray,
-    fun,
-    fun_scalar,
-    det_abs_fun,
-    mult_fun,
-    skip_origin: bool,
-) -> list[tuple[float, int]]:
-    """Roots of a projected determinant on one grid, with multiplicities.
-
-    Sign changes give simple roots.  Local minima of |values| below a loose
-    prefilter fraction of the scan maximum are sub-scanned for a close pair
-    of crossings; if none shows up they are treated as touch candidates,
-    accepted only when |det M| at the refined point drops far below its size
-    at the cell edges.  An accepted touch whose matrix has fully collapsed is
-    a double root and gets a parabola-vertex polish; otherwise it is one zero
-    of a pair the sub-scan could not split, and since |g|-minimization may
-    land on either zero (or just outside the pair), a geometric ladder of
-    probe points hunts for the interior sign to bracket both crossings.
-
-    fun is the projection on arrays, for the sub-scan and the vertex polish;
-    fun_scalar is the same function on one float, for brentq, the bounded
-    minimization and the probe ladder, and must return the same doubles.
-    """
-    from scipy.optimize import brentq, minimize_scalar
-
-    mags = np.abs(vals)
-    scan_max = float(np.max(mags))
-    if scan_max == 0.0:
-        return []
-    step = float(grid[1] - grid[0])
-    found: list[tuple[float, int]] = []
-    start = 1 if skip_origin else 0
-    head = vals[start:-1]
-    for i in start + np.flatnonzero((head == 0.0) | (head * vals[start + 1:] < 0.0)):
-        if vals[i] == 0.0:
-            if grid[i] > 0.0:
-                touching = i > start and vals[i - 1] * vals[i + 1] > 0.0
-                r = float(grid[i])
-                found.append((r, mult_fun(r) if touching else 1))
-        else:
-            r = brentq(fun_scalar, grid[i], grid[i + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
-            found.append((float(r), 1))
-
-    threshold = MIN_CANDIDATE_REL * scan_max
-    lo = max(start, 1)
-    mid = mags[lo:-1]
-    dips = (mid <= threshold) & (mid < mags[lo - 1:-2]) & (mid <= mags[lo + 1:])
-    for i in lo + np.flatnonzero(dips):
-        if any(abs(grid[i] - r) <= 1.5 * step for r, _ in found):
-            continue
-        a, b = float(grid[i - 1]), float(grid[i + 1])
-        sub = np.linspace(a, b, 257)
-        sv = np.asarray(fun(sub))
-        crossings = np.nonzero(sv[:-1] * sv[1:] < 0.0)[0]
-        if crossings.size:
-            for j in crossings:
-                r = brentq(fun_scalar, sub[j], sub[j + 1], xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
-                found.append((float(r), 1))
-            continue
-        res = minimize_scalar(
-            lambda k: abs(float(fun_scalar(k))), bounds=(a, b), method="bounded",
-            options={"xatol": 1e-13},
+    def _slope(self, sigma, tau, d_sigma, d_tau) -> float:
+        dz = (
+            2.0 * sigma * d_sigma * self.det_a + 2.0 * tau * d_tau * self.det_b
+            + (d_sigma * tau + sigma * d_tau) * self.mixed
         )
-        r = float(res.x)
-        local_scale = max(det_abs_fun(a), det_abs_fun(b))
-        if det_abs_fun(r) > ROOT_ACCEPT_REL * (1.0 + local_scale):
-            continue
-        if mult_fun(r) == 2:
-            found.append((_polish_vertex(fun, r, a, b), 2))
-            continue
-        s_edge = math.copysign(1.0, sv[0])
-        probe = None
-        delta = 4e-8 * (1.0 + abs(r))
-        while delta < (b - a) and probe is None:
-            for x in (r - delta, r + delta):
-                if a < x < b and float(fun_scalar(x)) * s_edge < 0.0:
-                    probe = x
-                    break
-            delta *= 4.0
-        if probe is None:
-            continue  # the dip never crosses zero: no root here
-        for lo, hi in ((a, probe), (probe, b)):
-            rr = brentq(fun_scalar, lo, hi, xtol=_BRENT_XTOL, rtol=_BRENT_RTOL)
-            found.append((float(rr), 1))
+        return float((-dz / self.phase).real)
+
+    def _noise(self, sigma, tau, x) -> float:
+        # sigma rounds by about eps l and tau by about eps (1 + |x|); each
+        # term of the sum and the sum itself round by about eps.
+        s, t = abs(sigma), abs(tau)
+        a, b, m = abs(self.det_a), abs(self.det_b), abs(self.mixed)
+        return _EPS * (
+            (2.0 * s * a + t * m) * self.l
+            + (2.0 * t * b + s * m) * (1.0 + abs(x))
+            + s * s * a + t * t * b + s * t * m
+        )
+
+
+def _sinc_slope(x: float, y: float) -> float:
+    """(sin x - x cos x) / x^3 for y = -x^2, (x cosh x - sinh x) / x^3 for y = x^2.
+
+    Both are sum over n >= 1 of 2n y^(n-1) / (2n+1)!, which is summed where
+    |x| < 0.25 and the closed form would cancel.
+    """
+    if abs(x) < 0.25:
+        return 1 / 3 + y * (1 / 30 + y * (1 / 840 + y * (1 / 45360 + y / 3991680)))
+    if y < 0.0:
+        return (math.sin(x) - x * math.cos(x)) / x**3
+    return (x * math.cosh(x) - math.sinh(x)) / x**3
+
+
+def _projected_roots(grid, vals, fun, slope, noise, skip_origin: bool) -> list[tuple[float, int]]:
+    """Roots of a projected determinant g on one grid, with multiplicities.
+
+    A sign change of g between two grid points is one simple root.  A local
+    minimum of |g| whose two grid neighbours a, b share its sign s is a pair
+    closer than the grid, or a touch when U is scalar.  Its vertex v is the
+    root of slope (dg/dE) on [a, b]; without one the dip is rounding on a
+    flat g.  beta bounds what rounding can do to g(v): noise(v) plus what
+    the vertex's own tolerance adds.  If s g(v) < -beta, g crosses zero on
+    each side of v, and each crossing is refined as a simple root; if
+    |g(v)| <= beta, the pair cannot be told from a touch, and v counts twice;
+    otherwise the dip holds no root.  An exact double is a simple root of
+    the slope, so it comes back to full precision.
+
+    fun, slope and noise take one float; fun must return vals' doubles on
+    the grid, so a root refined from a grid cell has the doubles of the scan.
+    """
+    start = 1 if skip_origin else 0
+    lo = max(start, 1)
+    left, mid, right = vals[lo - 1:-2], vals[lo:-1], vals[lo + 1:]
+    same = (left * right > 0.0) & (mid * left >= 0.0)
+    dips = same & (np.abs(mid) < np.abs(left)) & (np.abs(mid) <= np.abs(right))
+    crossings = start + np.flatnonzero(vals[start:-1] * vals[start + 1:] < 0.0)
+    zeros = lo + np.flatnonzero((mid == 0.0) & ~dips)
+    x, y = grid.tolist(), vals.tolist()
+
+    found = [(_brentq(fun, x[i], x[i + 1], y[i], y[i + 1]), 1) for i in crossings]
+    found.extend((x[i], 1) for i in zeros)
+    for i in lo + np.flatnonzero(dips):
+        a, b = x[i - 1], x[i + 1]
+        slope_a, slope_b = slope(a), slope(b)
+        if slope_a * slope_b > 0.0:
+            continue  # a dip of rounding on a flat g: no vertex, no root
+        v = _brentq(slope, a, b, slope_a, slope_b)
+        gv = fun(v)
+        # _brentq leaves v within tol of the vertex in k, and g may sit lower
+        # there by half its curvature times the square of that distance in E.
+        tol = _BRENT_XTOL + _BRENT_RTOL * v
+        curvature = abs(slope_b - slope_a) / (b * b - a * a)
+        beta = noise(v) + 0.5 * curvature * ((2.0 * v + tol) * tol) ** 2
+        if math.copysign(1.0, y[i - 1]) * gv < -beta:
+            found.append((_brentq(fun, a, v, y[i - 1], gv), 1))
+            found.append((_brentq(fun, v, b, gv, y[i + 1]), 1))
+        elif abs(gv) <= beta:
+            found.append((v, 2))
     found.sort(key=lambda t: t[0])
     return found
 
@@ -309,37 +280,18 @@ def _zero_level_multiplicity(bc: BoundaryCondition) -> int:
 
 
 def _bound_roots(bc: BoundaryCondition, proj: _Projection, skip_origin: bool) -> list[tuple[float, int]]:
-    cap = KAPPA_CEILING / bc.l
-    grid = np.linspace(0.0, cap, 2049)
-    vals = np.asarray(proj.bound(grid))
-
-    def det_abs(kappa: float) -> float:
-        if kappa == 0.0:
-            return abs(proj.at_zero())
-        ch = math.cosh(kappa * bc.l)
-        return abs(np.linalg.det(det_matrix(bc, 1j * kappa))) / (ch * ch)
-
-    def mult(kappa: float) -> int:
-        scale = 2.0 + 2.0 * bc.L0 * (kappa + 1.0 / bc.l)
-        return _multiplicity(det_matrix(bc, 1j * kappa) / math.cosh(kappa * bc.l), scale)
-
-    return _projected_roots(grid, vals, proj.bound, proj.bound, det_abs, mult, skip_origin)
+    grid = np.linspace(0.0, KAPPA_CEILING / bc.l, 2049)
+    return _projected_roots(
+        grid, np.asarray(proj.bound(grid)), lambda kappa: float(proj.bound(kappa)),
+        proj.bound_slope, proj.bound_noise, skip_origin,
+    )
 
 
-def _positive_det_abs(bc: BoundaryCondition, proj: _Projection):
-    def det_abs(k: float) -> float:
-        if k == 0.0:
-            return abs(proj.at_zero())
-        return abs(np.linalg.det(det_matrix(bc, k)))
-
-    return det_abs
-
-
-def _positive_mult(bc: BoundaryCondition):
-    def mult(k: float) -> int:
-        return _multiplicity(det_matrix(bc, k), 2.0 + 2.0 * bc.L0 * (abs(k) + 1.0 / bc.l))
-
-    return mult
+def _scan(proj: _Projection, grid: np.ndarray, skip_origin: bool) -> list[tuple[float, int]]:
+    vals = np.asarray(proj.positive(grid))
+    return _projected_roots(
+        grid, vals, proj.positive_scalar, proj.positive_slope, proj.positive_noise, skip_origin
+    )
 
 
 def _positive_roots(
@@ -352,14 +304,8 @@ def _positive_roots(
     step = math.pi / (GRID_DENSITY * bc.l)
     hi = k_max if k_max is not None else (0.5 * need + 6.0) * math.pi / bc.l
     ceiling = hi if k_max is not None else 8.0 * hi
-    det_abs = _positive_det_abs(bc, proj)
-    mult = _positive_mult(bc)
     while True:
-        grid = np.arange(0.0, hi + step, step)
-        vals = np.asarray(proj.positive(grid))
-        roots = _projected_roots(
-            grid, vals, proj.positive, proj.positive_scalar, det_abs, mult, skip_origin
-        )
+        roots = _scan(proj, np.arange(0.0, hi + step, step), skip_origin)
         if sum(m for _, m in roots) >= need or hi >= ceiling:
             return roots
         hi = min(1.5 * hi, ceiling)
@@ -370,16 +316,7 @@ def det_scan(bc: BoundaryCondition, k_max: float, step: float | None = None) -> 
     proj = _Projection(bc)
     eff_step = step if step is not None else math.pi / (GRID_DENSITY * bc.l)
     grid = np.arange(0.0, k_max + eff_step, eff_step)
-    vals = np.asarray(proj.positive(grid))
-    roots = _projected_roots(
-        grid,
-        vals,
-        proj.positive,
-        proj.positive_scalar,
-        _positive_det_abs(bc, proj),
-        _positive_mult(bc),
-        skip_origin=_zero_level_multiplicity(bc) > 0,
-    )
+    roots = _scan(proj, grid, skip_origin=_zero_level_multiplicity(bc) > 0)
     return DetScan(
         k_grid=grid,
         det_values=np.asarray(proj.det_m(grid)),

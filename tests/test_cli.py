@@ -189,6 +189,25 @@ def test_eigenfunction_rejects_odd_samples(capsys):
     assert code == 0 and len(_json_lines(out)) == 43
 
 
+def test_eigenfunction_of_a_near_degenerate_minus_level_gets_its_own_channel(capsys):
+    # M(k) has collapsed at this pair (rho ~ 7e-8), so the eigenfunction comes
+    # from the frame of U; the minus level got the plus direction, and its
+    # junction residual was 1.3e-6.
+    matrix = (
+        "0.60675095821510128,-0.79489198933254679,5.3944551062223844e-08,"
+        "1.0076122436419865e-08,2.3944993987612406e-08,4.9377931243821394e-08,"
+        "0.60675087614826029,-0.79489205197518209"
+    )
+    code, out, _ = _run(
+        capsys, "eigenfunction", f"--matrix={matrix}", "--l=0.033398175489239387",
+        "--L0=7.9043639411621909", "--index=7", "--samples=64",
+    )
+    assert code == 0
+    meta = _json_lines(out)[0]
+    assert meta["channel"] == "minus" and meta["degenerate"]
+    assert meta["residual"] <= 1e-8
+
+
 # ---------------------------------------------------------------- isospectral
 
 
@@ -215,6 +234,27 @@ def test_isospectral_channel_sweep(capsys):
     (rec,) = _json_lines(out)
     assert rec["max_level_deviation"] <= 1e-12
     assert rec["grid_points"] == 14
+
+
+@pytest.mark.parametrize(
+    "flags, n",
+    [
+        (("--xi=2.139977602927126", "--rho=3.0776938775289864e-08", "--l=3.8595456420966068",
+          "--L0=0.40248693474074443", "--grid-mu=1", "--grid-nu=3"), 5),
+        (("--xi=2.576902186560857", "--rho=3.1425511526350647e-08", "--l=0.57308882351229795",
+          "--L0=0.13722143798420053", "--grid-mu=2", "--grid-nu=2"), 7),
+    ],
+)
+def test_isospectral_near_degenerate_frames_agree(capsys, flags, n):
+    # rho ~ 3e-8 leaves pairs that det cannot split within the rounding of
+    # g; every frame must still report them alike, within the isospectral
+    # gate 1e-8 max(1, 1/l^2).
+    code, out, _ = _run(capsys, "isospectral", *flags, "-n", str(n))
+    assert code == 0
+    (rec,) = _json_lines(out)
+    assert rec["solver_used"] == "determinant"
+    l = float(flags[2].split("=")[1])
+    assert rec["max_level_deviation"] <= 1e-8 * max(1.0, 1.0 / (l * l))
 
 
 # ---------------------------------------------------------------------- trace
@@ -357,6 +397,19 @@ def test_oracle_compare_drops_fd_levels_below_the_floor(capsys):
     assert all(rec["E_fd"] > 0.0 for rec in recs)
 
 
+def test_oracle_compare_splits_a_pair_an_svd_called_double(capsys):
+    # theta_plus - theta_minus = 2 pi - 1.6e-5: a pair 1.4e-5 apart at
+    # E = 27.61, which det reported as one double level.
+    code, out, _ = _run(
+        capsys, "oracle-compare", "--theta-plus=7.7412989671557257",
+        "--theta-minus=1.4581292193409974", "--mu=3.086216477455463",
+        "--nu=4.0371059576406383", "--l=0.30384016468050612", "--L0=6.6044822340053457",
+        "-n", "5", "--n-interior=64",
+    )
+    assert code == 0
+    assert max(rec["delta_det"] for rec in _json_lines(out)) <= 1e-9
+
+
 def test_oracle_compare_fails_on_unreachable_tolerance(capsys):
     code, out, _ = _run(
         capsys, "oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3",
@@ -440,6 +493,19 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = _python("-c", "import sys, defectline.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+    # Only the finite-difference solver loads scipy; the determinant path
+    # runs on numpy alone.
+    script = (
+        "import sys, contextlib, io\n"
+        "from defectline.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['isospectral', '--xi', '2.0', '--rho', '0.9']),\n"
+        "             main(['spectrum', '--solver', 'det', '--xi', '2.0', '--rho', '0.9'])]\n"
+        "print(codes, 'scipy' in sys.modules)\n"
+    )
+    proc = _python("-c", script)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "[0, 0] False"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

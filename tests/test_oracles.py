@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 
 from defectline import (
     BoundaryCondition,
@@ -142,7 +144,7 @@ def test_det_spectrum_dirichlet_doubles():
 
 def test_det_spectrum_generic_position_doubles():
     # U = e^{i xi} I has every level doubly degenerate at generic k values
-    # (no grid alignment): the touch-root machinery must find and polish them.
+    # (no grid alignment): each is a touch of g, found at the root of dg/dE.
     for xi in (0.9, 2.37, 5.1):
         bc = BoundaryCondition(cmath.exp(1j * xi) * np.eye(2))
         ref = [lv.E for lv in solve_spectrum(bc, 8).levels]
@@ -218,6 +220,62 @@ def test_det_spectrum_scan_exhausted():
         det_spectrum(bc, 12, k_max=3.0)
     with pytest.raises(ValueError):
         det_spectrum(bc, 0)
+
+
+def _det_vs_channel(bc, n):
+    ref = np.array([lv.E for lv in solve_spectrum(bc, n).levels])
+    got = np.array([lv.E for lv in det_spectrum(bc, n)])
+    return np.max(np.abs(ref - got))
+
+
+def test_det_spectrum_splits_pairs_whose_dip_misses_the_grid():
+    # rho = 1.9e-5 puts a close pair in one scan cell from level 28 on.  A
+    # bounded minimization of |g| landed just outside such a pair, and the
+    # pair was dropped: 36 of 64 levels were wrong.
+    p = UnitaryParams(xi=1.195, rho=1.9e-5, mu=0.4, nu=1.0)
+    bc = BoundaryCondition(params_to_matrix(p), l=9.62, L0=2.8)
+    assert _det_vs_channel(bc, 64) <= 1e-9
+
+
+def test_det_spectrum_finds_every_level_of_a_generic_defect():
+    # A generic defect whose pairs share scan cells; det stopped at 34 of 64
+    # levels with ScanExhausted.
+    p = UnitaryParams(
+        xi=4.527684267381938, rho=0.046076242014224764, mu=1.185070963945692,
+        nu=0.3434634178783089,
+    )
+    bc = BoundaryCondition(params_to_matrix(p), l=0.17850284783966383, L0=6.444296877824732)
+    assert _det_vs_channel(bc, 64) <= 1e-9
+
+
+def test_det_spectrum_ignores_rounding_dips_on_a_flat_projection():
+    # U = I up to the rounding of its frame: on the bound side g is constant
+    # but for its rounding, whose dips have no vertex and hold no root.
+    p = UnitaryParams(xi=0.0, rho=0.0, mu=0.7949815694970668, nu=4.092772283024661)
+    bc = BoundaryCondition(params_to_matrix(p), l=8.61553067899761, L0=4.20225032239046)
+    assert _det_vs_channel(bc, 8) <= 1e-9
+
+
+# Eigenphase half-differences: generic, within 1e-3...1e-2 of 0 or pi (close
+# pairs that share scan cells), and exactly 0 or pi (exact doubles).
+_near = st.floats(-3.0, -2.0).map(lambda e: 10.0**e)
+_rhos = st.one_of(
+    st.floats(1e-2, math.pi - 1e-2),
+    _near,
+    _near.map(lambda d: -d),
+    _near.map(lambda d: math.pi - d),
+    st.sampled_from([0.0, math.pi]),
+)
+_sizes = st.floats(-0.5, 0.5).map(lambda e: 10.0**e)
+
+
+@given(
+    st.floats(0.0, TWO_PI), _rhos, st.floats(0.0, math.pi), st.floats(0.0, TWO_PI),
+    _sizes, _sizes,
+)
+def test_det_spectrum_matches_channel_solver_at_the_gate(xi, rho, mu, nu, l, L0):
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l, L0)
+    assert _det_vs_channel(bc, 8) <= 1e-9
 
 
 # ------------------------------------------------------------------ FD solver

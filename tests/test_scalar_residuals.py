@@ -8,7 +8,9 @@ while every scalar form returns exactly the double its vector form returns,
 the shallow merge returns the full-depth one and the batch returns one
 solve per sample, so these tests compare with ==, not with a tolerance, over l
 and L0 across four decades and the edge regions: theta near 0 and pi, the
-threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.
+threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  The closed-form
+slopes dg/dE of the projected determinant only locate a vertex, so they are
+held to central differences of g instead.
 """
 
 import math
@@ -26,10 +28,9 @@ from defectline import (
     solve_channel,
     solve_spectrum,
 )
-from defectline.oracles import _projected_roots, _positive_det_abs, _positive_mult, _Projection
+from defectline.oracles import _Projection
 from defectline import anholonomy
 from defectline.spectrum import (
-    GRID_DENSITY,
     KAPPA_CEILING,
     ZERO_LEVEL_TOL,
     _brentq,
@@ -174,16 +175,45 @@ def test_projection_positive_scalar_equals_vector_form(bc, seed):
     assert scalar == [float(proj.positive(x)) for x in k.tolist()]
 
 
-@given(projections())
-def test_projected_roots_equal_with_either_residual(bc):
+def _continued(proj, regime, e):
+    # g of one regime at energy e, continued across E = 0 through
+    # cosh(kappa l) = cos(k l): positive() times cosh^2 below it, bound()
+    # over cos^2 above it.
+    l = proj.l
+    if regime == "positive":
+        if e >= 0.0:
+            return proj.positive_scalar(math.sqrt(e))
+        return float(proj.bound(math.sqrt(-e))) * math.cosh(math.sqrt(-e) * l) ** 2
+    if e <= 0.0:
+        return float(proj.bound(math.sqrt(-e)))
+    return proj.positive_scalar(math.sqrt(e)) / math.cos(math.sqrt(e) * l) ** 2
+
+
+@given(projections(), seeds)
+def test_projection_slopes_equal_central_differences(bc, seed):
+    # dg/dE of both regimes against a central difference of g in E, at E = 0,
+    # on both sides of the series switch at x = kl = 0.25 and at random x up
+    # to 30 (positive) or the kappa l = 50 floor (bound).  g moves by its own
+    # size when E moves by about (1 + x) / l^2, so the step is 1e-4 of that
+    # and the difference is good to about 1e-8 of size / scale.
     proj = _Projection(bc)
-    step = math.pi / (GRID_DENSITY * bc.l)
-    grid = np.arange(0.0, 12.0 * math.pi / bc.l + step, step)
-    vals = np.asarray(proj.positive(grid))
-    args = (_positive_det_abs(bc, proj), _positive_mult(bc), False)
-    scalar = _projected_roots(grid, vals, proj.positive, proj.positive_scalar, *args)
-    vector = _projected_roots(grid, vals, proj.positive, proj.positive, *args)
-    assert scalar == vector
+    l = bc.l
+    size = abs(proj.det_a) * l * l + abs(proj.det_b) + abs(proj.mixed) * l
+    switch = [0.0, math.nextafter(0.25, 0.0), 0.25]
+    spread = np.random.default_rng(seed).uniform(0.0, 1.0, 5)
+    for regime, slope, top, sign in (
+        ("positive", proj.positive_slope, 30.0, 1.0),
+        ("bound", proj.bound_slope, KAPPA_CEILING, -1.0),
+    ):
+        for x in switch + (top * spread).tolist():
+            k = x / l
+            e = sign * k * k
+            scale = (1.0 + x) / (l * l)
+            h = 1e-4 * scale
+            diff = (_continued(proj, regime, e + h) - _continued(proj, regime, e - h)) / (2.0 * h)
+            assert abs(slope(k) - diff) <= 1e-6 * size / scale
+        below, above = slope(switch[1] / l), slope(switch[2] / l)
+        assert abs(below - above) <= 1e-12 * size * l * l
 
 
 @st.composite
