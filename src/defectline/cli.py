@@ -2,11 +2,16 @@
 
 Every subcommand emits either JSON lines (one object per line) or CSV with a
 fixed header, all floating-point values rendered with 17 significant digits
-so output is byte-deterministic and round-trips exactly.  Exit codes: 0 for
-success, 2 for invalid parameters (including config/flag parse problems),
-3 for solver failures, 141 when the reader of stdout closed it early;
-oracle-compare exits 1 when all solvers ran but a deviation exceeded its
-tolerance.
+so output is byte-deterministic and round-trips exactly.  Each record shape
+(a spectrum level, a trace point, ...) has one JSON line template and one CSV
+row template, built once from its fields; a command passes plain tuples, and
+the lines are written one by one as they are rendered.
+
+Exit codes: 0 for success, 2 for invalid parameters (including config/flag
+parse problems), 3 for solver failures, 4 for an unexpected internal error
+(one line on stderr, no traceback), 141 when the reader of stdout closed it
+early; oracle-compare exits 1 when all solvers ran but a deviation exceeded
+its tolerance.
 
 Boundary-condition input is either the four angles (--xi/--rho/--mu/--nu),
 the eigenphase pair (--theta-plus/--theta-minus), or the raw matrix entries
@@ -17,14 +22,13 @@ flags given on the command line win.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
-import json
+import itertools
 import math
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -59,54 +63,72 @@ _SOLVER_ALIASES = {
     "fd": SOLVER_FD,
 }
 
-_SPECTRUM_FIELDS = ("index", "channel", "kind", "k_or_kappa", "E", "degenerate")
-_EIGENFUNCTION_FIELDS = ("x", "re", "im")
-_ISO_FIELDS = (
-    "xi", "rho", "n_levels_checked", "solver_used", "grid_points",
-    "max_level_deviation", "worst_mu", "worst_nu",
+
+class _Shape:
+    """One record shape: a JSON line template and a CSV row template.
+
+    ``fields`` maps each key the shape fills, in output order, to its JSON
+    text: ``%d`` an int, ``%.17g`` a float, ``"%s"`` a name that needs no
+    escaping (a channel, a kind, a solver), ``%s`` a word spelled as output
+    (``true``/``false``), or a constant such as ``"point"`` or ``null``.
+    The CSV row puts each field under its column of ``columns`` (the keys
+    themselves by default) unquoted, with a blank for ``null`` and for the
+    columns the shape leaves out.  Both templates take one tuple of the
+    non-constant field values, in order.
+    """
+
+    def __init__(self, fields: dict[str, str], columns: Sequence[str] | None = None):
+        columns = tuple(fields) if columns is None else columns
+        self.fields = fields
+        self.header = ",".join(columns) + "\n"
+        self.json = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+        cells = (fields.get(c, "null") for c in columns)
+        self.csv = ",".join("" if v == "null" else v.strip('"') for v in cells) + "\n"
+
+
+_D, _G, _S, _W = "%d", "%.17g", '"%s"', "%s"
+_WORD = ("false", "true")  # _WORD[flag] spells a bool for a _W field
+
+_LEVEL = _Shape(
+    {"index": _D, "channel": _S, "kind": _S, "k_or_kappa": _G, "E": _G, "degenerate": _W}
 )
-_TRACE_FIELDS = (
+# The det and fd solvers' levels belong to no channel.
+_UNCHANNELED_LEVEL = _Shape({**_LEVEL.fields, "channel": "null"})
+_EIGEN_META = _Shape(
+    {"record": '"level"', **_LEVEL.fields, "residual": _G, "current_mismatch": _G}
+)
+_SAMPLE = _Shape({"x": _G, "re": _G, "im": _G})
+_ISO = _Shape({
+    "xi": _G, "rho": _G, "n_levels_checked": _D, "solver_used": _S, "grid_points": _D,
+    "max_level_deviation": _G, "worst_mu": _G, "worst_nu": _G,
+})
+_TRACE_COLUMNS = (
     "record", "trajectory", "channel", "start_index", "end_index",
     "floored_out", "t", "E", "s_plus", "s_minus",
 )
-_COMPARE_FIELDS = ("level", "E_channel", "E_det", "E_fd", "delta_det", "delta_fd")
+_TRAJECTORY = _Shape({
+    "record": '"trajectory"', "trajectory": _D, "channel": _S, "start_index": _D,
+    "end_index": _D, "floored_out": _W,
+}, _TRACE_COLUMNS)
+_POINT = _Shape({"record": '"point"', "trajectory": _D, "t": _G, "E": _G}, _TRACE_COLUMNS)
+_SUMMARY = _Shape({"record": '"summary"', "s_plus": _D, "s_minus": _D}, _TRACE_COLUMNS)
+_COMPARE = _Shape(
+    {"level": _D, "E_channel": _G, "E_det": _G, "E_fd": _G, "delta_det": _G, "delta_fd": _G}
+)
 
 
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format(v, ".17g")
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise TypeError(f"cannot serialize {type(v)!r}")
+def _write(out: IO[str], fmt: str, *parts: tuple[_Shape, Iterable[tuple]]) -> None:
+    """Write (shape, rows) parts as one table; in CSV the first shape's header leads.
 
-
-def _csv_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
-def _write_records(out: IO[str], fmt: str, fields: Sequence[str], records) -> None:
-    if fmt == "json":
-        keys = [(k, json.dumps(k) + ": ") for k in fields]
-        for rec in records:
-            body = ", ".join(key + _json_value(rec[k]) for k, key in keys if k in rec)
-            out.write("{" + body + "}\n")
-    else:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fields)
-        for rec in records:
-            writer.writerow([_csv_value(rec.get(k)) for k in fields])
+    The lines go out one by one through ``writelines``, so a reader that
+    closes the pipe fails the next write.  One large write can instead end
+    in a partial count that drops the error.
+    """
+    if fmt == "csv":
+        out.write(parts[0][0].header)
+    for shape, rows in parts:
+        template = shape.csv if fmt == "csv" else shape.json
+        out.writelines(template % row for row in rows)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -235,38 +257,27 @@ def _cmd_spectrum(s: _Settings, out: IO[str]) -> int:
     bc = _boundary_condition(s)
     n = s.get_int("levels", 8)
     solver = _solver_name(s, SOLVER_CHANNEL)
-    records = []
     if solver == SOLVER_CHANNEL:
-        levels = solve_spectrum(bc, n).levels
-    elif solver == SOLVER_DETERMINANT:
+        rows = [
+            (lev.index, lev.channel, lev.kind, lev.k_or_kappa, lev.E,
+             _WORD[lev.degenerate_with is not None])
+            for lev in solve_spectrum(bc, n).levels
+        ]
+        _write(out, _output_format(s), (_LEVEL, rows))
+        return 0
+    if solver == SOLVER_DETERMINANT:
         k_max = s.get_float("k_max", math.nan)
-        levels = det_spectrum(bc, n, k_max=None if math.isnan(k_max) else k_max)
+        rows = [
+            (lev.index, lev.kind, lev.k_or_kappa, lev.E, _WORD[lev.degenerate_with is not None])
+            for lev in det_spectrum(bc, n, k_max=None if math.isnan(k_max) else k_max)
+        ]
     else:
         fd = fd_spectrum(bc, n, n_interior=s.get_int("n_interior", 256))
-        for i, e in enumerate(fd.levels):
-            records.append(
-                {
-                    "index": i,
-                    "channel": None,
-                    "kind": KIND_BOUND if e < 0.0 else KIND_POSITIVE,
-                    "k_or_kappa": math.sqrt(abs(e)),
-                    "E": e,
-                    "degenerate": False,
-                }
-            )
-        levels = []
-    for lev in levels:
-        records.append(
-            {
-                "index": lev.index,
-                "channel": lev.channel,
-                "kind": lev.kind,
-                "k_or_kappa": lev.k_or_kappa,
-                "E": lev.E,
-                "degenerate": lev.degenerate_with is not None,
-            }
-        )
-    _write_records(out, _output_format(s), _SPECTRUM_FIELDS, records)
+        rows = [
+            (i, KIND_BOUND if e < 0.0 else KIND_POSITIVE, math.sqrt(abs(e)), e, "false")
+            for i, e in enumerate(fd.levels)
+        ]
+    _write(out, _output_format(s), (_UNCHANNELED_LEVEL, rows))
     return 0
 
 
@@ -289,26 +300,17 @@ def _cmd_eigenfunction(s: _Settings, out: IO[str]) -> int:
     grid = np.concatenate([left, right])
     values = sample_eigenfunction(f, grid)
 
+    rows = zip(grid.tolist(), values.real.tolist(), values.imag.tolist())
     fmt = _output_format(s)
-    if fmt == "json":
-        v = f.boundary_vectors()
-        meta = {
-            "record": "level",
-            "index": level.index,
-            "channel": level.channel,
-            "kind": level.kind,
-            "k_or_kappa": level.k_or_kappa,
-            "E": level.E,
-            "degenerate": f.degenerate,
-            "residual": boundary_residual(bc, v),
-            "current_mismatch": current_mismatch(v),
-        }
-        _write_records(out, fmt, tuple(meta), [meta])
-    rows = [
-        {"x": float(x), "re": float(val.real), "im": float(val.imag)}
-        for x, val in zip(grid, values)
-    ]
-    _write_records(out, fmt, _EIGENFUNCTION_FIELDS, rows)
+    if fmt == "csv":
+        _write(out, fmt, (_SAMPLE, rows))
+        return 0
+    v = f.boundary_vectors()
+    meta = (
+        level.index, level.channel, level.kind, level.k_or_kappa, level.E,
+        _WORD[f.degenerate], boundary_residual(bc, v), current_mismatch(v),
+    )
+    _write(out, fmt, (_EIGEN_META, [meta]), (_SAMPLE, rows))
     return 0
 
 
@@ -327,17 +329,11 @@ def _cmd_isospectral(s: _Settings, out: IO[str]) -> int:
         L0=s.get_float("L0", 1.0),
         n_interior=s.get_int("n_interior", 256),
     )
-    record = {
-        "xi": report.base_params.xi,
-        "rho": report.base_params.rho,
-        "n_levels_checked": report.n_levels_checked,
-        "solver_used": report.solver_used,
-        "grid_points": len(grid),
-        "max_level_deviation": report.max_level_deviation,
-        "worst_mu": report.worst_point[0],
-        "worst_nu": report.worst_point[1],
-    }
-    _write_records(out, _output_format(s), _ISO_FIELDS, [record])
+    record = (
+        report.base_params.xi, report.base_params.rho, report.n_levels_checked,
+        report.solver_used, len(grid), report.max_level_deviation, *report.worst_point,
+    )
+    _write(out, _output_format(s), (_ISO, [record]))
     return 0
 
 
@@ -355,24 +351,13 @@ def _cmd_trace(s: _Settings, out: IO[str]) -> int:
     trajectories = trace_path(path)
     s_plus, s_minus = trajectory_shifts(trajectories, winding)
 
-    records = []
+    parts = []
     for i, tr in enumerate(trajectories):
-        records.append(
-            {
-                "record": "trajectory",
-                "trajectory": i,
-                "channel": tr.channel,
-                "start_index": tr.start_index,
-                "end_index": tr.end_index,
-                "floored_out": tr.floored_out,
-            }
-        )
-        for t, e in zip(tr.t_values, tr.E_values):
-            records.append(
-                {"record": "point", "trajectory": i, "t": float(t), "E": float(e)}
-            )
-    records.append({"record": "summary", "s_plus": s_plus, "s_minus": s_minus})
-    _write_records(out, _output_format(s), _TRACE_FIELDS, records)
+        header = (i, tr.channel, tr.start_index, tr.end_index, _WORD[tr.floored_out])
+        parts.append((_TRAJECTORY, [header]))
+        parts.append((_POINT, zip(itertools.repeat(i), tr.t_values.tolist(), tr.E_values.tolist())))
+    parts.append((_SUMMARY, [(s_plus, s_minus)]))
+    _write(out, _output_format(s), *parts)
     return 0
 
 
@@ -386,22 +371,13 @@ def _cmd_oracle_compare(s: _Settings, out: IO[str]) -> int:
     e_fd = fd_spectrum(bc, n, n_interior=s.get_int("n_interior", 256)).levels
 
     ok = True
-    records = []
+    rows = []
     for i in range(n):
         delta_det = abs(e_channel[i] - e_det[i])
         delta_fd = abs(e_channel[i] - e_fd[i]) / (1.0 + abs(e_channel[i]))
         ok = ok and delta_det <= tol_det and delta_fd <= tol_fd
-        records.append(
-            {
-                "level": i,
-                "E_channel": e_channel[i],
-                "E_det": e_det[i],
-                "E_fd": e_fd[i],
-                "delta_det": delta_det,
-                "delta_fd": delta_fd,
-            }
-        )
-    _write_records(out, _output_format(s), _COMPARE_FIELDS, records)
+        rows.append((i, e_channel[i], e_det[i], e_fd[i], delta_det, delta_fd))
+    _write(out, _output_format(s), (_COMPARE, rows))
     return 0 if ok else 1
 
 
@@ -525,3 +501,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141
+    except Exception as exc:
+        # A defect, not a bad input or a solver that gave up: keep it apart
+        # from exit 1 ("a deviation exceeded its tolerance").
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4

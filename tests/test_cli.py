@@ -5,6 +5,7 @@ handling, output formatting, and exit codes exactly as a shell user sees
 them.
 """
 
+import csv
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import defectline
 from defectline import cli
@@ -355,6 +357,108 @@ def test_ladder_stdout_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# The sha256 of stdout and the exit code, recorded before the writer moved
+# from per-field converters to one line template per record shape: every
+# shape in both formats, the channel-less det and fd levels, degenerate
+# pairs, a trajectory that leaves through the floor, and both exit codes of
+# oracle-compare.
+PINNED_OUTPUT_SHA256 = [
+    (
+        ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "64",
+         "--format", "csv"),
+        0, "1cc337af4514f6dca02ab627616b5f9af6a3cd7ae5a381854293fdc6bfbed916",
+    ),
+    (
+        ("spectrum", "--xi", "2.0", "--rho", "0.0", "-n", "16", "--format", "csv"),
+        0, "b6d89d5f452583e90cb3baa3c5ab9f5bd766cce15edcf6b9cfae9d0dad0bdf96",
+    ),
+    (
+        ("spectrum", "--solver", "det", "--xi", "2.0", "--rho", "0.0", "-n", "8"),
+        0, "29e54118d891f0a386625b3647cc389d7b94e8c06d498b808549d0486f9c7768",
+    ),
+    (
+        ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
+         "--solver", "fd", "--n-interior", "128"),
+        0, "c4404ee0ef7eeca355acc85c0f22c26bf8c02a9185f4663c8086db81741bb3d9",
+    ),
+    (
+        ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
+         "--solver", "fd", "--n-interior", "128", "--format", "csv"),
+        0, "0dae0b68834ba8b2ca6bebcb1716da6c82201f2a11d71219025a1f41a9e8141b",
+    ),
+    (
+        ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "40"),
+        0, "7e1b46ee362b5678f8db5bbe472f2aa2a437c943cf326c29d82435f58e05e6ad",
+    ),
+    (
+        ("eigenfunction", "--xi", "2.0", "--rho", "0.0", "--index", "1", "--samples", "16"),
+        0, "0d7fc656c359680f56e2fabd98b284bc3738da6aa12fc3961c8462e008d7284e",
+    ),
+    (
+        ("eigenfunction", "--theta-plus", "1.0", "--theta-minus", "4.0", "--samples", "12",
+         "--format", "csv"),
+        0, "f5c54a4c50d64b3020ca439e1c89ef5afe11f72eba7a39cf82d1d1f0043c6e0d",
+    ),
+    (
+        ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "1", "--steps", "64",
+         "--tracked", "4", "--format", "csv"),
+        0, "91ef1c7552bd5624c317f89f725a63d27bbb337bdfa2fa6bd7d5d15868f1dd0c",
+    ),
+    (
+        ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "-1", "--steps", "128",
+         "--tracked", "6"),
+        0, "b13e87dd663502d735fce36da084ac9112aec103079238742fcea61f37648cd2",
+    ),
+    (
+        ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "-1", "--steps", "128",
+         "--tracked", "6", "--format", "csv"),
+        0, "f1eb1780b0fa0f34f8d50581065d6b88d58a5c1d7bd89fd64a1d8a83c183c584",
+    ),
+    (
+        ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
+         "--grid-nu", "3", "--format", "csv"),
+        0, "b1316bfc92323f6e53512eb125d99ead35bef20c5aa01d02ce799da2c3b8e450",
+    ),
+    (
+        ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--n-interior", "128"),
+        0, "7da893890a7dd4db4035426f2f137de71e6ada8ad6e0323ecbf051a96ef8f389",
+    ),
+    (
+        ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
+         "--tol-fd", "1e-18"),
+        1, "a966e01703765106d32c8482c4b56f39256b4ee37856b3df1dc88e120f1b19c3",
+    ),
+    (
+        ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
+         "--tol-fd", "1e-18", "--format", "csv"),
+        1, "afef74a730277145a0dff12ce6e9618eccf598fd4342ab700ce348e9fb56c8f7",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    PINNED_OUTPUT_SHA256,
+    ids=[
+        "spectrum-csv", "spectrum-csv-degenerate", "spectrum-det-degenerate", "spectrum-fd",
+        "spectrum-fd-csv", "eigenfunction", "eigenfunction-degenerate", "eigenfunction-csv",
+        "trace-csv", "trace-floored", "trace-floored-csv", "iso-csv", "compare-pass",
+        "compare-fail", "compare-fail-csv",
+    ],
+)
+def test_output_is_pinned(capsys, argv, code, digest):
+    got, out, _ = _run(capsys, *argv)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_trace_has_a_trajectory_that_leaves_through_the_floor(capsys):
+    argv = next(argv for argv, _, _ in PINNED_OUTPUT_SHA256 if "-1" in argv)
+    _, out, _ = _run(capsys, *argv)
+    floored = [r for r in _json_lines(out) if r.get("floored_out")]
+    assert [(r["channel"], r["end_index"]) for r in floored] == [("plus", -1)]
+
+
 def test_trace_reports_the_winding_where_a_level_jumps_a_rung_at_the_floor(capsys):
     # The step tracker printed s_plus 0 here at the default 256 steps.
     code, out, _ = _run(capsys, "trace", "--xi", "1", "--rho", "0.4", "--w-plus", "1",
@@ -419,6 +523,64 @@ def test_oracle_compare_fails_on_unreachable_tolerance(capsys):
     assert len(_json_lines(out)) == 3  # the table is still written in full
 
 
+# ------------------------------------------------------------ record shapes
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-float.fromhex("0x0.fffffffffffffp-1022"))  # the largest subnormal
+@example(1e16)
+@example(0.1)
+def test_printf_17g_renders_every_double_as_format_does(x):
+    # The templates render floats with "%.17g", the README promises
+    # format(x, ".17g"), and numpy doubles reach the templates as well.
+    assert "%.17g" % x == format(x, ".17g") == "%.17g" % np.float64(x)
+
+
+SHAPES = {name: v for name, v in vars(cli).items() if isinstance(v, cli._Shape)}
+FIELD_VALUES = {
+    cli._D: st.integers(-(2**53), 2**53),
+    cli._G: st.floats(allow_nan=False, allow_infinity=False),
+    cli._S: st.sampled_from(["plus", "minus", "bound", "positive", "zero", "determinant"]),
+    cli._W: st.booleans(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@given(data=st.data())
+def test_every_shape_renders_lines_that_read_back(name, data):
+    shape = SHAPES[name]
+    values = {
+        k: data.draw(FIELD_VALUES[spec], label=k)
+        for k, spec in shape.fields.items() if spec in FIELD_VALUES
+    }
+    # A bool goes in spelled: "%d" % True would print 1.
+    row = tuple(cli._WORD[v] if shape.fields[k] == cli._W else v for k, v in values.items())
+    constants = {k: json.loads(v) for k, v in shape.fields.items() if k not in values}
+
+    line = shape.json % row
+    assert line.endswith("}\n") and line.count("\n") == 1
+    assert json.loads(line) == {**values, **constants}
+    assert list(json.loads(line)) == list(shape.fields)
+
+    columns = shape.header.rstrip("\n").split(",")
+    (cells,) = csv.reader([shape.csv % row])
+    assert len(cells) == len(columns)
+    for column, cell in zip(columns, cells):
+        value = values.get(column, constants.get(column))
+        if isinstance(value, bool):
+            assert cell == ("true" if value else "false")
+        elif isinstance(value, (int, float)):
+            assert type(value)(cell) == value
+        else:
+            assert cell == ("" if value is None else value)
+
+
 # ------------------------------------------------------- errors and plumbing
 
 
@@ -465,6 +627,44 @@ def test_closed_stdout_exits_141_without_a_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=120) == 141
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [README_ARGV, ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "1", "--steps", "512")],
+    ids=["flush", "writelines"],
+)
+def test_stdout_closed_before_the_first_write_exits_141(argv):
+    # The read end is gone before the child starts, so the first write that
+    # reaches the pipe fails whatever the timing: the flush at the end for a
+    # short table, a write inside the table for a long one.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "defectline", *argv], stdout=write,
+            stderr=subprocess.PIPE, env=_python_env(), timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatch):
+    def broken(settings, out):
+        out.write("partial\n")
+        raise RuntimeError("lost a level")
+
+    monkeypatch.setitem(cli._HANDLERS, "spectrum", broken)
+    code, _, err = _run(capsys, *README_ARGV)
+    assert code == 4
+    assert err == "internal error: RuntimeError: lost a level\n"
+    target = tmp_path / "levels.json"
+    target.write_text("previous results\n")
+    code, _, err = _run(capsys, *README_ARGV, "--output", str(target))
+    assert code == 4 and err.startswith("internal error: RuntimeError")
+    assert target.read_text() == "previous results\n"
 
 
 # One valid call of every subcommand.
