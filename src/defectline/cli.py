@@ -258,11 +258,12 @@ def _cmd_spectrum(s: _Settings, out: IO[str]) -> int:
     n = s.get_int("levels", 8)
     solver = _solver_name(s, SOLVER_CHANNEL)
     if solver == SOLVER_CHANNEL:
-        rows = [
-            (lev.index, lev.channel, lev.kind, lev.k_or_kappa, lev.E,
-             _WORD[lev.degenerate_with is not None])
-            for lev in solve_spectrum(bc, n).levels
-        ]
+        spec = solve_spectrum(bc, n)
+        degenerate = [_WORD[p >= 0] for p in spec.partner.tolist()]
+        rows = zip(
+            spec.index.tolist(), spec.channel.tolist(), spec.kind.tolist(),
+            spec.k_or_kappa.tolist(), spec.E.tolist(), degenerate,
+        )
         _write(out, _output_format(s), (_LEVEL, rows))
         return 0
     if solver == SOLVER_DETERMINANT:
@@ -366,7 +367,7 @@ def _cmd_oracle_compare(s: _Settings, out: IO[str]) -> int:
     n = s.get_int("levels", 8)
     tol_det = s.get_float("tol_det", 1e-9)
     tol_fd = s.get_float("tol_fd", 5e-3)
-    e_channel = [lev.E for lev in solve_spectrum(bc, n).levels]
+    e_channel = solve_spectrum(bc, n).E.tolist()
     e_det = [lev.E for lev in det_spectrum(bc, n)]
     e_fd = fd_spectrum(bc, n, n_interior=s.get_int("n_interior", 256)).levels
 

@@ -121,7 +121,7 @@ def _energies(
 ) -> np.ndarray:
     bc = BoundaryCondition(u, l=l, L0=L0)
     if solver == SOLVER_CHANNEL:
-        return np.array([lev.E for lev in solve_spectrum(bc, n).levels])
+        return solve_spectrum(bc, n).E
     if solver == SOLVER_DETERMINANT:
         return np.array([lev.E for lev in det_spectrum(bc, n)])
     if solver == SOLVER_FD:

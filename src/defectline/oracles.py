@@ -20,8 +20,11 @@ simple root.  A dip of |g| between two grid neighbours of its own sign is a
 pair closer than the grid, or a touch when U is scalar, and the value of g at
 the vertex, the root of the closed-form dg/dE, decides: two simple roots if g
 crosses zero there by more than its rounding bound, one double root if it
-lies within that bound, and none otherwise.  The rounding bound comes from
-the coefficients of det M, so no tolerance is set by hand.  Roots are refined
+lies within that bound, and none otherwise.  The threshold E = 0 is a grid
+point of both regimes; where g(0) lies within its rounding bound inside a
+dip, it is taken as 0, so a touch or a pair next to the threshold is decided
+at its vertex like any other.  The rounding bound comes from the
+coefficients of det M, so no tolerance is set by hand.  Roots are refined
 with spectrum._brentq, a port of scipy's brentq; only the finite-difference
 solver imports scipy.
 """
@@ -237,6 +240,7 @@ def _projected_roots(grid, vals, fun, slope, noise, skip_origin: bool) -> list[t
 
     fun, slope and noise take one float; fun must return vals' doubles on
     the grid, so a root refined from a grid cell has the doubles of the scan.
+    vals[0] is the origin as _origin_value takes it.
     """
     start = 1 if skip_origin else 0
     lo = max(start, 1)
@@ -249,8 +253,14 @@ def _projected_roots(grid, vals, fun, slope, noise, skip_origin: bool) -> list[t
 
     found = [(_brentq(fun, x[i], x[i + 1], y[i], y[i + 1]), 1) for i in crossings]
     found.extend((x[i], 1) for i in zeros)
-    for i in lo + np.flatnonzero(dips):
-        a, b = x[i - 1], x[i + 1]
+    cells = [(i - 1, i + 1) for i in (lo + np.flatnonzero(dips)).tolist()]
+    if start == 0 and y[0] * y[1] >= 0.0 and abs(y[0]) < abs(y[1]):
+        # |g| is least at the origin (0 where _origin_value finds the floor
+        # of a dip there), so a vertex may lie in the first cell: a touch or
+        # a pair nearer to E = 0 than the first grid point.
+        cells.append((0, 1))
+    for ia, ib in cells:
+        a, b = x[ia], x[ib]
         slope_a, slope_b = slope(a), slope(b)
         if slope_a * slope_b > 0.0:
             continue  # a dip of rounding on a flat g: no vertex, no root
@@ -261,9 +271,9 @@ def _projected_roots(grid, vals, fun, slope, noise, skip_origin: bool) -> list[t
         tol = _BRENT_XTOL + _BRENT_RTOL * v
         curvature = abs(slope_b - slope_a) / (b * b - a * a)
         beta = noise(v) + 0.5 * curvature * ((2.0 * v + tol) * tol) ** 2
-        if math.copysign(1.0, y[i - 1]) * gv < -beta:
-            found.append((_brentq(fun, a, v, y[i - 1], gv), 1))
-            found.append((_brentq(fun, v, b, gv, y[i + 1]), 1))
+        if math.copysign(1.0, y[ib]) * gv < -beta:
+            found.append((_brentq(fun, a, v, y[ia], gv), 1))
+            found.append((_brentq(fun, v, b, gv, y[ib]), 1))
         elif abs(gv) <= beta:
             found.append((v, 2))
     found.sort(key=lambda t: t[0])
@@ -279,16 +289,41 @@ def _zero_level_multiplicity(bc: BoundaryCondition) -> int:
     return 1 if s[0] > tol else 2
 
 
+# Cells of the bound scan's grid on [0, KAPPA_CEILING / l].
+_BOUND_CELLS = 2048
+
+
+def _origin_value(proj: _Projection) -> float:
+    """g at E = 0 as both scans take it.
+
+    g is one function of E across the threshold.  Where |g(0)| lies within
+    its rounding bound and g has one sign at the first grid point of both
+    regimes, E = 0 is the floor of a dip (a touch or a pair next to the
+    threshold), and the rounded sign of g(0) would put a crossing on either
+    side of it.  g(0) is then taken as 0, so that neither scan counts a
+    crossing there and the regime that holds the vertex decides the roots.
+    """
+    g0 = proj.positive_scalar(0.0)
+    if abs(g0) > proj.positive_noise(0.0):
+        return g0
+    above = proj.positive_scalar(math.pi / (GRID_DENSITY * proj.l))
+    below = float(proj.bound(KAPPA_CEILING / proj.l / _BOUND_CELLS))
+    return 0.0 if above * below > 0.0 else g0
+
+
 def _bound_roots(bc: BoundaryCondition, proj: _Projection, skip_origin: bool) -> list[tuple[float, int]]:
-    grid = np.linspace(0.0, KAPPA_CEILING / bc.l, 2049)
+    grid = np.linspace(0.0, KAPPA_CEILING / bc.l, _BOUND_CELLS + 1)
+    vals = np.asarray(proj.bound(grid))
+    vals[0] = _origin_value(proj)
     return _projected_roots(
-        grid, np.asarray(proj.bound(grid)), lambda kappa: float(proj.bound(kappa)),
-        proj.bound_slope, proj.bound_noise, skip_origin,
+        grid, vals, lambda kappa: float(proj.bound(kappa)), proj.bound_slope, proj.bound_noise,
+        skip_origin,
     )
 
 
 def _scan(proj: _Projection, grid: np.ndarray, skip_origin: bool) -> list[tuple[float, int]]:
     vals = np.asarray(proj.positive(grid))
+    vals[0] = _origin_value(proj)
     return _projected_roots(
         grid, vals, proj.positive_scalar, proj.positive_slope, proj.positive_noise, skip_origin
     )

@@ -25,13 +25,17 @@ F/k for short ladders, and every bracket in lock step on numpy arrays once a
 scan needs _ARRAY_BRENT_MIN of them.  Both give the same doubles.  The scan
 takes many channels of one box at once (solve_channels, one row per
 channel), and a single channel is its one-row case, so a batch returns the
-doubles of one solve per channel.  The merged spectrum solves each channel
-only about n/2 deep, as far as the two interlacing ladders reach, and checks
-that depth against the merged n-th level before it keeps the result.
+doubles of one solve per channel.  The merged spectrum solves its two
+channels as one such batch on the shared grid, only about n/2 deep, as far
+as the two interlacing ladders reach, and checks that depth against the
+merged n-th level before it keeps the result.  It merges the two rows by one
+array sort, flags degenerate pairs by one comparison of neighbours and keeps
+the levels as columns; EigenLevel objects are built only when asked for.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -55,6 +59,8 @@ __all__ = [
 
 CHANNEL_PLUS = "plus"
 CHANNEL_MINUS = "minus"
+# A channel's name by its row in solve_spectrum's batch.
+_CHANNEL_NAMES = np.array([CHANNEL_PLUS, CHANNEL_MINUS])
 
 # Grid step pi/(GRID_DENSITY * l) guarantees at least one grid point between
 # any two roots of one channel (roots interlace the lattice m*pi/l).
@@ -124,13 +130,38 @@ class EigenLevel:
     degenerate_with: tuple[str | None, int] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted lowest levels of a boundary condition, with its (xi, rho, mu, nu)."""
+    """Sorted lowest levels of a boundary condition, with its (xi, rho, mu, nu).
 
-    levels: tuple[EigenLevel, ...]
+    The levels are columns, one entry per level in ascending E: ``E``,
+    ``k_or_kappa``, ``kind``, ``channel`` and ``index`` hold EigenLevel's
+    fields, and ``partner`` the position of a level's degenerate partner in
+    these columns, -1 for none.  ``levels`` builds the EigenLevel objects
+    from them on first access.  Spectra compare by identity, as array fields
+    have no truth value for a generated __eq__.
+    """
+
+    E: np.ndarray
+    k_or_kappa: np.ndarray
+    kind: np.ndarray
+    channel: np.ndarray
+    index: np.ndarray
+    partner: np.ndarray
     bc_params: UnitaryParams
     count_requested: int
+
+    @functools.cached_property
+    def levels(self) -> tuple[EigenLevel, ...]:
+        channel, index = self.channel.tolist(), self.index.tolist()
+        return tuple(
+            EigenLevel(E=e, k_or_kappa=k, kind=kind, channel=c, index=i,
+                       degenerate_with=None if p < 0 else (channel[p], index[p]))
+            for e, k, kind, c, i, p in zip(
+                self.E.tolist(), self.k_or_kappa.tolist(), self.kind.tolist(), channel, index,
+                self.partner.tolist(),
+            )
+        )
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
@@ -405,6 +436,8 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin)
             keep = rank < need[r]
             i, j = i[keep], j[keep]
             hits.append((r[keep], j, rank[keep], head[i, j], tail[i, j]))
+            # Free this chunk's rows of temporaries before the next are made.
+            del vals, head, tail, hit
         r, j, rank, fa, fb = (np.concatenate(parts) for parts in zip(*hits))
         k = grid[j]
         sign = fa != 0.0
@@ -546,32 +579,48 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     of the two channels that coincide within 1e-10 (relative) are flagged
     degenerate and cross-referenced.
 
-    Each channel holds one positive root per branch of width pi/l, so the
-    two ladders interlace and each channel is first solved only
-    (n + 1) // 2 + 2 deep; the margin of two covers a bound or zero level
-    and the offset between the branches of the two channels.  The merge is
-    kept when its n-th level lies at or below the last level solved in both
-    channels: every deeper level of a channel lies strictly above that, so
-    the full-depth merge starts with the same n levels.  Otherwise both
-    channels are solved n deep.  A channel's first m levels are the same
-    doubles whatever depth it is solved to.
+    Both channels are solved in one solve_channels batch, on one grid.  Each
+    holds one positive root per branch of width pi/l, so the two ladders
+    interlace and the batch is first solved only (n + 1) // 2 + 2 deep; the
+    margin of two covers a bound or zero level and the offset between the
+    branches of the two channels.  The merge is kept when its n-th level
+    lies at or below the last level solved in both channels: every deeper
+    level of a channel lies strictly above that, so the full-depth merge
+    starts with the same n levels.  Otherwise the batch is solved n deep.  A
+    channel's first m levels are the same doubles whatever depth it is
+    solved to.
+
+    The merge is a stable sort of both rows on (E, channel), plus first
+    where energies tie, and a level is flagged where it and a neighbour of
+    the other channel coincide; a level that coincides with both of its
+    neighbours is cross-referenced to the upper one.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     p = matrix_to_params(bc.u)
-    channels = (
-        (Channel(p.theta_plus, bc.l, bc.L0), CHANNEL_PLUS),
-        (Channel(p.theta_minus, bc.l, bc.L0), CHANNEL_MINUS),
-    )
+    thetas = [p.theta_plus, p.theta_minus]
     depth = min(n, (n + 1) // 2 + 2)
     while True:
-        parts = [solve_channel(ch, depth, tag) for ch, tag in channels]
-        merged = sorted(parts[0] + parts[1], key=lambda lv: (lv.E, lv.channel != CHANNEL_PLUS))
-        if depth == n or all(merged[n - 1].E <= part[-1].E for part in parts):
+        rows = solve_channels(thetas, depth, bc.l, bc.L0)
+        E = rows.E.ravel()
+        order = np.lexsort((np.repeat([0, 1], depth), E))[:n]
+        if depth == n or E[order[-1]] <= rows.E[:, -1].min():
             break
         depth = n
-    levels = flag_degenerate(merged[:n], cross_channel=True)
-    return Spectrum(levels=tuple(levels), bc_params=p, count_requested=n)
+    row, index = np.divmod(order, depth)
+    E = E[order]
+    first = np.where(rows.zero, KIND_ZERO, np.where(rows.bound, KIND_BOUND, KIND_POSITIVE))
+    kind = np.where(index == 0, first[row], KIND_POSITIVE)
+    lo, hi = E[:-1], E[1:]
+    close = np.abs(lo - hi) <= 1e-10 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+    at = np.flatnonzero(close & (row[:-1] != row[1:]))
+    partner = np.full(n, -1)
+    partner[at + 1] = at
+    partner[at] = at + 1  # last, so a level in two pairs keeps the upper one
+    return Spectrum(
+        E=E, k_or_kappa=rows.k_or_kappa.ravel()[order], kind=kind, channel=_CHANNEL_NAMES[row],
+        index=index, partner=partner, bc_params=p, count_requested=n,
+    )
 
 
 def flag_degenerate(levels: list[EigenLevel], cross_channel: bool) -> list[EigenLevel]:

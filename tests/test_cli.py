@@ -5,8 +5,10 @@ handling, output formatting, and exit codes exactly as a shell user sees
 them.
 """
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,9 +21,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import defectline
-from defectline import cli
+from defectline import cli, spectrum
 from defectline import (
     BoundaryCondition,
+    EigenLevel,
     UnitaryParams,
     params_to_matrix,
     solve_spectrum,
@@ -134,6 +137,89 @@ def test_spectrum_json_round_trips_library_floats(capsys):
         assert rec["E"] == lev.E  # 17 significant digits reproduce the double
         assert rec["k_or_kappa"] == lev.k_or_kappa
         assert rec["channel"] == lev.channel and rec["index"] == lev.index
+
+
+def test_spectrum_command_solves_one_batch_and_builds_no_level(capsys, monkeypatch):
+    # Both channels go through one solve_channels call, and the rows come
+    # from the spectrum's columns, not from EigenLevel objects.
+    real = spectrum.solve_channels
+    depths, built = [], []
+
+    def counted(thetas, n, l, L0):
+        depths.append(n)
+        return real(thetas, n, l, L0)
+
+    def init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    real_init = EigenLevel.__init__
+    monkeypatch.setattr(spectrum, "solve_channels", counted)
+    monkeypatch.setattr(EigenLevel, "__init__", init)
+    argv = ("--xi", "2.0", "--rho", "0.9", "--mu", "0.7", "--nu", "1.3", "-n", "2000")
+    code, out, _ = _run(capsys, "spectrum", *argv)
+    assert code == 0 and out.count("\n") == 2000
+    assert depths == [1002]
+    assert built == []
+    # The counter sees the levels a library caller asks for.
+    solve_spectrum(BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.9))), 3).levels
+    assert len(built) == 3
+
+
+@st.composite
+def spectrum_defects(draw):
+    """(xi, rho, mu, nu, l, L0, region): the plus channel generic, on the
+    threshold T = 0 or with its bound level within 20 % of the kappa l = 50
+    floor, or rho = 0 or pi, where the two channels coincide."""
+    lengths = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+    l, L0 = draw(lengths), draw(lengths)
+    mu, nu = draw(st.floats(0.0, PI)), draw(st.floats(0.0, 2.0 * PI))
+    region = draw(st.sampled_from(["degenerate", "threshold", "floor", "generic"]))
+    if region == "degenerate":
+        return draw(st.floats(0.0, 2.0 * PI)), draw(st.sampled_from([0.0, PI])), mu, nu, l, L0, region
+    rho = draw(st.floats(0.0, PI))
+    if region == "threshold":
+        theta = 2.0 * math.atan2(L0, -l)  # l sin(theta/2) = -L0 cos(theta/2)
+    elif region == "floor":
+        theta = 2.0 * (PI - math.atan(50.0 * L0 / (l * draw(st.floats(0.8, 1.2)))))
+    else:
+        theta = draw(st.floats(0.0, 2.0 * PI))
+    return theta - rho, rho, mu, nu, l, L0, region
+
+
+def _reference_level_lines(levels, fmt):
+    # Each level's row tuple read from its EigenLevel, rendered without the
+    # CLI's templates.
+    rows = [
+        (lv.index, lv.channel, lv.kind, format(lv.k_or_kappa, ".17g"), format(lv.E, ".17g"),
+         "false" if lv.degenerate_with is None else "true")
+        for lv in levels
+    ]
+    if fmt == "csv":
+        lines = [",".join(str(v) for v in row) for row in rows]
+        return "index,channel,kind,k_or_kappa,E,degenerate\n" + "".join(f"{x}\n" for x in lines)
+    return "".join(
+        '{"index": %d, "channel": "%s", "kind": "%s", "k_or_kappa": %s, "E": %s, '
+        '"degenerate": %s}\n' % row
+        for row in rows
+    )
+
+
+@given(spectrum_defects(), st.one_of(st.integers(1, 80), st.integers(80, 600)))
+def test_spectrum_rows_from_columns_equal_the_per_level_rendering(defect, n):
+    xi, rho, mu, nu, l, L0, region = defect
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l=l, L0=L0)
+    levels = solve_spectrum(bc, n).levels
+    flags = [("--" + k, repr(v)) for k, v in zip(("xi", "rho", "mu", "nu", "l", "L0"), defect)]
+    argv = ["spectrum", *(x for flag in flags for x in flag), "-n", str(n)]
+    for fmt in ("json", "csv"):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, "--format", fmt]) == 0
+        assert out.getvalue() == _reference_level_lines(levels, fmt)
+    if region == "degenerate":
+        # Every level pairs with its twin in the other channel, but for an
+        # odd n's last level, whose twin lies past the cut.
+        assert all(lv.degenerate_with is not None for lv in levels[: n - n % 2])
 
 
 # -------------------------------------------------------------- eigenfunction

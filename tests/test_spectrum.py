@@ -334,11 +334,11 @@ def test_solve_spectrum_interleaved_example():
 
 
 def test_merge_depth_is_verified_against_a_lopsided_ladder(monkeypatch):
-    # Channels interlace, so each is first solved about n/2 deep.  A plus
-    # channel whose dense ladder lies below the minus channel's first level
-    # must make solve_spectrum solve both channels n deep and return the
-    # full merge.
-    real = spectrum.solve_channel
+    # Channels interlace, so the batch of both is first solved about n/2
+    # deep.  A plus channel whose dense ladder lies below the minus
+    # channel's first level must make solve_spectrum solve the batch n deep
+    # and return the full merge.
+    real = spectrum.solve_channels
     depths = []
 
     def dense(n):
@@ -348,31 +348,34 @@ def test_merge_depth_is_verified_against_a_lopsided_ladder(monkeypatch):
             for i in range(n)
         ]
 
-    def counted(ch, n, tag=None):
-        depths.append((tag, n))
-        return real(ch, n, tag)
+    def counted(thetas, n, l, L0):
+        depths.append(n)
+        return real(thetas, n, l, L0)
 
-    def lopsided(ch, n, tag=None):
-        if tag != "plus":
-            return counted(ch, n, tag)
-        depths.append((tag, n))
-        return dense(n)
+    def lopsided(thetas, n, l, L0):
+        rows = counted(thetas, n, l, L0)
+        plus = dense(n)
+        rows.E[0] = [lv.E for lv in plus]
+        rows.k_or_kappa[0] = [lv.k_or_kappa for lv in plus]
+        rows.bound[0] = rows.zero[0] = False
+        return rows
 
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.9)))
     n = 40
-    monkeypatch.setattr(spectrum, "solve_channel", lopsided)
+    monkeypatch.setattr(spectrum, "solve_channels", lopsided)
     levels = solve_spectrum(bc, n).levels
     minus = Channel(matrix_to_params(bc.u).theta_minus)
-    full = sorted(dense(n) + real(minus, n, "minus"), key=lambda lv: (lv.E, lv.channel != "plus"))
+    full = dense(n) + solve_channel(minus, n, "minus")
+    full.sort(key=lambda lv: (lv.E, lv.channel != "plus"))
     assert levels == tuple(flag_degenerate(full[:n], cross_channel=True))
     assert all(lv.channel == "plus" for lv in levels)
-    assert depths == [("plus", 22), ("minus", 22), ("plus", n), ("minus", n)]
+    assert depths == [22, n]
 
     # The real ladders interlace and the half-depth merge is kept.
-    monkeypatch.setattr(spectrum, "solve_channel", counted)
+    monkeypatch.setattr(spectrum, "solve_channels", counted)
     depths.clear()
     solve_spectrum(bc, n)
-    assert depths == [("plus", 22), ("minus", 22)]
+    assert depths == [22]
 
 
 def test_spectrum_independent_of_frame_angles():
