@@ -392,7 +392,7 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
         EigenLevel(E=e, k_or_kappa=k, kind=kind, channel=None, index=i)
         for i, (e, k, kind) in enumerate(entries)
     ]
-    return flag_degenerate(levels, cross_channel=False)
+    return flag_degenerate(levels)
 
 
 def _fd_parts(bc: BoundaryCondition, n_interior: int):

@@ -22,15 +22,15 @@ lets brackets start at the origin, where near-threshold levels live.
 Positive roots are found by a sign scan of F/k on the grid step * j and
 refined by a port of scipy's brentq: one bracket at a time on a pure-math
 F/k for short ladders, and every bracket in lock step on numpy arrays once a
-scan needs _ARRAY_BRENT_MIN of them.  Both give the same doubles.  The scan
-takes many channels of one box at once (solve_channels, one row per
-channel), and a single channel is its one-row case, so a batch returns the
-doubles of one solve per channel.  The merged spectrum solves its two
-channels as one such batch on the shared grid, only about n/2 deep, as far
-as the two interlacing ladders reach, and checks that depth against the
-merged n-th level before it keeps the result.  It merges the two rows by one
-array sort, flags degenerate pairs by one comparison of neighbours and keeps
-the levels as columns; EigenLevel objects are built only when asked for.
+scan needs _ARRAY_BRENT_MIN of them.  Both give the same doubles.  Each root
+lies alone on a half-branch of tan, and the scan places it by its branch
+label.  The scan takes many channels of one box at once (solve_channels,
+one row per channel), and a single channel is its one-row case, so a batch
+returns the doubles of one solve per channel.  The merged spectrum solves
+its two channels as one such batch, only as deep as the labels prove the
+merge reaches, about n/2.  It merges the two rows by one array sort, flags
+degenerate pairs by one comparison of neighbours and keeps the levels as
+columns; EigenLevel objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boundary import KIND_BOUND, KIND_POSITIVE, KIND_ZERO, BoundaryCondition
+from .errors import ScanExhausted
 from .unitary import UnitaryParams, matrix_to_params
 
 __all__ = [
@@ -398,64 +399,65 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin)
     it, or when F/k is exactly 0 at its left end other than at the origin
     (where F/k = T and the root of F is spurious); a row with
     skip_origin[r], at the threshold, leaves out the origin cell altogether.
-    The grid rows l sinc(kl) and L0 cos(kl) do not depend on the channel, so
-    they are computed once per block of columns and each channel's F/k is
-    l sinc(kl) s2 + L0 cos(kl) c2, in _fhat's operations.  The scan runs in
-    chunks of about _SCAN_CHUNK grid values, and every sign-change cell it
-    keeps refines by Brent on the grid's own end values, all rows together.
+    Each row's F/k is l sinc(kl) s2 + L0 cos(kl) c2 on grid rows shared by
+    all channels, in _fhat's operations, in chunks of about _SCAN_CHUNK
+    grid values.
+
+    A root's branch label m = (kl + atan2(k L0 c2, s2)) / pi places it: as
+    s2 >= 0, it lies in kl in [m pi - pi/2, m pi] when c2 >= 0 and in
+    [m pi, m pi + pi/2] when c2 < 0, so, with a cell's margin at each end,
+    in the cells j with (j + shift) // GRID_DENSITY = m, where shift is
+    GRID_DENSITY / 2 + 1 or 1.  Labels start at m0 = 0 when F/k < 0 at the
+    origin (so c2 < 0), unless skip_origin leaves that root's origin cell
+    out, else at 1; so the n-th root lies below (n + 1/2) pi / l, in one
+    grid block up to (n + 1) pi / l.  The roots refine by Brent on the
+    grid's end values, all rows together, and ScanExhausted is raised
+    unless they fill every slot exactly once.
     """
     need = out.shape[1] - first
-    found = np.zeros(need.size, dtype=np.intp)
+    if not need.size:
+        return
     step = math.pi / (GRID_DENSITY * l)
-    # The m-th positive root (m = 1, 2, ...) lies below (m + 1/2) pi / l, so
-    # one block up to (n + 1) pi / l holds all n; later blocks only guard that.
-    block = GRID_DENSITY * (out.shape[1] + 1)
-    j0 = 0
-    todo = np.flatnonzero(need > 0)
-    while todo.size:
-        grid = step * np.arange(j0, j0 + block + 1)
-        sinc_row = l * np.sinc(grid * l / np.pi)
-        cos_row = L0 * np.cos(grid * l)
-        chunk = max(1, _SCAN_CHUNK // grid.size)
-        hits = []
-        for lo in range(0, todo.size, chunk):
-            rows = todo[lo:lo + chunk]
-            vals = sinc_row * s2[rows, None] + cos_row * c2[rows, None]
-            head, tail = vals[:, :-1], vals[:, 1:]
-            hit = (head == 0.0) | (head * tail < 0.0)
-            if j0 == 0:
-                # F/k = T at the origin, where F's root is spurious.  It
-                # leaves the mask before the cut to the roots still needed,
-                # so it cannot take the place of a root.
-                hit[:, 0] = (head[:, 0] * tail[:, 0] < 0.0) & ~skip_origin[rows]
-            i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])
-            r = rows[i]
-            # The cells come row by row, so a cell's rank in its row is its
-            # distance from the row's first cell.
-            rank = found[r] + np.arange(i.size) - np.searchsorted(i, i)
-            keep = rank < need[r]
-            i, j = i[keep], j[keep]
-            hits.append((r[keep], j, rank[keep], head[i, j], tail[i, j]))
-            # Free this chunk's rows of temporaries before the next are made.
-            del vals, head, tail, hit
-        r, j, rank, fa, fb = (np.concatenate(parts) for parts in zip(*hits))
-        k = grid[j]
-        sign = fa != 0.0
-        k[sign] = _refine(
-            _fhat_scalar, _fhat_half, s2, c2, l, L0, r[sign], k[sign], grid[j[sign] + 1],
-            fa[sign], fb[sign],
-        )
-        out[r, first[r] + rank] = k
-        found += np.bincount(r, minlength=found.size)
-        j0 += block
-        todo = np.flatnonzero(found < need)
+    grid = step * np.arange(GRID_DENSITY * (out.shape[1] + 1) + 1)
+    sinc_row = l * np.sinc(grid * l / np.pi)
+    cos_row = L0 * np.cos(grid * l)
+    # F/k = T at the origin, where F's root is spurious.
+    t0, t1 = (sinc_row[c] * s2 + cos_row[c] * c2 for c in (0, 1))
+    origin = t0 * t1 < 0.0
+    m0 = (t0 >= 0.0) | (origin & skip_origin)
+    # Cell j holds the root of slot (j + shift) // GRID_DENSITY - m0 of its
+    # row, which is (j + offset) // GRID_DENSITY.
+    offset = 1 + GRID_DENSITY // 2 * (c2 >= 0.0) - GRID_DENSITY * m0
+    chunk = max(1, _SCAN_CHUNK // grid.size)
+    hits = []
+    for lo in range(0, need.size, chunk):
+        vals = sinc_row * s2[lo:lo + chunk, None] + cos_row * c2[lo:lo + chunk, None]
+        head, tail = vals[:, :-1], vals[:, 1:]
+        hit = (head == 0.0) | (head * tail < 0.0)
+        hit[:, 0] = (origin & ~skip_origin)[lo:lo + chunk]
+        i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])
+        r = lo + i
+        pos = (j + offset[r]) // GRID_DENSITY
+        keep = (pos >= 0) & (pos < need[r])
+        i, j = i[keep], j[keep]
+        hits.append((r[keep], j, pos[keep], head[i, j], tail[i, j]))
+        # Free this chunk's rows of temporaries before the next are made.
+        del vals, head, tail, hit
+    r, j, pos, fa, fb = (np.concatenate(parts) for parts in zip(*hits))
+    slot = r * out.shape[1] + first[r] + pos
+    if slot.size != need.sum() or (slot[1:] <= slot[:-1]).any():
+        raise ScanExhausted("the sign scan did not place one root on every branch label")
+    k = grid[j]
+    sign = fa != 0.0
+    k[sign] = _refine(
+        _fhat_scalar, _fhat_half, s2, c2, l, L0, r[sign], k[sign], grid[j[sign] + 1],
+        fa[sign], fb[sign],
+    )
+    out.flat[slot] = k
 
 
 def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool) -> list[float]:
-    """Lowest n positive roots of F via sign scan of F/k from the origin.
-
-    The one-row case of _scan_rows.
-    """
+    """Lowest n positive roots of F by sign scan of F/k: _scan_rows' one-row case."""
     s2, c2 = _half_angle(theta)
     out = np.empty((1, n))
     _scan_rows(
@@ -579,16 +581,16 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     of the two channels that coincide within 1e-10 (relative) are flagged
     degenerate and cross-referenced.
 
-    Both channels are solved in one solve_channels batch, on one grid.  Each
-    holds one positive root per branch of width pi/l, so the two ladders
-    interlace and the batch is first solved only (n + 1) // 2 + 2 deep; the
-    margin of two covers a bound or zero level and the offset between the
-    branches of the two channels.  The merge is kept when its n-th level
-    lies at or below the last level solved in both channels: every deeper
-    level of a channel lies strictly above that, so the full-depth merge
-    starts with the same n levels.  Otherwise the batch is solved n deep.  A
-    channel's first m levels are the same doubles whatever depth it is
-    solved to.
+    Both channels are solved in one solve_channels batch, on one grid, to
+    depth = min(n, (n + 1) // 2 + 2), which holds the merge; a channel's
+    first levels are the same doubles at any depth.  A channel's positive
+    levels carry consecutive branch labels, from 0 only when no bound or
+    zero level precedes them, so its a-th level lies at kl >= (a - 3/2) pi,
+    and a level of label m at kl <= (m + 1/2) pi (see _scan_rows).  If
+    channel A holds a of the merged n levels, the a - 3 levels of B labelled
+    1 to a - 3 lie below A's a-th, so n >= 2a - 3 and a <= (n + 3) / 2 <=
+    depth.  ScanExhausted is raised unless the merged n-th level lies at or
+    below the last level solved in both channels, which witnesses this.
 
     The merge is a stable sort of both rows on (E, channel), plus first
     where energies tie, and a level is flagged where it and a neighbour of
@@ -600,13 +602,11 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     p = matrix_to_params(bc.u)
     thetas = [p.theta_plus, p.theta_minus]
     depth = min(n, (n + 1) // 2 + 2)
-    while True:
-        rows = solve_channels(thetas, depth, bc.l, bc.L0)
-        E = rows.E.ravel()
-        order = np.lexsort((np.repeat([0, 1], depth), E))[:n]
-        if depth == n or E[order[-1]] <= rows.E[:, -1].min():
-            break
-        depth = n
+    rows = solve_channels(thetas, depth, bc.l, bc.L0)
+    E = rows.E.ravel()
+    order = np.lexsort((np.repeat([0, 1], depth), E))[:n]
+    if E[order[-1]] > rows.E[:, -1].min():
+        raise ScanExhausted("the merged levels reach past the depth the channels were solved to")
     row, index = np.divmod(order, depth)
     E = E[order]
     first = np.where(rows.zero, KIND_ZERO, np.where(rows.bound, KIND_BOUND, KIND_POSITIVE))
@@ -623,19 +623,16 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     )
 
 
-def flag_degenerate(levels: list[EigenLevel], cross_channel: bool) -> list[EigenLevel]:
+def flag_degenerate(levels: list[EigenLevel]) -> list[EigenLevel]:
     """Cross-reference adjacent levels of a sorted list that coincide in E.
 
     Two neighbours within 1e-10 (relative) get each other's (channel, index)
-    in degenerate_with.  With cross_channel only pairs from different
-    channels count, as the channel solver's own channel never repeats a
-    level; without it any adjacent pair counts.
+    in degenerate_with.  A channel never repeats a level, so on channel
+    levels only pairs from different channels are flagged.
     """
     out = list(levels)
     for i in range(len(out) - 1):
         a, b = out[i], out[i + 1]
-        if cross_channel and a.channel == b.channel:
-            continue
         if abs(a.E - b.E) <= 1e-10 * (1.0 + max(abs(a.E), abs(b.E))):
             out[i] = replace(a, degenerate_with=(b.channel, b.index))
             out[i + 1] = replace(b, degenerate_with=(a.channel, a.index))

@@ -10,7 +10,8 @@ solve per sample, so these tests compare with ==, not with a tolerance, over l
 and L0 across four decades and the edge regions: theta near 0 and pi, the
 threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  The closed-form
 slopes dg/dE of the projected determinant only locate a vertex, so they are
-held to central differences of g instead.
+held to central differences of g instead, and the branch labels that place
+each channel root are held to consecutive integers within 1e-6.
 """
 
 import math
@@ -155,6 +156,30 @@ def test_loop_samples_equal_solve_channel_at_every_sample(loop):
 
 
 @st.composite
+def batches(draw):
+    """(thetas, l, L0): one to four eigenphases from phases() on one box."""
+    l, L0 = draw(lengths), draw(lengths)
+    return draw(st.lists(phases(l, L0), min_size=1, max_size=4)), l, L0
+
+
+@given(batches(), st.integers(1, 200))
+def test_positive_roots_carry_consecutive_branch_labels(batch, n):
+    # The p-th positive root of a channel has the branch label
+    # (kl + atan2(k L0 cos(theta/2), sin(theta/2))) / pi = m0 + p, where
+    # m0 = 0 when cos(theta/2) < 0 and T < 0 leave neither a bound nor a
+    # zero-energy level, and m0 = 1 otherwise.
+    thetas, l, L0 = batch
+    rows = solve_channels(thetas, n, l, L0)
+    for r, theta in enumerate(rows.theta.tolist()):
+        s2, c2 = _half_angle(theta)
+        first = int(rows.bound[r] or rows.zero[r])
+        k = rows.k_or_kappa[r, first:]
+        label = (k * l + np.arctan2(k * L0 * c2, s2)) / PI
+        m0 = 0 if c2 < 0.0 and l * s2 + L0 * c2 < 0.0 and not rows.zero[r] else 1
+        assert np.all(np.abs(label - (m0 + np.arange(k.size))) <= 1e-6)
+
+
+@st.composite
 def projections(draw):
     """A defect whose channels sit at draw(channels()) and theta_plus - 2 rho."""
     theta_plus, l, L0 = draw(channels())
@@ -237,4 +262,4 @@ def test_solve_spectrum_equals_the_full_depth_merge(bc, n):
     full = solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n, "plus")
     full += solve_channel(Channel(p.theta_minus, bc.l, bc.L0), n, "minus")
     full.sort(key=lambda lv: (lv.E, lv.channel != "plus"))
-    assert solve_spectrum(bc, n).levels == tuple(flag_degenerate(full[:n], cross_channel=True))
+    assert solve_spectrum(bc, n).levels == tuple(flag_degenerate(full[:n]))

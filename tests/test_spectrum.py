@@ -15,11 +15,10 @@ from scipy.optimize import brentq
 from defectline import (
     BoundaryCondition,
     Channel,
-    EigenLevel,
+    ScanExhausted,
     UnitaryParams,
     bound_function,
     channel_function,
-    matrix_to_params,
     params_to_matrix,
     solve_channel,
     solve_spectrum,
@@ -39,7 +38,6 @@ from defectline.spectrum import (
     _ghat,
     _half_angle,
     _scan_positive,
-    flag_degenerate,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -223,6 +221,32 @@ def test_scan_matches_per_cell_reference():
         assert _scan_positive(3.3, 1.0, L0, n, False) == _scan_positive_reference(
             3.3, 1.0, L0, n, False
         )
+    # The same with the origin cell left out, as a row at the threshold scans.
+    for n in (5, 2 * _ARRAY_BRENT_MIN):
+        assert _scan_positive(3.3, 1.0, L0, n, True) == _scan_positive_reference(
+            3.3, 1.0, L0, n, True
+        )
+    # theta at 0 and pi and within 1e-12 of 0, pi and 2 pi, where roots sit
+    # on the ends of their half-branches.
+    rng = np.random.default_rng(79)
+    for theta in (0.0, math.pi, 1e-12, math.pi - 1e-12, math.pi + 1e-12, TWO_PI - 1e-12):
+        for i in range(4):
+            _, l, L0 = _random_channel(rng)
+            n = int(rng.integers(1, 24)) if i < 3 else int(rng.integers(_ARRAY_BRENT_MIN, 300))
+            skip = bool(i % 2)
+            assert _scan_positive(theta, l, L0, n, skip) == _scan_positive_reference(
+                theta, l, L0, n, skip
+            )
+
+
+def test_scan_raises_when_a_root_misses_its_branch_slot(monkeypatch):
+    # One grid cell per branch is too coarse for the half-branch of a
+    # channel with cos(theta/2) < 0: its roots land one slot too high, the
+    # first slot stays empty, and the scan must raise rather than leave it.
+    assert math.cos(4.0 / 2.0) < 0.0
+    monkeypatch.setattr(spectrum, "GRID_DENSITY", 1)
+    with pytest.raises(ScanExhausted):
+        solve_channel(Channel(4.0), 5)
 
 
 def test_interlacing_gap_bounds():
@@ -334,19 +358,12 @@ def test_solve_spectrum_interleaved_example():
 
 
 def test_merge_depth_is_verified_against_a_lopsided_ladder(monkeypatch):
-    # Channels interlace, so the batch of both is first solved about n/2
-    # deep.  A plus channel whose dense ladder lies below the minus
-    # channel's first level must make solve_spectrum solve the batch n deep
-    # and return the full merge.
+    # Channels interlace, so the batch of both is solved about n/2 deep.  A
+    # plus channel whose dense ladder lies below the minus channel's first
+    # level breaks that and must make solve_spectrum raise, not return a
+    # merge cut short.
     real = spectrum.solve_channels
     depths = []
-
-    def dense(n):
-        return [
-            EigenLevel(E=1e-3 * (i + 1), k_or_kappa=math.sqrt(1e-3 * (i + 1)), kind="positive",
-                       channel="plus", index=i)
-            for i in range(n)
-        ]
 
     def counted(thetas, n, l, L0):
         depths.append(n)
@@ -354,22 +371,17 @@ def test_merge_depth_is_verified_against_a_lopsided_ladder(monkeypatch):
 
     def lopsided(thetas, n, l, L0):
         rows = counted(thetas, n, l, L0)
-        plus = dense(n)
-        rows.E[0] = [lv.E for lv in plus]
-        rows.k_or_kappa[0] = [lv.k_or_kappa for lv in plus]
+        rows.E[0] = 1e-3 * np.arange(1, n + 1)
+        rows.k_or_kappa[0] = np.sqrt(rows.E[0])
         rows.bound[0] = rows.zero[0] = False
         return rows
 
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.9)))
     n = 40
     monkeypatch.setattr(spectrum, "solve_channels", lopsided)
-    levels = solve_spectrum(bc, n).levels
-    minus = Channel(matrix_to_params(bc.u).theta_minus)
-    full = dense(n) + solve_channel(minus, n, "minus")
-    full.sort(key=lambda lv: (lv.E, lv.channel != "plus"))
-    assert levels == tuple(flag_degenerate(full[:n], cross_channel=True))
-    assert all(lv.channel == "plus" for lv in levels)
-    assert depths == [22, n]
+    with pytest.raises(ScanExhausted):
+        solve_spectrum(bc, n)
+    assert depths == [22]
 
     # The real ladders interlace and the half-depth merge is kept.
     monkeypatch.setattr(spectrum, "solve_channels", counted)
