@@ -17,7 +17,7 @@ wall-anchored basis psi_-(x) = sin(k(x+l)) on the left and
 psi_+(x) = sin(k(x-l)) on the right (sinh for bound states, linear for the
 zero-energy level), so the Dirichlet walls hold exactly and the connection
 condition becomes a 2x2 linear system M(k) a = 0 for the amplitude pair
-a = (ampR, ampL).
+a = (ampR, ampL), which a column of U's eigenframe solves exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NotAnEigenvalue, NotUnitary, OutOfDomain
+from .errors import NotAnEigenvalue, NotUnitary, OutOfDomain, SolverError
 from .unitary import INPUT_TOL, frame_matrix, is_unitary, matrix_to_params
 
 if TYPE_CHECKING:
@@ -50,9 +50,9 @@ __all__ = [
 
 _I2 = np.eye(2, dtype=complex)
 
-# Relative tolerance on the smallest singular value of M(k) below which k is
-# accepted as an eigenvalue (and, one tier further down, as degenerate).
-EIGEN_SV_TOL = 1e-6
+# Relative tolerance on a level's channel factor |c_j| (see level_eigenbasis)
+# below which its k is accepted as an eigenvalue.
+EIGEN_TOL = 1e-6
 
 KIND_POSITIVE = "positive"
 KIND_ZERO = "zero"
@@ -113,8 +113,8 @@ class Eigenfunction:
     for kind "zero".  Amplitudes are stored already normalized to unit L2 norm;
     ``norm`` records the L2 norm of the piecewise function built from the
     unit-norm amplitude pair, i.e. the constant divided out during
-    normalization.  ``degenerate`` marks levels whose solution space is
-    two-dimensional (both channels resonant).
+    normalization.  ``degenerate`` marks a level that its solver paired with
+    a level of the other channel, within 1e-10 relative in E.
     """
 
     kind: str
@@ -198,7 +198,12 @@ def _canonical_phase(a: np.ndarray) -> np.ndarray:
 
 
 def _finish(kind: str, k: float, l: float, amp: np.ndarray, degenerate: bool) -> Eigenfunction:
-    eta = _one_side_norm_sq(kind, k, l)
+    try:
+        eta = _one_side_norm_sq(kind, k, l)
+    except OverflowError:  # l ** 3 of a zero-energy level
+        eta = math.inf
+    if not 0.0 < eta < math.inf:
+        raise SolverError(f"the {kind!r} eigenfunction on l={l!r} has no finite nonzero norm")
     amp = _canonical_phase(amp / np.linalg.norm(amp))
     norm = math.sqrt(eta)
     amp = amp / norm
@@ -214,36 +219,31 @@ def _finish(kind: str, k: float, l: float, amp: np.ndarray, degenerate: bool) ->
 
 
 def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenfunction, ...]:
-    """All eigenfunctions of a level: one for simple levels, a canonical pair
-    for degenerate ones.
+    """All eigenfunctions of a level: one, or an orthonormal pair for a level
+    its solver paired (``degenerate_with``), its own channel's first.
 
-    Simple levels take the amplitude pair from the one-dimensional nullspace of
-    M(k).  When the nullspace is two-dimensional the connection condition is
-    void and the returned pair pulls the two channel directions back through
-    the eigenframe of U, which makes the output deterministic and L2-orthogonal.
-    The level's own channel comes first, so a "minus" level of a near-degenerate
-    pair gets the minus direction.  Raises NotAnEigenvalue when M(k) has no
-    (numerical) nullspace at all.
+    With flip = diag(-1, 1) and v_j the column of V^dagger of eigenphase
+    theta_j, M(k) flip v_j = c_j v_j with c_j = val (e^{i theta_j} - 1) +
+    i L0 der (e^{i theta_j} + 1) = 2 i e^{i theta_j / 2} times channel j's
+    F, G or T.  So a level takes flip v_j of its channel, or, for a det level
+    of no channel, of the smaller |c_j|.  Raises NotAnEigenvalue when that
+    |c_j| exceeds EIGEN_TOL (1 + |val| + L0 |der|).
     """
-    kind = level.kind
-    k = level.k_or_kappa
+    kind, k = level.kind, level.k_or_kappa
     val, der = _basis_boundary_data(kind, k, bc.l)
-    m = connection_matrix(bc.u, bc.L0, val, der)
-    _, s, vh = np.linalg.svd(m)
-    mscale = abs(val) + bc.L0 * abs(der)
-    if s[0] <= EIGEN_SV_TOL * (1.0 + mscale):
-        # Both channels resonant, M ~ 0: amplitude pairs from the frame of U.
-        frame = frame_matrix(matrix_to_params(bc.u))
-        flip = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        order = (1, 0) if level.channel == "minus" else (0, 1)
-        return tuple(
-            _finish(kind, k, bc.l, flip @ frame.conj().T[:, j], True) for j in order
-        )
-    if s[1] > EIGEN_SV_TOL * (1.0 + s[0]):
-        raise NotAnEigenvalue(
-            f"k={k!r} is not an eigenvalue of this system (kind {kind!r})"
-        )
-    return (_finish(kind, k, bc.l, vh[1].conj(), False),)
+    p = matrix_to_params(bc.u)
+    c = [
+        abs(val * (w - 1.0) + 1j * bc.L0 * der * (w + 1.0))
+        for w in (cmath.exp(1j * p.theta_plus), cmath.exp(1j * p.theta_minus))
+    ]
+    j = int(c[1] < c[0]) if level.channel is None else int(level.channel == "minus")
+    if c[j] > EIGEN_TOL * (1.0 + abs(val) + bc.L0 * abs(der)):
+        raise NotAnEigenvalue(f"k={k!r} is not an eigenvalue of this system (kind {kind!r})")
+    vdag = frame_matrix(p).conj().T
+    flip = np.array([[-1.0, 0.0], [0.0, 1.0]])
+    degenerate = level.degenerate_with is not None
+    order = (j, 1 - j) if degenerate else (j,)
+    return tuple(_finish(kind, k, bc.l, flip @ vdag[:, i], degenerate) for i in order)
 
 
 def build_eigenfunction(bc: BoundaryCondition, level: "EigenLevel") -> Eigenfunction:

@@ -267,10 +267,10 @@ def _cmd_spectrum(s: _Settings, out: IO[str]) -> int:
         _write(out, _output_format(s), (_LEVEL, rows))
         return 0
     if solver == SOLVER_DETERMINANT:
-        k_max = s.get_float("k_max", math.nan)
+        k_max = s.get_float("k_max") if s.has("k_max") else None
         rows = [
             (lev.index, lev.kind, lev.k_or_kappa, lev.E, _WORD[lev.degenerate_with is not None])
-            for lev in det_spectrum(bc, n, k_max=None if math.isnan(k_max) else k_max)
+            for lev in det_spectrum(bc, n, k_max=k_max)
         ]
     else:
         fd = fd_spectrum(bc, n, n_interior=s.get_int("n_interior", 256))

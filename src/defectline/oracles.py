@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ from .boundary import (
     BoundaryCondition,
     connection_matrix,
 )
-from .errors import EigenSolverFailure, ScanExhausted
+from .errors import EigenSolverFailure, ScanExhausted, SolverError
 from .spectrum import (
     _BRENT_RTOL,
     _BRENT_XTOL,
@@ -346,10 +347,21 @@ def _positive_roots(
         hi = min(1.5 * hi, ceiling)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def det_scan(bc: BoundaryCondition, k_max: float, step: float | None = None) -> DetScan:
-    """Sweep det M over [0, k_max] and return the refined positive roots."""
-    proj = _Projection(bc)
+    """Sweep det M over [0, k_max] and return the refined positive roots.
+
+    Raises ValueError unless k_max and step (when given) are finite and
+    positive.
+    """
+    _check_positive("k_max", k_max)
     eff_step = step if step is not None else math.pi / (GRID_DENSITY * bc.l)
+    _check_positive("step", eff_step)
+    proj = _Projection(bc)
     grid = np.arange(0.0, k_max + eff_step, eff_step)
     roots = _scan(proj, grid, skip_origin=_zero_level_multiplicity(bc) > 0)
     return DetScan(
@@ -364,10 +376,13 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
 
     The channel of a level is unknowable on this code path, so the channel
     field is None and indices are global.  Raises ScanExhausted if the search
-    ceiling (k_max when given) is reached before n levels appear.
+    ceiling (k_max when given) is reached before n levels appear, and
+    ValueError if a given k_max is not finite and positive.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if k_max is not None:
+        _check_positive("k_max", k_max)
     proj = _Projection(bc)
     zero_mult = _zero_level_multiplicity(bc)
     skip_origin = zero_mult > 0
@@ -386,13 +401,14 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
                 f"found {len(entries)} levels below the scan ceiling, needed {n}"
             )
     entries.sort(key=lambda t: t[0])
-    entries = entries[:n]
 
+    # Pairs are decided one level past the cut, as solve_spectrum decides
+    # them, so the n-th level's flag does not depend on n.
     levels = [
         EigenLevel(E=e, k_or_kappa=k, kind=kind, channel=None, index=i)
-        for i, (e, k, kind) in enumerate(entries)
+        for i, (e, k, kind) in enumerate(entries[:n + 1])
     ]
-    return flag_degenerate(levels)
+    return flag_degenerate(levels)[:n]
 
 
 def _fd_parts(bc: BoundaryCondition, n_interior: int):
@@ -408,6 +424,9 @@ def _fd_parts(bc: BoundaryCondition, n_interior: int):
     import scipy.sparse
 
     h = bc.l / n_interior
+    # A row of the stencil sums to 4 / h^2 in absolute value.
+    if not h * h > 4.0 / sys.float_info.max:
+        raise SolverError(f"the FD stencil 4/h^2 at h={h!r} overflows a double")
     nw = n_interior - 1  # unknowns per side besides the junction values
     inv_h2 = 1.0 / (h * h)
     off = np.full(2 * nw - 1, -inv_h2)

@@ -28,9 +28,9 @@ label.  The scan takes many channels of one box at once (solve_channels,
 one row per channel), and a single channel is its one-row case, so a batch
 returns the doubles of one solve per channel.  The merged spectrum solves
 its two channels as one such batch, only as deep as the labels prove the
-merge reaches, about n/2.  It merges the two rows by one array sort, flags
-degenerate pairs by one comparison of neighbours and keeps the levels as
-columns; EigenLevel objects are built only when asked for.
+merge reaches, about n/2.  One array sort merges the two rows, one
+comparison of neighbours over n + 1 levels flags degenerate pairs, and the
+levels stay columns; EigenLevel objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .boundary import KIND_BOUND, KIND_POSITIVE, KIND_ZERO, BoundaryCondition
-from .errors import ScanExhausted
+from .errors import ScanExhausted, SolverError
 from .unitary import UnitaryParams, matrix_to_params
 
 __all__ = [
@@ -135,12 +135,11 @@ class EigenLevel:
 class Spectrum:
     """Sorted lowest levels of a boundary condition, with its (xi, rho, mu, nu).
 
-    The levels are columns, one entry per level in ascending E: ``E``,
-    ``k_or_kappa``, ``kind``, ``channel`` and ``index`` hold EigenLevel's
-    fields, and ``partner`` the position of a level's degenerate partner in
-    these columns, -1 for none.  ``levels`` builds the EigenLevel objects
-    from them on first access.  Spectra compare by identity, as array fields
-    have no truth value for a generated __eq__.
+    The levels are columns in ascending E: ``E``, ``k_or_kappa``, ``kind``,
+    ``channel`` and ``index`` hold EigenLevel's fields, and ``partner`` the
+    index of a level's degenerate partner in the other channel, maybe past
+    the cut, or -1.  ``levels`` builds the EigenLevel objects on first access.
+    Spectra compare by identity: array fields have no truth value for __eq__.
     """
 
     E: np.ndarray
@@ -154,13 +153,13 @@ class Spectrum:
 
     @functools.cached_property
     def levels(self) -> tuple[EigenLevel, ...]:
-        channel, index = self.channel.tolist(), self.index.tolist()
+        other = {CHANNEL_PLUS: CHANNEL_MINUS, CHANNEL_MINUS: CHANNEL_PLUS}
         return tuple(
             EigenLevel(E=e, k_or_kappa=k, kind=kind, channel=c, index=i,
-                       degenerate_with=None if p < 0 else (channel[p], index[p]))
+                       degenerate_with=None if p < 0 else (other[c], p))
             for e, k, kind, c, i, p in zip(
-                self.E.tolist(), self.k_or_kappa.tolist(), self.kind.tolist(), channel, index,
-                self.partner.tolist(),
+                self.E.tolist(), self.k_or_kappa.tolist(), self.kind.tolist(),
+                self.channel.tolist(), self.index.tolist(), self.partner.tolist(),
             )
         )
 
@@ -522,18 +521,12 @@ def solve_channel(ch: Channel, n: int, tag: str | None = None) -> list[EigenLeve
     threshold T = 0, and positive roots of F refined to |dk| <= 1e-12 (1 + k).
     ``tag`` is recorded in the channel field of each level.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    k_or_kappa, bound, zero = _solve_rows([ch.theta], ch.l, ch.L0, n)
-    levels = []
-    for i, k in enumerate(k_or_kappa[0].tolist()):
-        if i == 0 and bound[0]:
-            levels.append(EigenLevel(E=-k * k, k_or_kappa=k, kind=KIND_BOUND, channel=tag, index=0))
-        elif i == 0 and zero[0]:
-            levels.append(EigenLevel(E=0.0, k_or_kappa=0.0, kind=KIND_ZERO, channel=tag, index=0))
-        else:
-            levels.append(EigenLevel(E=k * k, k_or_kappa=k, kind=KIND_POSITIVE, channel=tag, index=i))
-    return levels
+    rows = solve_channels([ch.theta], n, ch.l, ch.L0)
+    first = KIND_ZERO if rows.zero[0] else KIND_BOUND if rows.bound[0] else KIND_POSITIVE
+    return [
+        EigenLevel(E=e, k_or_kappa=k, kind=KIND_POSITIVE if i else first, channel=tag, index=i)
+        for i, (e, k) in enumerate(zip(rows.E[0].tolist(), rows.k_or_kappa[0].tolist()))
+    ]
 
 
 @dataclass(frozen=True)
@@ -569,7 +562,10 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0) -> ChannelRo
         raise ValueError("theta must be finite")
     theta = [t % (2.0 * math.pi) for t in thetas]
     k_or_kappa, bound, zero = _solve_rows(theta, l, L0, n)
-    E = k_or_kappa * k_or_kappa
+    with np.errstate(over="ignore"):
+        E = k_or_kappa * k_or_kappa
+    if not np.isfinite(E).all():
+        raise SolverError(f"the levels of the box l={l!r} overflow a double")
     E[bound, 0] *= -1.0
     return ChannelRows(theta=np.array(theta), E=E, k_or_kappa=k_or_kappa, bound=bound, zero=zero)
 
@@ -579,17 +575,18 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
 
     Depends only on the eigenphases (xi, rho) of the defect matrix.  Levels
     of the two channels that coincide within 1e-10 (relative) are flagged
-    degenerate and cross-referenced.
+    degenerate and cross-referenced, among the lowest n + 1 so that no flag
+    depends on n.  This is the one rule for "degenerate"; eigenfunctions read it.
 
     Both channels are solved in one solve_channels batch, on one grid, to
-    depth = min(n, (n + 1) // 2 + 2), which holds the merge; a channel's
-    first levels are the same doubles at any depth.  A channel's positive
-    levels carry consecutive branch labels, from 0 only when no bound or
-    zero level precedes them, so its a-th level lies at kl >= (a - 3/2) pi,
-    and a level of label m at kl <= (m + 1/2) pi (see _scan_rows).  If
-    channel A holds a of the merged n levels, the a - 3 levels of B labelled
-    1 to a - 3 lie below A's a-th, so n >= 2a - 3 and a <= (n + 3) / 2 <=
-    depth.  ScanExhausted is raised unless the merged n-th level lies at or
+    depth = min(n + 1, (n + 1) // 2 + 2); a channel's first levels are the
+    same doubles at any depth.  A channel's positive levels carry
+    consecutive branch labels, from 0 only when no bound or zero level
+    precedes them, so its a-th level lies at kl >= (a - 3/2) pi, and a level
+    of label m at kl <= (m + 1/2) pi (see _scan_rows).  If channel A holds a
+    of the merged n + 1 levels, the a - 3 levels of B labelled 1 to a - 3
+    lie below A's a-th, so n + 1 >= 2a - 3 and a <= (n + 4) / 2 <= depth.
+    ScanExhausted is raised unless the merged (n + 1)-th level lies at or
     below the last level solved in both channels, which witnesses this.
 
     The merge is a stable sort of both rows on (E, channel), plus first
@@ -601,10 +598,10 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
         raise ValueError("n must be at least 1")
     p = matrix_to_params(bc.u)
     thetas = [p.theta_plus, p.theta_minus]
-    depth = min(n, (n + 1) // 2 + 2)
+    depth = min(n + 1, (n + 1) // 2 + 2)
     rows = solve_channels(thetas, depth, bc.l, bc.L0)
     E = rows.E.ravel()
-    order = np.lexsort((np.repeat([0, 1], depth), E))[:n]
+    order = np.lexsort((np.repeat([0, 1], depth), E))[:n + 1]
     if E[order[-1]] > rows.E[:, -1].min():
         raise ScanExhausted("the merged levels reach past the depth the channels were solved to")
     row, index = np.divmod(order, depth)
@@ -614,12 +611,13 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     lo, hi = E[:-1], E[1:]
     close = np.abs(lo - hi) <= 1e-10 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
     at = np.flatnonzero(close & (row[:-1] != row[1:]))
-    partner = np.full(n, -1)
-    partner[at + 1] = at
-    partner[at] = at + 1  # last, so a level in two pairs keeps the upper one
+    partner = np.full(n + 1, -1)
+    partner[at + 1] = index[at]
+    partner[at] = index[at + 1]  # last, so a level in two pairs keeps the upper one
     return Spectrum(
-        E=E, k_or_kappa=rows.k_or_kappa.ravel()[order], kind=kind, channel=_CHANNEL_NAMES[row],
-        index=index, partner=partner, bc_params=p, count_requested=n,
+        E=E[:n], k_or_kappa=rows.k_or_kappa.ravel()[order[:n]], kind=kind[:n],
+        channel=_CHANNEL_NAMES[row[:n]], index=index[:n], partner=partner[:n], bc_params=p,
+        count_requested=n,
     )
 
 

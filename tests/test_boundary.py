@@ -16,6 +16,7 @@ from defectline import (
     build_eigenfunction,
     connection_matrix,
     current_mismatch,
+    det_spectrum,
     level_eigenbasis,
     params_to_matrix,
     reflect,
@@ -177,6 +178,25 @@ def test_degenerate_pair_orthonormal_generic_phase():
     assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
     for f in pair:
         assert boundary_residual(bc, f.boundary_vectors()) <= 1e-8
+
+
+def test_det_levels_take_the_column_of_the_smaller_channel_factor():
+    # A det level names no channel.  At a generic defect its eigenfunction
+    # solves the connection condition; at rho = 0 its pair is orthonormal.
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        bc = _random_bc(rng)
+        for level in det_spectrum(bc, 5):
+            f = level_eigenbasis(bc, level)[0]
+            assert boundary_residual(bc, f.boundary_vectors()) <= 1e-8 * (1.0 + level.k_or_kappa)
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.0)), l=1.3, L0=0.6)
+    for level in det_spectrum(bc, 4):
+        pair = level_eigenbasis(bc, level)
+        assert len(pair) == 2
+        gram = np.array(
+            [[l2_inner(_sampler(a), _sampler(b), l=1.3) for b in pair] for a in pair]
+        )
+        assert np.max(np.abs(gram - np.eye(2))) <= 1e-10
 
 
 def test_bound_state_eigenfunction():

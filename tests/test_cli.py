@@ -26,6 +26,7 @@ from defectline import (
     BoundaryCondition,
     EigenLevel,
     UnitaryParams,
+    level_eigenbasis,
     params_to_matrix,
     solve_spectrum,
 )
@@ -210,16 +211,54 @@ def test_spectrum_rows_from_columns_equal_the_per_level_rendering(defect, n):
     xi, rho, mu, nu, l, L0, region = defect
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l=l, L0=L0)
     levels = solve_spectrum(bc, n).levels
-    flags = [("--" + k, repr(v)) for k, v in zip(("xi", "rho", "mu", "nu", "l", "L0"), defect)]
-    argv = ["spectrum", *(x for flag in flags for x in flag), "-n", str(n)]
+    # --flag=value: argparse takes a lone "-1.2e-07" for an option.
+    flags = [f"--{k}={v!r}" for k, v in zip(("xi", "rho", "mu", "nu", "l", "L0"), defect)]
+    argv = ["spectrum", *flags, "-n", str(n)]
     for fmt in ("json", "csv"):
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main([*argv, "--format", fmt]) == 0
         assert out.getvalue() == _reference_level_lines(levels, fmt)
     if region == "degenerate":
-        # Every level pairs with its twin in the other channel, but for an
-        # odd n's last level, whose twin lies past the cut.
-        assert all(lv.degenerate_with is not None for lv in levels[: n - n % 2])
+        # Every level pairs with its twin in the other channel, the n-th
+        # level too, whose twin may lie past the cut.
+        assert all(lv.degenerate_with is not None for lv in levels)
+
+
+@given(spectrum_defects(), st.integers(1, 40))
+def test_degenerate_is_decided_once_by_the_solver(defect, n):
+    # An eigenfunction pair exactly where the solver named a partner, and
+    # the flags of the lowest n levels do not depend on where the list is cut.
+    xi, rho, mu, nu, l, L0, _ = defect
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l=l, L0=L0)
+    levels = solve_spectrum(bc, n).levels
+    for lv in levels:
+        assert (len(level_eigenbasis(bc, lv)) == 2) == (lv.degenerate_with is not None)
+    deeper = solve_spectrum(bc, n + 5).levels[:n]
+    assert [lv.degenerate_with for lv in levels] == [lv.degenerate_with for lv in deeper]
+
+
+@pytest.mark.parametrize("rho", ["1e-7", "1e-9"])
+def test_spectrum_and_eigenfunction_print_the_same_flag(capsys, rho):
+    _, out, _ = _run(capsys, "spectrum", "--xi", "2.0", "--rho", rho, "-n", "2")
+    flags = [line["degenerate"] for line in _json_lines(out)]
+    for index, flag in enumerate(flags):
+        _, out, _ = _run(
+            capsys, "eigenfunction", "--xi", "2.0", "--rho", rho, "--index", str(index),
+            "--samples", "4",
+        )
+        assert _json_lines(out)[0]["degenerate"] == flag
+
+
+@pytest.mark.parametrize("solver", ["channel", "det"])
+def test_flags_do_not_depend_on_the_level_count(capsys, solver):
+    # At rho = 0 every level pairs; the third is the first of its pair, and
+    # its twin lies past a cut at -n 3.
+    flags = []
+    for n in ("3", "4"):
+        _, out, _ = _run(capsys, "spectrum", "--solver", solver, "--xi", "2.0", "--rho", "0",
+                         "-n", n)
+        flags.append([line["degenerate"] for line in _json_lines(out)])
+    assert flags[0] == flags[1][:3] == [True, True, True]
 
 
 # -------------------------------------------------------------- eigenfunction
@@ -483,7 +522,9 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("eigenfunction", "--theta-plus", "1.0", "--theta-minus", "4.0", "--samples", "12",
          "--format", "csv"),
-        0, "f5c54a4c50d64b3020ca439e1c89ef5afe11f72eba7a39cf82d1d1f0043c6e0d",
+        # The amplitude pair is the frame column of U, whose rot_y(pi) carries
+        # cos(pi/2) ~ 6.1e-17: the dead side reads up to 9.2e-17, not 0.
+        0, "4220b853f1d4a328c24fc9895e456b0fb516bbb7ea32d6c139997046b58ccf63",
     ),
     (
         ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "1", "--steps", "64",
@@ -690,6 +731,29 @@ def test_solver_failure_exits_3(capsys):
     )
     assert code == 3
     assert "solver failure" in err
+
+
+@pytest.mark.parametrize("k_max", ["-1", "0", "nan", "inf"])
+def test_det_k_max_must_be_finite_and_positive(capsys, k_max):
+    code, out, err = _run(capsys, "spectrum", "--solver", "det", "--k-max", k_max, "-n", "2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "k_max" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--l", "1e-300", "-n", "2"),
+        ("spectrum", "--solver", "fd", "--n-interior", "64", "--l", "1e-300", "-n", "2"),
+        ("eigenfunction", "--l", "1e300", "--samples", "4"),
+    ],
+    ids=["channel-tiny-box", "fd-tiny-box", "eigenfunction-huge-box"],
+)
+def test_a_box_whose_values_overflow_is_a_typed_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code in (2, 3)
+    assert "inf" not in out
+    assert err.count("\n") == 1 and "internal error" not in err
 
 
 def test_python_dash_m_runs_main(capsys):

@@ -16,6 +16,7 @@ from defectline import (
     Channel,
     EigenSolverFailure,
     ScanExhausted,
+    SolverError,
     UnitaryParams,
     channel_function,
     det_matrix,
@@ -107,6 +108,16 @@ def test_det_scan_honors_custom_step():
     bc = BoundaryCondition(-np.eye(2, dtype=complex))
     scan = det_scan(bc, 7.0, step=0.01)
     assert abs((scan.k_grid[1] - scan.k_grid[0]) - 0.01) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "k_max, step", [(5.0, 0.0), (5.0, -0.01), (5.0, math.nan), (-1.0, None), (math.nan, None),
+                    (math.inf, None)],
+)
+def test_det_scan_rejects_a_bad_ceiling_or_step(k_max, step):
+    bc = BoundaryCondition(-np.eye(2, dtype=complex))
+    with pytest.raises(ValueError):
+        det_scan(bc, k_max, step)
 
 
 # -------------------------------------------------------------- det spectrum
@@ -220,6 +231,23 @@ def test_det_spectrum_scan_exhausted():
         det_spectrum(bc, 12, k_max=3.0)
     with pytest.raises(ValueError):
         det_spectrum(bc, 0)
+    for k_max in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            det_spectrum(bc, 2, k_max=k_max)
+
+
+def test_det_flags_do_not_depend_on_the_cut():
+    # rho = 0: every level is one of a pair, the n-th too when its twin is
+    # the (n + 1)-th.
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.0)))
+    assert all(lv.degenerate_with is not None for lv in det_spectrum(bc, 3))
+    rng = np.random.default_rng(97)
+    for _ in range(5):
+        bc = _random_bc(rng)
+        deeper = det_spectrum(bc, 9)[:4]
+        assert [lv.degenerate_with for lv in det_spectrum(bc, 4)] == [
+            lv.degenerate_with for lv in deeper
+        ]
 
 
 def _det_vs_channel(bc, n):
@@ -370,6 +398,8 @@ def test_fd_validation_and_failure():
         fd_spectrum(bc, 0)
     with pytest.raises(EigenSolverFailure):
         fd_spectrum(bc, 200, 64)  # only 126 interior unknowns exist
+    with pytest.raises(SolverError):
+        fd_spectrum(BoundaryCondition(np.eye(2, dtype=complex), l=1e-300), 2, 64)  # 1/h^2
 
 
 def test_fd_levels_sorted():

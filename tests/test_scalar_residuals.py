@@ -258,8 +258,10 @@ def defects(draw):
 
 @given(defects(), st.one_of(st.integers(1, 80), st.integers(80, 600)))
 def test_solve_spectrum_equals_the_full_depth_merge(bc, n):
+    # Pairs are decided one level past the cut, so the n-th level may name a
+    # partner that is not among the n levels returned.
     p = matrix_to_params(bc.u)
-    full = solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n, "plus")
-    full += solve_channel(Channel(p.theta_minus, bc.l, bc.L0), n, "minus")
+    full = solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n + 1, "plus")
+    full += solve_channel(Channel(p.theta_minus, bc.l, bc.L0), n + 1, "minus")
     full.sort(key=lambda lv: (lv.E, lv.channel != "plus"))
-    assert solve_spectrum(bc, n).levels == tuple(flag_degenerate(full[:n]))
+    assert solve_spectrum(bc, n).levels == tuple(flag_degenerate(full[:n + 1])[:n])
