@@ -23,6 +23,7 @@ a = (ampR, ampL), which a column of U's eigenframe solves exactly.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NotAnEigenvalue, NotUnitary, OutOfDomain, SolverError
-from .unitary import INPUT_TOL, frame_matrix, is_unitary, matrix_to_params
+from .unitary import INPUT_TOL, UnitaryParams, frame_matrix, is_unitary, matrix_to_params
 
 if TYPE_CHECKING:
     from .spectrum import EigenLevel
@@ -78,6 +79,11 @@ class BoundaryCondition:
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
+
+    @functools.cached_property
+    def params(self) -> UnitaryParams:
+        # U's eigenphases and eigenframe, read only by solvers that diagonalize U.
+        return matrix_to_params(self.u)
 
 
 @dataclass(frozen=True)
@@ -231,7 +237,7 @@ def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenf
     """
     kind, k = level.kind, level.k_or_kappa
     val, der = _basis_boundary_data(kind, k, bc.l)
-    p = matrix_to_params(bc.u)
+    p = bc.params
     c = [
         abs(val * (w - 1.0) + 1j * bc.L0 * der * (w + 1.0))
         for w in (cmath.exp(1j * p.theta_plus), cmath.exp(1j * p.theta_minus))

@@ -14,17 +14,17 @@ and a zero-energy level exists exactly when the shared small-argument limit
 
     T = l sin(theta/2) + L0 cos(theta/2)
 
-vanishes.  Root scanning works on the reduced functions F(k)/k and
+vanishes.  Root finding works on the reduced functions F(k)/k and
 G(kappa)/kappa, which are entire, equal T at the origin, and carry the same
 nonzero roots — this removes the spurious root both F and G have at 0 and
 lets brackets start at the origin, where near-threshold levels live.
 
-Positive roots are found by a sign scan of F/k on the grid step * j and
-refined by a port of scipy's brentq: one bracket at a time on a pure-math
-F/k for short ladders, and every bracket in lock step on numpy arrays once a
-scan needs _ARRAY_BRENT_MIN of them.  Both give the same doubles.  Each root
-lies alone on a half-branch of tan, and the scan places it by its branch
-label.  The scan takes many channels of one box at once (solve_channels,
+Each positive root lies alone on a half-branch of tan, named by its branch
+label, so a search of F/k on that half-branch finds its cell of the grid
+step * j in three passes.  A port of scipy's brentq refines it: one bracket
+at a time on a pure-math F/k for short ladders, and every bracket in lock
+step on numpy arrays from _ARRAY_BRENT_MIN of them on; both give the same
+doubles.  The search takes many channels of one box at once (solve_channels,
 one row per channel), and a single channel is its one-row case, so a batch
 returns the doubles of one solve per channel.  The merged spectrum solves
 its two channels as one such batch, only as deep as the labels prove the
@@ -43,7 +43,7 @@ import numpy as np
 
 from .boundary import KIND_BOUND, KIND_POSITIVE, KIND_ZERO, BoundaryCondition
 from .errors import ScanExhausted, SolverError
-from .unitary import UnitaryParams, matrix_to_params
+from .unitary import UnitaryParams
 
 __all__ = [
     "Channel",
@@ -79,16 +79,12 @@ _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 1e-15
 _BRENT_MAXITER = 100
 
-# _scan_positive refines this many brackets or more in lock step with
-# _brentq_array, fewer one at a time with _brentq: the measured crossover.
-# A scan of n roots, mean over 20 random channels on a 2-core Xeon, took
-# 0.69 / 0.93 / 1.16 ms one at a time and 0.81 / 0.94 / 0.94 ms in lock step
-# at n = 48 / 64 / 80.
+# _refine takes this many brackets or more in lock step with _brentq_array,
+# fewer one at a time with _brentq: the measured crossover.  Refining the n
+# brackets of one channel at l = L0 = 1, mean over 20 random channels on a
+# 2-core Xeon, took 0.18 / 0.24 / 0.30 ms one at a time and 0.20 / 0.21 /
+# 0.21 ms in lock step at n = 48 / 64 / 80.
 _ARRAY_BRENT_MIN = 64
-
-# The sign scan of many channels at once takes its rows in chunks of about
-# this many grid values, so each of its temporaries stays near 64 KiB.
-_SCAN_CHUNK = 1 << 13
 
 _EPS = float(np.finfo(float).eps)
 
@@ -204,8 +200,11 @@ def _fhat(theta: float, l: float, L0: float, k):
 
 
 def _fhat_half(s2, c2, l: float, L0: float, k: np.ndarray) -> np.ndarray:
-    # _fhat on half-angles that may differ from element to element of k.
-    return l * np.sinc(k * l / np.pi) * s2 + L0 * np.cos(k * l) * c2
+    # _fhat on half-angles that may differ from element to element of k >= 0,
+    # in np.sinc's operations: sin(x) / x at x = pi * (kl / pi), eps at x = 0.
+    kl = k * l
+    x = np.maximum(np.pi * (kl / np.pi), _EPS)
+    return l * (np.sin(x) / x) * s2 + L0 * np.cos(kl) * c2
 
 
 def sinc_kl(k: float, l: float) -> float:
@@ -398,65 +397,64 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin)
     it, or when F/k is exactly 0 at its left end other than at the origin
     (where F/k = T and the root of F is spurious); a row with
     skip_origin[r], at the threshold, leaves out the origin cell altogether.
-    Each row's F/k is l sinc(kl) s2 + L0 cos(kl) c2 on grid rows shared by
-    all channels, in _fhat's operations, in chunks of about _SCAN_CHUNK
-    grid values.
 
     A root's branch label m = (kl + atan2(k L0 c2, s2)) / pi places it: as
     s2 >= 0, it lies in kl in [m pi - pi/2, m pi] when c2 >= 0 and in
-    [m pi, m pi + pi/2] when c2 < 0, so, with a cell's margin at each end,
-    in the cells j with (j + shift) // GRID_DENSITY = m, where shift is
-    GRID_DENSITY / 2 + 1 or 1.  Labels start at m0 = 0 when F/k < 0 at the
-    origin (so c2 < 0), unless skip_origin leaves that root's origin cell
-    out, else at 1; so the n-th root lies below (n + 1/2) pi / l, in one
-    grid block up to (n + 1) pi / l.  The roots refine by Brent on the
-    grid's end values, all rows together, and ScanExhausted is raised
-    unless they fill every slot exactly once.
+    [m pi, m pi + pi/2] when c2 < 0.  Labels start at m0 = 0 when F/k < 0 at
+    the origin (so c2 < 0), unless skip_origin leaves that root's origin
+    cell out, else at 1.  The window of label m, its half-branch and a cell
+    at each end, holds no other root, and F/k (-1)^(m + 1) is >= 0 in it up
+    to the root and < 0 past it.  A search of all windows in lock step finds
+    the cells: a first pass probes every d-th point, d the smallest power of
+    3 that needs at most four, and each later pass cuts the bracket in three:
+    4 + 2 + 2 evaluations of F/k per root at GRID_DENSITY = 64.
+    ScanExhausted is raised unless each cell lies in its window and F/k
+    changes sign across it so.  Brent refines the roots, all rows together.
     """
-    need = out.shape[1] - first
-    if not need.size:
-        return
     step = math.pi / (GRID_DENSITY * l)
-    grid = step * np.arange(GRID_DENSITY * (out.shape[1] + 1) + 1)
-    sinc_row = l * np.sinc(grid * l / np.pi)
-    cos_row = L0 * np.cos(grid * l)
-    # F/k = T at the origin, where F's root is spurious.
-    t0, t1 = (sinc_row[c] * s2 + cos_row[c] * c2 for c in (0, 1))
-    origin = t0 * t1 < 0.0
-    m0 = (t0 >= 0.0) | (origin & skip_origin)
-    # Cell j holds the root of slot (j + shift) // GRID_DENSITY - m0 of its
-    # row, which is (j + offset) // GRID_DENSITY.
-    offset = 1 + GRID_DENSITY // 2 * (c2 >= 0.0) - GRID_DENSITY * m0
-    chunk = max(1, _SCAN_CHUNK // grid.size)
-    hits = []
-    for lo in range(0, need.size, chunk):
-        vals = sinc_row * s2[lo:lo + chunk, None] + cos_row * c2[lo:lo + chunk, None]
-        head, tail = vals[:, :-1], vals[:, 1:]
-        hit = (head == 0.0) | (head * tail < 0.0)
-        hit[:, 0] = (origin & ~skip_origin)[lo:lo + chunk]
-        i, j = np.divmod(np.flatnonzero(hit), hit.shape[1])
-        r = lo + i
-        pos = (j + offset[r]) // GRID_DENSITY
-        keep = (pos >= 0) & (pos < need[r])
-        i, j = i[keep], j[keep]
-        hits.append((r[keep], j, pos[keep], head[i, j], tail[i, j]))
-        # Free this chunk's rows of temporaries before the next are made.
-        del vals, head, tail, hit
-    r, j, pos, fa, fb = (np.concatenate(parts) for parts in zip(*hits))
-    slot = r * out.shape[1] + first[r] + pos
-    if slot.size != need.sum() or (slot[1:] <= slot[:-1]).any():
-        raise ScanExhausted("the sign scan did not place one root on every branch label")
-    k = grid[j]
-    sign = fa != 0.0
-    k[sign] = _refine(
-        _fhat_scalar, _fhat_half, s2, c2, l, L0, r[sign], k[sign], grid[j[sign] + 1],
-        fa[sign], fb[sign],
+    width = GRID_DENSITY // 2 + 2
+    # F/k = T at the origin, where F's root is spurious: at the threshold
+    # the root in the origin cell is the zero-energy level, not label 0.
+    t0 = l * s2 + L0 * c2
+    m0 = t0 >= 0.0
+    if skip_origin.any():
+        m0 |= skip_origin & (t0 * _fhat_half(s2, c2, l, L0, step) < 0.0)
+    r, col = np.nonzero(np.arange(out.shape[1]) >= first[:, None])
+    m = (m0 - first)[r] + col
+    lo = np.maximum(m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))[r], 0)
+    # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
+    sign = (m & 1) * 2.0 - 1.0
+    s2, c2 = s2[r], c2[r]
+    gs2, gc2 = s2 * sign, c2 * sign
+    d = 1
+    while 4 * d < width:
+        d *= 3
+    probes = -(-width // d)
+    # j is the last point known to have g >= 0, ga and gb are g at j and at
+    # the first point past it known to have g < 0, NaN until one is probed.
+    j = lo - d
+    ga = gb = np.full(j.size, np.nan)
+    i = np.arange(j.size)
+    while d:
+        v = _fhat_half(gs2, gc2, l, L0, step * (j + np.arange(d, d * probes + 1, d)[:, None]))
+        below = (v >= 0.0).sum(0)
+        j = j + d * below
+        v = np.concatenate([ga[None], v, gb[None]])
+        ga, gb = v[below, i], v[below + 1, i]
+        d, probes = d // 3, 2
+    if not ((j >= lo) & (j - lo < width) & (ga >= 0.0) & (gb < 0.0)).all():
+        raise ScanExhausted("F/k does not change sign in the window of every branch label")
+    k = step * j
+    at = np.flatnonzero(ga)
+    k[at] = _refine(
+        _fhat_scalar, _fhat_half, s2, c2, l, L0, at, k[at], step * (j[at] + 1),
+        ga[at] * sign[at], gb[at] * sign[at],
     )
-    out.flat[slot] = k
+    out[r, col] = k
 
 
 def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool) -> list[float]:
-    """Lowest n positive roots of F by sign scan of F/k: _scan_rows' one-row case."""
+    """Lowest n positive roots of F from the cells of F/k: _scan_rows' one-row case."""
     s2, c2 = _half_angle(theta)
     out = np.empty((1, n))
     _scan_rows(
@@ -474,9 +472,7 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int):
     is bound and whether it is the zero-energy level; every other level is
     positive.  A bound root refines by Brent on the window [0, cap] of
     G/kappa, cap = KAPPA_CEILING / l, all rows together like the positive
-    roots; the scalar G/kappa calls numpy's sinh and cosh on Python floats
-    rather than math's, whose last bit differs, so each root keeps its
-    digits.
+    roots.
     """
     rows = len(thetas)
     s2 = np.empty(rows)
@@ -550,10 +546,9 @@ class ChannelRows:
 def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0) -> ChannelRows:
     """solve_channel for every eigenphase in ``thetas`` on one box, in one batch.
 
-    Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  The
-    sign scan covers all channels on one grid, and every bracket of every
-    channel refines in one lock-step Brent, so a batch costs array
-    operations instead of a Python loop per root.
+    Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  Every
+    root of every channel is searched in the same passes and refined in one
+    _refine call, so a batch costs array operations, not a loop per channel.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -578,7 +573,7 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     degenerate and cross-referenced, among the lowest n + 1 so that no flag
     depends on n.  This is the one rule for "degenerate"; eigenfunctions read it.
 
-    Both channels are solved in one solve_channels batch, on one grid, to
+    Both channels are solved in one solve_channels batch to
     depth = min(n + 1, (n + 1) // 2 + 2); a channel's first levels are the
     same doubles at any depth.  A channel's positive levels carry
     consecutive branch labels, from 0 only when no bound or zero level
@@ -596,12 +591,11 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    p = matrix_to_params(bc.u)
-    thetas = [p.theta_plus, p.theta_minus]
+    p = bc.params
     depth = min(n + 1, (n + 1) // 2 + 2)
-    rows = solve_channels(thetas, depth, bc.l, bc.L0)
+    rows = solve_channels([p.theta_plus, p.theta_minus], depth, bc.l, bc.L0)
     E = rows.E.ravel()
-    order = np.lexsort((np.repeat([0, 1], depth), E))[:n + 1]
+    order = np.argsort(E, kind="stable")[:n + 1]
     if E[order[-1]] > rows.E[:, -1].min():
         raise ScanExhausted("the merged levels reach past the depth the channels were solved to")
     row, index = np.divmod(order, depth)

@@ -23,6 +23,7 @@ from defectline import (
     sample_eigenfunction,
     solve_spectrum,
 )
+from defectline import boundary
 from defectline.spectrum import EigenLevel
 from defectline.unitary import SIGMA1
 
@@ -328,3 +329,18 @@ def test_boundary_condition_geometry_variants():
         assert boundary_residual(bc, v) <= 1e-8 * (1.0 + level.k_or_kappa)
         assert current_mismatch(v) <= 1e-10
         assert abs(l2_inner(_sampler(f), _sampler(f), l=1.7) - 1.0) <= 1e-10
+
+
+def test_eigen_angles_are_computed_once_per_boundary_condition(monkeypatch):
+    # solve_spectrum and level_eigenbasis read U's angles from bc.params,
+    # which diagonalizes U on first use; det never reads them.
+    calls = []
+    matrix_to_params = boundary.matrix_to_params
+    monkeypatch.setattr(boundary, "matrix_to_params", lambda u: calls.append(u) or matrix_to_params(u))
+    bc = _random_bc(np.random.default_rng(41))
+    det_spectrum(bc, 3)
+    assert not calls
+    spec = solve_spectrum(bc, 3)
+    for level in spec.levels:
+        level_eigenbasis(bc, level)
+    assert len(calls) == 1 and spec.bc_params is bc.params

@@ -43,6 +43,7 @@ from defectline.spectrum import (
     flag_degenerate,
     solve_channels,
 )
+from test_spectrum import _scan_positive_reference
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -177,6 +178,21 @@ def test_positive_roots_carry_consecutive_branch_labels(batch, n):
         label = (k * l + np.arctan2(k * L0 * c2, s2)) / PI
         m0 = 0 if c2 < 0.0 and l * s2 + L0 * c2 < 0.0 and not rows.zero[r] else 1
         assert np.all(np.abs(label - (m0 + np.arange(k.size))) <= 1e-6)
+
+
+@given(batches(), st.floats(1.5, 50.0), st.integers(1, 200))
+def test_batch_roots_equal_the_per_cell_reference(batch, f, n):
+    # Every row of a batch, whatever its first level, against the per-cell
+    # scan with scipy's brentq that the branch-label search replaces; a row
+    # at the threshold leaves out the origin cell, as the batch does.  One
+    # more row has a bound level at kappa l near 50 / f, off the floor.
+    thetas, l, L0 = batch
+    thetas = [*thetas, 2.0 * (PI - math.atan(KAPPA_CEILING * L0 / (l * f)))]
+    rows = solve_channels(thetas, n, l, L0)
+    for r, theta in enumerate(rows.theta.tolist()):
+        first = int(rows.bound[r] or rows.zero[r])
+        reference = _scan_positive_reference(theta, l, L0, n - first, bool(rows.zero[r]))
+        assert rows.k_or_kappa[r, first:].tolist() == reference
 
 
 @st.composite

@@ -473,3 +473,25 @@ def test_channel_tag_passthrough():
     assert all(lv.channel == "plus" for lv in levels)
     untagged = solve_channel(Channel(0.7), 3)
     assert all(lv.channel is None for lv in untagged)
+
+
+def test_root_search_probes_at_most_eight_points_per_root(monkeypatch):
+    # Each root's cell is searched inside its branch-label window at
+    # 4 + 2 + 2 grid points, where a sign scan of the grid took 64 per root.
+    # Brent refines one bracket at a time here, on the scalar F/k, so every
+    # evaluation of the array F/k is the search's.
+    evaluations = []
+    fhat_half = spectrum._fhat_half
+
+    def counted(s2, c2, l, L0, k):
+        evaluations.append(np.broadcast(s2, k).size)
+        return fhat_half(s2, c2, l, L0, k)
+
+    monkeypatch.setattr(spectrum, "_fhat_half", counted)
+    monkeypatch.setattr(spectrum, "_ARRAY_BRENT_MIN", 10**9)
+    # Both eigenphases in (0, pi): no bound or zero level, so each channel
+    # is solved to depth (n + 1) // 2 + 2 in positive roots.
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi=1.1, rho=0.7, mu=0.3, nu=2.0)))
+    solve_spectrum(bc, 2000)
+    roots = 2 * ((2000 + 1) // 2 + 2)
+    assert roots <= sum(evaluations) <= 8 * roots
