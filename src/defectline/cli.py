@@ -209,15 +209,17 @@ def _parse_matrix(text: str) -> np.ndarray:
     )
 
 
-def _defect_input(s: _Settings) -> tuple[UnitaryParams, np.ndarray]:
-    """Resolve the three mutually exclusive ways of naming the defect matrix."""
+def _defect_input(s: _Settings) -> tuple[UnitaryParams | None, np.ndarray]:
+    """Resolve the three mutually exclusive ways of naming the defect matrix.
+
+    Returns the angles as given, None for --matrix, and the matrix.
+    """
     angle_flags = s.has("xi") or s.has("rho")
     theta_flags = s.has("theta_plus") or s.has("theta_minus")
     if s.has("matrix"):
         if angle_flags or theta_flags:
             raise ValueError("--matrix conflicts with angle flags")
-        u = _parse_matrix(s.get_str("matrix"))
-        return matrix_to_params(u), u
+        return None, _parse_matrix(s.get_str("matrix"))
     if theta_flags:
         if angle_flags:
             raise ValueError("--theta-plus/--theta-minus conflict with --xi/--rho")
@@ -339,7 +341,9 @@ def _cmd_isospectral(s: _Settings, out: IO[str]) -> int:
 
 
 def _cmd_trace(s: _Settings, out: IO[str]) -> int:
-    params, _ = _defect_input(s)
+    params, u = _defect_input(s)
+    if params is None:
+        params = matrix_to_params(u)
     winding = (s.get_int("w_plus", 0), s.get_int("w_minus", 0))
     path = PathSpec(
         winding=winding,

@@ -27,6 +27,15 @@ at its vertex like any other.  The rounding bound comes from the
 coefficients of det M, so no tolerance is set by hand.  Roots are refined
 with spectrum._brentq, a port of scipy's brentq; only the finite-difference
 solver imports scipy.
+
+The finite-difference operator, with the junction values eliminated, is
+tridiagonal but for a 2x4 patch at the defect.  Its coupling block M (the
+patch's entries toward x = -2h and 2h) is Hermitian, and where M is positive
+definite a Cholesky similarity, one phase and a Givens chase make the
+operator a real symmetric tridiagonal, whose lowest levels LAPACK bisection
+finds.  Where M is not positive definite the levels may be complex, and
+shift-invert ARPACK finds the lowest real ones; a singular junction block
+takes a dense generalized solve.
 """
 
 from __future__ import annotations
@@ -412,29 +421,19 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
 
 
 def _fd_parts(bc: BoundaryCondition, n_interior: int):
-    """Spacing, sparse Laplacian, junction block J and junction patch K.
+    """Spacing h, junction block J and junction patch K.
 
     The unknowns are the interior nodes of the left half (x = -l+h ... -h)
     followed by those of the right half (x = h ... l-h); the junction values
-    z1 = phi(0-) and z2 = phi(0+) are not among them.  The Laplacian is the
-    two decoupled 3-point stencils.  The junction rows read J (z2, z1) + K w
-    = 0, and K only touches the four nodes x = -2h, -h, h, 2h, which are
-    columns nw-2 ... nw+1.
+    z1 = phi(0-) and z2 = phi(0+) are not among them.  Away from the defect
+    the operator is two decoupled 3-point stencils.  The junction rows read
+    J (z2, z1) + K w = 0, and K only touches the four nodes x = -2h, -h, h,
+    2h, which are columns nw-2 ... nw+1.
     """
-    import scipy.sparse
-
     h = bc.l / n_interior
     # A row of the stencil sums to 4 / h^2 in absolute value.
     if not h * h > 4.0 / sys.float_info.max:
         raise SolverError(f"the FD stencil 4/h^2 at h={h!r} overflows a double")
-    nw = n_interior - 1  # unknowns per side besides the junction values
-    inv_h2 = 1.0 / (h * h)
-    off = np.full(2 * nw - 1, -inv_h2)
-    off[nw - 1] = 0.0  # the two halves only talk through the junction values
-    lap = scipy.sparse.diags(
-        [off, np.full(2 * nw, 2.0 * inv_h2), off], [-1, 0, 1], format="csc", dtype=complex
-    )
-
     u = bc.u
     j_block = (u - np.eye(2)) + (3j * bc.L0 / (2.0 * h)) * (u + np.eye(2))
     d_w = np.zeros((2, 4))
@@ -443,10 +442,23 @@ def _fd_parts(bc: BoundaryCondition, n_interior: int):
     d_w[1, 1] = -4.0 / (2.0 * h)  # phi'(0-) stencil, node at x = -h
     d_w[1, 0] = 1.0 / (2.0 * h)   # node at x = -2h
     k_patch = 1j * bc.L0 * (u + np.eye(2)) @ d_w
-    return h, lap, j_block, k_patch
+    return h, j_block, k_patch
 
 
-def _fd_eliminated(h: float, lap, j_block: np.ndarray, k_patch: np.ndarray):
+def _fd_laplacian(h: float, n_interior: int):
+    """The two decoupled 3-point stencils as complex CSC."""
+    import scipy.sparse
+
+    nw = n_interior - 1  # unknowns per side besides the junction values
+    inv_h2 = 1.0 / (h * h)
+    off = np.full(2 * nw - 1, -inv_h2)
+    off[nw - 1] = 0.0  # the two halves only talk through the junction values
+    return scipy.sparse.diags(
+        [off, np.full(2 * nw, 2.0 * inv_h2), off], [-1, 0, 1], format="csc", dtype=complex
+    )
+
+
+def _fd_eliminated(h: float, n_interior: int, j_block: np.ndarray, k_patch: np.ndarray):
     """The FD operator with the junction values eliminated, as CSC.
 
     Solving the junction rows for (z2, z1) and substituting them into the
@@ -455,7 +467,8 @@ def _fd_eliminated(h: float, lap, j_block: np.ndarray, k_patch: np.ndarray):
     """
     import scipy.sparse
 
-    nw = lap.shape[0] // 2
+    lap = _fd_laplacian(h, n_interior)
+    nw = n_interior - 1
     inv_h2 = 1.0 / (h * h)
     elim = -np.linalg.solve(j_block, k_patch)  # (z2, z1) rows in terms of w
     rows = np.repeat([nw - 1, nw], 4)  # left row adjacent to z1, right row adjacent to z2
@@ -466,23 +479,122 @@ def _fd_eliminated(h: float, lap, j_block: np.ndarray, k_patch: np.ndarray):
     return lap + patch
 
 
+def _fd_tridiagonal(h: float, n_interior: int, j_block: np.ndarray, k_patch: np.ndarray):
+    """A real symmetric tridiagonal (d, e) similar to the eliminated operator H.
+
+    Name the nodes next to the defect p = (-h, h) and q = (-2h, 2h).  The
+    junction coupling G = J^-1 iL0(U + I) is Hermitian, being a function of
+    U with real eigenvalues, so M = -h^2 H[p, q] = I - G'/(2h), with G'
+    ordered (0-, 0+), is Hermitian too; H[q, p] = -I/h^2 is the stencil and
+    H[p, p] = (4M - 2I)/h^2.  When M is positive definite (positive trace
+    and determinant) with Cholesky factor M = L L^H, the similarity by L on
+    p turns H[p, q] into -L^H/h^2, H[q, p] into -L/h^2 and H[p, p] into
+    (4 L^H L - 2I)/h^2: Hermitian, and tridiagonal but for L's corner at
+    (2h, -h).  The one cycle -h, h, 2h of the junction has a real product,
+    so one phase on the right half makes every entry real and leaves only
+    |L[1, 0]| of L's corner.  A Givens chase then pushes the corner from
+    the junction out through the right wall, one rotation per node.  Only
+    2x2 closed forms, phases and rotations are used; neither U nor any
+    function of it is diagonalized.
+
+    Returns None when M is not positive definite; H is then not similar to
+    a Hermitian matrix this way, and its spectrum may hold complex pairs.
+    """
+    elim = -np.linalg.solve(j_block, k_patch)  # rows (z2, z1), columns (-2h, -h, h, 2h)
+    # M's Hermitian part, which drops the rounding of the solve.
+    m00 = 1.0 + float(elim[1, 0].real)
+    m11 = 1.0 + float(elim[0, 3].real)
+    m10 = abs(0.5 * (complex(elim[0, 0]) + complex(elim[1, 3]).conjugate()))
+    det = m00 * m11 - m10 * m10
+    if not (m00 + m11 > 0.0 and det > 0.0):
+        return None
+    l11 = math.sqrt(m00)
+    l21 = m10 / l11
+    l22 = math.sqrt(det / m00)
+
+    nw = n_interior - 1
+    size = 2 * nw
+    inv_h2 = 1.0 / (h * h)
+    d = [2.0 * inv_h2] * size
+    # e[i] couples nodes i and i + 1; one zero past the wall lets the last
+    # rotation run like every other.
+    e = [-inv_h2] * (size - 1) + [0.0]
+    d[nw - 1] = (4.0 * (l11 * l11 + l21 * l21) - 2.0) * inv_h2
+    d[nw] = (4.0 * l22 * l22 - 2.0) * inv_h2
+    e[nw - 2] = -l11 * inv_h2
+    e[nw - 1] = 4.0 * l21 * l22 * inv_h2
+    e[nw] = -l22 * inv_h2
+
+    # The corner b sits at (k + 2, k).  Rotating nodes k + 1 and k + 2
+    # folds it into e[k] and moves it, as s e[k + 2], to (k + 3, k + 1).
+    b = -l21 * inv_h2
+    for k in range(nw - 1, size - 2):
+        if b == 0.0:
+            break
+        a, f, g = d[k + 1], e[k + 1], d[k + 2]
+        r = math.hypot(e[k], b)
+        c, s = e[k] / r, b / r
+        e[k] = r
+        d[k + 1] = c * c * a + 2.0 * c * s * f + s * s * g
+        d[k + 2] = s * s * a - 2.0 * c * s * f + c * c * g
+        e[k + 1] = c * s * (g - a) + (c * c - s * s) * f
+        b = s * e[k + 2]
+        e[k + 2] *= c
+    return np.array(d), np.array(e[:-1])
+
+
+# Absolute tolerance of the bisection: LAPACK's setting for the most
+# accurate eigenvalues dstebz can give, twice the underflow threshold.
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
+
+
+def _fd_bisect(d: np.ndarray, e: np.ndarray, n: int, floor: float) -> np.ndarray:
+    """Sorted eigenvalues of the tridiagonal (d, e) at or above floor, n if there are.
+
+    LAPACK bisection (dstebz) finds the k lowest eigenvalues, k = n at
+    first.  Those below the floor are the lowest, so one more call with k
+    raised by their count holds n levels above it, if the matrix has them.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    size = d.size
+    k = min(n, size)
+    while True:
+        try:
+            ev = eigvalsh_tridiagonal(
+                d, e, select="i", select_range=(0, k - 1), tol=_BISECTION_TOL
+            )
+        except np.linalg.LinAlgError as exc:
+            raise EigenSolverFailure(f"bisection failed on {size} unknowns: {exc}") from exc
+        real = ev[ev >= floor]
+        if real.size >= n or k == size:
+            return real
+        k = min(k + n - real.size, size)
+
+
 def _real_levels(ev: np.ndarray, floor: float) -> np.ndarray:
-    """Sorted real parts of the eigenvalues with |Im E| <= 1e-6, at or above floor."""
-    real = np.sort(ev[np.abs(ev.imag) <= 1e-6].real)
+    """Sorted real parts of the eigenvalues with |Im E| <= 1e-6 (1 + |E|), at or above floor.
+
+    The cut scales as the FD gate does, so a deep level keeps the rounding
+    its size brings to the imaginary part.
+    """
+    real = np.sort(ev[np.abs(ev.imag) <= 1e-6 * (1.0 + np.abs(ev.real))].real)
     return real[real >= floor]
 
 
 def _fd_lowest(ham, n: int, floor: float) -> np.ndarray:
     """Sorted real eigenvalues of ham at or above floor, at least n if found.
 
-    Shift-invert Arnoldi returns the k eigenvalues nearest sigma.  sigma sits
-    one unit below the higher of the floor and the Gershgorin lower bound of
-    ham, so a real level at or above the floor lies the closer to sigma the
-    lower it is, and the k nearest eigenvalues hold the lowest such levels.
-    k starts at n + 4 and doubles, up to the size - 2 that ARPACK allows,
-    while fewer than n of them are real and above the floor.  The start
-    vector and the generator for any restart vector are fixed, so repeated
-    calls return identical doubles.
+    The fallback where _fd_tridiagonal finds M not positive definite, so
+    ham's spectrum may hold complex pairs.  Shift-invert Arnoldi returns
+    the k eigenvalues nearest sigma.  sigma sits one unit below the higher
+    of the floor and the Gershgorin lower bound of ham, so a real level at
+    or above the floor lies the closer to sigma the lower it is, and the k
+    nearest eigenvalues hold the lowest such levels.  k starts at n + 4 and
+    doubles, up to the size - 2 that ARPACK allows, while fewer than n of
+    them are real and above the floor.  The start vector and the generator
+    for any restart vector are fixed, so repeated calls return identical
+    doubles.
     """
     from scipy.sparse.linalg import ArpackError, eigs
 
@@ -513,30 +625,39 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     condition with second-order one-sided derivatives.  The junction rows
     contain no energy, so they are eliminated exactly, leaving an ordinary
     eigenproblem whose matrix is tridiagonal apart from a 2x4 patch at the
-    defect.  Its lowest levels come from a sparse shift-invert Arnoldi solve
-    (ARPACK, see _fd_lowest), deterministic to the last bit.  When the
-    junction block is singular the generalized eigenproblem is solved densely
-    instead.
+    defect.  Where the patch's coupling block M is positive definite, that
+    matrix is similar to a real symmetric tridiagonal (_fd_tridiagonal),
+    whose lowest levels LAPACK bisection finds (_fd_bisect).  Elsewhere the
+    spectrum may hold complex pairs, and a sparse shift-invert Arnoldi
+    solve (ARPACK, _fd_lowest) takes the lowest real levels.  When the
+    junction block is singular the generalized eigenproblem is solved
+    densely instead.  Every path is deterministic to the last bit.
 
-    Eigenvalues with |Im E| > 1e-6 are discarded, and so are levels deeper
-    than kappa l = KAPPA_CEILING, which the channel and determinant solvers
-    drop by the same convention.  If fewer than n real levels remain, or
-    ARPACK fails, the discretization failed and EigenSolverFailure is raised.
+    Eigenvalues with |Im E| > 1e-6 (1 + |E|) are discarded, and so are
+    levels deeper than kappa l = KAPPA_CEILING, which the channel and
+    determinant solvers drop by the same convention.  If fewer than n real
+    levels remain, or an eigensolver fails, the discretization failed and
+    EigenSolverFailure is raised.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n_interior < 64:
         raise ValueError("n_interior must be at least 64")
-    h, lap, j_block, k_patch = _fd_parts(bc, n_interior)
-    size = lap.shape[0]
+    h, j_block, k_patch = _fd_parts(bc, n_interior)
     floor = -((KAPPA_CEILING / bc.l) ** 2)
 
     cond = np.linalg.cond(j_block)
     if np.isfinite(cond) and cond < 1e10:
-        real = _fd_lowest(_fd_eliminated(h, lap, j_block, k_patch), n, floor)
+        band = _fd_tridiagonal(h, n_interior, j_block, k_patch)
+        if band is not None:
+            real = _fd_bisect(*band, n, floor)
+        else:
+            real = _fd_lowest(_fd_eliminated(h, n_interior, j_block, k_patch), n, floor)
     else:
         import scipy.linalg
 
+        lap = _fd_laplacian(h, n_interior)
+        size = lap.shape[0]
         nw = size // 2
         inv_h2 = 1.0 / (h * h)
         full = np.zeros((size + 2, size + 2), dtype=complex)

@@ -504,12 +504,12 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128"),
-        0, "c4404ee0ef7eeca355acc85c0f22c26bf8c02a9185f4663c8086db81741bb3d9",
+        0, "6807d43358599e3db9c55218f6d7b81412ec50f62237048ec7cc9339e377654e",
     ),
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128", "--format", "csv"),
-        0, "0dae0b68834ba8b2ca6bebcb1716da6c82201f2a11d71219025a1f41a9e8141b",
+        0, "771113369399fa0749788ce20e7923476e0864f8f280963ab0e41341aa78e002",
     ),
     (
         ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "40"),
@@ -548,17 +548,17 @@ PINNED_OUTPUT_SHA256 = [
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--n-interior", "128"),
-        0, "7da893890a7dd4db4035426f2f137de71e6ada8ad6e0323ecbf051a96ef8f389",
+        0, "d18e1c38a02ff5a49fb70d171987977d33c2a616917e46a9065068e260ec60b9",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18"),
-        1, "a966e01703765106d32c8482c4b56f39256b4ee37856b3df1dc88e120f1b19c3",
+        1, "3a9008e810b95ebf2a3ac41b6fc56293ed4a6a728b4ab77ebe5c2c46fcda927e",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18", "--format", "csv"),
-        1, "afef74a730277145a0dff12ce6e9618eccf598fd4342ab700ce348e9fb56c8f7",
+        1, "c894e92411c797d2a69e89b1860cb74031c831bdf91e6929964f1ab1babc447a",
     ),
 ]
 
@@ -626,6 +626,22 @@ def test_oracle_compare_drops_fd_levels_below_the_floor(capsys):
     recs = _json_lines(out)
     assert abs(recs[0]["E_fd"] - 3.448) <= 1e-3
     assert all(rec["E_fd"] > 0.0 for rec in recs)
+
+
+def test_spectrum_fd_keeps_a_deep_bound_level_above_the_floor(capsys):
+    # The channel solver puts level 0 at E = -2400082.34, above the floor at
+    # -3.75e6.  ARPACK returned its FD level with Im E = -1.8e-6, and an
+    # absolute cut on Im E dropped it, so the listing began at E = 3692.86.
+    code, out, _ = _run(
+        capsys, "spectrum", "--solver", "fd", "--xi=1.009284142267851",
+        "--rho=2.132410029070367", "--mu=0.6575223573499008", "--nu=4.097164349480726",
+        "--l=0.02583525537182708", "--L0=12.716715271389214", "-n", "3",
+    )
+    assert code == 0
+    recs = _json_lines(out)
+    assert recs[0]["kind"] == "bound"
+    assert abs(recs[0]["E"] + 2440847.04) <= 1e-6 * 2440847.04
+    assert abs(recs[1]["E"] - 3692.858) <= 1e-3
 
 
 def test_oracle_compare_splits_a_pair_an_svd_called_double(capsys):

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from defectline import (
@@ -27,7 +28,7 @@ from defectline import (
     solve_spectrum,
 )
 from defectline.cli import main
-from defectline.oracles import _fd_eliminated, _fd_lowest, _fd_parts
+from defectline.oracles import _fd_eliminated, _fd_lowest, _fd_parts, _fd_tridiagonal
 from defectline.spectrum import GRID_DENSITY, KAPPA_CEILING, solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 
@@ -428,28 +429,36 @@ def _edge_bc(rng, edge: str) -> BoundaryCondition:
     return BoundaryCondition(params_to_matrix(p), l, L0)
 
 
+def _fd_matches_dense(bc, n_int, n) -> bool:
+    """Check fd_spectrum against a dense eigensolve of the very same matrix.
+
+    fd_spectrum must return the lowest n real levels above the floor that
+    the dense solve finds, or raise EigenSolverFailure where it finds fewer.
+    Rounding leaves an imaginary part that grows with |E|, so the cut on it
+    is relative.  Returns whether levels were compared.
+    """
+    h, j_block, k_patch = _fd_parts(bc, n_int)
+    ev = np.linalg.eigvals(_fd_eliminated(h, n_int, j_block, k_patch).toarray())
+    ref = np.sort(ev[np.abs(ev.imag) <= 1e-6 * (1.0 + np.abs(ev.real))].real)
+    ref = ref[ref >= -((KAPPA_CEILING / bc.l) ** 2)][:n]
+    if ref.size < n:
+        with pytest.raises(EigenSolverFailure):
+            fd_spectrum(bc, n, n_int)
+        return False
+    got = np.array(fd_spectrum(bc, n, n_int).levels)
+    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-6
+    return True
+
+
 def test_fd_matches_dense_eigvals_of_the_eliminated_matrix():
-    # The sparse solve must return the lowest real levels above the floor
-    # that a dense eigensolve of the very same matrix finds.
     rng = np.random.default_rng(107)
     edges = ("generic", "theta0", "thetapi", "threshold", "floor", "degenerate")
     checked = 0
     for n_int, count in ((64, 86), (128, 12), (256, 4)):
         for i in range(count):
             bc = _edge_bc(rng, edges[i % len(edges)])
-            n = 4 + i % 5
-            h, lap, j_block, k_patch = _fd_parts(bc, n_int)
-            assert np.linalg.cond(j_block) < 1e10  # the ordinary path
-            ev = np.linalg.eigvals(_fd_eliminated(h, lap, j_block, k_patch).toarray())
-            ref = np.sort(ev[np.abs(ev.imag) <= 1e-6].real)
-            ref = ref[ref >= -((KAPPA_CEILING / bc.l) ** 2)][:n]
-            if ref.size < n:
-                with pytest.raises(EigenSolverFailure):
-                    fd_spectrum(bc, n, n_int)
-                continue
-            got = np.array(fd_spectrum(bc, n, n_int).levels)
-            assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-6
-            checked += 1
+            assert np.linalg.cond(_fd_parts(bc, n_int)[1]) < 1e10  # the ordinary path
+            checked += _fd_matches_dense(bc, n_int, 4 + i % 5)
     assert checked >= 100
 
 
@@ -479,6 +488,32 @@ def test_fd_lowest_widens_the_search_past_discarded_eigenvalues():
     assert np.max(np.abs(got[:3] - [0.0, 1.0, 2.0])) <= 1e-9
 
 
+def test_fd_lowest_keeps_a_deep_real_level_with_a_rounding_imaginary_part():
+    # ARPACK returned a real level near -2.4e6 with Im E = -1.8e-6, 7.5e-13
+    # relative; an absolute cut of 1e-6 dropped it.
+    floor = -4e6
+    ham = scipy.sparse.diags(np.concatenate([[-3e6 + 1e-5j], np.arange(40.0)]), format="csc")
+    got = _fd_lowest(ham, 3, floor)
+    assert abs(got[0] + 3e6) <= 1e-9 * 3e6
+    assert np.max(np.abs(got[1:3] - [0.0, 1.0])) <= 1e-9
+
+
+def _tridiagonal(bc, n_int):
+    h, j_block, k_patch = _fd_parts(bc, n_int)
+    return _fd_tridiagonal(h, n_int, j_block, k_patch)
+
+
+# At 64 cells an eigenphase theta with tan(theta/2) between -3 L0/(2h) and
+# -L0/h gives the junction coupling block M a negative eigenvalue, so the
+# level search falls back to ARPACK: theta_plus = 3.1676 at l = L0 = 1.
+_NOT_POSITIVE_DEFINITE = BoundaryCondition(
+    params_to_matrix(UnitaryParams(0.5 * (3.1676 + 2.0), 0.5 * (3.1676 - 2.0)))
+)
+_NOT_POSITIVE_DEFINITE_ARGV = [
+    "--theta-plus", "3.1676", "--theta-minus", "2.0", "--n-interior", "64",
+]
+
+
 @pytest.mark.parametrize(
     "failure",
     [
@@ -490,10 +525,57 @@ def test_fd_arpack_failures_are_typed(monkeypatch, capsys, failure):
     def failing_eigs(*args, **kwargs):
         raise failure
 
+    bc = _NOT_POSITIVE_DEFINITE
+    assert _tridiagonal(bc, 64) is None
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing_eigs)
     with pytest.raises(EigenSolverFailure):
-        fd_spectrum(BoundaryCondition(np.eye(2, dtype=complex)), 4, 64)
+        fd_spectrum(bc, 4, 64)
+    code = main(["oracle-compare", *_NOT_POSITIVE_DEFINITE_ARGV, "-n", "3"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver failure" in err and "Traceback" not in err
+
+
+def test_fd_bisection_failures_are_typed(monkeypatch, capsys):
+    def failing_bisection(*args, **kwargs):
+        raise np.linalg.LinAlgError("dstebz did not converge")
+
+    bc = BoundaryCondition(np.eye(2, dtype=complex))
+    assert _tridiagonal(bc, 64) is not None
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", failing_bisection)
+    with pytest.raises(EigenSolverFailure):
+        fd_spectrum(bc, 4, 64)
     code = main(["oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "64"])
     err = capsys.readouterr().err
     assert code == 3
     assert "solver failure" in err and "Traceback" not in err
+
+
+def test_fd_fallback_matches_the_channel_solver():
+    bc = _NOT_POSITIVE_DEFINITE
+    assert _tridiagonal(bc, 64) is None
+    ref = solve_spectrum(bc, 4).E
+    got = np.array(fd_spectrum(bc, 4, 64).levels)
+    assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 5e-3
+
+
+_ANGLE = st.floats(0.0, TWO_PI, exclude_max=True)
+_LENGTH = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
+
+
+@given(_ANGLE, _ANGLE, _ANGLE, _ANGLE, _LENGTH, _LENGTH)
+def test_fd_spectrum_matches_dense_eigvals_everywhere(xi, rho, mu, nu, l, L0):
+    n_int = 64
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l, L0)
+    h, j_block, k_patch = _fd_parts(bc, n_int)
+    assume(np.linalg.cond(j_block) < 1e10)
+    band = _fd_tridiagonal(h, n_int, j_block, k_patch)
+    if band is not None:
+        # The trace is invariant under similarity.  Each of the n_int
+        # rotations, and the sum, round by a few ulps of the entries they
+        # touch.
+        d, e = band
+        trace = _fd_eliminated(h, n_int, j_block, k_patch).diagonal().sum().real
+        bound = 8.0 * np.finfo(float).eps * (np.abs(d).sum() + 2.0 * np.abs(e).sum())
+        assert abs(d.sum() - trace) <= bound
+    _fd_matches_dense(bc, n_int, 6)
