@@ -69,8 +69,9 @@ class _Shape:
 
     ``fields`` maps each key the shape fills, in output order, to its JSON
     text: ``%d`` an int, ``%.17g`` a float, ``"%s"`` a name that needs no
-    escaping (a channel, a kind, a solver), ``%s`` a word spelled as output
-    (``true``/``false``), or a constant such as ``"point"`` or ``null``.
+    escaping (a channel, a kind, a solver), ``%s`` text spelled as output
+    (a word ``true``/``false``, or a number formatted once for many rows),
+    or a constant such as ``"point"`` or ``null``.
     The CSV row puts each field under its column of ``columns`` (the keys
     themselves by default) unquoted, with a blank for ``null`` and for the
     columns the shape leaves out.  Both templates take one tuple of the
@@ -110,7 +111,8 @@ _TRAJECTORY = _Shape({
     "record": '"trajectory"', "trajectory": _D, "channel": _S, "start_index": _D,
     "end_index": _D, "floored_out": _W,
 }, _TRACE_COLUMNS)
-_POINT = _Shape({"record": '"point"', "trajectory": _D, "t": _G, "E": _G}, _TRACE_COLUMNS)
+# A point's t comes as text, formatted once per op by _cmd_trace.
+_POINT = _Shape({"record": '"point"', "trajectory": _D, "t": _W, "E": _G}, _TRACE_COLUMNS)
 _SUMMARY = _Shape({"record": '"summary"', "s_plus": _D, "s_minus": _D}, _TRACE_COLUMNS)
 _COMPARE = _Shape(
     {"level": _D, "E_channel": _G, "E_det": _G, "E_fd": _G, "delta_det": _G, "delta_fd": _G}
@@ -356,11 +358,15 @@ def _cmd_trace(s: _Settings, out: IO[str]) -> int:
     trajectories = trace_path(path)
     s_plus, s_minus = trajectory_shifts(trajectories, winding)
 
+    # The t values of every trajectory are a prefix of the longest one's; a
+    # trajectory that floored out stops early, and it may come first.
+    longest = max(trajectories, key=lambda tr: tr.t_values.size)
+    t_text = [_G % t for t in longest.t_values.tolist()]
     parts = []
     for i, tr in enumerate(trajectories):
         header = (i, tr.channel, tr.start_index, tr.end_index, _WORD[tr.floored_out])
         parts.append((_TRAJECTORY, [header]))
-        parts.append((_POINT, zip(itertools.repeat(i), tr.t_values.tolist(), tr.E_values.tolist())))
+        parts.append((_POINT, zip(itertools.repeat(i), t_text, tr.E_values.tolist())))
     parts.append((_SUMMARY, [(s_plus, s_minus)]))
     _write(out, _output_format(s), *parts)
     return 0

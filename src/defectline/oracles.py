@@ -26,7 +26,10 @@ dip, it is taken as 0, so a touch or a pair next to the threshold is decided
 at its vertex like any other.  The rounding bound comes from the
 coefficients of det M, so no tolerance is set by hand.  Roots are refined
 with spectrum._brentq, a port of scipy's brentq; only the finite-difference
-solver imports scipy.
+solver imports scipy.  The root cells are walked in ascending order, so
+det_spectrum refines only the lowest n + 1 roots, the n it reports and the
+one past the cut that decides pairs, while det_scan refines every root on
+its grid; both return the same doubles for the roots they share.
 
 The finite-difference operator, with the junction values eliminated, is
 tridiagonal but for a 2x4 patch at the defect.  Its coupling block M (the
@@ -117,12 +120,15 @@ class _Projection:
     and the constant phase sqrt(det U), so grid evaluation is vectorized and
     free of any 2x2 assembly.
 
-    positive_scalar is positive for one float, for the root refiners, which
-    call it one point at a time.  It takes the sinc step with sinc_kl, in
-    np.sinc's operations and order, and keeps the coefficients and the phase
-    as np.complex128 scalars, so its complex products and quotient are
-    numpy's: Python complex division differs from numpy's in the last bit.
-    Both forms therefore return the same doubles.
+    positive_scalar and bound_scalar are positive and bound for one float,
+    for the root refiners, which call them one point at a time.
+    positive_scalar takes the sinc step with sinc_kl, in np.sinc's
+    operations and order; bound_scalar takes sinhc's, with numpy's sinh and
+    cosh, which differ from math's in the last bit.  Both keep the
+    coefficients and the phase as np.complex128 scalars, so their complex
+    products and quotient are numpy's: Python complex division differs from
+    numpy's in the last bit too.  Each scalar form therefore returns its
+    vector form's doubles.
     """
 
     def __init__(self, bc: BoundaryCondition):
@@ -155,12 +161,14 @@ class _Projection:
         tau = np.cos(k * self.l)
         return self._reduced(sigma, tau)
 
-    def positive_scalar(self, k: float) -> float:
-        """positive(k) for one float, with the same double out."""
-        sigma = self.l * sinc_kl(k, self.l)
-        tau = math.cos(k * self.l)
+    def _reduced_scalar(self, sigma: float, tau: float) -> float:
+        # _reduced for one float, with the same double out.
         z = sigma * sigma * self.det_a + tau * tau * self.det_b + sigma * tau * self.mixed
         return float((-z / self.phase).real)
+
+    def positive_scalar(self, k: float) -> float:
+        """positive(k) for one float, with the same double out."""
+        return self._reduced_scalar(self.l * sinc_kl(k, self.l), math.cos(k * self.l))
 
     def bound(self, kappa):
         """Normalized projection at E = -kappa^2 <= 0; matches positive(0) at 0.
@@ -171,6 +179,13 @@ class _Projection:
         x = np.asarray(kappa, dtype=float) * self.l
         ch = np.cosh(x)
         return self._reduced(self.l * sinhc(x), ch) / (ch * ch)
+
+    def bound_scalar(self, kappa: float) -> float:
+        """bound(kappa) for one float, with the same double out."""
+        x = kappa * self.l
+        ch = float(np.cosh(x))
+        sh = 1.0 + x * x / 6.0 if abs(x) < 1e-8 else float(np.sinh(x)) / x
+        return self._reduced_scalar(self.l * sh, ch) / (ch * ch)
 
     # dg/dE and the rounding bound of g, one float at a time.  Both regimes
     # write g as -(sigma^2 det A + tau^2 det B + sigma tau m) / phase: sigma =
@@ -234,19 +249,28 @@ def _sinc_slope(x: float, y: float) -> float:
     return (x * math.cosh(x) - math.sinh(x)) / x**3
 
 
-def _projected_roots(grid, vals, fun, slope, noise, skip_origin: bool) -> list[tuple[float, int]]:
-    """Roots of a projected determinant g on one grid, with multiplicities.
+# Kinds of root cell in _projected_roots.
+_CROSSING, _ZERO, _DIP, _ORIGIN = 1, 2, 3, 4
+
+
+def _projected_roots(
+    grid, vals, fun, slope, noise, skip_origin: bool, want: int | None = None
+) -> list[tuple[float, int]]:
+    """The lowest roots of a projected determinant g on one grid, with multiplicities.
 
     A sign change of g between two grid points is one simple root.  A local
-    minimum of |g| whose two grid neighbours a, b share its sign s is a pair
-    closer than the grid, or a touch when U is scalar.  Its vertex v is the
-    root of slope (dg/dE) on [a, b]; without one the dip is rounding on a
-    flat g.  beta bounds what rounding can do to g(v): noise(v) plus what
-    the vertex's own tolerance adds.  If s g(v) < -beta, g crosses zero on
-    each side of v, and each crossing is refined as a simple root; if
-    |g(v)| <= beta, the pair cannot be told from a touch, and v counts twice;
-    otherwise the dip holds no root.  An exact double is a simple root of
-    the slope, so it comes back to full precision.
+    minimum of |g| whose two grid neighbours share its sign is a pair closer
+    than the grid, or a touch when U is scalar, which _dip_roots decides.
+    An exact zero of g on the grid is a simple root.
+
+    The root cells are walked in grid order, and the roots come out
+    ascending: a crossing's root lies in its own cell and a dip's in its two
+    cells, no crossing or exact zero shares a cell with a dip, and a dip at
+    grid point 1 excludes the origin cell, since each needs the other's |g|
+    to be the smaller.  The walk stops once the multiplicities found reach
+    want: det_spectrum wants the lowest n + 1 levels.  det_scan gives no
+    want, and every root on the grid is refined.  A root both return is the
+    same double.
 
     fun, slope and noise take one float; fun must return vals' doubles on
     the grid, so a root refined from a grid cell has the doubles of the scan.
@@ -257,37 +281,65 @@ def _projected_roots(grid, vals, fun, slope, noise, skip_origin: bool) -> list[t
     left, mid, right = vals[lo - 1:-2], vals[lo:-1], vals[lo + 1:]
     same = (left * right > 0.0) & (mid * left >= 0.0)
     dips = same & (np.abs(mid) < np.abs(left)) & (np.abs(mid) <= np.abs(right))
-    crossings = start + np.flatnonzero(vals[start:-1] * vals[start + 1:] < 0.0)
-    zeros = lo + np.flatnonzero((mid == 0.0) & ~dips)
-    x, y = grid.tolist(), vals.tolist()
-
-    found = [(_brentq(fun, x[i], x[i + 1], y[i], y[i + 1]), 1) for i in crossings]
-    found.extend((x[i], 1) for i in zeros)
-    cells = [(i - 1, i + 1) for i in (lo + np.flatnonzero(dips)).tolist()]
-    if start == 0 and y[0] * y[1] >= 0.0 and abs(y[0]) < abs(y[1]):
+    # Each root cell is marked at its first grid point.
+    cells = np.zeros(vals.size - 1, dtype=np.int8)
+    cells[start + np.flatnonzero(vals[start:-1] * vals[start + 1:] < 0.0)] = _CROSSING
+    cells[lo + np.flatnonzero((mid == 0.0) & ~dips)] = _ZERO
+    cells[lo - 1 + np.flatnonzero(dips)] = _DIP
+    if start == 0 and vals[0] * vals[1] >= 0.0 and abs(vals[0]) < abs(vals[1]):
         # |g| is least at the origin (0 where _origin_value finds the floor
         # of a dip there), so a vertex may lie in the first cell: a touch or
         # a pair nearer to E = 0 than the first grid point.
-        cells.append((0, 1))
-    for ia, ib in cells:
-        a, b = x[ia], x[ib]
-        slope_a, slope_b = slope(a), slope(b)
-        if slope_a * slope_b > 0.0:
-            continue  # a dip of rounding on a flat g: no vertex, no root
-        v = _brentq(slope, a, b, slope_a, slope_b)
-        gv = fun(v)
-        # _brentq leaves v within tol of the vertex in k, and g may sit lower
-        # there by half its curvature times the square of that distance in E.
-        tol = _BRENT_XTOL + _BRENT_RTOL * v
-        curvature = abs(slope_b - slope_a) / (b * b - a * a)
-        beta = noise(v) + 0.5 * curvature * ((2.0 * v + tol) * tol) ** 2
-        if math.copysign(1.0, y[ib]) * gv < -beta:
-            found.append((_brentq(fun, a, v, y[ia], gv), 1))
-            found.append((_brentq(fun, v, b, gv, y[ib]), 1))
-        elif abs(gv) <= beta:
-            found.append((v, 2))
-    found.sort(key=lambda t: t[0])
+        cells[0] = _ORIGIN
+
+    found: list[tuple[float, int]] = []
+    count = 0
+    where = np.flatnonzero(cells)
+    for i, kind in zip(where.tolist(), cells[where].tolist()):
+        if want is not None and count >= want:
+            break
+        a, ya = float(grid[i]), float(vals[i])
+        if kind == _ZERO:
+            roots = [(a, 1)]
+        else:
+            j = i + 2 if kind == _DIP else i + 1
+            b, yb = float(grid[j]), float(vals[j])
+            if kind == _CROSSING:
+                roots = [(_brentq(fun, a, b, ya, yb), 1)]
+            else:
+                roots = _dip_roots(fun, slope, noise, a, b, ya, yb)
+        found.extend(roots)
+        count += sum(m for _, m in roots)
     return found
+
+
+def _dip_roots(fun, slope, noise, a, b, ya, yb) -> list[tuple[float, int]]:
+    """The roots of g in a dip of |g| on [a, b], where g(a) and g(b) share a sign s.
+
+    The dip's vertex v is the root of slope (dg/dE) on [a, b]; without one
+    the dip is rounding on a flat g.  beta bounds what rounding can do to
+    g(v): noise(v) plus what the vertex's own tolerance adds.  If
+    s g(v) < -beta, g crosses zero on each side of v, and each crossing is
+    refined as a simple root; if |g(v)| <= beta, the pair cannot be told
+    from a touch, and v counts twice; otherwise the dip holds no root.  An
+    exact double is a simple root of the slope, so it comes back to full
+    precision.
+    """
+    slope_a, slope_b = slope(a), slope(b)
+    if slope_a * slope_b > 0.0:
+        return []  # a dip of rounding on a flat g: no vertex, no root
+    v = _brentq(slope, a, b, slope_a, slope_b)
+    gv = fun(v)
+    # _brentq leaves v within tol of the vertex in k, and g may sit lower
+    # there by half its curvature times the square of that distance in E.
+    tol = _BRENT_XTOL + _BRENT_RTOL * v
+    curvature = abs(slope_b - slope_a) / (b * b - a * a)
+    beta = noise(v) + 0.5 * curvature * ((2.0 * v + tol) * tol) ** 2
+    if math.copysign(1.0, yb) * gv < -beta:
+        return [(_brentq(fun, a, v, ya, gv), 1), (_brentq(fun, v, b, gv, yb), 1)]
+    if abs(gv) <= beta:
+        return [(v, 2)]
+    return []
 
 
 def _zero_level_multiplicity(bc: BoundaryCondition) -> int:
@@ -317,7 +369,7 @@ def _origin_value(proj: _Projection) -> float:
     if abs(g0) > proj.positive_noise(0.0):
         return g0
     above = proj.positive_scalar(math.pi / (GRID_DENSITY * proj.l))
-    below = float(proj.bound(KAPPA_CEILING / proj.l / _BOUND_CELLS))
+    below = proj.bound_scalar(KAPPA_CEILING / proj.l / _BOUND_CELLS)
     return 0.0 if above * below > 0.0 else g0
 
 
@@ -326,16 +378,19 @@ def _bound_roots(bc: BoundaryCondition, proj: _Projection, skip_origin: bool) ->
     vals = np.asarray(proj.bound(grid))
     vals[0] = _origin_value(proj)
     return _projected_roots(
-        grid, vals, lambda kappa: float(proj.bound(kappa)), proj.bound_slope, proj.bound_noise,
-        skip_origin,
+        grid, vals, proj.bound_scalar, proj.bound_slope, proj.bound_noise, skip_origin
     )
 
 
-def _scan(proj: _Projection, grid: np.ndarray, skip_origin: bool) -> list[tuple[float, int]]:
+def _scan(
+    proj: _Projection, grid: np.ndarray, skip_origin: bool, want: int | None = None
+) -> list[tuple[float, int]]:
+    """The lowest positive roots on grid, as many as want asks (all without it)."""
     vals = np.asarray(proj.positive(grid))
     vals[0] = _origin_value(proj)
     return _projected_roots(
-        grid, vals, proj.positive_scalar, proj.positive_slope, proj.positive_noise, skip_origin
+        grid, vals, proj.positive_scalar, proj.positive_slope, proj.positive_noise, skip_origin,
+        want,
     )
 
 
@@ -346,11 +401,18 @@ def _positive_roots(
     skip_origin: bool,
     k_max: float | None,
 ) -> list[tuple[float, int]]:
+    """The lowest positive roots, with multiplicities, until they count need + 1.
+
+    need levels are reported, but pairs are decided one level past the cut,
+    so one more root is refined; a dip may add two at once.  The scan widens
+    by half while fewer than need roots lie on its grid, up to 8 times its
+    first reach, or only to k_max when that is given.
+    """
     step = math.pi / (GRID_DENSITY * bc.l)
     hi = k_max if k_max is not None else (0.5 * need + 6.0) * math.pi / bc.l
     ceiling = hi if k_max is not None else 8.0 * hi
     while True:
-        roots = _scan(proj, np.arange(0.0, hi + step, step), skip_origin)
+        roots = _scan(proj, np.arange(0.0, hi + step, step), skip_origin, need + 1)
         if sum(m for _, m in roots) >= need or hi >= ceiling:
             return roots
         hi = min(1.5 * hi, ceiling)
@@ -362,7 +424,7 @@ def _check_positive(name: str, value: float) -> None:
 
 
 def det_scan(bc: BoundaryCondition, k_max: float, step: float | None = None) -> DetScan:
-    """Sweep det M over [0, k_max] and return the refined positive roots.
+    """Sweep det M over [0, k_max] and return every positive root on the grid, refined.
 
     Raises ValueError unless k_max and step (when given) are finite and
     positive.

@@ -541,6 +541,18 @@ PINNED_OUTPUT_SHA256 = [
          "--tracked", "6", "--format", "csv"),
         0, "f1eb1780b0fa0f34f8d50581065d6b88d58a5c1d7bd89fd64a1d8a83c183c584",
     ),
+    # The first trajectory leaves through the floor, so it is the shortest:
+    # the points of the others need the t values it never reaches.
+    (
+        ("trace", "--xi", "0.5", "--rho", "0.4", "--w-minus", "-1", "--steps", "64",
+         "--tracked", "4"),
+        0, "565cb0d5d5cb3020cebf893ccf6516a103ccdf57a25e47d1f089e633fc65ab30",
+    ),
+    (
+        ("trace", "--xi", "0.5", "--rho", "0.4", "--w-minus", "-1", "--steps", "64",
+         "--tracked", "4", "--format", "csv"),
+        0, "934c2361dec4628a71f15f542e5ea57c1f908188c77753df163094d279509405",
+    ),
     (
         ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
          "--grid-nu", "3", "--format", "csv"),
@@ -569,7 +581,8 @@ PINNED_OUTPUT_SHA256 = [
     ids=[
         "spectrum-csv", "spectrum-csv-degenerate", "spectrum-det-degenerate", "spectrum-fd",
         "spectrum-fd-csv", "eigenfunction", "eigenfunction-degenerate", "eigenfunction-csv",
-        "trace-csv", "trace-floored", "trace-floored-csv", "iso-csv", "compare-pass",
+        "trace-csv", "trace-floored", "trace-floored-csv", "trace-floored-first",
+        "trace-floored-first-csv", "iso-csv", "compare-pass",
         "compare-fail", "compare-fail-csv",
     ],
 )

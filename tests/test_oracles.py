@@ -27,9 +27,10 @@ from defectline import (
     params_to_matrix,
     solve_spectrum,
 )
+from defectline import oracles
 from defectline.cli import main
 from defectline.oracles import _fd_eliminated, _fd_lowest, _fd_parts, _fd_tridiagonal
-from defectline.spectrum import GRID_DENSITY, KAPPA_CEILING, solve_channel
+from defectline.spectrum import GRID_DENSITY, KAPPA_CEILING, _brentq, solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 
 TWO_PI = 2.0 * math.pi
@@ -326,6 +327,65 @@ def _gate_defects(draw):
 @given(_gate_defects())
 def test_det_spectrum_matches_channel_solver_at_the_gate(bc):
     assert _det_vs_channel(bc, 8) <= 1e-9
+
+
+@st.composite
+def _floor_defects(draw):
+    """A defect whose plus channel has its bound level at kappa l = 50 f:
+    f is 1 (on the floor) or within 20 % of it."""
+    l, L0, rho = draw(_sizes), draw(_sizes), draw(_rhos)
+    kappa = KAPPA_CEILING * draw(st.one_of(st.just(1.0), st.floats(0.8, 1.2))) / l
+    theta_plus = 2.0 * (math.pi - math.atan(kappa * L0 / math.tanh(kappa * l)))
+    p = UnitaryParams(theta_plus - rho, rho, draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, TWO_PI)))
+    return BoundaryCondition(params_to_matrix(p), l, L0)
+
+
+def _det_levels(bc, n, k_max):
+    try:
+        return [(lv.E, lv.k_or_kappa, lv.kind, lv.degenerate_with) for lv in det_spectrum(bc, n, k_max)]
+    except ScanExhausted as exc:
+        return str(exc)
+
+
+@given(
+    st.one_of(_gate_defects(), _floor_defects()),
+    st.integers(1, 40),
+    st.one_of(st.none(), st.floats(0.5, 60.0)),
+)
+def test_det_spectrum_equals_the_scan_that_refines_every_root(bc, n, reach):
+    # det_spectrum refines only the lowest n + 1 positive roots; the
+    # reference scan refines every root on its grid.  k_max, when drawn,
+    # ends the scan at kl = reach, which may hold fewer than n levels.
+    k_max = None if reach is None else reach / bc.l
+    scan = oracles._scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_scan", lambda proj, grid, skip_origin, want: scan(proj, grid, skip_origin))
+        reference = _det_levels(bc, n, k_max)
+    assert _det_levels(bc, n, k_max) == reference
+
+
+def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
+    # Generic defects have no dips and no zero-energy level, so each
+    # refinement is one root.  The scan reaches about n/2 + 6 branches of
+    # each channel, about n + 12 roots, but only the n + 1 levels that
+    # det_spectrum reads are refined, besides every bound root.
+    calls = []
+
+    def counting(f, *args):
+        calls.append(f.__name__)
+        return _brentq(f, *args)
+
+    monkeypatch.setattr(oracles, "_brentq", counting)
+    rng = np.random.default_rng(113)
+    for n in (1, 4, 6, 8, 20):
+        for _ in range(5):
+            p = UnitaryParams(rng.uniform(0.0, TWO_PI), rng.uniform(0.3, math.pi - 0.3),
+                              rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
+            calls.clear()
+            det_spectrum(BoundaryCondition(params_to_matrix(p)), n)
+            assert not {"positive_slope", "bound_slope"} & set(calls)  # no dips
+            bound = calls.count("bound_scalar")
+            assert len(calls) == (n + 1 if n > bound else bound)
 
 
 # ------------------------------------------------------------------ FD solver

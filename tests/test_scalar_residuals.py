@@ -216,6 +216,17 @@ def test_projection_positive_scalar_equals_vector_form(bc, seed):
     assert scalar == [float(proj.positive(x)) for x in k.tolist()]
 
 
+@given(projections(), seeds)
+def test_projection_bound_scalar_equals_vector_form(bc, seed):
+    proj = _Projection(bc)
+    kappa = _points(seed, KAPPA_CEILING / bc.l)
+    kappa[1:4] /= bc.l  # kappa l straddles the 1e-8 switch of sinhc
+    vec = proj.bound(kappa)
+    scalar = [proj.bound_scalar(x) for x in kappa.tolist()]
+    assert scalar == vec.tolist()
+    assert scalar == [float(proj.bound(x)) for x in kappa.tolist()]
+
+
 def _continued(proj, regime, e):
     # g of one regime at energy e, continued across E = 0 through
     # cosh(kappa l) = cos(k l): positive() times cosh^2 below it, bound()
