@@ -28,8 +28,9 @@ other and solve_channels solves them in one batch, with the doubles
 solve_channel returns at each sample.  The two channels never mix along
 theta-only paths, so each is labelled on its own.  The t = 0 ladder of each
 channel is solved once, deep enough both to split the tracked levels
-between the channels and to follow them; a channel with winding 0 keeps its
-theta, and its start ladder stands for every sample.
+between the channels and to follow them, and both ladders are one batched
+solve; a channel with winding 0 keeps its theta, and its start ladder stands
+for every sample.
 """
 
 from __future__ import annotations
@@ -132,15 +133,22 @@ def _start_ladders(path: PathSpec) -> dict[str, tuple[float, int, ChannelRows]]:
     """Each channel's theta, winding and t = 0 ladder, deep enough for both uses.
 
     The first n levels split the tracked levels between the channels; the
-    first n_tracked + |w| + 1 are the moving channel's first sample.
+    first n_tracked + |w| + 1 are the moving channel's first sample.  Both
+    ladders are one solve_channels batch, as deep as the deeper one needs,
+    and each channel keeps its own row to its own depth: a channel's first
+    levels are the same doubles at any depth and in any batch.
     """
     n = path.levels_tracked
+    thetas = (path.base.theta_plus, path.base.theta_minus)
+    rows = solve_channels(thetas, n + max(map(abs, path.winding)) + 1, path.l, path.L0)
     ladders = {}
-    for ch, theta, w in (
-        (CHANNEL_PLUS, path.base.theta_plus, path.winding[0]),
-        (CHANNEL_MINUS, path.base.theta_minus, path.winding[1]),
-    ):
-        ladders[ch] = (theta, w, solve_channels([theta], n + abs(w) + 1, path.l, path.L0))
+    for r, (ch, w) in enumerate(zip((CHANNEL_PLUS, CHANNEL_MINUS), path.winding)):
+        depth = n + abs(w) + 1
+        ladders[ch] = (thetas[r], w, ChannelRows(
+            theta=rows.theta[r:r + 1], E=rows.E[r:r + 1, :depth],
+            k_or_kappa=rows.k_or_kappa[r:r + 1, :depth], bound=rows.bound[r:r + 1],
+            zero=rows.zero[r:r + 1],
+        ))
     return ladders
 
 

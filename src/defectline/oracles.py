@@ -13,7 +13,13 @@ g.  The scan works on g divided by E (an entire function of E with a finite,
 generically nonzero limit at E = 0), which removes the spurious zero every
 system has at k = 0 and keeps near-threshold roots bracketable from the
 origin.  On the bound side g is additionally divided by cosh^2(kappa l) to
-strip the exponential growth.
+strip the exponential growth, which leaves a real quadratic in
+s = l tanh(kappa l) / (kappa l): det M is a quadratic form in (sin, k cos),
+and on the bound side both entries divided by cosh(kappa l) are s and 1.  s
+is monotone on the bound window, so Q's values at the window's two ends and
+at its vertex decide in closed form whether g keeps one sign there by more
+than its rounding; where it does the window holds no root, and its grid is
+never built.  A defect has at most two bound levels, and most have none.
 
 One rule finds every root, for every U.  A sign change of g on the grid is a
 simple root.  A dip of |g| between two grid neighbours of its own sign is a
@@ -373,7 +379,37 @@ def _origin_value(proj: _Projection) -> float:
     return 0.0 if above * below > 0.0 else g0
 
 
+def _bound_window_empty(proj: _Projection) -> bool:
+    """Whether g keeps one sign on the whole bound window, in closed form.
+
+    On [0, KAPPA_CEILING / l] bound(kappa) is Q(s) = a2 s^2 + a1 s + a0 in
+    s = l tanh(kappa l) / (kappa l): dividing sigma = sinh(kappa l) / kappa
+    and tau = cosh(kappa l) by cosh(kappa l) leaves s and 1.  s falls
+    monotonically from l to l tanh(50) / 50, so Q's least and greatest
+    values on the window lie at its ends or at Q's vertex.  The window holds
+    no root when Q has one sign at all of them, each farther from 0 than
+    three rounding bounds: the rounding of g anywhere on the window, the
+    bound that the dip rule grants g at a vertex, and Q's own rounding.
+    bound_noise's terms grow with s and kappa, so each is at most
+    bound_noise's terms at s = l, tau = 1 and 1 + kappa l = 1 + KAPPA_CEILING.
+    Otherwise the scan decides, as if there were no test.
+    """
+    a2 = float((-proj.det_a / proj.phase).real)
+    a1 = float((-proj.mixed / proj.phase).real)
+    a0 = float((-proj.det_b / proj.phase).real)
+    s_hi = proj.l
+    s_lo = proj.l * math.tanh(KAPPA_CEILING) / KAPPA_CEILING
+    points = [s_lo, s_hi]
+    if a2 != 0.0 and s_lo < -a1 / (2.0 * a2) < s_hi:
+        points.append(-a1 / (2.0 * a2))
+    q = [(a2 * s + a1) * s + a0 for s in points]
+    margin = 3.0 * proj._noise(proj.l, 1.0, KAPPA_CEILING)
+    return all(v > margin for v in q) or all(v < -margin for v in q)
+
+
 def _bound_roots(bc: BoundaryCondition, proj: _Projection, skip_origin: bool) -> list[tuple[float, int]]:
+    if _bound_window_empty(proj):
+        return []
     grid = np.linspace(0.0, KAPPA_CEILING / bc.l, _BOUND_CELLS + 1)
     vals = np.asarray(proj.bound(grid))
     vals[0] = _origin_value(proj)
@@ -694,6 +730,10 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     solve (ARPACK, _fd_lowest) takes the lowest real levels.  When the
     junction block is singular the generalized eigenproblem is solved
     densely instead.  Every path is deterministic to the last bit.
+
+    The last digits of a level depend on n: bisection and ARPACK both work
+    on the whole index range asked for, so the same level can come back a
+    few ulps apart for two values of n.
 
     Eigenvalues with |Im E| > 1e-6 (1 + |E|) are discarded, and so are
     levels deeper than kappa l = KAPPA_CEILING, which the channel and

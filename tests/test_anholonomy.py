@@ -123,23 +123,27 @@ def test_sample_count_and_time_range():
         assert tr.t_values[0] == 0.0 and tr.t_values[-1] == 1.0
 
 
-def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
-    # Work counter: each channel's t = 0 ladder is one single-row solve, and
-    # the moving channel's other samples are one batched solve, not one
-    # solve per step.
+def _counting_solves(monkeypatch):
     calls = []
 
     def counting(thetas, n, l=1.0, L0=1.0):
-        calls.append(list(thetas))
+        calls.append((list(thetas), n))
         return solve_channels(thetas, n, l, L0)
 
     monkeypatch.setattr(anholonomy, "solve_channels", counting)
+    return calls
+
+
+def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
+    # Work counter: both channels' t = 0 ladders are one two-row solve, and
+    # the moving channel's other samples are one batched solve, not one
+    # solve per step.
+    calls = _counting_solves(monkeypatch)
     path = PathSpec(winding=(1, 0), base=BASE, n_steps=64, levels_tracked=6)
     trajectories = trace_path(path)
     ts = anholonomy._t_grid(path.n_steps)
-    assert calls == [
-        [BASE.theta_plus],
-        [BASE.theta_minus],
+    assert [thetas for thetas, _ in calls] == [
+        [BASE.theta_plus, BASE.theta_minus],
         [BASE.theta_plus + 2.0 * math.pi * t for t in ts[1:]],
     ]
 
@@ -151,6 +155,29 @@ def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
         assert np.array_equal(tr.t_values, moving[0].t_values)
         assert tr.end_index == tr.start_index
         assert np.all(tr.E_values == ladder[tr.start_index].E)
+
+
+@pytest.mark.parametrize("winding", [(0, 0), (1, 0), (1, 1), (2, -1)])
+def test_start_ladders_are_one_batch(monkeypatch, winding):
+    # One solve_channels call holds both t = 0 ladders, as deep as the
+    # deeper one needs, and each moving channel adds one call for its other
+    # samples.  Each channel's start ladder keeps the doubles of a solve of
+    # its own row to its own depth, so the trajectories do not move.
+    path = PathSpec(winding=winding, base=BASE, n_steps=64, levels_tracked=6)
+    ladders = anholonomy._start_ladders(path)
+    for ch, theta, w in (("plus", BASE.theta_plus, winding[0]),
+                         ("minus", BASE.theta_minus, winding[1])):
+        own = solve_channels([theta], 6 + abs(w) + 1)
+        rows = ladders[ch][2]
+        assert ladders[ch][:2] == (theta, w)
+        for field in ("theta", "E", "k_or_kappa", "bound", "zero"):
+            assert np.array_equal(getattr(rows, field), getattr(own, field))
+
+    calls = _counting_solves(monkeypatch)
+    trace_path(path)
+    moving = sum(1 for w in winding if w)
+    assert len(calls) == 1 + moving
+    assert calls[0] == ([BASE.theta_plus, BASE.theta_minus], 6 + max(map(abs, winding)) + 1)
 
 
 def test_degenerate_start_is_rejected():

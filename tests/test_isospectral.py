@@ -16,6 +16,7 @@ from defectline import (
     params_to_matrix,
     parity_family,
 )
+from defectline import isospectral
 
 TWO_PI = 2.0 * math.pi
 
@@ -125,6 +126,47 @@ def test_check_isospectral_fd_solver():
     )
     assert report.solver_used == "fd"
     assert report.max_level_deviation <= 5e-3
+
+
+def _sweep_solving_the_pole(d_params, grid, n, solver, n_interior):
+    # check_isospectral as it was before it read the mu = 0 pole from the
+    # base solve: every grid point solved, the pole too.
+    xi, rho = d_params
+    def energies(mu, nu):
+        u = params_to_matrix(UnitaryParams(xi, rho, mu, nu))
+        return isospectral._energies(u, solver, n, 1.0, 1.0, n_interior)
+
+    base = energies(0.0, 0.0)
+    scale = 1.0 + np.abs(base) if solver == "fd" else np.ones_like(base)
+    worst, worst_point = -1.0, (0.0, 0.0)
+    for mu, nu in grid.points():
+        dev = float(np.max(np.abs(energies(mu, nu) - base) / scale))
+        if dev > worst:
+            worst, worst_point = dev, (mu, nu)
+    return worst, worst_point
+
+
+@pytest.mark.parametrize(
+    "solver, d_params, grid",
+    [("determinant", (2.0, 0.9), SphereGrid.default(2, 3)),
+     ("channel", (2.6, 1.1), SphereGrid.default(2, 3)),
+     ("fd", (0.8, 1.4), SphereGrid.default(1, 2))],
+)
+def test_check_isospectral_reads_the_pole_from_the_base_solve(monkeypatch, solver, d_params, grid):
+    # The mu = 0 pole is the base matrix bit for bit, so a sweep solves the
+    # base and every other grid point: len(grid) matrices, not len(grid) + 1.
+    reference = _sweep_solving_the_pole(d_params, grid, 4, solver, 64)
+    solved = []
+    energies = isospectral._energies
+
+    def counting(u, *args):
+        solved.append(u)
+        return energies(u, *args)
+
+    monkeypatch.setattr(isospectral, "_energies", counting)
+    report = check_isospectral(d_params, grid, 4, solver=solver, n_interior=64)
+    assert len(solved) == len(grid)
+    assert (report.max_level_deviation, report.worst_point) == reference
 
 
 def test_check_isospectral_validation():

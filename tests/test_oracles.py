@@ -364,6 +364,82 @@ def test_det_spectrum_equals_the_scan_that_refines_every_root(bc, n, reach):
     assert _det_levels(bc, n, k_max) == reference
 
 
+# Edge defects for the closed-form test of the bound window, on boxes with l
+# and L0 in 10^(+-2): one eigenphase within 1e-12...1e-2 of 0 or pi, U = +-I
+# up to the rounding of its frame, or both channels bound at kappa l in
+# 1e-2...50, so that Q's two roots straddle its vertex.
+_wide = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
+_off_edge = st.floats(-12.0, -2.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _edge_defects(draw):
+    l, L0 = draw(_wide), draw(_wide)
+    kind = draw(st.sampled_from(["near", "scalar", "two_bound"]))
+    if kind == "near":
+        edge = draw(st.sampled_from([0.0, math.pi]))
+        theta_plus = edge + draw(_off_edge) * draw(st.sampled_from([-1.0, 1.0]))
+        theta_minus = draw(st.floats(0.0, TWO_PI))
+    elif kind == "scalar":
+        theta_plus = theta_minus = draw(st.sampled_from([0.0, math.pi]))
+    else:
+        kappa = st.floats(-2.0, math.log10(KAPPA_CEILING)).map(lambda e: 10.0**e / l)
+        theta_plus, theta_minus = (
+            2.0 * (math.pi - math.atan(k * L0 / math.tanh(k * l))) for k in (draw(kappa), draw(kappa))
+        )
+    p = UnitaryParams(
+        0.5 * (theta_plus + theta_minus), 0.5 * (theta_plus - theta_minus),
+        draw(st.floats(0.0, math.pi)), draw(st.floats(0.0, TWO_PI)),
+    )
+    return BoundaryCondition(params_to_matrix(p), l, L0)
+
+
+@given(st.one_of(_gate_defects(), _floor_defects(), _edge_defects()), st.integers(1, 8))
+def test_det_spectrum_skips_only_a_bound_window_without_roots(bc, n):
+    # The closed-form window test may only skip a bound scan that finds no
+    # root: det_spectrum keeps its doubles when the test always fails.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_bound_window_empty", lambda proj: False)
+        reference = _det_levels(bc, n, None)
+    assert _det_levels(bc, n, None) == reference
+
+
+def test_det_spectrum_of_a_defect_without_bound_levels_scans_no_bound_grid(monkeypatch):
+    calls = []
+    bound = oracles._Projection.bound
+
+    def counting(proj, kappa):
+        calls.append(kappa)
+        return bound(proj, kappa)
+
+    monkeypatch.setattr(oracles._Projection, "bound", counting)
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.2, 0.8, 0.7, 4.1)))
+    assert "bound" not in solve_spectrum(bc, 6).kind
+    assert _det_vs_channel(bc, 6) <= 1e-9
+    assert calls == []
+
+
+def test_bound_window_test_leaves_the_threshold_and_the_floor_to_the_scan():
+    # T = 0 puts a root of Q on the window's end s = l, and a bound root on
+    # the kappa l = 50 ceiling one on its end s = l tanh(50) / 50: g lies
+    # within rounding of 0 there, so the scan decides, and never the skip.
+    rng = np.random.default_rng(131)
+    for l, L0 in ((1.0, 1.0), (0.3, 2.0), (5.0, 0.2)):
+        kappa = KAPPA_CEILING / l
+        for theta_plus in (
+            2.0 * math.atan2(L0, -l), 2.0 * (math.pi - math.atan(kappa * L0 / math.tanh(kappa * l)))
+        ):
+            for rho, mu, nu in rng.uniform(0.05, 3.0, (5, 3)):
+                p = UnitaryParams(theta_plus - rho, rho, mu, nu)
+                proj = oracles._Projection(BoundaryCondition(params_to_matrix(p), l, L0))
+                assert not oracles._bound_window_empty(proj)
+    # A bound root on the floor that det keeps (see _gate_defects).
+    p = UnitaryParams(xi=3.182587321536094, rho=-0.001, mu=1.5703728657700096, nu=0.0)
+    bc = BoundaryCondition(params_to_matrix(p))
+    assert not oracles._bound_window_empty(oracles._Projection(bc))
+    assert det_spectrum(bc, 1)[0].E == pytest.approx(-KAPPA_CEILING**2)
+
+
 def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
     # Generic defects have no dips and no zero-energy level, so each
     # refinement is one root.  The scan reaches about n/2 + 6 branches of
