@@ -24,13 +24,18 @@ with floored_out=True.
 
 The loop is sampled on a fixed grid, t <- min(t + 1/n_steps, 1) until t is
 within 1e-12 of 1, so the samples of a moving channel do not depend on each
-other and solve_channels solves them in one batch, with the doubles
-solve_channel returns at each sample.  The two channels never mix along
-theta-only paths, so each is labelled on its own.  The t = 0 ladder of each
-channel is solved once, deep enough both to split the tracked levels
-between the channels and to follow them, and both ladders are one batched
-solve; a channel with winding 0 keeps its theta, and its start ladder stands
-for every sample.
+other, and every level is the double solve_channel returns at its sample.
+The two channels never mix along theta-only paths, so each is labelled on
+its own.  One solve_channels batch holds the t = 0 ladder of each channel,
+whose lowest levels split the tracked levels between the channels, and the
+last-sample ladder of each moving channel, solved from the bottom because
+it sets end_index.  At every other sample a moving channel's tracked levels
+are the count consecutive labels from the lowest tracked unwrapped label
+plus that sample's 2 pi crossings, and one more batch solves just those:
+a window of branch labels where that label is >= 1, the bottom of the
+ladder where it is <= 0 and a tracked level may have floored out.  A
+channel with winding 0 keeps its theta, and its start ladder stands for
+every sample.
 """
 
 from __future__ import annotations
@@ -106,12 +111,18 @@ def _t_grid(n_steps: int) -> list[float]:
     return ts
 
 
-def _unwrapped_labels(rows: ChannelRows, thetas: list[float], l: float, L0: float) -> np.ndarray:
-    """Integer branch label of every level, less the 2 pi crossings of its theta.
+def _crossings(thetas: list[float]) -> np.ndarray:
+    """How many times solve_channels' reduction into [0, 2 pi) takes 2 pi off each theta.
 
-    ``thetas`` are the eigenphases before reduction into [0, 2 pi), in the
-    order of the rows.
+    numpy's float % is Python's (fmod, then the same sign fix), so the
+    remainders are the reduced thetas solve_channels works with.
     """
+    theta = np.array(thetas)
+    return np.rint((theta - theta % TWO_PI) / TWO_PI).astype(int)
+
+
+def _unwrapped_labels(rows: ChannelRows, crossings: np.ndarray, l: float, L0: float) -> np.ndarray:
+    """Integer branch label of every level, less the 2 pi crossings of its row's theta."""
     s2 = np.sin(rows.theta / 2.0)[:, None]
     c2 = np.cos(rows.theta / 2.0)[:, None]
     k = rows.k_or_kappa
@@ -125,29 +136,37 @@ def _unwrapped_labels(rows: ChannelRows, thetas: list[float], l: float, L0: floa
     labels = labels.astype(int)
     if np.any(np.diff(labels, axis=1) != 1):
         raise ContinuationLost("the levels of a sample carry non-consecutive branch labels")
-    crossings = np.rint((np.array(thetas) - rows.theta) / TWO_PI).astype(int)
     return labels - crossings[:, None]
 
 
-def _start_ladders(path: PathSpec) -> dict[str, tuple[float, int, ChannelRows]]:
-    """Each channel's theta, winding and t = 0 ladder, deep enough for both uses.
+def _start_ladders(path: PathSpec, t_end: float) -> dict[str, tuple[float, int, ChannelRows]]:
+    """Each channel's theta, winding and ladders at the ends of the loop.
 
-    The first n levels split the tracked levels between the channels; the
-    first n_tracked + |w| + 1 are the moving channel's first sample.  Both
-    ladders are one solve_channels batch, as deep as the deeper one needs,
-    and each channel keeps its own row to its own depth: a channel's first
-    levels are the same doubles at any depth and in any batch.
+    A channel's ladders are the rows of its t = 0 sample and, when it moves,
+    of its last sample, t_end, each n + |w| + 1 deep.  The first n levels
+    at t = 0 split the tracked levels between the channels and start them;
+    the last sample sets end_index, and a tracked level's index moves by at
+    most |w| through the 2 pi crossings and by one as the floor level comes
+    and goes.  All ladders are one solve_channels batch, as deep as the
+    deepest one needs, and each channel keeps its own rows to its own depth:
+    a channel's first levels are the same doubles at any depth and in any
+    batch.
     """
     n = path.levels_tracked
     thetas = (path.base.theta_plus, path.base.theta_minus)
-    rows = solve_channels(thetas, n + max(map(abs, path.winding)) + 1, path.l, path.L0)
+    ends = [theta + TWO_PI * w * t_end for theta, w in zip(thetas, path.winding) if w]
+    rows = solve_channels(
+        [*thetas, *ends], n + max(map(abs, path.winding)) + 1, path.l, path.L0
+    )
     ladders = {}
+    last = len(thetas)
     for r, (ch, w) in enumerate(zip((CHANNEL_PLUS, CHANNEL_MINUS), path.winding)):
+        at = [r, last] if w else [r]
+        last += bool(w)
         depth = n + abs(w) + 1
         ladders[ch] = (thetas[r], w, ChannelRows(
-            theta=rows.theta[r:r + 1], E=rows.E[r:r + 1, :depth],
-            k_or_kappa=rows.k_or_kappa[r:r + 1, :depth], bound=rows.bound[r:r + 1],
-            zero=rows.zero[r:r + 1],
+            theta=rows.theta[at], E=rows.E[at, :depth], k_or_kappa=rows.k_or_kappa[at, :depth],
+            bound=rows.bound[at], zero=rows.zero[at],
         ))
     return ladders
 
@@ -166,45 +185,58 @@ def _tracked_counts(ladders, n: int) -> dict[str, int]:
 
 
 def _follow(
-    channel: str, theta0: float, w: int, start: ChannelRows, count: int,
+    channel: str, theta0: float, w: int, ends: ChannelRows, count: int,
     ts: list[float], path: PathSpec,
 ) -> list[LevelTrajectory]:
-    """The trajectories of the lowest ``count`` levels of one channel."""
+    """The trajectories of the lowest ``count`` levels of one channel.
+
+    ``ends`` holds the channel's ladders at the first and, if it moves, the
+    last sample.
+    """
     if w == 0:
         return [
             LevelTrajectory(
                 t_values=np.array(ts),
-                E_values=np.full(len(ts), start.E[0, i]),
+                E_values=np.full(len(ts), ends.E[0, i]),
                 start_index=i,
                 end_index=i,
                 channel=channel,
             )
             for i in range(count)
         ]
-    # A tracked level's index moves by at most |w| through the 2 pi
-    # crossings and by one as the floor level comes and goes.
-    n_fetch = count + abs(w) + 1
     thetas = [theta0 + TWO_PI * w * t for t in ts]
-    rest = solve_channels(thetas[1:], n_fetch, path.l, path.L0)
-    E = np.vstack([start.E[:, :n_fetch], rest.E])
-    labels = np.vstack([
-        _unwrapped_labels(start, thetas[:1], path.l, path.L0)[:, :n_fetch],
-        _unwrapped_labels(rest, thetas[1:], path.l, path.L0),
+    crossings = _crossings(thetas)
+    end_labels = _unwrapped_labels(ends, crossings[[0, -1]], path.l, path.L0)
+    tracked = end_labels[0, :count]
+    # The interior samples hold the tracked labels only, from the bottom of
+    # the ladder where the lowest of them is <= 0.
+    inner = solve_channels(
+        thetas[1:-1], count, path.l, path.L0, tracked[0] + crossings[1:-1]
+    )
+    # Each sample's levels carry consecutive labels from the unwrapped label
+    # of its first level on, so a tracked label below that one has left the
+    # ladder through the floor.
+    first = np.concatenate([
+        end_labels[:1, 0], _unwrapped_labels(inner, crossings[1:-1], path.l, path.L0)[:, 0],
+        end_labels[1:, 0],
     ])
-    # Row j holds the labels labels[j, 0], labels[j, 0] + 1, ...; a tracked
-    # label below that has left the ladder through the floor.
-    index = labels[0, :count] - labels[:, :1]
+    index = tracked - first[:, None]
+    held = np.full(len(ts), count)
+    held[[0, -1]] = ends.E.shape[1]
+    E = np.full((len(ts), ends.E.shape[1]), np.nan)
+    E[[0, -1]], E[1:-1, :count] = ends.E, inner.E
     samples = np.arange(len(ts))
     trajectories = []
     for i in range(count):
         gone = np.flatnonzero(index[:, i] < 0)
-        end = int(gone[0]) if gone.size else len(ts)
-        if np.any(index[:end, i] >= n_fetch):
+        stop = int(gone[0]) if gone.size else len(ts)
+        # A witness: every sample the level reaches holds its label.
+        if np.any(index[:stop, i] >= held[:stop]):
             raise ContinuationLost(f"{channel} channel ran out of fetched levels")
         trajectories.append(
             LevelTrajectory(
-                t_values=np.array(ts[:end]),
-                E_values=E[samples[:end], index[:end, i]],
+                t_values=np.array(ts[:stop]),
+                E_values=E[samples[:stop], index[:stop, i]],
                 start_index=i,
                 end_index=-1 if gone.size else int(index[-1, i]),
                 channel=channel,
@@ -222,13 +254,13 @@ def trace_path(path: PathSpec) -> list[LevelTrajectory]:
     ContinuationLost when the branch labels of a sample are not consecutive
     integers, and propagates solver errors from the channel solves.
     """
-    ladders = _start_ladders(path)
-    counts = _tracked_counts(ladders, path.levels_tracked)
     ts = _t_grid(path.n_steps)
+    ladders = _start_ladders(path, ts[-1])
+    counts = _tracked_counts(ladders, path.levels_tracked)
     trajectories = []
-    for ch, (theta0, w, start) in ladders.items():
+    for ch, (theta0, w, ends) in ladders.items():
         if counts[ch]:
-            trajectories += _follow(ch, theta0, w, start, counts[ch], ts, path)
+            trajectories += _follow(ch, theta0, w, ends, counts[ch], ts, path)
     trajectories.sort(key=lambda tr: tr.E_values[0])
     return trajectories
 

@@ -111,8 +111,10 @@ _TRAJECTORY = _Shape({
     "record": '"trajectory"', "trajectory": _D, "channel": _S, "start_index": _D,
     "end_index": _D, "floored_out": _W,
 }, _TRACE_COLUMNS)
-# A point's t comes as text, formatted once per op by _cmd_trace.
+# A point's t comes as text, formatted once per op by _cmd_trace, and so
+# does the one E of a stationary trajectory.
 _POINT = _Shape({"record": '"point"', "trajectory": _D, "t": _W, "E": _G}, _TRACE_COLUMNS)
+_STATIONARY_POINT = _Shape({**_POINT.fields, "E": _W}, _TRACE_COLUMNS)
 _SUMMARY = _Shape({"record": '"summary"', "s_plus": _D, "s_minus": _D}, _TRACE_COLUMNS)
 _COMPARE = _Shape(
     {"level": _D, "E_channel": _G, "E_det": _G, "E_fd": _G, "delta_det": _G, "delta_fd": _G}
@@ -366,7 +368,12 @@ def _cmd_trace(s: _Settings, out: IO[str]) -> int:
     for i, tr in enumerate(trajectories):
         header = (i, tr.channel, tr.start_index, tr.end_index, _WORD[tr.floored_out])
         parts.append((_TRAJECTORY, [header]))
-        parts.append((_POINT, zip(itertools.repeat(i), t_text, tr.E_values.tolist())))
+        bits = tr.E_values.view(np.int64)  # bit for bit, so -0.0 is not 0.0
+        if (bits == bits[0]).all():
+            text = itertools.repeat(_G % tr.E_values[0].item(), bits.size)
+            parts.append((_STATIONARY_POINT, zip(itertools.repeat(i), t_text, text)))
+        else:
+            parts.append((_POINT, zip(itertools.repeat(i), t_text, tr.E_values.tolist())))
     parts.append((_SUMMARY, [(s_plus, s_minus)]))
     _write(out, _output_format(s), *parts)
     return 0

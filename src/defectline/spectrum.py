@@ -26,11 +26,14 @@ at a time on a pure-math F/k for short ladders, and every bracket in lock
 step on numpy arrays from _ARRAY_BRENT_MIN of them on; both give the same
 doubles.  The search takes many channels of one box at once (solve_channels,
 one row per channel), and a single channel is its one-row case, so a batch
-returns the doubles of one solve per channel.  The merged spectrum solves
-its two channels as one such batch, only as deep as the labels prove the
-merge reaches, about n/2.  One array sort merges the two rows, one
-comparison of neighbours over n + 1 levels flags degenerate pairs, and the
-levels stay columns; EigenLevel objects are built only when asked for.
+returns the doubles of one solve per channel.  As each label has its own
+window, a row may also start at a given label above the bottom of its
+ladder, with the same doubles for the labels it shares with the bottom.
+The merged spectrum solves its two channels as one such batch, only as
+deep as the labels prove the merge reaches, about n/2.  One array sort
+merges the two rows, one comparison of neighbours over n + 1 levels flags
+degenerate pairs, and the levels stay columns; EigenLevel objects are built
+only when asked for.
 """
 
 from __future__ import annotations
@@ -389,10 +392,13 @@ def _refine(scalar, vector, s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -
     return _brentq_array(lambda x, i: vector(s2[i], c2[i], l, L0, x), xa, xb, fa, fb)
 
 
-def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin) -> None:
+def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin, from_label) -> None:
     """Fill out[r, first[r]:] with the lowest positive roots of F of row r.
 
-    Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0).
+    Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0);
+    where from_label (None or one label per row) has from_label[r] >= 1
+    (and first[r] is 0), it holds the roots of label from_label[r] on, the
+    same doubles as the row from its bottom.
     A cell of the grid step * j holds a root when F/k changes sign across
     it, or when F/k is exactly 0 at its left end other than at the origin
     (where F/k = T and the root of F is spurious); a row with
@@ -419,8 +425,11 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin)
     m0 = t0 >= 0.0
     if skip_origin.any():
         m0 |= skip_origin & (t0 * _fhat_half(s2, c2, l, L0, step) < 0.0)
+    m0 = m0 - first  # the label of column 0
+    if from_label is not None:
+        m0 = np.where(from_label > 0, from_label, m0)
     r, col = np.nonzero(np.arange(out.shape[1]) >= first[:, None])
-    m = (m0 - first)[r] + col
+    m = m0[r] + col
     lo = np.maximum(m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))[r], 0)
     # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
     sign = (m & 1) * 2.0 - 1.0
@@ -459,12 +468,12 @@ def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool)
     out = np.empty((1, n))
     _scan_rows(
         np.array([s2]), np.array([c2]), l, L0, out, np.zeros(1, dtype=np.intp),
-        np.array([skip_origin]),
+        np.array([skip_origin]), None,
     )
     return out[0].tolist()
 
 
-def _solve_rows(thetas: list[float], l: float, L0: float, n: int):
+def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np.ndarray | None):
     """solve_channel's lowest n levels of each channel theta of one box (l, L0).
 
     ``thetas`` are reduced into [0, 2 pi) already.  Returns k_or_kappa as an
@@ -472,7 +481,9 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int):
     is bound and whether it is the zero-energy level; every other level is
     positive.  A bound root refines by Brent on the window [0, cap] of
     G/kappa, cap = KAPPA_CEILING / l, all rows together like the positive
-    roots.
+    roots.  Where from_label is given, a row with from_label[r] >= 1 holds
+    the n levels of label from_label[r] on, all positive, and needs no bound
+    root.
     """
     rows = len(thetas)
     s2 = np.empty(rows)
@@ -480,9 +491,12 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int):
     zero = np.zeros(rows, dtype=bool)
     cap = KAPPA_CEILING / l
     brackets = []
-    for r, theta in enumerate(thetas):
+    labels = [0] * rows if from_label is None else from_label.tolist()
+    for r, (theta, label) in enumerate(zip(thetas, labels)):
         s, c = _half_angle(theta)
         s2[r], c2[r] = s, c
+        if label > 0:
+            continue
         t0 = l * s + L0 * c
         if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
             # At the threshold T = 0 the E = 0 level is recorded as such;
@@ -506,7 +520,7 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int):
             _ghat_scalar, _ghat_half, s2, c2, l, L0, at, np.zeros(at.size), np.full(at.size, cap),
             ga, gb,
         )
-    _scan_rows(s2, c2, l, L0, k_or_kappa, (bound | zero).astype(np.intp), zero)
+    _scan_rows(s2, c2, l, L0, k_or_kappa, (bound | zero).astype(np.intp), zero, from_label)
     return k_or_kappa, bound, zero
 
 
@@ -531,9 +545,10 @@ class ChannelRows:
 
     Row r holds, in ``E`` and ``k_or_kappa``, the doubles that solve_channel
     returns for the channel of eigenphase ``theta[r]`` (reduced into
-    [0, 2 pi)).  The first level of row r is bound where ``bound[r]``,
-    the zero-energy level where ``zero[r]``, and every other level is
-    positive.
+    [0, 2 pi)): its lowest n levels, or, in a label window, its n levels
+    from a given branch label on.  The first level of row r is bound where
+    ``bound[r]``, the zero-energy level where ``zero[r]``, and every other
+    level is positive; a label window holds positive levels only.
     """
 
     theta: np.ndarray
@@ -543,12 +558,20 @@ class ChannelRows:
     zero: np.ndarray
 
 
-def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0) -> ChannelRows:
+def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=None) -> ChannelRows:
     """solve_channel for every eigenphase in ``thetas`` on one box, in one batch.
 
     Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  Every
     root of every channel is searched in the same passes and refined in one
     _refine call, so a batch costs array operations, not a loop per channel.
+
+    ``from_label``, one integer per eigenphase, opens a label window: where
+    from_label[r] >= 1, row r holds the n levels of branch label
+    m = (kl + atan2(k L0 cos(theta/2), sin(theta/2))) / pi from
+    from_label[r] on, each the double a solve from the bottom of the ladder
+    returns for its label, and needs no bound-state refinement.  A row with
+    from_label[r] <= 0, as every row without it, holds the lowest n levels,
+    whose labels start at 0 or 1.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -556,7 +579,11 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0) -> ChannelRo
     if not all(math.isfinite(t) for t in thetas):
         raise ValueError("theta must be finite")
     theta = [t % (2.0 * math.pi) for t in thetas]
-    k_or_kappa, bound, zero = _solve_rows(theta, l, L0, n)
+    if from_label is not None:
+        from_label = np.asarray(from_label, dtype=np.intp)
+        if from_label.shape != (len(theta),):
+            raise ValueError("from_label must hold one label per eigenphase")
+    k_or_kappa, bound, zero = _solve_rows(theta, l, L0, n, from_label)
     with np.errstate(over="ignore"):
         E = k_or_kappa * k_or_kappa
     if not np.isfinite(E).all():

@@ -18,7 +18,7 @@ from defectline import (
     trace_path,
     trajectory_shifts,
 )
-from defectline import anholonomy
+from defectline import anholonomy, spectrum
 from defectline.spectrum import solve_channel, solve_channels
 
 BASE = UnitaryParams(xi=2.2, rho=0.8)  # theta+ = 3.0, theta- = 1.4
@@ -126,25 +126,25 @@ def test_sample_count_and_time_range():
 def _counting_solves(monkeypatch):
     calls = []
 
-    def counting(thetas, n, l=1.0, L0=1.0):
-        calls.append((list(thetas), n))
-        return solve_channels(thetas, n, l, L0)
+    def counting(thetas, n, l=1.0, L0=1.0, from_label=None):
+        calls.append((list(thetas), n, from_label))
+        return solve_channels(thetas, n, l, L0, from_label)
 
     monkeypatch.setattr(anholonomy, "solve_channels", counting)
     return calls
 
 
 def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
-    # Work counter: both channels' t = 0 ladders are one two-row solve, and
-    # the moving channel's other samples are one batched solve, not one
-    # solve per step.
+    # Work counter: both channels' t = 0 ladders and the moving channel's
+    # last-sample ladder are one three-row solve, and the moving channel's
+    # interior samples are one batched solve, not one solve per step.
     calls = _counting_solves(monkeypatch)
     path = PathSpec(winding=(1, 0), base=BASE, n_steps=64, levels_tracked=6)
     trajectories = trace_path(path)
     ts = anholonomy._t_grid(path.n_steps)
-    assert [thetas for thetas, _ in calls] == [
-        [BASE.theta_plus, BASE.theta_minus],
-        [BASE.theta_plus + 2.0 * math.pi * t for t in ts[1:]],
+    assert [thetas for thetas, _, _ in calls] == [
+        [BASE.theta_plus, BASE.theta_minus, BASE.theta_plus + 2.0 * math.pi * ts[-1]],
+        [BASE.theta_plus + 2.0 * math.pi * t for t in ts[1:-1]],
     ]
 
     moving = [tr for tr in trajectories if tr.channel == "plus" and not tr.floored_out]
@@ -159,25 +159,88 @@ def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
 
 @pytest.mark.parametrize("winding", [(0, 0), (1, 0), (1, 1), (2, -1)])
 def test_start_ladders_are_one_batch(monkeypatch, winding):
-    # One solve_channels call holds both t = 0 ladders, as deep as the
-    # deeper one needs, and each moving channel adds one call for its other
-    # samples.  Each channel's start ladder keeps the doubles of a solve of
-    # its own row to its own depth, so the trajectories do not move.
+    # One solve_channels call holds both t = 0 ladders and the last-sample
+    # ladder of each moving channel, as deep as the deepest one needs, and
+    # each moving channel adds one call for its interior samples.  Each
+    # ladder keeps the doubles of a solve of its own row to its own depth,
+    # so the trajectories do not move.
     path = PathSpec(winding=winding, base=BASE, n_steps=64, levels_tracked=6)
-    ladders = anholonomy._start_ladders(path)
+    t_end = anholonomy._t_grid(path.n_steps)[-1]
+    ladders = anholonomy._start_ladders(path, t_end)
+    ends = []
     for ch, theta, w in (("plus", BASE.theta_plus, winding[0]),
                          ("minus", BASE.theta_minus, winding[1])):
-        own = solve_channels([theta], 6 + abs(w) + 1)
+        own = [theta]
+        if w:
+            ends.append(theta + 2.0 * math.pi * w * t_end)
+            own.append(ends[-1])
+        own = solve_channels(own, 6 + abs(w) + 1)
         rows = ladders[ch][2]
         assert ladders[ch][:2] == (theta, w)
         for field in ("theta", "E", "k_or_kappa", "bound", "zero"):
             assert np.array_equal(getattr(rows, field), getattr(own, field))
 
     calls = _counting_solves(monkeypatch)
-    trace_path(path)
+    trajectories = trace_path(path)
     moving = sum(1 for w in winding if w)
     assert len(calls) == 1 + moving
-    assert calls[0] == ([BASE.theta_plus, BASE.theta_minus], 6 + max(map(abs, winding)) + 1)
+    assert calls[0] == (
+        [BASE.theta_plus, BASE.theta_minus, *ends], 6 + max(map(abs, winding)) + 1, None
+    )
+    # The interior samples of a moving channel are as deep as it has
+    # tracked levels.
+    for thetas, n, from_label in calls[1:]:
+        ch = "plus" if thetas[0] == BASE.theta_plus + 2.0 * math.pi * winding[0] / 64 else "minus"
+        assert n == sum(1 for tr in trajectories if tr.channel == ch)
+        assert len(from_label) == len(thetas) == path.n_steps - 1
+
+
+@pytest.mark.parametrize("winding", [(1, 0), (2, -1)])
+def test_trace_refines_only_the_tracked_labels(monkeypatch, winding):
+    # Work counter: an interior sample of a moving channel refines no more
+    # roots than the channel tracks, and a sample whose label window starts
+    # at label >= 1 refines no bound level.  Per solve_channels call the
+    # counters hold the positive roots each row searches and refines (all
+    # but its first column when that is bound or zero) and the bound levels
+    # it refines.
+    positive, bound = [], []
+    scan_rows, refine = spectrum._scan_rows, spectrum._refine
+
+    def counting_scan(s2, c2, l, L0, out, first, *rest):
+        positive.append(out.shape[1] - first)
+        return scan_rows(s2, c2, l, L0, out, first, *rest)
+
+    def counting_refine(scalar, vector, s2, c2, l, L0, rows, *brackets):
+        if scalar is spectrum._ghat_scalar:
+            bound[-1] = np.bincount(rows, minlength=bound[-1].size)
+        return refine(scalar, vector, s2, c2, l, L0, rows, *brackets)
+
+    def counting(thetas, n, l=1.0, L0=1.0, from_label=None):
+        bound.append(np.zeros(len(thetas), int))
+        calls.append((thetas[0], from_label))
+        return solve_channels(thetas, n, l, L0, from_label)
+
+    calls = []
+    monkeypatch.setattr(spectrum, "_scan_rows", counting_scan)
+    monkeypatch.setattr(spectrum, "_refine", counting_refine)
+    monkeypatch.setattr(anholonomy, "solve_channels", counting)
+    path = PathSpec(winding=winding, base=BASE, n_steps=64, levels_tracked=6)
+    trajectories = trace_path(path)
+    assert trajectory_shifts(trajectories, winding) == winding
+
+    windows = bottom_bound = 0
+    for (theta, from_label), roots, bound_roots in zip(calls[1:], positive[1:], bound[1:]):
+        ch = "plus" if theta == BASE.theta_plus + 2.0 * math.pi * winding[0] / 64 else "minus"
+        count = sum(1 for tr in trajectories if tr.channel == ch)
+        assert np.all(roots + bound_roots <= count)
+        window = np.asarray(from_label) >= 1
+        assert np.all(bound_roots[window] == 0)
+        windows += int(window.sum())
+        bottom_bound += int(bound_roots.sum())
+    assert len(calls) == 1 + sum(1 for w in winding if w)
+    # Every loop opens label windows; only a channel wound downwards reaches
+    # the bottom of its ladder, where this base has a bound level.
+    assert windows and bool(bottom_bound) == (min(winding) < 0)
 
 
 def test_degenerate_start_is_rejected():
@@ -208,14 +271,14 @@ def test_shift_is_the_winding_where_a_level_jumps_a_rung_at_the_floor(winding, l
 def test_off_integer_or_gapped_labels_raise(monkeypatch):
     good = solve_channels
 
-    def shifted(thetas, n, l=1.0, L0=1.0):
-        rows = good(thetas, n, l, L0)
+    def shifted(thetas, n, l=1.0, L0=1.0, from_label=None):
+        rows = good(thetas, n, l, L0, from_label)
         k = rows.k_or_kappa.copy()
         k[:, -1] *= 1.0 + 1e-3
         return replace(rows, k_or_kappa=k)
 
-    def gapped(thetas, n, l=1.0, L0=1.0):
-        rows = good(thetas, n + 1, l, L0)
+    def gapped(thetas, n, l=1.0, L0=1.0, from_label=None):
+        rows = good(thetas, n + 1, l, L0, from_label)
         keep = [c for c in range(n + 1) if c != n - 1]
         return replace(rows, E=rows.E[:, keep], k_or_kappa=rows.k_or_kappa[:, keep])
 

@@ -553,6 +553,23 @@ PINNED_OUTPUT_SHA256 = [
          "--tracked", "4", "--format", "csv"),
         0, "934c2361dec4628a71f15f542e5ea57c1f908188c77753df163094d279509405",
     ),
+    # Both channels move and |w| = 2: two plus levels leave through the
+    # floor and E reaches -304.
+    (
+        ("trace", "--xi", "0.5", "--rho", "0.4", "--w-plus", "-2", "--w-minus", "1",
+         "--steps", "64", "--tracked", "6"),
+        0, "d9735a40fdc6b573574cd5d908a65ca844b38fc1a8d584a1bb566476e4ec3542",
+    ),
+    (
+        ("trace", "--xi", "0.5", "--rho", "0.4", "--w-plus", "-2", "--w-minus", "1",
+         "--steps", "64", "--tracked", "6", "--format", "csv"),
+        0, "c6e057ab81fbfae48ec0880ded55ff183730980a57a775b16722ceebc6b4d741",
+    ),
+    (
+        ("trace", "--xi", "0.5", "--rho", "0.4", "--w-plus", "2", "--w-minus", "-1",
+         "--steps", "64", "--tracked", "6"),
+        0, "7b4a32e6de0b4fd87339f9339eb0b6f2754a93702c740f366faebecec1e84776",
+    ),
     (
         ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
          "--grid-nu", "3", "--format", "csv"),
@@ -582,7 +599,8 @@ PINNED_OUTPUT_SHA256 = [
         "spectrum-csv", "spectrum-csv-degenerate", "spectrum-det-degenerate", "spectrum-fd",
         "spectrum-fd-csv", "eigenfunction", "eigenfunction-degenerate", "eigenfunction-csv",
         "trace-csv", "trace-floored", "trace-floored-csv", "trace-floored-first",
-        "trace-floored-first-csv", "iso-csv", "compare-pass",
+        "trace-floored-first-csv", "trace-two-moving", "trace-two-moving-csv",
+        "trace-two-moving-reversed", "iso-csv", "compare-pass",
         "compare-fail", "compare-fail-csv",
     ],
 )

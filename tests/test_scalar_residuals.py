@@ -8,10 +8,11 @@ while every scalar form returns exactly the double its vector form returns,
 the shallow merge returns the full-depth one and the batch returns one
 solve per sample, so these tests compare with ==, not with a tolerance, over l
 and L0 across four decades and the edge regions: theta near 0 and pi, the
-threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  The closed-form
-slopes dg/dE of the projected determinant only locate a vertex, so they are
-held to central differences of g instead, and the branch labels that place
-each channel root are held to consecutive integers within 1e-6.
+threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  A row of a
+label window is held to the row solved from the bottom of its ladder.  The
+closed-form slopes dg/dE of the projected determinant only locate a vertex,
+so they are held to central differences of g instead, and the branch labels
+that place each channel root are held to consecutive integers within 1e-6.
 """
 
 import math
@@ -193,6 +194,50 @@ def test_batch_roots_equal_the_per_cell_reference(batch, f, n):
         first = int(rows.bound[r] or rows.zero[r])
         reference = _scan_positive_reference(theta, l, L0, n - first, bool(rows.zero[r]))
         assert rows.k_or_kappa[r, first:].tolist() == reference
+
+
+near_threshold = st.floats(-9.0, -3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def windows(draw):
+    """(thetas, from_label, l, L0): one to four eigenphases on one box, each
+    from phases() or within 1e-9...1e-3 of the threshold T = 0, and each
+    with a label window from 1 to 20 or none (a label of -1 or 0)."""
+    l, L0 = draw(lengths), draw(lengths)
+    thetas, from_label = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)):
+            thetas.append(draw(phases(l, L0)))
+        else:
+            side = draw(st.sampled_from([-1.0, 1.0]))
+            thetas.append(2.0 * math.atan2(L0, -l) + side * draw(near_threshold))
+        from_label.append(draw(st.one_of(st.integers(1, 20), st.integers(-1, 0))))
+    return thetas, from_label, l, L0
+
+
+@given(windows(), st.integers(1, 12))
+def test_label_window_rows_equal_the_bottom_solved_rows(batch, n):
+    # A row of a label window holds the doubles that the row solved from
+    # the bottom of its ladder holds for the same branch labels, and a row
+    # without a window is that row.
+    thetas, from_label, l, L0 = batch
+    rows = solve_channels(thetas, n, l, L0, from_label)
+    deep = solve_channels(thetas, n + 22, l, L0)
+    for r, a in enumerate(from_label):
+        if a <= 0:
+            assert rows.E[r].tolist() == deep.E[r, :n].tolist()
+            assert rows.k_or_kappa[r].tolist() == deep.k_or_kappa[r, :n].tolist()
+            assert (rows.bound[r], rows.zero[r]) == (deep.bound[r], deep.zero[r])
+            continue
+        assert not rows.bound[r] and not rows.zero[r]
+        s2, c2 = _half_angle(float(rows.theta[r]))
+        first = int(deep.bound[r] or deep.zero[r])
+        k = deep.k_or_kappa[r, first:]
+        label = np.rint((k * l + np.arctan2(k * L0 * c2, s2)) / PI)
+        col = first + int(np.flatnonzero(label == a)[0])
+        assert rows.k_or_kappa[r].tolist() == deep.k_or_kappa[r, col:col + n].tolist()
+        assert rows.E[r].tolist() == deep.E[r, col:col + n].tolist()
 
 
 @st.composite

@@ -468,6 +468,11 @@ def test_solver_rejects_bad_requests():
         Channel(1.0, l=-1.0)
 
 
+def test_label_window_needs_one_label_per_eigenphase():
+    with pytest.raises(ValueError):
+        spectrum.solve_channels([0.7, 2.0], 3, from_label=[1])
+
+
 def test_channel_tag_passthrough():
     levels = solve_channel(Channel(0.7), 3, tag="plus")
     assert all(lv.channel == "plus" for lv in levels)
