@@ -13,29 +13,28 @@ g.  The scan works on g divided by E (an entire function of E with a finite,
 generically nonzero limit at E = 0), which removes the spurious zero every
 system has at k = 0 and keeps near-threshold roots bracketable from the
 origin.  On the bound side g is additionally divided by cosh^2(kappa l) to
-strip the exponential growth, which leaves a real quadratic in
+strip the exponential growth, which leaves a real quadratic Q in
 s = l tanh(kappa l) / (kappa l): det M is a quadratic form in (sin, k cos),
 and on the bound side both entries divided by cosh(kappa l) are s and 1.  s
-is monotone on the bound window, so Q's values at the window's two ends and
-at its vertex decide in closed form whether g keeps one sign there by more
-than its rounding; where it does the window holds no root, and its grid is
-never built.  A defect has at most two bound levels, and most have none.
+is monotone on the bound window, so g is monotone between the window's ends
+and Q's vertex, and these three knots bracket every bound root: no grid.
 
-One rule finds every root, for every U.  A sign change of g on the grid is a
-simple root.  A dip of |g| between two grid neighbours of its own sign is a
-pair closer than the grid, or a touch when U is scalar, and the value of g at
-the vertex, the root of the closed-form dg/dE, decides: two simple roots if g
-crosses zero there by more than its rounding bound, one double root if it
-lies within that bound, and none otherwise.  The threshold E = 0 is a grid
-point of both regimes; where g(0) lies within its rounding bound inside a
-dip, it is taken as 0, so a touch or a pair next to the threshold is decided
-at its vertex like any other.  The rounding bound comes from the
-coefficients of det M, so no tolerance is set by hand.  Roots are refined
-with spectrum._brentq, a port of scipy's brentq; only the finite-difference
-solver imports scipy.  The root cells are walked in ascending order, so
-det_spectrum refines only the lowest n + 1 roots, the n it reports and the
-one past the cut that decides pairs, while det_scan refines every root on
-its grid; both return the same doubles for the roots they share.
+One rule decides every pair, for every U.  Above E = 0 a sign change of g on
+the grid is a simple root, and a dip of |g| between two grid neighbours of
+its own sign is a pair closer than the grid, or a touch when U is scalar.
+The value of g at the vertex, the root of the closed-form dg/dE (below
+E = 0, Q's vertex, where both ends of the window share a sign), decides:
+two simple roots if g crosses zero there by more than its rounding bound,
+one double root if it lies within that bound, and none otherwise.  Where
+g(0) lies within its rounding bound inside a dip, it is taken as 0, so a
+touch or a pair next to the threshold is decided at its vertex like any
+other.  The rounding bound comes from the coefficients of det M, so no
+tolerance is set by hand.  Roots are refined with spectrum._brentq, a port
+of scipy's brentq; only the finite-difference solver imports scipy.  The
+root cells are walked in ascending order, so det_spectrum refines only the
+lowest n + 1 positive roots, the n it reports and the one past the cut that
+decides pairs, while det_scan refines every root on its grid; both return
+the same doubles for the roots they share.
 
 The finite-difference operator, with the junction values eliminated, is
 tridiagonal but for a 2x4 patch at the defect.  Its coupling block M (the
@@ -75,7 +74,6 @@ from .spectrum import (
     _brentq,
     flag_degenerate,
     sinc_kl,
-    sinhc,
 )
 
 __all__ = [
@@ -123,18 +121,14 @@ class _Projection:
     """det M phased to the real axis and reduced by E, in both energy regimes.
 
     Precomputes the three bilinear coefficients of det M over (sin, k cos)
-    and the constant phase sqrt(det U), so grid evaluation is vectorized and
-    free of any 2x2 assembly.
-
-    positive_scalar and bound_scalar are positive and bound for one float,
-    for the root refiners, which call them one point at a time.
+    and the constant phase sqrt(det U), so evaluation is free of any 2x2
+    assembly.  The positive scan evaluates a grid with positive, and the
+    root refiners one float at a time with the scalar forms.
     positive_scalar takes the sinc step with sinc_kl, in np.sinc's
-    operations and order; bound_scalar takes sinhc's, with numpy's sinh and
-    cosh, which differ from math's in the last bit.  Both keep the
-    coefficients and the phase as np.complex128 scalars, so their complex
-    products and quotient are numpy's: Python complex division differs from
-    numpy's in the last bit too.  Each scalar form therefore returns its
-    vector form's doubles.
+    operations and order, and keeps the coefficients and the phase as
+    np.complex128 scalars, so its complex products and quotient are numpy's:
+    Python complex division differs from numpy's in the last bit.  It
+    therefore returns positive's doubles.
     """
 
     def __init__(self, bc: BoundaryCondition):
@@ -176,25 +170,20 @@ class _Projection:
         """positive(k) for one float, with the same double out."""
         return self._reduced_scalar(self.l * sinc_kl(k, self.l), math.cos(k * self.l))
 
-    def bound(self, kappa):
-        """Normalized projection at E = -kappa^2 <= 0; matches positive(0) at 0.
+    def bound_scalar(self, kappa: float) -> float:
+        """Projection at E = -kappa^2 <= 0 over cosh^2(kappa l); positive(0) at 0.
 
         The division by cosh^2(kappa l) keeps values of order one across the
-        whole kappa window without moving any root.
+        whole kappa window without moving any root, and leaves Q(s) up to
+        rounding.  sinh(x)/x takes the series 1 + x^2/6 where |x| < 1e-8.
         """
-        x = np.asarray(kappa, dtype=float) * self.l
-        ch = np.cosh(x)
-        return self._reduced(self.l * sinhc(x), ch) / (ch * ch)
-
-    def bound_scalar(self, kappa: float) -> float:
-        """bound(kappa) for one float, with the same double out."""
         x = kappa * self.l
         ch = float(np.cosh(x))
         sh = 1.0 + x * x / 6.0 if abs(x) < 1e-8 else float(np.sinh(x)) / x
         return self._reduced_scalar(self.l * sh, ch) / (ch * ch)
 
-    # dg/dE and the rounding bound of g, one float at a time.  Both regimes
-    # write g as -(sigma^2 det A + tau^2 det B + sigma tau m) / phase: sigma =
+    # dg/dE above E = 0 and the rounding bound of g, one float at a time.
+    # Both regimes write g as -(sigma^2 det A + tau^2 det B + sigma tau m) / phase: sigma =
     # sin(kl)/k and tau = cos(kl) above E = 0; sinh(kappa l)/kappa and
     # cosh(kappa l), each divided by cosh(kappa l), below it.
 
@@ -202,16 +191,8 @@ class _Projection:
         """dg/dE of positive() at E = k^2, finite at k = 0."""
         x = k * self.l
         sigma = self.l * sinc_kl(k, self.l)
-        d_sigma = -0.5 * self.l**3 * _sinc_slope(x, -x * x)
+        d_sigma = -0.5 * self.l**3 * _sinc_slope(x)
         return self._slope(sigma, math.cos(x), d_sigma, -0.5 * self.l * sigma)
-
-    def bound_slope(self, kappa: float) -> float:
-        """dg/dE of bound() at E = -kappa^2, finite at kappa = 0."""
-        x = kappa * self.l
-        ch = math.cosh(x)
-        sigma = self.l * (math.tanh(x) / x if x else 1.0)
-        d_sigma = -0.5 * self.l**3 * _sinc_slope(x, x * x) / ch + 0.5 * self.l * sigma * sigma
-        return self._slope(sigma, 1.0, d_sigma, 0.0)
 
     def positive_noise(self, k: float) -> float:
         """First-order rounding bound of positive() at E = k^2."""
@@ -219,7 +200,7 @@ class _Projection:
         return self._noise(self.l * sinc_kl(k, self.l), math.cos(x), x)
 
     def bound_noise(self, kappa: float) -> float:
-        """First-order rounding bound of bound() at E = -kappa^2."""
+        """First-order rounding bound of bound_scalar(kappa)."""
         x = kappa * self.l
         return self._noise(self.l * (math.tanh(x) / x if x else 1.0), 1.0, x)
 
@@ -242,27 +223,26 @@ class _Projection:
         )
 
 
-def _sinc_slope(x: float, y: float) -> float:
-    """(sin x - x cos x) / x^3 for y = -x^2, (x cosh x - sinh x) / x^3 for y = x^2.
+def _sinc_slope(x: float) -> float:
+    """(sin x - x cos x) / x^3, summed as its series where |x| < 0.25.
 
-    Both are sum over n >= 1 of 2n y^(n-1) / (2n+1)!, which is summed where
-    |x| < 0.25 and the closed form would cancel.
+    The series is the sum over n >= 1 of 2n (-x^2)^(n-1) / (2n+1)!, where
+    the closed form would cancel.
     """
     if abs(x) < 0.25:
+        y = -x * x
         return 1 / 3 + y * (1 / 30 + y * (1 / 840 + y * (1 / 45360 + y / 3991680)))
-    if y < 0.0:
-        return (math.sin(x) - x * math.cos(x)) / x**3
-    return (x * math.cosh(x) - math.sinh(x)) / x**3
+    return (math.sin(x) - x * math.cos(x)) / x**3
 
 
-# Kinds of root cell in _projected_roots.
+# Kinds of root cell in _scan.
 _CROSSING, _ZERO, _DIP, _ORIGIN = 1, 2, 3, 4
 
 
-def _projected_roots(
-    grid, vals, fun, slope, noise, skip_origin: bool, want: int | None = None
+def _scan(
+    proj: _Projection, grid: np.ndarray, skip_origin: bool, want: int | None = None
 ) -> list[tuple[float, int]]:
-    """The lowest roots of a projected determinant g on one grid, with multiplicities.
+    """The lowest positive roots of g on grid, with multiplicities.
 
     A sign change of g between two grid points is one simple root.  A local
     minimum of |g| whose two grid neighbours share its sign is a pair closer
@@ -278,10 +258,11 @@ def _projected_roots(
     want, and every root on the grid is refined.  A root both return is the
     same double.
 
-    fun, slope and noise take one float; fun must return vals' doubles on
-    the grid, so a root refined from a grid cell has the doubles of the scan.
-    vals[0] is the origin as _origin_value takes it.
+    positive_scalar returns positive's doubles on the grid, so a root refined
+    from a grid cell has the doubles of the scan.
     """
+    vals = np.asarray(proj.positive(grid))
+    vals[0] = _origin_value(proj)
     start = 1 if skip_origin else 0
     lo = max(start, 1)
     left, mid, right = vals[lo - 1:-2], vals[lo:-1], vals[lo + 1:]
@@ -311,36 +292,42 @@ def _projected_roots(
             j = i + 2 if kind == _DIP else i + 1
             b, yb = float(grid[j]), float(vals[j])
             if kind == _CROSSING:
-                roots = [(_brentq(fun, a, b, ya, yb), 1)]
+                roots = [(_brentq(proj.positive_scalar, a, b, ya, yb), 1)]
             else:
-                roots = _dip_roots(fun, slope, noise, a, b, ya, yb)
+                roots = _dip_roots(proj, a, b, ya, yb)
         found.extend(roots)
         count += sum(m for _, m in roots)
     return found
 
 
-def _dip_roots(fun, slope, noise, a, b, ya, yb) -> list[tuple[float, int]]:
-    """The roots of g in a dip of |g| on [a, b], where g(a) and g(b) share a sign s.
+def _dip_roots(proj: _Projection, a, b, ya, yb) -> list[tuple[float, int]]:
+    """The roots of g in a dip of |g| on [a, b] in k, where g(a) and g(b) share a sign.
 
-    The dip's vertex v is the root of slope (dg/dE) on [a, b]; without one
-    the dip is rounding on a flat g.  beta bounds what rounding can do to
-    g(v): noise(v) plus what the vertex's own tolerance adds.  If
-    s g(v) < -beta, g crosses zero on each side of v, and each crossing is
-    refined as a simple root; if |g(v)| <= beta, the pair cannot be told
-    from a touch, and v counts twice; otherwise the dip holds no root.  An
-    exact double is a simple root of the slope, so it comes back to full
-    precision.
+    The dip's vertex v is the root of dg/dE on [a, b]; without one the dip
+    is rounding on a flat g.  An exact double is a simple root of the
+    slope, so it comes back to full precision.
     """
+    slope = proj.positive_slope
     slope_a, slope_b = slope(a), slope(b)
     if slope_a * slope_b > 0.0:
         return []  # a dip of rounding on a flat g: no vertex, no root
     v = _brentq(slope, a, b, slope_a, slope_b)
-    gv = fun(v)
     # _brentq leaves v within tol of the vertex in k, and g may sit lower
     # there by half its curvature times the square of that distance in E.
     tol = _BRENT_XTOL + _BRENT_RTOL * v
     curvature = abs(slope_b - slope_a) / (b * b - a * a)
-    beta = noise(v) + 0.5 * curvature * ((2.0 * v + tol) * tol) ** 2
+    beta = proj.positive_noise(v) + 0.5 * curvature * ((2.0 * v + tol) * tol) ** 2
+    return _vertex_roots(proj.positive_scalar, a, v, b, ya, proj.positive_scalar(v), yb, beta)
+
+
+def _vertex_roots(fun, a, v, b, ya, gv, yb, beta) -> list[tuple[float, int]]:
+    """The roots of g on [a, b], whose ends share a sign s, with its vertex at v.
+
+    beta bounds what rounding can do to gv = g(v): noise there plus what the
+    vertex's own tolerance adds.  If s gv < -beta, g crosses zero on each
+    side of v; if |gv| <= beta, the pair cannot be told from a touch, and v
+    counts twice; otherwise [a, b] holds no root.
+    """
     if math.copysign(1.0, yb) * gv < -beta:
         return [(_brentq(fun, a, v, ya, gv), 1), (_brentq(fun, v, b, gv, yb), 1)]
     if abs(gv) <= beta:
@@ -357,101 +344,89 @@ def _zero_level_multiplicity(bc: BoundaryCondition) -> int:
     return 1 if s[0] > tol else 2
 
 
-# Cells of the bound scan's grid on [0, KAPPA_CEILING / l].
-_BOUND_CELLS = 2048
+_BELOW_PROBE = KAPPA_CEILING / 2048  # kappa l of _origin_value's probe below E = 0
 
 
 def _origin_value(proj: _Projection) -> float:
-    """g at E = 0 as both scans take it.
+    """g at E = 0 as both regimes take it.
 
     g is one function of E across the threshold.  Where |g(0)| lies within
-    its rounding bound and g has one sign at the first grid point of both
-    regimes, E = 0 is the floor of a dip (a touch or a pair next to the
-    threshold), and the rounded sign of g(0) would put a crossing on either
-    side of it.  g(0) is then taken as 0, so that neither scan counts a
-    crossing there and the regime that holds the vertex decides the roots.
+    its rounding bound and g has one sign at a probe on each side (the first
+    grid point above, _BELOW_PROBE below), E = 0 is the floor of a dip (a
+    touch or a pair next to the threshold), and the rounded sign of g(0)
+    would put a crossing on either side of it.  g(0) is then taken as 0, so
+    that neither regime counts a crossing there and the regime that holds
+    the vertex decides the roots.
     """
     g0 = proj.positive_scalar(0.0)
     if abs(g0) > proj.positive_noise(0.0):
         return g0
     above = proj.positive_scalar(math.pi / (GRID_DENSITY * proj.l))
-    below = proj.bound_scalar(KAPPA_CEILING / proj.l / _BOUND_CELLS)
+    below = proj.bound_scalar(_BELOW_PROBE / proj.l)
     return 0.0 if above * below > 0.0 else g0
 
 
-def _bound_window_empty(proj: _Projection) -> bool:
-    """Whether g keeps one sign on the whole bound window, in closed form.
+def _bound_roots(proj: _Projection, zero_mult: int) -> list[tuple[float, int]]:
+    """The bound roots of g in kappa, with multiplicities, from Q's shape.
 
-    On [0, KAPPA_CEILING / l] bound(kappa) is Q(s) = a2 s^2 + a1 s + a0 in
-    s = l tanh(kappa l) / (kappa l): dividing sigma = sinh(kappa l) / kappa
-    and tau = cosh(kappa l) by cosh(kappa l) leaves s and 1.  s falls
-    monotonically from l to l tanh(50) / 50, so Q's least and greatest
-    values on the window lie at its ends or at Q's vertex.  The window holds
-    no root when Q has one sign at all of them, each farther from 0 than
-    three rounding bounds: the rounding of g anywhere on the window, the
-    bound that the dip rule grants g at a vertex, and Q's own rounding.
-    bound_noise's terms grow with s and kappa, so each is at most
-    bound_noise's terms at s = l, tau = 1 and 1 + kappa l = 1 + KAPPA_CEILING.
-    Otherwise the scan decides, as if there were no test.
+    On [0, KAPPA_CEILING / l] g is Q(s) = a2 s^2 + a1 s + a0 up to rounding,
+    and s = l tanh(kappa l) / (kappa l) falls monotonically from l, so g is
+    monotone between three knots: the origin as _origin_value takes it, Q's
+    vertex s = -a1 / (2 a2) (the mean of its roots, not an eigenphase) where
+    it lies strictly inside, and the floor.  A piece between knots holds a
+    root exactly when g changes sign across it.  Where the window's two ends
+    share a sign (a zeroed origin included), _vertex_roots decides.  Each
+    channel has at most one level at or below E = 0, so one zero-energy
+    level owns the origin piece, and two leave no bound root.  g = 0 at the
+    floor is not a root: the window is open there, as in the channel solver.
     """
+    if zero_mult == 2:
+        return []
+    fun = proj.bound_scalar
+    cap = KAPPA_CEILING / proj.l
+    g0, gc = _origin_value(proj), fun(cap)
+    knots = [(0.0, g0), (cap, gc)]
     a2 = float((-proj.det_a / proj.phase).real)
     a1 = float((-proj.mixed / proj.phase).real)
-    a0 = float((-proj.det_b / proj.phase).real)
-    s_hi = proj.l
-    s_lo = proj.l * math.tanh(KAPPA_CEILING) / KAPPA_CEILING
-    points = [s_lo, s_hi]
-    if a2 != 0.0 and s_lo < -a1 / (2.0 * a2) < s_hi:
-        points.append(-a1 / (2.0 * a2))
-    q = [(a2 * s + a1) * s + a0 for s in points]
-    margin = 3.0 * proj._noise(proj.l, 1.0, KAPPA_CEILING)
-    return all(v > margin for v in q) or all(v < -margin for v in q)
-
-
-def _bound_roots(bc: BoundaryCondition, proj: _Projection, skip_origin: bool) -> list[tuple[float, int]]:
-    if _bound_window_empty(proj):
-        return []
-    grid = np.linspace(0.0, KAPPA_CEILING / bc.l, _BOUND_CELLS + 1)
-    vals = np.asarray(proj.bound(grid))
-    vals[0] = _origin_value(proj)
-    return _projected_roots(
-        grid, vals, proj.bound_scalar, proj.bound_slope, proj.bound_noise, skip_origin
-    )
-
-
-def _scan(
-    proj: _Projection, grid: np.ndarray, skip_origin: bool, want: int | None = None
-) -> list[tuple[float, int]]:
-    """The lowest positive roots on grid, as many as want asks (all without it)."""
-    vals = np.asarray(proj.positive(grid))
-    vals[0] = _origin_value(proj)
-    return _projected_roots(
-        grid, vals, proj.positive_scalar, proj.positive_slope, proj.positive_noise, skip_origin,
-        want,
-    )
+    top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
+    t = -a1 / (2.0 * a2) / proj.l if a2 != 0.0 else 1.0  # tanh(x) / x at the vertex
+    if top < t < 1.0:
+        x = _brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t)
+        kv = x / proj.l
+        gv = fun(kv)
+        if zero_mult == 0 and (g0 * gc > 0.0 or (g0 == 0.0 and gc != 0.0)):
+            # _brentq leaves x within tol of the vertex, and tanh(x) / x
+            # moves by less than x does, so Q sits off its vertex value by
+            # at most a2 (l tol)^2.
+            tol = _BRENT_XTOL + _BRENT_RTOL * x
+            beta = proj.bound_noise(kv) + abs(a2) * (proj.l * tol) ** 2
+            return _vertex_roots(fun, 0.0, kv, cap, g0, gv, gc, beta)
+        knots.insert(1, (kv, gv))
+    if zero_mult:
+        del knots[0]  # the zero-energy level's own piece
+    # An exact zero at the vertex is a root; _brentq returns it as it is.
+    return [
+        (_brentq(fun, a, b, ya, yb), 1)
+        for (a, ya), (b, yb) in zip(knots, knots[1:])
+        if ya * yb < 0.0 or (yb == 0.0 and b < cap)
+    ]
 
 
 def _positive_roots(
-    bc: BoundaryCondition,
-    proj: _Projection,
-    need: int,
-    skip_origin: bool,
-    k_max: float | None,
+    proj: _Projection, need: int, skip_origin: bool, k_max: float | None
 ) -> list[tuple[float, int]]:
     """The lowest positive roots, with multiplicities, until they count need + 1.
 
     need levels are reported, but pairs are decided one level past the cut,
-    so one more root is refined; a dip may add two at once.  The scan widens
-    by half while fewer than need roots lie on its grid, up to 8 times its
-    first reach, or only to k_max when that is given.
+    so one more root is refined; a dip may add two at once.  The scan reaches
+    (need / 2 + 6) pi / l, or k_max where that is lower: each channel has a
+    root on every branch of tan, pi / l wide, so that holds need + 10 roots.
     """
-    step = math.pi / (GRID_DENSITY * bc.l)
-    hi = k_max if k_max is not None else (0.5 * need + 6.0) * math.pi / bc.l
-    ceiling = hi if k_max is not None else 8.0 * hi
-    while True:
-        roots = _scan(proj, np.arange(0.0, hi + step, step), skip_origin, need + 1)
-        if sum(m for _, m in roots) >= need or hi >= ceiling:
-            return roots
-        hi = min(1.5 * hi, ceiling)
+    step = math.pi / (GRID_DENSITY * proj.l)
+    hi = (0.5 * need + 6.0) * math.pi / proj.l
+    if k_max is not None:
+        hi = min(hi, k_max)
+    return _scan(proj, np.arange(0.0, hi + step, step), skip_origin, need + 1)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -482,9 +457,9 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
     """Lowest n levels from det M alone; no diagonalization of U anywhere.
 
     The channel of a level is unknowable on this code path, so the channel
-    field is None and indices are global.  Raises ScanExhausted if the search
-    ceiling (k_max when given) is reached before n levels appear, and
-    ValueError if a given k_max is not finite and positive.
+    field is None and indices are global.  k_max caps the positive scan's
+    reach.  Raises ScanExhausted if fewer than n levels lie below the scan's
+    end, and ValueError if a given k_max is not finite and positive.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -495,13 +470,13 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
     skip_origin = zero_mult > 0
 
     entries: list[tuple[float, float, str]] = []  # (E, k_or_kappa, kind)
-    for kappa, mult in _bound_roots(bc, proj, skip_origin):
+    for kappa, mult in _bound_roots(proj, zero_mult):
         entries.extend([(-kappa * kappa, kappa, KIND_BOUND)] * mult)
     entries.extend([(0.0, 0.0, KIND_ZERO)] * zero_mult)
 
     need = n - len(entries)
     if need > 0:
-        for k, mult in _positive_roots(bc, proj, need, skip_origin, k_max):
+        for k, mult in _positive_roots(proj, need, skip_origin, k_max):
             entries.extend([(k * k, k, KIND_POSITIVE)] * mult)
         if len(entries) < n:
             raise ScanExhausted(

@@ -261,56 +261,34 @@ def test_projection_positive_scalar_equals_vector_form(bc, seed):
     assert scalar == [float(proj.positive(x)) for x in k.tolist()]
 
 
-@given(projections(), seeds)
-def test_projection_bound_scalar_equals_vector_form(bc, seed):
-    proj = _Projection(bc)
-    kappa = _points(seed, KAPPA_CEILING / bc.l)
-    kappa[1:4] /= bc.l  # kappa l straddles the 1e-8 switch of sinhc
-    vec = proj.bound(kappa)
-    scalar = [proj.bound_scalar(x) for x in kappa.tolist()]
-    assert scalar == vec.tolist()
-    assert scalar == [float(proj.bound(x)) for x in kappa.tolist()]
-
-
-def _continued(proj, regime, e):
-    # g of one regime at energy e, continued across E = 0 through
-    # cosh(kappa l) = cos(k l): positive() times cosh^2 below it, bound()
-    # over cos^2 above it.
-    l = proj.l
-    if regime == "positive":
-        if e >= 0.0:
-            return proj.positive_scalar(math.sqrt(e))
-        return float(proj.bound(math.sqrt(-e))) * math.cosh(math.sqrt(-e) * l) ** 2
-    if e <= 0.0:
-        return float(proj.bound(math.sqrt(-e)))
-    return proj.positive_scalar(math.sqrt(e)) / math.cos(math.sqrt(e) * l) ** 2
+def _continued(proj, e):
+    # g of the positive regime at energy e, continued below E = 0 through
+    # cos(k l) = cosh(kappa l): bound_scalar times cosh^2 there.
+    if e >= 0.0:
+        return proj.positive_scalar(math.sqrt(e))
+    return proj.bound_scalar(math.sqrt(-e)) * math.cosh(math.sqrt(-e) * proj.l) ** 2
 
 
 @given(projections(), seeds)
 def test_projection_slopes_equal_central_differences(bc, seed):
-    # dg/dE of both regimes against a central difference of g in E, at E = 0,
-    # on both sides of the series switch at x = kl = 0.25 and at random x up
-    # to 30 (positive) or the kappa l = 50 floor (bound).  g moves by its own
-    # size when E moves by about (1 + x) / l^2, so the step is 1e-4 of that
-    # and the difference is good to about 1e-8 of size / scale.
+    # dg/dE against a central difference of g in E, at E = 0, on both sides
+    # of the series switch at x = kl = 0.25 and at random x up to 30.  g
+    # moves by its own size when E moves by about (1 + x) / l^2, so the step
+    # is 1e-4 of that and the difference is good to about 1e-8 of
+    # size / scale.
     proj = _Projection(bc)
     l = bc.l
     size = abs(proj.det_a) * l * l + abs(proj.det_b) + abs(proj.mixed) * l
     switch = [0.0, math.nextafter(0.25, 0.0), 0.25]
     spread = np.random.default_rng(seed).uniform(0.0, 1.0, 5)
-    for regime, slope, top, sign in (
-        ("positive", proj.positive_slope, 30.0, 1.0),
-        ("bound", proj.bound_slope, KAPPA_CEILING, -1.0),
-    ):
-        for x in switch + (top * spread).tolist():
-            k = x / l
-            e = sign * k * k
-            scale = (1.0 + x) / (l * l)
-            h = 1e-4 * scale
-            diff = (_continued(proj, regime, e + h) - _continued(proj, regime, e - h)) / (2.0 * h)
-            assert abs(slope(k) - diff) <= 1e-6 * size / scale
-        below, above = slope(switch[1] / l), slope(switch[2] / l)
-        assert abs(below - above) <= 1e-12 * size * l * l
+    for x in switch + (30.0 * spread).tolist():
+        k = x / l
+        scale = (1.0 + x) / (l * l)
+        h = 1e-4 * scale
+        diff = (_continued(proj, k * k + h) - _continued(proj, k * k - h)) / (2.0 * h)
+        assert abs(proj.positive_slope(k) - diff) <= 1e-6 * size / scale
+    below, above = proj.positive_slope(switch[1] / l), proj.positive_slope(switch[2] / l)
+    assert abs(below - above) <= 1e-12 * size * l * l
 
 
 @st.composite
