@@ -45,7 +45,7 @@ from .isospectral import (
     isospectral_family,
     parity_family,
 )
-from .oracles import DetScan, FdSpectrum, det_matrix, det_scan, det_spectrum, fd_spectrum
+from .oracles import FdSpectrum, det_matrix, det_spectrum, fd_spectrum
 from .spectrum import (
     Channel,
     ChannelRows,
@@ -83,8 +83,7 @@ __all__ = [
     "Channel", "EigenLevel", "Spectrum", "bound_function", "channel_function",
     "ChannelRows", "solve_channel", "solve_channels", "solve_spectrum", "threshold",
     # oracles
-    "DetScan", "FdSpectrum", "det_matrix", "det_scan", "det_spectrum",
-    "fd_spectrum",
+    "FdSpectrum", "det_matrix", "det_spectrum", "fd_spectrum",
     # isospectral
     "IsoReport", "SphereGrid", "check_isospectral", "isospectral_family",
     "parity_family",

@@ -445,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-interior", type=int, dest="n_interior",
                     help="fd grid cells per side (default 256)")
     sp.add_argument("--k-max", type=float, dest="k_max",
-                    help="hard scan ceiling for the det solver")
+                    help="ceiling on the det search")
 
     sp = sub.add_parser("eigenfunction", help="sample one eigenfunction on a grid")
     _add_common(sp)

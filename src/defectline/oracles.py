@@ -9,32 +9,21 @@ uniform grid with the connection condition encoded in two junction rows.
 det M(k) is complex but carries a constant phase: it is the product of the
 two channel functions times 4 e^{i arg(det U)/2}, so dividing by a square
 root of det U and taking the real part yields a sign-carrying real function
-g.  The scan works on g divided by E (an entire function of E with a finite,
-generically nonzero limit at E = 0), which removes the spurious zero every
-system has at k = 0 and keeps near-threshold roots bracketable from the
-origin.  On the bound side g is additionally divided by cosh^2(kappa l) to
-strip the exponential growth, which leaves a real quadratic Q in
-s = l tanh(kappa l) / (kappa l): det M is a quadratic form in (sin, k cos),
-and on the bound side both entries divided by cosh(kappa l) are s and 1.  s
-is monotone on the bound window, so g is monotone between the window's ends
-and Q's vertex, and these three knots bracket every bound root: no grid.
-
-One rule decides every pair, for every U.  Above E = 0 a sign change of g on
-the grid is a simple root, and a dip of |g| between two grid neighbours of
-its own sign is a pair closer than the grid, or a touch when U is scalar.
-The value of g at the vertex, the root of the closed-form dg/dE (below
-E = 0, Q's vertex, where both ends of the window share a sign), decides:
-two simple roots if g crosses zero there by more than its rounding bound,
-one double root if it lies within that bound, and none otherwise.  Where
-g(0) lies within its rounding bound inside a dip, it is taken as 0, so a
-touch or a pair next to the threshold is decided at its vertex like any
-other.  The rounding bound comes from the coefficients of det M, so no
-tolerance is set by hand.  Roots are refined with spectrum._brentq, a port
-of scipy's brentq; only the finite-difference solver imports scipy.  The
-root cells are walked in ascending order, so det_spectrum refines only the
-lowest n + 1 positive roots, the n it reports and the one past the cut that
-decides pairs, while det_scan refines every root on its grid; both return
-the same doubles for the roots they share.
+g, evaluated in a form centred on U's trace (_Projection) and divided by E,
+which removes the spurious zero every system has at k = 0.  No grid is
+sampled.  Above E = 0, g = (sigma^2 + tau^2) q(psi), where psi, the
+direction of (sigma, tau) = (sin(kl)/k, cos(kl)), turns by pi across each
+branch of tan, and q has two extreme directions a right angle apart: the
+vertex, whose two roots lie within pi/4 of it, and the end, with none that
+near.  So one vertex knot and one end knot per branch bracket every root
+(_positive_roots), and each turn is decided at its vertex: two simple roots
+if g crosses zero there by more than its rounding bound, one double root if
+it lies within that bound, and none otherwise.  Below E = 0, Q's vertex and
+the window's ends bracket every bound root (_bound_roots).  The rounding
+bound comes from the centred terms of det M, so no tolerance is set by hand;
+neither knot direction is an eigenphase, and no square root of D is taken.
+Roots are refined with spectrum._brentq, a port of scipy's brentq; only the
+finite-difference solver imports scipy.
 
 The finite-difference operator, with the junction values eliminated, is
 tridiagonal but for a 2x4 patch at the defect.  Its coupling block M (the
@@ -77,21 +66,11 @@ from .spectrum import (
 )
 
 __all__ = [
-    "DetScan",
     "FdSpectrum",
     "det_matrix",
-    "det_scan",
     "det_spectrum",
     "fd_spectrum",
 ]
-
-@dataclass(frozen=True)
-class DetScan:
-    """Record of one determinant sweep over positive wavenumbers."""
-
-    k_grid: np.ndarray
-    det_values: np.ndarray
-    roots: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -118,221 +97,127 @@ def det_matrix(bc: BoundaryCondition, k: complex) -> np.ndarray:
 
 
 class _Projection:
-    """det M phased to the real axis and reduced by E, in both energy regimes.
+    """det M phased to the real axis and reduced by E, in centred form.
 
-    Precomputes the three bilinear coefficients of det M over (sin, k cos)
-    and the constant phase sqrt(det U), so evaluation is free of any 2x2
-    assembly.  The positive scan evaluates a grid with positive, and the
-    root refiners one float at a time with the scalar forms.
-    positive_scalar takes the sinc step with sinc_kl, in np.sinc's
-    operations and order, and keeps the coefficients and the phase as
-    np.complex128 scalars, so its complex products and quotient are numpy's:
-    Python complex division differs from numpy's in the last bit.  It
-    therefore returns positive's doubles.
+    M / k = alpha U - beta I up to a column sign, with alpha = sigma + i L0 tau
+    and beta its conjugate, so det M / k^2 = (beta - alpha t)^2 - alpha^2 D / 4
+    with t = tr U / 2 and D = (u00 - u11)^2 + 4 u01 u10, tr^2 - 4 det U without
+    cancellation.  Near a close pair both terms are of the order of the
+    splitting squared, so g rounds by eps times the splitting, and the pair is
+    resolved to full precision.  g is -Re(det M conj(phase)) / k^2, with
+    phase = sqrt(det U).  The coefficients a2, a1, a0 of g as a form in
+    (sigma, tau), derived once from t, D and the phase, place the knots.
     """
 
     def __init__(self, bc: BoundaryCondition):
         u = bc.u
-        a = u - np.eye(2)
-        b = 1j * bc.L0 * (u + np.eye(2))
-        self.l = bc.l
-        self.det_a = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        self.det_b = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-        self.mixed = (
-            a[0, 0] * b[1, 1] + a[1, 1] * b[0, 0] - a[0, 1] * b[1, 0] - a[1, 0] * b[0, 1]
-        )
-        det_u = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-        self.phase = np.complex128(cmath.exp(0.5j * cmath.phase(det_u)))
+        self.u, self.l, self.L0 = u, bc.l, bc.L0
+        self.t = complex(0.5 * (u[0, 0] + u[1, 1]))
+        diff = complex(u[0, 0] - u[1, 1])
+        self.d4 = 0.25 * diff * diff + complex(u[0, 1] * u[1, 0])  # D / 4
+        self.phase = cmath.exp(0.5j * cmath.phase(complex(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])))
+        t, d4, L0 = self.t, self.d4, self.L0
+        self.a2 = self._real((1.0 - t) ** 2 - d4)
+        self.a1 = self._real(-2j * L0 * (1.0 - t * t + d4))
+        self.a0 = self._real(-L0 * L0 * ((1.0 + t) ** 2 - d4))
 
-    def _reduced(self, sigma, tau):
-        # -(sigma^2 det A + tau^2 det B + sigma tau m) / phase, real part.
-        z = sigma * sigma * self.det_a + tau * tau * self.det_b + sigma * tau * self.mixed
-        return np.real(-z / self.phase)
+    def _real(self, z: complex) -> float:
+        # g's sign convention: -Re(z conj(phase)).
+        return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
-    def det_m(self, k):
-        """det M(k) for real k (vectorized), from the precomputed coefficients."""
-        s = np.sin(k * self.l)
-        t = k * np.cos(k * self.l)
-        return -(s * s * self.det_a + t * t * self.det_b + s * t * self.mixed)
-
-    def positive(self, k):
-        """Projection at E = k^2 >= 0; finite and generically nonzero at k = 0."""
-        sigma = self.l * np.sinc(k * self.l / np.pi)
-        tau = np.cos(k * self.l)
-        return self._reduced(sigma, tau)
-
-    def _reduced_scalar(self, sigma: float, tau: float) -> float:
-        # _reduced for one float, with the same double out.
-        z = sigma * sigma * self.det_a + tau * tau * self.det_b + sigma * tau * self.mixed
-        return float((-z / self.phase).real)
+    def _g(self, sigma: float, tau: float) -> float:
+        # g from alpha, w = conj(alpha) - alpha t and z = w^2 - alpha^2 D / 4.
+        alpha = complex(sigma, self.L0 * tau)
+        w = alpha.conjugate() - alpha * self.t
+        z = w * w - alpha * alpha * self.d4
+        return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
     def positive_scalar(self, k: float) -> float:
-        """positive(k) for one float, with the same double out."""
-        return self._reduced_scalar(self.l * sinc_kl(k, self.l), math.cos(k * self.l))
+        """g at E = k^2 >= 0; finite and generically nonzero at k = 0."""
+        x = k * self.l
+        return self._g(math.sin(x) / k if k else self.l, math.cos(x))
 
     def bound_scalar(self, kappa: float) -> float:
-        """Projection at E = -kappa^2 <= 0 over cosh^2(kappa l); positive(0) at 0.
-
-        The division by cosh^2(kappa l) keeps values of order one across the
-        whole kappa window without moving any root, and leaves Q(s) up to
-        rounding.  sinh(x)/x takes the series 1 + x^2/6 where |x| < 1e-8.
-        """
+        """g at E = -kappa^2 <= 0 over cosh^2(kappa l), which keeps it of order
+        one and moves no root: (sigma, tau) becomes (s, 1), and g is Q(s)."""
         x = kappa * self.l
-        ch = float(np.cosh(x))
-        sh = 1.0 + x * x / 6.0 if abs(x) < 1e-8 else float(np.sinh(x)) / x
-        return self._reduced_scalar(self.l * sh, ch) / (ch * ch)
-
-    # dg/dE above E = 0 and the rounding bound of g, one float at a time.
-    # Both regimes write g as -(sigma^2 det A + tau^2 det B + sigma tau m) / phase: sigma =
-    # sin(kl)/k and tau = cos(kl) above E = 0; sinh(kappa l)/kappa and
-    # cosh(kappa l), each divided by cosh(kappa l), below it.
-
-    def positive_slope(self, k: float) -> float:
-        """dg/dE of positive() at E = k^2, finite at k = 0."""
-        x = k * self.l
-        sigma = self.l * sinc_kl(k, self.l)
-        d_sigma = -0.5 * self.l**3 * _sinc_slope(x)
-        return self._slope(sigma, math.cos(x), d_sigma, -0.5 * self.l * sigma)
+        return self._g(self.l * (math.tanh(x) / x if x else 1.0), 1.0)
 
     def positive_noise(self, k: float) -> float:
-        """First-order rounding bound of positive() at E = k^2."""
+        """Rounding bound of positive_scalar(k)."""
         x = k * self.l
-        return self._noise(self.l * sinc_kl(k, self.l), math.cos(x), x)
+        return self._noise(math.sin(x) / k if k else self.l, math.cos(x), 1.0 + abs(x))
 
     def bound_noise(self, kappa: float) -> float:
-        """First-order rounding bound of bound_scalar(kappa)."""
+        """Rounding bound of bound_scalar(kappa)."""
         x = kappa * self.l
-        return self._noise(self.l * (math.tanh(x) / x if x else 1.0), 1.0, x)
+        return self._noise(self.l * (math.tanh(x) / x if x else 1.0), 1.0, 0.0)
 
-    def _slope(self, sigma, tau, d_sigma, d_tau) -> float:
-        dz = (
-            2.0 * sigma * d_sigma * self.det_a + 2.0 * tau * d_tau * self.det_b
-            + (d_sigma * tau + sigma * d_tau) * self.mixed
-        )
-        return float((-dz / self.phase).real)
-
-    def _noise(self, sigma, tau, x) -> float:
-        # sigma rounds by about eps l and tau by about eps (1 + |x|); each
-        # term of the sum and the sum itself round by about eps.
-        s, t = abs(sigma), abs(tau)
-        a, b, m = abs(self.det_a), abs(self.det_b), abs(self.mixed)
+    def _noise(self, sigma: float, tau: float, tau_err: float) -> float:
+        # sigma rounds by about eps l and tau by about eps tau_err; w rounds
+        # by about eps a (1 + 3 |t|), which w^2 takes to second order where w
+        # is as small as that, and z and the projection each round by about
+        # eps times the sizes of their terms.
+        alpha = complex(sigma, self.L0 * tau)
+        w = alpha.conjugate() - alpha * self.t
+        z = w * w - alpha * alpha * self.d4
+        a, b = abs(alpha), abs(w)
+        ad, dw = 2.0 * a * abs(self.d4), a * (1.0 + 3.0 * abs(self.t))
         return _EPS * (
-            (2.0 * s * a + t * m) * self.l
-            + (2.0 * t * b + s * m) * (1.0 + abs(x))
-            + s * s * a + t * t * b + s * t * m
+            self.l * (2.0 * b * abs(1.0 - self.t) + ad)
+            + tau_err * self.L0 * (2.0 * b * abs(1.0 + self.t) + ad)
+            + 2.0 * b * dw + 2.0 * b * b + 3.0 * a * ad + 2.0 * abs(z) + _EPS * dw * dw
         )
 
+    def floor_value(self) -> float:
+        """bound_scalar at the kappa l = 50 floor, from rational arithmetic, rounded once.
 
-def _sinc_slope(x: float) -> float:
-    """(sin x - x cos x) / x^3, summed as its series where |x| < 0.25.
+        U's doubles are taken exactly, and sigma as l / 50: tanh(50) is 1 to
+        43 digits.  det M conj(phase) is real, so the rounding of the phase
+        moves its real part only by a relative eps.  A touch makes g of the
+        order of |alpha|^2 eps^2 there, where U's own rounding off the unit
+        circle, not its eigenphases, sets the sign; such a value is 0.
+        """
+        from fractions import Fraction
 
-    The series is the sum over n >= 1 of 2n (-x^2)^(n-1) / (2n+1)!, where
-    the closed form would cancel.
-    """
-    if abs(x) < 0.25:
-        y = -x * x
-        return 1 / 3 + y * (1 / 30 + y * (1 / 840 + y * (1 / 45360 + y / 3991680)))
-    return (math.sin(x) - x * math.cos(x)) / x**3
+        def mul(p, q):
+            return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
 
-
-# Kinds of root cell in _scan.
-_CROSSING, _ZERO, _DIP, _ORIGIN = 1, 2, 3, 4
-
-
-def _scan(
-    proj: _Projection, grid: np.ndarray, skip_origin: bool, want: int | None = None
-) -> list[tuple[float, int]]:
-    """The lowest positive roots of g on grid, with multiplicities.
-
-    A sign change of g between two grid points is one simple root.  A local
-    minimum of |g| whose two grid neighbours share its sign is a pair closer
-    than the grid, or a touch when U is scalar, which _dip_roots decides.
-    An exact zero of g on the grid is a simple root.
-
-    The root cells are walked in grid order, and the roots come out
-    ascending: a crossing's root lies in its own cell and a dip's in its two
-    cells, no crossing or exact zero shares a cell with a dip, and a dip at
-    grid point 1 excludes the origin cell, since each needs the other's |g|
-    to be the smaller.  The walk stops once the multiplicities found reach
-    want: det_spectrum wants the lowest n + 1 levels.  det_scan gives no
-    want, and every root on the grid is refined.  A root both return is the
-    same double.
-
-    positive_scalar returns positive's doubles on the grid, so a root refined
-    from a grid cell has the doubles of the scan.
-    """
-    vals = np.asarray(proj.positive(grid))
-    vals[0] = _origin_value(proj)
-    start = 1 if skip_origin else 0
-    lo = max(start, 1)
-    left, mid, right = vals[lo - 1:-2], vals[lo:-1], vals[lo + 1:]
-    same = (left * right > 0.0) & (mid * left >= 0.0)
-    dips = same & (np.abs(mid) < np.abs(left)) & (np.abs(mid) <= np.abs(right))
-    # Each root cell is marked at its first grid point.
-    cells = np.zeros(vals.size - 1, dtype=np.int8)
-    cells[start + np.flatnonzero(vals[start:-1] * vals[start + 1:] < 0.0)] = _CROSSING
-    cells[lo + np.flatnonzero((mid == 0.0) & ~dips)] = _ZERO
-    cells[lo - 1 + np.flatnonzero(dips)] = _DIP
-    if start == 0 and vals[0] * vals[1] >= 0.0 and abs(vals[0]) < abs(vals[1]):
-        # |g| is least at the origin (0 where _origin_value finds the floor
-        # of a dip there), so a vertex may lie in the first cell: a touch or
-        # a pair nearer to E = 0 than the first grid point.
-        cells[0] = _ORIGIN
-
-    found: list[tuple[float, int]] = []
-    count = 0
-    where = np.flatnonzero(cells)
-    for i, kind in zip(where.tolist(), cells[where].tolist()):
-        if want is not None and count >= want:
-            break
-        a, ya = float(grid[i]), float(vals[i])
-        if kind == _ZERO:
-            roots = [(a, 1)]
-        else:
-            j = i + 2 if kind == _DIP else i + 1
-            b, yb = float(grid[j]), float(vals[j])
-            if kind == _CROSSING:
-                roots = [(_brentq(proj.positive_scalar, a, b, ya, yb), 1)]
-            else:
-                roots = _dip_roots(proj, a, b, ya, yb)
-        found.extend(roots)
-        count += sum(m for _, m in roots)
-    return found
+        sigma, im = Fraction(self.l) / Fraction(KAPPA_CEILING), Fraction(self.L0)
+        u = [[(Fraction(x.real), Fraction(x.imag)) for x in map(complex, row)] for row in self.u]
+        alpha = (sigma, im)
+        # det(alpha U - conj(alpha) I)
+        d0, d1 = mul(alpha, u[0][0]), mul(alpha, u[1][1])
+        z = mul((d0[0] - sigma, d0[1] + im), (d1[0] - sigma, d1[1] + im))
+        c = mul(mul(alpha, alpha), mul(u[0][1], u[1][0]))
+        g = float(-(z[0] - c[0]) * Fraction(self.phase.real) - (z[1] - c[1]) * Fraction(self.phase.imag))
+        return 0.0 if abs(g) <= 16.0 * _EPS * _EPS * float(sigma * sigma + im * im) else g
 
 
-def _dip_roots(proj: _Projection, a, b, ya, yb) -> list[tuple[float, int]]:
-    """The roots of g in a dip of |g| on [a, b] in k, where g(a) and g(b) share a sign.
-
-    The dip's vertex v is the root of dg/dE on [a, b]; without one the dip
-    is rounding on a flat g.  An exact double is a simple root of the
-    slope, so it comes back to full precision.
-    """
-    slope = proj.positive_slope
-    slope_a, slope_b = slope(a), slope(b)
-    if slope_a * slope_b > 0.0:
-        return []  # a dip of rounding on a flat g: no vertex, no root
-    v = _brentq(slope, a, b, slope_a, slope_b)
-    # _brentq leaves v within tol of the vertex in k, and g may sit lower
-    # there by half its curvature times the square of that distance in E.
-    tol = _BRENT_XTOL + _BRENT_RTOL * v
-    curvature = abs(slope_b - slope_a) / (b * b - a * a)
-    beta = proj.positive_noise(v) + 0.5 * curvature * ((2.0 * v + tol) * tol) ** 2
-    return _vertex_roots(proj.positive_scalar, a, v, b, ya, proj.positive_scalar(v), yb, beta)
-
-
-def _vertex_roots(fun, a, v, b, ya, gv, yb, beta) -> list[tuple[float, int]]:
-    """The roots of g on [a, b], whose ends share a sign s, with its vertex at v.
+def _vertex_roots(a, v, b, ya, gv, yb, beta) -> list[tuple[float, float, float, float]]:
+    """The root brackets of g on [a, b], whose ends share a sign s, with its vertex at v.
 
     beta bounds what rounding can do to gv = g(v): noise there plus what the
     vertex's own tolerance adds.  If s gv < -beta, g crosses zero on each
     side of v; if |gv| <= beta, the pair cannot be told from a touch, and v
-    counts twice; otherwise [a, b] holds no root.
+    counts twice, as the bracket [v, v]; otherwise [a, b] holds no root.  An
+    end at 0 takes the other's sign.
     """
-    if math.copysign(1.0, yb) * gv < -beta:
-        return [(_brentq(fun, a, v, ya, gv), 1), (_brentq(fun, v, b, gv, yb), 1)]
+    if math.copysign(1.0, ya + yb) * gv < -beta:
+        return [(a, v, ya, gv), (v, b, gv, yb)]
     if abs(gv) <= beta:
-        return [(v, 2)]
+        return [(v, v, 0.0, 0.0)] * 2
     return []
+
+
+def _root(fun, a, b, ya, yb) -> float:
+    # The root of g in [a, b]; [v, v] is a double root's bracket.
+    return a if a == b else _brentq(fun, a, b, ya, yb)
+
+
+def _share_sign(ya: float, yb: float) -> bool:
+    # Both ends of a turn take one sign, an end at 0 the other's.
+    return ya * yb > 0.0 or (ya == 0.0) != (yb == 0.0)
 
 
 def _zero_level_multiplicity(bc: BoundaryCondition) -> int:
@@ -366,8 +251,8 @@ def _origin_value(proj: _Projection) -> float:
     return 0.0 if above * below > 0.0 else g0
 
 
-def _bound_roots(proj: _Projection, zero_mult: int) -> list[tuple[float, int]]:
-    """The bound roots of g in kappa, with multiplicities, from Q's shape.
+def _bound_roots(proj: _Projection, zero_mult: int) -> list[float]:
+    """The bound roots of g in kappa, each as often as its multiplicity, from Q's shape.
 
     On [0, KAPPA_CEILING / l] g is Q(s) = a2 s^2 + a1 s + a0 up to rounding,
     and s = l tanh(kappa l) / (kappa l) falls monotonically from l, so g is
@@ -378,55 +263,190 @@ def _bound_roots(proj: _Projection, zero_mult: int) -> list[tuple[float, int]]:
     share a sign (a zeroed origin included), _vertex_roots decides.  Each
     channel has at most one level at or below E = 0, so one zero-energy
     level owns the origin piece, and two leave no bound root.  g = 0 at the
-    floor is not a root: the window is open there, as in the channel solver.
+    floor is not a root: the window is open there, as in the channel solver,
+    and an end at 0 takes the other's sign.  Where g at the floor lies within
+    its rounding bound, it is taken from rational arithmetic.
     """
     if zero_mult == 2:
         return []
     fun = proj.bound_scalar
     cap = KAPPA_CEILING / proj.l
     g0, gc = _origin_value(proj), fun(cap)
+    if abs(gc) <= proj.bound_noise(cap):
+        gc = proj.floor_value()
     knots = [(0.0, g0), (cap, gc)]
-    a2 = float((-proj.det_a / proj.phase).real)
-    a1 = float((-proj.mixed / proj.phase).real)
+    a2, a1 = proj.a2, proj.a1
     top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
     t = -a1 / (2.0 * a2) / proj.l if a2 != 0.0 else 1.0  # tanh(x) / x at the vertex
     if top < t < 1.0:
         x = _brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t)
         kv = x / proj.l
         gv = fun(kv)
-        if zero_mult == 0 and (g0 * gc > 0.0 or (g0 == 0.0 and gc != 0.0)):
+        if zero_mult == 0 and _share_sign(g0, gc):
             # _brentq leaves x within tol of the vertex, and tanh(x) / x
             # moves by less than x does, so Q sits off its vertex value by
             # at most a2 (l tol)^2.
             tol = _BRENT_XTOL + _BRENT_RTOL * x
             beta = proj.bound_noise(kv) + abs(a2) * (proj.l * tol) ** 2
-            return _vertex_roots(fun, 0.0, kv, cap, g0, gv, gc, beta)
+            brackets = _vertex_roots(0.0, kv, cap, g0, gv, gc, beta)
+            if gc == 0.0 and brackets and brackets[1][0] < brackets[1][1]:
+                del brackets[1]  # a crossing within U's rounding of the open floor
+            return [_root(fun, *b) for b in brackets]
         knots.insert(1, (kv, gv))
     if zero_mult:
         del knots[0]  # the zero-energy level's own piece
     # An exact zero at the vertex is a root; _brentq returns it as it is.
     return [
-        (_brentq(fun, a, b, ya, yb), 1)
+        _root(fun, a, b, ya, yb)
         for (a, ya), (b, yb) in zip(knots, knots[1:])
         if ya * yb < 0.0 or (yb == 0.0 and b < cap)
     ]
 
 
+def _directions(proj: _Projection) -> tuple[tuple[float, float], tuple[float, float], float]:
+    """(cos, sin) of q's vertex and end directions, each with cos >= 0, and q's swing r.
+
+    q = (a0 + a2) / 2 + (r / 2) cos(2 psi - phi), with r = hypot(a0 - a2, a1)
+    and phi = atan2(a1, a0 - a2), is largest at psi = phi / 2.  Its
+    direction is taken by the stable half-angle form, and the other extreme
+    lies a right angle away.  The extreme of the smaller |q| is the vertex.
+    """
+    p, a1 = proj.a0 - proj.a2, proj.a1
+    r = math.hypot(p, a1)
+    c, s = (r + p, a1) if p >= 0.0 else (a1, r - p)
+    if c < 0.0 or (c == 0.0 and s < 0.0):
+        c, s = -c, -s
+    n = math.hypot(c, s)
+    top, side = (c / n, s / n), ((s / n, -c / n) if s > 0.0 else (-s / n, c / n))
+    return (side, top, r) if proj.a0 + proj.a2 >= 0.0 else (top, side, r)
+
+
+def _knot(l: float, m: int, c: float, s: float) -> float:
+    """The k on branch m of tan (kl within pi/2 of m pi; [0, pi/2) for m = 0)
+    where psi points along (c, s), c >= 0.
+
+    The knot function sigma c - tau s = (c l sin x - s x cos x) / x, x = kl,
+    rises through zero once on the branch, from (-1)^(m+1) c / k at its
+    lower pole to (-1)^m c / k at its upper one; those pole values are taken
+    in closed form, since cos(kl) is only rounding there, and c = 0 puts the
+    knot on the upper pole.  Newton's method on the numerator, from one
+    fixed-point step of x = m pi + atan(s x / (c l)), finds it; _brentq on
+    the knot function is the fallback, and serves branch 0.
+    """
+    lo, hi = (m - 0.5) * math.pi, (m + 0.5) * math.pi
+    if c == 0.0:
+        return hi / l
+    if m > 0:
+        x = m * math.pi + math.atan2(s * m * math.pi, c * l)
+        for _ in range(8):
+            sx, cx = math.sin(x), math.cos(x)
+            slope = (c * l - s) * cx + s * x * sx
+            step = (c * l * sx - s * x * cx) / slope if slope else math.inf
+            x -= step
+            if not lo < x < hi:
+                break
+            if abs(step) <= 4.0 * _EPS * x:
+                return x / l
+    sign = -1.0 if m % 2 else 1.0
+    k_lo, k_hi = max(lo, 0.0) / l, hi / l
+    return _brentq(
+        lambda k: c * l * sinc_kl(k, l) - s * math.cos(k * l), k_lo, k_hi,
+        -sign * c / k_lo if m else c * l - s, sign * c / k_hi,
+    )
+
+
+def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
+    """(k, g(k), is_vertex) for every knot above k = 0, ascending, without end.
+
+    An end knot is taken in closed form at kl = m pi or at the nearer pole,
+    whichever lies within pi/4 of the end direction, wherever g there has
+    the end's sign beyond its rounding bound: no root lies between the two
+    then, so either bounds the same turns.  Elsewhere it is solved for.
+    """
+    l, fun = proj.l, proj.positive_scalar
+    end_sign = 1.0 if proj.a0 + proj.a2 >= 0.0 else -1.0
+    order = sorted([(vertex, True), (end, False)], key=lambda d: math.atan2(d[0][1], d[0][0]))
+    m = 0
+    while True:
+        for (c, s), is_vertex in order:
+            if m == 0 and s <= l * c:
+                continue  # on branch 0 psi starts at atan(l): this direction lies below E = 0
+            k = None
+            if not is_vertex and (m or abs(s) > c):
+                k = (m if abs(s) <= c else m + math.copysign(0.5, s)) * math.pi / l
+                g = fun(k)
+                if not (g * end_sign > 0.0 and abs(g) > proj.positive_noise(k)):
+                    k = None
+            if k is None:
+                k = _knot(l, m, c, s)
+                g = fun(k)
+            yield k, g, is_vertex
+        m += 1
+
+
+def _vertex_beta(proj: _Projection, k: float, r: float) -> float:
+    """Rounding bound of g at a vertex knot k: noise there plus how far the
+    knot's distance from the true vertex moves g, (sigma^2 + tau^2) r dpsi^2.
+
+    dpsi is the knot's own tolerance in k times dpsi/dk, plus the rounding
+    of the vertex direction, which comes from the coefficients a0, a1, a2.
+    """
+    x = k * proj.l
+    sigma, tau = math.sin(x) / k, math.cos(x)
+    rho2 = sigma * sigma + tau * tau
+    slope = (x - math.sin(x) * tau) / (k * k * rho2)
+    dpsi = slope * (_BRENT_XTOL + _BRENT_RTOL * k) + 4.0 * _EPS * (
+        abs(proj.a0) + abs(proj.a1) + abs(proj.a2)) / r
+    return proj.positive_noise(k) + rho2 * r * dpsi * dpsi
+
+
 def _positive_roots(
-    proj: _Projection, need: int, skip_origin: bool, k_max: float | None
-) -> list[tuple[float, int]]:
-    """The lowest positive roots, with multiplicities, until they count need + 1.
+    proj: _Projection, need: int, zero_mult: int, k_max: float | None
+) -> list[float]:
+    """The lowest positive roots, each as often as its multiplicity, until they count need + 1.
 
     need levels are reported, but pairs are decided one level past the cut,
-    so one more root is refined; a dip may add two at once.  The scan reaches
-    (need / 2 + 6) pi / l, or k_max where that is lower: each channel has a
-    root on every branch of tan, pi / l wide, so that holds need + 10 roots.
+    so one more root is refined.  The walk goes from the origin over the
+    knots, and a turn between two end knots (the origin at the left of the
+    first) whose ends share a sign is decided at its vertex by
+    _vertex_roots; elsewhere each piece between knots holds a root where g
+    changes sign across it or is exactly 0 at its right end.  A zero-energy
+    level owns the lowest root of the first turn, and two own its lowest
+    two.  Each bracket is refined only when the count still needs it, and
+    the walk ends at the first root above its ceiling: (need / 2 + 6) pi / l,
+    or k_max where that is lower, since each channel has a root on every
+    branch of tan, pi / l wide.  The brackets do not depend on the ceiling,
+    so neither do the roots.
     """
-    step = math.pi / (GRID_DENSITY * proj.l)
-    hi = (0.5 * need + 6.0) * math.pi / proj.l
+    fun = proj.positive_scalar
+    ceiling = (0.5 * need + 6.0) * math.pi / proj.l
     if k_max is not None:
-        hi = min(hi, k_max)
-    return _scan(proj, np.arange(0.0, hi + step, step), skip_origin, need + 1)
+        ceiling = min(ceiling, k_max)
+    vertex, end, r = _directions(proj)
+    found: list[float] = []
+    a, ya = 0.0, (0.0 if zero_mult else _origin_value(proj))
+    v = gv = None
+    for k, g, is_vertex in _knots(proj, vertex, end):
+        if is_vertex:
+            v, gv = k, g
+            continue
+        if v is not None and _share_sign(ya, g):
+            brackets = _vertex_roots(a, v, k, ya, gv, g, _vertex_beta(proj, v, r))
+        else:
+            pieces = [(a, ya), (k, g)] if v is None else [(a, ya), (v, gv), (k, g)]
+            brackets = [
+                (p, q, yp, yq) for (p, yp), (q, yq) in zip(pieces, pieces[1:])
+                if yp * yq < 0.0 or yq == 0.0
+            ]
+        for bracket in brackets[zero_mult if a == 0.0 else 0:]:
+            root = _root(fun, *bracket) if len(found) <= need else math.inf
+            if not root <= ceiling:
+                return found
+            found.append(root)
+        if not k < ceiling:
+            return found
+        a, ya, v = k, g, None
+    return found  # not reached: the knots never end
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -434,31 +454,12 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def det_scan(bc: BoundaryCondition, k_max: float, step: float | None = None) -> DetScan:
-    """Sweep det M over [0, k_max] and return every positive root on the grid, refined.
-
-    Raises ValueError unless k_max and step (when given) are finite and
-    positive.
-    """
-    _check_positive("k_max", k_max)
-    eff_step = step if step is not None else math.pi / (GRID_DENSITY * bc.l)
-    _check_positive("step", eff_step)
-    proj = _Projection(bc)
-    grid = np.arange(0.0, k_max + eff_step, eff_step)
-    roots = _scan(proj, grid, skip_origin=_zero_level_multiplicity(bc) > 0)
-    return DetScan(
-        k_grid=grid,
-        det_values=np.asarray(proj.det_m(grid)),
-        roots=tuple(r for r, _ in roots),
-    )
-
-
 def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> list[EigenLevel]:
     """Lowest n levels from det M alone; no diagonalization of U anywhere.
 
     The channel of a level is unknowable on this code path, so the channel
-    field is None and indices are global.  k_max caps the positive scan's
-    reach.  Raises ScanExhausted if fewer than n levels lie below the scan's
+    field is None and indices are global.  k_max caps the positive walk's
+    reach.  Raises ScanExhausted if fewer than n levels lie below the walk's
     end, and ValueError if a given k_max is not finite and positive.
     """
     if n < 1:
@@ -467,17 +468,14 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
         _check_positive("k_max", k_max)
     proj = _Projection(bc)
     zero_mult = _zero_level_multiplicity(bc)
-    skip_origin = zero_mult > 0
 
     entries: list[tuple[float, float, str]] = []  # (E, k_or_kappa, kind)
-    for kappa, mult in _bound_roots(proj, zero_mult):
-        entries.extend([(-kappa * kappa, kappa, KIND_BOUND)] * mult)
+    entries.extend((-kappa * kappa, kappa, KIND_BOUND) for kappa in _bound_roots(proj, zero_mult))
     entries.extend([(0.0, 0.0, KIND_ZERO)] * zero_mult)
 
     need = n - len(entries)
     if need > 0:
-        for k, mult in _positive_roots(proj, need, skip_origin, k_max):
-            entries.extend([(k * k, k, KIND_POSITIVE)] * mult)
+        entries.extend((k * k, k, KIND_POSITIVE) for k in _positive_roots(proj, need, zero_mult, k_max))
         if len(entries) < n:
             raise ScanExhausted(
                 f"found {len(entries)} levels below the scan ceiling, needed {n}"

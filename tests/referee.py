@@ -1,9 +1,10 @@
-"""A 50-digit referee for the bound levels of one defect.
+"""A 50-digit referee for the levels of one defect.
 
 The solvers are judged against this module rather than against each other.
 It takes U's entries exactly as the solvers see them (each double is exact
-in mpmath), finds U's eigenvalues e^{i theta} with mp.eig at 50 digits, and
-bisects each channel's G(kappa) / kappa, divided by cosh(kappa l),
+in mpmath) and finds U's eigenvalues e^{i theta} with mp.eig at 50 digits.
+For the bound levels it bisects each channel's G(kappa) / kappa, divided by
+cosh(kappa l),
 
     l tanh(kappa l) / (kappa l) sin(theta / 2) + L0 cos(theta / 2),
 
@@ -13,6 +14,18 @@ window's two ends, and the bisection keeps the bracket.  Its value at 0 is
 the threshold T = l sin(theta / 2) + L0 cos(theta / 2).  The overall sign of
 (sin, cos) of the half-angle does not move a root, so any branch of arg
 serves.
+
+For the positive levels it brackets each channel's F(k) / k,
+
+    sin(kl) / k sin(theta / 2) + L0 cos(kl) cos(theta / 2),
+
+on every branch of tan, kl within pi/2 of m pi ([0, pi/2) for m = 0).
+With sin(theta / 2) >= 0 it rises through zero once on a full branch, from
+(-1)^(m+1) sin(theta / 2) / k at its lower pole to (-1)^m sin(theta / 2) / k
+at its upper one; those values are taken in closed form, since cos(kl) at a
+pole is only rounding, and sin(theta / 2) = 0 puts the root on the upper
+pole.  Branch 0 holds a root where the threshold T has the sign opposite to
+its upper pole's.  The Illinois variant of regula falsi refines each bracket.
 """
 
 import mpmath
@@ -24,32 +37,84 @@ _DPS = 50
 _WIDTH = mpmath.mpf(10) ** -30
 
 
+def _bisect(f, lo, hi, f_lo):
+    # The root of f in [lo, hi], where f changes sign, to _WIDTH of hi.
+    width = _WIDTH * hi
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        f_mid = f(mid)
+        if f_mid * f_lo > 0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _illinois(f, lo, hi, f_lo, f_hi):
+    # The root of f in [lo, hi], where f changes sign, by the Illinois
+    # variant of regula falsi, until a step is within _WIDTH of hi.
+    width = _WIDTH * hi
+    x = lo
+    for _ in range(200):
+        x_new = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if abs(x_new - x) <= width:
+            return x_new
+        x, f_x = x_new, f(x_new)
+        if f_x == 0:
+            return x
+        if f_x * f_hi < 0:
+            lo, f_lo = hi, f_hi
+        else:
+            f_lo /= 2
+        hi, f_hi = x, f_x
+    return x
+
+
+def _half_angles(bc):
+    u = mpmath.matrix([[mpmath.mpc(complex(bc.u[i, j])) for j in range(2)] for i in range(2)])
+    for lam in mpmath.eig(u, left=False, right=False):
+        half = mpmath.arg(lam) / 2
+        yield mpmath.sin(half), mpmath.cos(half)
+
+
 def bound_levels(bc) -> list[float]:
     """The bound levels E = -kappa^2 of bc, ascending, as doubles."""
     with mpmath.workdps(_DPS):
-        u = mpmath.matrix([[mpmath.mpc(complex(bc.u[i, j])) for j in range(2)] for i in range(2)])
         l, L0 = mpmath.mpf(bc.l), mpmath.mpf(bc.L0)
         cap = KAPPA_CEILING / l
         levels = []
-        for lam in mpmath.eig(u, left=False, right=False):
-            half = mpmath.arg(lam) / 2
-            s2, c2 = mpmath.sin(half), mpmath.cos(half)
+        for s2, c2 in _half_angles(bc):
 
             def ghat(kappa):
                 x = kappa * l
                 return l * mpmath.tanh(x) / x * s2 + L0 * c2
 
-            lo, hi = mpmath.mpf(0), cap
-            f_lo, f_hi = l * s2 + L0 * c2, ghat(hi)
+            f_lo, f_hi = l * s2 + L0 * c2, ghat(cap)
             if f_lo * f_hi >= 0:
                 continue
-            while hi - lo > _WIDTH * cap:
-                mid = (lo + hi) / 2
-                f_mid = ghat(mid)
-                if f_mid * f_lo > 0:
-                    lo, f_lo = mid, f_mid
-                else:
-                    hi = mid
-            kappa = (lo + hi) / 2
+            kappa = _bisect(ghat, mpmath.mpf(0), cap, f_lo)
             levels.append(float(-kappa * kappa))
         return sorted(levels)
+
+
+def positive_levels(bc, n: int) -> list[float]:
+    """The lowest n positive levels E = k^2 of bc, ascending, as doubles."""
+    with mpmath.workdps(_DPS):
+        l, L0 = mpmath.mpf(bc.l), mpmath.mpf(bc.L0)
+        roots = []
+        for s2, c2 in _half_angles(bc):
+            if s2 < 0:
+                s2, c2 = -s2, -c2
+
+            def fhat(k):
+                return l * mpmath.sinc(k * l) * s2 + L0 * mpmath.cos(k * l) * c2
+
+            for m in range(n // 2 + 2):  # each channel has a root on every full branch
+                lo, hi = max(m - mpmath.mpf(0.5), 0) * mpmath.pi / l, (m + mpmath.mpf(0.5)) * mpmath.pi / l
+                sign = (-1) ** m
+                f_lo = l * s2 + L0 * c2 if m == 0 else -sign * s2 / lo
+                if s2 == 0:
+                    roots.append(hi)
+                elif f_lo * sign < 0:
+                    roots.append(_illinois(fhat, lo, hi, f_lo, sign * s2 / hi))
+        return sorted(float(k * k) for k in roots)[:n]

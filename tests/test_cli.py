@@ -423,7 +423,10 @@ def test_trace_winding_shifts_csv(capsys):
 # change there must leave these bytes as they are.  iso-bound was recorded
 # again when det's bound roots came to be bracketed by Q's ends and vertex
 # instead of a kappa grid, which moves their last bits: its
-# max_level_deviation went from 7.1e-15 to 1.4e-14.
+# max_level_deviation went from 7.1e-15 to 1.4e-14.  iso and iso-bound were
+# recorded again when det M came to be evaluated in centred form and its
+# positive roots bracketed by knots instead of a k grid: max_level_deviation
+# went from 7.1e-15 to 8.9e-16 (iso) and from 1.4e-14 to 7.1e-15 (iso-bound).
 PINNED_STDOUT_SHA256 = [
     (
         ("trace", "--theta-plus", "3.5", "--theta-minus", "1.0", "--w-plus", "1",
@@ -437,12 +440,12 @@ PINNED_STDOUT_SHA256 = [
     (
         ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
          "--grid-nu", "3"),
-        "efde1045bd690fb4a752f42a522e2b272882c2b9f7771c5030e5e4b7aabc69d9",
+        "9355923999ce85cac20ddd23ae2720cdd0d0b0c9748d8e3c85e49558353eb9b7",
     ),
     (
         ("isospectral", "--xi", "3.6", "--rho", "0.5", "-n", "6", "--l", "2.0", "--L0", "0.5",
          "--grid-mu", "3", "--grid-nu", "4"),
-        "481caa0da28c0090d0c71e50f36e400d892f3251dcfe6f0c29edc10bb7e8f71d",
+        "e37ef579361a1fd76c4b10d971ffaf2e0be928a6a3c75e6e9be125458f0ed508",
     ),
 ]
 
@@ -489,7 +492,10 @@ def test_ladder_stdout_is_pinned(capsys, argv, digest):
 # from per-field converters to one line template per record shape: every
 # shape in both formats, the channel-less det and fd levels, degenerate
 # pairs, a trajectory that leaves through the floor, and both exit codes of
-# oracle-compare.
+# oracle-compare.  iso-csv and the three oracle-compare pins were recorded
+# again when det M came to be evaluated in centred form and its positive
+# roots bracketed by knots: E_det moved in its last bits (delta_det of
+# level 0 went from 2.9e-14 to 5.0e-14), and every gate and exit code held.
 PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "64",
@@ -576,21 +582,21 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
          "--grid-nu", "3", "--format", "csv"),
-        0, "b1316bfc92323f6e53512eb125d99ead35bef20c5aa01d02ce799da2c3b8e450",
+        0, "f0c61f0ff7b97f40061383028901b819b0f032b0bb3f00c595fa7e8377fbb0f7",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--n-interior", "128"),
-        0, "d18e1c38a02ff5a49fb70d171987977d33c2a616917e46a9065068e260ec60b9",
+        0, "8c8374a95c3edd4191d90c38fb45c4135c591c800a6cb33c3f75487b4ab215b7",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18"),
-        1, "3a9008e810b95ebf2a3ac41b6fc56293ed4a6a728b4ab77ebe5c2c46fcda927e",
+        1, "c1060f530521d33975af05a1761798ee9fb2839b1787ee5302e47e1b623fceda",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18", "--format", "csv"),
-        1, "c894e92411c797d2a69e89b1860cb74031c831bdf91e6929964f1ab1babc447a",
+        1, "bf5cc0109846c27deffef1b40b3ff31f257a82b6c70b7bf3c7ca12f87c3fe12c",
     ),
 ]
 

@@ -21,7 +21,6 @@ from defectline import (
     UnitaryParams,
     channel_function,
     det_matrix,
-    det_scan,
     det_spectrum,
     fd_spectrum,
     params_to_matrix,
@@ -31,7 +30,7 @@ from defectline import oracles
 from defectline.boundary import KIND_BOUND, KIND_ZERO
 from defectline.cli import main
 from defectline.oracles import _fd_eliminated, _fd_lowest, _fd_parts, _fd_tridiagonal
-from defectline.spectrum import GRID_DENSITY, KAPPA_CEILING, _brentq, solve_channel
+from defectline.spectrum import KAPPA_CEILING, _brentq, solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 import referee
 
@@ -84,47 +83,30 @@ def test_det_factorizes_into_channel_functions():
             assert abs(_det(bc, k) - expected) <= 1e-10 * (1.0 + abs(expected))
 
 
-# ------------------------------------------------------------------ det scan
+# -------------------------------------------------------------- det spectrum
 
 
-def test_det_scan_grid_and_root_quality():
+def test_det_spectrum_root_quality_up_to_a_ceiling():
+    # Every level below the ceiling, each positive one a zero of det M.
     rng = np.random.default_rng(71)
     bc = _random_bc(rng)
-    scan = det_scan(bc, 15.0)
-    step = scan.k_grid[1] - scan.k_grid[0]
-    assert step <= math.pi / GRID_DENSITY + 1e-15
-    assert scan.k_grid[0] == 0.0 and scan.k_grid[-1] >= 15.0
-    scan_max = np.max(np.abs(scan.det_values))
-    assert len(scan.roots) > 0
-    for r in scan.roots:
-        assert abs(_det(bc, r)) <= 1e-9 * scan_max
-    # roots agree with the channel solver's positive levels in the window
-    ks = [
-        lv.k_or_kappa
-        for lv in solve_spectrum(bc, 16).levels
-        if lv.kind == "positive" and lv.k_or_kappa <= 15.0
-    ]
-    assert len(ks) == len(scan.roots)
-    assert np.max(np.abs(np.sort(ks) - np.sort(scan.roots))) <= 1e-9
+    ref = [lv for lv in solve_spectrum(bc, 16).levels if lv.kind != "positive" or lv.k_or_kappa <= 15.0]
+    got = det_spectrum(bc, len(ref), k_max=15.0)
+    with pytest.raises(ScanExhausted):
+        det_spectrum(bc, len(ref) + 1, k_max=15.0)
+    size = max(abs(_det(bc, k)) for k in np.linspace(0.1, 15.0, 200))
+    roots = [lv.k_or_kappa for lv in got if lv.kind == "positive"]
+    assert len(roots) > 0
+    for r in roots:
+        assert abs(_det(bc, r)) <= 1e-9 * size
+    assert np.max(np.abs(np.array([lv.E for lv in ref]) - [lv.E for lv in got])) <= 1e-9
 
 
-def test_det_scan_honors_custom_step():
-    bc = BoundaryCondition(-np.eye(2, dtype=complex))
-    scan = det_scan(bc, 7.0, step=0.01)
-    assert abs((scan.k_grid[1] - scan.k_grid[0]) - 0.01) <= 1e-15
-
-
-@pytest.mark.parametrize(
-    "k_max, step", [(5.0, 0.0), (5.0, -0.01), (5.0, math.nan), (-1.0, None), (math.nan, None),
-                    (math.inf, None)],
-)
-def test_det_scan_rejects_a_bad_ceiling_or_step(k_max, step):
+@pytest.mark.parametrize("k_max", [-1.0, math.nan, math.inf])
+def test_det_spectrum_rejects_a_bad_ceiling(k_max):
     bc = BoundaryCondition(-np.eye(2, dtype=complex))
     with pytest.raises(ValueError):
-        det_scan(bc, k_max, step)
-
-
-# -------------------------------------------------------------- det spectrum
+        det_spectrum(bc, 2, k_max)
 
 
 def test_det_spectrum_matches_channel_solver():
@@ -288,9 +270,10 @@ def test_det_spectrum_ignores_rounding_dips_on_a_flat_projection():
     assert _det_vs_channel(bc, 8) <= 1e-9
 
 
-# Eigenphase half-differences: generic, within 1e-3...1e-2 of 0 or pi (close
-# pairs that share scan cells), and exactly 0 or pi (exact doubles).
-_near = st.floats(-3.0, -2.0).map(lambda e: 10.0**e)
+# Eigenphase half-differences: generic, within 1e-9...1e-2 of 0 or pi (close
+# pairs, which one turn of det M holds together), and exactly 0 or pi (exact
+# doubles).
+_near = st.floats(-9.0, -2.0).map(lambda e: 10.0**e)
 _rhos = st.one_of(
     st.floats(1e-2, math.pi - 1e-2),
     _near,
@@ -328,7 +311,38 @@ def _gate_defects(draw):
 
 @given(_gate_defects())
 def test_det_spectrum_matches_channel_solver_at_the_gate(bc):
-    assert _det_vs_channel(bc, 8) <= 1e-9
+    # A zero level is a root within 1e-9 of E = 0 to the referee.
+    want = sorted(referee.bound_levels(bc) + referee.positive_levels(bc, 8))[:8]
+    assert _matches_referee([lv.E for lv in det_spectrum(bc, 8)], want)
+
+
+def test_det_spectrum_splits_a_close_pair_next_to_a_zero_level():
+    # The plus channel sits 1.2e-7 below the threshold and rho = 6.2e-9 puts
+    # the minus channel's levels 8e-8 from the plus channel's.  det dropped
+    # the bound level and reported the pair at E = 42.748 as one double root.
+    p = UnitaryParams(xi=3.8554804765050585, rho=6.189447028523374e-09,
+                      mu=2.6297070935138342, nu=5.435272103849228)
+    bc = BoundaryCondition(params_to_matrix(p), l=0.6872546027135319, L0=1.8429118643281133)
+    assert _det_vs_channel(bc, 4) <= 1e-9
+
+
+_EDGE_MATRICES = [
+    np.eye(2), -np.eye(2), np.diag([1.0, -1.0]), SIGMA1, cmath.exp(0.9j) * np.eye(2),
+    params_to_matrix(UnitaryParams(0.0, 0.0, 0.7, 1.3)),
+]
+
+
+@pytest.mark.parametrize("l, L0", [(1.0, 1.0), (0.3, 7.0), (100.0, 100.0), (0.01, 0.01)])
+def test_det_spectrum_keeps_every_double_root_and_root_on_a_knot(l, L0):
+    # Scalar U makes every level a double root; diag(1, -1) and sigma1 put
+    # roots exactly on kl = m pi and on the poles, where the closed-form end
+    # knots lie.
+    for u in _EDGE_MATRICES:
+        bc = BoundaryCondition(np.asarray(u, dtype=complex), l, L0)
+        for n in (64, 200):
+            ref = np.array([lv.E for lv in solve_spectrum(bc, n).levels])
+            got = np.array([lv.E for lv in det_spectrum(bc, n)])
+            assert np.all(np.abs(ref - got) <= np.maximum(1e-9, 1e-14 * np.abs(ref)))
 
 
 @st.composite
@@ -342,41 +356,40 @@ def _floor_defects(draw):
     return BoundaryCondition(params_to_matrix(p), l, L0)
 
 
-def _det_levels(bc, n, k_max):
-    try:
-        return [(lv.E, lv.k_or_kappa, lv.kind, lv.degenerate_with) for lv in det_spectrum(bc, n, k_max)]
-    except ScanExhausted as exc:
-        return str(exc)
-
-
 @given(
     st.one_of(_gate_defects(), _floor_defects()),
     st.integers(1, 40),
     st.one_of(st.none(), st.floats(0.5, 60.0)),
 )
-def test_det_spectrum_equals_the_scan_that_refines_every_root(bc, n, reach):
-    # det_spectrum refines only the lowest n + 1 positive roots; the
-    # reference scan refines every root on its grid.  k_max, when drawn,
-    # ends the scan at kl = reach, which may hold fewer than n levels.
-    k_max = None if reach is None else reach / bc.l
-    scan = oracles._scan
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_scan", lambda proj, grid, skip_origin, want: scan(proj, grid, skip_origin))
-        reference = _det_levels(bc, n, k_max)
-    assert _det_levels(bc, n, k_max) == reference
+def test_det_spectrum_does_not_depend_on_how_far_it_walks(bc, n, reach):
+    # det_spectrum refines only the lowest n + 1 positive roots; a deeper
+    # call refines more, and a ceiling at kl = reach ends the walk early.
+    # The first n levels are the same doubles whenever the walk reaches them.
+    deeper = det_spectrum(bc, n + 20)
+    assert det_spectrum(bc, n) == deeper[:n]
+    if reach is None:
+        return
+    k_max = reach / bc.l
+    below = [lv for lv in deeper if lv.kind != "positive" or lv.k_or_kappa <= k_max]
+    if len(below) < n:
+        with pytest.raises(ScanExhausted):
+            det_spectrum(bc, n, k_max)
+    else:
+        capped = det_spectrum(bc, n, k_max)
+        assert [(lv.E, lv.k_or_kappa, lv.kind) for lv in capped] == [
+            (lv.E, lv.k_or_kappa, lv.kind) for lv in deeper[:n]
+        ]
 
 
 # Defects for the referee: l and L0 in 10^(+-0.5), and the plus eigenphase
 # generic, within 1e-9...1e-3 of the threshold T = 0, or with its bound level
-# at kappa l in 40...49.95 or 50.05...60, off the floor.  rho is generic or
-# exactly 0 or pi, where every level is an exact double.  Close pairs (rho
-# within 1e-2 of 0 or pi but off it) stay out: det M's O(1) terms cancel
-# down to the square of the splitting there, so det resolves such a pair
-# only to about sqrt(eps) until det M is evaluated in a form centred on it.
+# at kappa l in 40...49.95 or 50.05...60, off the floor.  rho is generic,
+# exactly 0 or pi, where every level is an exact double, or within
+# 1e-9...1e-2 of 0 or pi, a close pair.
 @st.composite
 def _referee_defects(draw):
     l, L0 = draw(_sizes), draw(_sizes)
-    rho = draw(st.one_of(st.floats(1e-2, math.pi - 1e-2), st.sampled_from([0.0, math.pi])))
+    rho = draw(_rhos)
     kind = draw(st.sampled_from(["generic", "threshold", "floor"]))
     if kind == "threshold":
         offset = draw(_near_threshold) * draw(st.sampled_from([-1.0, 1.0]))
@@ -440,10 +453,12 @@ def test_det_bound_levels_at_the_threshold_and_the_floor():
                     assert _det_vs_channel(bc, 3) <= 1e-9
                 else:
                     assert _matches_referee(_det_bound_levels(bc), referee.bound_levels(bc))
-    # A bound root on the floor that det keeps (see _gate_defects).
+    # A bound root within rounding of the floor: g there takes its sign from
+    # rational arithmetic, and det holds the referee's one level, not the
+    # floor itself as well.
     p = UnitaryParams(xi=3.182587321536094, rho=-0.001, mu=1.5703728657700096, nu=0.0)
     bc = BoundaryCondition(params_to_matrix(p))
-    assert det_spectrum(bc, 1)[0].E == pytest.approx(-KAPPA_CEILING**2)
+    assert _matches_referee(_det_bound_levels(bc), referee.bound_levels(bc))
 
 
 def test_det_counts_an_exact_zero_at_the_vertex_as_a_root():
@@ -461,11 +476,11 @@ def test_det_counts_an_exact_zero_at_the_vertex_as_a_root():
 
 
 def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
-    # Generic defects have no dips and no zero-energy level, so each
-    # refinement of a residual is one root.  The scan reaches about n/2 + 6
-    # branches of each channel, about n + 12 roots, but only the n + 1
-    # levels that det_spectrum reads are refined, besides every bound root.
-    # The inversion of Q's vertex to kappa refines no root and is left out.
+    # Generic defects have no double root and no zero-energy level, so each
+    # refinement of g is one root.  Only the n + 1 levels that det_spectrum
+    # reads are refined, besides every bound root, even where a turn holds
+    # one root past them.  The knot solves and the inversion of Q's vertex
+    # to kappa refine no root and are left out.
     calls = []
 
     def counting(f, *args):
@@ -480,7 +495,6 @@ def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
                               rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
             calls.clear()
             det_spectrum(BoundaryCondition(params_to_matrix(p)), n)
-            assert "positive_slope" not in calls  # no dips
             bound = calls.count("bound_scalar")
             assert calls.count("positive_scalar") == (n + 1 - bound if n > bound else 0)
 

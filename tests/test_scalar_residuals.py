@@ -1,18 +1,17 @@
 """Property tests: each fast path returns the doubles of its plain form.
 
-The root refiners evaluate F/k, G/kappa and the projected determinant one
-float at a time on scalar forms of the grid functions, the channel solver
-merges two ladders solved only as deep as the merge reaches, and a loop's
-samples are solved in one batch.  The printed levels stay the same only
+The root refiners evaluate F/k and G/kappa one float at a time on scalar
+forms of the grid functions, the channel solver merges two ladders solved
+only as deep as the merge reaches, and a loop's samples are solved in one
+batch.  The printed levels stay the same only
 while every scalar form returns exactly the double its vector form returns,
 the shallow merge returns the full-depth one and the batch returns one
 solve per sample, so these tests compare with ==, not with a tolerance, over l
 and L0 across four decades and the edge regions: theta near 0 and pi, the
 threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  A row of a
 label window is held to the row solved from the bottom of its ladder.  The
-closed-form slopes dg/dE of the projected determinant only locate a vertex,
-so they are held to central differences of g instead, and the branch labels
-that place each channel root are held to consecutive integers within 1e-6.
+branch labels that place each channel root are held to consecutive integers
+within 1e-6.
 """
 
 import math
@@ -30,7 +29,6 @@ from defectline import (
     solve_channel,
     solve_spectrum,
 )
-from defectline.oracles import _Projection
 from defectline import anholonomy
 from defectline.spectrum import (
     KAPPA_CEILING,
@@ -238,57 +236,6 @@ def test_label_window_rows_equal_the_bottom_solved_rows(batch, n):
         col = first + int(np.flatnonzero(label == a)[0])
         assert rows.k_or_kappa[r].tolist() == deep.k_or_kappa[r, col:col + n].tolist()
         assert rows.E[r].tolist() == deep.E[r, col:col + n].tolist()
-
-
-@st.composite
-def projections(draw):
-    """A defect whose channels sit at draw(channels()) and theta_plus - 2 rho."""
-    theta_plus, l, L0 = draw(channels())
-    rho = draw(angles)
-    p = UnitaryParams(
-        xi=theta_plus - rho, rho=rho, mu=draw(st.floats(0.0, PI)), nu=draw(st.floats(0.0, TWO_PI))
-    )
-    return BoundaryCondition(params_to_matrix(p), l=l, L0=L0)
-
-
-@given(projections(), seeds)
-def test_projection_positive_scalar_equals_vector_form(bc, seed):
-    proj = _Projection(bc)
-    k = _points(seed, 60.0 * PI / bc.l)
-    vec = proj.positive(k)
-    scalar = [proj.positive_scalar(x) for x in k.tolist()]
-    assert scalar == vec.tolist()
-    assert scalar == [float(proj.positive(x)) for x in k.tolist()]
-
-
-def _continued(proj, e):
-    # g of the positive regime at energy e, continued below E = 0 through
-    # cos(k l) = cosh(kappa l): bound_scalar times cosh^2 there.
-    if e >= 0.0:
-        return proj.positive_scalar(math.sqrt(e))
-    return proj.bound_scalar(math.sqrt(-e)) * math.cosh(math.sqrt(-e) * proj.l) ** 2
-
-
-@given(projections(), seeds)
-def test_projection_slopes_equal_central_differences(bc, seed):
-    # dg/dE against a central difference of g in E, at E = 0, on both sides
-    # of the series switch at x = kl = 0.25 and at random x up to 30.  g
-    # moves by its own size when E moves by about (1 + x) / l^2, so the step
-    # is 1e-4 of that and the difference is good to about 1e-8 of
-    # size / scale.
-    proj = _Projection(bc)
-    l = bc.l
-    size = abs(proj.det_a) * l * l + abs(proj.det_b) + abs(proj.mixed) * l
-    switch = [0.0, math.nextafter(0.25, 0.0), 0.25]
-    spread = np.random.default_rng(seed).uniform(0.0, 1.0, 5)
-    for x in switch + (30.0 * spread).tolist():
-        k = x / l
-        scale = (1.0 + x) / (l * l)
-        h = 1e-4 * scale
-        diff = (_continued(proj, k * k + h) - _continued(proj, k * k - h)) / (2.0 * h)
-        assert abs(proj.positive_slope(k) - diff) <= 1e-6 * size / scale
-    below, above = proj.positive_slope(switch[1] / l), proj.positive_slope(switch[2] / l)
-    assert abs(below - above) <= 1e-12 * size * l * l
 
 
 @st.composite
