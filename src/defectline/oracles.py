@@ -22,22 +22,22 @@ it lies within that bound, and none otherwise.  Below E = 0, Q's vertex and
 the window's ends bracket every bound root (_bound_roots).  The rounding
 bound comes from the centred terms of det M, so no tolerance is set by hand;
 neither knot direction is an eigenphase, and no square root of D is taken.
-Roots are refined with spectrum._brentq, a port of scipy's brentq; only the
-finite-difference solver imports scipy.
+Roots are refined with spectrum._brentq, a port of scipy's brentq.
 
-The finite-difference operator, with the junction values eliminated, is
-tridiagonal but for a 2x4 patch at the defect.  Its coupling block M (the
-patch's entries toward x = -2h and 2h) is Hermitian, and where M is positive
-definite a Cholesky similarity, one phase and a Givens chase make the
-operator a real symmetric tridiagonal, whose lowest levels LAPACK bisection
-finds.  Where M is not positive definite the levels may be complex, and
-shift-invert ARPACK finds the lowest real ones; a singular junction block
-takes a dense generalized solve.
+The finite-difference solver never builds its matrix either.  Away from the
+defect the operator is the 3-point stencil, which a discrete sine wave from
+each wall solves exactly, so its levels are the zeros of the determinant of
+the 2x2 junction condition applied to the two waves, N = alpha U - conj(alpha)
+I.  Phased, det N is a real form in the wave's junction value and junction
+difference, whose direction rises monotonically with E, so FD has the same
+turn structure as det M with its own dispersion, its own knots and its own
+rounding bound, and no eigenvalue solver.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -491,201 +491,165 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
     return flag_degenerate(levels)[:n]
 
 
-def _fd_parts(bc: BoundaryCondition, n_interior: int):
-    """Spacing h, junction block J and junction patch K.
+class _FdForm:
+    """The phased det N as a real form g in (sigma, tau), in centred form.
 
-    The unknowns are the interior nodes of the left half (x = -l+h ... -h)
-    followed by those of the right half (x = h ... l-h); the junction values
-    z1 = phi(0-) and z2 = phi(0+) are not among them.  Away from the defect
-    the operator is two decoupled 3-point stencils.  The junction rows read
-    J (z2, z1) + K w = 0, and K only touches the four nodes x = -2h, -h, h,
-    2h, which are columns nw-2 ... nw+1.
+    N = alpha U - conj(alpha) I with alpha = sigma + i L0 tau, so det N =
+    w^2 - alpha^2 d4, with w = conj(alpha) - alpha t, t = tr U / 2 and
+    d4 = ((u00 - u11)^2 + 4 u01 u10) / 4, tr^2 / 4 - det U without
+    cancellation.  det N conj(sqrt(det U)) is real, and g is minus it: the
+    product over both channels of sin(theta / 2) sigma + L0 cos(theta / 2)
+    tau, up to a positive factor, so its two roots in tau / sigma are real.
+    Near a close pair w and d4 are both small, so g rounds by eps times the
+    splitting and the pair is resolved.  g is 0 where it lies within its
+    rounding bound: a touch then reads as one, and Brent's method stops
+    where rounding, not the root, would set g's sign.  g's coefficients a2,
+    a1, a0, taken once from t and d4, place the knots.
     """
-    h = bc.l / n_interior
-    # A row of the stencil sums to 4 / h^2 in absolute value.
-    if not h * h > 4.0 / sys.float_info.max:
-        raise SolverError(f"the FD stencil 4/h^2 at h={h!r} overflows a double")
-    u = bc.u
-    j_block = (u - np.eye(2)) + (3j * bc.L0 / (2.0 * h)) * (u + np.eye(2))
-    d_w = np.zeros((2, 4))
-    d_w[0, 2] = -4.0 / (2.0 * h)  # phi'(0+) stencil, node at x = h
-    d_w[0, 3] = 1.0 / (2.0 * h)   # node at x = 2h
-    d_w[1, 1] = -4.0 / (2.0 * h)  # phi'(0-) stencil, node at x = -h
-    d_w[1, 0] = 1.0 / (2.0 * h)   # node at x = -2h
-    k_patch = 1j * bc.L0 * (u + np.eye(2)) @ d_w
-    return h, j_block, k_patch
+
+    def __init__(self, u: np.ndarray, L0: float):
+        (u00, u01), (u10, u11) = ((complex(x) for x in row) for row in u)
+        self.L0 = L0
+        self.t = t = 0.5 * (u00 + u11)
+        self.d4 = d4 = 0.25 * (u00 - u11) ** 2 + u01 * u10
+        self.phase = cmath.exp(-0.5j * cmath.phase(u00 * u11 - u01 * u10))
+        self.a2 = self._real((1.0 - t) ** 2 - d4)
+        self.a1 = self._real(-2j * L0 * (1.0 - t * t + d4))
+        self.a0 = self._real(-L0 * L0 * ((1.0 + t) ** 2 - d4))
+
+    def _real(self, z: complex) -> float:
+        return -(z.real * self.phase.real - z.imag * self.phase.imag)
+
+    def __call__(self, sigma: float, tau: float, d_sigma: float, d_tau: float) -> float:
+        """g(sigma, tau), or 0 where it lies within its rounding bound.
+
+        sigma and tau round by d_sigma and d_tau, so alpha rounds by
+        da = d_sigma + L0 d_tau, and w by da (1 + |t|) and by about
+        eps |alpha| (1 + 3 |t|) in its own arithmetic, which w^2 takes to
+        second order where w is as small as that; alpha^2 d4 moves by
+        2 |alpha| |d4| da, and w^2, alpha^2 d4 and the projection each round
+        by about eps times the sizes of their terms.
+        """
+        alpha = complex(sigma, self.L0 * tau)
+        w = alpha.conjugate() - alpha * self.t
+        z = w * w - alpha * alpha * self.d4
+        g = self._real(z)
+        eps = sys.float_info.epsilon
+        a, b, t, d4 = abs(alpha), abs(w), abs(self.t), abs(self.d4)
+        da = d_sigma + self.L0 * d_tau
+        dw = da * (1.0 + t) + eps * a * (1.0 + 3.0 * t)
+        bound = 2.0 * b * dw + dw * dw + 2.0 * a * d4 * da + eps * (
+            2.0 * b * b + 3.0 * a * a * d4 + 2.0 * abs(z))
+        return 0.0 if abs(g) <= bound else g
 
 
-def _fd_laplacian(h: float, n_interior: int):
-    """The two decoupled 3-point stencils as complex CSC."""
-    import scipy.sparse
+def _fd_wave(n: int, e: float) -> tuple[float, float]:
+    """(sigma, tau) of the discrete wave at E l^2 = e, in units of l.
 
-    nw = n_interior - 1  # unknowns per side besides the junction values
-    inv_h2 = 1.0 / (h * h)
-    off = np.full(2 * nw - 1, -inv_h2)
-    off[nw - 1] = 0.0  # the two halves only talk through the junction values
-    return scipy.sparse.diags(
-        [off, np.full(2 * nw, 2.0 * inv_h2), off], [-1, 0, 1], format="csc", dtype=complex
-    )
-
-
-def _fd_eliminated(h: float, n_interior: int, j_block: np.ndarray, k_patch: np.ndarray):
-    """The FD operator with the junction values eliminated, as CSC.
-
-    Solving the junction rows for (z2, z1) and substituting them into the
-    rows next to the defect changes only rows nw-1 and nw, on columns
-    nw-2 ... nw+1; everywhere else the matrix is the Laplacian.
+    On each half the stencil with phi = 0 at the wall is solved by
+    s_j = sin(q (l - j h)) at E = (2/h)^2 sin^2(q h / 2) >= 0, and by
+    sinh(kappa (l - j h)) at E = -(2/h)^2 sinh^2(kappa h / 2).  sigma is
+    s_0 / q, its junction value, and tau the one-sided junction difference
+    (3 s_0 - 4 s_1 + s_2) / (2 h q), written without cancellation as
+    [c^2 s_0 + sin(qh) (1 + c) cos(ql)] / (h q), where c = 2 sin^2(q h / 2)
+    = h^2 E / 2 in both regimes (sinh and cosh below E = 0, both over
+    cosh(kappa l), which keeps them of order one and moves no root).  In
+    units of l, h = 1 / n.  Both are continuous at E = 0, where they are
+    (1, 1).
     """
-    import scipy.sparse
-
-    lap = _fd_laplacian(h, n_interior)
-    nw = n_interior - 1
-    inv_h2 = 1.0 / (h * h)
-    elim = -np.linalg.solve(j_block, k_patch)  # (z2, z1) rows in terms of w
-    rows = np.repeat([nw - 1, nw], 4)  # left row adjacent to z1, right row adjacent to z2
-    cols = np.tile(np.arange(nw - 2, nw + 2), 2)
-    patch = scipy.sparse.csc_matrix(
-        (np.concatenate([elim[1], elim[0]]) * -inv_h2, (rows, cols)), shape=lap.shape
-    )
-    return lap + patch
+    x = 0.5 * math.sqrt(abs(e)) / n  # sin(q h / 2), or sinh(kappa h / 2)
+    if e >= 0.0:
+        q = 2.0 * n * math.asin(x)
+        s0, c0, sh = math.sin(q), math.cos(q), 2.0 * x * math.sqrt(1.0 - x * x)
+    else:
+        q = 2.0 * n * math.asinh(x)
+        s0, c0, sh = math.tanh(q), 1.0, 2.0 * x * math.sqrt(1.0 + x * x)
+    c = 0.5 * e / (n * n)
+    sigma = s0 / q if q else 1.0
+    return sigma, n * (c * c * sigma + (sh / q if q else 1.0 / n) * (1.0 + c) * c0)
 
 
-def _fd_tridiagonal(h: float, n_interior: int, j_block: np.ndarray, k_patch: np.ndarray):
-    """A real symmetric tridiagonal (d, e) similar to the eliminated operator H.
+def _fd_directions(a2: float, a1: float, a0: float) -> list[tuple[tuple[float, float], bool]]:
+    """((c, s), is_vertex) of the form's two extreme directions, psi in (0, pi], in psi order.
 
-    Name the nodes next to the defect p = (-h, h) and q = (-2h, 2h).  The
-    junction coupling G = J^-1 iL0(U + I) is Hermitian, being a function of
-    U with real eigenvalues, so M = -h^2 H[p, q] = I - G'/(2h), with G'
-    ordered (0-, 0+), is Hermitian too; H[q, p] = -I/h^2 is the stencil and
-    H[p, p] = (4M - 2I)/h^2.  When M is positive definite (positive trace
-    and determinant) with Cholesky factor M = L L^H, the similarity by L on
-    p turns H[p, q] into -L^H/h^2, H[q, p] into -L/h^2 and H[p, p] into
-    (4 L^H L - 2I)/h^2: Hermitian, and tridiagonal but for L's corner at
-    (2h, -h).  The one cycle -h, h, 2h of the junction has a real product,
-    so one phase on the right half makes every entry real and leaves only
-    |L[1, 0]| of L's corner.  A Givens chase then pushes the corner from
-    the junction out through the right wall, one rotation per node.  Only
-    2x2 closed forms, phases and rotations are used; neither U nor any
-    function of it is diagonalized.
-
-    Returns None when M is not positive definite; H is then not similar to
-    a Hermitian matrix this way, and its spectrum may hold complex pairs.
+    At (sigma, tau) = rho (sin psi, cos psi) the form is (a0 + a2) / 2 +
+    (r / 2) cos(2 psi - phi), with r = hypot(a0 - a2, a1) and phi = atan2(a1,
+    a0 - a2).  Its largest value lies at psi = phi / 2, taken by the stable
+    half-angle form, and its smallest a right angle away.  The extreme of
+    the smaller magnitude is the vertex: a turn of psi by pi between two end
+    directions holds the form's two roots, one on each side of the vertex or
+    both on it.
     """
-    elim = -np.linalg.solve(j_block, k_patch)  # rows (z2, z1), columns (-2h, -h, h, 2h)
-    # M's Hermitian part, which drops the rounding of the solve.
-    m00 = 1.0 + float(elim[1, 0].real)
-    m11 = 1.0 + float(elim[0, 3].real)
-    m10 = abs(0.5 * (complex(elim[0, 0]) + complex(elim[1, 3]).conjugate()))
-    det = m00 * m11 - m10 * m10
-    if not (m00 + m11 > 0.0 and det > 0.0):
-        return None
-    l11 = math.sqrt(m00)
-    l21 = m10 / l11
-    l22 = math.sqrt(det / m00)
-
-    nw = n_interior - 1
-    size = 2 * nw
-    inv_h2 = 1.0 / (h * h)
-    d = [2.0 * inv_h2] * size
-    # e[i] couples nodes i and i + 1; one zero past the wall lets the last
-    # rotation run like every other.
-    e = [-inv_h2] * (size - 1) + [0.0]
-    d[nw - 1] = (4.0 * (l11 * l11 + l21 * l21) - 2.0) * inv_h2
-    d[nw] = (4.0 * l22 * l22 - 2.0) * inv_h2
-    e[nw - 2] = -l11 * inv_h2
-    e[nw - 1] = 4.0 * l21 * l22 * inv_h2
-    e[nw] = -l22 * inv_h2
-
-    # The corner b sits at (k + 2, k).  Rotating nodes k + 1 and k + 2
-    # folds it into e[k] and moves it, as s e[k + 2], to (k + 3, k + 1).
-    b = -l21 * inv_h2
-    for k in range(nw - 1, size - 2):
-        if b == 0.0:
-            break
-        a, f, g = d[k + 1], e[k + 1], d[k + 2]
-        r = math.hypot(e[k], b)
-        c, s = e[k] / r, b / r
-        e[k] = r
-        d[k + 1] = c * c * a + 2.0 * c * s * f + s * s * g
-        d[k + 2] = s * s * a - 2.0 * c * s * f + c * c * g
-        e[k + 1] = c * s * (g - a) + (c * c - s * s) * f
-        b = s * e[k + 2]
-        e[k + 2] *= c
-    return np.array(d), np.array(e[:-1])
+    p = a0 - a2
+    r = math.hypot(p, a1)
+    top = (r + p, a1) if p >= 0.0 else (a1, r - p)
+    extremes = [(top, a0 + a2 < 0.0), ((-top[1], top[0]), a0 + a2 >= 0.0)]
+    extremes = [((c, s) if s > 0.0 or (s == 0.0 and c < 0.0) else (-c, -s), vertex)
+                for (c, s), vertex in extremes]
+    return sorted(extremes, key=lambda d: math.atan2(abs(d[0][1]), d[0][0]))
 
 
-# Absolute tolerance of the bisection: LAPACK's setting for the most
-# accurate eigenvalues dstebz can give, twice the underflow threshold.
-_BISECTION_TOL = 2.0 * np.finfo(float).tiny
+def _fd_knots(n: int, floor: float, directions):
+    """(E l^2, is_vertex) of every knot above the floor and below the last piece, ascending.
 
-
-def _fd_bisect(d: np.ndarray, e: np.ndarray, n: int, floor: float) -> np.ndarray:
-    """Sorted eigenvalues of the tridiagonal (d, e) at or above floor, n if there are.
-
-    LAPACK bisection (dstebz) finds the k lowest eigenvalues, k = n at
-    first.  Those below the floor are the lowest, so one more call with k
-    raised by their count holds n levels above it, if the matrix has them.
+    The knots of direction (c, s) are the zeros of c sigma - s tau, which is
+    rho sin(psi - psi_d), and psi rises monotonically with E: from less
+    than pi / 2 below pi / 4 at the floor, to pi / 4 at E = 0 and by pi
+    over each piece ql in (m pi, (m+1) pi).  So a direction has at most one
+    knot below E = 0 and one on every piece, where c sigma - s tau changes
+    sign.  At a piece's ends sigma is 0 and cos(ql) is (-1)^m, and there
+    sigma and tau are taken in closed form.  The last piece, which ends at
+    the band edge q = pi / h where sigma = tau = 0, is not walked.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
 
-    size = d.size
-    k = min(n, size)
-    while True:
-        try:
-            ev = eigvalsh_tridiagonal(
-                d, e, select="i", select_range=(0, k - 1), tol=_BISECTION_TOL
-            )
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolverFailure(f"bisection failed on {size} unknowns: {exc}") from exc
-        real = ev[ev >= floor]
-        if real.size >= n or k == size:
-            return real
-        k = min(k + n - real.size, size)
+    def piece_end(m: int) -> tuple[float, float, float]:
+        x = math.sin(0.5 * m * math.pi / n)  # sin(q h / 2)
+        tau = 2.0 * x * math.sqrt(1.0 - x * x) * (1.0 + 2.0 * x * x) * n / (m * math.pi)
+        return (2.0 * n * x) ** 2, 0.0, (-tau if m % 2 else tau)
+
+    def knot_function(c: float, s: float):
+        def fun(e: float) -> float:
+            sigma, tau = _fd_wave(n, e)
+            return c * sigma - s * tau
+        return fun
+
+    ends = itertools.chain(
+        [(floor, *_fd_wave(n, floor)), (0.0, 1.0, 1.0)], map(piece_end, range(1, n)))
+    lo = next(ends)
+    for hi in ends:
+        for (c, s), is_vertex in directions:
+            ya, yb = c * lo[1] - s * lo[2], c * hi[1] - s * hi[2]
+            if yb == 0.0:
+                yield hi[0], is_vertex
+            elif _sign(ya) * _sign(yb) < 0:
+                yield _brentq(knot_function(c, s), lo[0], hi[0], ya, yb), is_vertex
+        lo = hi
 
 
-def _real_levels(ev: np.ndarray, floor: float) -> np.ndarray:
-    """Sorted real parts of the eigenvalues with |Im E| <= 1e-6 (1 + |E|), at or above floor.
+def _sign(x: float) -> int:
+    # Signs are compared, not products: a product of two tiny values underflows to 0.
+    return (x > 0.0) - (x < 0.0)
 
-    The cut scales as the FD gate does, so a deep level keeps the rounding
-    its size brings to the imaginary part.
+
+def _fd_turn(a, ya, v, yv, b, yb) -> list[tuple[float, float, float, float]]:
+    """Root brackets (x, g(x), y, g(y)) of g on the turn from a to the end knot b.
+
+    A turn of psi by pi holds the form's two roots, one on each side of its
+    vertex knot v or both on it, so g at v has the sign opposite to the
+    end's or is 0.  Where it has that sign, each side of v holds a root;
+    where it is 0, or rounding gives it the end's sign, both lie at v, the
+    bracket (v, 0, v, 0).  Only the turn that begins at the floor a can hold
+    fewer: its left root only where g at the floor has the end's sign, and,
+    where its vertex lies below the floor (v is None), a root only where g
+    changes sign.  g = 0 at the floor is not a root.
     """
-    real = np.sort(ev[np.abs(ev.imag) <= 1e-6 * (1.0 + np.abs(ev.real))].real)
-    return real[real >= floor]
-
-
-def _fd_lowest(ham, n: int, floor: float) -> np.ndarray:
-    """Sorted real eigenvalues of ham at or above floor, at least n if found.
-
-    The fallback where _fd_tridiagonal finds M not positive definite, so
-    ham's spectrum may hold complex pairs.  Shift-invert Arnoldi returns
-    the k eigenvalues nearest sigma.  sigma sits one unit below the higher
-    of the floor and the Gershgorin lower bound of ham, so a real level at
-    or above the floor lies the closer to sigma the lower it is, and the k
-    nearest eigenvalues hold the lowest such levels.  k starts at n + 4 and
-    doubles, up to the size - 2 that ARPACK allows, while fewer than n of
-    them are real and above the floor.  The start vector and the generator
-    for any restart vector are fixed, so repeated calls return identical
-    doubles.
-    """
-    from scipy.sparse.linalg import ArpackError, eigs
-
-    size = ham.shape[0]
-    diag = ham.diagonal()
-    radius = np.asarray(abs(ham).sum(axis=1)).ravel() - np.abs(diag)
-    sigma = max(floor, float(np.min(diag.real - radius))) - 1.0
-    k = min(n + 4, size - 2)
-    while True:
-        try:
-            ev = eigs(
-                ham, k, sigma=sigma, which="LM", v0=np.ones(size, dtype=complex),
-                return_eigenvectors=False, rng=0,
-            )
-        except ArpackError as exc:  # ArpackNoConvergence included
-            raise EigenSolverFailure(f"ARPACK failed on {size} unknowns: {exc}") from exc
-        real = _real_levels(ev, floor)
-        if real.size >= n or k >= size - 2:
-            return real
-        k = min(2 * k, size - 2)
+    end = _sign(yb)
+    if v is None:
+        return [(a, ya, b, yb)] if _sign(ya) == -end else []
+    left = _sign(ya) == end
+    if _sign(yv) == -end:
+        return ([(v, yv, a, ya)] if left else []) + [(v, yv, b, yb)]
+    return [(v, 0.0, v, 0.0)] * (2 if left else 1)
 
 
 def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpectrum:
@@ -693,62 +657,56 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
 
     Each half of the box carries a standard 3-point Laplacian on n_interior
     cells (h = l / n_interior); the two junction rows encode the connection
-    condition with second-order one-sided derivatives.  The junction rows
-    contain no energy, so they are eliminated exactly, leaving an ordinary
-    eigenproblem whose matrix is tridiagonal apart from a 2x4 patch at the
-    defect.  Where the patch's coupling block M is positive definite, that
-    matrix is similar to a real symmetric tridiagonal (_fd_tridiagonal),
-    whose lowest levels LAPACK bisection finds (_fd_bisect).  Elsewhere the
-    spectrum may hold complex pairs, and a sparse shift-invert Arnoldi
-    solve (ARPACK, _fd_lowest) takes the lowest real levels.  When the
-    junction block is singular the generalized eigenproblem is solved
-    densely instead.  Every path is deterministic to the last bit.
+    condition with second-order one-sided derivatives.  A discrete wave
+    solves the stencil exactly (_fd_wave), so the levels are the zeros of
+    det N, N = alpha U - conj(alpha) I with alpha = sigma + i L0 tau.  Phased,
+    det N is a real form g in (sigma, tau) (_FdForm), and the direction psi
+    of (sigma, tau) rises monotonically with E.  So knots at the form's two
+    extreme directions (_fd_knots) split the window into turns of psi by pi,
+    _fd_turn decides each turn at its vertex knot, and spectrum._brentq
+    refines each root.  No matrix is built and no eigenvalue solver runs, so
+    a level's doubles do not depend on n.
 
-    The last digits of a level depend on n: bisection and ARPACK both work
-    on the whole index range asked for, so the same level can come back a
-    few ulps apart for two values of n.
-
-    Eigenvalues with |Im E| > 1e-6 (1 + |E|) are discarded, and so are
-    levels deeper than kappa l = KAPPA_CEILING, which the channel and
-    determinant solvers drop by the same convention.  If fewer than n real
-    levels remain, or an eigensolver fails, the discretization failed and
-    EigenSolverFailure is raised.
+    Levels at or below kappa l = KAPPA_CEILING, E = -(KAPPA_CEILING / l)^2,
+    are dropped, as the channel and determinant solvers drop them, and the
+    last piece below the band edge E = 4 / h^2 is not searched.  If fewer
+    than n levels lie between, EigenSolverFailure is raised.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n_interior < 64:
         raise ValueError("n_interior must be at least 64")
-    h, j_block, k_patch = _fd_parts(bc, n_interior)
-    floor = -((KAPPA_CEILING / bc.l) ** 2)
+    l = float(bc.l)
+    h = l / n_interior
+    # A row of the stencil sums to 4 / h^2 in absolute value.
+    if not h * h > 4.0 / sys.float_info.max:
+        raise SolverError(f"the FD stencil 4/h^2 at h={h!r} overflows a double")
+    # In units of l the operator depends only on n_interior and L0 / l, and
+    # every value Brent's method meets is of order one at any box size.
+    form = _FdForm(bc.u, float(bc.L0) / l)
 
-    cond = np.linalg.cond(j_block)
-    if np.isfinite(cond) and cond < 1e10:
-        band = _fd_tridiagonal(h, n_interior, j_block, k_patch)
-        if band is not None:
-            real = _fd_bisect(*band, n, floor)
-        else:
-            real = _fd_lowest(_fd_eliminated(h, n_interior, j_block, k_patch), n, floor)
-    else:
-        import scipy.linalg
+    def g(e: float) -> float:
+        # q l rounds by about eps q l, which moves sigma by eps and tau by
+        # eps q l times the size of its terms.
+        x, c = 1.0 + math.sqrt(abs(e)), 0.5 * abs(e) / (n_interior * n_interior)
+        eps = sys.float_info.epsilon
+        d_tau = 4.0 * eps * x * (1.0 + c + c * c * n_interior)
+        return form(*_fd_wave(n_interior, e), 2.0 * eps * x, d_tau)
 
-        lap = _fd_laplacian(h, n_interior)
-        size = lap.shape[0]
-        nw = size // 2
-        inv_h2 = 1.0 / (h * h)
-        full = np.zeros((size + 2, size + 2), dtype=complex)
-        full[:size, :size] = lap.toarray()
-        full[nw - 1, size + 1] = -inv_h2  # z1 column
-        full[nw, size] = -inv_h2          # z2 column
-        full[size:, nw - 2:nw + 2] = k_patch
-        full[size:, size:] = j_block
-        weight = np.zeros((size + 2, size + 2), dtype=complex)
-        idx = np.arange(size)
-        weight[idx, idx] = 1.0
-        ev = scipy.linalg.eigvals(full, weight)
-        real = _real_levels(ev[np.isfinite(ev)], floor)
-
-    if real.size < n:
-        raise EigenSolverFailure(
-            f"only {real.size} real levels out of {n} requested at n_interior={n_interior}"
-        )
-    return FdSpectrum(h=h, levels=tuple(float(e) for e in real[:n]), n_interior=n_interior)
+    floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
+    roots: list[float] = []
+    a, ya, v, yv = floor, g(floor), None, 0.0
+    for e, is_vertex in _fd_knots(n_interior, floor, _fd_directions(form.a2, form.a1, form.a0)):
+        y = g(e)
+        if is_vertex:
+            v, yv = e, y
+            continue
+        for p, yp, q, yq in _fd_turn(a, ya, v, yv, e, y):
+            roots.append(p if p == q else _brentq(g, p, q, yp, yq))
+            if len(roots) == n:
+                levels = tuple(r / (l * l) for r in roots)
+                return FdSpectrum(h=h, levels=levels, n_interior=n_interior)
+        a, ya, v = e, y, None
+    raise EigenSolverFailure(
+        f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"
+    )

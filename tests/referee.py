@@ -26,6 +26,9 @@ at its upper one; those values are taken in closed form, since cos(kl) at a
 pole is only rounding, and sin(theta / 2) = 0 puts the root on the upper
 pole.  Branch 0 holds a root where the threshold T has the sign opposite to
 its upper pole's.  The Illinois variant of regula falsi refines each bracket.
+
+fd_levels does the same for the finite-difference operator, whose channel
+functions are those of its discrete waves.
 """
 
 import mpmath
@@ -118,3 +121,71 @@ def positive_levels(bc, n: int) -> list[float]:
                 elif f_lo * sign < 0:
                     roots.append(_illinois(fhat, lo, hi, f_lo, sign * s2 / hi))
         return sorted(float(k * k) for k in roots)[:n]
+
+
+def fd_levels(bc, n: int, n_interior: int) -> list[float]:
+    """The lowest n levels of the finite-difference operator on n_interior cells.
+
+    On each half of the box the 3-point stencil, with phi = 0 at the wall,
+    is solved exactly by the discrete wave s_j = sin(q (l - j h)) at
+    E = (2/h)^2 sin^2(q h / 2), and the one-sided junction difference
+    (3 s_0 - 4 s_1 + s_2) / (2h) of it is
+
+        D_h = [c^2 sin(ql) + sin(qh) (1 + c) cos(ql)] / h,  c = 2 sin^2(qh / 2).
+
+    So a channel's levels are the roots of sin(theta / 2) sin(ql) +
+    L0 cos(theta / 2) D_h.  Written as sin(ql) (sin(theta / 2) + L0
+    cos(theta / 2) X) with X = D_h / sin(ql), which falls through every real
+    value on each piece ql in (m pi, (m+1) pi), it has one root on every
+    piece m >= 1, the piece's ends taken in closed form, and one on piece 0
+    where its value L0 cos(theta / 2) D_h at ql = pi has the sign opposite
+    to the threshold T.  Below E = 0, q = i kappa: sin and D_h turn into
+    sinh(kappa l) and D_b = [c^2 sinh(kappa l) + sinh(kappa h) (1 + c)
+    cosh(kappa l)] / h with c = -2 sinh^2(kappa h / 2), at E = -(2/h)^2
+    sinh^2(kappa h / 2), and a channel has a bound level where that changes
+    sign on the open window down to E = -(KAPPA_CEILING / l)^2.  The pieces
+    stop short of the band edge q = pi / h.
+    """
+    with mpmath.workdps(_DPS):
+        l, L0 = mpmath.mpf(bc.l), mpmath.mpf(bc.L0)
+        h = l / n_interior
+        floor = 2 * mpmath.asinh(KAPPA_CEILING * h / (2 * l)) / h
+        pieces = min(n // 2 + 2, n_interior - 1)
+        levels = []
+        for s2, c2 in _half_angles(bc):
+            if s2 < 0:
+                s2, c2 = -s2, -c2
+
+            def bound(kappa):
+                c = -2 * mpmath.sinh(kappa * h / 2) ** 2
+                d_b = (c * c * mpmath.sinh(kappa * l)
+                       + mpmath.sinh(kappa * h) * (1 + c) * mpmath.cosh(kappa * l)) / h
+                return (s2 * mpmath.sinh(kappa * l) + L0 * c2 * d_b) / kappa
+
+            def positive(q):
+                c = 2 * mpmath.sin(q * h / 2) ** 2
+                d_h = (c * c * mpmath.sin(q * l) + mpmath.sin(q * h) * (1 + c) * mpmath.cos(q * l)) / h
+                return (s2 * mpmath.sin(q * l) + L0 * c2 * d_h) / q
+
+            def end(m):
+                # positive at ql = m pi, where sin(ql) is 0.
+                q = m * mpmath.pi / l
+                c = 2 * mpmath.sin(q * h / 2) ** 2
+                return L0 * c2 * mpmath.sin(q * h) * (1 + c) * (-1) ** m / (h * q)
+
+            threshold = l * s2 + L0 * c2
+            f_floor = bound(floor)
+            if threshold * f_floor < 0:
+                kappa = _bisect(bound, mpmath.mpf(0), floor, threshold)
+                levels.append(-(2 / h * mpmath.sinh(kappa * h / 2)) ** 2)
+            for m in range(pieces):
+                lo, hi = m * mpmath.pi / l, (m + 1) * mpmath.pi / l
+                f_lo, f_hi = (threshold if m == 0 else end(m)), end(m + 1)
+                if c2 == 0:
+                    q = hi
+                elif f_lo * f_hi < 0:
+                    q = _illinois(positive, lo, hi, f_lo, f_hi)
+                else:
+                    continue
+                levels.append((2 / h * mpmath.sin(q * h / 2)) ** 2)
+        return sorted(float(e) for e in levels)[:n]

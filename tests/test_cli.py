@@ -496,6 +496,10 @@ def test_ladder_stdout_is_pinned(capsys, argv, digest):
 # again when det M came to be evaluated in centred form and its positive
 # roots bracketed by knots: E_det moved in its last bits (delta_det of
 # level 0 went from 2.9e-14 to 5.0e-14), and every gate and exit code held.
+# The two fd pins and the three oracle-compare pins were recorded again when
+# FD came to solve its own secular equation in place of LAPACK bisection:
+# E_fd moved by up to 3.0e-13 relative, to within rounding of the 50-digit
+# roots, and every exit code held.
 PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "64",
@@ -513,12 +517,12 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128"),
-        0, "6807d43358599e3db9c55218f6d7b81412ec50f62237048ec7cc9339e377654e",
+        0, "ecfb25c17f87791988463ad636ac2d0c96e47ab0e5ce3d98d36ecd19e3dd900f",
     ),
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128", "--format", "csv"),
-        0, "771113369399fa0749788ce20e7923476e0864f8f280963ab0e41341aa78e002",
+        0, "510fe98db6ff83179deed100411288829d1df0a6b135c9f8d34eb502b0116b4c",
     ),
     (
         ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "40"),
@@ -586,17 +590,17 @@ PINNED_OUTPUT_SHA256 = [
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--n-interior", "128"),
-        0, "8c8374a95c3edd4191d90c38fb45c4135c591c800a6cb33c3f75487b4ab215b7",
+        0, "ae08aeafb5a5acc01c0104c8b4b90f9195a40e4a000f03022978c22d545f592c",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18"),
-        1, "c1060f530521d33975af05a1761798ee9fb2839b1787ee5302e47e1b623fceda",
+        1, "339591c5c62e224cf589cd7a54762f4c849e80705b382bfa88fd1c22c3c859b1",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18", "--format", "csv"),
-        1, "bf5cc0109846c27deffef1b40b3ff31f257a82b6c70b7bf3c7ca12f87c3fe12c",
+        1, "f159065a1b1c0048d28c6d510b3b9cac99c221915ee1ebf926be83c0a746a7d6",
     ),
 ]
 
@@ -704,6 +708,22 @@ def test_oracle_compare_fails_on_unreachable_tolerance(capsys):
     )
     assert code == 1
     assert len(_json_lines(out)) == 3  # the table is still written in full
+
+
+def test_oracle_compare_fd_level_does_not_depend_on_the_level_count(capsys):
+    # Level 0 is refined on its own bracket of the FD secular equation, so
+    # its doubles cannot depend on how many levels are asked for.
+    argv = ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "--n-interior", "128")
+    first = [_run(capsys, *argv, "-n", n)[1].splitlines()[0] for n in ("3", "4")]
+    assert first[0] == first[1]
+
+
+def test_oracle_compare_past_the_band_edge_is_a_solver_failure(capsys):
+    # 64 cells per side hold 126 levels, and the last piece below the band
+    # edge is not searched.
+    code, out, err = _run(capsys, "oracle-compare", "-n", "200", "--n-interior", "64")
+    assert code == 3 and out == ""
+    assert "solver failure" in err and "Traceback" not in err
 
 
 # ------------------------------------------------------------ record shapes
@@ -908,19 +928,20 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = _python("-c", "import sys, defectline.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
-    # Only the finite-difference solver loads scipy; the determinant path
-    # runs on numpy alone.
+    # Every solver runs on numpy alone, the finite-difference one included.
     script = (
         "import sys, contextlib, io\n"
         "from defectline.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['isospectral', '--xi', '2.0', '--rho', '0.9']),\n"
-        "             main(['spectrum', '--solver', 'det', '--xi', '2.0', '--rho', '0.9'])]\n"
+        "             main(['spectrum', '--solver', 'det', '--xi', '2.0', '--rho', '0.9']),\n"
+        "             main(['spectrum', '--solver', 'fd', '--xi', '2.0', '--rho', '0.9']),\n"
+        "             main(['oracle-compare', '--xi', '2.0', '--rho', '0.9'])]\n"
         "print(codes, 'scipy' in sys.modules)\n"
     )
     proc = _python("-c", script)
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "[0, 0] False"
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
 
 
 def test_missing_subcommand_is_usage_error(capsys):

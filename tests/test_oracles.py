@@ -6,10 +6,7 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from defectline import (
@@ -28,8 +25,6 @@ from defectline import (
 )
 from defectline import oracles
 from defectline.boundary import KIND_BOUND, KIND_ZERO
-from defectline.cli import main
-from defectline.oracles import _fd_eliminated, _fd_lowest, _fd_parts, _fd_tridiagonal
 from defectline.spectrum import KAPPA_CEILING, _brentq, solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 import referee
@@ -538,15 +533,16 @@ def test_fd_first_order_convergence_or_better():
 
 def test_fd_generalized_fallback_when_junction_block_singular():
     # The junction block J = (U - I) + (3 i L0 / 2h)(U + I) is singular when
-    # an eigenphase hits -2 atan(3 L0 / (2h)); build exactly that defect and
-    # check the QZ path still reproduces the reference spectrum.
+    # an eigenphase hits -2 atan(3 L0 / (2h)): that channel's level of the
+    # eliminated operator lies at infinity.  Build exactly that defect and
+    # check the other levels still reproduce the reference spectrum.
     n_int = 128
     h = 1.0 / n_int
     theta_sing = (-2.0 * math.atan(3.0 / (2.0 * h))) % TWO_PI
     u = np.diag([cmath.exp(1j * theta_sing), cmath.exp(0.7j)])
     bc = BoundaryCondition(u)
     j_block = (u - np.eye(2)) + (3j / (2.0 * h)) * (u + np.eye(2))
-    assert np.linalg.cond(j_block) > 1e10  # really on the singular path
+    assert np.linalg.cond(j_block) > 1e10  # really singular
     fd = fd_spectrum(bc, 5, n_int)
     ref = [lv.E for lv in det_spectrum(bc, 5)]
     rel = [abs(a - b) / (1.0 + abs(b)) for a, b in zip(fd.levels, ref)]
@@ -569,7 +565,7 @@ def test_fd_validation_and_failure():
     with pytest.raises(ValueError):
         fd_spectrum(bc, 0)
     with pytest.raises(EigenSolverFailure):
-        fd_spectrum(bc, 200, 64)  # only 126 interior unknowns exist
+        fd_spectrum(bc, 200, 64)  # only 126 interior unknowns exist, so only 126 levels
     with pytest.raises(SolverError):
         fd_spectrum(BoundaryCondition(np.eye(2, dtype=complex), l=1e-300), 2, 64)  # 1/h^2
 
@@ -600,37 +596,113 @@ def _edge_bc(rng, edge: str) -> BoundaryCondition:
     return BoundaryCondition(params_to_matrix(p), l, L0)
 
 
-def _fd_matches_dense(bc, n_int, n) -> bool:
-    """Check fd_spectrum against a dense eigensolve of the very same matrix.
-
-    fd_spectrum must return the lowest n real levels above the floor that
-    the dense solve finds, or raise EigenSolverFailure where it finds fewer.
-    Rounding leaves an imaginary part that grows with |E|, so the cut on it
-    is relative.  Returns whether levels were compared.
-    """
-    h, j_block, k_patch = _fd_parts(bc, n_int)
-    ev = np.linalg.eigvals(_fd_eliminated(h, n_int, j_block, k_patch).toarray())
-    ref = np.sort(ev[np.abs(ev.imag) <= 1e-6 * (1.0 + np.abs(ev.real))].real)
-    ref = ref[ref >= -((KAPPA_CEILING / bc.l) ** 2)][:n]
-    if ref.size < n:
-        with pytest.raises(EigenSolverFailure):
-            fd_spectrum(bc, n, n_int)
-        return False
+def _fd_matches_referee(bc, n_int, n) -> None:
+    """Check fd_spectrum against the 50-digit roots of its own secular equation."""
+    ref = np.array(referee.fd_levels(bc, n, n_int))
     got = np.array(fd_spectrum(bc, n, n_int).levels)
+    assert got.size == ref.size == n
     assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-6
-    return True
 
 
 def test_fd_matches_dense_eigvals_of_the_eliminated_matrix():
+    # The referee's levels are the eigenvalues of the eliminated operator
+    # (test_fd_referee_levels_are_the_eigenvalues_of_the_assembled_operator),
+    # to 50 digits rather than through a dense solve of a non-normal matrix.
     rng = np.random.default_rng(107)
     edges = ("generic", "theta0", "thetapi", "threshold", "floor", "degenerate")
-    checked = 0
     for n_int, count in ((64, 86), (128, 12), (256, 4)):
         for i in range(count):
-            bc = _edge_bc(rng, edges[i % len(edges)])
-            assert np.linalg.cond(_fd_parts(bc, n_int)[1]) < 1e10  # the ordinary path
-            checked += _fd_matches_dense(bc, n_int, 4 + i % 5)
-    assert checked >= 100
+            _fd_matches_referee(_edge_bc(rng, edges[i % len(edges)]), n_int, 4 + i % 5)
+
+
+def _fd_matrix(bc, n_int) -> np.ndarray:
+    """The FD operator with the junction values eliminated, from the scheme itself.
+
+    The unknowns are the nodes x = -l + h ... -h and h ... l - h.  Each row is
+    the 3-point stencil (-phi_left + 2 phi - phi_right) / h^2, with phi = 0
+    at the walls and the junction values z = (phi(0+), phi(0-)) next to the
+    defect.  The junction rows (U - I) z + i L0 (U + I) z' = 0 take
+    z' = (-phi'(0+), phi'(0-)) as the one-sided second-order differences
+    (3 z - 4 phi(+-h) + phi(+-2h)) / (2h), and give z in terms of the nodes.
+    """
+    h = bc.l / n_int
+    nw = n_int - 1
+    eye = np.eye(2)
+    ham = (np.diag(np.full(2 * nw, 2.0)) - np.diag(np.ones(2 * nw - 1), 1)
+           - np.diag(np.ones(2 * nw - 1), -1)).astype(complex) / h ** 2
+    ham[nw - 1, nw] = ham[nw, nw - 1] = 0.0  # the halves meet only through z
+    j_block = (bc.u - eye) + (3j * bc.L0 / (2.0 * h)) * (bc.u + eye)
+    d_nodes = np.zeros((2, 2 * nw))  # (z' - 3 z / (2h)) on the nodes
+    d_nodes[0, nw], d_nodes[0, nw + 1] = -4.0 / (2.0 * h), 1.0 / (2.0 * h)
+    d_nodes[1, nw - 1], d_nodes[1, nw - 2] = -4.0 / (2.0 * h), 1.0 / (2.0 * h)
+    z = -np.linalg.solve(j_block, 1j * bc.L0 * (bc.u + eye) @ d_nodes)
+    ham[nw] -= z[0] / h ** 2  # x = h is next to phi(0+)
+    ham[nw - 1] -= z[1] / h ** 2  # x = -h is next to phi(0-)
+    return ham
+
+
+def test_fd_referee_levels_are_the_eigenvalues_of_the_assembled_operator():
+    rng = np.random.default_rng(113)
+    for _ in range(10):
+        l, L0 = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        bc = _random_bc(rng, l, L0)
+        ev = np.linalg.eigvals(_fd_matrix(bc, 64))
+        real = np.sort(ev[np.abs(ev.imag) <= 1e-6 * (1.0 + np.abs(ev.real))].real)
+        want = real[real > -((KAPPA_CEILING / l) ** 2)][:8]
+        got = np.array(referee.fd_levels(bc, 8, 64))
+        assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) <= 1e-9
+
+
+def test_fd_levels_do_not_depend_on_the_level_count():
+    rng = np.random.default_rng(127)
+    for edge in ("generic", "degenerate", "threshold", "floor"):
+        bc = _edge_bc(rng, edge)
+        levels = fd_spectrum(bc, 12, 64).levels
+        for k in (1, 3, 4, 7):
+            assert fd_spectrum(bc, k, 64).levels == levels[:k]
+
+
+@pytest.mark.parametrize("n_int", [64, 4096])
+@pytest.mark.parametrize(
+    "u",
+    [np.diag([-1.0 + 0j, cmath.exp(0.7j)]), cmath.exp(0.9j) * np.eye(2)],
+    ids=["theta-pi-channel", "scalar"],
+)
+def test_fd_matches_the_referee_where_roots_sit_on_piece_ends_or_touch(u, n_int):
+    # A theta = pi channel puts a root exactly at ql = m pi, where sin(ql)
+    # vanishes; a scalar U makes every level a double root.
+    bc = BoundaryCondition(u, 1.0, 0.7)
+    _fd_matches_referee(bc, n_int, 20)
+
+
+def test_fd_touches_are_exact_double_levels():
+    # Every level of a scalar U is a double root, at a vertex knot where g
+    # lies within its rounding bound: it is reported as one double, twice.
+    for phase in np.linspace(0.05, 6.2, 40):
+        for l, L0 in ((1.0, 0.7), (0.3, 5.0), (20.0, 0.1)):
+            for n_int in (64, 4096):
+                bc = BoundaryCondition(cmath.exp(1j * phase) * np.eye(2), l, L0)
+                levels = fd_spectrum(bc, 20, n_int).levels
+                assert levels[0::2] == levels[1::2]
+
+
+def test_fd_threshold_level_under_a_deep_floor():
+    # The floor lies twelve decades below a level within 1e-10 of E = 0.
+    # On that bracket Brent's method needs values within g's rounding bound
+    # to count as zeros, or it crawls past its iteration cap.
+    p = UnitaryParams(-0.6948944537940503, -2.41917296355872, 0.7929310989208525, 1.8568613531152385)
+    bc = BoundaryCondition(params_to_matrix(p), 0.0002805719181328048, 0.020378871928222683)
+    _fd_matches_referee(bc, 1024, 9)
+
+
+def test_fd_levels_scale_with_the_box():
+    # In units of l the scheme depends only on n_interior and L0 / l, so
+    # E l^2 is one set of numbers from a box of 1e-60 to one of 1e60.
+    u = params_to_matrix(UnitaryParams(4.0, 1.7, 0.26, 0.1))
+    unit = np.array(fd_spectrum(BoundaryCondition(u, 1.0, 0.5), 6, 256).levels)
+    for l in (1e-60, 1e-20, 1e20, 1e60):
+        got = np.array(fd_spectrum(BoundaryCondition(u, l, 0.5 * l), 6, 256).levels) * l * l
+        assert np.max(np.abs(got - unit) / np.abs(unit)) <= 1e-13
 
 
 def test_fd_repeated_calls_give_identical_doubles():
@@ -638,93 +710,19 @@ def test_fd_repeated_calls_give_identical_doubles():
     for edge in ("generic", "degenerate", "floor"):
         bc = _edge_bc(rng, edge)
         assert fd_spectrum(bc, 8, 128).levels == fd_spectrum(bc, 8, 128).levels
-    # With only five distinct eigenvalues the Krylov space of the fixed start
-    # vector is invariant after five steps, so ARPACK draws restart vectors;
-    # their generator is seeded too.
-    ham = scipy.sparse.diags(np.repeat(np.arange(5.0), 20).astype(complex), format="csc")
-    assert np.array_equal(_fd_lowest(ham, 8, -10.0), _fd_lowest(ham, 8, -10.0))
-
-
-def test_fd_lowest_widens_the_search_past_discarded_eigenvalues():
-    # Ten eigenvalues nearer the shift than any kept level are discarded:
-    # five real ones below the floor and five complex ones.  The first solve
-    # asks for n + 4 = 7 and keeps none, so the request must double.
-    floor = -100.0
-    below = floor - 1.5 - 0.01 * np.arange(5)
-    complex_ = floor + 0.5 + 1j * (1.0 + np.arange(5))
-    kept = np.arange(40.0)
-    ham = scipy.sparse.diags(np.concatenate([below, complex_, kept]), format="csc")
-    got = _fd_lowest(ham, 3, floor)
-    assert got.size >= 3
-    assert np.max(np.abs(got[:3] - [0.0, 1.0, 2.0])) <= 1e-9
-
-
-def test_fd_lowest_keeps_a_deep_real_level_with_a_rounding_imaginary_part():
-    # ARPACK returned a real level near -2.4e6 with Im E = -1.8e-6, 7.5e-13
-    # relative; an absolute cut of 1e-6 dropped it.
-    floor = -4e6
-    ham = scipy.sparse.diags(np.concatenate([[-3e6 + 1e-5j], np.arange(40.0)]), format="csc")
-    got = _fd_lowest(ham, 3, floor)
-    assert abs(got[0] + 3e6) <= 1e-9 * 3e6
-    assert np.max(np.abs(got[1:3] - [0.0, 1.0])) <= 1e-9
-
-
-def _tridiagonal(bc, n_int):
-    h, j_block, k_patch = _fd_parts(bc, n_int)
-    return _fd_tridiagonal(h, n_int, j_block, k_patch)
 
 
 # At 64 cells an eigenphase theta with tan(theta/2) between -3 L0/(2h) and
-# -L0/h gives the junction coupling block M a negative eigenvalue, so the
-# level search falls back to ARPACK: theta_plus = 3.1676 at l = L0 = 1.
+# -L0/h gives the junction coupling block of the eliminated operator a
+# negative eigenvalue, so that operator is not similar to a symmetric one:
+# theta_plus = 3.1676 at l = L0 = 1.
 _NOT_POSITIVE_DEFINITE = BoundaryCondition(
     params_to_matrix(UnitaryParams(0.5 * (3.1676 + 2.0), 0.5 * (3.1676 - 2.0)))
 )
-_NOT_POSITIVE_DEFINITE_ARGV = [
-    "--theta-plus", "3.1676", "--theta-minus", "2.0", "--n-interior", "64",
-]
-
-
-@pytest.mark.parametrize(
-    "failure",
-    [
-        scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None),
-        scipy.sparse.linalg.ArpackError(3),
-    ],
-)
-def test_fd_arpack_failures_are_typed(monkeypatch, capsys, failure):
-    def failing_eigs(*args, **kwargs):
-        raise failure
-
-    bc = _NOT_POSITIVE_DEFINITE
-    assert _tridiagonal(bc, 64) is None
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing_eigs)
-    with pytest.raises(EigenSolverFailure):
-        fd_spectrum(bc, 4, 64)
-    code = main(["oracle-compare", *_NOT_POSITIVE_DEFINITE_ARGV, "-n", "3"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "solver failure" in err and "Traceback" not in err
-
-
-def test_fd_bisection_failures_are_typed(monkeypatch, capsys):
-    def failing_bisection(*args, **kwargs):
-        raise np.linalg.LinAlgError("dstebz did not converge")
-
-    bc = BoundaryCondition(np.eye(2, dtype=complex))
-    assert _tridiagonal(bc, 64) is not None
-    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", failing_bisection)
-    with pytest.raises(EigenSolverFailure):
-        fd_spectrum(bc, 4, 64)
-    code = main(["oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "64"])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "solver failure" in err and "Traceback" not in err
 
 
 def test_fd_fallback_matches_the_channel_solver():
     bc = _NOT_POSITIVE_DEFINITE
-    assert _tridiagonal(bc, 64) is None
     ref = solve_spectrum(bc, 4).E
     got = np.array(fd_spectrum(bc, 4, 64).levels)
     assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 5e-3
@@ -736,17 +734,5 @@ _LENGTH = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
 
 @given(_ANGLE, _ANGLE, _ANGLE, _ANGLE, _LENGTH, _LENGTH)
 def test_fd_spectrum_matches_dense_eigvals_everywhere(xi, rho, mu, nu, l, L0):
-    n_int = 64
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l, L0)
-    h, j_block, k_patch = _fd_parts(bc, n_int)
-    assume(np.linalg.cond(j_block) < 1e10)
-    band = _fd_tridiagonal(h, n_int, j_block, k_patch)
-    if band is not None:
-        # The trace is invariant under similarity.  Each of the n_int
-        # rotations, and the sum, round by a few ulps of the entries they
-        # touch.
-        d, e = band
-        trace = _fd_eliminated(h, n_int, j_block, k_patch).diagonal().sum().real
-        bound = 8.0 * np.finfo(float).eps * (np.abs(d).sum() + 2.0 * np.abs(e).sum())
-        assert abs(d.sum() - trace) <= bound
-    _fd_matches_dense(bc, n_int, 6)
+    _fd_matches_referee(bc, 64, 6)
