@@ -11,18 +11,21 @@ two channel functions times 4 e^{i arg(det U)/2}, so dividing by a square
 root of det U and taking the real part yields a sign-carrying real function
 g, evaluated in a form centred on U's trace (_Projection) and divided by E,
 which removes the spurious zero every system has at k = 0.  No grid is
-sampled.  Above E = 0, g = (sigma^2 + tau^2) q(psi), where psi, the
-direction of (sigma, tau) = (sin(kl)/k, cos(kl)), turns by pi across each
-branch of tan, and q has two extreme directions a right angle apart: the
-vertex, whose two roots lie within pi/4 of it, and the end, with none that
-near.  So one vertex knot and one end knot per branch bracket every root
-(_positive_roots), and each turn is decided at its vertex: two simple roots
-if g crosses zero there by more than its rounding bound, one double root if
-it lies within that bound, and none otherwise.  Below E = 0, Q's vertex and
-the window's ends bracket every bound root (_bound_roots).  The rounding
-bound comes from the centred terms of det M, so no tolerance is set by hand;
-neither knot direction is an eigenphase, and no square root of D is taken.
-Roots are refined with spectrum._brentq, a port of scipy's brentq.
+sampled.  g is one function of the signed wavenumber y (k above E = 0,
+-kappa below), g = (sigma^2 + tau^2) q(psi), where psi, the direction of
+(sigma, tau) = (sin(kl)/k, cos(kl)) above E = 0 and (tanh(kappa l)/kappa, 1)
+below, rises monotonically with E from the kappa l = 50 floor.  q has two
+extreme directions a right angle apart: the vertex, whose two roots lie
+within pi/4 of it, and the end, with none that near.  So knots at both
+directions split the walk into turns of psi by pi, each holding exactly
+two roots, and one rule decides every turn, across E = 0 too (_turn): a
+root on each side of the vertex where g there reads with the sign opposite
+to the ends', and a double root at the vertex otherwise.  g reads 0 where
+it lies within its rounding bound, which comes from the centred terms of
+det M, so no tolerance is set by hand; a zero level is a turn whose g(0)
+reads 0.  Neither knot direction is an eigenphase, and no square root of D
+is taken.  Roots are refined with spectrum._brentq, a port of scipy's
+brentq.
 
 The finite-difference solver never builds its matrix either.  Away from the
 defect the operator is the 3-point stencil, which a discrete sine wave from
@@ -53,12 +56,8 @@ from .boundary import (
 )
 from .errors import EigenSolverFailure, ScanExhausted, SolverError
 from .spectrum import (
-    _BRENT_RTOL,
-    _BRENT_XTOL,
     _EPS,
-    GRID_DENSITY,
     KAPPA_CEILING,
-    ZERO_LEVEL_TOL,
     EigenLevel,
     _brentq,
     flag_degenerate,
@@ -97,16 +96,21 @@ def det_matrix(bc: BoundaryCondition, k: complex) -> np.ndarray:
 
 
 class _Projection:
-    """det M phased to the real axis and reduced by E, in centred form.
+    """det M phased to the real axis and reduced by E, in centred form, as g(y).
 
-    M / k = alpha U - beta I up to a column sign, with alpha = sigma + i L0 tau
-    and beta its conjugate, so det M / k^2 = (beta - alpha t)^2 - alpha^2 D / 4
-    with t = tr U / 2 and D = (u00 - u11)^2 + 4 u01 u10, tr^2 - 4 det U without
-    cancellation.  Near a close pair both terms are of the order of the
-    splitting squared, so g rounds by eps times the splitting, and the pair is
-    resolved to full precision.  g is -Re(det M conj(phase)) / k^2, with
-    phase = sqrt(det U).  The coefficients a2, a1, a0 of g as a form in
-    (sigma, tau), derived once from t, D and the phase, place the knots.
+    y is the signed wavenumber: E = y^2 with k = y above E = 0, and E = -y^2
+    with kappa = -y below it.  M / k = alpha U - beta I up to a column sign,
+    with alpha = sigma + i L0 tau and beta its conjugate, so det M / k^2 =
+    (beta - alpha t)^2 - alpha^2 D / 4 with t = tr U / 2 and D = (u00 -
+    u11)^2 + 4 u01 u10, tr^2 - 4 det U without cancellation.  Near a close
+    pair both terms are of the order of the splitting squared, so g rounds by
+    eps times the splitting, and the pair is resolved to full precision.  g
+    is -Re(det M conj(phase)) / k^2, with phase = sqrt(det U).  Above E = 0,
+    (sigma, tau) = (sin(kl) / k, cos(kl)); below it det M is also divided by
+    cosh^2(kappa l), which keeps g of order one and moves no root, and
+    (sigma, tau) = (tanh(kappa l) / kappa, 1).  Both are (l, 1) at E = 0.
+    The coefficients a2, a1, a0 of g as a form in (sigma, tau), derived once
+    from t, D and the phase, place the knots.
     """
 
     def __init__(self, bc: BoundaryCondition):
@@ -125,52 +129,49 @@ class _Projection:
         # g's sign convention: -Re(z conj(phase)).
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
-    def _g(self, sigma: float, tau: float) -> float:
-        # g from alpha, w = conj(alpha) - alpha t and z = w^2 - alpha^2 D / 4.
+    def _wave(self, y: float) -> tuple[float, float]:
+        # (sigma, tau) at the signed wavenumber y.
+        x = y * self.l
+        if y > 0.0:
+            return math.sin(x) / y, math.cos(x)
+        if y < 0.0:
+            return self.l * (math.tanh(-x) / -x), 1.0
+        return self.l, 1.0
+
+    def g(self, y: float) -> float:
+        """g at the signed wavenumber y, from alpha, w = conj(alpha) - alpha t
+        and z = w^2 - alpha^2 D / 4."""
+        sigma, tau = self._wave(y)
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
-    def positive_scalar(self, k: float) -> float:
-        """g at E = k^2 >= 0; finite and generically nonzero at k = 0."""
-        x = k * self.l
-        return self._g(math.sin(x) / k if k else self.l, math.cos(x))
+    def read(self, y: float, g: float) -> float:
+        """g = g(y) as the walk's decisions read it: 0 where it lies within its rounding bound.
 
-    def bound_scalar(self, kappa: float) -> float:
-        """g at E = -kappa^2 <= 0 over cosh^2(kappa l), which keeps it of order
-        one and moves no root: (sigma, tau) becomes (s, 1), and g is Q(s)."""
-        x = kappa * self.l
-        return self._g(self.l * (math.tanh(x) / x if x else 1.0), 1.0)
-
-    def positive_noise(self, k: float) -> float:
-        """Rounding bound of positive_scalar(k)."""
-        x = k * self.l
-        return self._noise(math.sin(x) / k if k else self.l, math.cos(x), 1.0 + abs(x))
-
-    def bound_noise(self, kappa: float) -> float:
-        """Rounding bound of bound_scalar(kappa)."""
-        x = kappa * self.l
-        return self._noise(self.l * (math.tanh(x) / x if x else 1.0), 1.0, 0.0)
-
-    def _noise(self, sigma: float, tau: float, tau_err: float) -> float:
-        # sigma rounds by about eps l and tau by about eps tau_err; w rounds
-        # by about eps a (1 + 3 |t|), which w^2 takes to second order where w
-        # is as small as that, and z and the projection each round by about
-        # eps times the sizes of their terms.
+        sigma rounds by about eps l, and tau by about eps (1 + kl) above
+        E = 0 and not at all below; w rounds by about eps a (1 + 3 |t|),
+        which w^2 takes to second order where w is as small as that, and z
+        and the projection each round by about eps times the sizes of their
+        terms.
+        """
+        sigma, tau = self._wave(y)
+        tau_err = 1.0 + y * self.l if y >= 0.0 else 0.0
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
         a, b = abs(alpha), abs(w)
         ad, dw = 2.0 * a * abs(self.d4), a * (1.0 + 3.0 * abs(self.t))
-        return _EPS * (
+        bound = _EPS * (
             self.l * (2.0 * b * abs(1.0 - self.t) + ad)
             + tau_err * self.L0 * (2.0 * b * abs(1.0 + self.t) + ad)
             + 2.0 * b * dw + 2.0 * b * b + 3.0 * a * ad + 2.0 * abs(z) + _EPS * dw * dw
         )
+        return 0.0 if abs(g) <= bound else g
 
     def floor_value(self) -> float:
-        """bound_scalar at the kappa l = 50 floor, from rational arithmetic, rounded once.
+        """g at the kappa l = 50 floor, from rational arithmetic, rounded once.
 
         U's doubles are taken exactly, and sigma as l / 50: tanh(50) is 1 to
         43 digits.  det M conj(phase) is real, so the rounding of the phase
@@ -194,117 +195,8 @@ class _Projection:
         return 0.0 if abs(g) <= 16.0 * _EPS * _EPS * float(sigma * sigma + im * im) else g
 
 
-def _vertex_roots(a, v, b, ya, gv, yb, beta) -> list[tuple[float, float, float, float]]:
-    """The root brackets of g on [a, b], whose ends share a sign s, with its vertex at v.
-
-    beta bounds what rounding can do to gv = g(v): noise there plus what the
-    vertex's own tolerance adds.  If s gv < -beta, g crosses zero on each
-    side of v; if |gv| <= beta, the pair cannot be told from a touch, and v
-    counts twice, as the bracket [v, v]; otherwise [a, b] holds no root.  An
-    end at 0 takes the other's sign.
-    """
-    if math.copysign(1.0, ya + yb) * gv < -beta:
-        return [(a, v, ya, gv), (v, b, gv, yb)]
-    if abs(gv) <= beta:
-        return [(v, v, 0.0, 0.0)] * 2
-    return []
-
-
-def _root(fun, a, b, ya, yb) -> float:
-    # The root of g in [a, b]; [v, v] is a double root's bracket.
-    return a if a == b else _brentq(fun, a, b, ya, yb)
-
-
-def _share_sign(ya: float, yb: float) -> bool:
-    # Both ends of a turn take one sign, an end at 0 the other's.
-    return ya * yb > 0.0 or (ya == 0.0) != (yb == 0.0)
-
-
-def _zero_level_multiplicity(bc: BoundaryCondition) -> int:
-    m0 = connection_matrix(bc.u, bc.L0, bc.l, 1.0)
-    s = np.linalg.svd(m0, compute_uv=False)
-    tol = 2.0 * ZERO_LEVEL_TOL * (bc.l + bc.L0)
-    if s[1] > tol:
-        return 0
-    return 1 if s[0] > tol else 2
-
-
-_BELOW_PROBE = KAPPA_CEILING / 2048  # kappa l of _origin_value's probe below E = 0
-
-
-def _origin_value(proj: _Projection) -> float:
-    """g at E = 0 as both regimes take it.
-
-    g is one function of E across the threshold.  Where |g(0)| lies within
-    its rounding bound and g has one sign at a probe on each side (the first
-    grid point above, _BELOW_PROBE below), E = 0 is the floor of a dip (a
-    touch or a pair next to the threshold), and the rounded sign of g(0)
-    would put a crossing on either side of it.  g(0) is then taken as 0, so
-    that neither regime counts a crossing there and the regime that holds
-    the vertex decides the roots.
-    """
-    g0 = proj.positive_scalar(0.0)
-    if abs(g0) > proj.positive_noise(0.0):
-        return g0
-    above = proj.positive_scalar(math.pi / (GRID_DENSITY * proj.l))
-    below = proj.bound_scalar(_BELOW_PROBE / proj.l)
-    return 0.0 if above * below > 0.0 else g0
-
-
-def _bound_roots(proj: _Projection, zero_mult: int) -> list[float]:
-    """The bound roots of g in kappa, each as often as its multiplicity, from Q's shape.
-
-    On [0, KAPPA_CEILING / l] g is Q(s) = a2 s^2 + a1 s + a0 up to rounding,
-    and s = l tanh(kappa l) / (kappa l) falls monotonically from l, so g is
-    monotone between three knots: the origin as _origin_value takes it, Q's
-    vertex s = -a1 / (2 a2) (the mean of its roots, not an eigenphase) where
-    it lies strictly inside, and the floor.  A piece between knots holds a
-    root exactly when g changes sign across it.  Where the window's two ends
-    share a sign (a zeroed origin included), _vertex_roots decides.  Each
-    channel has at most one level at or below E = 0, so one zero-energy
-    level owns the origin piece, and two leave no bound root.  g = 0 at the
-    floor is not a root: the window is open there, as in the channel solver,
-    and an end at 0 takes the other's sign.  Where g at the floor lies within
-    its rounding bound, it is taken from rational arithmetic.
-    """
-    if zero_mult == 2:
-        return []
-    fun = proj.bound_scalar
-    cap = KAPPA_CEILING / proj.l
-    g0, gc = _origin_value(proj), fun(cap)
-    if abs(gc) <= proj.bound_noise(cap):
-        gc = proj.floor_value()
-    knots = [(0.0, g0), (cap, gc)]
-    a2, a1 = proj.a2, proj.a1
-    top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
-    t = -a1 / (2.0 * a2) / proj.l if a2 != 0.0 else 1.0  # tanh(x) / x at the vertex
-    if top < t < 1.0:
-        x = _brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t)
-        kv = x / proj.l
-        gv = fun(kv)
-        if zero_mult == 0 and _share_sign(g0, gc):
-            # _brentq leaves x within tol of the vertex, and tanh(x) / x
-            # moves by less than x does, so Q sits off its vertex value by
-            # at most a2 (l tol)^2.
-            tol = _BRENT_XTOL + _BRENT_RTOL * x
-            beta = proj.bound_noise(kv) + abs(a2) * (proj.l * tol) ** 2
-            brackets = _vertex_roots(0.0, kv, cap, g0, gv, gc, beta)
-            if gc == 0.0 and brackets and brackets[1][0] < brackets[1][1]:
-                del brackets[1]  # a crossing within U's rounding of the open floor
-            return [_root(fun, *b) for b in brackets]
-        knots.insert(1, (kv, gv))
-    if zero_mult:
-        del knots[0]  # the zero-energy level's own piece
-    # An exact zero at the vertex is a root; _brentq returns it as it is.
-    return [
-        _root(fun, a, b, ya, yb)
-        for (a, ya), (b, yb) in zip(knots, knots[1:])
-        if ya * yb < 0.0 or (yb == 0.0 and b < cap)
-    ]
-
-
-def _directions(proj: _Projection) -> tuple[tuple[float, float], tuple[float, float], float]:
-    """(cos, sin) of q's vertex and end directions, each with cos >= 0, and q's swing r.
+def _directions(proj: _Projection) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(cos, sin) of q's vertex and end directions, each with cos >= 0.
 
     q = (a0 + a2) / 2 + (r / 2) cos(2 psi - phi), with r = hypot(a0 - a2, a1)
     and phi = atan2(a1, a0 - a2), is largest at psi = phi / 2.  Its
@@ -318,7 +210,29 @@ def _directions(proj: _Projection) -> tuple[tuple[float, float], tuple[float, fl
         c, s = -c, -s
     n = math.hypot(c, s)
     top, side = (c / n, s / n), ((s / n, -c / n) if s > 0.0 else (-s / n, c / n))
-    return (side, top, r) if proj.a0 + proj.a2 >= 0.0 else (top, side, r)
+    return (side, top) if proj.a0 + proj.a2 >= 0.0 else (top, side)
+
+
+def _bound_knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
+    """((y, g(y), g(y) as read), is_vertex) for every knot above the floor and at or
+    below E = 0, ascending.
+
+    There psi, the direction of (l tanh(x) / x, 1) with x = kappa l, rises
+    monotonically from atan(l tanh(50) / 50) at the floor to atan(l) at
+    E = 0, so a direction (c, s) has at most one knot, where tanh(x) / x =
+    s / (c l); one Brent solve finds it.  A knot at psi = atan(l) itself
+    falls at E = 0 and is taken here: _knots starts above it.
+    """
+    l = proj.l
+    top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
+    knots = []
+    for (c, s), is_vertex in ((vertex, True), (end, False)):
+        t = min(s / (c * l), 1.0) if c > 0.0 and s <= l * c else 0.0
+        if t > top:
+            y = -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
+            g = proj.g(y)
+            knots.append(((y, g, proj.read(y, g)), is_vertex))
+    return sorted(knots)
 
 
 def _knot(l: float, m: int, c: float, s: float) -> float:
@@ -356,97 +270,102 @@ def _knot(l: float, m: int, c: float, s: float) -> float:
 
 
 def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
-    """(k, g(k), is_vertex) for every knot above k = 0, ascending, without end.
+    """((k, g(k), g(k) as read), is_vertex) for every knot above k = 0, ascending, without end.
 
     An end knot is taken in closed form at kl = m pi or at the nearer pole,
     whichever lies within pi/4 of the end direction, wherever g there has
     the end's sign beyond its rounding bound: no root lies between the two
     then, so either bounds the same turns.  Elsewhere it is solved for.
     """
-    l, fun = proj.l, proj.positive_scalar
+    l, fun = proj.l, proj.g
     end_sign = 1.0 if proj.a0 + proj.a2 >= 0.0 else -1.0
     order = sorted([(vertex, True), (end, False)], key=lambda d: math.atan2(d[0][1], d[0][0]))
     m = 0
     while True:
         for (c, s), is_vertex in order:
             if m == 0 and s <= l * c:
-                continue  # on branch 0 psi starts at atan(l): this direction lies below E = 0
+                continue  # on branch 0 psi starts at atan(l): _bound_knots owns this direction
             k = None
             if not is_vertex and (m or abs(s) > c):
                 k = (m if abs(s) <= c else m + math.copysign(0.5, s)) * math.pi / l
                 g = fun(k)
-                if not (g * end_sign > 0.0 and abs(g) > proj.positive_noise(k)):
+                read = proj.read(k, g)
+                if not read * end_sign > 0.0:
                     k = None
             if k is None:
                 k = _knot(l, m, c, s)
                 g = fun(k)
-            yield k, g, is_vertex
+                read = proj.read(k, g)
+            yield (k, g, read), is_vertex
         m += 1
 
 
-def _vertex_beta(proj: _Projection, k: float, r: float) -> float:
-    """Rounding bound of g at a vertex knot k: noise there plus how far the
-    knot's distance from the true vertex moves g, (sigma^2 + tau^2) r dpsi^2.
+def _turn(a, v, b, s: float) -> list[tuple[float, float, float, float]]:
+    """Root brackets (p, g(p), q, g(q)) of g on the turn of psi from a to the end knot b.
 
-    dpsi is the knot's own tolerance in k times dpsi/dk, plus the rounding
-    of the vertex direction, which comes from the coefficients a0, a1, a2.
+    Each knot is (y, g(y), g(y) as read), v is the vertex knot or None, and s
+    is the sign of g at end knots.  A turn of psi by pi between two end
+    knots holds q's two roots, one on each side of its vertex or both on
+    it.  The left bracket (a, v) holds a root only where g(a) reads with
+    sign s, which only the floor can fail; the right one (v, b) holds a root
+    where g(v) reads with sign -s.  Otherwise the roots lie at v, the
+    bracket (v, g(v), v, g(v)): a double root, or a single one where the
+    floor has cut the left root off.  A floor turn with no vertex holds one
+    root where g changes sign.
     """
-    x = k * proj.l
-    sigma, tau = math.sin(x) / k, math.cos(x)
-    rho2 = sigma * sigma + tau * tau
-    slope = (x - math.sin(x) * tau) / (k * k * rho2)
-    dpsi = slope * (_BRENT_XTOL + _BRENT_RTOL * k) + 4.0 * _EPS * (
-        abs(proj.a0) + abs(proj.a1) + abs(proj.a2)) / r
-    return proj.positive_noise(k) + rho2 * r * dpsi * dpsi
+    (ya, ga, ra), (yb, gb, _) = a, b
+    if v is None:
+        return [(ya, ga, yb, gb)] if ra * s < 0.0 else []
+    yv, gv, rv = v
+    left = ra * s > 0.0
+    if rv * s < 0.0:
+        return [(ya, ga, yv, gv)] * left + [(yv, gv, yb, gb)]
+    return [(yv, gv, yv, gv)] * (1 + left)
 
 
-def _positive_roots(
-    proj: _Projection, need: int, zero_mult: int, k_max: float | None
-) -> list[float]:
-    """The lowest positive roots, each as often as its multiplicity, until they count need + 1.
+def _roots(proj: _Projection, count: int, k_max: float | None) -> list[float]:
+    """The lowest count roots of g in y, ascending, each as often as its multiplicity.
 
-    need levels are reported, but pairs are decided one level past the cut,
-    so one more root is refined.  The walk goes from the origin over the
-    knots, and a turn between two end knots (the origin at the left of the
-    first) whose ends share a sign is decided at its vertex by
-    _vertex_roots; elsewhere each piece between knots holds a root where g
-    changes sign across it or is exactly 0 at its right end.  A zero-energy
-    level owns the lowest root of the first turn, and two own its lowest
-    two.  Each bracket is refined only when the count still needs it, and
-    the walk ends at the first root above its ceiling: (need / 2 + 6) pi / l,
-    or k_max where that is lower, since each channel has a root on every
-    branch of tan, pi / l wide.  The brackets do not depend on the ceiling,
-    so neither do the roots.
+    The walk starts at the kappa l = 50 floor and goes up over the knots of
+    q's two extreme directions, and _turn decides each turn between two end
+    knots, the floor at the left of the first.  Where g at the floor lies
+    within its rounding bound it is taken from rational arithmetic; a value
+    of 0 there is not a root, since the window is open, as in the channel
+    solver.  Where g(0) reads 0, the turn that holds y = 0 has its zero
+    level there, at exactly 0: the root whose bracket holds 0, or both roots
+    at the turn's vertex.  Every other bracket is refined by _brentq on the
+    raw g, and only while the count needs it; one that holds y = 0 is first
+    cut there by the sign of g(0), since just below E = 0 g is flat in y,
+    and Brent's method would spend its steps on the far side.  The walk
+    stops at the first root above k_max; every full turn holds two roots, so
+    it ends by itself.
     """
-    fun = proj.positive_scalar
-    ceiling = (0.5 * need + 6.0) * math.pi / proj.l
-    if k_max is not None:
-        ceiling = min(ceiling, k_max)
-    vertex, end, r = _directions(proj)
-    found: list[float] = []
-    a, ya = 0.0, (0.0 if zero_mult else _origin_value(proj))
-    v = gv = None
-    for k, g, is_vertex in _knots(proj, vertex, end):
+    vertex, end = _directions(proj)
+    s = 1.0 if proj.a0 + proj.a2 >= 0.0 else -1.0
+    g0 = proj.read(0.0, proj.g(0.0))
+    floor = -KAPPA_CEILING / proj.l
+    g_floor = proj.read(floor, proj.g(floor)) or proj.floor_value()
+    a, v = (floor, g_floor, g_floor), None
+    roots: list[float] = []
+    for knot, is_vertex in itertools.chain(_bound_knots(proj, vertex, end), _knots(proj, vertex, end)):
         if is_vertex:
-            v, gv = k, g
+            v = knot
             continue
-        if v is not None and _share_sign(ya, g):
-            brackets = _vertex_roots(a, v, k, ya, gv, g, _vertex_beta(proj, v, r))
-        else:
-            pieces = [(a, ya), (k, g)] if v is None else [(a, ya), (v, gv), (k, g)]
-            brackets = [
-                (p, q, yp, yq) for (p, yp), (q, yq) in zip(pieces, pieces[1:])
-                if yp * yq < 0.0 or yq == 0.0
-            ]
-        for bracket in brackets[zero_mult if a == 0.0 else 0:]:
-            root = _root(fun, *bracket) if len(found) <= need else math.inf
-            if not root <= ceiling:
-                return found
-            found.append(root)
-        if not k < ceiling:
-            return found
-        a, ya, v = k, g, None
-    return found  # not reached: the knots never end
+        holds_zero = g0 == 0.0 and a[0] < 0.0 <= knot[0]
+        for p, gp, q, gq in _turn(a, v, knot, s):
+            if holds_zero and (p == q or p <= 0.0 <= q):
+                root = 0.0
+            else:
+                if p < 0.0 < q:  # cut at y = 0, where g(0) reads with a sign
+                    p, gp, q, gq = (0.0, g0, q, gq) if g0 * gp > 0.0 else (p, gp, 0.0, g0)
+                root = p if p == q else _brentq(proj.g, p, q, gp, gq)
+            if k_max is not None and root > k_max:
+                return roots
+            roots.append(root)
+            if len(roots) == count:
+                return roots
+        a, v = knot, None
+    return roots  # not reached: the knots never end
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -457,36 +376,29 @@ def _check_positive(name: str, value: float) -> None:
 def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> list[EigenLevel]:
     """Lowest n levels from det M alone; no diagonalization of U anywhere.
 
-    The channel of a level is unknowable on this code path, so the channel
-    field is None and indices are global.  k_max caps the positive walk's
-    reach.  Raises ScanExhausted if fewer than n levels lie below the walk's
-    end, and ValueError if a given k_max is not finite and positive.
+    g, det M phased to the real axis (_Projection), is one function of the
+    signed wavenumber y across E = 0, and _roots walks it up from the
+    kappa l = 50 floor.  The channel of a level is unknowable on this code
+    path, so the channel field is None and indices are global.  Pairs are
+    decided one level past the cut, as solve_spectrum decides them, so the
+    n-th level's flag does not depend on n.  k_max caps the walk's reach.
+    Raises ScanExhausted if fewer than n levels lie below it, and ValueError
+    if a given k_max is not finite and positive.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if k_max is not None:
         _check_positive("k_max", k_max)
-    proj = _Projection(bc)
-    zero_mult = _zero_level_multiplicity(bc)
-
-    entries: list[tuple[float, float, str]] = []  # (E, k_or_kappa, kind)
-    entries.extend((-kappa * kappa, kappa, KIND_BOUND) for kappa in _bound_roots(proj, zero_mult))
-    entries.extend([(0.0, 0.0, KIND_ZERO)] * zero_mult)
-
-    need = n - len(entries)
-    if need > 0:
-        entries.extend((k * k, k, KIND_POSITIVE) for k in _positive_roots(proj, need, zero_mult, k_max))
-        if len(entries) < n:
-            raise ScanExhausted(
-                f"found {len(entries)} levels below the scan ceiling, needed {n}"
-            )
-    entries.sort(key=lambda t: t[0])
-
-    # Pairs are decided one level past the cut, as solve_spectrum decides
-    # them, so the n-th level's flag does not depend on n.
+    roots = _roots(_Projection(bc), n + 1, k_max)
+    if len(roots) < n:
+        raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
     levels = [
-        EigenLevel(E=e, k_or_kappa=k, kind=kind, channel=None, index=i)
-        for i, (e, k, kind) in enumerate(entries[:n + 1])
+        EigenLevel(
+            E=-y * y if y < 0.0 else y * y, k_or_kappa=abs(y),
+            kind=KIND_BOUND if y < 0.0 else KIND_POSITIVE if y > 0.0 else KIND_ZERO,
+            channel=None, index=i,
+        )
+        for i, y in enumerate(roots)
     ]
     return flag_degenerate(levels)[:n]
 

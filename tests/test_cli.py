@@ -427,6 +427,10 @@ def test_trace_winding_shifts_csv(capsys):
 # recorded again when det M came to be evaluated in centred form and its
 # positive roots bracketed by knots instead of a k grid: max_level_deviation
 # went from 7.1e-15 to 8.9e-16 (iso) and from 1.4e-14 to 7.1e-15 (iso-bound).
+# iso-bound was recorded again when det's bound roots came to be refined on
+# brackets of one walk in the signed wavenumber, cut at E = 0: its
+# max_level_deviation went from 7.1e-15 to 3.6e-15, and det's largest error
+# against the 50-digit referee over its 14 frames from 5.0e-14 to 1.8e-13.
 PINNED_STDOUT_SHA256 = [
     (
         ("trace", "--theta-plus", "3.5", "--theta-minus", "1.0", "--w-plus", "1",
@@ -445,7 +449,7 @@ PINNED_STDOUT_SHA256 = [
     (
         ("isospectral", "--xi", "3.6", "--rho", "0.5", "-n", "6", "--l", "2.0", "--L0", "0.5",
          "--grid-mu", "3", "--grid-nu", "4"),
-        "e37ef579361a1fd76c4b10d971ffaf2e0be928a6a3c75e6e9be125458f0ed508",
+        "eb78d81b035e92badb0a8b4625a6e37c5179dd62eb1d7a8d7b1142044bfe0585",
     ),
 ]
 

@@ -1,8 +1,10 @@
 """Tests for the two independent cross-check solvers: the determinant sweep
 and the finite-difference discretization."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,8 +137,8 @@ def test_det_spectrum_dirichlet_doubles():
 
 
 def test_det_spectrum_generic_position_doubles():
-    # U = e^{i xi} I has every level doubly degenerate at generic k values
-    # (no grid alignment): each is a touch of g, found at the root of dg/dE.
+    # U = e^{i xi} I has every level doubly degenerate at generic k values:
+    # each is a touch of g, at the vertex knot of its turn.
     for xi in (0.9, 2.37, 5.1):
         bc = BoundaryCondition(cmath.exp(1j * xi) * np.eye(2))
         ref = [lv.E for lv in solve_spectrum(bc, 8).levels]
@@ -146,8 +148,8 @@ def test_det_spectrum_generic_position_doubles():
 
 
 def test_det_spectrum_resolves_close_pairs():
-    # Two simple roots ~1e-4 apart sit inside one scan cell without a coarse
-    # sign change; the solver must split them, not merge or drop them.
+    # Two simple roots ~1e-4 apart share one turn, one on each side of its
+    # vertex knot; the solver must split them, not merge or drop them.
     base = UnitaryParams(math.pi / 2, 0.0)
     tweak = 2.0e-4
     p = UnitaryParams(base.xi + tweak / 2.0, tweak / 2.0, 0.7, 1.3)
@@ -238,7 +240,7 @@ def _det_vs_channel(bc, n):
 
 
 def test_det_spectrum_splits_pairs_whose_dip_misses_the_grid():
-    # rho = 1.9e-5 puts a close pair in one scan cell from level 28 on.  A
+    # rho = 1.9e-5 puts a close pair on one turn from level 28 on.  A
     # bounded minimization of |g| landed just outside such a pair, and the
     # pair was dropped: 36 of 64 levels were wrong.
     p = UnitaryParams(xi=1.195, rho=1.9e-5, mu=0.4, nu=1.0)
@@ -247,8 +249,8 @@ def test_det_spectrum_splits_pairs_whose_dip_misses_the_grid():
 
 
 def test_det_spectrum_finds_every_level_of_a_generic_defect():
-    # A generic defect whose pairs share scan cells; det stopped at 34 of 64
-    # levels with ScanExhausted.
+    # A generic defect whose levels come in close pairs; det once stopped at
+    # 34 of 64 levels with ScanExhausted.
     p = UnitaryParams(
         xi=4.527684267381938, rho=0.046076242014224764, mu=1.185070963945692,
         nu=0.3434634178783089,
@@ -292,8 +294,8 @@ def _gate_defects(draw):
     The kappa l = 50 floor is left out, and the gate does not loosen for
     it.  There |E| reaches 2e4, where the absolute 1e-9 gate asks for 5e-14
     relative: 1 of 2,000 floor draws missed it by 1.4e-9.  A bound root
-    exactly on the floor is also kept by the det scan, whose window ends on
-    it, and dropped by the channel solver, which keeps roots below it only.
+    within rounding of the floor is also one that each solver, and the
+    referee, may place on either side of it.
     """
     l, L0, rho = draw(_sizes), draw(_sizes), draw(_rhos)
     if draw(st.booleans()):
@@ -412,20 +414,59 @@ def test_det_bound_levels_match_the_referee(bc):
 
 
 def test_det_spectrum_of_a_defect_without_bound_levels_scans_no_bound_grid(monkeypatch):
-    # g at the floor and at Q's vertex, and below E = 0 where g(0) is
-    # within its rounding: at most three bound_scalar calls decide.
+    # g at the floor and at a knot below E = 0, if a direction has one
+    # there: at most three evaluations of g below E = 0 decide.
     calls = []
-    bound_scalar = oracles._Projection.bound_scalar
+    g = oracles._Projection.g
 
-    def counting(proj, kappa):
-        calls.append(kappa)
-        return bound_scalar(proj, kappa)
+    def counting(proj, y):
+        calls.append(y)
+        return g(proj, y)
 
-    monkeypatch.setattr(oracles._Projection, "bound_scalar", counting)
+    monkeypatch.setattr(oracles._Projection, "g", counting)
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.2, 0.8, 0.7, 4.1)))
     assert "bound" not in solve_spectrum(bc, 6).kind
     assert _det_vs_channel(bc, 6) <= 1e-9
-    assert len(calls) <= 3
+    assert len([y for y in calls if y < 0.0]) <= 3
+
+
+def test_det_spectrum_of_a_wide_box_reports_no_zero_level():
+    # U = I on a box 1e13 times wider than L0: T = L0 = 1, so neither
+    # channel has a zero level, and both lowest levels lie at (pi / 2l)^2.
+    # A zero-level test scaled by l + L0 once took them for two zero levels.
+    bc = BoundaryCondition(np.eye(2, dtype=complex), l=1e13)
+    levels = det_spectrum(bc, 2)
+    assert [lv.kind for lv in levels] == ["positive", "positive"]
+    assert referee.positive_levels(bc, 2) == [2.4674011002723395e-26] * 2
+    assert [lv.E for lv in levels] == pytest.approx([2.4674011002723395e-26] * 2, rel=1e-12)
+
+
+def test_det_spectrum_puts_a_level_just_above_the_threshold_off_zero():
+    # The lowest level lies 2.0e-8 above E = 0, where g is not within its
+    # rounding bound; an SVD zero-level count called it a zero level.
+    p = UnitaryParams(1.8985251150561036, 1.3972803198436572, 0.9513912490863285, 2.4792817935229987)
+    bc = BoundaryCondition(params_to_matrix(p), 0.0389184739120101, 0.5037366477867038)
+    lowest = det_spectrum(bc, 1)[0]
+    want = sorted(referee.bound_levels(bc) + referee.positive_levels(bc, 1))[0]
+    assert lowest.kind == "positive"
+    assert abs(lowest.E - want) <= 1e-9 and abs(want - 2.045917e-8) <= 1e-13
+
+
+def test_oracles_take_only_shared_primitives_from_the_channel_solver():
+    # The three solvers stay independent: det and FD share Brent's method,
+    # the floor, the level type, the degeneracy flags, sin(kl)/(kl) and eps
+    # with the channel solver, and none of its grids or tolerances.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "spectrum"
+        for alias in node.names
+    }
+    assert names == {"_brentq", "KAPPA_CEILING", "EigenLevel", "flag_degenerate", "sinc_kl", "_EPS"}
+    assert "spectrum" not in {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
 
 
 def test_det_bound_levels_at_the_threshold_and_the_floor():
@@ -473,9 +514,8 @@ def test_det_counts_an_exact_zero_at_the_vertex_as_a_root():
 def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
     # Generic defects have no double root and no zero-energy level, so each
     # refinement of g is one root.  Only the n + 1 levels that det_spectrum
-    # reads are refined, besides every bound root, even where a turn holds
-    # one root past them.  The knot solves and the inversion of Q's vertex
-    # to kappa refine no root and are left out.
+    # reads are refined, bound roots included, even where a turn holds one
+    # root past them.  The knot solves refine no root and are left out.
     calls = []
 
     def counting(f, *args):
@@ -490,8 +530,7 @@ def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
                               rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
             calls.clear()
             det_spectrum(BoundaryCondition(params_to_matrix(p)), n)
-            bound = calls.count("bound_scalar")
-            assert calls.count("positive_scalar") == (n + 1 - bound if n > bound else 0)
+            assert calls.count("g") == n + 1
 
 
 # ------------------------------------------------------------------ FD solver
@@ -531,7 +570,7 @@ def test_fd_first_order_convergence_or_better():
     assert errs[-1] <= 5e-3
 
 
-def test_fd_generalized_fallback_when_junction_block_singular():
+def test_fd_matches_det_where_the_junction_block_is_singular():
     # The junction block J = (U - I) + (3 i L0 / 2h)(U + I) is singular when
     # an eigenphase hits -2 atan(3 L0 / (2h)): that channel's level of the
     # eliminated operator lies at infinity.  Build exactly that defect and
@@ -604,7 +643,7 @@ def _fd_matches_referee(bc, n_int, n) -> None:
     assert np.max(np.abs(got - ref) / (1.0 + np.abs(ref))) <= 1e-6
 
 
-def test_fd_matches_dense_eigvals_of_the_eliminated_matrix():
+def test_fd_matches_the_referee_on_edge_defects():
     # The referee's levels are the eigenvalues of the eliminated operator
     # (test_fd_referee_levels_are_the_eigenvalues_of_the_assembled_operator),
     # to 50 digits rather than through a dense solve of a non-normal matrix.
@@ -721,7 +760,7 @@ _NOT_POSITIVE_DEFINITE = BoundaryCondition(
 )
 
 
-def test_fd_fallback_matches_the_channel_solver():
+def test_fd_matches_the_channel_solver_where_the_coupling_block_is_indefinite():
     bc = _NOT_POSITIVE_DEFINITE
     ref = solve_spectrum(bc, 4).E
     got = np.array(fd_spectrum(bc, 4, 64).levels)
@@ -733,6 +772,6 @@ _LENGTH = st.floats(-2.0, 2.0).map(lambda x: 10.0 ** x)
 
 
 @given(_ANGLE, _ANGLE, _ANGLE, _ANGLE, _LENGTH, _LENGTH)
-def test_fd_spectrum_matches_dense_eigvals_everywhere(xi, rho, mu, nu, l, L0):
+def test_fd_matches_the_referee_everywhere(xi, rho, mu, nu, l, L0):
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l, L0)
     _fd_matches_referee(bc, 64, 6)
