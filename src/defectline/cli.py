@@ -322,13 +322,16 @@ def _cmd_eigenfunction(s: _Settings, out: IO[str]) -> int:
 
 
 def _cmd_isospectral(s: _Settings, out: IO[str]) -> int:
-    xi = s.get_float("xi", 0.0)
-    rho = s.get_float("rho", 0.0)
+    # The sweep sets the frame (mu, nu) itself, so the defect is diagonal.
+    params, _ = _defect_input(s)
+    if params is None or params.mu or params.nu:
+        raise ValueError("isospectral sweeps the frame (mu, nu) of a diagonal defect: "
+                         "give no --mu, --nu or --matrix")
     grid = SphereGrid.default(
         n_mu_interior=s.get_int("grid_mu", 8), n_nu=s.get_int("grid_nu", 8)
     )
     report = check_isospectral(
-        (xi, rho),
+        (params.xi, params.rho),
         grid,
         n_levels=s.get_int("levels", 8),
         solver=_solver_name(s, SOLVER_DETERMINANT),
@@ -379,11 +382,18 @@ def _cmd_trace(s: _Settings, out: IO[str]) -> int:
     return 0
 
 
+def _tolerance(s: _Settings, name: str, default: float) -> float:
+    tol = s.get_float(name, default)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"--{name.replace('_', '-')} must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def _cmd_oracle_compare(s: _Settings, out: IO[str]) -> int:
     bc = _boundary_condition(s)
     n = s.get_int("levels", 8)
-    tol_det = s.get_float("tol_det", 1e-9)
-    tol_fd = s.get_float("tol_fd", 5e-3)
+    tol_det = _tolerance(s, "tol_det", 1e-9)
+    tol_fd = _tolerance(s, "tol_fd", 5e-3)
     e_channel = solve_spectrum(bc, n).E.tolist()
     e_det = [lev.E for lev in det_spectrum(bc, n)]
     e_fd = fd_spectrum(bc, n, n_interior=s.get_int("n_interior", 256)).levels
@@ -408,7 +418,7 @@ _HANDLERS = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser, *, matrix: bool = True) -> None:
+def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--xi", type=float, help="overall phase angle (radians)")
     sp.add_argument("--rho", type=float, help="eigenphase half-difference (radians)")
     sp.add_argument("--mu", type=float, help="frame polar angle (radians)")
@@ -417,9 +427,8 @@ def _add_common(sp: argparse.ArgumentParser, *, matrix: bool = True) -> None:
                     help="plus-channel eigenphase; sets xi/rho together with --theta-minus")
     sp.add_argument("--theta-minus", type=float, dest="theta_minus",
                     help="minus-channel eigenphase")
-    if matrix:
-        sp.add_argument("--matrix", type=str,
-                        help="defect matrix as 8 comma-separated reals (row-major re,im)")
+    sp.add_argument("--matrix", type=str,
+                    help="defect matrix as 8 comma-separated reals (row-major re,im)")
     sp.add_argument("--l", type=float, help="half-width of the box (default 1)")
     sp.add_argument("--L0", type=float, help="boundary length constant (default 1)")
     sp.add_argument("--format", type=str, choices=("json", "csv"),
@@ -454,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="total sample count, split over the two sides (default 200)")
 
     sp = sub.add_parser("isospectral", help="sweep the conjugation-frame sphere")
-    _add_common(sp, matrix=False)
+    _add_common(sp)
     sp.add_argument("-n", "--levels", type=int, dest="levels", help="level count (default 8)")
     sp.add_argument("--solver", type=str, help="channel | det | fd (default det)")
     sp.add_argument("--n-interior", type=int, dest="n_interior",

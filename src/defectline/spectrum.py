@@ -196,15 +196,10 @@ def threshold(ch: Channel) -> float:
     return ch.l * s2 + ch.L0 * c2
 
 
-def _fhat(theta: float, l: float, L0: float, k):
-    # F(k)/k, entire in k with value T at 0; same positive roots as F.
-    s2, c2 = _half_angle(theta)
-    return _fhat_half(s2, c2, l, L0, np.asarray(k, dtype=float))
-
-
 def _fhat_half(s2, c2, l: float, L0: float, k: np.ndarray) -> np.ndarray:
-    # _fhat on half-angles that may differ from element to element of k >= 0,
-    # in np.sinc's operations: sin(x) / x at x = pi * (kl / pi), eps at x = 0.
+    # F(k)/k at k >= 0, entire in k with value T at 0 and the positive roots
+    # of F, on half-angles that may differ from element to element of k; in
+    # np.sinc's operations: sin(x) / x at x = pi * (kl / pi), eps at x = 0.
     kl = k * l
     x = np.maximum(np.pi * (kl / np.pi), _EPS)
     return l * (np.sin(x) / x) * s2 + L0 * np.cos(kl) * c2
@@ -221,7 +216,7 @@ def sinc_kl(k: float, l: float) -> float:
 
 
 def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
-    # _fhat for one float, with the same double out.
+    # _fhat_half for one float, with the same double out.
     return l * sinc_kl(k, l) * s2 + L0 * math.cos(k * l) * c2
 
 
@@ -232,21 +227,16 @@ def sinhc(x):
     return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
 
 
-def _ghat(theta: float, l: float, L0: float, kappa):
-    # G(kappa)/kappa, with value T at 0; same positive roots as G.
-    s2, c2 = _half_angle(theta)
-    return _ghat_half(s2, c2, l, L0, np.asarray(kappa, dtype=float))
-
-
 def _ghat_half(s2, c2, l: float, L0: float, kappa: np.ndarray) -> np.ndarray:
-    # _ghat on half-angles that may differ from element to element of kappa.
+    # G(kappa)/kappa, with value T at 0 and the positive roots of G, on
+    # half-angles that may differ from element to element of kappa.
     x = kappa * l
     return l * sinhc(x) * s2 + L0 * np.cosh(x) * c2
 
 
 def _ghat_scalar(s2: float, c2: float, l: float, L0: float, kappa: float) -> float:
-    # _ghat for one float, in the same operations and order as sinhc.  sinh
-    # and cosh stay numpy's: math.sinh differs from them in the last bit.
+    # _ghat_half for one float, in the same operations and order as sinhc.
+    # sinh and cosh stay numpy's: math.sinh differs from them in the last bit.
     x = kappa * l
     sh = 1.0 + x * x / 6.0 if abs(x) < 1e-8 else float(np.sinh(x)) / x
     return l * sh * s2 + L0 * float(np.cosh(x)) * c2
@@ -392,44 +382,28 @@ def _refine(scalar, vector, s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -
     return _brentq_array(lambda x, i: vector(s2[i], c2[i], l, L0, x), xa, xb, fa, fb)
 
 
-def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin, from_label) -> None:
-    """Fill out[r, first[r]:] with the lowest positive roots of F of row r.
+def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
+    """Fill out[r, first[r]:] with the positive roots of F of labels m0[r] on.
 
-    Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0);
-    where from_label (None or one label per row) has from_label[r] >= 1
-    (and first[r] is 0), it holds the roots of label from_label[r] on, the
-    same doubles as the row from its bottom.
-    A cell of the grid step * j holds a root when F/k changes sign across
-    it, or when F/k is exactly 0 at its left end other than at the origin
-    (where F/k = T and the root of F is spurious); a row with
-    skip_origin[r], at the threshold, leaves out the origin cell altogether.
-
-    A root's branch label m = (kl + atan2(k L0 c2, s2)) / pi places it: as
-    s2 >= 0, it lies in kl in [m pi - pi/2, m pi] when c2 >= 0 and in
-    [m pi, m pi + pi/2] when c2 < 0.  Labels start at m0 = 0 when F/k < 0 at
-    the origin (so c2 < 0), unless skip_origin leaves that root's origin
-    cell out, else at 1.  The window of label m, its half-branch and a cell
-    at each end, holds no other root, and F/k (-1)^(m + 1) is >= 0 in it up
-    to the root and < 0 past it.  A search of all windows in lock step finds
-    the cells: a first pass probes every d-th point, d the smallest power of
-    3 that needs at most four, and each later pass cuts the bracket in three:
-    4 + 2 + 2 evaluations of F/k per root at GRID_DENSITY = 64.
-    ScanExhausted is raised unless each cell lies in its window and F/k
-    changes sign across it so.  Brent refines the roots, all rows together.
+    Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0),
+    and its p-th positive column, out[r, first[r] + p], gets the root of
+    branch label m0[r] + p; _solve_rows decides where each ladder starts.
+    The root of label m = (kl + atan2(k L0 c2, s2)) / pi lies, as s2 >= 0,
+    in kl in [m pi - pi/2, m pi] when c2 >= 0 and in [m pi, m pi + pi/2]
+    when c2 < 0.  The window of label m, its half-branch and a cell at each
+    end, holds no other root, and F/k (-1)^(m + 1) is >= 0 in it up to the
+    root and < 0 past it.  A search of all windows in lock step finds the
+    root's cell of the grid step * j: a first pass probes every d-th point,
+    d the smallest power of 3 that needs at most four, and each later pass
+    cuts the bracket in three: 4 + 2 + 2 evaluations of F/k per root at
+    GRID_DENSITY = 64.  ScanExhausted is raised unless each cell lies in its
+    window and F/k changes sign across it so.  Brent refines the roots, all
+    rows together; a root where F/k is exactly 0 is that grid point.
     """
     step = math.pi / (GRID_DENSITY * l)
     width = GRID_DENSITY // 2 + 2
-    # F/k = T at the origin, where F's root is spurious: at the threshold
-    # the root in the origin cell is the zero-energy level, not label 0.
-    t0 = l * s2 + L0 * c2
-    m0 = t0 >= 0.0
-    if skip_origin.any():
-        m0 |= skip_origin & (t0 * _fhat_half(s2, c2, l, L0, step) < 0.0)
-    m0 = m0 - first  # the label of column 0
-    if from_label is not None:
-        m0 = np.where(from_label > 0, from_label, m0)
     r, col = np.nonzero(np.arange(out.shape[1]) >= first[:, None])
-    m = m0[r] + col
+    m = (m0 - first)[r] + col
     lo = np.maximum(m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))[r], 0)
     # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
     sign = (m & 1) * 2.0 - 1.0
@@ -462,33 +436,32 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, skip_origin,
     out[r, col] = k
 
 
-def _scan_positive(theta: float, l: float, L0: float, n: int, skip_origin: bool) -> list[float]:
-    """Lowest n positive roots of F from the cells of F/k: _scan_rows' one-row case."""
-    s2, c2 = _half_angle(theta)
-    out = np.empty((1, n))
-    _scan_rows(
-        np.array([s2]), np.array([c2]), l, L0, out, np.zeros(1, dtype=np.intp),
-        np.array([skip_origin]), None,
-    )
-    return out[0].tolist()
-
-
 def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np.ndarray | None):
     """solve_channel's lowest n levels of each channel theta of one box (l, L0).
 
     ``thetas`` are reduced into [0, 2 pi) already.  Returns k_or_kappa as an
     array of one row of n per channel, and per row whether its first level
     is bound and whether it is the zero-energy level; every other level is
-    positive.  A bound root refines by Brent on the window [0, cap] of
-    G/kappa, cap = KAPPA_CEILING / l, all rows together like the positive
-    roots.  Where from_label is given, a row with from_label[r] >= 1 holds
-    the n levels of label from_label[r] on, all positive, and needs no bound
-    root.
+    positive.  The threshold T = l sin(theta/2) + L0 cos(theta/2) alone
+    decides where a row's ladder starts, here and nowhere else:
+
+    * a zero-energy level where |T| <= ZERO_LEVEL_TOL (l + L0);
+    * else a bound level where cos(theta/2) < 0 < T and G/kappa < 0 at the
+      floor, cap = KAPPA_CEILING / l (G/kappa = T at 0), refined by Brent
+      on [0, cap], all rows together like the positive roots;
+    * the first positive level has branch label 0 where T < 0 and the row
+      has no zero-energy level, else label 1.  At T = 0,
+      F/k = l sin(theta/2) (sin(x)/x - cos(x)) with x = kl is positive on
+      (0, pi/2], so label 0's half-branch holds no positive root.
+
+    Where from_label is given, a row with from_label[r] >= 1 holds the n
+    levels of label from_label[r] on, all positive, and needs no threshold.
     """
     rows = len(thetas)
     s2 = np.empty(rows)
     c2 = np.empty(rows)
     zero = np.zeros(rows, dtype=bool)
+    m0 = np.ones(rows, dtype=np.intp)
     cap = KAPPA_CEILING / l
     brackets = []
     labels = [0] * rows if from_label is None else from_label.tolist()
@@ -496,6 +469,7 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np
         s, c = _half_angle(theta)
         s2[r], c2[r] = s, c
         if label > 0:
+            m0[r] = label
             continue
         t0 = l * s + L0 * c
         if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
@@ -503,7 +477,9 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np
             # searching for a bound root there would only rediscover it at
             # kappa ~ 0.
             zero[r] = True
-        elif c < 0.0 < t0:
+        elif t0 < 0.0:
+            m0[r] = 0
+        elif c < 0.0:
             # The unique bound root is kept only below the ceiling, where
             # sinh cannot overflow; a deeper level is out of desk scale.
             g_cap = _ghat_scalar(s, c, l, L0, cap)
@@ -520,7 +496,7 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np
             _ghat_scalar, _ghat_half, s2, c2, l, L0, at, np.zeros(at.size), np.full(at.size, cap),
             ga, gb,
         )
-    _scan_rows(s2, c2, l, L0, k_or_kappa, (bound | zero).astype(np.intp), zero, from_label)
+    _scan_rows(s2, c2, l, L0, k_or_kappa, (bound | zero).astype(np.intp), m0)
     return k_or_kappa, bound, zero
 
 
@@ -570,8 +546,7 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     m = (kl + atan2(k L0 cos(theta/2), sin(theta/2))) / pi from
     from_label[r] on, each the double a solve from the bottom of the ladder
     returns for its label, and needs no bound-state refinement.  A row with
-    from_label[r] <= 0, as every row without it, holds the lowest n levels,
-    whose labels start at 0 or 1.
+    from_label[r] <= 0, as every row without it, holds the lowest n levels.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -603,11 +578,11 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     Both channels are solved in one solve_channels batch to
     depth = min(n + 1, (n + 1) // 2 + 2); a channel's first levels are the
     same doubles at any depth.  A channel's positive levels carry
-    consecutive branch labels, from 0 only when no bound or zero level
-    precedes them, so its a-th level lies at kl >= (a - 3/2) pi, and a level
-    of label m at kl <= (m + 1/2) pi (see _scan_rows).  If channel A holds a
-    of the merged n + 1 levels, the a - 3 levels of B labelled 1 to a - 3
-    lie below A's a-th, so n + 1 >= 2a - 3 and a <= (n + 4) / 2 <= depth.
+    consecutive branch labels from 0 or 1, from 1 after a bound or zero
+    level (_solve_rows), so its a-th level lies at kl >= (a - 3/2) pi, and a
+    level of label m at kl <= (m + 1/2) pi (see _scan_rows).  If channel A
+    holds a of the merged n + 1 levels, the a - 3 levels of B labelled 1 to
+    a - 3 lie below A's a-th, so n + 1 >= 2a - 3 and a <= (n + 4) / 2 <= depth.
     ScanExhausted is raised unless the merged (n + 1)-th level lies at or
     below the last level solved in both channels, which witnesses this.
 

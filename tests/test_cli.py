@@ -384,6 +384,32 @@ def test_isospectral_near_degenerate_frames_agree(capsys, flags, n):
     assert rec["max_level_deviation"] <= 1e-8 * max(1.0, 1.0 / (l * l))
 
 
+def test_isospectral_reads_the_eigenphase_flags(capsys):
+    # --theta-plus/--theta-minus name the diagonal defect (xi, rho) they name
+    # for every other subcommand, not xi = rho = 0.
+    sweep = ("-n", "2", "--grid-mu", "1", "--grid-nu", "1")
+    code, out, err = _run(capsys, "isospectral", "--theta-plus", "3.0", "--theta-minus", "1.4", *sweep)
+    assert (code, err) == (0, "")
+    xi, rho = 0.5 * (3.0 + 1.4), 0.5 * (3.0 - 1.4)
+    (rec,) = _json_lines(out)
+    assert (rec["xi"], rec["rho"]) == (xi, rho)
+    assert _run(capsys, "isospectral", "--xi", repr(xi), "--rho", repr(rho), *sweep) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "flags", [("--xi", "2.0", "--mu", "0.3"), ("--xi", "2.0", "--nu", "1.0"),
+              ("--matrix", "1,0,0,0,0,0,1,0"), ("--config", "matrix.cfg")],
+)
+def test_isospectral_rejects_a_frame_or_a_matrix(capsys, tmp_path, monkeypatch, flags):
+    # The sweep sets the frame itself; a frame or a matrix given with the
+    # defect would be dropped without a word.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "matrix.cfg").write_text("matrix = 1,0,0,0,0,0,1,0\n")
+    code, out, err = _run(capsys, "isospectral", *flags, "-n", "2", "--grid-mu", "1", "--grid-nu", "1")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--matrix" in err
+
+
 # ---------------------------------------------------------------------- trace
 
 
@@ -802,6 +828,13 @@ def test_invalid_inputs_exit_2(capsys):
     assert code == 2 and "solver" in err
     code, _, err = _run(capsys, "spectrum", "--xi", "1.0", "--theta-plus", "2.0")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, tol", [("--tol-det", "nan"), ("--tol-det", "-1"), ("--tol-fd", "inf")])
+def test_oracle_compare_tolerances_must_be_finite_and_nonnegative(capsys, flag, tol):
+    code, out, err = _run(capsys, "oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "2", flag, tol)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and flag in err
 
 
 def test_solver_failure_exits_3(capsys):

@@ -469,6 +469,26 @@ def test_oracles_take_only_shared_primitives_from_the_channel_solver():
     }
 
 
+def test_every_module_level_function_and_class_of_the_package_has_a_use():
+    # Code that only tests call belongs in the tests: each function or class
+    # defined at module level in the package is named in an __all__ or
+    # referenced in the package's own code.
+    defined, used = set(), set()
+    for path in Path(oracles.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(defined - used) == []
+
+
 def test_det_bound_levels_at_the_threshold_and_the_floor():
     # T = 0 puts a root of Q on the window's end s = l, and a bound root on
     # the kappa l = 50 floor one on its end s = l tanh(50) / 50, where g lies

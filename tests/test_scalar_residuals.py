@@ -17,7 +17,7 @@ within 1e-6.
 import math
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from defectline import (
@@ -34,15 +34,13 @@ from defectline.spectrum import (
     KAPPA_CEILING,
     ZERO_LEVEL_TOL,
     _brentq,
-    _fhat,
     _fhat_scalar,
-    _ghat,
     _ghat_scalar,
     _half_angle,
     flag_degenerate,
     solve_channels,
 )
-from test_spectrum import _scan_positive_reference
+from test_spectrum import _fhat, _ghat, _scan_positive_reference
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -163,6 +161,9 @@ def batches(draw):
 
 
 @given(batches(), st.integers(1, 200))
+# A zero row with T = -5e-3 inside the zero-level band, whose positive levels
+# start at label 1: label 0's root is the zero level itself.
+@example(([2.0 * math.atan2(1e10, -1.0) + 1e-12], 1.0, 1e10), 3)
 def test_positive_roots_carry_consecutive_branch_labels(batch, n):
     # The p-th positive root of a channel has the branch label
     # (kl + atan2(k L0 cos(theta/2), sin(theta/2))) / pi = m0 + p, where

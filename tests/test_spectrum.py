@@ -33,11 +33,11 @@ from defectline.spectrum import (
     KAPPA_CEILING,
     _brentq,
     _brentq_array,
-    _fhat,
+    _fhat_half,
     _fhat_scalar,
-    _ghat,
+    _ghat_half,
     _half_angle,
-    _scan_positive,
+    solve_channels,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -128,6 +128,18 @@ def test_root_count_matches_sign_changes():
         assert changes == inside
 
 
+def _fhat(theta, l, L0, k):
+    # F(k)/k of the channel theta: the solver's array form on its half-angles.
+    s2, c2 = _half_angle(theta)
+    return _fhat_half(s2, c2, l, L0, np.asarray(k, dtype=float))
+
+
+def _ghat(theta, l, L0, kappa):
+    # G(kappa)/kappa of the channel theta, likewise.
+    s2, c2 = _half_angle(theta)
+    return _ghat_half(s2, c2, l, L0, np.asarray(kappa, dtype=float))
+
+
 def _random_channel(rng):
     return rng.uniform(0.0, TWO_PI), 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-3, 3)
 
@@ -202,41 +214,40 @@ def _scan_positive_reference(theta, l, L0, n, skip_origin):
     return roots
 
 
+def _check_positive_roots(theta, l, L0, n):
+    # The positive levels of a channel solved n deep against the per-cell
+    # scan, which leaves the origin cell out where the row has a zero level;
+    # returns that zero flag.
+    rows = solve_channels([theta], n, l, L0)
+    first = int(rows.bound[0] or rows.zero[0])
+    reference = _scan_positive_reference(theta, l, L0, n - first, bool(rows.zero[0]))
+    assert rows.k_or_kappa[0, first:].tolist() == reference
+    return bool(rows.zero[0])
+
+
 def test_scan_matches_per_cell_reference():
     # Short scans refine one bracket at a time, long ones (n at or above
     # _ARRAY_BRENT_MIN) in lock step; both must give the reference doubles.
     rng = np.random.default_rng(73)
-    for i in range(68):
+    for i in range(34):
         theta, l, L0 = _random_channel(rng)
-        n = int(rng.integers(1, 24)) if i < 60 else int(rng.integers(_ARRAY_BRENT_MIN, 600))
-        skip = bool(i % 2)
-        assert _scan_positive(theta, l, L0, n, skip) == _scan_positive_reference(
-            theta, l, L0, n, skip
-        )
-    # T = 0 exactly: the origin is an exact zero of F/k and is not a level.
+        n = int(rng.integers(1, 24)) if i < 30 else int(rng.integers(_ARRAY_BRENT_MIN, 600))
+        _check_positive_roots(theta, l, L0, n)
+    # T = 0 exactly: the origin is an exact zero of F/k, and the row's zero
+    # level, not a positive one.
     s2, c2 = _half_angle(3.3)
     L0 = -s2 / c2
     assert _fhat(3.3, 1.0, L0, 0.0) == 0.0
     for n in (5, 2 * _ARRAY_BRENT_MIN):
-        assert _scan_positive(3.3, 1.0, L0, n, False) == _scan_positive_reference(
-            3.3, 1.0, L0, n, False
-        )
-    # The same with the origin cell left out, as a row at the threshold scans.
-    for n in (5, 2 * _ARRAY_BRENT_MIN):
-        assert _scan_positive(3.3, 1.0, L0, n, True) == _scan_positive_reference(
-            3.3, 1.0, L0, n, True
-        )
+        assert _check_positive_roots(3.3, 1.0, L0, n)
     # theta at 0 and pi and within 1e-12 of 0, pi and 2 pi, where roots sit
     # on the ends of their half-branches.
     rng = np.random.default_rng(79)
     for theta in (0.0, math.pi, 1e-12, math.pi - 1e-12, math.pi + 1e-12, TWO_PI - 1e-12):
-        for i in range(4):
+        for i in range(2):
             _, l, L0 = _random_channel(rng)
-            n = int(rng.integers(1, 24)) if i < 3 else int(rng.integers(_ARRAY_BRENT_MIN, 300))
-            skip = bool(i % 2)
-            assert _scan_positive(theta, l, L0, n, skip) == _scan_positive_reference(
-                theta, l, L0, n, skip
-            )
+            n = int(rng.integers(1, 24)) if i == 0 else int(rng.integers(_ARRAY_BRENT_MIN, 300))
+            _check_positive_roots(theta, l, L0, n)
 
 
 def test_scan_raises_when_a_root_misses_its_branch_slot(monkeypatch):
