@@ -15,8 +15,10 @@ its tolerance.
 
 Boundary-condition input is either the four angles (--xi/--rho/--mu/--nu),
 the eigenphase pair (--theta-plus/--theta-minus), or the raw matrix entries
-(--matrix).  A key=value config file supplies defaults for any long flag;
-flags given on the command line win.
+(--matrix).  A key=value config file (--config) supplies the subcommand's
+long flags: each entry is parsed, typed and checked as its flag would be,
+before the command line, whose flags win.  A key that is no long flag of the
+subcommand exits 2.
 """
 
 from __future__ import annotations
@@ -135,9 +137,7 @@ def _write(out: IO[str], fmt: str, *parts: tuple[_Shape, Iterable[tuple]]) -> No
         out.writelines(template % row for row in rows)
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
+def _load_config(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -154,47 +154,23 @@ def _load_config(path: str | None) -> dict[str, str]:
     return entries
 
 
-class _Settings:
-    """Flag values with config-file fallback and per-type coercion."""
+def _with_config(
+    parser: argparse.ArgumentParser, argv: list[str], args: argparse.Namespace
+) -> argparse.Namespace:
+    """argv parsed again with the --config entries as flags before the command line's own.
 
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._config = _load_config(self._args.get("config"))
-
-    def _raw(self, name: str):
-        v = self._args.get(name)
-        if v is not None:
-            return v
-        return self._config.get(name.replace("_", "-"))
-
-    def get_float(self, name: str, default: float | None = None) -> float:
-        v = self._raw(name)
-        if v is None:
-            if default is None:
-                raise ValueError(f"missing required parameter --{name.replace('_', '-')}")
-            return default
-        try:
-            return float(v)
-        except ValueError as exc:
-            raise ValueError(f"bad value for --{name.replace('_', '-')}: {v!r}") from exc
-
-    def get_int(self, name: str, default: int | None = None) -> int:
-        v = self._raw(name)
-        if v is None:
-            if default is None:
-                raise ValueError(f"missing required parameter --{name.replace('_', '-')}")
-            return default
-        try:
-            return int(str(v))
-        except ValueError as exc:
-            raise ValueError(f"bad value for --{name.replace('_', '-')}: {v!r}") from exc
-
-    def get_str(self, name: str, default: str | None = None) -> str | None:
-        v = self._raw(name)
-        return default if v is None else str(v)
-
-    def has(self, name: str) -> bool:
-        return self._raw(name) is not None
+    An entry is one ``--key=value`` token, so that a value such as -0.5 is
+    not read as a flag, and the command line, parsed later, wins.  A key
+    must be a dest of args with - for _: argparse alone would take a prefix,
+    such as ``n`` for ``--n-interior``.
+    """
+    entries = _load_config(args.config)
+    for key in entries:
+        if key.replace("-", "_") not in vars(args):
+            raise ValueError(f"config key {key!r}: {args.command} has no flag --{key}")
+    at = argv.index(args.command) + 1
+    flags = [f"--{key}={value}" for key, value in entries.items()]
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -205,64 +181,52 @@ def _parse_matrix(text: str) -> np.ndarray:
             "u11re,u11im,u12re,u12im,u21re,u21im,u22re,u22im"
         )
     vals = [float(p) for p in parts]
-    return np.array(
-        [
-            [vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]],
-            [vals[4] + 1j * vals[5], vals[6] + 1j * vals[7]],
-        ]
-    )
+    entries = [vals[i] + 1j * vals[i + 1] for i in range(0, 8, 2)]
+    return np.array([entries[:2], entries[2:]])
 
 
-def _defect_input(s: _Settings) -> tuple[UnitaryParams | None, np.ndarray]:
+def _defect_input(args: argparse.Namespace) -> tuple[UnitaryParams | None, np.ndarray]:
     """Resolve the three mutually exclusive ways of naming the defect matrix.
 
-    Returns the angles as given, None for --matrix, and the matrix.
+    Returns the angles as given, None for --matrix, and the matrix.  An
+    angle not given is 0; absence is read from None, so a given -0.0 stays
+    -0.0.
     """
-    angle_flags = s.has("xi") or s.has("rho")
-    theta_flags = s.has("theta_plus") or s.has("theta_minus")
-    if s.has("matrix"):
+    angles, thetas = (args.xi, args.rho), (args.theta_plus, args.theta_minus)
+    angle_flags = angles != (None, None)
+    theta_flags = thetas != (None, None)
+    if args.matrix is not None:
         if angle_flags or theta_flags:
             raise ValueError("--matrix conflicts with angle flags")
-        return None, _parse_matrix(s.get_str("matrix"))
+        return None, _parse_matrix(args.matrix)
     if theta_flags:
         if angle_flags:
             raise ValueError("--theta-plus/--theta-minus conflict with --xi/--rho")
-        tp = s.get_float("theta_plus", 0.0)
-        tm = s.get_float("theta_minus", 0.0)
+        tp, tm = (0.0 if t is None else t for t in thetas)
         xi = (0.5 * (tp + tm)) % TWO_PI
         rho = (0.5 * (tp - tm)) % TWO_PI
     else:
-        xi = s.get_float("xi", 0.0)
-        rho = s.get_float("rho", 0.0)
-    params = UnitaryParams(
-        xi=xi, rho=rho, mu=s.get_float("mu", 0.0), nu=s.get_float("nu", 0.0)
-    )
+        xi, rho = (0.0 if a is None else a for a in angles)
+    params = UnitaryParams(xi=xi, rho=rho, mu=args.mu, nu=args.nu)
     return params, params_to_matrix(params)
 
 
-def _boundary_condition(s: _Settings) -> BoundaryCondition:
-    _, u = _defect_input(s)
-    return BoundaryCondition(u, l=s.get_float("l", 1.0), L0=s.get_float("L0", 1.0))
+def _boundary_condition(args: argparse.Namespace) -> BoundaryCondition:
+    _, u = _defect_input(args)
+    return BoundaryCondition(u, l=args.l, L0=args.L0)
 
 
-def _solver_name(s: _Settings, default: str) -> str:
-    raw = s.get_str("solver", default)
-    if raw not in _SOLVER_ALIASES:
-        raise ValueError(f"unknown solver {raw!r} (choices: channel, det, fd)")
-    return _SOLVER_ALIASES[raw]
+def _solver_name(args: argparse.Namespace) -> str:
+    # Checked here, not by argparse choices, so that main returns 2 with one
+    # line on stderr instead of raising SystemExit after argparse's usage.
+    if args.solver not in _SOLVER_ALIASES:
+        raise ValueError(f"unknown solver {args.solver!r} (choices: channel, det, fd)")
+    return _SOLVER_ALIASES[args.solver]
 
 
-def _output_format(s: _Settings) -> str:
-    fmt = s.get_str("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ValueError(f"unknown format {fmt!r} (choices: json, csv)")
-    return fmt
-
-
-def _cmd_spectrum(s: _Settings, out: IO[str]) -> int:
-    bc = _boundary_condition(s)
-    n = s.get_int("levels", 8)
-    solver = _solver_name(s, SOLVER_CHANNEL)
+def _cmd_spectrum(args: argparse.Namespace, out: IO[str]) -> int:
+    bc, n = _boundary_condition(args), args.levels
+    solver = _solver_name(args)
     if solver == SOLVER_CHANNEL:
         spec = solve_spectrum(bc, n)
         degenerate = [_WORD[p >= 0] for p in spec.partner.tolist()]
@@ -270,30 +234,28 @@ def _cmd_spectrum(s: _Settings, out: IO[str]) -> int:
             spec.index.tolist(), spec.channel.tolist(), spec.kind.tolist(),
             spec.k_or_kappa.tolist(), spec.E.tolist(), degenerate,
         )
-        _write(out, _output_format(s), (_LEVEL, rows))
+        _write(out, args.format, (_LEVEL, rows))
         return 0
     if solver == SOLVER_DETERMINANT:
-        k_max = s.get_float("k_max") if s.has("k_max") else None
         rows = [
             (lev.index, lev.kind, lev.k_or_kappa, lev.E, _WORD[lev.degenerate_with is not None])
-            for lev in det_spectrum(bc, n, k_max=k_max)
+            for lev in det_spectrum(bc, n, k_max=args.k_max)
         ]
     else:
-        fd = fd_spectrum(bc, n, n_interior=s.get_int("n_interior", 256))
+        fd = fd_spectrum(bc, n, n_interior=args.n_interior)
         rows = [
             (i, KIND_BOUND if e < 0.0 else KIND_POSITIVE, math.sqrt(abs(e)), e, "false")
             for i, e in enumerate(fd.levels)
         ]
-    _write(out, _output_format(s), (_UNCHANNELED_LEVEL, rows))
+    _write(out, args.format, (_UNCHANNELED_LEVEL, rows))
     return 0
 
 
-def _cmd_eigenfunction(s: _Settings, out: IO[str]) -> int:
-    bc = _boundary_condition(s)
-    index = s.get_int("index", 0)
+def _cmd_eigenfunction(args: argparse.Namespace, out: IO[str]) -> int:
+    bc = _boundary_condition(args)
+    index, samples = args.index, args.samples
     if index < 0:
         raise ValueError("--index must be nonnegative")
-    samples = s.get_int("samples", 200)
     if samples < 4:
         raise ValueError("--samples must be at least 4")
     if samples % 2:
@@ -308,57 +270,54 @@ def _cmd_eigenfunction(s: _Settings, out: IO[str]) -> int:
     values = sample_eigenfunction(f, grid)
 
     rows = zip(grid.tolist(), values.real.tolist(), values.imag.tolist())
-    fmt = _output_format(s)
-    if fmt == "csv":
-        _write(out, fmt, (_SAMPLE, rows))
+    if args.format == "csv":
+        _write(out, args.format, (_SAMPLE, rows))
         return 0
     v = f.boundary_vectors()
     meta = (
         level.index, level.channel, level.kind, level.k_or_kappa, level.E,
         _WORD[f.degenerate], boundary_residual(bc, v), current_mismatch(v),
     )
-    _write(out, fmt, (_EIGEN_META, [meta]), (_SAMPLE, rows))
+    _write(out, args.format, (_EIGEN_META, [meta]), (_SAMPLE, rows))
     return 0
 
 
-def _cmd_isospectral(s: _Settings, out: IO[str]) -> int:
+def _cmd_isospectral(args: argparse.Namespace, out: IO[str]) -> int:
     # The sweep sets the frame (mu, nu) itself, so the defect is diagonal.
-    params, _ = _defect_input(s)
+    params, _ = _defect_input(args)
     if params is None or params.mu or params.nu:
         raise ValueError("isospectral sweeps the frame (mu, nu) of a diagonal defect: "
                          "give no --mu, --nu or --matrix")
-    grid = SphereGrid.default(
-        n_mu_interior=s.get_int("grid_mu", 8), n_nu=s.get_int("grid_nu", 8)
-    )
+    grid = SphereGrid.default(n_mu_interior=args.grid_mu, n_nu=args.grid_nu)
     report = check_isospectral(
         (params.xi, params.rho),
         grid,
-        n_levels=s.get_int("levels", 8),
-        solver=_solver_name(s, SOLVER_DETERMINANT),
-        l=s.get_float("l", 1.0),
-        L0=s.get_float("L0", 1.0),
-        n_interior=s.get_int("n_interior", 256),
+        n_levels=args.levels,
+        solver=_solver_name(args),
+        l=args.l,
+        L0=args.L0,
+        n_interior=args.n_interior,
     )
     record = (
         report.base_params.xi, report.base_params.rho, report.n_levels_checked,
         report.solver_used, len(grid), report.max_level_deviation, *report.worst_point,
     )
-    _write(out, _output_format(s), (_ISO, [record]))
+    _write(out, args.format, (_ISO, [record]))
     return 0
 
 
-def _cmd_trace(s: _Settings, out: IO[str]) -> int:
-    params, u = _defect_input(s)
+def _cmd_trace(args: argparse.Namespace, out: IO[str]) -> int:
+    params, u = _defect_input(args)
     if params is None:
         params = matrix_to_params(u)
-    winding = (s.get_int("w_plus", 0), s.get_int("w_minus", 0))
+    winding = (args.w_plus, args.w_minus)
     path = PathSpec(
         winding=winding,
         base=params,
-        n_steps=s.get_int("steps", 256),
-        levels_tracked=s.get_int("tracked", 8),
-        l=s.get_float("l", 1.0),
-        L0=s.get_float("L0", 1.0),
+        n_steps=args.steps,
+        levels_tracked=args.tracked,
+        l=args.l,
+        L0=args.L0,
     )
     trajectories = trace_path(path)
     s_plus, s_minus = trajectory_shifts(trajectories, winding)
@@ -378,25 +337,19 @@ def _cmd_trace(s: _Settings, out: IO[str]) -> int:
         else:
             parts.append((_POINT, zip(itertools.repeat(i), t_text, tr.E_values.tolist())))
     parts.append((_SUMMARY, [(s_plus, s_minus)]))
-    _write(out, _output_format(s), *parts)
+    _write(out, args.format, *parts)
     return 0
 
 
-def _tolerance(s: _Settings, name: str, default: float) -> float:
-    tol = s.get_float(name, default)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"--{name.replace('_', '-')} must be finite and nonnegative, got {tol!r}")
-    return tol
-
-
-def _cmd_oracle_compare(s: _Settings, out: IO[str]) -> int:
-    bc = _boundary_condition(s)
-    n = s.get_int("levels", 8)
-    tol_det = _tolerance(s, "tol_det", 1e-9)
-    tol_fd = _tolerance(s, "tol_fd", 5e-3)
+def _cmd_oracle_compare(args: argparse.Namespace, out: IO[str]) -> int:
+    bc, n = _boundary_condition(args), args.levels
+    tol_det, tol_fd = args.tol_det, args.tol_fd
+    for flag, tol in (("--tol-det", tol_det), ("--tol-fd", tol_fd)):
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(f"{flag} must be finite and nonnegative, got {tol!r}")
     e_channel = solve_spectrum(bc, n).E.tolist()
     e_det = [lev.E for lev in det_spectrum(bc, n)]
-    e_fd = fd_spectrum(bc, n, n_interior=s.get_int("n_interior", 256)).levels
+    e_fd = fd_spectrum(bc, n, n_interior=args.n_interior).levels
 
     ok = True
     rows = []
@@ -405,7 +358,7 @@ def _cmd_oracle_compare(s: _Settings, out: IO[str]) -> int:
         delta_fd = abs(e_channel[i] - e_fd[i]) / (1.0 + abs(e_channel[i]))
         ok = ok and delta_det <= tol_det and delta_fd <= tol_fd
         rows.append((i, e_channel[i], e_det[i], e_fd[i], delta_det, delta_fd))
-    _write(out, _output_format(s), (_COMPARE, rows))
+    _write(out, args.format, (_COMPARE, rows))
     return 0 if ok else 1
 
 
@@ -418,102 +371,106 @@ _HANDLERS = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--xi", type=float, help="overall phase angle (radians)")
-    sp.add_argument("--rho", type=float, help="eigenphase half-difference (radians)")
-    sp.add_argument("--mu", type=float, help="frame polar angle (radians)")
-    sp.add_argument("--nu", type=float, help="frame azimuthal angle (radians)")
-    sp.add_argument("--theta-plus", type=float, dest="theta_plus",
-                    help="plus-channel eigenphase; sets xi/rho together with --theta-minus")
-    sp.add_argument("--theta-minus", type=float, dest="theta_minus",
-                    help="minus-channel eigenphase")
-    sp.add_argument("--matrix", type=str,
-                    help="defect matrix as 8 comma-separated reals (row-major re,im)")
-    sp.add_argument("--l", type=float, help="half-width of the box (default 1)")
-    sp.add_argument("--L0", type=float, help="boundary length constant (default 1)")
-    sp.add_argument("--format", type=str, choices=("json", "csv"),
-                    help="output format (default json)")
-    sp.add_argument("--output", type=str, help="write to this path instead of stdout")
-    sp.add_argument("--config", type=str, help="key=value file supplying flag defaults")
-
-
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser as it was, and
-    # building it costs more than most subcommands.
+    # building it costs more than most subcommands.  Each default is written
+    # once, here, and every help text reads it back.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--xi", type=float, help="overall phase angle (radians; 0 if not given)")
+    common.add_argument("--rho", type=float,
+                        help="eigenphase half-difference (radians; 0 if not given)")
+    common.add_argument("--mu", type=float, default=0.0,
+                        help="frame polar angle (radians, default %(default)s)")
+    common.add_argument("--nu", type=float, default=0.0,
+                        help="frame azimuthal angle (radians, default %(default)s)")
+    common.add_argument("--theta-plus", type=float,
+                        help="plus-channel eigenphase; sets xi/rho together with --theta-minus")
+    common.add_argument("--theta-minus", type=float, help="minus-channel eigenphase")
+    common.add_argument("--matrix",
+                        help="defect matrix as 8 comma-separated reals (row-major re,im)")
+    common.add_argument("--l", type=float, default=1.0,
+                        help="half-width of the box (default %(default)s)")
+    common.add_argument("--L0", type=float, default=1.0,
+                        help="boundary length constant (default %(default)s)")
+    common.add_argument("--format", choices=("json", "csv"), default="json",
+                        help="output format (default %(default)s)")
+    common.add_argument("--output", help="write to this path instead of stdout")
+    common.add_argument("--config", help="key=value file; each entry is parsed as its long flag, "
+                                         "and the command line wins")
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("-n", "--levels", type=int, default=8,
+                       help="level count (default %(default)s)")
+    sizes.add_argument("--n-interior", type=int, default=256,
+                       help="fd grid cells per side (default %(default)s)")
+    solver_help = "channel | det | fd (default %(default)s)"
+
     parser = argparse.ArgumentParser(
         prog="defectline",
         description="Spectra of a particle in a box with one point defect labeled by U(2).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="lowest levels of one boundary condition")
-    _add_common(sp)
-    sp.add_argument("-n", "--levels", type=int, dest="levels", help="level count (default 8)")
-    sp.add_argument("--solver", type=str, help="channel | det | fd (default channel)")
-    sp.add_argument("--n-interior", type=int, dest="n_interior",
-                    help="fd grid cells per side (default 256)")
-    sp.add_argument("--k-max", type=float, dest="k_max",
-                    help="ceiling on the det search")
+    sp = sub.add_parser("spectrum", parents=[common, sizes],
+                        help="lowest levels of one boundary condition")
+    sp.add_argument("--solver", default="channel", help=solver_help)
+    sp.add_argument("--k-max", type=float, help="ceiling on the det search")
 
-    sp = sub.add_parser("eigenfunction", help="sample one eigenfunction on a grid")
-    _add_common(sp)
-    sp.add_argument("--index", type=int, help="level index in the merged spectrum (default 0)")
-    sp.add_argument("--samples", type=int,
-                    help="total sample count, split over the two sides (default 200)")
+    sp = sub.add_parser("eigenfunction", parents=[common],
+                        help="sample one eigenfunction on a grid")
+    sp.add_argument("--index", type=int, default=0,
+                    help="level index in the merged spectrum (default %(default)s)")
+    sp.add_argument("--samples", type=int, default=200,
+                    help="total sample count, split over the two sides (default %(default)s)")
 
-    sp = sub.add_parser("isospectral", help="sweep the conjugation-frame sphere")
-    _add_common(sp)
-    sp.add_argument("-n", "--levels", type=int, dest="levels", help="level count (default 8)")
-    sp.add_argument("--solver", type=str, help="channel | det | fd (default det)")
-    sp.add_argument("--n-interior", type=int, dest="n_interior",
-                    help="fd grid cells per side (default 256)")
-    sp.add_argument("--grid-mu", type=int, dest="grid_mu",
-                    help="interior polar points between the poles (default 8)")
-    sp.add_argument("--grid-nu", type=int, dest="grid_nu",
-                    help="azimuthal points (default 8)")
+    sp = sub.add_parser("isospectral", parents=[common, sizes],
+                        help="sweep the conjugation-frame sphere")
+    sp.add_argument("--solver", default="det", help=solver_help)
+    sp.add_argument("--grid-mu", type=int, default=8,
+                    help="interior polar points between the poles (default %(default)s)")
+    sp.add_argument("--grid-nu", type=int, default=8, help="azimuthal points (default %(default)s)")
 
-    sp = sub.add_parser("trace", help="continue levels around a closed eigenphase loop")
-    _add_common(sp)
-    sp.add_argument("--w-plus", type=int, dest="w_plus",
-                    help="winding of theta_plus (default 0)")
-    sp.add_argument("--w-minus", type=int, dest="w_minus",
-                    help="winding of theta_minus (default 0)")
-    sp.add_argument("--steps", type=int,
-                    help="samples per loop: t runs 0..1 in steps of 1/steps; at least 64 (default 256)")
-    sp.add_argument("--tracked", type=int, help="levels to track (default 8)")
+    sp = sub.add_parser("trace", parents=[common],
+                        help="continue levels around a closed eigenphase loop")
+    sp.add_argument("--w-plus", type=int, default=0,
+                    help="winding of theta_plus (default %(default)s)")
+    sp.add_argument("--w-minus", type=int, default=0,
+                    help="winding of theta_minus (default %(default)s)")
+    sp.add_argument("--steps", type=int, default=256,
+                    help="samples per loop: t runs 0..1 in steps of 1/steps; at least 64 "
+                         "(default %(default)s)")
+    sp.add_argument("--tracked", type=int, default=8, help="levels to track (default %(default)s)")
 
-    sp = sub.add_parser("oracle-compare", help="channel vs determinant vs fd on one system")
-    _add_common(sp)
-    sp.add_argument("-n", "--levels", type=int, dest="levels", help="level count (default 8)")
-    sp.add_argument("--n-interior", type=int, dest="n_interior",
-                    help="fd grid cells per side (default 256)")
-    sp.add_argument("--tol-det", type=float, dest="tol_det",
-                    help="absolute channel/det tolerance (default 1e-9)")
-    sp.add_argument("--tol-fd", type=float, dest="tol_fd",
-                    help="relative channel/fd tolerance (default 5e-3)")
+    sp = sub.add_parser("oracle-compare", parents=[common, sizes],
+                        help="channel vs determinant vs fd on one system")
+    sp.add_argument("--tol-det", type=float, default=1e-9,
+                    help="absolute channel/det tolerance (default %(default)s)")
+    sp.add_argument("--tol-fd", type=float, default=5e-3,
+                    help="relative channel/fd tolerance (default %(default)s)")
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        settings = _Settings(args)
+        if args.config is not None:
+            args = _with_config(parser, argv, args)
         handler = _HANDLERS[args.command]
-        path = settings.get_str("output")
-        if path is None:
-            code = handler(settings, sys.stdout)
+        if args.output is None:
+            code = handler(args, sys.stdout)
             sys.stdout.flush()
             return code
         # Render first, so a run that fails leaves an existing file untouched.
         rendered = io.StringIO()
-        code = handler(settings, rendered)
+        code = handler(args, rendered)
         try:
-            with open(path, "w", encoding="utf-8", newline="") as out:
+            with open(args.output, "w", encoding="utf-8", newline="") as out:
                 out.write(rendered.getvalue())
         except OSError as exc:
-            raise ValueError(f"cannot write --output {path!r}: {exc}") from exc
+            raise ValueError(f"cannot write --output {args.output!r}: {exc}") from exc
         return code
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Two matrix-level solvers that never diagonalize the defect matrix.
 
 Both exist to cross-check the channel solver through entirely different
-arithmetic.  The determinant solver builds the 2x2 matrix M(k) of the
-connection condition over the wall-anchored basis and locates zeros of
-det M(k); the finite-difference solver discretizes the kinetic operator on a
-uniform grid with the connection condition encoded in two junction rows.
+arithmetic.  The determinant solver locates the zeros of det M(k), M the
+2x2 matrix of the connection condition over the wall-anchored basis; it
+evaluates det M in centred form and never builds M.  The finite-difference
+solver discretizes the kinetic operator on a uniform grid with the
+connection condition encoded in two junction rows.
 
 det M(k) is complex but carries a constant phase: it is the product of the
 two channel functions times 4 e^{i arg(det U)/2}, so dividing by a square
@@ -147,8 +148,8 @@ class _Projection:
         z = w * w - alpha * alpha * self.d4
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
-    def read(self, y: float, g: float) -> float:
-        """g = g(y) as the walk's decisions read it: 0 where it lies within its rounding bound.
+    def read(self, y: float) -> tuple[float, float]:
+        """(g(y), g(y) as the walk's decisions read it: 0 where it lies within its rounding bound).
 
         sigma rounds by about eps l, and tau by about eps (1 + kl) above
         E = 0 and not at all below; w rounds by about eps a (1 + 3 |t|),
@@ -161,6 +162,7 @@ class _Projection:
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
+        g = -(z.real * self.phase.real + z.imag * self.phase.imag)
         a, b = abs(alpha), abs(w)
         ad, dw = 2.0 * a * abs(self.d4), a * (1.0 + 3.0 * abs(self.t))
         bound = _EPS * (
@@ -168,7 +170,7 @@ class _Projection:
             + tau_err * self.L0 * (2.0 * b * abs(1.0 + self.t) + ad)
             + 2.0 * b * dw + 2.0 * b * b + 3.0 * a * ad + 2.0 * abs(z) + _EPS * dw * dw
         )
-        return 0.0 if abs(g) <= bound else g
+        return g, (0.0 if abs(g) <= bound else g)
 
     def floor_value(self) -> float:
         """g at the kappa l = 50 floor, from rational arithmetic, rounded once.
@@ -230,8 +232,7 @@ def _bound_knots(proj: _Projection, vertex: tuple[float, float], end: tuple[floa
         t = min(s / (c * l), 1.0) if c > 0.0 and s <= l * c else 0.0
         if t > top:
             y = -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
-            g = proj.g(y)
-            knots.append(((y, g, proj.read(y, g)), is_vertex))
+            knots.append(((y, *proj.read(y)), is_vertex))
     return sorted(knots)
 
 
@@ -277,7 +278,7 @@ def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, flo
     the end's sign beyond its rounding bound: no root lies between the two
     then, so either bounds the same turns.  Elsewhere it is solved for.
     """
-    l, fun = proj.l, proj.g
+    l = proj.l
     end_sign = 1.0 if proj.a0 + proj.a2 >= 0.0 else -1.0
     order = sorted([(vertex, True), (end, False)], key=lambda d: math.atan2(d[0][1], d[0][0]))
     m = 0
@@ -288,14 +289,12 @@ def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, flo
             k = None
             if not is_vertex and (m or abs(s) > c):
                 k = (m if abs(s) <= c else m + math.copysign(0.5, s)) * math.pi / l
-                g = fun(k)
-                read = proj.read(k, g)
+                g, read = proj.read(k)
                 if not read * end_sign > 0.0:
                     k = None
             if k is None:
                 k = _knot(l, m, c, s)
-                g = fun(k)
-                read = proj.read(k, g)
+                g, read = proj.read(k)
             yield (k, g, read), is_vertex
         m += 1
 
@@ -342,9 +341,9 @@ def _roots(proj: _Projection, count: int, k_max: float | None) -> list[float]:
     """
     vertex, end = _directions(proj)
     s = 1.0 if proj.a0 + proj.a2 >= 0.0 else -1.0
-    g0 = proj.read(0.0, proj.g(0.0))
+    g0 = proj.read(0.0)[1]
     floor = -KAPPA_CEILING / proj.l
-    g_floor = proj.read(floor, proj.g(floor)) or proj.floor_value()
+    g_floor = proj.read(floor)[1] or proj.floor_value()
     a, v = (floor, g_floor, g_floor), None
     roots: list[float] = []
     for knot, is_vertex in itertools.chain(_bound_knots(proj, vertex, end), _knots(proj, vertex, end)):
@@ -382,8 +381,9 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
     path, so the channel field is None and indices are global.  Pairs are
     decided one level past the cut, as solve_spectrum decides them, so the
     n-th level's flag does not depend on n.  k_max caps the walk's reach.
-    Raises ScanExhausted if fewer than n levels lie below it, and ValueError
-    if a given k_max is not finite and positive.
+    Raises ScanExhausted if fewer than n levels lie below it, ValueError if
+    a given k_max is not finite and positive, and SolverError if the E of a
+    level overflows a double, as on a box of l = 1e-160.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -400,7 +400,10 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
         )
         for i, y in enumerate(roots)
     ]
-    return flag_degenerate(levels)[:n]
+    levels = flag_degenerate(levels)[:n]
+    if not all(math.isfinite(lev.E) for lev in levels):
+        raise SolverError(f"the levels of the box l={bc.l!r} overflow a double")
+    return levels
 
 
 class _FdForm:

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -868,14 +869,18 @@ def test_det_k_max_must_be_finite_and_positive(capsys, k_max):
         ("spectrum", "--l", "1e-300", "-n", "2"),
         ("spectrum", "--solver", "fd", "--n-interior", "64", "--l", "1e-300", "-n", "2"),
         ("eigenfunction", "--l", "1e300", "--samples", "4"),
+        ("spectrum", "--solver", "det", "--xi", "2", "--rho", "0.9", "-n", "2", "--l", "1e-160"),
+        ("isospectral", "--xi", "2", "--rho", "0.9", "--l", "1e-160", "-n", "2",
+         "--grid-mu", "1", "--grid-nu", "1"),
     ],
-    ids=["channel-tiny-box", "fd-tiny-box", "eigenfunction-huge-box"],
+    ids=["channel-tiny-box", "fd-tiny-box", "eigenfunction-huge-box", "det-tiny-box",
+         "isospectral-tiny-box"],
 )
 def test_a_box_whose_values_overflow_is_a_typed_error(capsys, argv):
     code, out, err = _run(capsys, *argv)
-    assert code in (2, 3)
+    assert code == 3
     assert "inf" not in out
-    assert err.count("\n") == 1 and "internal error" not in err
+    assert err.count("\n") == 1 and err.startswith("solver failure: ")
 
 
 def test_python_dash_m_runs_main(capsys):
@@ -987,6 +992,22 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [argv[0] for argv in EVERY_SUBCOMMAND])
+def test_help_renders_and_names_every_default(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    options = " ".join(capsys.readouterr().out.split()).partition(" options: ")[2]
+    defaults = vars(cli._build_parser().parse_args([command]))
+    for dest, value in defaults.items():
+        if dest == "command" or value is None:
+            continue
+        # The option's entry runs from its flag to the next option's.
+        flag = "--" + dest.replace("_", "-")
+        entry = re.search(rf"{flag} \S+ (.*?)(?= -{{1,2}}[A-Za-z]|$)", options)
+        assert entry is not None and f"default {value})" in entry.group(1), (flag, value)
+
+
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -1023,6 +1044,56 @@ def test_config_underscore_keys_and_bad_lines(tmp_path, capsys):
     assert code == 2 and "key=value" in err
     code, _, err = _run(capsys, "spectrum", "--config", str(tmp_path / "absent.cfg"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[argv[0] for argv in EVERY_SUBCOMMAND])
+def test_a_config_of_every_flag_prints_what_the_flags_print(tmp_path, capsys, argv):
+    command, flags = argv[0], argv[1:]
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(
+        f"{'levels' if flag == '-n' else flag[2:]} = {value}\n"
+        for flag, value in zip(flags[::2], flags[1::2])
+    ))
+    code, out, err = _run(capsys, command, "--config", str(cfg))
+    assert (code, out, err) == _run(capsys, *argv)
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("text", ["lvels = 4\n", "n = 4\n", "tol_det = 1e-3\n", "help = 1\n"],
+                         ids=["typo", "short-flag", "other-subcommand", "help"])
+def test_a_config_key_that_names_no_flag_exits_2(tmp_path, capsys, text):
+    # `n` is no long flag, though argparse would take it as a prefix of
+    # --n-interior; tol_det is a flag of oracle-compare only.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("xi = 2.0\n" + text)
+    code, out, err = _run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2 and out == ""
+    flag = "--" + text.partition(" =")[0].replace("_", "-")
+    assert err.count("\n") == 1 and f"has no flag {flag}\n" in err
+
+
+@pytest.mark.parametrize(
+    "text, bad", [("format = xml", "xml"), ("l = abc", "abc"), ("levels = 2.5", "2.5")]
+)
+def test_a_config_value_its_flag_rejects_exits_2(tmp_path, text, bad):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text + "\n")
+    proc = _python("-m", "defectline", "spectrum", "--config", str(cfg))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert bad in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_a_config_entry_is_parsed_as_its_flag(tmp_path, capsys):
+    # A negative value is a value, not a flag, and an unknown solver is an
+    # error with one line, as on the command line.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho = -0.5\nlevels = 3\n")
+    expected = _run(capsys, "spectrum", "--rho=-0.5", "-n", "3")
+    assert _run(capsys, "spectrum", "--config", str(cfg)) == expected
+    cfg.write_text("solver = shooting\n")
+    code, out, err = _run(capsys, "spectrum", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == "error: unknown solver 'shooting' (choices: channel, det, fd)\n"
 
 
 def test_output_file_matches_stdout_and_is_deterministic(tmp_path, capsys):
