@@ -139,10 +139,22 @@ class Eigenfunction:
         return BoundaryVectors(phi=phi, dphi=dphi)
 
 
+def _witness(name: str, value: float) -> float:
+    # A witness that does not fit a double says nothing: a typed error, not NaN.
+    if not math.isfinite(value):
+        raise SolverError(f"the {name} of these boundary data overflows a double")
+    return value
+
+
 def boundary_residual(bc: BoundaryCondition, v: BoundaryVectors) -> float:
-    """2-norm of (U - I) phi + i L0 (U + I) dphi; zero iff v satisfies the condition."""
-    r = (bc.u - _I2) @ v.phi + 1j * bc.L0 * (bc.u + _I2) @ v.dphi
-    return float(np.linalg.norm(r))
+    """2-norm of (U - I) phi + i L0 (U + I) dphi; zero iff v satisfies the condition.
+
+    Raises SolverError where it overflows a double, as L0 dphi may on a box
+    of huge L0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = (bc.u - _I2) @ v.phi + 1j * bc.L0 * (bc.u + _I2) @ v.dphi
+        return _witness("boundary residual", float(np.linalg.norm(r)))
 
 
 def current_mismatch(v: BoundaryVectors) -> float:
@@ -150,9 +162,10 @@ def current_mismatch(v: BoundaryVectors) -> float:
 
     Vanishes for any v satisfying the connection condition with unitary U;
     the absolute value makes the result independent of the derivative sign
-    convention.
+    convention.  Raises SolverError where it overflows a double.
     """
-    return float(abs(np.vdot(v.dphi, v.phi) - np.vdot(v.phi, v.dphi)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _witness("current mismatch", float(abs(np.vdot(v.dphi, v.phi) - np.vdot(v.phi, v.dphi))))
 
 
 def connection_matrix(u: np.ndarray, L0: float, val: complex, der: complex) -> np.ndarray:

@@ -36,8 +36,6 @@ import numpy as np
 
 from .anholonomy import PathSpec, trace_path, trajectory_shifts
 from .boundary import (
-    KIND_BOUND,
-    KIND_POSITIVE,
     BoundaryCondition,
     boundary_residual,
     build_eigenfunction,
@@ -229,25 +227,17 @@ def _cmd_spectrum(args: argparse.Namespace, out: IO[str]) -> int:
     solver = _solver_name(args)
     if solver == SOLVER_CHANNEL:
         spec = solve_spectrum(bc, n)
-        degenerate = [_WORD[p >= 0] for p in spec.partner.tolist()]
-        rows = zip(
-            spec.index.tolist(), spec.channel.tolist(), spec.kind.tolist(),
-            spec.k_or_kappa.tolist(), spec.E.tolist(), degenerate,
-        )
-        _write(out, args.format, (_LEVEL, rows))
-        return 0
-    if solver == SOLVER_DETERMINANT:
-        rows = [
-            (lev.index, lev.kind, lev.k_or_kappa, lev.E, _WORD[lev.degenerate_with is not None])
-            for lev in det_spectrum(bc, n, k_max=args.k_max)
-        ]
+    elif solver == SOLVER_DETERMINANT:
+        spec = det_spectrum(bc, n, k_max=args.k_max)
     else:
-        fd = fd_spectrum(bc, n, n_interior=args.n_interior)
-        rows = [
-            (i, KIND_BOUND if e < 0.0 else KIND_POSITIVE, math.sqrt(abs(e)), e, "false")
-            for i, e in enumerate(fd.levels)
-        ]
-    _write(out, args.format, (_UNCHANNELED_LEVEL, rows))
+        spec = fd_spectrum(bc, n, n_interior=args.n_interior)
+    channel = () if spec.channel is None else (spec.channel.tolist(),)
+    shape = _LEVEL if channel else _UNCHANNELED_LEVEL
+    rows = zip(
+        spec.index.tolist(), *channel, spec.kind.tolist(), spec.k_or_kappa.tolist(),
+        spec.E.tolist(), [_WORD[p >= 0] for p in spec.partner.tolist()],
+    )
+    _write(out, args.format, (shape, rows))
     return 0
 
 
@@ -348,8 +338,8 @@ def _cmd_oracle_compare(args: argparse.Namespace, out: IO[str]) -> int:
         if not (math.isfinite(tol) and tol >= 0.0):
             raise ValueError(f"{flag} must be finite and nonnegative, got {tol!r}")
     e_channel = solve_spectrum(bc, n).E.tolist()
-    e_det = [lev.E for lev in det_spectrum(bc, n)]
-    e_fd = fd_spectrum(bc, n, n_interior=args.n_interior).levels
+    e_det = det_spectrum(bc, n).E.tolist()
+    e_fd = fd_spectrum(bc, n, n_interior=args.n_interior).E.tolist()
 
     ok = True
     rows = []

@@ -57,7 +57,7 @@ class ScanExhausted(SolverError):
 
 
 class EigenSolverFailure(SolverError):
-    """The discretized eigenproblem did not yield enough real levels."""
+    """Fewer than the requested n FD levels lie below the band edge."""
 
 
 class ContinuationLost(SolverError):

@@ -127,9 +127,9 @@ def _energies(
     if solver == SOLVER_CHANNEL:
         return solve_spectrum(bc, n).E
     if solver == SOLVER_DETERMINANT:
-        return np.array([lev.E for lev in det_spectrum(bc, n)])
+        return det_spectrum(bc, n).E
     if solver == SOLVER_FD:
-        return np.array(fd_spectrum(bc, n, n_interior=n_interior).levels)
+        return fd_spectrum(bc, n, n_interior=n_interior).E
     raise ValueError(f"unknown solver {solver!r}")
 
 

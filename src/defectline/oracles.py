@@ -59,9 +59,9 @@ from .errors import EigenSolverFailure, ScanExhausted, SolverError
 from .spectrum import (
     _EPS,
     KAPPA_CEILING,
-    EigenLevel,
+    Spectrum,
     _brentq,
-    flag_degenerate,
+    degenerate_partners,
     sinc_kl,
 )
 
@@ -73,12 +73,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FdSpectrum:
-    """Lowest levels of the discretized operator on a grid of spacing h."""
+@dataclass(frozen=True, eq=False)
+class FdSpectrum(Spectrum):
+    """Lowest levels of the discretized operator on n_interior cells of spacing h; no pairs."""
 
     h: float
-    levels: tuple[float, ...]
     n_interior: int
 
 
@@ -229,7 +228,9 @@ def _bound_knots(proj: _Projection, vertex: tuple[float, float], end: tuple[floa
     top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
     knots = []
     for (c, s), is_vertex in ((vertex, True), (end, False)):
-        t = min(s / (c * l), 1.0) if c > 0.0 and s <= l * c else 0.0
+        # Where c l underflows to 0, s <= c l means t <= 0: no knot.
+        cl = c * l
+        t = min(s / cl, 1.0) if cl > 0.0 and s <= cl else 0.0
         if t > top:
             y = -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
             knots.append(((y, *proj.read(y)), is_vertex))
@@ -372,18 +373,18 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> list[EigenLevel]:
+def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> Spectrum:
     """Lowest n levels from det M alone; no diagonalization of U anywhere.
 
     g, det M phased to the real axis (_Projection), is one function of the
     signed wavenumber y across E = 0, and _roots walks it up from the
     kappa l = 50 floor.  The channel of a level is unknowable on this code
-    path, so the channel field is None and indices are global.  Pairs are
-    decided one level past the cut, as solve_spectrum decides them, so the
-    n-th level's flag does not depend on n.  k_max caps the walk's reach.
-    Raises ScanExhausted if fewer than n levels lie below it, ValueError if
-    a given k_max is not finite and positive, and SolverError if the E of a
-    level overflows a double, as on a box of l = 1e-160.
+    path, so the channel column is None, indices are global and any
+    neighbours may pair.  Pairs are decided one level past the cut, as
+    solve_spectrum decides them.  k_max caps the walk's reach.  Raises
+    ScanExhausted if fewer than n levels lie below it, ValueError if a given
+    k_max is not finite and positive, and SolverError if the E of a level
+    overflows a double, as on a box of l = 1e-160.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -392,18 +393,15 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> l
     roots = _roots(_Projection(bc), n + 1, k_max)
     if len(roots) < n:
         raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
-    levels = [
-        EigenLevel(
-            E=-y * y if y < 0.0 else y * y, k_or_kappa=abs(y),
-            kind=KIND_BOUND if y < 0.0 else KIND_POSITIVE if y > 0.0 else KIND_ZERO,
-            channel=None, index=i,
-        )
-        for i, y in enumerate(roots)
-    ]
-    levels = flag_degenerate(levels)[:n]
-    if not all(math.isfinite(lev.E) for lev in levels):
+    # In floats, so that an E past the cut may overflow without a warning;
+    # once the n returned are finite, no pair is decided on inf - inf.
+    E = [-y * y if y < 0.0 else y * y for y in roots]
+    if not all(map(math.isfinite, E[:n])):
         raise SolverError(f"the levels of the box l={bc.l!r} overflow a double")
-    return levels
+    E, index = np.array(E), np.arange(len(E))
+    partner = degenerate_partners(E, index)
+    kind = [KIND_BOUND if y < 0.0 else KIND_POSITIVE if y > 0.0 else KIND_ZERO for y in roots[:n]]
+    return Spectrum(E[:n], np.abs(roots[:n]), np.array(kind), None, index[:n], partner[:n])
 
 
 class _FdForm:
@@ -619,8 +617,11 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         for p, yp, q, yq in _fd_turn(a, ya, v, yv, e, y):
             roots.append(p if p == q else _brentq(g, p, q, yp, yq))
             if len(roots) == n:
-                levels = tuple(r / (l * l) for r in roots)
-                return FdSpectrum(h=h, levels=levels, n_interior=n_interior)
+                E = np.array(roots) / (l * l)
+                kind = np.where(E < 0.0, KIND_BOUND, KIND_POSITIVE)
+                return FdSpectrum(
+                    E, np.sqrt(np.abs(E)), kind, None, np.arange(n), np.full(n, -1), h, n_interior
+                )
         a, ya, v = e, y, None
     raise EigenSolverFailure(
         f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"

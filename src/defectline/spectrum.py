@@ -39,14 +39,14 @@ only when asked for.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import KIND_BOUND, KIND_POSITIVE, KIND_ZERO, BoundaryCondition
 from .errors import ScanExhausted, SolverError
-from .unitary import UnitaryParams
 
 __all__ = [
     "Channel",
@@ -118,8 +118,8 @@ class EigenLevel:
     ``k_or_kappa`` stores k, 0, or kappa accordingly.  ``channel`` is "plus",
     "minus", or None for solvers that consume the full matrix and cannot know
     the channel without diagonalizing it.  ``index`` counts levels of the same
-    channel ascending in E; ``degenerate_with`` cross-references the (channel,
-    index) of a coincident level when two channels share an energy.
+    channel ascending in E, or of the whole spectrum without a channel;
+    ``degenerate_with`` cross-references the (channel, index) of a coincident level.
     """
 
     E: float
@@ -132,35 +132,58 @@ class EigenLevel:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Sorted lowest levels of a boundary condition, with its (xi, rho, mu, nu).
+    """The lowest levels of a box in ascending E, as columns: what every solver returns.
 
-    The levels are columns in ascending E: ``E``, ``k_or_kappa``, ``kind``,
-    ``channel`` and ``index`` hold EigenLevel's fields, and ``partner`` the
-    index of a level's degenerate partner in the other channel, maybe past
-    the cut, or -1.  ``levels`` builds the EigenLevel objects on first access.
+    ``E``, ``k_or_kappa``, ``kind`` and ``index`` hold EigenLevel's fields,
+    ``channel`` its channel names, or is None where the solver knows no
+    channel, and ``partner`` is the index of a level's degenerate partner
+    (degenerate_partners), maybe past the cut, or -1.  ``len(spec)`` is the
+    level count; ``levels`` builds the EigenLevel objects on first access.
     Spectra compare by identity: array fields have no truth value for __eq__.
     """
 
     E: np.ndarray
     k_or_kappa: np.ndarray
     kind: np.ndarray
-    channel: np.ndarray
+    channel: np.ndarray | None
     index: np.ndarray
     partner: np.ndarray
-    bc_params: UnitaryParams
-    count_requested: int
+
+    def __len__(self) -> int:
+        return self.E.size
 
     @functools.cached_property
     def levels(self) -> tuple[EigenLevel, ...]:
-        other = {CHANNEL_PLUS: CHANNEL_MINUS, CHANNEL_MINUS: CHANNEL_PLUS}
+        other = {CHANNEL_PLUS: CHANNEL_MINUS, CHANNEL_MINUS: CHANNEL_PLUS, None: None}
+        channel = itertools.repeat(None) if self.channel is None else self.channel.tolist()
         return tuple(
             EigenLevel(E=e, k_or_kappa=k, kind=kind, channel=c, index=i,
                        degenerate_with=None if p < 0 else (other[c], p))
             for e, k, kind, c, i, p in zip(
-                self.E.tolist(), self.k_or_kappa.tolist(), self.kind.tolist(),
-                self.channel.tolist(), self.index.tolist(), self.partner.tolist(),
+                self.E.tolist(), self.k_or_kappa.tolist(), self.kind.tolist(), channel,
+                self.index.tolist(), self.partner.tolist(),
             )
         )
+
+
+def degenerate_partners(E: np.ndarray, index: np.ndarray, row=None) -> np.ndarray:
+    """The partner column of ascending levels E: the one rule for "degenerate".
+
+    Two neighbours that coincide within 1e-10 (relative) get each other's
+    ``index``, and every other level -1.  Where ``row`` names each level's
+    channel, only neighbours of different channels pair, since a channel
+    never repeats a level; without it any neighbours may.  A level that
+    coincides with both of its neighbours takes the upper one.
+    """
+    size = np.abs(E)
+    close = np.abs(E[1:] - E[:-1]) <= 1e-10 * (1.0 + np.maximum(size[:-1], size[1:]))
+    if row is not None:
+        close &= row[:-1] != row[1:]
+    at = np.flatnonzero(close)
+    partner = np.full(E.size, -1)
+    partner[at + 1] = index[at]
+    partner[at] = index[at + 1]  # last, so a level in two pairs keeps the upper one
+    return partner
 
 
 def _half_angle(theta: float) -> tuple[float, float]:
@@ -280,7 +303,10 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                # Where den underflows to 0, brentq.c's step is +-inf or NaN
+                # and fails the test below: it bisects.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 spre, scur = scur, stry  # good short step
             else:
@@ -500,19 +526,19 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np
     return k_or_kappa, bound, zero
 
 
-def solve_channel(ch: Channel, n: int, tag: str | None = None) -> list[EigenLevel]:
+def solve_channel(ch: Channel, n: int, tag: str | None = None) -> Spectrum:
     """The lowest n levels of one channel, ascending in E.
 
     Comprises at most one bound level, a zero-energy level exactly at the
     threshold T = 0, and positive roots of F refined to |dk| <= 1e-12 (1 + k).
-    ``tag`` is recorded in the channel field of each level.
+    ``tag`` is recorded in the channel column, which is None without it; a
+    channel never repeats a level, so no level has a partner.
     """
     rows = solve_channels([ch.theta], n, ch.l, ch.L0)
-    first = KIND_ZERO if rows.zero[0] else KIND_BOUND if rows.bound[0] else KIND_POSITIVE
-    return [
-        EigenLevel(E=e, k_or_kappa=k, kind=KIND_POSITIVE if i else first, channel=tag, index=i)
-        for i, (e, k) in enumerate(zip(rows.E[0].tolist(), rows.k_or_kappa[0].tolist()))
-    ]
+    kind = np.full(n, KIND_POSITIVE)
+    kind[0] = KIND_ZERO if rows.zero[0] else KIND_BOUND if rows.bound[0] else KIND_POSITIVE
+    channel = None if tag is None else np.full(n, tag)
+    return Spectrum(rows.E[0], rows.k_or_kappa[0], kind, channel, np.arange(n), np.full(n, -1))
 
 
 @dataclass(frozen=True)
@@ -571,9 +597,9 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     """Lowest n levels of the full system: merge of the two channel solves.
 
     Depends only on the eigenphases (xi, rho) of the defect matrix.  Levels
-    of the two channels that coincide within 1e-10 (relative) are flagged
-    degenerate and cross-referenced, among the lowest n + 1 so that no flag
-    depends on n.  This is the one rule for "degenerate"; eigenfunctions read it.
+    of the two channels that coincide are paired by degenerate_partners,
+    among the lowest n + 1 so that no flag depends on n; eigenfunctions read
+    the pairs.
 
     Both channels are solved in one solve_channels batch to
     depth = min(n + 1, (n + 1) // 2 + 2); a channel's first levels are the
@@ -587,9 +613,7 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     below the last level solved in both channels, which witnesses this.
 
     The merge is a stable sort of both rows on (E, channel), plus first
-    where energies tie, and a level is flagged where it and a neighbour of
-    the other channel coincide; a level that coincides with both of its
-    neighbours is cross-referenced to the upper one.
+    where energies tie.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -604,30 +628,8 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     E = E[order]
     first = np.where(rows.zero, KIND_ZERO, np.where(rows.bound, KIND_BOUND, KIND_POSITIVE))
     kind = np.where(index == 0, first[row], KIND_POSITIVE)
-    lo, hi = E[:-1], E[1:]
-    close = np.abs(lo - hi) <= 1e-10 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-    at = np.flatnonzero(close & (row[:-1] != row[1:]))
-    partner = np.full(n + 1, -1)
-    partner[at + 1] = index[at]
-    partner[at] = index[at + 1]  # last, so a level in two pairs keeps the upper one
+    partner = degenerate_partners(E, index, row)
     return Spectrum(
         E=E[:n], k_or_kappa=rows.k_or_kappa.ravel()[order[:n]], kind=kind[:n],
-        channel=_CHANNEL_NAMES[row[:n]], index=index[:n], partner=partner[:n], bc_params=p,
-        count_requested=n,
+        channel=_CHANNEL_NAMES[row[:n]], index=index[:n], partner=partner[:n],
     )
-
-
-def flag_degenerate(levels: list[EigenLevel]) -> list[EigenLevel]:
-    """Cross-reference adjacent levels of a sorted list that coincide in E.
-
-    Two neighbours within 1e-10 (relative) get each other's (channel, index)
-    in degenerate_with.  A channel never repeats a level, so on channel
-    levels only pairs from different channels are flagged.
-    """
-    out = list(levels)
-    for i in range(len(out) - 1):
-        a, b = out[i], out[i + 1]
-        if abs(a.E - b.E) <= 1e-10 * (1.0 + max(abs(a.E), abs(b.E))):
-            out[i] = replace(a, degenerate_with=(b.channel, b.index))
-            out[i + 1] = replace(b, degenerate_with=(a.channel, a.index))
-    return out

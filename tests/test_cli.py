@@ -872,15 +872,40 @@ def test_det_k_max_must_be_finite_and_positive(capsys, k_max):
         ("spectrum", "--solver", "det", "--xi", "2", "--rho", "0.9", "-n", "2", "--l", "1e-160"),
         ("isospectral", "--xi", "2", "--rho", "0.9", "--l", "1e-160", "-n", "2",
          "--grid-mu", "1", "--grid-nu", "1"),
+        # Brent's extrapolation step underflows to 0 / 0 on these.
+        ("spectrum", "--l", "1e-300", "--L0", "1e-300", "--xi", "2", "--rho", "0.9", "-n", "2"),
+        ("oracle-compare", "--l", "1e-300", "--L0", "1e-300", "--xi", "2", "--rho", "0.9",
+         "-n", "2"),
+        ("eigenfunction", "--l", "1e-300", "--L0", "1e-300", "--xi", "2", "--rho", "0.9"),
+        # c l of a det knot direction underflows to 0.
+        ("spectrum", "--solver", "det", "--l", "1e-154", "--L0", "1e-300", "--xi", "4",
+         "--rho", "0.3", "-n", "2"),
+        # The level fits a double, but L0 (U + I) dphi in its residual does not.
+        ("eigenfunction", "--samples", "8", "--l", "1e-150", "--L0", "1e300", "--xi", "2",
+         "--rho", "0.9", "--index", "1"),
     ],
     ids=["channel-tiny-box", "fd-tiny-box", "eigenfunction-huge-box", "det-tiny-box",
-         "isospectral-tiny-box"],
+         "isospectral-tiny-box", "channel-tiny-l-and-L0", "compare-tiny-l-and-L0",
+         "eigenfunction-tiny-l-and-L0", "det-tiny-knot", "eigenfunction-huge-residual"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_box_whose_values_overflow_is_a_typed_error(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 3
-    assert "inf" not in out
+    assert "inf" not in out and "nan" not in out
     assert err.count("\n") == 1 and err.startswith("solver failure: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_det_on_a_box_whose_knot_direction_underflows_prints_the_channel_levels(capsys):
+    # At l = 1e-150, L0 = 1e-300, c l of a knot direction underflows to 0
+    # while the levels, E = (pi / l)^2, still fit a double.
+    box = ("--l", "1e-150", "--L0", "1e-300", "--xi", "4", "--rho", "0.3", "-n", "2")
+    code, out, err = _run(capsys, "spectrum", "--solver", "det", *box)
+    assert (code, err) == (0, "")
+    _, channel_out, _ = _run(capsys, "spectrum", *box)
+    assert [r["E"] for r in _json_lines(out)] == [r["E"] for r in _json_lines(channel_out)]
+    assert _json_lines(out)[0]["E"] == 9.8696044010893569e300
 
 
 def test_python_dash_m_runs_main(capsys):

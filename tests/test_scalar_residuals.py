@@ -11,10 +11,12 @@ and L0 across four decades and the edge regions: theta near 0 and pi, the
 threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  A row of a
 label window is held to the row solved from the bottom of its ladder.  The
 branch labels that place each channel root are held to consecutive integers
-within 1e-6.
+within 1e-6.  Every solver's Spectrum is held to one level record, and det's
+partners to the list-based pairing rule kept here as the reference.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given
@@ -23,7 +25,10 @@ from hypothesis import strategies as st
 from defectline import (
     BoundaryCondition,
     Channel,
+    Spectrum,
     UnitaryParams,
+    det_spectrum,
+    fd_spectrum,
     matrix_to_params,
     params_to_matrix,
     solve_channel,
@@ -37,7 +42,6 @@ from defectline.spectrum import (
     _fhat_scalar,
     _ghat_scalar,
     _half_angle,
-    flag_degenerate,
     solve_channels,
 )
 from test_spectrum import _fhat, _ghat, _scan_positive_reference
@@ -116,7 +120,7 @@ def test_bound_level_equals_brent_on_the_vector_form(ch):
     cap = KAPPA_CEILING / l
     t0 = l * s2 + L0 * c2
     g = lambda kappa: float(_ghat(theta, l, L0, kappa))
-    first = solve_channel(ch, 1)[0]
+    first = solve_channel(ch, 1).levels[0]
     if abs(t0) <= ZERO_LEVEL_TOL * (l + L0) or c2 >= 0.0 or t0 <= 0.0 or g(cap) >= 0.0:
         assert first.kind != "bound"
     else:
@@ -145,7 +149,7 @@ def test_loop_samples_equal_solve_channel_at_every_sample(loop):
     rows = solve_channels(thetas, n, l, L0)
     for r, theta in enumerate(thetas):
         ch = Channel(theta, l, L0)
-        levels = solve_channel(ch, n)
+        levels = solve_channel(ch, n).levels
         assert rows.theta[r] == ch.theta
         assert rows.E[r].tolist() == [lv.E for lv in levels]
         assert rows.k_or_kappa[r].tolist() == [lv.k_or_kappa for lv in levels]
@@ -239,6 +243,23 @@ def test_label_window_rows_equal_the_bottom_solved_rows(batch, n):
         assert rows.E[r].tolist() == deep.E[r, col:col + n].tolist()
 
 
+def flag_degenerate(levels):
+    """The pairing rule on a sorted list of EigenLevels, one pair of neighbours at a time.
+
+    Two neighbours within 1e-10 (relative) get each other's (channel, index)
+    in degenerate_with, and a level in two pairs keeps the upper one.  A
+    channel never repeats a level, so on channel levels only pairs from
+    different channels are flagged.
+    """
+    out = list(levels)
+    for i in range(len(out) - 1):
+        a, b = out[i], out[i + 1]
+        if abs(a.E - b.E) <= 1e-10 * (1.0 + max(abs(a.E), abs(b.E))):
+            out[i] = replace(a, degenerate_with=(b.channel, b.index))
+            out[i + 1] = replace(b, degenerate_with=(a.channel, a.index))
+    return out
+
+
 @st.composite
 def defects(draw):
     """A defect on a box with two channels from phases(); one draw in four
@@ -259,7 +280,52 @@ def test_solve_spectrum_equals_the_full_depth_merge(bc, n):
     # Pairs are decided one level past the cut, so the n-th level may name a
     # partner that is not among the n levels returned.
     p = matrix_to_params(bc.u)
-    full = solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n + 1, "plus")
-    full += solve_channel(Channel(p.theta_minus, bc.l, bc.L0), n + 1, "minus")
+    full = list(solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n + 1, "plus").levels)
+    full += solve_channel(Channel(p.theta_minus, bc.l, bc.L0), n + 1, "minus").levels
     full.sort(key=lambda lv: (lv.E, lv.channel != "plus"))
     assert solve_spectrum(bc, n).levels == tuple(flag_degenerate(full[:n + 1])[:n])
+
+
+@st.composite
+def unit_boxes(draw):
+    """A defect on a box with l and L0 in 10^+-1 and two channels from
+    phases(); one draw in four makes them equal (rho = 0)."""
+    decade = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
+    l, L0 = draw(decade), draw(decade)
+    theta_plus = draw(phases(l, L0))
+    theta_minus = theta_plus if draw(st.integers(0, 3)) == 0 else draw(phases(l, L0))
+    p = UnitaryParams(
+        xi=(theta_plus + theta_minus) / 2.0,
+        rho=(theta_plus - theta_minus) / 2.0,
+        mu=draw(st.floats(0.0, PI)),
+        nu=draw(st.floats(0.0, TWO_PI)),
+    )
+    return BoundaryCondition(params_to_matrix(p), l=l, L0=L0)
+
+
+@given(unit_boxes(), st.integers(1, 8))
+def test_every_solver_returns_one_level_record(bc, n):
+    # The channel, one-channel, det and FD solvers all return Spectrum
+    # columns of n levels in ascending E, each kind the sign of its E and
+    # each k_or_kappa the root of |E|; det pairs its levels by the list rule.
+    p = matrix_to_params(bc.u)
+    spectra = {
+        "channel": solve_spectrum(bc, n),
+        "one channel": solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n, "plus"),
+        "det": det_spectrum(bc, n),
+        "fd": fd_spectrum(bc, n, n_interior=64),
+    }
+    for name, spec in spectra.items():
+        assert isinstance(spec, Spectrum) and len(spec) == n, name
+        E = spec.E
+        assert (np.diff(E) >= 0.0).all(), name
+        sign = np.where(E < 0.0, "bound", np.where(E > 0.0, "positive", "zero"))
+        if name == "fd":
+            sign[E == 0.0] = "positive"  # FD names no zero level
+        assert spec.kind.tolist() == sign.tolist(), name
+        assert (np.abs(spec.k_or_kappa**2 - np.abs(E)) <= 4.0 * np.spacing(np.abs(E))).all(), name
+    assert spectra["one channel"].channel.tolist() == ["plus"] * n
+    assert spectra["det"].channel is None and spectra["fd"].channel is None
+    assert (spectra["fd"].partner == -1).all()
+    unpaired = [replace(lv, degenerate_with=None) for lv in det_spectrum(bc, n + 1).levels]
+    assert spectra["det"].levels == tuple(flag_degenerate(unpaired)[:n])

@@ -81,13 +81,13 @@ def test_threshold_values():
 
 
 def test_channel_roots_against_reference():
-    levels = solve_channel(Channel(math.pi / 2), 3)
+    levels = solve_channel(Channel(math.pi / 2), 3).levels
     for lv, k_ref in zip(levels, K_HALF_PI):
         assert lv.kind == "positive"
         assert abs(lv.k_or_kappa - k_ref) <= 1e-12 * (1.0 + k_ref)
         assert abs(lv.E - k_ref * k_ref) <= 1e-11
 
-    levels = solve_channel(Channel(0.7), 2)
+    levels = solve_channel(Channel(0.7), 2).levels
     for lv, k_ref in zip(levels, K_THETA_07):
         assert abs(lv.k_or_kappa - k_ref) <= 1e-12 * (1.0 + k_ref)
 
@@ -100,7 +100,7 @@ def test_channel_residual_invariant():
         l = rng.uniform(0.5, 2.0)
         L0 = rng.uniform(0.5, 2.0)
         ch = Channel(theta, l, L0)
-        for lv in solve_channel(ch, 6):
+        for lv in solve_channel(ch, 6).levels:
             if lv.kind == "positive":
                 f = abs(float(channel_function(ch, lv.k_or_kappa)))
                 assert f <= 1e-10 * (1.0 + lv.k_or_kappa * L0)
@@ -117,7 +117,7 @@ def test_root_count_matches_sign_changes():
     for _ in range(20):
         theta = rng.uniform(0.05, TWO_PI - 0.05)
         ch = Channel(theta)
-        levels = solve_channel(ch, 12)
+        levels = solve_channel(ch, 12).levels
         ks = [lv.k_or_kappa for lv in levels if lv.kind == "positive"]
         a, b = 0.05, ks[-1] + 0.02
         step = min(math.pi / (GRID_DENSITY * ch.l), (b - a) / 1000.0)
@@ -268,20 +268,20 @@ def test_interlacing_gap_bounds():
         theta = rng.uniform(0.0, TWO_PI)
         l = rng.uniform(0.5, 2.0)
         ch = Channel(theta, l, 1.0)
-        ks = [lv.k_or_kappa for lv in solve_channel(ch, 10) if lv.kind == "positive"]
+        ks = [lv.k_or_kappa for lv in solve_channel(ch, 10).levels if lv.kind == "positive"]
         gaps = np.diff(ks)
         assert np.all(gaps > 0.0)
         assert np.all(gaps < 2.0 * math.pi / l)
 
 
 def test_bound_level_reference_and_existence_boundary():
-    lv = solve_channel(Channel(3 * math.pi / 2 - 0.4), 1)[0]
+    lv = solve_channel(Channel(3 * math.pi / 2 - 0.4), 1).levels[0]
     assert lv.kind == "bound"
     assert abs(lv.k_or_kappa - KAPPA_BOUND) <= 1e-12 * (1.0 + KAPPA_BOUND)
     assert abs(lv.E + KAPPA_BOUND ** 2) <= 1e-11
 
     # Just past theta*: the threshold changes sign and the bound level is gone.
-    lv2 = solve_channel(Channel(3 * math.pi / 2 + 0.4), 1)[0]
+    lv2 = solve_channel(Channel(3 * math.pi / 2 + 0.4), 1).levels[0]
     assert lv2.kind == "positive"
     assert threshold(Channel(3 * math.pi / 2 + 0.4)) < 0.0
 
@@ -299,7 +299,7 @@ def test_bound_count_tracks_threshold_sign():
         s2, c2 = math.sin(theta / 2.0), math.cos(theta / 2.0)
         if c2 < 0.0 and -s2 / c2 > 45.0:
             continue
-        n_bound = sum(1 for lv in solve_channel(ch, 8) if lv.kind == "bound")
+        n_bound = sum(1 for lv in solve_channel(ch, 8).levels if lv.kind == "bound")
         expected = 1 if (c2 < 0.0 and t0 > 0.0) else 0
         assert n_bound == expected
         assert n_bound in (0, 1)
@@ -311,13 +311,13 @@ def test_bound_root_beyond_ceiling_dropped():
     theta = 2.0 * (math.pi - math.atan(60.0))
     ch = Channel(theta)
     assert math.cos(theta / 2.0) < 0.0 and threshold(ch) > 0.0
-    levels = solve_channel(ch, 4)
+    levels = solve_channel(ch, 4).levels
     assert all(lv.kind == "positive" for lv in levels)
 
 
 def test_zero_energy_level_exactly_at_threshold():
     ch = Channel(3 * math.pi / 2)  # T = 0 for l = L0 = 1
-    levels = solve_channel(ch, 3)
+    levels = solve_channel(ch, 3).levels
     assert levels[0].kind == "zero"
     assert levels[0].E == 0.0
     assert all(lv.kind == "positive" for lv in levels[1:])
@@ -440,7 +440,7 @@ def test_levels_sorted_with_consistent_metadata():
         p = UnitaryParams(*rng.uniform(0.0, TWO_PI, 4))
         bc = BoundaryCondition(params_to_matrix(p))
         spec = solve_spectrum(bc, 9)
-        assert spec.count_requested == 9
+        assert len(spec) == 9
         assert len(spec.levels) == 9
         es = [lv.E for lv in spec.levels]
         assert all(es[i] <= es[i + 1] + 1e-12 for i in range(len(es) - 1))
@@ -485,9 +485,9 @@ def test_label_window_needs_one_label_per_eigenphase():
 
 
 def test_channel_tag_passthrough():
-    levels = solve_channel(Channel(0.7), 3, tag="plus")
+    levels = solve_channel(Channel(0.7), 3, tag="plus").levels
     assert all(lv.channel == "plus" for lv in levels)
-    untagged = solve_channel(Channel(0.7), 3)
+    untagged = solve_channel(Channel(0.7), 3).levels
     assert all(lv.channel is None for lv in untagged)
 
 
