@@ -28,7 +28,6 @@ from .errors import (
     BadDirection,
     ContinuationLost,
     DefectLineError,
-    DegeneratePath,
     EigenSolverFailure,
     InconsistentShift,
     NotAnEigenvalue,
@@ -93,6 +92,5 @@ __all__ = [
     # errors
     "DefectLineError", "ValidationError", "SolverError", "NotUnitary",
     "BadDirection", "NotAnEigenvalue", "OutOfDomain", "ScanExhausted",
-    "EigenSolverFailure", "ContinuationLost", "DegeneratePath",
-    "InconsistentShift",
+    "EigenSolverFailure", "ContinuationLost", "InconsistentShift",
 ]

@@ -26,16 +26,19 @@ The loop is sampled on a fixed grid, t <- min(t + 1/n_steps, 1) until t is
 within 1e-12 of 1, so the samples of a moving channel do not depend on each
 other, and every level is the double solve_channel returns at its sample.
 The two channels never mix along theta-only paths, so each is labelled on
-its own.  One solve_channels batch holds the t = 0 ladder of each channel,
-whose lowest levels split the tracked levels between the channels, and the
+its own and a tie between channels, as at a scalar defect, makes no
+trajectory ambiguous.  One solve_channels batch holds the t = 0 ladder of
+each channel, whose lowest levels split the tracked levels between the
+channels in solve_spectrum's merge order (plus first on a tie), and the
 last-sample ladder of each moving channel, solved from the bottom because
-it sets end_index.  At every other sample a moving channel's tracked levels
-are the count consecutive labels from the lowest tracked unwrapped label
-plus that sample's 2 pi crossings, and one more batch solves just those:
-a window of branch labels where that label is >= 1, the bottom of the
-ladder where it is <= 0 and a tracked level may have floored out.  A
-channel with winding 0 keeps its theta, and its start ladder stands for
-every sample.
+it sets end_index.  A channel wound by w != 0 tracks at least one level,
+and |w| + 1 where w < 0, as it floors out its lowest |w|.  At every other
+sample a moving channel's tracked levels are the count consecutive labels
+from the lowest tracked unwrapped label plus that sample's 2 pi crossings,
+and one more batch solves just those: a window of branch labels where that
+label is >= 1, the bottom of the ladder where it is <= 0 and a tracked
+level may have floored out.  A channel with winding 0 keeps its theta, and
+its start ladder stands for every sample.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuationLost, DegeneratePath, InconsistentShift
+from .errors import ContinuationLost, InconsistentShift
 from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, ChannelRows, solve_channels
 from .unitary import TWO_PI, UnitaryParams
 
@@ -172,16 +175,17 @@ def _start_ladders(path: PathSpec, t_end: float) -> dict[str, tuple[float, int, 
 
 
 def _tracked_counts(ladders, n: int) -> dict[str, int]:
-    """Split the lowest n merged levels between the channels."""
-    merged = sorted(
-        (e, ch) for ch, (_, _, rows) in ladders.items() for e in rows.E[0, :n].tolist()
-    )[:n]
-    for (e1, _), (e2, _) in zip(merged, merged[1:]):
-        if abs(e2 - e1) <= 1e-8 * (1.0 + max(abs(e1), abs(e2))):
-            raise DegeneratePath(
-                f"tracked levels degenerate at start: E = {e1!r} and {e2!r}"
-            )
-    return {ch: sum(1 for _, c in merged if c == ch) for ch in ladders}
+    """How many levels each channel tracks (see the module docstring).
+
+    The merge is solve_spectrum's: a stable sort of the plus row, then the
+    minus row.  A channel wound by w tracks at least bool(w) + max(0, -w).
+    """
+    E = np.concatenate([rows.E[0, :n] for _, _, rows in ladders.values()])
+    plus = int(np.count_nonzero(np.argsort(E, kind="stable")[:n] < n))
+    return {
+        ch: max(count, bool(w) + max(0, -w))
+        for count, (ch, (_, w, _)) in zip((plus, n - plus), ladders.items())
+    }
 
 
 def _follow(
@@ -249,10 +253,10 @@ def _follow(
 def trace_path(path: PathSpec) -> list[LevelTrajectory]:
     """Continue the lowest levels_tracked levels around the loop.
 
-    Returns one trajectory per tracked level, ordered by starting energy.
-    Raises DegeneratePath when the starting levels are not separated,
-    ContinuationLost when the branch labels of a sample are not consecutive
-    integers, and propagates solver errors from the channel solves.
+    Returns one trajectory per tracked level, ordered by starting energy,
+    plus first on a tie; a wound channel may add levels (_tracked_counts).
+    Raises ContinuationLost when the branch labels of a sample are not
+    consecutive integers, and propagates the channel solves' errors.
     """
     ts = _t_grid(path.n_steps)
     ladders = _start_ladders(path, ts[-1])

@@ -19,7 +19,6 @@ __all__ = [
     "ScanExhausted",
     "EigenSolverFailure",
     "ContinuationLost",
-    "DegeneratePath",
     "InconsistentShift",
 ]
 
@@ -62,10 +61,6 @@ class EigenSolverFailure(SolverError):
 
 class ContinuationLost(SolverError):
     """Continuation could not identify the levels of a sample by their branch labels."""
-
-
-class DegeneratePath(SolverError):
-    """Tracked branches collided along a continuation path."""
 
 
 class InconsistentShift(SolverError):

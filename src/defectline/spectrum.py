@@ -173,10 +173,12 @@ def degenerate_partners(E: np.ndarray, index: np.ndarray, row=None) -> np.ndarra
     ``index``, and every other level -1.  Where ``row`` names each level's
     channel, only neighbours of different channels pair, since a channel
     never repeats a level; without it any neighbours may.  A level that
-    coincides with both of its neighbours takes the upper one.
+    coincides with both of its neighbours takes the upper one.  An upper
+    neighbour that overflowed to inf pairs with nothing.
     """
     size = np.abs(E)
     close = np.abs(E[1:] - E[:-1]) <= 1e-10 * (1.0 + np.maximum(size[:-1], size[1:]))
+    close &= np.isfinite(E[1:])
     if row is not None:
         close &= row[:-1] != row[1:]
     at = np.flatnonzero(close)

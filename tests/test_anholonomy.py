@@ -5,16 +5,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from defectline import (
     Channel,
+    BoundaryCondition,
     ContinuationLost,
-    DegeneratePath,
     InconsistentShift,
     LevelTrajectory,
     PathSpec,
     UnitaryParams,
     loop_shift,
+    params_to_matrix,
+    solve_spectrum,
     trace_path,
     trajectory_shifts,
 )
@@ -243,9 +246,57 @@ def test_trace_refines_only_the_tracked_labels(monkeypatch, winding):
     assert windows and bool(bottom_bound) == (min(winding) < 0)
 
 
-def test_degenerate_start_is_rejected():
-    with pytest.raises(DegeneratePath):
-        trace_path(PathSpec(winding=(1, 0), base=UnitaryParams(0.0, 0.0), n_steps=128))
+def test_scalar_start_shifts_by_the_winding():
+    # At rho = 0 every level of one channel ties with one of the other; the
+    # channels are labelled on their own, so no trajectory is ambiguous.
+    path = PathSpec(winding=(1, 0), base=UnitaryParams(0.0, 0.0), n_steps=128)
+    assert loop_shift(path) == (1, 0)
+
+
+def test_tracked_levels_split_by_the_spectrum_merge():
+    # At rho = 0 the lowest three merged levels are plus, minus, plus: the
+    # stable merge puts plus first on a tie, as solve_spectrum does.
+    base = UnitaryParams(1.0, 0.0)
+    path = PathSpec(winding=(0, 0), base=base, n_steps=64, levels_tracked=3)
+    channels = [tr.channel for tr in trace_path(path)]
+    merged = solve_spectrum(BoundaryCondition(params_to_matrix(base)), 3).channel.tolist()
+    assert channels == merged == ["plus", "minus", "plus"]
+
+
+@pytest.mark.parametrize("winding", [(-1, 0), (0, -2), (-2, 1)])
+def test_a_wound_channel_keeps_a_survivor(winding):
+    # A channel wound down by |w| floors out its lowest |w| levels, so it
+    # tracks |w| + 1 of them even where the merge gives it fewer, and may
+    # add trajectories beyond levels_tracked.
+    path = PathSpec(winding=winding, base=BASE, n_steps=64, levels_tracked=2)
+    trajectories = trace_path(path)
+    for ch, w in zip(("plus", "minus"), winding):
+        if w:
+            own = [tr for tr in trajectories if tr.channel == ch]
+            assert len(own) >= 1 + max(0, -w)
+            assert sum(tr.floored_out for tr in own) == max(0, -w)
+    assert trajectory_shifts(trajectories, winding) == winding
+
+
+@given(
+    xi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+    rho=st.one_of(
+        st.sampled_from([0.0, math.pi]),
+        st.floats(-14.0, -6.0).map(lambda e: 10.0 ** e),
+        st.floats(0.0, math.pi),
+    ),
+    winding=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    tracked=st.integers(2, 4),
+    l=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+    L0=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+)
+def test_shift_is_the_winding_on_any_start(xi, rho, winding, tracked, l, L0):
+    # Scalar (rho = 0, pi) and near-scalar starts included: ties between
+    # the channels are split by the merge, and a wound channel always keeps
+    # a survivor to read its shift from.
+    path = PathSpec(winding=winding, base=UnitaryParams(xi, rho), n_steps=64,
+                    levels_tracked=tracked, l=l, L0=L0)
+    assert loop_shift(path) == winding
 
 
 def test_geometry_is_respected():

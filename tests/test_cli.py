@@ -445,6 +445,15 @@ def test_trace_winding_shifts_csv(capsys):
     assert last[-2:] == ["1", "0"]  # s_plus, s_minus
 
 
+def test_trace_accepts_a_scalar_defect(capsys):
+    # rho = 0 gives both channels one ladder, so every tracked level ties
+    # with one of the other channel; the split follows the spectrum's merge.
+    code, out, err = _run(capsys, "trace", "--w-plus", "1", "--xi", "1", "--rho", "0",
+                          "--tracked", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == '{"record": "summary", "s_plus": 1, "s_minus": 0}'
+
+
 # The sha256 of stdout, recorded before the loop and det root refiners moved
 # to scalar residuals and stationary channels stopped being re-solved; every
 # change there must leave these bytes as they are.  iso-bound was recorded
@@ -906,6 +915,17 @@ def test_det_on_a_box_whose_knot_direction_underflows_prints_the_channel_levels(
     _, channel_out, _ = _run(capsys, "spectrum", *box)
     assert [r["E"] for r in _json_lines(out)] == [r["E"] for r in _json_lines(channel_out)]
     assert _json_lines(out)[0]["E"] == 9.8696044010893569e300
+
+
+def test_a_level_below_one_that_overflows_is_not_degenerate(capsys):
+    # det solves one level past the cut, and here its E overflows to inf,
+    # which lies within 1e-10 (1 + inf) of the lone level below it.
+    code, out, err = _run(capsys, "spectrum", "--solver", "det", "--xi", "2", "--rho", "0.9",
+                          "--l", "3e-154", "-n", "1")
+    assert (code, err) == (0, "")
+    assert _json_lines(out)[0]["degenerate"] is False
+    E = np.array([2.7415567780803763e307, math.inf])
+    assert spectrum.degenerate_partners(E, np.arange(2)).tolist() == [-1, -1]
 
 
 def test_python_dash_m_runs_main(capsys):

@@ -25,7 +25,7 @@ from defectline import (
     params_to_matrix,
     solve_spectrum,
 )
-from defectline import oracles
+from defectline import errors, oracles
 from defectline.boundary import KIND_BOUND, KIND_ZERO
 from defectline.spectrum import KAPPA_CEILING, _brentq, solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
@@ -472,8 +472,10 @@ def test_oracles_take_only_shared_primitives_from_the_channel_solver():
 def test_every_module_level_function_and_class_of_the_package_has_a_use():
     # Code that only tests call belongs in the tests: each function or class
     # defined at module level in the package is named in an __all__ or
-    # referenced in the package's own code.
-    defined, used = set(), set()
+    # referenced in the package's own code.  An exception class is raised
+    # in the package, or is the base of one that is: __all__ naming it is
+    # not a use.
+    defined, used, raised = set(), set(), set()
     for path in Path(oracles.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
@@ -486,7 +488,15 @@ def test_every_module_level_function_and_class_of_the_package_has_a_use():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc))
     assert sorted(defined - used) == []
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and cls.__module__ == errors.__name__}
+    raised = [classes[name] for name in raised if name in classes]
+    assert sorted(name for name, cls in classes.items()
+                  if not any(issubclass(r, cls) for r in raised)) == []
 
 
 def test_every_solver_builds_its_levels_through_the_one_record():
