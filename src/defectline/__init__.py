@@ -18,7 +18,6 @@ from .boundary import (
     Eigenfunction,
     boundary_residual,
     build_eigenfunction,
-    connection_matrix,
     current_mismatch,
     level_eigenbasis,
     reflect,
@@ -44,7 +43,7 @@ from .isospectral import (
     isospectral_family,
     parity_family,
 )
-from .oracles import FdSpectrum, det_matrix, det_spectrum, fd_spectrum
+from .oracles import FdSpectrum, det_spectrum, fd_spectrum
 from .spectrum import (
     Channel,
     ChannelRows,
@@ -76,13 +75,13 @@ __all__ = [
     "params_to_matrix", "parity_conjugate", "sigma_v",
     # boundary
     "BoundaryCondition", "BoundaryVectors", "Eigenfunction",
-    "boundary_residual", "build_eigenfunction", "connection_matrix",
-    "current_mismatch", "level_eigenbasis", "reflect", "sample_eigenfunction",
+    "boundary_residual", "build_eigenfunction", "current_mismatch",
+    "level_eigenbasis", "reflect", "sample_eigenfunction",
     # spectrum
     "Channel", "EigenLevel", "Spectrum", "bound_function", "channel_function",
     "ChannelRows", "solve_channel", "solve_channels", "solve_spectrum", "threshold",
     # oracles
-    "FdSpectrum", "det_matrix", "det_spectrum", "fd_spectrum",
+    "FdSpectrum", "det_spectrum", "fd_spectrum",
     # isospectral
     "IsoReport", "SphereGrid", "check_isospectral", "isospectral_family",
     "parity_family",

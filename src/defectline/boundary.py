@@ -42,7 +42,6 @@ __all__ = [
     "Eigenfunction",
     "boundary_residual",
     "current_mismatch",
-    "connection_matrix",
     "build_eigenfunction",
     "level_eigenbasis",
     "reflect",
@@ -166,22 +165,6 @@ def current_mismatch(v: BoundaryVectors) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return _witness("current mismatch", float(abs(np.vdot(v.dphi, v.phi) - np.vdot(v.phi, v.dphi))))
-
-
-def connection_matrix(u: np.ndarray, L0: float, val: complex, der: complex) -> np.ndarray:
-    """Assemble M = (U - I) Phi + i L0 (U + I) dPhi for the wall-anchored basis.
-
-    ``val`` and ``der`` are the endpoint value magnitude and derivative of the
-    basis profile at the defect (e.g. sin(kl) and k cos(kl)); columns of M
-    correspond to the right/left basis functions, rows to the 0+/0- components.
-    Complex ``val``/``der`` are allowed, which is how the determinant solver
-    evaluates M at imaginary wavenumbers.
-    """
-    a = np.asarray(u, dtype=complex) - _I2
-    b = 1j * L0 * (np.asarray(u, dtype=complex) + _I2)
-    m = val * a + der * b
-    m[:, 0] *= -1.0
-    return m
 
 
 def _basis_boundary_data(kind: str, k: float, l: float) -> tuple[float, float]:

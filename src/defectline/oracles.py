@@ -7,35 +7,30 @@ evaluates det M in centred form and never builds M.  The finite-difference
 solver discretizes the kinetic operator on a uniform grid with the
 connection condition encoded in two junction rows.
 
-det M(k) is complex but carries a constant phase: it is the product of the
-two channel functions times 4 e^{i arg(det U)/2}, so dividing by a square
-root of det U and taking the real part yields a sign-carrying real function
-g, evaluated in a form centred on U's trace (_Projection) and divided by E,
-which removes the spurious zero every system has at k = 0.  No grid is
-sampled.  g is one function of the signed wavenumber y (k above E = 0,
--kappa below), g = (sigma^2 + tau^2) q(psi), where psi, the direction of
-(sigma, tau) = (sin(kl)/k, cos(kl)) above E = 0 and (tanh(kappa l)/kappa, 1)
-below, rises monotonically with E from the kappa l = 50 floor.  q has two
-extreme directions a right angle apart: the vertex, whose two roots lie
+Both determinants are one form.  Each is det(alpha U - conj(alpha) I) up
+to a column sign, with alpha = sigma + i L0 tau; phased by sqrt(det U) it
+is a real form g in (sigma, tau), the product of the two channel
+functions, evaluated centred on U's trace (_Form).  Det takes (sigma, tau)
+= (sin(kl)/k, cos(kl)) above E = 0 and (tanh(kappa l)/kappa, 1) below, so g
+is det M divided by E, which removes the spurious zero every system has at
+k = 0 (_Projection); FD takes them from the discrete wave that solves its
+stencil.  Each keeps its own wave, dispersion, knots and rounding bound,
+and no eigenvalue solver runs.
+
+No grid is sampled.  The direction psi of (sigma, tau) rises monotonically
+with E from the kappa l = 50 floor, and g = (sigma^2 + tau^2) q(psi).  q has
+two extreme directions a right angle apart: the vertex, whose two roots lie
 within pi/4 of it, and the end, with none that near.  So knots at both
 directions split the walk into turns of psi by pi, each holding exactly
-two roots, and one rule decides every turn, across E = 0 too (_turn): a
-root on each side of the vertex where g there reads with the sign opposite
-to the ends', and a double root at the vertex otherwise.  g reads 0 where
-it lies within its rounding bound, which comes from the centred terms of
-det M, so no tolerance is set by hand; a zero level is a turn whose g(0)
-reads 0.  Neither knot direction is an eigenphase, and no square root of D
-is taken.  Roots are refined with spectrum._brentq, a port of scipy's
-brentq.
-
-The finite-difference solver never builds its matrix either.  Away from the
-defect the operator is the 3-point stencil, which a discrete sine wave from
-each wall solves exactly, so its levels are the zeros of the determinant of
-the 2x2 junction condition applied to the two waves, N = alpha U - conj(alpha)
-I.  Phased, det N is a real form in the wave's junction value and junction
-difference, whose direction rises monotonically with E, so FD has the same
-turn structure as det M with its own dispersion, its own knots and its own
-rounding bound, and no eigenvalue solver.
+two roots, and one rule decides every turn for both solvers, across E = 0
+too (_turn): a root on each side of the vertex where g there reads with
+the sign opposite to the ends', that of a0 + a2, and a double root at the
+vertex otherwise.  g reads 0 where it lies within its rounding bound, which
+comes from the centred terms of the form, so no tolerance is set by hand.
+A bracket's ends carry the values the walk read, so an end that reads 0 is
+the root, and a zero level is a turn whose g(0) reads 0.  Neither knot
+direction is an eigenphase, and no square root of D is taken.  Roots are
+refined with spectrum._brentq, a port of scipy's brentq.
 """
 
 from __future__ import annotations
@@ -48,13 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import (
-    KIND_BOUND,
-    KIND_POSITIVE,
-    KIND_ZERO,
-    BoundaryCondition,
-    connection_matrix,
-)
+from .boundary import KIND_BOUND, KIND_POSITIVE, KIND_ZERO, BoundaryCondition
 from .errors import EigenSolverFailure, ScanExhausted, SolverError
 from .spectrum import (
     _EPS,
@@ -67,7 +56,6 @@ from .spectrum import (
 
 __all__ = [
     "FdSpectrum",
-    "det_matrix",
     "det_spectrum",
     "fd_spectrum",
 ]
@@ -81,53 +69,67 @@ class FdSpectrum(Spectrum):
     n_interior: int
 
 
-def det_matrix(bc: BoundaryCondition, k: complex) -> np.ndarray:
-    """M(k) whose determinant vanishes exactly at eigenvalues E = k^2.
+class _Form:
+    """The phased determinant of the connection condition, a real form g in (sigma, tau).
 
-    Real k probes positive energies; k = i*kappa probes bound states
-    E = -kappa^2.  k = 0 is excluded (M vanishes there identically for every
-    boundary condition, which says nothing about a zero-energy level).
-    """
-    if k == 0:
-        raise ValueError("k must be nonzero; the zero-energy level is tested separately")
-    val = np.sin(k * bc.l)
-    der = k * np.cos(k * bc.l)
-    return connection_matrix(bc.u, bc.L0, val, der)
-
-
-class _Projection:
-    """det M phased to the real axis and reduced by E, in centred form, as g(y).
-
-    y is the signed wavenumber: E = y^2 with k = y above E = 0, and E = -y^2
-    with kappa = -y below it.  M / k = alpha U - beta I up to a column sign,
-    with alpha = sigma + i L0 tau and beta its conjugate, so det M / k^2 =
-    (beta - alpha t)^2 - alpha^2 D / 4 with t = tr U / 2 and D = (u00 -
-    u11)^2 + 4 u01 u10, tr^2 - 4 det U without cancellation.  Near a close
-    pair both terms are of the order of the splitting squared, so g rounds by
-    eps times the splitting, and the pair is resolved to full precision.  g
-    is -Re(det M conj(phase)) / k^2, with phase = sqrt(det U).  Above E = 0,
-    (sigma, tau) = (sin(kl) / k, cos(kl)); below it det M is also divided by
-    cosh^2(kappa l), which keeps g of order one and moves no root, and
-    (sigma, tau) = (tanh(kappa l) / kappa, 1).  Both are (l, 1) at E = 0.
-    The coefficients a2, a1, a0 of g as a form in (sigma, tau), derived once
-    from t, D and the phase, place the knots.
+    N = alpha U - conj(alpha) I with alpha = sigma + i L0 tau, so det N =
+    w^2 - alpha^2 d4, with w = conj(alpha) - alpha t, t = tr U / 2 and
+    d4 = ((u00 - u11)^2 + 4 u01 u10) / 4, tr^2 / 4 - det U without
+    cancellation.  det N conj(phase), phase = sqrt(det U), is real, and g
+    is minus it: the product over both channels of sin(theta / 2) sigma +
+    L0 cos(theta / 2) tau, up to a positive factor, so its two roots in
+    tau / sigma are real.  Near a close pair w and d4 are both small, so g
+    rounds by eps times the splitting and the pair is resolved.  Det and FD
+    evaluate this one form, each at its own wave's (sigma, tau).  Its
+    coefficients a2, a1, a0 place the knots, and g has the sign of a0 + a2
+    at an end knot.  sigma reaches sigma_max and |tau| 1.5, and g and its
+    rounding bounds take terms of up to 64 |alpha|^2: where those overflow
+    a double, SolverError is raised.
     """
 
-    def __init__(self, bc: BoundaryCondition):
-        u = bc.u
-        self.u, self.l, self.L0 = u, bc.l, bc.L0
-        self.t = complex(0.5 * (u[0, 0] + u[1, 1]))
-        diff = complex(u[0, 0] - u[1, 1])
-        self.d4 = 0.25 * diff * diff + complex(u[0, 1] * u[1, 0])  # D / 4
-        self.phase = cmath.exp(0.5j * cmath.phase(complex(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])))
-        t, d4, L0 = self.t, self.d4, self.L0
+    def __init__(self, u: np.ndarray, L0: float, sigma_max: float):
+        if not 64.0 * (sigma_max * sigma_max + L0 * L0) < sys.float_info.max:
+            raise SolverError(
+                "the phased determinant of the connection condition overflows a double on this box")
+        (u00, u01), (u10, u11) = np.asarray(u, dtype=complex).tolist()
+        self.L0 = L0
+        self.t = t = 0.5 * (u00 + u11)
+        diff = u00 - u11
+        self.d4 = d4 = 0.25 * diff * diff + u01 * u10
+        self.phase = cmath.exp(0.5j * cmath.phase(u00 * u11 - u01 * u10))
         self.a2 = self._real((1.0 - t) ** 2 - d4)
         self.a1 = self._real(-2j * L0 * (1.0 - t * t + d4))
         self.a0 = self._real(-L0 * L0 * ((1.0 + t) ** 2 - d4))
+        self.end_sign = 1.0 if self.a0 + self.a2 >= 0.0 else -1.0
 
     def _real(self, z: complex) -> float:
         # g's sign convention: -Re(z conj(phase)).
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
+
+    def __call__(self, sigma: float, tau: float) -> tuple[complex, complex, complex, float]:
+        """(alpha, w, z, g) at (sigma, tau), z = det N."""
+        alpha = complex(sigma, self.L0 * tau)
+        w = alpha.conjugate() - alpha * self.t
+        z = w * w - alpha * alpha * self.d4
+        return alpha, w, z, self._real(z)
+
+
+class _Projection(_Form):
+    """Det's wave on the form: det M reduced by E, as g(y).
+
+    y is the signed wavenumber: E = y^2 with k = y above E = 0, and E = -y^2
+    with kappa = -y below it.  M / k = alpha U - beta I up to a column sign,
+    with alpha = sigma + i L0 tau and beta its conjugate, so g is the form
+    at (sigma, tau) = (sin(kl) / k, cos(kl)) above E = 0; below it det M is
+    also divided by cosh^2(kappa l), which keeps g of order one and moves
+    no root, and (sigma, tau) = (tanh(kappa l) / kappa, 1).  Both are (l, 1)
+    at E = 0.  g keeps the form's arithmetic inline: Brent's method calls
+    it once per step.
+    """
+
+    def __init__(self, bc: BoundaryCondition):
+        super().__init__(bc.u, bc.L0, bc.l)
+        self.u, self.l = bc.u, bc.l
 
     def _wave(self, y: float) -> tuple[float, float]:
         # (sigma, tau) at the signed wavenumber y.
@@ -139,16 +141,15 @@ class _Projection:
         return self.l, 1.0
 
     def g(self, y: float) -> float:
-        """g at the signed wavenumber y, from alpha, w = conj(alpha) - alpha t
-        and z = w^2 - alpha^2 D / 4."""
+        """g at the signed wavenumber y: the form's arithmetic, inline."""
         sigma, tau = self._wave(y)
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
-    def read(self, y: float) -> tuple[float, float]:
-        """(g(y), g(y) as the walk's decisions read it: 0 where it lies within its rounding bound).
+    def read(self, y: float) -> float:
+        """g(y) as the walk's decisions read it: 0 where it lies within its rounding bound.
 
         sigma rounds by about eps l, and tau by about eps (1 + kl) above
         E = 0 and not at all below; w rounds by about eps a (1 + 3 |t|),
@@ -158,10 +159,7 @@ class _Projection:
         """
         sigma, tau = self._wave(y)
         tau_err = 1.0 + y * self.l if y >= 0.0 else 0.0
-        alpha = complex(sigma, self.L0 * tau)
-        w = alpha.conjugate() - alpha * self.t
-        z = w * w - alpha * alpha * self.d4
-        g = -(z.real * self.phase.real + z.imag * self.phase.imag)
+        alpha, w, z, g = self(sigma, tau)
         a, b = abs(alpha), abs(w)
         ad, dw = 2.0 * a * abs(self.d4), a * (1.0 + 3.0 * abs(self.t))
         bound = _EPS * (
@@ -169,7 +167,7 @@ class _Projection:
             + tau_err * self.L0 * (2.0 * b * abs(1.0 + self.t) + ad)
             + 2.0 * b * dw + 2.0 * b * b + 3.0 * a * ad + 2.0 * abs(z) + _EPS * dw * dw
         )
-        return g, (0.0 if abs(g) <= bound else g)
+        return 0.0 if abs(g) <= bound else g
 
     def floor_value(self) -> float:
         """g at the kappa l = 50 floor, from rational arithmetic, rounded once.
@@ -215,8 +213,8 @@ def _directions(proj: _Projection) -> tuple[tuple[float, float], tuple[float, fl
 
 
 def _bound_knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
-    """((y, g(y), g(y) as read), is_vertex) for every knot above the floor and at or
-    below E = 0, ascending.
+    """((y, g(y) as read), is_vertex) for every knot above the floor and at or below
+    E = 0, ascending.
 
     There psi, the direction of (l tanh(x) / x, 1) with x = kappa l, rises
     monotonically from atan(l tanh(50) / 50) at the floor to atan(l) at
@@ -233,7 +231,7 @@ def _bound_knots(proj: _Projection, vertex: tuple[float, float], end: tuple[floa
         t = min(s / cl, 1.0) if cl > 0.0 and s <= cl else 0.0
         if t > top:
             y = -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
-            knots.append(((y, *proj.read(y)), is_vertex))
+            knots.append(((y, proj.read(y)), is_vertex))
     return sorted(knots)
 
 
@@ -272,7 +270,7 @@ def _knot(l: float, m: int, c: float, s: float) -> float:
 
 
 def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
-    """((k, g(k), g(k) as read), is_vertex) for every knot above k = 0, ascending, without end.
+    """((k, g(k) as read), is_vertex) for every knot above k = 0, ascending, without end.
 
     An end knot is taken in closed form at kl = m pi or at the nearer pole,
     whichever lies within pi/4 of the end direction, wherever g there has
@@ -280,7 +278,6 @@ def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, flo
     then, so either bounds the same turns.  Elsewhere it is solved for.
     """
     l = proj.l
-    end_sign = 1.0 if proj.a0 + proj.a2 >= 0.0 else -1.0
     order = sorted([(vertex, True), (end, False)], key=lambda d: math.atan2(d[0][1], d[0][0]))
     m = 0
     while True:
@@ -290,37 +287,41 @@ def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, flo
             k = None
             if not is_vertex and (m or abs(s) > c):
                 k = (m if abs(s) <= c else m + math.copysign(0.5, s)) * math.pi / l
-                g, read = proj.read(k)
-                if not read * end_sign > 0.0:
+                read = proj.read(k)
+                if not read * proj.end_sign > 0.0:
                     k = None
             if k is None:
                 k = _knot(l, m, c, s)
-                g, read = proj.read(k)
-            yield (k, g, read), is_vertex
+                read = proj.read(k)
+            yield (k, read), is_vertex
         m += 1
+
+
+def _sign(x: float) -> int:
+    # Signs are compared, not products: a product of two tiny values underflows to 0.
+    return (x > 0.0) - (x < 0.0)
 
 
 def _turn(a, v, b, s: float) -> list[tuple[float, float, float, float]]:
     """Root brackets (p, g(p), q, g(q)) of g on the turn of psi from a to the end knot b.
 
-    Each knot is (y, g(y), g(y) as read), v is the vertex knot or None, and s
-    is the sign of g at end knots.  A turn of psi by pi between two end
-    knots holds q's two roots, one on each side of its vertex or both on
-    it.  The left bracket (a, v) holds a root only where g(a) reads with
-    sign s, which only the floor can fail; the right one (v, b) holds a root
-    where g(v) reads with sign -s.  Otherwise the roots lie at v, the
-    bracket (v, g(v), v, g(v)): a double root, or a single one where the
-    floor has cut the left root off.  A floor turn with no vertex holds one
-    root where g changes sign.
+    Each knot is (y, g(y) as read), v is the vertex knot or None, and s is
+    the sign of g at end knots, the sign of the form's a0 + a2.  A turn of
+    psi by pi between two end knots holds the form's two roots, one on each
+    side of its vertex or both on it.  The left bracket (a, v) holds a root
+    only where g(a) reads with sign s, which only the floor can fail; the
+    right one (v, b) holds a root where g(v) reads with sign -s.  Otherwise
+    the roots lie at v, the bracket (v, g(v), v, g(v)): a double root, or a
+    single one where the floor has cut the left root off.  A floor turn
+    with no vertex holds one root where g changes sign.  A bracket's ends
+    carry the values read, so an end that reads 0 is the root.
     """
-    (ya, ga, ra), (yb, gb, _) = a, b
     if v is None:
-        return [(ya, ga, yb, gb)] if ra * s < 0.0 else []
-    yv, gv, rv = v
-    left = ra * s > 0.0
-    if rv * s < 0.0:
-        return [(ya, ga, yv, gv)] * left + [(yv, gv, yb, gb)]
-    return [(yv, gv, yv, gv)] * (1 + left)
+        return [(*a, *b)] if a[1] * s < 0.0 else []
+    left = a[1] * s > 0.0
+    if v[1] * s < 0.0:
+        return [(*a, *v)] * left + [(*v, *b)]
+    return [(*v, *v)] * (1 + left)
 
 
 def _roots(proj: _Projection, count: int, k_max: float | None) -> list[float]:
@@ -334,30 +335,30 @@ def _roots(proj: _Projection, count: int, k_max: float | None) -> list[float]:
     solver.  Where g(0) reads 0, the turn that holds y = 0 has its zero
     level there, at exactly 0: the root whose bracket holds 0, or both roots
     at the turn's vertex.  Every other bracket is refined by _brentq on the
-    raw g, and only while the count needs it; one that holds y = 0 is first
+    raw g from the values its ends read, and only while the count needs it;
+    an end that reads 0 is the root.  A bracket that holds y = 0 is first
     cut there by the sign of g(0), since just below E = 0 g is flat in y,
     and Brent's method would spend its steps on the far side.  The walk
     stops at the first root above k_max; every full turn holds two roots, so
     it ends by itself.
     """
     vertex, end = _directions(proj)
-    s = 1.0 if proj.a0 + proj.a2 >= 0.0 else -1.0
-    g0 = proj.read(0.0)[1]
+    g0 = proj.read(0.0)
     floor = -KAPPA_CEILING / proj.l
-    g_floor = proj.read(floor)[1] or proj.floor_value()
-    a, v = (floor, g_floor, g_floor), None
+    a, v = (floor, proj.read(floor) or proj.floor_value()), None
     roots: list[float] = []
     for knot, is_vertex in itertools.chain(_bound_knots(proj, vertex, end), _knots(proj, vertex, end)):
         if is_vertex:
             v = knot
             continue
         holds_zero = g0 == 0.0 and a[0] < 0.0 <= knot[0]
-        for p, gp, q, gq in _turn(a, v, knot, s):
+        for p, gp, q, gq in _turn(a, v, knot, proj.end_sign):
             if holds_zero and (p == q or p <= 0.0 <= q):
                 root = 0.0
             else:
                 if p < 0.0 < q:  # cut at y = 0, where g(0) reads with a sign
-                    p, gp, q, gq = (0.0, g0, q, gq) if g0 * gp > 0.0 else (p, gp, 0.0, g0)
+                    same = _sign(g0) == _sign(gp)
+                    p, gp, q, gq = (0.0, g0, q, gq) if same else (p, gp, 0.0, g0)
                 root = p if p == q else _brentq(proj.g, p, q, gp, gq)
             if k_max is not None and root > k_max:
                 return roots
@@ -404,58 +405,6 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
     return Spectrum(E[:n], np.abs(roots[:n]), np.array(kind), None, index[:n], partner[:n])
 
 
-class _FdForm:
-    """The phased det N as a real form g in (sigma, tau), in centred form.
-
-    N = alpha U - conj(alpha) I with alpha = sigma + i L0 tau, so det N =
-    w^2 - alpha^2 d4, with w = conj(alpha) - alpha t, t = tr U / 2 and
-    d4 = ((u00 - u11)^2 + 4 u01 u10) / 4, tr^2 / 4 - det U without
-    cancellation.  det N conj(sqrt(det U)) is real, and g is minus it: the
-    product over both channels of sin(theta / 2) sigma + L0 cos(theta / 2)
-    tau, up to a positive factor, so its two roots in tau / sigma are real.
-    Near a close pair w and d4 are both small, so g rounds by eps times the
-    splitting and the pair is resolved.  g is 0 where it lies within its
-    rounding bound: a touch then reads as one, and Brent's method stops
-    where rounding, not the root, would set g's sign.  g's coefficients a2,
-    a1, a0, taken once from t and d4, place the knots.
-    """
-
-    def __init__(self, u: np.ndarray, L0: float):
-        (u00, u01), (u10, u11) = ((complex(x) for x in row) for row in u)
-        self.L0 = L0
-        self.t = t = 0.5 * (u00 + u11)
-        self.d4 = d4 = 0.25 * (u00 - u11) ** 2 + u01 * u10
-        self.phase = cmath.exp(-0.5j * cmath.phase(u00 * u11 - u01 * u10))
-        self.a2 = self._real((1.0 - t) ** 2 - d4)
-        self.a1 = self._real(-2j * L0 * (1.0 - t * t + d4))
-        self.a0 = self._real(-L0 * L0 * ((1.0 + t) ** 2 - d4))
-
-    def _real(self, z: complex) -> float:
-        return -(z.real * self.phase.real - z.imag * self.phase.imag)
-
-    def __call__(self, sigma: float, tau: float, d_sigma: float, d_tau: float) -> float:
-        """g(sigma, tau), or 0 where it lies within its rounding bound.
-
-        sigma and tau round by d_sigma and d_tau, so alpha rounds by
-        da = d_sigma + L0 d_tau, and w by da (1 + |t|) and by about
-        eps |alpha| (1 + 3 |t|) in its own arithmetic, which w^2 takes to
-        second order where w is as small as that; alpha^2 d4 moves by
-        2 |alpha| |d4| da, and w^2, alpha^2 d4 and the projection each round
-        by about eps times the sizes of their terms.
-        """
-        alpha = complex(sigma, self.L0 * tau)
-        w = alpha.conjugate() - alpha * self.t
-        z = w * w - alpha * alpha * self.d4
-        g = self._real(z)
-        eps = sys.float_info.epsilon
-        a, b, t, d4 = abs(alpha), abs(w), abs(self.t), abs(self.d4)
-        da = d_sigma + self.L0 * d_tau
-        dw = da * (1.0 + t) + eps * a * (1.0 + 3.0 * t)
-        bound = 2.0 * b * dw + dw * dw + 2.0 * a * d4 * da + eps * (
-            2.0 * b * b + 3.0 * a * a * d4 + 2.0 * abs(z))
-        return 0.0 if abs(g) <= bound else g
-
-
 def _fd_wave(n: int, e: float) -> tuple[float, float]:
     """(sigma, tau) of the discrete wave at E l^2 = e, in units of l.
 
@@ -482,7 +431,7 @@ def _fd_wave(n: int, e: float) -> tuple[float, float]:
     return sigma, n * (c * c * sigma + (sh / q if q else 1.0 / n) * (1.0 + c) * c0)
 
 
-def _fd_directions(a2: float, a1: float, a0: float) -> list[tuple[tuple[float, float], bool]]:
+def _fd_directions(form: _Form) -> list[tuple[tuple[float, float], bool]]:
     """((c, s), is_vertex) of the form's two extreme directions, psi in (0, pi], in psi order.
 
     At (sigma, tau) = rho (sin psi, cos psi) the form is (a0 + a2) / 2 +
@@ -493,10 +442,10 @@ def _fd_directions(a2: float, a1: float, a0: float) -> list[tuple[tuple[float, f
     directions holds the form's two roots, one on each side of the vertex or
     both on it.
     """
-    p = a0 - a2
+    p, a1 = form.a0 - form.a2, form.a1
     r = math.hypot(p, a1)
     top = (r + p, a1) if p >= 0.0 else (a1, r - p)
-    extremes = [(top, a0 + a2 < 0.0), ((-top[1], top[0]), a0 + a2 >= 0.0)]
+    extremes = [(top, form.end_sign < 0.0), ((-top[1], top[0]), form.end_sign > 0.0)]
     extremes = [((c, s) if s > 0.0 or (s == 0.0 and c < 0.0) else (-c, -s), vertex)
                 for (c, s), vertex in extremes]
     return sorted(extremes, key=lambda d: math.atan2(abs(d[0][1]), d[0][0]))
@@ -539,32 +488,6 @@ def _fd_knots(n: int, floor: float, directions):
         lo = hi
 
 
-def _sign(x: float) -> int:
-    # Signs are compared, not products: a product of two tiny values underflows to 0.
-    return (x > 0.0) - (x < 0.0)
-
-
-def _fd_turn(a, ya, v, yv, b, yb) -> list[tuple[float, float, float, float]]:
-    """Root brackets (x, g(x), y, g(y)) of g on the turn from a to the end knot b.
-
-    A turn of psi by pi holds the form's two roots, one on each side of its
-    vertex knot v or both on it, so g at v has the sign opposite to the
-    end's or is 0.  Where it has that sign, each side of v holds a root;
-    where it is 0, or rounding gives it the end's sign, both lie at v, the
-    bracket (v, 0, v, 0).  Only the turn that begins at the floor a can hold
-    fewer: its left root only where g at the floor has the end's sign, and,
-    where its vertex lies below the floor (v is None), a root only where g
-    changes sign.  g = 0 at the floor is not a root.
-    """
-    end = _sign(yb)
-    if v is None:
-        return [(a, ya, b, yb)] if _sign(ya) == -end else []
-    left = _sign(ya) == end
-    if _sign(yv) == -end:
-        return ([(v, yv, a, ya)] if left else []) + [(v, yv, b, yb)]
-    return [(v, 0.0, v, 0.0)] * (2 if left else 1)
-
-
 def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpectrum:
     """Lowest n levels of the finite-difference discretization.
 
@@ -573,12 +496,12 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     condition with second-order one-sided derivatives.  A discrete wave
     solves the stencil exactly (_fd_wave), so the levels are the zeros of
     det N, N = alpha U - conj(alpha) I with alpha = sigma + i L0 tau.  Phased,
-    det N is a real form g in (sigma, tau) (_FdForm), and the direction psi
-    of (sigma, tau) rises monotonically with E.  So knots at the form's two
-    extreme directions (_fd_knots) split the window into turns of psi by pi,
-    _fd_turn decides each turn at its vertex knot, and spectrum._brentq
-    refines each root.  No matrix is built and no eigenvalue solver runs, so
-    a level's doubles do not depend on n.
+    det N is the form g in (sigma, tau) that det walks too (_Form), and the
+    direction psi of (sigma, tau) rises monotonically with E.  So knots at
+    the form's two extreme directions (_fd_knots) split the window into
+    turns of psi by pi, det's _turn decides each turn at its vertex knot,
+    and spectrum._brentq refines each root.  No matrix is built and no
+    eigenvalue solver runs, so a level's doubles do not depend on n.
 
     Levels at or below kappa l = KAPPA_CEILING, E = -(KAPPA_CEILING / l)^2,
     are dropped, as the channel and determinant solvers drop them, and the
@@ -596,33 +519,48 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         raise SolverError(f"the FD stencil 4/h^2 at h={h!r} overflows a double")
     # In units of l the operator depends only on n_interior and L0 / l, and
     # every value Brent's method meets is of order one at any box size.
-    form = _FdForm(bc.u, float(bc.L0) / l)
+    form = _Form(bc.u, float(bc.L0) / l, 1.0)
 
     def g(e: float) -> float:
-        # q l rounds by about eps q l, which moves sigma by eps and tau by
-        # eps q l times the size of its terms.
+        """g at E l^2 = e, or 0 where it lies within its rounding bound.
+
+        q l rounds by about eps q l, which moves sigma by d_sigma = eps and
+        tau by d_tau, eps q l times the size of its terms.  So alpha rounds
+        by da = d_sigma + L0 d_tau, and w by da (1 + |t|) and by about
+        eps |alpha| (1 + 3 |t|) in its own arithmetic, which w^2 takes to
+        second order where w is as small as that; alpha^2 d4 moves by
+        2 |alpha| |d4| da, and w^2, alpha^2 d4 and the projection each round
+        by about eps times the sizes of their terms.  Brent's method runs on
+        this read value, so it stops where rounding, not the root, would set
+        g's sign.
+        """
+        alpha, w, z, value = form(*_fd_wave(n_interior, e))
         x, c = 1.0 + math.sqrt(abs(e)), 0.5 * abs(e) / (n_interior * n_interior)
-        eps = sys.float_info.epsilon
-        d_tau = 4.0 * eps * x * (1.0 + c + c * c * n_interior)
-        return form(*_fd_wave(n_interior, e), 2.0 * eps * x, d_tau)
+        a, b, t, d4 = abs(alpha), abs(w), abs(form.t), abs(form.d4)
+        d_tau = 4.0 * _EPS * x * (1.0 + c + c * c * n_interior)
+        da = 2.0 * _EPS * x + form.L0 * d_tau
+        dw = da * (1.0 + t) + _EPS * a * (1.0 + 3.0 * t)
+        bound = 2.0 * b * dw + dw * dw + 2.0 * a * d4 * da + _EPS * (
+            2.0 * b * b + 3.0 * a * a * d4 + 2.0 * abs(z))
+        return 0.0 if abs(value) <= bound else value
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
     roots: list[float] = []
-    a, ya, v, yv = floor, g(floor), None, 0.0
-    for e, is_vertex in _fd_knots(n_interior, floor, _fd_directions(form.a2, form.a1, form.a0)):
-        y = g(e)
+    a, v = (floor, g(floor)), None
+    for e, is_vertex in _fd_knots(n_interior, floor, _fd_directions(form)):
+        knot = (e, g(e))
         if is_vertex:
-            v, yv = e, y
+            v = knot
             continue
-        for p, yp, q, yq in _fd_turn(a, ya, v, yv, e, y):
-            roots.append(p if p == q else _brentq(g, p, q, yp, yq))
+        for p, gp, q, gq in _turn(a, v, knot, form.end_sign):
+            roots.append(p if p == q else _brentq(g, p, q, gp, gq))
             if len(roots) == n:
                 E = np.array(roots) / (l * l)
                 kind = np.where(E < 0.0, KIND_BOUND, KIND_POSITIVE)
                 return FdSpectrum(
                     E, np.sqrt(np.abs(E)), kind, None, np.arange(n), np.full(n, -1), h, n_interior
                 )
-        a, ya, v = e, y, None
+        a, v = knot, None
     raise EigenSolverFailure(
         f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"
     )

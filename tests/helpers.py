@@ -1,6 +1,7 @@
-"""Shared test utilities: an independent matrix exponential and an L2 inner
-product on the split box, both deliberately built from primitives different
-from the ones used inside the package."""
+"""Shared test utilities: an independent matrix exponential, an L2 inner
+product on the split box and the connection condition's matrix M(k), all
+deliberately built from primitives different from the ones used inside the
+package."""
 
 from __future__ import annotations
 
@@ -60,3 +61,30 @@ def l2_inner(f, g, l: float = 1.0, nodes: int = 240) -> complex:
         xs = mid + half * x
         total += half * np.sum(w * np.conj(f(xs)) * g(xs))
     return complex(total)
+
+
+def connection_matrix(u: np.ndarray, L0: float, val: complex, der: complex) -> np.ndarray:
+    """M = (U - I) Phi + i L0 (U + I) dPhi for the wall-anchored basis.
+
+    ``val`` and ``der`` are the endpoint value magnitude and derivative of the
+    basis profile at the defect (e.g. sin(kl) and k cos(kl)); columns of M
+    correspond to the right/left basis functions, rows to the 0+/0- components.
+    Complex ``val``/``der`` evaluate M at imaginary wavenumbers.
+    """
+    u, eye = np.asarray(u, dtype=complex), np.eye(2, dtype=complex)
+    m = val * (u - eye) + der * (1j * L0 * (u + eye))
+    m[:, 0] *= -1.0
+    return m
+
+
+def det_matrix(bc, k: complex) -> np.ndarray:
+    """M(k), as a matrix, whose determinant vanishes exactly at eigenvalues E = k^2.
+
+    Real k probes positive energies; k = i*kappa probes bound states
+    E = -kappa^2.  k = 0 is excluded (M vanishes there identically for every
+    boundary condition, which says nothing about a zero-energy level).  The
+    tests hold det_spectrum's levels and phased form against its determinant.
+    """
+    if k == 0:
+        raise ValueError("k must be nonzero; the zero-energy level is tested separately")
+    return connection_matrix(bc.u, bc.L0, np.sin(k * bc.l), k * np.cos(k * bc.l))

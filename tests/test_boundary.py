@@ -14,7 +14,6 @@ from defectline import (
     UnitaryParams,
     boundary_residual,
     build_eigenfunction,
-    connection_matrix,
     current_mismatch,
     det_spectrum,
     level_eigenbasis,
@@ -27,7 +26,7 @@ from defectline import boundary
 from defectline.spectrum import EigenLevel
 from defectline.unitary import SIGMA1
 
-from helpers import l2_inner
+from helpers import connection_matrix, l2_inner
 
 TWO_PI = 2.0 * math.pi
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import defectline
 from defectline import cli, spectrum
@@ -915,6 +915,70 @@ def test_det_on_a_box_whose_knot_direction_underflows_prints_the_channel_levels(
     _, channel_out, _ = _run(capsys, "spectrum", *box)
     assert [r["E"] for r in _json_lines(out)] == [r["E"] for r in _json_lines(channel_out)]
     assert _json_lines(out)[0]["E"] == 9.8696044010893569e300
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ("--solver", "det", "--l=1.0", "--L0=1e+156", "--xi=0.9331198144607",
+         "--rho=1.0715679564299465", "-n", "1"),
+        ("--solver", "det", "--l=1e+156", "--L0=1.0", "--xi=2.845636856729417",
+         "--rho=1.3989274242793985", "-n", "2"),
+        ("--solver", "fd", "--l=1.0", "--L0=1e+168", "--xi=3.4853671589748108",
+         "--rho=2.0641083717463418", "-n", "2"),
+        ("--solver", "fd", "--l=1.0", "--L0=1e+156", "--xi", "2", "--rho", "0.9", "-n", "2"),
+    ],
+    ids=["det-huge-L0", "det-huge-l", "fd-huge-L0", "fd-large-L0"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_box_whose_phased_determinant_overflows_exits_3(capsys, box):
+    # det's a0 grows as L0^2 and its sigma as l, FD's a0 as (L0 / l)^2.
+    code, out, err = _run(capsys, "spectrum", *box)
+    assert (code, out) == (3, "")
+    assert err == ("solver failure: the phased determinant of the connection condition "
+                   "overflows a double on this box\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_det_takes_a_bracket_end_that_reads_zero_as_the_root(capsys):
+    # The first turn's end knot, at kl = pi / 2, reads 0, while its raw g
+    # carries the floor's sign; that end is the level, as the channel
+    # solver has it.
+    box = ("--l=1e-20", "--L0=1.0", "--xi=2.1850708837878754", "--rho=1.2724348610862513",
+           "-n", "1")
+    code, out, err = _run(capsys, "spectrum", "--solver", "det", *box)
+    assert (code, err) == (0, "")
+    _, channel_out, _ = _run(capsys, "spectrum", *box)
+    assert [r["E"] for r in _json_lines(out)] == [r["E"] for r in _json_lines(channel_out)]
+    assert _json_lines(out)[0]["E"] == 2.4674011002723397e40
+
+
+@given(
+    st.sampled_from(["det", "fd"]),
+    st.floats(-300.0, 300.0),
+    st.floats(-300.0, 300.0),
+    st.floats(0.0, 2.0 * PI),
+    st.one_of(st.floats(0.0, PI), st.sampled_from([0.0, PI])),
+    st.integers(1, 3),
+)
+@settings(max_examples=240)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_det_and_fd_on_any_box_exit_0_or_3_and_print_finite_numbers(solver, le, L0e, xi, rho, n):
+    # l and L0 anywhere in 10^+-300: det and FD answer, or fail with one
+    # line.  json.loads rejects a bare inf, and isfinite a NaN.
+    argv = ["spectrum", "--solver", solver, f"--l={10.0 ** le!r}", f"--L0={10.0 ** L0e!r}",
+            f"--xi={xi!r}", f"--rho={rho!r}", "-n", str(n)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3), err.getvalue()
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        rows = _json_lines(out.getvalue())
+        assert len(rows) == n
+        assert all(math.isfinite(v) for row in rows for v in row.values() if type(v) in (int, float))
 
 
 def test_a_level_below_one_that_overflows_is_not_degenerate(capsys):

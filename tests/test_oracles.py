@@ -19,7 +19,6 @@ from defectline import (
     SolverError,
     UnitaryParams,
     channel_function,
-    det_matrix,
     det_spectrum,
     fd_spectrum,
     params_to_matrix,
@@ -30,6 +29,7 @@ from defectline.boundary import KIND_BOUND, KIND_ZERO
 from defectline.spectrum import KAPPA_CEILING, _brentq, solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 import referee
+from helpers import det_matrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -517,6 +517,66 @@ def test_every_solver_builds_its_levels_through_the_one_record():
     for module, line in calls:
         assert module == "spectrum.py" and levels.lineno <= line <= levels.end_lineno
     assert "flag_degenerate" not in defined
+
+
+def test_det_and_fd_share_one_form_and_one_turn_rule():
+    # One class sets the form's coefficients, one function returns turn
+    # brackets, and both walks call it: det's through _roots, FD's in
+    # fd_spectrum itself.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    forms, turns, callers = [], [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(t, ast.Attribute) and t.attr in ("a2", "a1", "a0")
+            for a in ast.walk(node) if isinstance(a, ast.Assign) for t in a.targets
+        ):
+            forms.append(node.name)
+        elif isinstance(node, ast.FunctionDef):
+            returns = ast.unparse(node.returns) if node.returns else ""
+            if "turn" in node.name or "tuple[float, float, float, float]" in returns:
+                turns.append(node.name)
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            callers[node.name] = {
+                getattr(c.func, "id", None) for c in ast.walk(node) if isinstance(c, ast.Call)}
+    assert forms == ["_Form"]
+    assert turns == ["_turn"]
+    assert "_roots" in callers["det_spectrum"]
+    walks = sorted(name for name, called in callers.items() if "_turn" in called)
+    assert walks == ["_roots", "fd_spectrum"]
+
+
+_angles = st.floats(0.0, TWO_PI)
+
+
+@given(
+    st.tuples(_angles, _angles, _angles, _angles),
+    st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    st.floats(-100.0, 100.0),
+    st.floats(-100.0, 100.0),
+)
+def test_the_form_is_the_phased_determinant_and_its_quadratic(angles, L0, sigma, tau):
+    # g = -Re(det(alpha U - conj(alpha) I) conj(sqrt(det U))) with alpha =
+    # sigma + i L0 tau, and g = a2 sigma^2 + a1 sigma tau + a0 tau^2.  Each
+    # side is a sum of a few products of entries up to 2 |alpha|, so each
+    # rounds by a few tens of eps |alpha|^2; 128 eps |alpha|^2 holds both.
+    u = params_to_matrix(UnitaryParams(*angles))
+    form = oracles._Form(u, L0, abs(sigma))
+    alpha = complex(sigma, L0 * tau)
+    alpha_, w, z, g = form(sigma, tau)
+    assert alpha_ == alpha
+    det = np.linalg.det(alpha * u - alpha.conjugate() * np.eye(2))
+    want = -(det * np.conj(np.sqrt(np.linalg.det(u)))).real
+    scale = 128.0 * np.finfo(float).eps * abs(alpha) ** 2
+    assert abs(g - want) <= scale
+    assert abs(g - (form.a2 * sigma * sigma + form.a1 * sigma * tau + form.a0 * tau * tau)) <= scale
+    assert form.end_sign == (1.0 if form.a0 + form.a2 >= 0.0 else -1.0)
+
+
+@pytest.mark.parametrize("L0, sigma_max", [(1e154, 1.0), (1.0, 1e154), (math.inf, 1.0)])
+def test_a_form_that_overflows_a_double_is_a_solver_error(L0, sigma_max):
+    with pytest.raises(SolverError, match="overflows a double"):
+        oracles._Form(np.eye(2, dtype=complex), L0, sigma_max)
 
 
 def test_det_bound_levels_at_the_threshold_and_the_floor():
