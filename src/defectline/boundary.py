@@ -54,6 +54,8 @@ _I2 = np.eye(2, dtype=complex)
 # below which its k is accepted as an eigenvalue.
 EIGEN_TOL = 1e-6
 
+_EPS = float(np.finfo(float).eps)
+
 KIND_POSITIVE = "positive"
 KIND_ZERO = "zero"
 KIND_BOUND = "bound"
@@ -229,7 +231,17 @@ def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenf
     i L0 der (e^{i theta_j} + 1) = 2 i e^{i theta_j / 2} times channel j's
     F, G or T.  So a level takes flip v_j of its channel, or, for a det level
     of no channel, of the smaller |c_j|.  Raises NotAnEigenvalue when that
-    |c_j| exceeds EIGEN_TOL (1 + |val| + L0 |der|).
+    |c_j| exceeds EIGEN_TOL (1 + |val| + L0 |der|) + 2 eps k (l + L0 (1 + kl)).
+
+    The second term is what the rounding of k itself costs.  A root's double
+    k lies about eps k from the root, and the product kl rounds by as much
+    again, so sin(kl) is known to about eps kl and L0 der = L0 k cos(kl) to
+    about eps L0 k (1 + kl); each enters c_j with a factor of modulus at
+    most 2.  Near kl = pi/2 der is near 0, so where L0 k l is large this
+    term, about 2 eps L0 k^2 l, far exceeds EIGEN_TOL L0 |der|.  For a bound
+    level sinh and cosh scale both errors by at most cosh(kappa l), which
+    the EIGEN_TOL term holds below the kappa l = 50 floor; the zero-energy
+    level has k = 0 and no such error.
     """
     kind, k = level.kind, level.k_or_kappa
     val, der = _basis_boundary_data(kind, k, bc.l)
@@ -239,7 +251,8 @@ def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenf
         for w in (cmath.exp(1j * p.theta_plus), cmath.exp(1j * p.theta_minus))
     ]
     j = int(c[1] < c[0]) if level.channel is None else int(level.channel == "minus")
-    if c[j] > EIGEN_TOL * (1.0 + abs(val) + bc.L0 * abs(der)):
+    rounding = 2.0 * _EPS * k * (bc.l + bc.L0 * (1.0 + k * bc.l))
+    if c[j] > EIGEN_TOL * (1.0 + abs(val) + bc.L0 * abs(der)) + rounding:
         raise NotAnEigenvalue(f"k={k!r} is not an eigenvalue of this system (kind {kind!r})")
     vdag = frame_matrix(p).conj().T
     flip = np.array([[-1.0, 0.0], [0.0, 1.0]])

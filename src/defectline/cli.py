@@ -42,7 +42,7 @@ from .boundary import (
     current_mismatch,
     sample_eigenfunction,
 )
-from .errors import SolverError, ValidationError
+from .errors import NotAnEigenvalue, SolverError, ValidationError
 from .isospectral import (
     SOLVER_CHANNEL,
     SOLVER_DETERMINANT,
@@ -251,7 +251,11 @@ def _cmd_eigenfunction(args: argparse.Namespace, out: IO[str]) -> int:
     if samples % 2:
         raise ValueError("--samples must be even: the points are split evenly over the two sides")
     level = solve_spectrum(bc, index + 1).levels[index]
-    f = build_eigenfunction(bc, level)
+    try:
+        f = build_eigenfunction(bc, level)
+    except NotAnEigenvalue as exc:
+        # The level is the solver's own: a check that rejects it is the solver's failure.
+        raise SolverError(str(exc)) from exc
 
     m = samples // 2
     left = np.linspace(-bc.l, 0.0, m, endpoint=False)

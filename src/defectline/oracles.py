@@ -506,7 +506,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     Levels at or below kappa l = KAPPA_CEILING, E = -(KAPPA_CEILING / l)^2,
     are dropped, as the channel and determinant solvers drop them, and the
     last piece below the band edge E = 4 / h^2 is not searched.  If fewer
-    than n levels lie between, EigenSolverFailure is raised.
+    than n levels lie between, EigenSolverFailure is raised, and SolverError
+    if the E of a level rounds to 0, as on a box of l = 1e200.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -555,7 +556,10 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         for p, gp, q, gq in _turn(a, v, knot, form.end_sign):
             roots.append(p if p == q else _brentq(g, p, q, gp, gq))
             if len(roots) == n:
-                E = np.array(roots) / (l * l)
+                e = np.array(roots)
+                E = e / (l * l)
+                if ((E == 0.0) & (e != 0.0)).any():
+                    raise SolverError(f"the levels of the box l={l!r} underflow a double")
                 kind = np.where(E < 0.0, KIND_BOUND, KIND_POSITIVE)
                 return FdSpectrum(
                     E, np.sqrt(np.abs(E)), kind, None, np.arange(n), np.full(n, -1), h, n_interior

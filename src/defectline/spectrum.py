@@ -20,20 +20,22 @@ nonzero roots — this removes the spurious root both F and G have at 0 and
 lets brackets start at the origin, where near-threshold levels live.
 
 Each positive root lies alone on a half-branch of tan, named by its branch
-label, so a search of F/k on that half-branch finds its cell of the grid
-step * j in three passes.  A port of scipy's brentq refines it: one bracket
-at a time on a pure-math F/k for short ladders, and every bracket in lock
-step on numpy arrays from _ARRAY_BRENT_MIN of them on; both give the same
-doubles.  The search takes many channels of one box at once (solve_channels,
-one row per channel), and a single channel is its one-row case, so a batch
-returns the doubles of one solve per channel.  As each label has its own
-window, a row may also start at a given label above the bottom of its
-ladder, with the same doubles for the labels it shares with the bottom.
-The merged spectrum solves its two channels as one such batch, only as
-deep as the labels prove the merge reaches, about n/2.  One array sort
-merges the two rows, one comparison of neighbours over n + 1 levels flags
-degenerate pairs, and the levels stay columns; EigenLevel objects are built
-only when asked for.
+label, and the branch equation is a contraction there: three of its steps
+place the root within half a cell of the grid step * j, and F/k at the 4
+grid points around that estimate finds its cell (at the 34 points of its
+window for label 0, near the origin).  A port of scipy's brentq refines
+it: one bracket at a time on a pure-math F/k for short ladders, and every
+bracket in lock step on numpy arrays from _ARRAY_BRENT_MIN of them on;
+both give the same doubles.  The search takes many channels of one box at
+once (solve_channels, one row per channel), and a single channel is its
+one-row case, so a batch returns the doubles of one solve per channel.
+As each label has its own window, a row may also start at a given label
+above the bottom of its ladder, with the same doubles for the labels it
+shares with the bottom.  The merged spectrum solves its two channels as
+one such batch, only as deep as the labels prove the merge reaches, about
+n/2.  One array sort merges the two rows, one comparison of neighbours over
+n + 1 levels flags degenerate pairs, and the levels stay columns;
+EigenLevel objects are built only when asked for.
 """
 
 from __future__ import annotations
@@ -85,9 +87,9 @@ _BRENT_MAXITER = 100
 # _refine takes this many brackets or more in lock step with _brentq_array,
 # fewer one at a time with _brentq: the measured crossover.  Refining the n
 # brackets of one channel at l = L0 = 1, mean over 20 random channels on a
-# 2-core Xeon, took 0.18 / 0.24 / 0.30 ms one at a time and 0.20 / 0.21 /
-# 0.21 ms in lock step at n = 48 / 64 / 80.
-_ARRAY_BRENT_MIN = 64
+# 2-core Xeon (best of 15), took 0.18 / 0.22 / 0.26 / 0.30 ms one at a time
+# and 0.21 / 0.22 / 0.23 / 0.23 ms in lock step at n = 40 / 48 / 56 / 64.
+_ARRAY_BRENT_MIN = 56
 
 _EPS = float(np.finfo(float).eps)
 
@@ -270,34 +272,44 @@ def _ghat_scalar(s2: float, c2: float, l: float, L0: float, kappa: float) -> flo
 def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
-    A line-for-line port of scipy.optimize.brentq (its brentq.c) at
-    xtol = _BRENT_XTOL and rtol = _BRENT_RTOL: the same iterates in the same
-    floating-point order, so the same double comes back.  ``fa`` and ``fb``
-    are f(xa) and f(xb), which every caller already holds.
+    A port of scipy.optimize.brentq (its brentq.c) at xtol = _BRENT_XTOL
+    and rtol = _BRENT_RTOL: the same iterates in the same floating-point
+    order, so the same double comes back.  ``fa`` and ``fb`` are f(xa) and
+    f(xb), which every caller already holds.  As fpre is never 0 inside the
+    loop and the loop returns as soon as fcur is, brentq.c's sign tests are
+    plain comparisons here; each magnitude is computed once and carried
+    with its value, and spre is carried as its magnitude alone.
     """
     xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
     fpre, fcur = fa, fb
-    if math.isnan(fpre) or math.isnan(fcur):
+    if fpre != fpre or fcur != fcur:
         raise ValueError("the function value at a bracket end is NaN")
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
         return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+    if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
+    afpre, afcur = abs(fpre), abs(fcur)
+    xblk = fblk = afblk = scur = ascur = aspre = 0.0
     for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        if fcur == 0.0:
+            return xcur
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, afblk = xpre, fpre, afpre
+            scur = xcur - xpre
+            aspre = ascur = abs(scur)
+        if afblk < afcur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
+            afpre, afcur, afblk = afcur, afblk, afcur
         delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+        asbis = abs(sbis)
+        # fcur is nonzero here, as fblk only ever takes nonzero values.
+        if asbis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if aspre > delta and afcur < afpre:
             if xpre == xblk:
                 # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
@@ -309,20 +321,25 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
                 # Where den underflows to 0, brentq.c's step is +-inf or NaN
                 # and fails the test below: it bisects.
                 stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
+            astry = abs(stry)
+            if 2 * astry < aspre and 2 * astry < 3 * asbis - delta:
+                # good short step
+                scur, aspre, ascur = stry, ascur, astry
             else:
-                spre = scur = sbis
+                scur = sbis
+                aspre = ascur = asbis
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+            scur = sbis
+            aspre = ascur = asbis
+        xpre, fpre, afpre = xcur, fcur, afcur
+        if ascur > delta:
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
-        if math.isnan(fcur):
+        if fcur != fcur:
             raise ValueError(f"the function value at x={xcur} is NaN")
+        afcur = abs(fcur)
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
@@ -330,65 +347,96 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
     """_brentq on every bracket [xa[i], xb[i]] at once, in lock step.
 
     Each element takes _brentq's branches and floating-point operations in
-    its order, selected with np.where, so each root is the double _brentq
+    its order, selected by masked copies, so each root is the double _brentq
     returns, provided the vector f returns the scalar f's doubles.  The end
     values fa and fb must be nonzero and of opposite signs, as on every
-    sign-change cell.  A bracket leaves the active set when it converges; f
-    is evaluated on the active brackets only, as f(x, i) with i the indices
-    of those brackets, so each bracket may carry its own function.
+    sign-change cell, so every bracket starts a new block.  A bracket leaves
+    the active set when it converges; f is evaluated on the active brackets
+    only, as f(x, i) with i the indices of those brackets, so each bracket
+    may carry its own function.  The state is the rows of one array, so one
+    index drops the converged brackets from all of them.
     """
-    xpre = np.array(xa, dtype=float)
-    xcur = np.array(xb, dtype=float)
-    fpre = np.array(fa, dtype=float)
-    fcur = np.array(fb, dtype=float)
-    if np.isnan(fpre).any() or np.isnan(fcur).any():
+    s = np.empty((12, len(xa)))
+    s[0], s[1], s[3], s[4] = xa, xb, fa, fb
+    xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, asbis, afcur = s
+    if np.isnan(s[3:5]).any():
         raise ValueError("the function value at a bracket end is NaN")
     if ((fpre == 0.0) | (fcur == 0.0) | (np.signbit(fpre) == np.signbit(fcur))).any():
         raise ValueError("f(a) and f(b) must be nonzero and have different signs")
     out = xcur.copy()
-    idx = np.arange(xcur.size)
-    xblk = fblk = spre = scur = np.zeros(idx.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    idx = np.arange(out.size)
+    xblk[:] = xpre
+    fblk[:] = fpre
+    np.subtract(xcur, xpre, out=spre)
+    scur[:] = spre
+    # Overflow, division by 0 and 0 / 0 are silent, as in brentq.c and _brentq.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for _ in range(_BRENT_MAXITER):
-            new = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
-            xblk = np.where(new, xpre, xblk)
-            fblk = np.where(new, fpre, fblk)
-            spre = np.where(new, xcur - xpre, spre)
-            scur = np.where(new, xcur - xpre, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = (
-                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            )
-            fpre, fcur, fblk = (
-                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            )
-            delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if done.any():
+            np.abs(fcur, out=afcur)
+            afblk = np.abs(fblk)
+            swap = afblk < afcur
+            if np.count_nonzero(swap):
+                # pre, cur, blk = cur, blk, cur for x and f alike.
+                for pre, cur, blk in ((xpre, xcur, xblk), (fpre, fcur, fblk)):
+                    np.putmask(pre, swap, cur)
+                    np.putmask(cur, swap, blk)
+                    np.putmask(blk, swap, pre)
+                np.putmask(afcur, swap, afblk)
+            np.abs(xcur, out=delta)
+            delta *= _BRENT_RTOL
+            delta += _BRENT_XTOL
+            delta /= 2
+            np.subtract(xblk, xcur, out=sbis)
+            sbis /= 2
+            np.abs(sbis, out=asbis)
+            done = asbis < delta
+            done |= afcur == 0.0
+            if np.count_nonzero(done):
                 out[idx[done]] = xcur[done]
                 go = ~done
-                idx, xpre, xcur, xblk = idx[go], xpre[go], xcur[go], xblk[go]
-                fpre, fcur, fblk = fpre[go], fcur[go], fblk[go]
-                spre, scur, delta, sbis = spre[go], scur[go], delta[go], sbis[go]
-            if idx.size == 0:
-                return out
-            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
+                idx, s = idx[go], s[:, go]
+                if idx.size == 0:
+                    return out
+                xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, asbis, afcur = s
+            dx = xcur - xpre
+            df = fcur - fpre
+            nf = -fcur
+            # (fpre - fcur) / (xpre - xcur) is df / dx: both negations are exact.
+            interpolate = nf * dx / df
+            dpre = df / dx
             dblk = (fblk - fcur) / (xblk - xcur)
-            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, interpolate, extrapolate)
-            good = (
-                (np.abs(spre) > delta)
-                & (np.abs(fcur) < np.abs(fpre))
-                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
-            )
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-            xpre, fpre = xcur, fcur
-            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
-            fcur = f(xcur, idx)
-            if np.isnan(fcur).any():
+            stry = nf * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            np.putmask(stry, xpre == xblk, interpolate)
+            aspre = np.abs(spre)
+            limit = 3 * asbis - delta
+            np.minimum(aspre, limit, out=limit)
+            good = 2 * np.abs(stry) < limit
+            good &= aspre > delta
+            good &= afcur < np.abs(fpre)
+            # spre, scur = (scur, stry) on a good short step, else (sbis, sbis).
+            bad = ~good
+            if np.count_nonzero(bad):
+                np.putmask(scur, bad, sbis)
+                np.putmask(stry, bad, sbis)
+            spre[:] = scur
+            scur[:] = stry
+            xpre[:] = xcur
+            fpre[:] = fcur
+            # sbis is nonzero on an active bracket, so this is delta * sign(sbis).
+            step = np.copysign(delta, sbis)
+            np.putmask(step, np.abs(scur) > delta, scur)
+            xcur += step
+            fcur[:] = f(xcur, idx)
+            if np.count_nonzero(np.isnan(fcur)):
                 raise ValueError(f"the function value at x={xcur[np.isnan(fcur)][0]} is NaN")
+            # A new block where f changed sign; where fcur is 0 the bracket is
+            # done at the next step whatever this sets.
+            new = np.signbit(fpre) != np.signbit(fcur)
+            np.putmask(xblk, new, xpre)
+            np.putmask(fblk, new, fpre)
+            np.subtract(xcur, xpre, out=dx)
+            np.putmask(spre, new, dx)
+            np.putmask(scur, new, dx)
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
@@ -403,11 +451,31 @@ def _refine(scalar, vector, s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -
     if rows.size < _ARRAY_BRENT_MIN:
         s2, c2 = s2.tolist(), c2.tolist()
         return np.array([
-            _brentq(lambda x: scalar(s2[r], c2[r], l, L0, x), a, b, u, v)
+            _brentq(functools.partial(scalar, s2[r], c2[r], l, L0), a, b, u, v)
             for r, a, b, u, v in zip(rows.tolist(), xa.tolist(), xb.tolist(), fa.tolist(), fb.tolist())
         ])
     s2, c2 = s2[rows], c2[rows]
     return _brentq_array(lambda x, i: vector(s2[i], c2[i], l, L0, x), xa, xb, fa, fb)
+
+
+def _branch_estimate(m, s2, c2, l: float, L0: float) -> np.ndarray:
+    """kl of the positive root of F of branch label m >= 1, within 0.026.
+
+    The root solves x = m pi - atan2(x L0 c2, l s2), x = kl, on its
+    half-branch (see _scan_rows), which the map sends into itself.  Its
+    slope there is -ab / (b^2 + a^2 x^2) with a = L0 c2 and b = l s2 >= 0,
+    at most 1 / (2x) <= 1 / pi in size for x >= pi / 2.  Three steps from
+    the centre of the half-branch, at most pi / 4 off, leave at most
+    (pi / 4) / pi^3 < 0.026, under half a grid cell of pi / 64.
+    """
+    a, b = L0 * c2, l * s2
+    mpi = m * np.pi
+    x = mpi - np.copysign(np.pi / 4, c2)
+    # Where x a overflows, atan2 of +-inf is the limit +-pi/2.
+    with np.errstate(over="ignore"):
+        for _ in range(3):
+            x = mpi - np.arctan2(x * a, b)
+    return x
 
 
 def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
@@ -420,39 +488,45 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
     in kl in [m pi - pi/2, m pi] when c2 >= 0 and in [m pi, m pi + pi/2]
     when c2 < 0.  The window of label m, its half-branch and a cell at each
     end, holds no other root, and F/k (-1)^(m + 1) is >= 0 in it up to the
-    root and < 0 past it.  A search of all windows in lock step finds the
-    root's cell of the grid step * j: a first pass probes every d-th point,
-    d the smallest power of 3 that needs at most four, and each later pass
-    cuts the bracket in three: 4 + 2 + 2 evaluations of F/k per root at
-    GRID_DENSITY = 64.  ScanExhausted is raised unless each cell lies in its
-    window and F/k changes sign across it so.  Brent refines the roots, all
-    rows together; a root where F/k is exactly 0 is that grid point.
+    root and < 0 past it.  The root's cell of the grid step * j is found in
+    one pass over all roots: the count of points where that sign is >= 0
+    among a run of probes places it.  For m >= 1 the run is the 4 grid
+    points around _branch_estimate, which lies within half a cell of the
+    root; label 0 (T < 0 only) has no such contraction near the origin, and
+    its run is the 34 points of its window.  ScanExhausted is raised unless
+    each cell lies in its window and F/k changes sign across it so.  Brent
+    refines the roots, all rows together; a root where F/k is exactly 0 is
+    that grid point.
     """
     step = math.pi / (GRID_DENSITY * l)
     width = GRID_DENSITY // 2 + 2
     r, col = np.nonzero(np.arange(out.shape[1]) >= first[:, None])
+    if not r.size:
+        return
     m = (m0 - first)[r] + col
     lo = np.maximum(m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))[r], 0)
     # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
     sign = (m & 1) * 2.0 - 1.0
     s2, c2 = s2[r], c2[r]
-    gs2, gc2 = s2 * sign, c2 * sign
-    d = 1
-    while 4 * d < width:
-        d *= 3
-    probes = -(-width // d)
-    # j is the last point known to have g >= 0, ga and gb are g at j and at
-    # the first point past it known to have g < 0, NaN until one is probed.
-    j = lo - d
-    ga = gb = np.full(j.size, np.nan)
-    i = np.arange(j.size)
-    while d:
-        v = _fhat_half(gs2, gc2, l, L0, step * (j + np.arange(d, d * probes + 1, d)[:, None]))
-        below = (v >= 0.0).sum(0)
-        j = j + d * below
-        v = np.concatenate([ga[None], v, gb[None]])
-        ga, gb = v[below, i], v[below + 1, i]
-        d, probes = d // 3, 2
+    label0 = m == 0
+    estimate = _branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
+    start = np.floor(estimate).astype(np.intp) - 1
+    start[label0] = lo[label0]
+    count = np.where(label0, width, 4)
+    end = np.cumsum(count)
+    begin = end - count
+    # Root i probes the points start[i] ... start[i] + count[i] - 1, as
+    # entries begin[i] ... end[i] - 1 of one flat run.
+    v = _fhat_half(
+        np.repeat(s2 * sign, count), np.repeat(c2 * sign, count), l, L0,
+        step * (np.arange(end[-1]) + np.repeat(start - begin, count)),
+    )
+    below = np.add.reduceat(v >= 0.0, begin, dtype=np.intp)
+    j = start - 1 + below
+    # g at j and j + 1, NaN where no probe holds it.
+    v = np.append(v, np.nan)
+    ga = np.where(below > 0, v[begin + below - 1], np.nan)
+    gb = np.where(below < count, v[begin + below], np.nan)
     if not ((j >= lo) & (j - lo < width) & (ga >= 0.0) & (gb < 0.0)).all():
         raise ScanExhausted("F/k does not change sign in the window of every branch label")
     k = step * j
@@ -575,6 +649,8 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     from_label[r] on, each the double a solve from the bottom of the ladder
     returns for its label, and needs no bound-state refinement.  A row with
     from_label[r] <= 0, as every row without it, holds the lowest n levels.
+    SolverError is raised where the E of a level overflows a double or rounds
+    to 0, as on a box of l = 1e-300 or l = 1e200.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -591,6 +667,9 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
         E = k_or_kappa * k_or_kappa
     if not np.isfinite(E).all():
         raise SolverError(f"the levels of the box l={l!r} overflow a double")
+    # An E that rounds to 0 ties every such level and the zero-energy one.
+    if ((E == 0.0) & (k_or_kappa != 0.0)).any():
+        raise SolverError(f"the levels of the box l={l!r} underflow a double")
     E[bound, 0] *= -1.0
     return ChannelRows(theta=np.array(theta), E=E, k_or_kappa=k_or_kappa, bound=bound, zero=zero)
 

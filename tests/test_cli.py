@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import defectline
-from defectline import cli, spectrum
+from defectline import boundary, cli, spectrum
 from defectline import (
     BoundaryCondition,
     EigenLevel,
@@ -334,6 +334,29 @@ def test_eigenfunction_of_a_near_degenerate_minus_level_gets_its_own_channel(cap
     meta = _json_lines(out)[0]
     assert meta["channel"] == "minus" and meta["degenerate"]
     assert meta["residual"] <= 1e-8
+
+
+def test_eigenfunction_accepts_a_level_whose_k_rounds_near_kl_pi_half(capsys):
+    # At L0 = 1e12 the level sits at kl ~ pi/2, where der = k cos(kl) is near
+    # 0 and the rounding of k moves L0 der by about eps L0 k^2 l = 5e-4,
+    # which the acceptance scale of level_eigenbasis now holds.
+    box = ("--l", "1", "--L0", "1e12", "--xi", "2", "--rho", "0.9")
+    code, out, err = _run(capsys, "eigenfunction", "--samples", "8", *box, "--index", "0")
+    assert (code, err) == (0, "")
+    meta = _json_lines(out)[0]
+    _, spectrum_out, _ = _run(capsys, "spectrum", *box, "-n", "1")
+    level = _json_lines(spectrum_out)[0]
+    assert {key: meta[key] for key in level} == level
+    assert level["k_or_kappa"] == 1.5707963267952871
+
+
+def test_eigenfunction_of_a_level_that_fails_its_check_is_a_solver_failure(capsys, monkeypatch):
+    # The level is the channel solver's own, so a rejected one exits 3, not 2.
+    monkeypatch.setattr(boundary, "EIGEN_TOL", 0.0)
+    monkeypatch.setattr(boundary, "_EPS", 0.0)
+    code, out, err = _run(capsys, "eigenfunction", "--xi", "2", "--rho", "0.9", "--samples", "4")
+    assert (code, out) == (3, "")
+    assert err.startswith("solver failure: k=") and "is not an eigenvalue" in err
 
 
 # ---------------------------------------------------------------- isospectral
@@ -892,10 +915,18 @@ def test_det_k_max_must_be_finite_and_positive(capsys, k_max):
         # The level fits a double, but L0 (U + I) dphi in its residual does not.
         ("eigenfunction", "--samples", "8", "--l", "1e-150", "--L0", "1e300", "--xi", "2",
          "--rho", "0.9", "--index", "1"),
+        # E = k^2 of every level rounds to 0, where they would all tie.
+        ("spectrum", "--l=1e+200", "--L0=1.0", "--xi=6.013126317700641", "--rho=1.2", "-n", "6",
+         "--format", "csv"),
+        ("spectrum", "--solver", "fd", "--l=1e+200", "--L0=1.0", "--xi=6.013126317700641",
+         "--rho=1.2", "-n", "6", "--format", "csv"),
+        # Brent's lock-step interpolation overflows on the way to these levels.
+        ("spectrum", "--l=1e-300", "--L0=1e30", "--xi=0.389", "--rho=0.2", "-n", "160"),
     ],
     ids=["channel-tiny-box", "fd-tiny-box", "eigenfunction-huge-box", "det-tiny-box",
          "isospectral-tiny-box", "channel-tiny-l-and-L0", "compare-tiny-l-and-L0",
-         "eigenfunction-tiny-l-and-L0", "det-tiny-knot", "eigenfunction-huge-residual"],
+         "eigenfunction-tiny-l-and-L0", "det-tiny-knot", "eigenfunction-huge-residual",
+         "channel-huge-box-underflow", "fd-huge-box-underflow", "channel-lock-step-tiny-box"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_box_whose_values_overflow_is_a_typed_error(capsys, argv):

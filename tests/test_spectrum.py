@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.optimize import brentq
 
 from defectline import (
@@ -491,11 +492,12 @@ def test_channel_tag_passthrough():
     assert all(lv.channel is None for lv in untagged)
 
 
-def test_root_search_probes_at_most_eight_points_per_root(monkeypatch):
-    # Each root's cell is searched inside its branch-label window at
-    # 4 + 2 + 2 grid points, where a sign scan of the grid took 64 per root.
-    # Brent refines one bracket at a time here, on the scalar F/k, so every
-    # evaluation of the array F/k is the search's.
+def test_root_search_probes_four_points_per_root_and_the_window_at_label_0(monkeypatch):
+    # A root of label m >= 1 is searched at the 4 grid points around its
+    # branch-equation estimate, the root of label 0 at the 34 points of its
+    # window, where a sign scan of the grid took 64 per root.  Brent refines
+    # one bracket at a time here, on the scalar F/k, so every evaluation of
+    # the array F/k is the search's.
     evaluations = []
     fhat_half = spectrum._fhat_half
 
@@ -506,8 +508,48 @@ def test_root_search_probes_at_most_eight_points_per_root(monkeypatch):
     monkeypatch.setattr(spectrum, "_fhat_half", counted)
     monkeypatch.setattr(spectrum, "_ARRAY_BRENT_MIN", 10**9)
     # Both eigenphases in (0, pi): no bound or zero level, so each channel
-    # is solved to depth (n + 1) // 2 + 2 in positive roots.
+    # is solved to depth (n + 1) // 2 + 2 in positive roots of labels >= 1.
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi=1.1, rho=0.7, mu=0.3, nu=2.0)))
     solve_spectrum(bc, 2000)
-    roots = 2 * ((2000 + 1) // 2 + 2)
-    assert roots <= sum(evaluations) <= 8 * roots
+    assert sum(evaluations) == 4 * 2 * ((2000 + 1) // 2 + 2)
+    # Row 0 lies below the threshold, so its first positive root has label 0.
+    assert threshold(Channel(5.5)) < 0.0 < threshold(Channel(1.0))
+    evaluations.clear()
+    rows = solve_channels([5.5, 1.0], 300)
+    assert not (rows.bound.any() or rows.zero.any())
+    assert sum(evaluations) == GRID_DENSITY // 2 + 2 + 4 * (2 * 300 - 1)
+
+
+def _threshold_theta(l, L0):
+    # The eigenphase in (pi, 2 pi) where T = l sin(theta/2) + L0 cos(theta/2) = 0.
+    return TWO_PI - 2.0 * math.atan(L0 / l)
+
+
+@given(
+    st.one_of(
+        st.tuples(st.just("at"), st.sampled_from([0.0, math.pi, math.nextafter(TWO_PI, 0.0)])),
+        st.tuples(st.just("threshold"), st.floats(-1e-9, 1e-9)),
+        st.tuples(st.just("at"), st.floats(0.0, TWO_PI, exclude_max=True)),
+    ),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.integers(1, 2000),
+)
+def test_branch_estimate_lies_within_one_cell_of_the_root(where, log_l, log_L0, n):
+    # Three steps of the branch equation from the centre of a half-branch put
+    # kl within (pi / 4) / pi^3 of the refined root of its label, well inside
+    # one grid cell: at theta = 0, pi and 2 pi-, where roots sit on the ends
+    # of their half-branches, within delta of the threshold T = 0, and
+    # anywhere between.
+    l, L0 = 10.0 ** log_l, 10.0 ** log_L0
+    kind, value = where
+    theta = value if kind == "at" else _threshold_theta(l, L0) + value
+    rows = solve_channels([theta], n, l, L0)
+    s2, c2 = _half_angle(rows.theta[0])
+    first = int(rows.bound[0] or rows.zero[0])
+    x = rows.k_or_kappa[0, first:] * l
+    m = np.rint((x + np.arctan2(x * L0 * c2, l * s2)) / math.pi).astype(np.intp)
+    assert (np.diff(m) == 1).all()
+    x, m = x[m >= 1], m[m >= 1]
+    estimate = spectrum._branch_estimate(m, np.full(m.size, s2), np.full(m.size, c2), l, L0)
+    assert np.abs(estimate - x).max(initial=0.0) <= math.pi / GRID_DENSITY
