@@ -11,16 +11,16 @@ A level is identified by a closed-form branch label, not by how far it
 moved.  With alpha = atan2(k L0 cos(theta/2), sin(theta/2)), F(k) = 0 reads
 sin(kl + alpha) = 0, so every positive root carries the integer label
 m = (kl + alpha)/pi; the bound level and the zero-energy level carry m = 0,
-and the sorted levels of a channel carry consecutive labels.  alpha is
-continuous in theta except where theta wraps past a multiple of 2 pi, where
-it jumps by pi while k moves on continuously, so the label less the number
-of 2 pi crossings is an unwrapped label that a level keeps along the whole
-loop.  A trajectory is the set of samples that share one unwrapped label,
-and its ladder shift is read off the labels.  A label that is not an
-integer to 1e-6, or labels that are not consecutive, raise
-ContinuationLost.  A tracked label that leaves the bottom of the ladder has
-dived below the bound-state floor (kappa l > 50): its trajectory ends there
-with floored_out=True.
+and the sorted levels of a channel carry consecutive labels.  The channel
+solver places every root by its label and returns the label of each row's
+first level (ChannelRows.label), so the labels are read, not computed.
+alpha is continuous in theta except where theta wraps past a multiple of
+2 pi, where it jumps by pi while k moves on continuously, so the label less
+the number of 2 pi crossings is an unwrapped label that a level keeps along
+the whole loop.  A trajectory is the set of samples that share one
+unwrapped label, and its ladder shift is read off the labels.  A tracked
+label that leaves the bottom of the ladder has dived below the bound-state
+floor (kappa l > 50): its trajectory ends there with floored_out=True.
 
 The loop is sampled on a fixed grid, t <- min(t + 1/n_steps, 1) until t is
 within 1e-12 of 1, so the samples of a moving channel do not depend on each
@@ -43,13 +43,12 @@ its start ladder stands for every sample.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContinuationLost, InconsistentShift
-from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, ChannelRows, solve_channels
+from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, Channel, ChannelRows, solve_channels
 from .unitary import TWO_PI, UnitaryParams
 
 __all__ = [
@@ -59,10 +58,6 @@ __all__ = [
     "trajectory_shifts",
     "loop_shift",
 ]
-
-# A branch label farther than this from an integer means the levels of a
-# sample are not the roots they should be.
-_LABEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,8 +80,7 @@ class PathSpec:
             raise ValueError("n_steps must be at least 64")
         if self.levels_tracked < 2:
             raise ValueError("levels_tracked must be at least 2")
-        if self.l <= 0.0 or self.L0 <= 0.0:
-            raise ValueError("l and L0 must be positive")
+        Channel(0.0, self.l, self.L0)  # validates the box
 
 
 @dataclass(frozen=True)
@@ -124,24 +118,6 @@ def _crossings(thetas: list[float]) -> np.ndarray:
     return np.rint((theta - theta % TWO_PI) / TWO_PI).astype(int)
 
 
-def _unwrapped_labels(rows: ChannelRows, crossings: np.ndarray, l: float, L0: float) -> np.ndarray:
-    """Integer branch label of every level, less the 2 pi crossings of its row's theta."""
-    s2 = np.sin(rows.theta / 2.0)[:, None]
-    c2 = np.cos(rows.theta / 2.0)[:, None]
-    k = rows.k_or_kappa
-    m = (k * l + np.arctan2(k * L0 * c2, s2)) / math.pi
-    m[rows.bound | rows.zero, 0] = 0.0
-    labels = np.rint(m)
-    if np.any(np.abs(m - labels) > _LABEL_TOL):
-        raise ContinuationLost(
-            f"a branch label is off an integer by {np.max(np.abs(m - labels)):.3g}"
-        )
-    labels = labels.astype(int)
-    if np.any(np.diff(labels, axis=1) != 1):
-        raise ContinuationLost("the levels of a sample carry non-consecutive branch labels")
-    return labels - crossings[:, None]
-
-
 def _start_ladders(path: PathSpec, t_end: float) -> dict[str, tuple[float, int, ChannelRows]]:
     """Each channel's theta, winding and ladders at the ends of the loop.
 
@@ -168,8 +144,7 @@ def _start_ladders(path: PathSpec, t_end: float) -> dict[str, tuple[float, int, 
         last += bool(w)
         depth = n + abs(w) + 1
         ladders[ch] = (thetas[r], w, ChannelRows(
-            theta=rows.theta[at], E=rows.E[at, :depth], k_or_kappa=rows.k_or_kappa[at, :depth],
-            bound=rows.bound[at], zero=rows.zero[at],
+            E=rows.E[at, :depth], k_or_kappa=rows.k_or_kappa[at, :depth], label=rows.label[at],
         ))
     return ladders
 
@@ -210,8 +185,7 @@ def _follow(
         ]
     thetas = [theta0 + TWO_PI * w * t for t in ts]
     crossings = _crossings(thetas)
-    end_labels = _unwrapped_labels(ends, crossings[[0, -1]], path.l, path.L0)
-    tracked = end_labels[0, :count]
+    tracked = ends.label[0] - crossings[0] + np.arange(count)
     # The interior samples hold the tracked labels only, from the bottom of
     # the ladder where the lowest of them is <= 0.
     inner = solve_channels(
@@ -220,10 +194,7 @@ def _follow(
     # Each sample's levels carry consecutive labels from the unwrapped label
     # of its first level on, so a tracked label below that one has left the
     # ladder through the floor.
-    first = np.concatenate([
-        end_labels[:1, 0], _unwrapped_labels(inner, crossings[1:-1], path.l, path.L0)[:, 0],
-        end_labels[1:, 0],
-    ])
+    first = np.concatenate([ends.label[:1], inner.label, ends.label[1:]]) - crossings
     index = tracked - first[:, None]
     held = np.full(len(ts), count)
     held[[0, -1]] = ends.E.shape[1]
@@ -255,8 +226,8 @@ def trace_path(path: PathSpec) -> list[LevelTrajectory]:
 
     Returns one trajectory per tracked level, ordered by starting energy,
     plus first on a tie; a wound channel may add levels (_tracked_counts).
-    Raises ContinuationLost when the branch labels of a sample are not
-    consecutive integers, and propagates the channel solves' errors.
+    Raises ContinuationLost when a sample's levels stop short of a tracked
+    label, and propagates the channel solves' errors.
     """
     ts = _t_grid(path.n_steps)
     ladders = _start_ladders(path, ts[-1])

@@ -60,7 +60,7 @@ class EigenSolverFailure(SolverError):
 
 
 class ContinuationLost(SolverError):
-    """Continuation could not identify the levels of a sample by their branch labels."""
+    """A sample's levels stop short of a branch label that continuation tracks."""
 
 
 class InconsistentShift(SolverError):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary import KIND_BOUND, KIND_POSITIVE, KIND_ZERO, BoundaryCondition
+from .boundary import BoundaryCondition
 from .errors import EigenSolverFailure, ScanExhausted, SolverError
 from .spectrum import (
     _EPS,
@@ -401,8 +401,7 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
         raise SolverError(f"the levels of the box l={bc.l!r} overflow a double")
     E, index = np.array(E), np.arange(len(E))
     partner = degenerate_partners(E, index)
-    kind = [KIND_BOUND if y < 0.0 else KIND_POSITIVE if y > 0.0 else KIND_ZERO for y in roots[:n]]
-    return Spectrum(E[:n], np.abs(roots[:n]), np.array(kind), None, index[:n], partner[:n])
+    return Spectrum(E[:n], np.abs(roots[:n]), None, index[:n], partner[:n])
 
 
 def _fd_wave(n: int, e: float) -> tuple[float, float]:
@@ -560,10 +559,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
                 E = e / (l * l)
                 if ((E == 0.0) & (e != 0.0)).any():
                     raise SolverError(f"the levels of the box l={l!r} underflow a double")
-                kind = np.where(E < 0.0, KIND_BOUND, KIND_POSITIVE)
                 return FdSpectrum(
-                    E, np.sqrt(np.abs(E)), kind, None, np.arange(n), np.full(n, -1), h, n_interior
-                )
+                    E, np.sqrt(np.abs(E)), None, np.arange(n), np.full(n, -1), h, n_interior)
         a, v = knot, None
     raise EigenSolverFailure(
         f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"

@@ -136,23 +136,29 @@ class EigenLevel:
 class Spectrum:
     """The lowest levels of a box in ascending E, as columns: what every solver returns.
 
-    ``E``, ``k_or_kappa``, ``kind`` and ``index`` hold EigenLevel's fields,
-    ``channel`` its channel names, or is None where the solver knows no
-    channel, and ``partner`` is the index of a level's degenerate partner
-    (degenerate_partners), maybe past the cut, or -1.  ``len(spec)`` is the
-    level count; ``levels`` builds the EigenLevel objects on first access.
-    Spectra compare by identity: array fields have no truth value for __eq__.
+    ``E``, ``k_or_kappa`` and ``index`` hold EigenLevel's fields, ``channel``
+    its channel names, or is None where the solver knows no channel, and
+    ``partner`` is the index of a level's degenerate partner
+    (degenerate_partners), maybe past the cut, or -1.  ``kind`` is derived
+    from E on first access.  ``len(spec)`` is the level count; ``levels``
+    builds the EigenLevel objects on first access.  Spectra compare by
+    identity: array fields have no truth value for __eq__.
     """
 
     E: np.ndarray
     k_or_kappa: np.ndarray
-    kind: np.ndarray
     channel: np.ndarray | None
     index: np.ndarray
     partner: np.ndarray
 
     def __len__(self) -> int:
         return self.E.size
+
+    @functools.cached_property
+    def kind(self) -> np.ndarray:
+        """Each level's kind by the one rule: bound where E < 0, zero where E == 0, else positive."""
+        E = self.E
+        return np.where(E < 0.0, KIND_BOUND, np.where(E == 0.0, KIND_ZERO, KIND_POSITIVE))
 
     @functools.cached_property
     def levels(self) -> tuple[EigenLevel, ...]:
@@ -542,10 +548,13 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np
     """solve_channel's lowest n levels of each channel theta of one box (l, L0).
 
     ``thetas`` are reduced into [0, 2 pi) already.  Returns k_or_kappa as an
-    array of one row of n per channel, and per row whether its first level
-    is bound and whether it is the zero-energy level; every other level is
-    positive.  The threshold T = l sin(theta/2) + L0 cos(theta/2) alone
-    decides where a row's ladder starts, here and nowhere else:
+    array of one row of n per channel, per row whether its first level is
+    bound, and per row the branch label of its first level: the label its
+    first positive root is placed by, or 0 where a bound or the zero-energy
+    level comes first.  Every other level is positive, and level j of a row
+    carries its label + j.  The threshold T = l sin(theta/2) + L0
+    cos(theta/2) alone decides where a row's ladder starts, here and
+    nowhere else:
 
     * a zero-energy level where |T| <= ZERO_LEVEL_TOL (l + L0);
     * else a bound level where cos(theta/2) < 0 < T and G/kappa < 0 at the
@@ -598,8 +607,9 @@ def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np
             _ghat_scalar, _ghat_half, s2, c2, l, L0, at, np.zeros(at.size), np.full(at.size, cap),
             ga, gb,
         )
-    _scan_rows(s2, c2, l, L0, k_or_kappa, (bound | zero).astype(np.intp), m0)
-    return k_or_kappa, bound, zero
+    first = (bound | zero).astype(np.intp)
+    _scan_rows(s2, c2, l, L0, k_or_kappa, first, m0)
+    return k_or_kappa, bound, m0 - first
 
 
 def solve_channel(ch: Channel, n: int, tag: str | None = None) -> Spectrum:
@@ -611,10 +621,8 @@ def solve_channel(ch: Channel, n: int, tag: str | None = None) -> Spectrum:
     channel never repeats a level, so no level has a partner.
     """
     rows = solve_channels([ch.theta], n, ch.l, ch.L0)
-    kind = np.full(n, KIND_POSITIVE)
-    kind[0] = KIND_ZERO if rows.zero[0] else KIND_BOUND if rows.bound[0] else KIND_POSITIVE
     channel = None if tag is None else np.full(n, tag)
-    return Spectrum(rows.E[0], rows.k_or_kappa[0], kind, channel, np.arange(n), np.full(n, -1))
+    return Spectrum(rows.E[0], rows.k_or_kappa[0], channel, np.arange(n), np.full(n, -1))
 
 
 @dataclass(frozen=True)
@@ -622,18 +630,16 @@ class ChannelRows:
     """The lowest n levels of many channels of one box, one row per channel.
 
     Row r holds, in ``E`` and ``k_or_kappa``, the doubles that solve_channel
-    returns for the channel of eigenphase ``theta[r]`` (reduced into
-    [0, 2 pi)): its lowest n levels, or, in a label window, its n levels
-    from a given branch label on.  The first level of row r is bound where
-    ``bound[r]``, the zero-energy level where ``zero[r]``, and every other
-    level is positive; a label window holds positive levels only.
+    returns for the r-th channel: its lowest n levels, or, in a label
+    window, its n levels from a given branch label on.  ``label[r]`` is the
+    branch label of row r's first level, the one the solver placed it by,
+    and level j of the row carries label[r] + j; a bound or zero-energy
+    level, only ever first in its row, carries label 0.
     """
 
-    theta: np.ndarray
     E: np.ndarray
     k_or_kappa: np.ndarray
-    bound: np.ndarray
-    zero: np.ndarray
+    label: np.ndarray
 
 
 def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=None) -> ChannelRows:
@@ -649,6 +655,8 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     from_label[r] on, each the double a solve from the bottom of the ladder
     returns for its label, and needs no bound-state refinement.  A row with
     from_label[r] <= 0, as every row without it, holds the lowest n levels.
+    Each row's label is the one its roots were placed by, checked there
+    (ScanExhausted), so a reader of the labels computes none.
     SolverError is raised where the E of a level overflows a double or rounds
     to 0, as on a box of l = 1e-300 or l = 1e200.
     """
@@ -662,7 +670,7 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
         from_label = np.asarray(from_label, dtype=np.intp)
         if from_label.shape != (len(theta),):
             raise ValueError("from_label must hold one label per eigenphase")
-    k_or_kappa, bound, zero = _solve_rows(theta, l, L0, n, from_label)
+    k_or_kappa, bound, label = _solve_rows(theta, l, L0, n, from_label)
     with np.errstate(over="ignore"):
         E = k_or_kappa * k_or_kappa
     if not np.isfinite(E).all():
@@ -671,7 +679,7 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     if ((E == 0.0) & (k_or_kappa != 0.0)).any():
         raise SolverError(f"the levels of the box l={l!r} underflow a double")
     E[bound, 0] *= -1.0
-    return ChannelRows(theta=np.array(theta), E=E, k_or_kappa=k_or_kappa, bound=bound, zero=zero)
+    return ChannelRows(E=E, k_or_kappa=k_or_kappa, label=label)
 
 
 def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
@@ -707,10 +715,8 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
         raise ScanExhausted("the merged levels reach past the depth the channels were solved to")
     row, index = np.divmod(order, depth)
     E = E[order]
-    first = np.where(rows.zero, KIND_ZERO, np.where(rows.bound, KIND_BOUND, KIND_POSITIVE))
-    kind = np.where(index == 0, first[row], KIND_POSITIVE)
     partner = degenerate_partners(E, index, row)
     return Spectrum(
-        E=E[:n], k_or_kappa=rows.k_or_kappa.ravel()[order[:n]], kind=kind[:n],
+        E=E[:n], k_or_kappa=rows.k_or_kappa.ravel()[order[:n]],
         channel=_CHANNEL_NAMES[row[:n]], index=index[:n], partner=partner[:n],
     )

@@ -1,7 +1,6 @@
 """Tests for level continuation around closed eigenphase loops."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,8 +52,10 @@ def test_pathspec_validation():
         PathSpec(winding=(0.5, 0), base=BASE)
     with pytest.raises(ValueError):
         PathSpec(winding=(1, 0, 0), base=BASE)
-    with pytest.raises(ValueError):
-        PathSpec(winding=(1, 0), base=BASE, l=-1.0)
+    # The box is checked when the loop is built, as BoundaryCondition checks it.
+    for name, value in (("l", -1.0), ("l", math.nan), ("l", math.inf), ("L0", -math.inf)):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive length$"):
+            PathSpec(winding=(1, 0), base=BASE, **{name: value})
 
 
 # ----------------------------------------------------------------- tracing
@@ -180,7 +181,7 @@ def test_start_ladders_are_one_batch(monkeypatch, winding):
         own = solve_channels(own, 6 + abs(w) + 1)
         rows = ladders[ch][2]
         assert ladders[ch][:2] == (theta, w)
-        for field in ("theta", "E", "k_or_kappa", "bound", "zero"):
+        for field in ("E", "k_or_kappa", "label"):
             assert np.array_equal(getattr(rows, field), getattr(own, field))
 
     calls = _counting_solves(monkeypatch)
@@ -319,25 +320,21 @@ def test_shift_is_the_winding_where_a_level_jumps_a_rung_at_the_floor(winding, l
     assert loop_shift(path) == winding
 
 
-def test_off_integer_or_gapped_labels_raise(monkeypatch):
+def test_rows_short_of_the_tracked_labels_raise(monkeypatch):
+    # Interior samples solved from one label below their window hold, with
+    # true labels, every tracked level but the highest: a trajectory that
+    # reaches such a sample has run out of fetched levels.
     good = solve_channels
 
-    def shifted(thetas, n, l=1.0, L0=1.0, from_label=None):
-        rows = good(thetas, n, l, L0, from_label)
-        k = rows.k_or_kappa.copy()
-        k[:, -1] *= 1.0 + 1e-3
-        return replace(rows, k_or_kappa=k)
-
-    def gapped(thetas, n, l=1.0, L0=1.0, from_label=None):
-        rows = good(thetas, n + 1, l, L0, from_label)
-        keep = [c for c in range(n + 1) if c != n - 1]
-        return replace(rows, E=rows.E[:, keep], k_or_kappa=rows.k_or_kappa[:, keep])
+    def short(thetas, n, l=1.0, L0=1.0, from_label=None):
+        if from_label is not None:
+            from_label = np.asarray(from_label) - 1
+        return good(thetas, n, l, L0, from_label)
 
     path = PathSpec(winding=(1, 0), base=BASE, n_steps=64, levels_tracked=4)
-    for fake in (shifted, gapped):
-        monkeypatch.setattr(anholonomy, "solve_channels", fake)
-        with pytest.raises(ContinuationLost):
-            trace_path(path)
+    monkeypatch.setattr(anholonomy, "solve_channels", short)
+    with pytest.raises(ContinuationLost, match="ran out of fetched levels"):
+        trace_path(path)
 
 
 # ----------------------------------------------------- shift reconstruction

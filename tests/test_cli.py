@@ -130,6 +130,18 @@ def test_spectrum_fd_solver_output_shape(capsys):
         assert abs(rec["k_or_kappa"] - math.sqrt(rec["E"])) <= 1e-12
 
 
+@pytest.mark.parametrize("solver", ["channel", "det", "fd"])
+def test_every_solver_names_an_exact_zero_level_zero(capsys, solver):
+    # U = -i I on l = L0 = 1 puts both channels at the threshold T = 0: each
+    # solver finds E = 0 twice, and one rule names such a level "zero".
+    code, out, _ = _run(
+        capsys, "spectrum", "--solver", solver, "--matrix=0,-1,0,0,0,0,0,-1", "-n", "2"
+    )
+    assert code == 0
+    recs = _json_lines(out)
+    assert [(r["kind"], r["E"], r["k_or_kappa"]) for r in recs] == [("zero", 0, 0)] * 2
+
+
 def test_spectrum_json_round_trips_library_floats(capsys):
     code, out, _ = _run(capsys, "spectrum", "--xi", "2.2", "--rho", "0.8", "-n", "5")
     assert code == 0

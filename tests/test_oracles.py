@@ -499,6 +499,48 @@ def test_every_module_level_function_and_class_of_the_package_has_a_use():
                   if not any(issubclass(r, cls) for r in raised)) == []
 
 
+def _read_names(tree) -> set[str]:
+    # Every name a module reads: in its code, in a string annotation (as
+    # under TYPE_CHECKING), or re-exported through __all__.
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
+            names.update(ast.literal_eval(node.value))
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            for part in ast.walk(annotation) if annotation is not None else ():
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    names.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
+                                 if isinstance(n, ast.Name))
+    return names
+
+
+def test_every_name_a_module_of_the_package_imports_is_used():
+    # No module imports what it does not read.  Each decision has one
+    # owner: anholonomy reads the branch labels the channel solver placed
+    # its roots by and computes none, and a level's kind is derived from E
+    # by Spectrum alone, which stores no kind and leaves oracles none to name.
+    unused, trees = [], {}
+    for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
+        tree = trees[path.name] = ast.parse(path.read_text(encoding="utf-8"))
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                unused += [(path.name, alias.asname or alias.name) for alias in node.names
+                           if (alias.asname or alias.name).partition(".")[0] not in read]
+    assert unused == []
+    called = {ast.unparse(node.func) for node in ast.walk(trees["anholonomy.py"]) if isinstance(node, ast.Call)}
+    assert not {name for name in called if name.rpartition(".")[2] in ("arctan2", "atan2")}
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+             for node in ast.walk(trees["oracles.py"])}
+    assert not {name for name in named if name and name.startswith("KIND_")}
+    spectrum = next(node for node in trees["spectrum.py"].body
+                    if isinstance(node, ast.ClassDef) and node.name == "Spectrum")
+    fields = [node.target.id for node in spectrum.body if isinstance(node, ast.AnnAssign)]
+    assert fields and "kind" not in fields
+
+
 def test_every_solver_builds_its_levels_through_the_one_record():
     # EigenLevel objects are made only by Spectrum.levels, from the columns
     # every solver returns, and the pairing rule exists once, as an array

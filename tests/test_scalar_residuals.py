@@ -11,7 +11,8 @@ and L0 across four decades and the edge regions: theta near 0 and pi, the
 threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  A row of a
 label window is held to the row solved from the bottom of its ladder.  The
 branch labels that place each channel root are held to consecutive integers
-within 1e-6.  Every solver's Spectrum is held to one level record, and det's
+within 1e-6, and the label each row returns to its first level's.  Every
+solver's Spectrum is held to one level record, and det's
 partners to the list-based pairing rule kept here as the reference.
 """
 
@@ -150,11 +151,8 @@ def test_loop_samples_equal_solve_channel_at_every_sample(loop):
     for r, theta in enumerate(thetas):
         ch = Channel(theta, l, L0)
         levels = solve_channel(ch, n).levels
-        assert rows.theta[r] == ch.theta
         assert rows.E[r].tolist() == [lv.E for lv in levels]
         assert rows.k_or_kappa[r].tolist() == [lv.k_or_kappa for lv in levels]
-        assert rows.bound[r] == (levels[0].kind == "bound")
-        assert rows.zero[r] == (levels[0].kind == "zero")
 
 
 @st.composite
@@ -172,16 +170,18 @@ def test_positive_roots_carry_consecutive_branch_labels(batch, n):
     # The p-th positive root of a channel has the branch label
     # (kl + atan2(k L0 cos(theta/2), sin(theta/2))) / pi = m0 + p, where
     # m0 = 0 when cos(theta/2) < 0 and T < 0 leave neither a bound nor a
-    # zero-energy level, and m0 = 1 otherwise.
+    # zero-energy level, and m0 = 1 otherwise.  The row's label is its first
+    # level's: that rounded label, or 0 for a bound or zero-energy level.
     thetas, l, L0 = batch
     rows = solve_channels(thetas, n, l, L0)
-    for r, theta in enumerate(rows.theta.tolist()):
-        s2, c2 = _half_angle(theta)
-        first = int(rows.bound[r] or rows.zero[r])
+    for r, theta in enumerate(thetas):
+        s2, c2 = _half_angle(theta % TWO_PI)
+        first = int(rows.E[r, 0] <= 0.0)  # a bound or zero-energy level
         k = rows.k_or_kappa[r, first:]
         label = (k * l + np.arctan2(k * L0 * c2, s2)) / PI
-        m0 = 0 if c2 < 0.0 and l * s2 + L0 * c2 < 0.0 and not rows.zero[r] else 1
+        m0 = 0 if c2 < 0.0 and l * s2 + L0 * c2 < 0.0 and rows.E[r, 0] != 0.0 else 1
         assert np.all(np.abs(label - (m0 + np.arange(k.size))) <= 1e-6)
+        assert rows.label[r] == (0 if first else np.rint(label[0]))
 
 
 @given(batches(), st.floats(1.5, 50.0), st.integers(1, 200))
@@ -193,9 +193,9 @@ def test_batch_roots_equal_the_per_cell_reference(batch, f, n):
     thetas, l, L0 = batch
     thetas = [*thetas, 2.0 * (PI - math.atan(KAPPA_CEILING * L0 / (l * f)))]
     rows = solve_channels(thetas, n, l, L0)
-    for r, theta in enumerate(rows.theta.tolist()):
-        first = int(rows.bound[r] or rows.zero[r])
-        reference = _scan_positive_reference(theta, l, L0, n - first, bool(rows.zero[r]))
+    for r, theta in enumerate(thetas):
+        first = int(rows.E[r, 0] <= 0.0)  # a bound or zero-energy level
+        reference = _scan_positive_reference(theta % TWO_PI, l, L0, n - first, rows.E[r, 0] == 0.0)
         assert rows.k_or_kappa[r, first:].tolist() == reference
 
 
@@ -223,21 +223,25 @@ def windows(draw):
 def test_label_window_rows_equal_the_bottom_solved_rows(batch, n):
     # A row of a label window holds the doubles that the row solved from
     # the bottom of its ladder holds for the same branch labels, and a row
-    # without a window is that row.
+    # without a window is that row.  Each row's label is its first level's:
+    # the window's label, or the rounded label of the bottom row's first
+    # level, 0 for a bound or zero-energy level.
     thetas, from_label, l, L0 = batch
     rows = solve_channels(thetas, n, l, L0, from_label)
     deep = solve_channels(thetas, n + 22, l, L0)
-    for r, a in enumerate(from_label):
+    for r, (theta, a) in enumerate(zip(thetas, from_label)):
+        s2, c2 = _half_angle(theta % TWO_PI)
+        first = int(deep.E[r, 0] <= 0.0)  # a bound or zero-energy level
+        k = deep.k_or_kappa[r, first:]
+        label = np.rint((k * l + np.arctan2(k * L0 * c2, s2)) / PI)
+        assert deep.label[r] == (0 if first else label[0])
         if a <= 0:
             assert rows.E[r].tolist() == deep.E[r, :n].tolist()
             assert rows.k_or_kappa[r].tolist() == deep.k_or_kappa[r, :n].tolist()
-            assert (rows.bound[r], rows.zero[r]) == (deep.bound[r], deep.zero[r])
+            assert rows.label[r] == deep.label[r]
             continue
-        assert not rows.bound[r] and not rows.zero[r]
-        s2, c2 = _half_angle(float(rows.theta[r]))
-        first = int(deep.bound[r] or deep.zero[r])
-        k = deep.k_or_kappa[r, first:]
-        label = np.rint((k * l + np.arctan2(k * L0 * c2, s2)) / PI)
+        assert rows.label[r] == a
+        assert (rows.E[r] > 0.0).all()
         col = first + int(np.flatnonzero(label == a)[0])
         assert rows.k_or_kappa[r].tolist() == deep.k_or_kappa[r, col:col + n].tolist()
         assert rows.E[r].tolist() == deep.E[r, col:col + n].tolist()
@@ -320,8 +324,6 @@ def test_every_solver_returns_one_level_record(bc, n):
         E = spec.E
         assert (np.diff(E) >= 0.0).all(), name
         sign = np.where(E < 0.0, "bound", np.where(E > 0.0, "positive", "zero"))
-        if name == "fd":
-            sign[E == 0.0] = "positive"  # FD names no zero level
         assert spec.kind.tolist() == sign.tolist(), name
         assert (np.abs(spec.k_or_kappa**2 - np.abs(E)) <= 4.0 * np.spacing(np.abs(E))).all(), name
     assert spectra["one channel"].channel.tolist() == ["plus"] * n

@@ -220,10 +220,11 @@ def _check_positive_roots(theta, l, L0, n):
     # scan, which leaves the origin cell out where the row has a zero level;
     # returns that zero flag.
     rows = solve_channels([theta], n, l, L0)
-    first = int(rows.bound[0] or rows.zero[0])
-    reference = _scan_positive_reference(theta, l, L0, n - first, bool(rows.zero[0]))
+    first = int(rows.E[0, 0] <= 0.0)  # a bound or zero-energy level
+    zero = bool(rows.E[0, 0] == 0.0)
+    reference = _scan_positive_reference(theta, l, L0, n - first, zero)
     assert rows.k_or_kappa[0, first:].tolist() == reference
-    return bool(rows.zero[0])
+    return zero
 
 
 def test_scan_matches_per_cell_reference():
@@ -385,7 +386,6 @@ def test_merge_depth_is_verified_against_a_lopsided_ladder(monkeypatch):
         rows = counted(thetas, n, l, L0)
         rows.E[0] = 1e-3 * np.arange(1, n + 1)
         rows.k_or_kappa[0] = np.sqrt(rows.E[0])
-        rows.bound[0] = rows.zero[0] = False
         return rows
 
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.9)))
@@ -516,7 +516,7 @@ def test_root_search_probes_four_points_per_root_and_the_window_at_label_0(monke
     assert threshold(Channel(5.5)) < 0.0 < threshold(Channel(1.0))
     evaluations.clear()
     rows = solve_channels([5.5, 1.0], 300)
-    assert not (rows.bound.any() or rows.zero.any())
+    assert rows.label.tolist() == [0, 1] and (rows.E > 0.0).all()
     assert sum(evaluations) == GRID_DENSITY // 2 + 2 + 4 * (2 * 300 - 1)
 
 
@@ -545,11 +545,13 @@ def test_branch_estimate_lies_within_one_cell_of_the_root(where, log_l, log_L0, 
     kind, value = where
     theta = value if kind == "at" else _threshold_theta(l, L0) + value
     rows = solve_channels([theta], n, l, L0)
-    s2, c2 = _half_angle(rows.theta[0])
-    first = int(rows.bound[0] or rows.zero[0])
+    s2, c2 = _half_angle(theta % TWO_PI)
+    first = int(rows.E[0, 0] <= 0.0)  # a bound or zero-energy level, label 0
     x = rows.k_or_kappa[0, first:] * l
     m = np.rint((x + np.arctan2(x * L0 * c2, l * s2)) / math.pi).astype(np.intp)
-    assert (np.diff(m) == 1).all()
+    # The p-th positive level carries the row's label, plus one past a
+    # bound or zero-energy level, plus p.
+    assert (m == rows.label[0] + first + np.arange(m.size)).all()
     x, m = x[m >= 1], m[m >= 1]
     estimate = spectrum._branch_estimate(m, np.full(m.size, s2), np.full(m.size, c2), l, L0)
     assert np.abs(estimate - x).max(initial=0.0) <= math.pi / GRID_DENSITY
