@@ -13,10 +13,9 @@ spectrum.  Both families are generated here and checked numerically with a
 solver that consumes the full matrix (the determinant solver by default);
 checking them with the channel solver would be circular, since it reads the
 spectrum off the eigenphases that conjugation preserves by construction.
-A sweep solves the base matrix once and one matrix per grid point but the
-first: SphereGrid.points yields the mu = 0 pole first, and that pole's
-matrix is the base matrix bit for bit, so its energies are read from the
-base solve.
+A sweep solves every family member once: SphereGrid.points yields the
+mu = 0 pole first, and that pole's matrix is D's bit for bit, so it is the
+base every member is compared with.
 """
 
 from __future__ import annotations
@@ -150,34 +149,26 @@ def check_isospectral(
     1 + |E_i| instead, because discretization error grows with the level and
     an absolute number would only reflect the highest level requested.
 
-    The mu = 0 pole, the first grid point, is the base matrix bit for bit,
-    so its energies are read from the base solve.  Its deviation is still
-    |base - base|, so a NaN base level acts as it did when the pole was
-    solved again.
+    The base is the family's first member, the mu = 0 pole, whose matrix is
+    D's bit for bit; it is solved once.  Its deviation is still |base -
+    base|, so a NaN base level acts as it did when the pole was solved again.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be at least 1")
-    xi, rho = d_params
-    base_params = UnitaryParams(xi=xi, rho=rho)
-    base = _energies(
-        params_to_matrix(base_params), solver, n_levels, l, L0, n_interior
-    )
+    members = isospectral_family(d_params, grid)
+    base = _energies(members[0], solver, n_levels, l, L0, n_interior)
     scale = 1.0 + np.abs(base) if solver == SOLVER_FD else np.ones_like(base)
 
     worst = -1.0
     worst_point = (0.0, 0.0)
-    for i, (mu, nu) in enumerate(grid.points()):
-        if i == 0:
-            member = base  # the mu = 0 pole, whose matrix is the base matrix bit for bit
-        else:
-            u = params_to_matrix(UnitaryParams(xi=xi, rho=rho, mu=mu, nu=nu))
-            member = _energies(u, solver, n_levels, l, L0, n_interior)
+    for i, (u, (mu, nu)) in enumerate(zip(members, grid.points())):
+        member = base if i == 0 else _energies(u, solver, n_levels, l, L0, n_interior)
         dev = float(np.max(np.abs(member - base) / scale))
         if dev > worst:
             worst = dev
             worst_point = (mu, nu)
     return IsoReport(
-        base_params=base_params,
+        base_params=UnitaryParams(*d_params),
         max_level_deviation=worst,
         worst_point=worst_point,
         n_levels_checked=n_levels,

@@ -19,18 +19,19 @@ and no eigenvalue solver runs.
 
 No grid is sampled.  The direction psi of (sigma, tau) rises monotonically
 with E from the kappa l = 50 floor, and g = (sigma^2 + tau^2) q(psi).  q has
-two extreme directions a right angle apart: the vertex, whose two roots lie
-within pi/4 of it, and the end, with none that near.  So knots at both
-directions split the walk into turns of psi by pi, each holding exactly
-two roots, and one rule decides every turn for both solvers, across E = 0
-too (_turn): a root on each side of the vertex where g there reads with
-the sign opposite to the ends', that of a0 + a2, and a double root at the
-vertex otherwise.  g reads 0 where it lies within its rounding bound, which
-comes from the centred terms of the form, so no tolerance is set by hand.
-A bracket's ends carry the values the walk read, so an end that reads 0 is
-the root, and a zero level is a turn whose g(0) reads 0.  Neither knot
-direction is an eigenphase, and no square root of D is taken.  Roots are
-refined with spectrum._brentq, a port of scipy's brentq.
+two extreme directions a right angle apart (_Form.directions): the vertex,
+whose two roots lie within pi/4 of it, and the end, with none that near.
+So knots at both directions split the walk into turns of psi by pi, each
+holding exactly two roots.  Both solvers walk one walk (_roots) over their
+own knots, and one rule decides every turn, across E = 0 too (_turn): a
+root on each side of the vertex where g there reads with the sign opposite
+to the ends', that of a0 + a2, and a double root at the vertex otherwise.
+g reads 0 where it lies within its rounding bound, which comes from the
+centred terms of the form, so no tolerance is set by hand.  A bracket's
+ends carry the values the walk read, so an end that reads 0 is the root,
+and for both solvers a zero level is a turn whose g(0) reads 0.  Neither
+knot direction is an eigenphase, and no square root of D is taken.  Roots
+are refined with spectrum._brentq, a port of scipy's brentq.
 """
 
 from __future__ import annotations
@@ -84,7 +85,9 @@ class _Form:
     coefficients a2, a1, a0 place the knots, and g has the sign of a0 + a2
     at an end knot.  sigma reaches sigma_max and |tau| 1.5, and g and its
     rounding bounds take terms of up to 64 |alpha|^2: where those overflow
-    a double, SolverError is raised.
+    a double, SolverError is raised, and so it is where all three
+    coefficients underflow to 0, as at U = I with L0 below about 1e-162,
+    since the form then has no direction.
     """
 
     def __init__(self, u: np.ndarray, L0: float, sigma_max: float):
@@ -100,6 +103,9 @@ class _Form:
         self.a2 = self._real((1.0 - t) ** 2 - d4)
         self.a1 = self._real(-2j * L0 * (1.0 - t * t + d4))
         self.a0 = self._real(-L0 * L0 * ((1.0 + t) ** 2 - d4))
+        if self.a0 == self.a1 == self.a2 == 0.0:
+            raise SolverError(
+                "the phased determinant of the connection condition underflows a double on this box")
         self.end_sign = 1.0 if self.a0 + self.a2 >= 0.0 else -1.0
 
     def _real(self, z: complex) -> float:
@@ -112,6 +118,23 @@ class _Form:
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
         return alpha, w, z, self._real(z)
+
+    def directions(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(cos, sin) of q's vertex and end directions, each with cos >= 0.
+
+        q = (a0 + a2) / 2 + (r / 2) cos(2 psi - phi), with r = hypot(a0 - a2, a1)
+        and phi = atan2(a1, a0 - a2), is largest at psi = phi / 2.  Its
+        direction is taken by the stable half-angle form, and the other extreme
+        lies a right angle away.  The extreme of the smaller |q| is the vertex.
+        """
+        p, a1 = self.a0 - self.a2, self.a1
+        r = math.hypot(p, a1)
+        c, s = (r + p, a1) if p >= 0.0 else (a1, r - p)
+        if c < 0.0 or (c == 0.0 and s < 0.0):
+            c, s = -c, -s
+        n = math.hypot(c, s)
+        top, side = (c / n, s / n), ((s / n, -c / n) if s > 0.0 else (-s / n, c / n))
+        return (side, top) if self.end_sign > 0.0 else (top, side)
 
 
 class _Projection(_Form):
@@ -192,24 +215,6 @@ class _Projection(_Form):
         c = mul(mul(alpha, alpha), mul(u[0][1], u[1][0]))
         g = float(-(z[0] - c[0]) * Fraction(self.phase.real) - (z[1] - c[1]) * Fraction(self.phase.imag))
         return 0.0 if abs(g) <= 16.0 * _EPS * _EPS * float(sigma * sigma + im * im) else g
-
-
-def _directions(proj: _Projection) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(cos, sin) of q's vertex and end directions, each with cos >= 0.
-
-    q = (a0 + a2) / 2 + (r / 2) cos(2 psi - phi), with r = hypot(a0 - a2, a1)
-    and phi = atan2(a1, a0 - a2), is largest at psi = phi / 2.  Its
-    direction is taken by the stable half-angle form, and the other extreme
-    lies a right angle away.  The extreme of the smaller |q| is the vertex.
-    """
-    p, a1 = proj.a0 - proj.a2, proj.a1
-    r = math.hypot(p, a1)
-    c, s = (r + p, a1) if p >= 0.0 else (a1, r - p)
-    if c < 0.0 or (c == 0.0 and s < 0.0):
-        c, s = -c, -s
-    n = math.hypot(c, s)
-    top, side = (c / n, s / n), ((s / n, -c / n) if s > 0.0 else (-s / n, c / n))
-    return (side, top) if proj.a0 + proj.a2 >= 0.0 else (top, side)
 
 
 def _bound_knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
@@ -324,49 +329,47 @@ def _turn(a, v, b, s: float) -> list[tuple[float, float, float, float]]:
     return [(*v, *v)] * (1 + left)
 
 
-def _roots(proj: _Projection, count: int, k_max: float | None) -> list[float]:
-    """The lowest count roots of g in y, ascending, each as often as its multiplicity.
+def _roots(knots, start, end_sign: float, g0: float, g, count: int,
+           limit: float | None = None) -> list[float]:
+    """The lowest count roots of g above start, ascending, each as often as its multiplicity.
 
-    The walk starts at the kappa l = 50 floor and goes up over the knots of
-    q's two extreme directions, and _turn decides each turn between two end
-    knots, the floor at the left of the first.  Where g at the floor lies
-    within its rounding bound it is taken from rational arithmetic; a value
-    of 0 there is not a root, since the window is open, as in the channel
-    solver.  Where g(0) reads 0, the turn that holds y = 0 has its zero
-    level there, at exactly 0: the root whose bracket holds 0, or both roots
-    at the turn's vertex.  Every other bracket is refined by _brentq on the
-    raw g from the values its ends read, and only while the count needs it;
-    an end that reads 0 is the root.  A bracket that holds y = 0 is first
-    cut there by the sign of g(0), since just below E = 0 g is flat in y,
-    and Brent's method would spend its steps on the far side.  The walk
-    stops at the first root above k_max; every full turn holds two roots, so
-    it ends by itself.
+    knots yields ((x, g(x) as read), is_vertex) for the knots of the form's
+    two extreme directions above start, ascending; start is the floor knot
+    (x, g(x) as read), g0 is g(0) as read, and end_sign is the sign of g at
+    end knots.  The walk goes up over the knots, and _turn decides each turn
+    between two end knots, the floor at the left of the first; a floor that
+    reads 0 is not a root, since the window is open.  Where g0 is 0, the
+    turn that holds x = 0 has its zero level there, at exactly 0: the root
+    whose bracket holds 0, or both roots at the turn's vertex.  Every other
+    bracket is refined by _brentq on g from the values its ends read, and
+    only while the count needs it; an end that reads 0 is the root.  A
+    bracket that holds x = 0 is first cut there by the sign of g0, since
+    just below E = 0 g is flat, and Brent's method would spend its steps on
+    the far side.  The walk stops at the first root above limit, or where
+    the knots end.
     """
-    vertex, end = _directions(proj)
-    g0 = proj.read(0.0)
-    floor = -KAPPA_CEILING / proj.l
-    a, v = (floor, proj.read(floor) or proj.floor_value()), None
+    a, v = start, None
     roots: list[float] = []
-    for knot, is_vertex in itertools.chain(_bound_knots(proj, vertex, end), _knots(proj, vertex, end)):
+    for knot, is_vertex in knots:
         if is_vertex:
             v = knot
             continue
         holds_zero = g0 == 0.0 and a[0] < 0.0 <= knot[0]
-        for p, gp, q, gq in _turn(a, v, knot, proj.end_sign):
+        for p, gp, q, gq in _turn(a, v, knot, end_sign):
             if holds_zero and (p == q or p <= 0.0 <= q):
                 root = 0.0
             else:
-                if p < 0.0 < q:  # cut at y = 0, where g(0) reads with a sign
+                if p < 0.0 < q:  # cut at x = 0, where g0 reads with a sign
                     same = _sign(g0) == _sign(gp)
                     p, gp, q, gq = (0.0, g0, q, gq) if same else (p, gp, 0.0, g0)
-                root = p if p == q else _brentq(proj.g, p, q, gp, gq)
-            if k_max is not None and root > k_max:
+                root = p if p == q else _brentq(g, p, q, gp, gq)
+            if limit is not None and root > limit:
                 return roots
             roots.append(root)
             if len(roots) == count:
                 return roots
         a, v = knot, None
-    return roots  # not reached: the knots never end
+    return roots
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -379,19 +382,27 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
 
     g, det M phased to the real axis (_Projection), is one function of the
     signed wavenumber y across E = 0, and _roots walks it up from the
-    kappa l = 50 floor.  The channel of a level is unknowable on this code
-    path, so the channel column is None, indices are global and any
-    neighbours may pair.  Pairs are decided one level past the cut, as
-    solve_spectrum decides them.  k_max caps the walk's reach.  Raises
-    ScanExhausted if fewer than n levels lie below it, ValueError if a given
-    k_max is not finite and positive, and SolverError if the E of a level
-    overflows a double, as on a box of l = 1e-160.
+    kappa l = 50 floor over det's knots (_bound_knots, then _knots), with
+    Brent's method on the raw g.  Where g at the floor lies within its
+    rounding bound it is taken from rational arithmetic.  The channel of a
+    level is unknowable on this code path, so the channel column is None,
+    indices are global and any neighbours may pair.  Pairs are decided one
+    level past the cut, as solve_spectrum decides them.  k_max caps the
+    walk's reach.  Raises ScanExhausted if fewer than n levels lie below it,
+    ValueError if a given k_max is not finite and positive, and SolverError
+    if the E of a level overflows a double, as on a box of l = 1e-160, or if
+    the form overflows or underflows one (_Form).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if k_max is not None:
         _check_positive("k_max", k_max)
-    roots = _roots(_Projection(bc), n + 1, k_max)
+    proj = _Projection(bc)
+    vertex, end = proj.directions()
+    floor = -KAPPA_CEILING / proj.l
+    knots = itertools.chain(_bound_knots(proj, vertex, end), _knots(proj, vertex, end))
+    start = (floor, proj.read(floor) or proj.floor_value())
+    roots = _roots(knots, start, proj.end_sign, proj.read(0.0), proj.g, n + 1, k_max)
     if len(roots) < n:
         raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
     # In floats, so that an E past the cut may overflow without a warning;
@@ -430,37 +441,19 @@ def _fd_wave(n: int, e: float) -> tuple[float, float]:
     return sigma, n * (c * c * sigma + (sh / q if q else 1.0 / n) * (1.0 + c) * c0)
 
 
-def _fd_directions(form: _Form) -> list[tuple[tuple[float, float], bool]]:
-    """((c, s), is_vertex) of the form's two extreme directions, psi in (0, pi], in psi order.
-
-    At (sigma, tau) = rho (sin psi, cos psi) the form is (a0 + a2) / 2 +
-    (r / 2) cos(2 psi - phi), with r = hypot(a0 - a2, a1) and phi = atan2(a1,
-    a0 - a2).  Its largest value lies at psi = phi / 2, taken by the stable
-    half-angle form, and its smallest a right angle away.  The extreme of
-    the smaller magnitude is the vertex: a turn of psi by pi between two end
-    directions holds the form's two roots, one on each side of the vertex or
-    both on it.
-    """
-    p, a1 = form.a0 - form.a2, form.a1
-    r = math.hypot(p, a1)
-    top = (r + p, a1) if p >= 0.0 else (a1, r - p)
-    extremes = [(top, form.end_sign < 0.0), ((-top[1], top[0]), form.end_sign > 0.0)]
-    extremes = [((c, s) if s > 0.0 or (s == 0.0 and c < 0.0) else (-c, -s), vertex)
-                for (c, s), vertex in extremes]
-    return sorted(extremes, key=lambda d: math.atan2(abs(d[0][1]), d[0][0]))
-
-
-def _fd_knots(n: int, floor: float, directions):
-    """(E l^2, is_vertex) of every knot above the floor and below the last piece, ascending.
+def _fd_knots(n: int, floor: float, form: _Form, g):
+    """((E l^2, g as read), is_vertex) for every knot above the floor and below the
+    last piece, ascending.
 
     The knots of direction (c, s) are the zeros of c sigma - s tau, which is
     rho sin(psi - psi_d), and psi rises monotonically with E: from less
     than pi / 2 below pi / 4 at the floor, to pi / 4 at E = 0 and by pi
     over each piece ql in (m pi, (m+1) pi).  So a direction has at most one
     knot below E = 0 and one on every piece, where c sigma - s tau changes
-    sign.  At a piece's ends sigma is 0 and cos(ql) is (-1)^m, and there
-    sigma and tau are taken in closed form.  The last piece, which ends at
-    the band edge q = pi / h where sigma = tau = 0, is not walked.
+    sign, and on a piece the knots come in the order of psi_d mod pi, with
+    0 read as pi.  At a piece's ends sigma is 0 and cos(ql) is (-1)^m, and
+    there sigma and tau are taken in closed form.  The last piece, which
+    ends at the band edge q = pi / h where sigma = tau = 0, is not walked.
     """
 
     def piece_end(m: int) -> tuple[float, float, float]:
@@ -474,16 +467,20 @@ def _fd_knots(n: int, floor: float, directions):
             return c * sigma - s * tau
         return fun
 
+    vertex, end = form.directions()
+    order = sorted([(vertex, True), (end, False)],
+                   key=lambda d: (math.atan2(d[0][1], d[0][0]) % math.pi) or math.pi)
     ends = itertools.chain(
         [(floor, *_fd_wave(n, floor)), (0.0, 1.0, 1.0)], map(piece_end, range(1, n)))
     lo = next(ends)
     for hi in ends:
-        for (c, s), is_vertex in directions:
+        for (c, s), is_vertex in order:
             ya, yb = c * lo[1] - s * lo[2], c * hi[1] - s * hi[2]
             if yb == 0.0:
-                yield hi[0], is_vertex
+                yield (hi[0], g(hi[0])), is_vertex
             elif _sign(ya) * _sign(yb) < 0:
-                yield _brentq(knot_function(c, s), lo[0], hi[0], ya, yb), is_vertex
+                e = _brentq(knot_function(c, s), lo[0], hi[0], ya, yb)
+                yield (e, g(e)), is_vertex
         lo = hi
 
 
@@ -498,15 +495,20 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     det N is the form g in (sigma, tau) that det walks too (_Form), and the
     direction psi of (sigma, tau) rises monotonically with E.  So knots at
     the form's two extreme directions (_fd_knots) split the window into
-    turns of psi by pi, det's _turn decides each turn at its vertex knot,
-    and spectrum._brentq refines each root.  No matrix is built and no
+    turns of psi by pi, and det's walk (_roots) decides each turn and
+    refines each root with spectrum._brentq, on FD's own read g.  Where g(0)
+    reads 0, the turn that holds E = 0 has its zero level at exactly 0: at
+    E = 0 the discrete wave is the continuum's, (sigma, tau) = (1, 1) in
+    units of l, so the operator has a zero level exactly where the
+    continuum's threshold T = 0 is met.  No matrix is built and no
     eigenvalue solver runs, so a level's doubles do not depend on n.
 
     Levels at or below kappa l = KAPPA_CEILING, E = -(KAPPA_CEILING / l)^2,
     are dropped, as the channel and determinant solvers drop them, and the
     last piece below the band edge E = 4 / h^2 is not searched.  If fewer
     than n levels lie between, EigenSolverFailure is raised, and SolverError
-    if the E of a level rounds to 0, as on a box of l = 1e200.
+    if the E of a level rounds to 0, as on a box of l = 1e200, or if the form
+    overflows or underflows a double (_Form).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -545,23 +547,14 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         return 0.0 if abs(value) <= bound else value
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
-    roots: list[float] = []
-    a, v = (floor, g(floor)), None
-    for e, is_vertex in _fd_knots(n_interior, floor, _fd_directions(form)):
-        knot = (e, g(e))
-        if is_vertex:
-            v = knot
-            continue
-        for p, gp, q, gq in _turn(a, v, knot, form.end_sign):
-            roots.append(p if p == q else _brentq(g, p, q, gp, gq))
-            if len(roots) == n:
-                e = np.array(roots)
-                E = e / (l * l)
-                if ((E == 0.0) & (e != 0.0)).any():
-                    raise SolverError(f"the levels of the box l={l!r} underflow a double")
-                return FdSpectrum(
-                    E, np.sqrt(np.abs(E)), None, np.arange(n), np.full(n, -1), h, n_interior)
-        a, v = knot, None
-    raise EigenSolverFailure(
-        f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"
-    )
+    knots = _fd_knots(n_interior, floor, form, g)
+    roots = _roots(knots, (floor, g(floor)), form.end_sign, g(0.0), g, n)
+    if len(roots) < n:
+        raise EigenSolverFailure(
+            f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"
+        )
+    e = np.array(roots)
+    E = e / (l * l)
+    if ((E == 0.0) & (e != 0.0)).any():
+        raise SolverError(f"the levels of the box l={l!r} underflow a double")
+    return FdSpectrum(E, np.sqrt(np.abs(E)), None, np.arange(n), np.full(n, -1), h, n_interior)

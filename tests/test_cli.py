@@ -130,16 +130,25 @@ def test_spectrum_fd_solver_output_shape(capsys):
         assert abs(rec["k_or_kappa"] - math.sqrt(rec["E"])) <= 1e-12
 
 
-@pytest.mark.parametrize("solver", ["channel", "det", "fd"])
-def test_every_solver_names_an_exact_zero_level_zero(capsys, solver):
-    # U = -i I on l = L0 = 1 puts both channels at the threshold T = 0: each
-    # solver finds E = 0 twice, and one rule names such a level "zero".
-    code, out, _ = _run(
-        capsys, "spectrum", "--solver", solver, "--matrix=0,-1,0,0,0,0,0,-1", "-n", "2"
-    )
+_BOTH_AT_THRESHOLD = ("--matrix=0,-1,0,0,0,0,0,-1",)
+_PLUS_AT_THRESHOLD = ("--theta-plus=4.71238898038469", "--theta-minus=1.0")
+
+
+@pytest.mark.parametrize(
+    "solver, defect, zeros",
+    [(s, _BOTH_AT_THRESHOLD, 2) for s in ("channel", "det", "fd")]
+    + [(s, _PLUS_AT_THRESHOLD, 1) for s in ("channel", "det", "fd")],
+    ids=["channel", "det", "fd", "channel-plus", "det-plus", "fd-plus"],
+)
+def test_every_solver_names_an_exact_zero_level_zero(capsys, solver, defect, zeros):
+    # U = -i I on l = L0 = 1 puts both channels at the threshold T = 0, and
+    # theta+ = 3 pi / 2 to 15 digits the plus channel alone: each solver
+    # finds E = 0 exactly, and one rule names such a level "zero".
+    code, out, _ = _run(capsys, "spectrum", "--solver", solver, *defect, "-n", "2")
     assert code == 0
     recs = _json_lines(out)
-    assert [(r["kind"], r["E"], r["k_or_kappa"]) for r in recs] == [("zero", 0, 0)] * 2
+    assert [(r["kind"], r["E"], r["k_or_kappa"]) for r in recs[:zeros]] == [("zero", 0, 0)] * zeros
+    assert all(r["kind"] == "positive" for r in recs[zeros:])
 
 
 def test_spectrum_json_round_trips_library_floats(capsys):
@@ -592,12 +601,12 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128"),
-        0, "ecfb25c17f87791988463ad636ac2d0c96e47ab0e5ce3d98d36ecd19e3dd900f",
+        0, "2d7b166b478523ce14dfca0ae08f073caa66d13b723acf05487c08c28fe4a9f0",
     ),
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128", "--format", "csv"),
-        0, "510fe98db6ff83179deed100411288829d1df0a6b135c9f8d34eb502b0116b4c",
+        0, "399a0ea8a4218373933f7298e78f44208e7f62157ec1876c9a06c15b853cee82",
     ),
     (
         ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "40"),
@@ -982,6 +991,26 @@ def test_a_box_whose_phased_determinant_overflows_exits_3(capsys, box):
                    "overflows a double on this box\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--solver", "det", "--l=1", "--L0=1e-162", "--xi=0", "--rho=0", "-n", "1"),
+        ("spectrum", "--solver", "fd", "--l=1", "--L0=1e-170", "--xi=0", "--rho=0", "-n", "3"),
+        ("oracle-compare", "--l=1", "--L0=1e-170", "--xi=0", "--rho=0", "-n", "1"),
+        ("isospectral", "--l=1", "--L0=1e-170", "--xi=0", "--rho=0"),
+    ],
+    ids=["det", "fd", "compare", "isospectral"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_box_whose_phased_determinant_underflows_exits_3(capsys, argv):
+    # At U = I the form's a2 and a1 are 0 and a0 is -4 L0^2, or -4 (L0 / l)^2
+    # for FD, which underflows: the form has no direction left to walk by.
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == ("solver failure: the phased determinant of the connection condition "
+                   "underflows a double on this box\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_det_takes_a_bracket_end_that_reads_zero_as_the_root(capsys):
     # The first turn's end knot, at kl = pi / 2, reads 0, while its raw g
@@ -1000,7 +1029,7 @@ def test_det_takes_a_bracket_end_that_reads_zero_as_the_root(capsys):
     st.sampled_from(["det", "fd"]),
     st.floats(-300.0, 300.0),
     st.floats(-300.0, 300.0),
-    st.floats(0.0, 2.0 * PI),
+    st.one_of(st.floats(0.0, 2.0 * PI), st.sampled_from([0.0, PI])),
     st.one_of(st.floats(0.0, PI), st.sampled_from([0.0, PI])),
     st.integers(1, 3),
 )

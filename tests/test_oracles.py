@@ -562,17 +562,17 @@ def test_every_solver_builds_its_levels_through_the_one_record():
 
 
 def test_det_and_fd_share_one_form_and_one_turn_rule():
-    # One class sets the form's coefficients, one function returns turn
-    # brackets, and both walks call it: det's through _roots, FD's in
-    # fd_spectrum itself.
+    # One class sets the form's coefficients and owns its direction rule,
+    # one function returns turn brackets, and one walk calls it: _roots,
+    # which det and FD both call.
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
-    forms, turns, callers = [], [], {}
+    forms, turns, callers, methods = [], [], {}, {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and any(
-            isinstance(t, ast.Attribute) and t.attr in ("a2", "a1", "a0")
-            for a in ast.walk(node) if isinstance(a, ast.Assign) for t in a.targets
-        ):
-            forms.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            methods[node.name] = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            if any(isinstance(t, ast.Attribute) and t.attr in ("a2", "a1", "a0")
+                   for a in ast.walk(node) if isinstance(a, ast.Assign) for t in a.targets):
+                forms.append(node.name)
         elif isinstance(node, ast.FunctionDef):
             returns = ast.unparse(node.returns) if node.returns else ""
             if "turn" in node.name or "tuple[float, float, float, float]" in returns:
@@ -582,10 +582,11 @@ def test_det_and_fd_share_one_form_and_one_turn_rule():
             callers[node.name] = {
                 getattr(c.func, "id", None) for c in ast.walk(node) if isinstance(c, ast.Call)}
     assert forms == ["_Form"]
+    assert "directions" in methods["_Form"]
+    assert not any("directions" in name for name in callers)
     assert turns == ["_turn"]
-    assert "_roots" in callers["det_spectrum"]
-    walks = sorted(name for name, called in callers.items() if "_turn" in called)
-    assert walks == ["_roots", "fd_spectrum"]
+    assert [name for name, called in callers.items() if "_turn" in called] == ["_roots"]
+    assert "_roots" in callers["det_spectrum"] and "_roots" in callers["fd_spectrum"]
 
 
 _angles = st.floats(0.0, TWO_PI)
