@@ -20,15 +20,16 @@ nonzero roots — this removes the spurious root both F and G have at 0 and
 lets brackets start at the origin, where near-threshold levels live.
 
 Each positive root lies alone on a half-branch of tan, named by its branch
-label, and the branch equation is a contraction there: three of its steps
-place the root within half a cell of the grid step * j, and F/k at the 4
-grid points around that estimate finds its cell (at the 34 points of its
-window for label 0, near the origin).  A port of scipy's brentq refines
-it: one bracket at a time on a pure-math F/k for short ladders, and every
-bracket in lock step on numpy arrays from _ARRAY_BRENT_MIN of them on;
-both give the same doubles.  The search takes many channels of one box at
-once (solve_channels, one row per channel), and a single channel is its
-one-row case, so a batch returns the doubles of one solve per channel.
+label.  Three steps of the branch equation place the root of every label
+within one cell of the grid step * j (label 0 from a bound on the root,
+the others from the centre of the half-branch), and F/k at the 4 grid
+points around that estimate finds its cell.  A port of scipy's brentq
+refines it: one bracket at a time on a pure-math F/k for short ladders,
+and every bracket in lock step on numpy arrays from _ARRAY_BRENT_MIN of
+them on; both give the same doubles.  The search takes many channels of
+one box at once (solve_channels, one row per channel), and a single
+channel is its one-row case, so a batch returns the doubles of one solve
+per channel.
 As each label has its own window, a row may also start at a given label
 above the bottom of its ladder, with the same doubles for the labels it
 shares with the bottom.  The merged spectrum solves its two channels as
@@ -465,20 +466,28 @@ def _refine(scalar, vector, s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -
 
 
 def _branch_estimate(m, s2, c2, l: float, L0: float) -> np.ndarray:
-    """kl of the positive root of F of branch label m >= 1, within 0.026.
+    """kl of the positive root of F of branch label m, within one grid cell.
 
-    The root solves x = m pi - atan2(x L0 c2, l s2), x = kl, on its
-    half-branch (see _scan_rows), which the map sends into itself.  Its
-    slope there is -ab / (b^2 + a^2 x^2) with a = L0 c2 and b = l s2 >= 0,
-    at most 1 / (2x) <= 1 / pi in size for x >= pi / 2.  Three steps from
-    the centre of the half-branch, at most pi / 4 off, leave at most
-    (pi / 4) / pi^3 < 0.026, under half a grid cell of pi / 64.
+    The root solves x = m pi - atan2(x a, b), x = kl, a = L0 c2 and
+    b = l s2 >= 0, on its half-branch (see _scan_rows); three steps of that
+    map place it.  For m >= 1 they start at the centre of the half-branch,
+    at most pi / 4 off, where the map's slope, -ab / (b^2 + a^2 x^2), is at
+    most 1 / (2x) <= 1 / pi in size: (pi / 4) / pi^3 < 0.0254 is left.
+    Label 0 (T = a + b < 0 only) solves tan(x) / x = t = -a / b on
+    (0, pi / 2), where the map is x <- atan(t x), concave.  Its start
+    x0 = min(pi / 2, sqrt(3 (t - 1))), t - 1 = -T / b, lies at or above the
+    root, as tan x >= x + x^3 / 3, so the steps fall monotonically onto it,
+    each shrinking the error by sin(2 x*) / (2 x*) at most.  That error
+    depends on t alone, and a dense grid of roots x* in (0, pi / 2) bounds
+    it by 0.0268.  Both are under the cell pi / 64 that _scan_rows needs.
     """
     a, b = L0 * c2, l * s2
     mpi = m * np.pi
-    x = mpi - np.copysign(np.pi / 4, c2)
-    # Where x a overflows, atan2 of +-inf is the limit +-pi/2.
-    with np.errstate(over="ignore"):
+    # x0 is pi / 2 where b underflows to 0, and NaN, not taken, for m >= 1;
+    # where x a overflows, atan2 of +-inf is the limit +-pi/2.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x0 = np.minimum(np.sqrt(-3.0 * (a + b) / b), np.pi / 2)
+        x = np.where(m == 0, x0, mpi - np.copysign(np.pi / 4, c2))
         for _ in range(3):
             x = mpi - np.arctan2(x * a, b)
     return x
@@ -489,23 +498,20 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
 
     Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0),
     and its p-th positive column, out[r, first[r] + p], gets the root of
-    branch label m0[r] + p; _solve_rows decides where each ladder starts.
+    branch label m0[r] + p; solve_channels decides where each ladder starts.
     The root of label m = (kl + atan2(k L0 c2, s2)) / pi lies, as s2 >= 0,
     in kl in [m pi - pi/2, m pi] when c2 >= 0 and in [m pi, m pi + pi/2]
-    when c2 < 0.  The window of label m, its half-branch and a cell at each
-    end, holds no other root, and F/k (-1)^(m + 1) is >= 0 in it up to the
-    root and < 0 past it.  The root's cell of the grid step * j is found in
-    one pass over all roots: the count of points where that sign is >= 0
-    among a run of probes places it.  For m >= 1 the run is the 4 grid
-    points around _branch_estimate, which lies within half a cell of the
-    root; label 0 (T < 0 only) has no such contraction near the origin, and
-    its run is the 34 points of its window.  ScanExhausted is raised unless
-    each cell lies in its window and F/k changes sign across it so.  Brent
-    refines the roots, all rows together; a root where F/k is exactly 0 is
-    that grid point.
+    when c2 < 0 (label 0 only when T < 0, so in (0, pi/2]).  The window of
+    label m, its half-branch and a cell at each end, holds no other root,
+    and F/k (-1)^(m + 1) is >= 0 in it up to the root and < 0 past it.  The
+    root's cell of the grid step * j is found in one pass over all roots:
+    _branch_estimate lies within one cell of the root, and the count of the
+    4 grid points around it, none below the origin, where that sign is >= 0
+    places it.  ScanExhausted is raised unless each cell lies in its window
+    and F/k changes sign across it so.  Brent refines the roots, all rows
+    together; a root where F/k is exactly 0 is that grid point.
     """
     step = math.pi / (GRID_DENSITY * l)
-    width = GRID_DENSITY // 2 + 2
     r, col = np.nonzero(np.arange(out.shape[1]) >= first[:, None])
     if not r.size:
         return
@@ -514,26 +520,22 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
     # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
     sign = (m & 1) * 2.0 - 1.0
     s2, c2 = s2[r], c2[r]
-    label0 = m == 0
     estimate = _branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
-    start = np.floor(estimate).astype(np.intp) - 1
-    start[label0] = lo[label0]
-    count = np.where(label0, width, 4)
-    end = np.cumsum(count)
-    begin = end - count
-    # Root i probes the points start[i] ... start[i] + count[i] - 1, as
-    # entries begin[i] ... end[i] - 1 of one flat run.
+    # F/k is even in k, so a probe below the origin would read the wrong side.
+    start = np.maximum(np.floor(estimate).astype(np.intp) - 1, 0)
+    # Root i probes the points start[i] ... start[i] + 3, as row i of v.
     v = _fhat_half(
-        np.repeat(s2 * sign, count), np.repeat(c2 * sign, count), l, L0,
-        step * (np.arange(end[-1]) + np.repeat(start - begin, count)),
+        (s2 * sign)[:, None], (c2 * sign)[:, None], l, L0, step * (start[:, None] + np.arange(4)),
     )
-    below = np.add.reduceat(v >= 0.0, begin, dtype=np.intp)
+    below = (v >= 0.0).sum(1)
     j = start - 1 + below
-    # g at j and j + 1, NaN where no probe holds it.
+    # g at j and j + 1, flat entries i - 1 and i of the probes, NaN where no
+    # probe holds it.
+    i = np.arange(0, v.size, 4) + below
     v = np.append(v, np.nan)
-    ga = np.where(below > 0, v[begin + below - 1], np.nan)
-    gb = np.where(below < count, v[begin + below], np.nan)
-    if not ((j >= lo) & (j - lo < width) & (ga >= 0.0) & (gb < 0.0)).all():
+    ga = np.where(below > 0, v[i - 1], np.nan)
+    gb = np.where(below < 4, v[i], np.nan)
+    if not ((j >= lo) & (j - lo <= GRID_DENSITY // 2 + 1) & (ga >= 0.0) & (gb < 0.0)).all():
         raise ScanExhausted("F/k does not change sign in the window of every branch label")
     k = step * j
     at = np.flatnonzero(ga)
@@ -542,74 +544,6 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
         ga[at] * sign[at], gb[at] * sign[at],
     )
     out[r, col] = k
-
-
-def _solve_rows(thetas: list[float], l: float, L0: float, n: int, from_label: np.ndarray | None):
-    """solve_channel's lowest n levels of each channel theta of one box (l, L0).
-
-    ``thetas`` are reduced into [0, 2 pi) already.  Returns k_or_kappa as an
-    array of one row of n per channel, per row whether its first level is
-    bound, and per row the branch label of its first level: the label its
-    first positive root is placed by, or 0 where a bound or the zero-energy
-    level comes first.  Every other level is positive, and level j of a row
-    carries its label + j.  The threshold T = l sin(theta/2) + L0
-    cos(theta/2) alone decides where a row's ladder starts, here and
-    nowhere else:
-
-    * a zero-energy level where |T| <= ZERO_LEVEL_TOL (l + L0);
-    * else a bound level where cos(theta/2) < 0 < T and G/kappa < 0 at the
-      floor, cap = KAPPA_CEILING / l (G/kappa = T at 0), refined by Brent
-      on [0, cap], all rows together like the positive roots;
-    * the first positive level has branch label 0 where T < 0 and the row
-      has no zero-energy level, else label 1.  At T = 0,
-      F/k = l sin(theta/2) (sin(x)/x - cos(x)) with x = kl is positive on
-      (0, pi/2], so label 0's half-branch holds no positive root.
-
-    Where from_label is given, a row with from_label[r] >= 1 holds the n
-    levels of label from_label[r] on, all positive, and needs no threshold.
-    """
-    rows = len(thetas)
-    s2 = np.empty(rows)
-    c2 = np.empty(rows)
-    zero = np.zeros(rows, dtype=bool)
-    m0 = np.ones(rows, dtype=np.intp)
-    cap = KAPPA_CEILING / l
-    brackets = []
-    labels = [0] * rows if from_label is None else from_label.tolist()
-    for r, (theta, label) in enumerate(zip(thetas, labels)):
-        s, c = _half_angle(theta)
-        s2[r], c2[r] = s, c
-        if label > 0:
-            m0[r] = label
-            continue
-        t0 = l * s + L0 * c
-        if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
-            # At the threshold T = 0 the E = 0 level is recorded as such;
-            # searching for a bound root there would only rediscover it at
-            # kappa ~ 0.
-            zero[r] = True
-        elif t0 < 0.0:
-            m0[r] = 0
-        elif c < 0.0:
-            # The unique bound root is kept only below the ceiling, where
-            # sinh cannot overflow; a deeper level is out of desk scale.
-            g_cap = _ghat_scalar(s, c, l, L0, cap)
-            if g_cap < 0.0:
-                # t0 is G/kappa at 0 to the bit: sinhc is 1 there and cosh(0) is 1.
-                brackets.append((r, t0, g_cap))
-    k_or_kappa = np.empty((rows, n))
-    k_or_kappa[zero, 0] = 0.0
-    bound = np.zeros(rows, dtype=bool)
-    if brackets:
-        at, ga, gb = (np.array(v) for v in zip(*brackets))
-        bound[at] = True
-        k_or_kappa[at, 0] = _refine(
-            _ghat_scalar, _ghat_half, s2, c2, l, L0, at, np.zeros(at.size), np.full(at.size, cap),
-            ga, gb,
-        )
-    first = (bound | zero).astype(np.intp)
-    _scan_rows(s2, c2, l, L0, k_or_kappa, first, m0)
-    return k_or_kappa, bound, m0 - first
 
 
 def solve_channel(ch: Channel, n: int, tag: str | None = None) -> Spectrum:
@@ -648,15 +582,27 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  Every
     root of every channel is searched in the same passes and refined in one
     _refine call, so a batch costs array operations, not a loop per channel.
+    The threshold T = l sin(theta/2) + L0 cos(theta/2) alone decides where a
+    row's ladder starts, here and nowhere else:
+
+    * a zero-energy level where |T| <= ZERO_LEVEL_TOL (l + L0);
+    * else a bound level where cos(theta/2) < 0 < T and G/kappa < 0 at the
+      floor, cap = KAPPA_CEILING / l (G/kappa = T at 0), refined by Brent
+      on [0, cap], all rows together like the positive roots;
+    * the first positive level has branch label 0 where T < 0 and the row
+      has no zero-energy level, else label 1.  At T = 0,
+      F/k = l sin(theta/2) (sin(x)/x - cos(x)) with x = kl is positive on
+      (0, pi/2], so label 0's half-branch holds no positive root.
 
     ``from_label``, one integer per eigenphase, opens a label window: where
     from_label[r] >= 1, row r holds the n levels of branch label
     m = (kl + atan2(k L0 cos(theta/2), sin(theta/2))) / pi from
-    from_label[r] on, each the double a solve from the bottom of the ladder
-    returns for its label, and needs no bound-state refinement.  A row with
+    from_label[r] on, all positive, each the double a solve from the bottom
+    of the ladder returns for its label, and needs no threshold.  A row with
     from_label[r] <= 0, as every row without it, holds the lowest n levels.
-    Each row's label is the one its roots were placed by, checked there
-    (ScanExhausted), so a reader of the labels computes none.
+    ValueError is raised where a label is not an integer.  Each row's label
+    is the one its roots were placed by, checked there (ScanExhausted), so
+    a reader of the labels computes none.
     SolverError is raised where the E of a level overflows a double or rounds
     to 0, as on a box of l = 1e-300 or l = 1e200.
     """
@@ -665,12 +611,57 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     Channel(0.0, l, L0)  # validates the box
     if not all(math.isfinite(t) for t in thetas):
         raise ValueError("theta must be finite")
-    theta = [t % (2.0 * math.pi) for t in thetas]
+    rows = len(thetas)
+    labels = [0] * rows
     if from_label is not None:
-        from_label = np.asarray(from_label, dtype=np.intp)
-        if from_label.shape != (len(theta),):
+        given = np.asarray(from_label)
+        if given.shape != (rows,):
             raise ValueError("from_label must hold one label per eigenphase")
-    k_or_kappa, bound, label = _solve_rows(theta, l, L0, n, from_label)
+        # A NaN, an infinity or a label past intp casts to another value.
+        with np.errstate(invalid="ignore"):
+            labels = given.astype(np.intp)
+        if (labels != given).any():
+            raise ValueError("from_label must hold integer labels")
+        labels = labels.tolist()
+    s2 = np.empty(rows)
+    c2 = np.empty(rows)
+    # Each row's label of its first positive root, and 1 where a bound or
+    # zero-energy level comes before that root.
+    m0 = np.ones(rows, dtype=np.intp)
+    first = np.zeros(rows, dtype=np.intp)
+    k_or_kappa = np.empty((rows, n))
+    cap = KAPPA_CEILING / l
+    brackets = []
+    for r, (theta, label) in enumerate(zip(thetas, labels)):
+        s, c = _half_angle(theta % (2.0 * math.pi))
+        s2[r], c2[r] = s, c
+        if label > 0:
+            m0[r] = label
+            continue
+        t0 = l * s + L0 * c
+        if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
+            # At the threshold T = 0 the E = 0 level is recorded as such;
+            # searching for a bound root there would only rediscover it at
+            # kappa ~ 0.
+            first[r] = 1
+            k_or_kappa[r, 0] = 0.0
+        elif t0 < 0.0:
+            m0[r] = 0
+        elif c < 0.0:
+            # The unique bound root is kept only below the ceiling, where
+            # sinh cannot overflow; a deeper level is out of desk scale.
+            g_cap = _ghat_scalar(s, c, l, L0, cap)
+            if g_cap < 0.0:
+                # t0 is G/kappa at 0 to the bit: sinhc is 1 there and cosh(0) is 1.
+                brackets.append((r, t0, g_cap))
+    bound = [r for r, _, _ in brackets]
+    if bound:
+        at, ga, gb = (np.array(v) for v in zip(*brackets))
+        first[at] = 1
+        k_or_kappa[at, 0] = _refine(
+            _ghat_scalar, _ghat_half, s2, c2, l, L0, at, np.zeros(at.size), np.full(at.size, cap), ga, gb,
+        )
+    _scan_rows(s2, c2, l, L0, k_or_kappa, first, m0)
     with np.errstate(over="ignore"):
         E = k_or_kappa * k_or_kappa
     if not np.isfinite(E).all():
@@ -679,7 +670,7 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     if ((E == 0.0) & (k_or_kappa != 0.0)).any():
         raise SolverError(f"the levels of the box l={l!r} underflow a double")
     E[bound, 0] *= -1.0
-    return ChannelRows(E=E, k_or_kappa=k_or_kappa, label=label)
+    return ChannelRows(E=E, k_or_kappa=k_or_kappa, label=m0 - first)
 
 
 def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
@@ -694,7 +685,7 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     depth = min(n + 1, (n + 1) // 2 + 2); a channel's first levels are the
     same doubles at any depth.  A channel's positive levels carry
     consecutive branch labels from 0 or 1, from 1 after a bound or zero
-    level (_solve_rows), so its a-th level lies at kl >= (a - 3/2) pi, and a
+    level (solve_channels), so its a-th level lies at kl >= (a - 3/2) pi, and a
     level of label m at kl <= (m + 1/2) pi (see _scan_rows).  If channel A
     holds a of the merged n + 1 levels, the a - 3 levels of B labelled 1 to
     a - 3 lie below A's a-th, so n + 1 >= 2a - 3 and a <= (n + 4) / 2 <= depth.

@@ -360,3 +360,26 @@ def test_no_survivors_on_wound_channel_raises():
 def test_no_survivors_on_unwound_channel_reads_zero():
     trs = [_traj("minus", 0, 0)]
     assert trajectory_shifts(trs, (0, 0)) == (0, 0)
+
+
+@given(
+    st.floats(0.0, 2.0 * math.pi), st.floats(0.0, math.pi), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.sampled_from([(1, 0), (0, 1), (-1, 0), (0, -1), (2, -1), (1, 1), (-2, 1)]),
+    st.integers(64, 128), st.integers(2, 5),
+)
+def test_every_trajectory_of_a_wound_channel_moves_with_the_sign_of_its_winding(
+    xi, rho, log_l, log_L0, winding, steps, tracked
+):
+    # A level of one branch label rises monotonically in its channel's
+    # eigenphase, so along theta(t) = theta(0) + 2 pi w t each trajectory
+    # of a wound channel moves monotonically in t, up for w > 0 and down for
+    # w < 0, through the 2 pi crossings and down to the floor alike; an
+    # unwound channel's trajectories stand still.
+    path = PathSpec(winding=winding, base=UnitaryParams(xi=xi, rho=rho), n_steps=steps,
+                    levels_tracked=tracked, l=10.0 ** log_l, L0=10.0 ** log_L0)
+    w = dict(zip(("plus", "minus"), winding))
+    for tr in trace_path(path):
+        steps_taken = np.diff(tr.E_values) * np.sign(w[tr.channel])
+        assert (steps_taken >= 0.0).all()
+        if w[tr.channel] == 0:
+            assert (np.diff(tr.E_values) == 0.0).all()

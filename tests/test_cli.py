@@ -15,6 +15,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1051,6 +1053,91 @@ def test_det_and_fd_on_any_box_exit_0_or_3_and_print_finite_numbers(solver, le, 
         rows = _json_lines(out.getvalue())
         assert len(rows) == n
         assert all(math.isfinite(v) for row in rows for v in row.values() if type(v) in (int, float))
+
+
+def _finite_numbers(out: str) -> bool:
+    # Every number of every JSON line is finite; json.loads would take NaN
+    # and Infinity as numbers, so those constants fail the parse here.
+    def bad(token):
+        raise ValueError(f"non-finite number {token}")
+
+    def numbers(value):
+        if isinstance(value, dict):
+            return [x for v in value.values() for x in numbers(v)]
+        if isinstance(value, list):
+            return [x for v in value for x in numbers(v)]
+        return [value] if type(value) in (int, float) else []
+
+    rows = [json.loads(line, parse_constant=bad) for line in out.splitlines()]
+    return all(math.isfinite(x) for row in rows for x in numbers(row))
+
+
+@st.composite
+def _any_command(draw):
+    # One valid argv of any subcommand but the det/FD spectrum, on a box in
+    # 10^+-300 for half the draws and in 10^+-2 for the other half, with
+    # the defect as angles, as eigenphases (near the threshold T = 0 of the
+    # plus channel for some) or as a matrix.
+    span = draw(st.sampled_from([300.0, 2.0]))
+    l, L0 = (10.0 ** draw(st.floats(-span, span)) for _ in range(2))
+    command = draw(st.sampled_from(["spectrum", "eigenfunction", "oracle-compare", "trace", "isospectral"]))
+    angle = st.one_of(st.floats(0.0, 2.0 * PI), st.sampled_from([0.0, PI]))
+    form = draw(st.sampled_from(["angles", "eigenphases", "matrix"]))
+    if command == "isospectral" and form == "matrix":
+        form = "angles"
+    if form == "eigenphases":
+        plus = draw(st.one_of(angle, st.floats(-1e-6, 1e-6).map(
+            lambda d: 2.0 * PI - 2.0 * math.atan(L0 / l) + d)))
+        defect = [f"--theta-plus={plus!r}", f"--theta-minus={draw(angle)!r}"]
+    else:
+        xi, rho = draw(angle), draw(angle)
+        mu, nu = (0.0, 0.0) if command == "isospectral" else (draw(angle), draw(angle))
+        if form == "angles":
+            defect = [f"--xi={xi!r}", f"--rho={rho!r}", f"--mu={mu!r}", f"--nu={nu!r}"]
+        else:
+            u = params_to_matrix(UnitaryParams(xi, rho, mu, nu)).ravel()
+            defect = ["--matrix=" + ",".join(repr(float(x)) for z in u for x in (z.real, z.imag))]
+    argv = [command, f"--l={l!r}", f"--L0={L0!r}", *defect]
+    if command == "spectrum":
+        argv += ["-n", str(draw(st.integers(1, 6)))]
+    elif command == "eigenfunction":
+        argv += ["--index", str(draw(st.integers(0, 3))), "--samples", str(draw(st.sampled_from([4, 8])))]
+    elif command == "oracle-compare":
+        argv += ["-n", str(draw(st.integers(1, 3))), "--n-interior=64"]
+    elif command == "trace":
+        w = draw(st.sampled_from([(1, 0), (0, 1), (-1, 0), (1, -1), (2, 0)]))
+        argv += [f"--w-plus={w[0]}", f"--w-minus={w[1]}", f"--steps={draw(st.integers(64, 96))}",
+                 f"--tracked={draw(st.integers(2, 5))}"]
+    else:
+        argv += ["-n", str(draw(st.integers(1, 3))), f"--grid-mu={draw(st.integers(1, 2))}",
+                 f"--grid-nu={draw(st.integers(1, 2))}", "--n-interior=64"]
+    return argv
+
+
+@given(_any_command(), st.booleans())
+@settings(max_examples=240)
+def test_every_subcommand_on_any_box_exits_0_1_or_3_and_prints_finite_numbers(argv, to_file):
+    # The exit-code contract over the whole CLI: a valid argv answers (0),
+    # fails a tolerance (1, oracle-compare only) or is a solver failure of
+    # one stderr line (3), with no warning, and every number it prints is
+    # finite.  A run that fails leaves --output as it was.
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "out.json"
+        target.write_text("previous results\n")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv + ["--output", str(target)] if to_file else argv)
+        written = target.read_text() if to_file else out.getvalue()
+    assert [str(w.message) for w in caught] == []
+    assert code in ((0, 1, 3) if argv[0] == "oracle-compare" else (0, 3)), err.getvalue()
+    if code == 3:
+        assert err.getvalue().count("\n") == 1
+        assert written == ("previous results\n" if to_file else "")
+    else:
+        assert err.getvalue() == ""
+        assert written and _finite_numbers(written)
 
 
 def test_a_level_below_one_that_overflows_is_not_degenerate(capsys):

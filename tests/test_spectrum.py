@@ -6,11 +6,13 @@ high-precision bisection of the transcendental channel equations
 and are pasted here frozen to full double precision.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from defectline import (
@@ -492,12 +494,11 @@ def test_channel_tag_passthrough():
     assert all(lv.channel is None for lv in untagged)
 
 
-def test_root_search_probes_four_points_per_root_and_the_window_at_label_0(monkeypatch):
-    # A root of label m >= 1 is searched at the 4 grid points around its
-    # branch-equation estimate, the root of label 0 at the 34 points of its
-    # window, where a sign scan of the grid took 64 per root.  Brent refines
-    # one bracket at a time here, on the scalar F/k, so every evaluation of
-    # the array F/k is the search's.
+def test_root_search_probes_four_points_per_root_at_every_label(monkeypatch):
+    # A root of every label, 0 included, is searched at the 4 grid points
+    # around its branch-equation estimate, where a sign scan of the grid
+    # took 64 per root.  Brent refines one bracket at a time here, on the
+    # scalar F/k, so every evaluation of the array F/k is the search's.
     evaluations = []
     fhat_half = spectrum._fhat_half
 
@@ -517,7 +518,30 @@ def test_root_search_probes_four_points_per_root_and_the_window_at_label_0(monke
     evaluations.clear()
     rows = solve_channels([5.5, 1.0], 300)
     assert rows.label.tolist() == [0, 1] and (rows.E > 0.0).all()
-    assert sum(evaluations) == GRID_DENSITY // 2 + 2 + 4 * (2 * 300 - 1)
+    assert sum(evaluations) == 4 * 2 * 300
+
+
+def test_scan_rows_has_one_probe_layout_and_solve_channels_decides_the_rows():
+    # One rule places every root: one _fhat_half call over a (roots x 4)
+    # block, with no per-root probe counts to repeat, sum or reduce, and no
+    # helper between solve_channels and the scan.
+    tree = ast.parse(Path(spectrum.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_solve_rows" not in functions
+    called = [ast.unparse(node.func) for node in ast.walk(functions["_scan_rows"])
+              if isinstance(node, ast.Call)]
+    assert called.count("_fhat_half") == 1
+    assert not {"np.repeat", "np.cumsum", "np.add.reduceat"} & set(called)
+
+
+def test_a_label_window_takes_integer_labels_only():
+    for label in (1.7, 2.5, math.nan, math.inf, 1e30):
+        with pytest.raises(ValueError, match="integer"):
+            solve_channels([5.5], 2, from_label=[label])
+    # An integer-valued float is its integer.
+    rows = solve_channels([5.5], 2, from_label=[2.0])
+    assert rows.label.tolist() == [2]
+    assert rows.k_or_kappa.tobytes() == solve_channels([5.5], 4).k_or_kappa[:, 2:].tobytes()
 
 
 def _threshold_theta(l, L0):
@@ -536,11 +560,11 @@ def _threshold_theta(l, L0):
     st.integers(1, 2000),
 )
 def test_branch_estimate_lies_within_one_cell_of_the_root(where, log_l, log_L0, n):
-    # Three steps of the branch equation from the centre of a half-branch put
-    # kl within (pi / 4) / pi^3 of the refined root of its label, well inside
-    # one grid cell: at theta = 0, pi and 2 pi-, where roots sit on the ends
-    # of their half-branches, within delta of the threshold T = 0, and
-    # anywhere between.
+    # Three steps of the branch equation put kl within one grid cell of the
+    # refined root of its label, from the centre of a half-branch for a
+    # label m >= 1 and from a bound on the root for label 0: at theta = 0,
+    # pi and 2 pi-, where roots sit on the ends of their half-branches,
+    # within delta of the threshold T = 0, and anywhere between.
     l, L0 = 10.0 ** log_l, 10.0 ** log_L0
     kind, value = where
     theta = value if kind == "at" else _threshold_theta(l, L0) + value
@@ -552,6 +576,46 @@ def test_branch_estimate_lies_within_one_cell_of_the_root(where, log_l, log_L0, 
     # The p-th positive level carries the row's label, plus one past a
     # bound or zero-energy level, plus p.
     assert (m == rows.label[0] + first + np.arange(m.size)).all()
-    x, m = x[m >= 1], m[m >= 1]
     estimate = spectrum._branch_estimate(m, np.full(m.size, s2), np.full(m.size, c2), l, L0)
     assert np.abs(estimate - x).max(initial=0.0) <= math.pi / GRID_DENSITY
+
+
+def test_branch_estimate_of_label_0_lies_within_0_0268_of_every_root():
+    # Below the threshold the root of label 0 solves tan(x) / x = t on
+    # (0, pi / 2), and three steps of x <- atan(t x) from
+    # min(pi / 2, sqrt(3 (t - 1))) leave an error that depends on t alone.
+    # A dense grid of roots x* bounds it over every t > 1: at most 0.0268,
+    # near x* = 0.79, against a cell of pi / 64 = 0.049.  Each root is the
+    # channel with l = L0 = 1 and cot(phi) = t, half-angles (sin phi, -cos phi).
+    x = np.linspace(0.0, math.pi / 2, 200_001)[1:-1]
+    phi = np.arctan2(x, np.tan(x))
+    estimate = spectrum._branch_estimate(np.zeros(x.size, dtype=np.intp), np.sin(phi), -np.cos(phi), 1.0, 1.0)
+    error = estimate - x
+    assert np.abs(error).max() <= 0.0268 < math.pi / GRID_DENSITY
+    assert error.max() > 0.0267
+
+
+@given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+@settings(max_examples=40)
+def test_a_level_of_one_branch_label_rises_monotonically_in_theta(log_l, log_L0):
+    # Each channel's levels rise monotonically in theta, label by label: a
+    # level of label m >= 1 from kl = (m - 1/2) pi at theta = 0 to
+    # (m + 1/2) pi at 2 pi, and label 0 from the bound level at the floor
+    # through E = 0 at the threshold to the positive root below kl = pi / 2.
+    # The labels are ChannelRows.label's, level j of row r carrying
+    # label[r] + j, so this also witnesses the labels the solver places.
+    l, L0 = 10.0 ** log_l, 10.0 ** log_L0
+    # 801 eigenphases in (0, 2 pi), and the threshold with one eigenphase
+    # on each side of it, a thousandth of its distance to 2 pi away.
+    near = _threshold_theta(l, L0) + (TWO_PI - _threshold_theta(l, L0)) * np.array([-1e-3, 0.0, 1e-3])
+    theta = np.sort(np.concatenate([np.linspace(0.0, TWO_PI, 803)[1:-1], near]))
+    n = 6
+    rows = solve_channels(theta.tolist(), n, l, L0)
+    label = rows.label[:, None] + np.arange(n)
+    for m in range(5):
+        E = rows.E[label == m]  # in the order of theta
+        assert E.size and (np.diff(E) >= 0.0).all()
+    # Near the threshold label 0 is a bound level below it and a positive
+    # one past it.
+    E0 = rows.E[label == 0]
+    assert E0[0] < 0.0 < E0[-1]
