@@ -43,6 +43,7 @@ its start ladder stands for every sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,7 +74,7 @@ class PathSpec:
 
     def __post_init__(self):
         w = tuple(self.winding)
-        if len(w) != 2 or any(x != int(x) for x in w):
+        if len(w) != 2 or not all(math.isfinite(x) and x == int(x) for x in w):
             raise ValueError("winding must be a pair of integers")
         object.__setattr__(self, "winding", (int(w[0]), int(w[1])))
         if self.n_steps < 64:

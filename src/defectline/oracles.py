@@ -15,7 +15,9 @@ functions, evaluated centred on U's trace (_Form).  Det takes (sigma, tau)
 is det M divided by E, which removes the spurious zero every system has at
 k = 0 (_Projection); FD takes them from the discrete wave that solves its
 stencil.  Each keeps its own wave, dispersion, knots and rounding bound,
-and no eigenvalue solver runs.
+and no eigenvalue solver runs.  Each evaluates its wave, the form and its
+rounding bound in one frame, in the operations and order of _wave (or
+_fd_wave) and _Form.__call__, since Brent's method calls it once per step.
 
 No grid is sampled.  The direction psi of (sigma, tau) rises monotonically
 with E from the kappa l = 50 floor, and g = (sigma^2 + tau^2) q(psi).  q has
@@ -30,8 +32,14 @@ g reads 0 where it lies within its rounding bound, which comes from the
 centred terms of the form, so no tolerance is set by hand.  A bracket's
 ends carry the values the walk read, so an end that reads 0 is the root,
 and for both solvers a zero level is a turn whose g(0) reads 0.  Neither
-knot direction is an eigenphase, and no square root of D is taken.  Roots
-are refined with spectrum._brentq, a port of scipy's brentq.
+knot direction is an eigenphase, and no square root of D is taken.  Both
+place their knots alike, each with its own arithmetic: an end knot near
+the direction of sigma = 0 is taken in closed form where g there reads
+with the end's sign (det also takes the pole, tau = 0), every other knot
+above E = 0 comes from Newton's method on the solver's knot numerator
+(_knot, in k, from branch 1 on; _fd_knot, in the discrete wavenumber q),
+and Brent's method places the rest and is the fallback.  Roots are refined
+with spectrum._brentq, a port of scipy's brentq.
 """
 
 from __future__ import annotations
@@ -113,7 +121,11 @@ class _Form:
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
     def __call__(self, sigma: float, tau: float) -> tuple[complex, complex, complex, float]:
-        """(alpha, w, z, g) at (sigma, tau), z = det N."""
+        """(alpha, w, z, g) at (sigma, tau), z = det N.
+
+        Det's g and read and FD's read g carry these operations inline, in
+        this order, so each returns the double this call gives.
+        """
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
@@ -155,7 +167,7 @@ class _Projection(_Form):
         self.u, self.l = bc.u, bc.l
 
     def _wave(self, y: float) -> tuple[float, float]:
-        # (sigma, tau) at the signed wavenumber y.
+        # (sigma, tau) at the signed wavenumber y; g and read carry it inline.
         x = y * self.l
         if y > 0.0:
             return math.sin(x) / y, math.cos(x)
@@ -164,8 +176,14 @@ class _Projection(_Form):
         return self.l, 1.0
 
     def g(self, y: float) -> float:
-        """g at the signed wavenumber y: the form's arithmetic, inline."""
-        sigma, tau = self._wave(y)
+        """g at the signed wavenumber y: _wave and the form's arithmetic, inline."""
+        x = y * self.l
+        if y > 0.0:
+            sigma, tau = math.sin(x) / y, math.cos(x)
+        elif y < 0.0:
+            sigma, tau = self.l * (math.tanh(-x) / -x), 1.0
+        else:
+            sigma, tau = self.l, 1.0
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
@@ -178,16 +196,25 @@ class _Projection(_Form):
         E = 0 and not at all below; w rounds by about eps a (1 + 3 |t|),
         which w^2 takes to second order where w is as small as that, and z
         and the projection each round by about eps times the sizes of their
-        terms.
+        terms.  The wave and the form are inline, as in g.
         """
-        sigma, tau = self._wave(y)
-        tau_err = 1.0 + y * self.l if y >= 0.0 else 0.0
-        alpha, w, z, g = self(sigma, tau)
+        l, t, d4 = self.l, self.t, self.d4
+        x = y * l
+        if y > 0.0:
+            sigma, tau, tau_err = math.sin(x) / y, math.cos(x), 1.0 + x
+        elif y < 0.0:
+            sigma, tau, tau_err = l * (math.tanh(-x) / -x), 1.0, 0.0
+        else:
+            sigma, tau, tau_err = l, 1.0, 1.0 + x
+        alpha = complex(sigma, self.L0 * tau)
+        w = alpha.conjugate() - alpha * t
+        z = w * w - alpha * alpha * d4
+        g = -(z.real * self.phase.real + z.imag * self.phase.imag)
         a, b = abs(alpha), abs(w)
-        ad, dw = 2.0 * a * abs(self.d4), a * (1.0 + 3.0 * abs(self.t))
+        ad, dw = 2.0 * a * abs(d4), a * (1.0 + 3.0 * abs(t))
         bound = _EPS * (
-            self.l * (2.0 * b * abs(1.0 - self.t) + ad)
-            + tau_err * self.L0 * (2.0 * b * abs(1.0 + self.t) + ad)
+            l * (2.0 * b * abs(1.0 - t) + ad)
+            + tau_err * self.L0 * (2.0 * b * abs(1.0 + t) + ad)
             + 2.0 * b * dw + 2.0 * b * b + 3.0 * a * ad + 2.0 * abs(z) + _EPS * dw * dw
         )
         return 0.0 if abs(g) <= bound else g
@@ -377,6 +404,17 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """value as an int: a whole number of at least minimum, or ValueError (NaN and 2.5 too).
+
+    The channel solver applies the same rule with its own copy: the oracles
+    take only shared numerical primitives from it.
+    """
+    if not (math.isfinite(value) and value == int(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> Spectrum:
     """Lowest n levels from det M alone; no diagonalization of U anywhere.
 
@@ -389,12 +427,12 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
     indices are global and any neighbours may pair.  Pairs are decided one
     level past the cut, as solve_spectrum decides them.  k_max caps the
     walk's reach.  Raises ScanExhausted if fewer than n levels lie below it,
-    ValueError if a given k_max is not finite and positive, and SolverError
+    ValueError if n is not an integer of at least 1 (_count) or a given
+    k_max is not finite and positive, and SolverError
     if the E of a level overflows a double, as on a box of l = 1e-160, or if
     the form overflows or underflows one (_Form).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count("n", n, 1)
     if k_max is not None:
         _check_positive("k_max", k_max)
     proj = _Projection(bc)
@@ -441,6 +479,41 @@ def _fd_wave(n: int, e: float) -> tuple[float, float]:
     return sigma, n * (c * c * sigma + (sh / q if q else 1.0 / n) * (1.0 + c) * c0)
 
 
+def _fd_knot(n: int, m: int, c: float, s: float) -> float | None:
+    """E l^2 of the knot of direction (c, s), c >= 0, on piece m, ql in (m pi, (m+1) pi),
+    by Newton's method in q l; None where it does not settle on the piece.
+
+    q times the knot function c sigma - s tau is F(q) = c sin q - s n (c_e^2
+    sin q + sin(q/n) (1 + c_e) cos q), with c_e = 1 - cos(q/n), taken as
+    2 sin^2(q/2n), in units of l.  That is A sin q - B cos q, with A = c -
+    s n c_e^2 and B = s n sin(q/n) (1 + c_e), whose sign is that of s, and
+    A and B vary slowly with q.  So the knot solves q = p + atan2(B, A), p
+    the piece end m pi for s > 0 and (m+1) pi otherwise, and Newton's
+    method starts from one step of it, from q = p, or from pi/2 on piece 0.
+    """
+
+    def terms(q: float):
+        x = math.sin(0.5 * q / n)
+        ce, sn = 2.0 * x * x, 2.0 * x * math.cos(0.5 * q / n)  # 1 - cos(q/n), sin(q/n)
+        return ce, sn, c - s * n * ce * ce, s * n * sn * (1.0 + ce)
+
+    lo, hi = m * math.pi, (m + 1) * math.pi
+    p = lo if s > 0.0 else hi
+    _, _, a, b = terms(p or 0.5 * math.pi)
+    q = p + math.atan2(b, a)
+    for _ in range(8):
+        ce, sn, a, b = terms(q)
+        sq, cq = math.sin(q), math.cos(q)
+        slope = (a - s * (1.0 + 2.0 * ce * (1.0 - ce))) * cq + (b - 2.0 * s * ce * sn) * sq
+        step = (a * sq - b * cq) / slope if slope else math.inf
+        q -= step
+        if not lo < q < hi:
+            return None
+        if abs(step) <= 4.0 * _EPS * q:
+            return (2.0 * n * math.sin(0.5 * q / n)) ** 2
+    return None
+
+
 def _fd_knots(n: int, floor: float, form: _Form, g):
     """((E l^2, g as read), is_vertex) for every knot above the floor and below the
     last piece, ascending.
@@ -454,6 +527,12 @@ def _fd_knots(n: int, floor: float, form: _Form, g):
     0 read as pi.  At a piece's ends sigma is 0 and cos(ql) is (-1)^m, and
     there sigma and tau are taken in closed form.  The last piece, which
     ends at the band edge q = pi / h where sigma = tau = 0, is not walked.
+
+    An end knot within pi/4 of the piece end's direction (1, 0), |s| <= c,
+    is taken at that piece end wherever g there reads with the end's sign:
+    no root lies between the two then, so either bounds the same turns.
+    Every other knot above E = 0 comes from Newton's method (_fd_knot), and
+    _brentq on the knot function serves below E = 0 and as the fallback.
     """
 
     def piece_end(m: int) -> tuple[float, float, float]:
@@ -473,14 +552,26 @@ def _fd_knots(n: int, floor: float, form: _Form, g):
     ends = itertools.chain(
         [(floor, *_fd_wave(n, floor)), (0.0, 1.0, 1.0)], map(piece_end, range(1, n)))
     lo = next(ends)
-    for hi in ends:
+    for m, hi in enumerate(ends, -1):  # m = -1 below E = 0
         for (c, s), is_vertex in order:
             ya, yb = c * lo[1] - s * lo[2], c * hi[1] - s * hi[2]
             if yb == 0.0:
                 yield (hi[0], g(hi[0])), is_vertex
-            elif _sign(ya) * _sign(yb) < 0:
+                continue
+            if _sign(ya) * _sign(yb) >= 0:
+                continue
+            # On piece 0 a knot with 0 < s <= c lies below E = 0, so such an
+            # end knot lies on a piece m > 0, next to its lower end.
+            if not is_vertex and m >= 0 and abs(s) <= c:
+                e = lo[0] if s > 0.0 else hi[0]
+                read = g(e)
+                if read * form.end_sign > 0.0:
+                    yield (e, read), is_vertex
+                    continue
+            e = _fd_knot(n, m, c, s) if m >= 0 else None
+            if e is None:
                 e = _brentq(knot_function(c, s), lo[0], hi[0], ya, yb)
-                yield (e, g(e)), is_vertex
+            yield (e, g(e)), is_vertex
         lo = hi
 
 
@@ -508,12 +599,10 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     last piece below the band edge E = 4 / h^2 is not searched.  If fewer
     than n levels lie between, EigenSolverFailure is raised, and SolverError
     if the E of a level rounds to 0, as on a box of l = 1e200, or if the form
-    overflows or underflows a double (_Form).
+    overflows or underflows a double (_Form).  ValueError is raised unless n
+    and n_interior are integers of at least 1 and 64 (_count).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n_interior < 64:
-        raise ValueError("n_interior must be at least 64")
+    n, n_interior = _count("n", n, 1), _count("n_interior", n_interior, 64)
     l = float(bc.l)
     h = l / n_interior
     # A row of the stencil sums to 4 / h^2 in absolute value.
@@ -522,6 +611,10 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     # In units of l the operator depends only on n_interior and L0 / l, and
     # every value Brent's method meets is of order one at any box size.
     form = _Form(bc.u, float(bc.L0) / l, 1.0)
+
+    n2, two_n = n_interior * n_interior, 2.0 * n_interior
+    L0, t, d4, phase = form.L0, form.t, form.d4, form.phase
+    abs_t, abs_d4 = abs(t), abs(d4)
 
     def g(e: float) -> float:
         """g at E l^2 = e, or 0 where it lies within its rounding bound.
@@ -534,16 +627,30 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         2 |alpha| |d4| da, and w^2, alpha^2 d4 and the projection each round
         by about eps times the sizes of their terms.  Brent's method runs on
         this read value, so it stops where rounding, not the root, would set
-        g's sign.
+        g's sign.  _fd_wave and the form's arithmetic are inline, in their
+        own operations and order, since Brent's method calls g once per step.
         """
-        alpha, w, z, value = form(*_fd_wave(n_interior, e))
-        x, c = 1.0 + math.sqrt(abs(e)), 0.5 * abs(e) / (n_interior * n_interior)
-        a, b, t, d4 = abs(alpha), abs(w), abs(form.t), abs(form.d4)
+        r = math.sqrt(abs(e))
+        x = 0.5 * r / n_interior
+        if e >= 0.0:
+            q = two_n * math.asin(x)
+            s0, c0, sh = math.sin(q), math.cos(q), 2.0 * x * math.sqrt(1.0 - x * x)
+        else:
+            q = two_n * math.asinh(x)
+            s0, c0, sh = math.tanh(q), 1.0, 2.0 * x * math.sqrt(1.0 + x * x)
+        c = 0.5 * e / n2
+        sigma = s0 / q if q else 1.0
+        tau = n_interior * (c * c * sigma + (sh / q if q else 1.0 / n_interior) * (1.0 + c) * c0)
+        alpha = complex(sigma, L0 * tau)
+        w = alpha.conjugate() - alpha * t
+        z = w * w - alpha * alpha * d4
+        value = -(z.real * phase.real + z.imag * phase.imag)
+        a, b, x, c = abs(alpha), abs(w), 1.0 + r, abs(c)
         d_tau = 4.0 * _EPS * x * (1.0 + c + c * c * n_interior)
-        da = 2.0 * _EPS * x + form.L0 * d_tau
-        dw = da * (1.0 + t) + _EPS * a * (1.0 + 3.0 * t)
-        bound = 2.0 * b * dw + dw * dw + 2.0 * a * d4 * da + _EPS * (
-            2.0 * b * b + 3.0 * a * a * d4 + 2.0 * abs(z))
+        da = 2.0 * _EPS * x + L0 * d_tau
+        dw = da * (1.0 + abs_t) + _EPS * a * (1.0 + 3.0 * abs_t)
+        bound = 2.0 * b * dw + dw * dw + 2.0 * a * abs_d4 * da + _EPS * (
+            2.0 * b * b + 3.0 * a * a * abs_d4 + 2.0 * abs(z))
         return 0.0 if abs(value) <= bound else value
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING

@@ -576,6 +576,13 @@ class ChannelRows:
     label: np.ndarray
 
 
+def _count(name: str, value, minimum: int) -> int:
+    """value as an int: a whole number of at least minimum, or ValueError (NaN and 2.5 too)."""
+    if not (math.isfinite(value) and value == int(value) and value >= minimum):
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=None) -> ChannelRows:
     """solve_channel for every eigenphase in ``thetas`` on one box, in one batch.
 
@@ -600,14 +607,14 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     from_label[r] on, all positive, each the double a solve from the bottom
     of the ladder returns for its label, and needs no threshold.  A row with
     from_label[r] <= 0, as every row without it, holds the lowest n levels.
-    ValueError is raised where a label is not an integer.  Each row's label
+    ValueError is raised where n or a label is not an integer, as 2.5 or
+    NaN is not; a whole float counts as its integer.  Each row's label
     is the one its roots were placed by, checked there (ScanExhausted), so
     a reader of the labels computes none.
     SolverError is raised where the E of a level overflows a double or rounds
     to 0, as on a box of l = 1e-300 or l = 1e200.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count("n", n, 1)
     Channel(0.0, l, L0)  # validates the box
     if not all(math.isfinite(t) for t in thetas):
         raise ValueError("theta must be finite")
@@ -690,13 +697,13 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     holds a of the merged n + 1 levels, the a - 3 levels of B labelled 1 to
     a - 3 lie below A's a-th, so n + 1 >= 2a - 3 and a <= (n + 4) / 2 <= depth.
     ScanExhausted is raised unless the merged (n + 1)-th level lies at or
-    below the last level solved in both channels, which witnesses this.
+    below the last level solved in both channels, which witnesses this, and
+    ValueError where n is not an integer of at least 1.
 
     The merge is a stable sort of both rows on (E, channel), plus first
     where energies tie.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _count("n", n, 1)
     p = bc.params
     depth = min(n + 1, (n + 1) // 2 + 2)
     rows = solve_channels([p.theta_plus, p.theta_minus], depth, bc.l, bc.L0)

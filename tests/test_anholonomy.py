@@ -50,6 +50,9 @@ def test_pathspec_validation():
         PathSpec(winding=(1, 0), base=BASE, levels_tracked=1)
     with pytest.raises(ValueError):
         PathSpec(winding=(0.5, 0), base=BASE)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^winding must be a pair of integers$"):
+            PathSpec(winding=(bad, 0), base=BASE)
     with pytest.raises(ValueError):
         PathSpec(winding=(1, 0, 0), base=BASE)
     # The box is checked when the loop is built, as BoundaryCondition checks it.

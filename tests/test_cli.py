@@ -585,7 +585,9 @@ def test_ladder_stdout_is_pinned(capsys, argv, digest):
 # The two fd pins and the three oracle-compare pins were recorded again when
 # FD came to solve its own secular equation in place of LAPACK bisection:
 # E_fd moved by up to 3.0e-13 relative, to within rounding of the 50-digit
-# roots, and every exit code held.
+# roots, and every exit code held.  The two fd pins were recorded again when
+# FD came to place its knots above E = 0 by Newton's method and at piece
+# ends: E_fd of level 5 moved by 1.6e-14 in E l^2, within Brent's tolerance.
 PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "64",
@@ -603,12 +605,12 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128"),
-        0, "2d7b166b478523ce14dfca0ae08f073caa66d13b723acf05487c08c28fe4a9f0",
+        0, "a8feeede34a9b37cb3ca17ba93c95a84d67d57e8a50e5214e1ce1f96f0765f51",
     ),
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128", "--format", "csv"),
-        0, "399a0ea8a4218373933f7298e78f44208e7f62157ec1876c9a06c15b853cee82",
+        0, "dd5beb1bdd93e0b2be792941919cbbd3382515420b8bb7e3c306ab3224a3626b",
     ),
     (
         ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "40"),

@@ -544,6 +544,19 @@ def test_a_label_window_takes_integer_labels_only():
     assert rows.k_or_kappa.tobytes() == solve_channels([5.5], 4).k_or_kappa[:, 2:].tobytes()
 
 
+def test_level_counts_take_integers_only():
+    # n follows the rule from_label follows: a NaN, an infinity or 2.5 is
+    # a ValueError at entry, and an integer-valued float is its integer.
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.9)))
+    for n in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="integer"):
+            solve_channels([5.5], n)
+        with pytest.raises(ValueError, match="integer"):
+            solve_spectrum(bc, n)
+    assert solve_channels([5.5], 2.0).E.tobytes() == solve_channels([5.5], 2).E.tobytes()
+    assert solve_spectrum(bc, 2.0).E.tobytes() == solve_spectrum(bc, 2).E.tobytes()
+
+
 def _threshold_theta(l, L0):
     # The eigenphase in (pi, 2 pi) where T = l sin(theta/2) + L0 cos(theta/2) = 0.
     return TWO_PI - 2.0 * math.atan(L0 / l)
