@@ -28,7 +28,7 @@ import numpy as np
 
 from .boundary import BoundaryCondition
 from .oracles import det_spectrum, fd_spectrum
-from .spectrum import solve_spectrum
+from .spectrum import _count, solve_spectrum
 from .unitary import UnitaryParams, params_to_matrix, parity_conjugate
 
 __all__ = [
@@ -152,9 +152,9 @@ def check_isospectral(
     The base is the family's first member, the mu = 0 pole, whose matrix is
     D's bit for bit; it is solved once.  Its deviation is still |base -
     base|, so a NaN base level acts as it did when the pole was solved again.
+    ValueError is raised unless n_levels is an integer of at least 1.
     """
-    if n_levels < 1:
-        raise ValueError("n_levels must be at least 1")
+    n_levels = _count("n_levels", n_levels, 1)
     members = isospectral_family(d_params, grid)
     base = _energies(members[0], solver, n_levels, l, L0, n_interior)
     scale = 1.0 + np.abs(base) if solver == SOLVER_FD else np.ones_like(base)

@@ -15,9 +15,11 @@ functions, evaluated centred on U's trace (_Form).  Det takes (sigma, tau)
 is det M divided by E, which removes the spurious zero every system has at
 k = 0 (_Projection); FD takes them from the discrete wave that solves its
 stencil.  Each keeps its own wave, dispersion, knots and rounding bound,
-and no eigenvalue solver runs.  Each evaluates its wave, the form and its
-rounding bound in one frame, in the operations and order of _wave (or
-_fd_wave) and _Form.__call__, since Brent's method calls it once per step.
+and no eigenvalue solver runs.  Brent refines on the raw form; the walk
+decides on the read.  Each solver's read is its wave, _Form.__call__ and
+its rounding bound, and its raw g, the one function Brent's method calls
+once per step, carries the wave's and the form's operations inline, in
+their order, so it returns the double the read starts from.
 
 No grid is sampled.  The direction psi of (sigma, tau) rises monotonically
 with E from the kappa l = 50 floor, and g = (sigma^2 + tau^2) q(psi).  q has
@@ -59,6 +61,7 @@ from .spectrum import (
     KAPPA_CEILING,
     Spectrum,
     _brentq,
+    _count,
     degenerate_partners,
     sinc_kl,
 )
@@ -123,8 +126,10 @@ class _Form:
     def __call__(self, sigma: float, tau: float) -> tuple[complex, complex, complex, float]:
         """(alpha, w, z, g) at (sigma, tau), z = det N.
 
-        Det's g and read and FD's read g carry these operations inline, in
-        this order, so each returns the double this call gives.
+        Brent refines on the raw form; the walk decides on the read.  Both
+        reads call this on their wave, and each solver's raw g carries these
+        operations inline, in this order, so it returns the double this
+        call gives.
         """
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
@@ -158,8 +163,8 @@ class _Projection(_Form):
     at (sigma, tau) = (sin(kl) / k, cos(kl)) above E = 0; below it det M is
     also divided by cosh^2(kappa l), which keeps g of order one and moves
     no root, and (sigma, tau) = (tanh(kappa l) / kappa, 1).  Both are (l, 1)
-    at E = 0.  g keeps the form's arithmetic inline: Brent's method calls
-    it once per step.
+    at E = 0.  g keeps the wave's and the form's arithmetic inline: Brent's
+    method calls it once per step.
     """
 
     def __init__(self, bc: BoundaryCondition):
@@ -167,7 +172,7 @@ class _Projection(_Form):
         self.u, self.l = bc.u, bc.l
 
     def _wave(self, y: float) -> tuple[float, float]:
-        # (sigma, tau) at the signed wavenumber y; g and read carry it inline.
+        # (sigma, tau) at the signed wavenumber y; g carries it inline.
         x = y * self.l
         if y > 0.0:
             return math.sin(x) / y, math.cos(x)
@@ -176,7 +181,7 @@ class _Projection(_Form):
         return self.l, 1.0
 
     def g(self, y: float) -> float:
-        """g at the signed wavenumber y: _wave and the form's arithmetic, inline."""
+        """g at the signed wavenumber y, raw: _wave and the form's arithmetic, inline."""
         x = y * self.l
         if y > 0.0:
             sigma, tau = math.sin(x) / y, math.cos(x)
@@ -192,24 +197,16 @@ class _Projection(_Form):
     def read(self, y: float) -> float:
         """g(y) as the walk's decisions read it: 0 where it lies within its rounding bound.
 
+        Brent refines on the raw form (g); the walk decides on the read.
         sigma rounds by about eps l, and tau by about eps (1 + kl) above
         E = 0 and not at all below; w rounds by about eps a (1 + 3 |t|),
         which w^2 takes to second order where w is as small as that, and z
         and the projection each round by about eps times the sizes of their
-        terms.  The wave and the form are inline, as in g.
+        terms.
         """
         l, t, d4 = self.l, self.t, self.d4
-        x = y * l
-        if y > 0.0:
-            sigma, tau, tau_err = math.sin(x) / y, math.cos(x), 1.0 + x
-        elif y < 0.0:
-            sigma, tau, tau_err = l * (math.tanh(-x) / -x), 1.0, 0.0
-        else:
-            sigma, tau, tau_err = l, 1.0, 1.0 + x
-        alpha = complex(sigma, self.L0 * tau)
-        w = alpha.conjugate() - alpha * t
-        z = w * w - alpha * alpha * d4
-        g = -(z.real * self.phase.real + z.imag * self.phase.imag)
+        alpha, w, z, g = self(*self._wave(y))
+        tau_err = 1.0 + y * l if y >= 0.0 else 0.0
         a, b = abs(alpha), abs(w)
         ad, dw = 2.0 * a * abs(d4), a * (1.0 + 3.0 * abs(t))
         bound = _EPS * (
@@ -242,29 +239,6 @@ class _Projection(_Form):
         c = mul(mul(alpha, alpha), mul(u[0][1], u[1][0]))
         g = float(-(z[0] - c[0]) * Fraction(self.phase.real) - (z[1] - c[1]) * Fraction(self.phase.imag))
         return 0.0 if abs(g) <= 16.0 * _EPS * _EPS * float(sigma * sigma + im * im) else g
-
-
-def _bound_knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
-    """((y, g(y) as read), is_vertex) for every knot above the floor and at or below
-    E = 0, ascending.
-
-    There psi, the direction of (l tanh(x) / x, 1) with x = kappa l, rises
-    monotonically from atan(l tanh(50) / 50) at the floor to atan(l) at
-    E = 0, so a direction (c, s) has at most one knot, where tanh(x) / x =
-    s / (c l); one Brent solve finds it.  A knot at psi = atan(l) itself
-    falls at E = 0 and is taken here: _knots starts above it.
-    """
-    l = proj.l
-    top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
-    knots = []
-    for (c, s), is_vertex in ((vertex, True), (end, False)):
-        # Where c l underflows to 0, s <= c l means t <= 0: no knot.
-        cl = c * l
-        t = min(s / cl, 1.0) if cl > 0.0 and s <= cl else 0.0
-        if t > top:
-            y = -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
-            knots.append(((y, proj.read(y)), is_vertex))
-    return sorted(knots)
 
 
 def _knot(l: float, m: int, c: float, s: float) -> float:
@@ -302,20 +276,36 @@ def _knot(l: float, m: int, c: float, s: float) -> float:
 
 
 def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
-    """((k, g(k) as read), is_vertex) for every knot above k = 0, ascending, without end.
+    """((y, g(y) as read), is_vertex) for every knot above the floor, ascending, without end.
 
-    An end knot is taken in closed form at kl = m pi or at the nearer pole,
-    whichever lies within pi/4 of the end direction, wherever g there has
-    the end's sign beyond its rounding bound: no root lies between the two
-    then, so either bounds the same turns.  Elsewhere it is solved for.
+    The piece below E = 0 comes first.  There psi, the direction of
+    (l tanh(x) / x, 1) with x = kappa l, rises monotonically from
+    atan(l tanh(50) / 50) at the floor to atan(l) at E = 0, so a direction
+    (c, s) has at most one knot, where tanh(x) / x = s / (c l); one Brent
+    solve finds it.  A knot at psi = atan(l) itself falls at E = 0 and is
+    taken there.  Above E = 0 an end knot is taken in closed form at kl =
+    m pi or at the nearer pole, whichever lies within pi/4 of the end
+    direction, wherever g there has the end's sign beyond its rounding
+    bound: no root lies between the two then, so either bounds the same
+    turns.  Elsewhere it is solved for.
     """
     l = proj.l
+    top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
+    below = []
+    for (c, s), is_vertex in ((vertex, True), (end, False)):
+        # Where c l underflows to 0, s <= c l means t <= 0: no knot.
+        cl = c * l
+        t = min(s / cl, 1.0) if cl > 0.0 and s <= cl else 0.0
+        if t > top:
+            y = -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
+            below.append(((y, proj.read(y)), is_vertex))
+    yield from sorted(below)
     order = sorted([(vertex, True), (end, False)], key=lambda d: math.atan2(d[0][1], d[0][0]))
     m = 0
     while True:
         for (c, s), is_vertex in order:
             if m == 0 and s <= l * c:
-                continue  # on branch 0 psi starts at atan(l): _bound_knots owns this direction
+                continue  # on branch 0 psi starts at atan(l): the piece below E = 0 owns this direction
             k = None
             if not is_vertex and (m or abs(s) > c):
                 k = (m if abs(s) <= c else m + math.copysign(0.5, s)) * math.pi / l
@@ -404,24 +394,13 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _count(name: str, value, minimum: int) -> int:
-    """value as an int: a whole number of at least minimum, or ValueError (NaN and 2.5 too).
-
-    The channel solver applies the same rule with its own copy: the oracles
-    take only shared numerical primitives from it.
-    """
-    if not (math.isfinite(value) and value == int(value) and value >= minimum):
-        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
-    return int(value)
-
-
 def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> Spectrum:
     """Lowest n levels from det M alone; no diagonalization of U anywhere.
 
     g, det M phased to the real axis (_Projection), is one function of the
     signed wavenumber y across E = 0, and _roots walks it up from the
-    kappa l = 50 floor over det's knots (_bound_knots, then _knots), with
-    Brent's method on the raw g.  Where g at the floor lies within its
+    kappa l = 50 floor over det's knots (_knots): Brent refines on the raw
+    form (g); the walk decides on the read.  Where g at the floor lies within its
     rounding bound it is taken from rational arithmetic.  The channel of a
     level is unknowable on this code path, so the channel column is None,
     indices are global and any neighbours may pair.  Pairs are decided one
@@ -438,9 +417,8 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
     proj = _Projection(bc)
     vertex, end = proj.directions()
     floor = -KAPPA_CEILING / proj.l
-    knots = itertools.chain(_bound_knots(proj, vertex, end), _knots(proj, vertex, end))
     start = (floor, proj.read(floor) or proj.floor_value())
-    roots = _roots(knots, start, proj.end_sign, proj.read(0.0), proj.g, n + 1, k_max)
+    roots = _roots(_knots(proj, vertex, end), start, proj.end_sign, proj.read(0.0), proj.g, n + 1, k_max)
     if len(roots) < n:
         raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
     # In floats, so that an E past the cut may overflow without a warning;
@@ -514,7 +492,7 @@ def _fd_knot(n: int, m: int, c: float, s: float) -> float | None:
     return None
 
 
-def _fd_knots(n: int, floor: float, form: _Form, g):
+def _fd_knots(n: int, floor: float, form: _Form, read):
     """((E l^2, g as read), is_vertex) for every knot above the floor and below the
     last piece, ascending.
 
@@ -529,7 +507,7 @@ def _fd_knots(n: int, floor: float, form: _Form, g):
     ends at the band edge q = pi / h where sigma = tau = 0, is not walked.
 
     An end knot within pi/4 of the piece end's direction (1, 0), |s| <= c,
-    is taken at that piece end wherever g there reads with the end's sign:
+    is taken at that piece end wherever read gives g there the end's sign:
     no root lies between the two then, so either bounds the same turns.
     Every other knot above E = 0 comes from Newton's method (_fd_knot), and
     _brentq on the knot function serves below E = 0 and as the fallback.
@@ -556,7 +534,7 @@ def _fd_knots(n: int, floor: float, form: _Form, g):
         for (c, s), is_vertex in order:
             ya, yb = c * lo[1] - s * lo[2], c * hi[1] - s * hi[2]
             if yb == 0.0:
-                yield (hi[0], g(hi[0])), is_vertex
+                yield (hi[0], read(hi[0])), is_vertex
                 continue
             if _sign(ya) * _sign(yb) >= 0:
                 continue
@@ -564,14 +542,14 @@ def _fd_knots(n: int, floor: float, form: _Form, g):
             # end knot lies on a piece m > 0, next to its lower end.
             if not is_vertex and m >= 0 and abs(s) <= c:
                 e = lo[0] if s > 0.0 else hi[0]
-                read = g(e)
-                if read * form.end_sign > 0.0:
-                    yield (e, read), is_vertex
+                value = read(e)
+                if value * form.end_sign > 0.0:
+                    yield (e, value), is_vertex
                     continue
             e = _fd_knot(n, m, c, s) if m >= 0 else None
             if e is None:
                 e = _brentq(knot_function(c, s), lo[0], hi[0], ya, yb)
-            yield (e, g(e)), is_vertex
+            yield (e, read(e)), is_vertex
         lo = hi
 
 
@@ -587,7 +565,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     direction psi of (sigma, tau) rises monotonically with E.  So knots at
     the form's two extreme directions (_fd_knots) split the window into
     turns of psi by pi, and det's walk (_roots) decides each turn and
-    refines each root with spectrum._brentq, on FD's own read g.  Where g(0)
+    refines each root with spectrum._brentq: Brent refines on the raw form;
+    the walk decides on the read, its knots, its floor and g(0).  Where g(0)
     reads 0, the turn that holds E = 0 has its zero level at exactly 0: at
     E = 0 the discrete wave is the continuum's, (sigma, tau) = (1, 1) in
     units of l, so the operator has a zero level exactly where the
@@ -617,21 +596,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     abs_t, abs_d4 = abs(t), abs(d4)
 
     def g(e: float) -> float:
-        """g at E l^2 = e, or 0 where it lies within its rounding bound.
-
-        q l rounds by about eps q l, which moves sigma by d_sigma = eps and
-        tau by d_tau, eps q l times the size of its terms.  So alpha rounds
-        by da = d_sigma + L0 d_tau, and w by da (1 + |t|) and by about
-        eps |alpha| (1 + 3 |t|) in its own arithmetic, which w^2 takes to
-        second order where w is as small as that; alpha^2 d4 moves by
-        2 |alpha| |d4| da, and w^2, alpha^2 d4 and the projection each round
-        by about eps times the sizes of their terms.  Brent's method runs on
-        this read value, so it stops where rounding, not the root, would set
-        g's sign.  _fd_wave and the form's arithmetic are inline, in their
-        own operations and order, since Brent's method calls g once per step.
-        """
-        r = math.sqrt(abs(e))
-        x = 0.5 * r / n_interior
+        """g at E l^2 = e, raw: _fd_wave and the form's arithmetic inline, in their order."""
+        x = 0.5 * math.sqrt(abs(e)) / n_interior
         if e >= 0.0:
             q = two_n * math.asin(x)
             s0, c0, sh = math.sin(q), math.cos(q), 2.0 * x * math.sqrt(1.0 - x * x)
@@ -644,8 +610,21 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         alpha = complex(sigma, L0 * tau)
         w = alpha.conjugate() - alpha * t
         z = w * w - alpha * alpha * d4
-        value = -(z.real * phase.real + z.imag * phase.imag)
-        a, b, x, c = abs(alpha), abs(w), 1.0 + r, abs(c)
+        return -(z.real * phase.real + z.imag * phase.imag)
+
+    def read(e: float) -> float:
+        """g at E l^2 = e as the walk reads it: 0 where it lies within its rounding bound.
+
+        q l rounds by about eps q l, which moves sigma by d_sigma = eps and
+        tau by d_tau, eps q l times the size of its terms.  So alpha rounds
+        by da = d_sigma + L0 d_tau, and w by da (1 + |t|) and by about
+        eps |alpha| (1 + 3 |t|) in its own arithmetic, which w^2 takes to
+        second order where w is as small as that; alpha^2 d4 moves by
+        2 |alpha| |d4| da, and w^2, alpha^2 d4 and the projection each round
+        by about eps times the sizes of their terms.
+        """
+        alpha, w, z, value = form(*_fd_wave(n_interior, e))
+        a, b, x, c = abs(alpha), abs(w), 1.0 + math.sqrt(abs(e)), 0.5 * abs(e) / n2
         d_tau = 4.0 * _EPS * x * (1.0 + c + c * c * n_interior)
         da = 2.0 * _EPS * x + L0 * d_tau
         dw = da * (1.0 + abs_t) + _EPS * a * (1.0 + 3.0 * abs_t)
@@ -654,8 +633,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         return 0.0 if abs(value) <= bound else value
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
-    knots = _fd_knots(n_interior, floor, form, g)
-    roots = _roots(knots, (floor, g(floor)), form.end_sign, g(0.0), g, n)
+    knots = _fd_knots(n_interior, floor, form, read)
+    roots = _roots(knots, (floor, read(floor)), form.end_sign, read(0.0), g, n)
     if len(roots) < n:
         raise EigenSolverFailure(
             f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"

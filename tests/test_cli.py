@@ -605,12 +605,12 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128"),
-        0, "a8feeede34a9b37cb3ca17ba93c95a84d67d57e8a50e5214e1ce1f96f0765f51",
+        0, "ca0d43dbdfb55716df520ace76bfb0e45133e7166fed548a78de4d0d95350e7e",
     ),
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128", "--format", "csv"),
-        0, "dd5beb1bdd93e0b2be792941919cbbd3382515420b8bb7e3c306ab3224a3626b",
+        0, "8659ddeeb5a888e4a59e7903144549407337b06db4a6181e1c2347eca7c1de2a",
     ),
     (
         ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "40"),

@@ -169,6 +169,15 @@ def test_check_isospectral_reads_the_pole_from_the_base_solve(monkeypatch, solve
     assert (report.max_level_deviation, report.worst_point) == reference
 
 
+@pytest.mark.parametrize("solver", ["determinant", "channel", "fd"])
+@pytest.mark.parametrize("n_levels", [2.5, math.nan])
+def test_check_isospectral_takes_a_whole_level_count(solver, n_levels):
+    # The sweep checks its own count by the solvers' rule, so the error names
+    # n_levels, not the solver's n.
+    with pytest.raises(ValueError, match="^n_levels must be an integer"):
+        check_isospectral((1.0, 0.5), SphereGrid.default(2, 2), n_levels, solver=solver, n_interior=64)
+
+
 def test_check_isospectral_validation():
     grid = SphereGrid.default(2, 2)
     with pytest.raises(ValueError):

@@ -460,8 +460,9 @@ def test_det_spectrum_puts_a_level_just_above_the_threshold_off_zero():
 
 def test_oracles_take_only_shared_primitives_from_the_channel_solver():
     # The three solvers stay independent: det and FD share Brent's method,
-    # the floor, the level record, the degeneracy rule, sin(kl)/(kl) and eps
-    # with the channel solver, and none of its grids or tolerances.
+    # the floor, the level record, the degeneracy rule, sin(kl)/(kl), eps
+    # and the level-count rule with the channel solver, and none of its
+    # grids or tolerances.
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     names = {
         alias.name
@@ -469,7 +470,8 @@ def test_oracles_take_only_shared_primitives_from_the_channel_solver():
         if isinstance(node, ast.ImportFrom) and node.module == "spectrum"
         for alias in node.names
     }
-    assert names == {"_brentq", "KAPPA_CEILING", "Spectrum", "degenerate_partners", "sinc_kl", "_EPS"}
+    assert names == {"_brentq", "KAPPA_CEILING", "Spectrum", "degenerate_partners", "sinc_kl", "_EPS",
+                     "_count"}
     assert "spectrum" not in {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
     }
@@ -567,10 +569,28 @@ def test_every_solver_builds_its_levels_through_the_one_record():
     assert "flag_degenerate" not in defined
 
 
+def _form_steps(node, scope=()) -> list[str]:
+    # The function (as Class.method or outer.inner) of every w = conj(alpha)
+    # - alpha t, the form's step, in node.
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _form_steps(child, (*scope, child.name))
+            continue
+        if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Sub)
+                and isinstance(child.left, ast.Call) and getattr(child.left.func, "attr", None) == "conjugate"
+                and isinstance(child.right, ast.BinOp) and isinstance(child.right.op, ast.Mult)):
+            found.append(".".join(scope))
+        found += _form_steps(child, scope)
+    return found
+
+
 def test_det_and_fd_share_one_form_and_one_turn_rule():
     # One class sets the form's coefficients and owns its direction rule,
     # one function returns turn brackets, and one walk calls it: _roots,
-    # which det and FD both call.
+    # which det and FD both call.  The form's arithmetic exists in the form's
+    # own call and in one inline kernel per solver, the g Brent's method
+    # calls; each read calls the form.
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     forms, turns, callers, methods = [], [], {}, {}
     for node in ast.walk(tree):
@@ -593,6 +613,7 @@ def test_det_and_fd_share_one_form_and_one_turn_rule():
     assert turns == ["_turn"]
     assert [name for name, called in callers.items() if "_turn" in called] == ["_roots"]
     assert "_roots" in callers["det_spectrum"] and "_roots" in callers["fd_spectrum"]
+    assert sorted(_form_steps(tree)) == ["_Form.__call__", "_Projection.g", "fd_spectrum.g"]
 
 
 _angles = st.floats(0.0, TWO_PI)
@@ -629,8 +650,8 @@ def test_a_form_that_overflows_a_double_is_a_solver_error(L0, sigma_max):
 
 
 def _fd_read_reference(form, n: int, e: float) -> float:
-    # FD's read g as the form's own call on _fd_wave gives it, under FD's
-    # rounding-bound rule (fd_spectrum's g).
+    # FD's read as the form's own call on _fd_wave gives it, under FD's
+    # rounding-bound rule (fd_spectrum's read).
     eps = np.finfo(float).eps
     alpha, w, z, value = form(*oracles._fd_wave(n, e))
     x, c = 1.0 + math.sqrt(abs(e)), 0.5 * abs(e) / (n * n)
@@ -669,10 +690,12 @@ def _det_read_reference(proj, y: float) -> float:
     st.integers(0, 2**32 - 1),
 )
 def test_the_inline_kernels_are_the_form_bit_for_bit(angles, l, L0, x, e, n_int, seed):
-    # det's g and read, and FD's read g, evaluate their wave and the form
-    # inline; each must return the double the form's own call gives, so the
-    # copies cannot drift from _Form.  Each runs at the drawn point and at
-    # 32 more from the seed, x = y l and e across E = 0.
+    # det's g and FD's g, the functions Brent's method calls, evaluate their
+    # wave and the form inline; each must return the double the form's own
+    # call gives, so the copies cannot drift from _Form.  Each read, the
+    # wave, the form's call and a rounding bound, must match its reference.
+    # Each runs at the drawn point and at 32 more from the seed, x = y l and
+    # e across E = 0.
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(*angles)), l, L0)
     rng = np.random.default_rng(seed)
     proj = oracles._Projection(bc)
@@ -686,21 +709,26 @@ def test_the_inline_kernels_are_the_form_bit_for_bit(angles, l, L0, x, e, n_int,
         y = float(y)
         assert proj.g(y).hex() == oracles._Form.__call__(proj, *proj._wave(y))[3].hex()
         assert proj.read(y).hex() == _det_read_reference(proj, y).hex()
-    captured = []
+    captured, roots_, knots_ = {}, oracles._roots, oracles._fd_knots
 
-    def capture(*args):
-        captured.append(args[4])
-        return original(*args)
+    def capture_g(*args):
+        captured["g"] = args[4]
+        return roots_(*args)
 
-    original = oracles._roots
+    def capture_read(*args):
+        captured["read"] = args[3]
+        return knots_(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_roots", capture)
+        mp.setattr(oracles, "_roots", capture_g)
+        mp.setattr(oracles, "_fd_knots", capture_read)
         roots = fd_spectrum(bc, 3, n_int).E * l * l
     form = oracles._Form(bc.u, bc.L0 / bc.l, 1.0)
     for e in [e, *rng.uniform(-3000.0, 3000.0, 32), *np.outer(roots, 1.0 + near).ravel(),
               *np.outer(roots, 1.0 - near).ravel()]:
         e = float(e)
-        assert captured[0](e).hex() == _fd_read_reference(form, n_int, e).hex()
+        assert captured["g"](e).hex() == form(*oracles._fd_wave(n_int, e))[3].hex()
+        assert captured["read"](e).hex() == _fd_read_reference(form, n_int, e).hex()
 
 
 def test_det_bound_levels_at_the_threshold_and_the_floor():
@@ -914,15 +942,28 @@ def test_fd_matches_the_referee_on_edge_defects():
     # The referee's levels are the eigenvalues of the eliminated operator
     # (test_fd_referee_levels_are_the_eigenvalues_of_the_assembled_operator),
     # to 50 digits rather than through a dense solve of a non-normal matrix.
-    # The walk holds them to 1e-12 (worst 5e-14 here); at the threshold and
-    # the floor conditioning, not the walk, sets the miss (up to 2.7e-9).
+    # The walk holds them to 1e-12 (worst 5e-14 here), and next to the floor
+    # to 1e-11 (1.6e-12): Brent's method refines on the raw g, which stops
+    # where the root is, not where g first reads 0 (7.3e-11 then).  At the
+    # threshold conditioning, not the walk, sets the miss (up to 2.7e-9).
     rng = np.random.default_rng(107)
     edges = ("generic", "theta0", "thetapi", "threshold", "floor", "degenerate")
     for n_int, count in ((64, 86), (128, 12), (256, 4)):
         for i in range(count):
             edge = edges[i % len(edges)]
-            gate = 1e-6 if edge in ("threshold", "floor") else 1e-12
+            gate = {"threshold": 1e-6, "floor": 1e-11}.get(edge, 1e-12)
             _fd_matches_referee(_edge_bc(rng, edge), n_int, 4 + i % 5, gate)
+
+
+def test_fd_refines_a_deep_bound_level_to_the_referee():
+    # A bound level at E l^2 = -2214, where g reads 0 within 4e-9 (relative)
+    # of the root: Brent's method on the read g stopped where it first read
+    # 0, 1.0e-9 off.  On the raw g it stops at the root (1.4e-13 off).
+    p = UnitaryParams(2.6271408093536386, 0.51484319036078396, 2.9868439043405575, 2.6428766341319583)
+    bc = BoundaryCondition(params_to_matrix(p), 0.27886100680564596, 34.544577252725325)
+    want = referee.fd_levels(bc, 5, 64)[0]
+    assert want == pytest.approx(-28466.4504567746, rel=1e-15)
+    assert abs(fd_spectrum(bc, 5, 64).E[0] - want) <= 1e-12 * (1.0 + abs(want))
 
 
 def _fd_matrix(bc, n_int) -> np.ndarray:
