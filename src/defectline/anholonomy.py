@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationLost, InconsistentShift
-from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, Channel, ChannelRows, solve_channels
+from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, Channel, ChannelRows, _count, solve_channels
 from .unitary import TWO_PI, UnitaryParams
 
 __all__ = [
@@ -77,10 +77,8 @@ class PathSpec:
         if len(w) != 2 or not all(math.isfinite(x) and x == int(x) for x in w):
             raise ValueError("winding must be a pair of integers")
         object.__setattr__(self, "winding", (int(w[0]), int(w[1])))
-        if self.n_steps < 64:
-            raise ValueError("n_steps must be at least 64")
-        if self.levels_tracked < 2:
-            raise ValueError("levels_tracked must be at least 2")
+        object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps, 64))
+        object.__setattr__(self, "levels_tracked", _count("levels_tracked", self.levels_tracked, 2))
         Channel(0.0, self.l, self.L0)  # validates the box
 
 

@@ -76,8 +76,7 @@ class SphereGrid:
     @classmethod
     def default(cls, n_mu_interior: int = 8, n_nu: int = 8) -> "SphereGrid":
         """Poles plus an n_mu_interior x n_nu product grid in between."""
-        if n_mu_interior < 1 or n_nu < 1:
-            raise ValueError("grid sizes must be positive")
+        n_mu_interior, n_nu = _count("n_mu_interior", n_mu_interior, 1), _count("n_nu", n_nu, 1)
         mu = np.linspace(0.0, math.pi, n_mu_interior + 2)
         nu = np.linspace(0.0, 2.0 * math.pi, n_nu, endpoint=False)
         return cls(mu_points=tuple(mu), nu_points=tuple(nu))

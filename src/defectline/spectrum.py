@@ -14,22 +14,21 @@ and a zero-energy level exists exactly when the shared small-argument limit
 
     T = l sin(theta/2) + L0 cos(theta/2)
 
-vanishes.  Root finding works on the reduced functions F(k)/k and
-G(kappa)/kappa, which are entire, equal T at the origin, and carry the same
-nonzero roots — this removes the spurious root both F and G have at 0 and
-lets brackets start at the origin, where near-threshold levels live.
+vanishes.  A ladder that starts below branch label 1 has one level there:
+the bound level where cos(theta/2) < 0 < T, or the positive level of label
+0 where T < 0.  _threshold_root finds it by Newton's method in x = kappa l
+or x = kl, falling monotonically onto the root, with no bracket.
 
-Each positive root lies alone on a half-branch of tan, named by its branch
-label.  Three steps of the branch equation place the root of every label
-within one cell of the grid step * j (label 0 from a bound on the root,
-the others from the centre of the half-branch), and F/k at the 4 grid
-points around that estimate finds its cell.  A port of scipy's brentq
-refines it: one bracket at a time on a pure-math F/k for short ladders,
-and every bracket in lock step on numpy arrays from _ARRAY_BRENT_MIN of
-them on; both give the same doubles.  The search takes many channels of
-one box at once (solve_channels, one row per channel), and a single
-channel is its one-row case, so a batch returns the doubles of one solve
-per channel.
+Every other positive root lies alone on a half-branch of tan, named by its
+branch label m >= 1.  Three steps of the branch equation place it within
+one cell of the grid step * j from the centre of its half-branch, and F/k,
+entire with value T at the origin, at the 4 grid points around that
+estimate finds its cell.  A port of scipy's brentq refines it: one bracket
+at a time on a pure-math F/k for short ladders, and every bracket in lock
+step on numpy arrays from _ARRAY_BRENT_MIN of them on; both give the same
+doubles.  The search takes many channels of one box at once
+(solve_channels, one row per channel), and a single channel is its one-row
+case, so a batch returns the doubles of one solve per channel.
 As each label has its own window, a row may also start at a given label
 above the bottom of its ladder, with the same doubles for the labels it
 shares with the bottom.  The merged spectrum solves its two channels as
@@ -73,9 +72,9 @@ _CHANNEL_NAMES = np.array([CHANNEL_PLUS, CHANNEL_MINUS])
 # any two roots of one channel (roots interlace the lattice m*pi/l).
 GRID_DENSITY = 64
 
-# kappa ceiling (in units of 1/l) for the bound-state search: sinh overflow
-# guard; a deeper level is out of desk scale and dropped consistently by all
-# solvers in this package.
+# The bound-state floor, kappa l = KAPPA_CEILING: a level at or below it is
+# out of desk scale and dropped, by the same convention in every solver of
+# this package.
 KAPPA_CEILING = 50.0
 
 # |T| below this (scaled by l + L0) counts as an exact zero-energy level.
@@ -84,6 +83,7 @@ ZERO_LEVEL_TOL = 1e-12
 _BRENT_XTOL = 1e-13
 _BRENT_RTOL = 1e-15
 _BRENT_MAXITER = 100
+_NEWTON_MAXITER = 100
 
 # _refine takes this many brackets or more in lock step with _brentq_array,
 # fewer one at a time with _brentq: the measured crossover.  Refining the n
@@ -252,28 +252,6 @@ def sinc_kl(k: float, l: float) -> float:
 def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
     # _fhat_half for one float, with the same double out.
     return l * sinc_kl(k, l) * s2 + L0 * math.cos(k * l) * c2
-
-
-def sinhc(x):
-    """sinh(x)/x on arrays, with the series 1 + x^2/6 where |x| < 1e-8."""
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 6.0, np.sinh(safe) / safe)
-
-
-def _ghat_half(s2, c2, l: float, L0: float, kappa: np.ndarray) -> np.ndarray:
-    # G(kappa)/kappa, with value T at 0 and the positive roots of G, on
-    # half-angles that may differ from element to element of kappa.
-    x = kappa * l
-    return l * sinhc(x) * s2 + L0 * np.cosh(x) * c2
-
-
-def _ghat_scalar(s2: float, c2: float, l: float, L0: float, kappa: float) -> float:
-    # _ghat_half for one float, in the same operations and order as sinhc.
-    # sinh and cosh stay numpy's: math.sinh differs from them in the last bit.
-    x = kappa * l
-    sh = 1.0 + x * x / 6.0 if abs(x) < 1e-8 else float(np.sinh(x)) / x
-    return l * sh * s2 + L0 * float(np.cosh(x)) * c2
 
 
 def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
@@ -447,66 +425,96 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
 
 
-def _refine(scalar, vector, s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -> np.ndarray:
-    """Brent roots of the brackets [xa[i], xb[i]], each of its row's function.
+def _refine(s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -> np.ndarray:
+    """Brent roots of F/k on the brackets [xa[i], xb[i]], each of its row's channel.
 
     Bracket i belongs to the channel with half-angles (s2[rows[i]],
-    c2[rows[i]]); scalar(s2, c2, l, L0, x) and vector(...) are one reduced
-    function in its float and array forms, with the same doubles.  Fewer
-    than _ARRAY_BRENT_MIN brackets refine one at a time, more in lock step.
+    c2[rows[i]]).  Fewer than _ARRAY_BRENT_MIN brackets refine one at a time
+    on _fhat_scalar, more in lock step on _fhat_half, with the same doubles.
     """
     if rows.size < _ARRAY_BRENT_MIN:
         s2, c2 = s2.tolist(), c2.tolist()
         return np.array([
-            _brentq(functools.partial(scalar, s2[r], c2[r], l, L0), a, b, u, v)
+            _brentq(functools.partial(_fhat_scalar, s2[r], c2[r], l, L0), a, b, u, v)
             for r, a, b, u, v in zip(rows.tolist(), xa.tolist(), xb.tolist(), fa.tolist(), fb.tolist())
         ])
     s2, c2 = s2[rows], c2[rows]
-    return _brentq_array(lambda x, i: vector(s2[i], c2[i], l, L0, x), xa, xb, fa, fb)
+    return _brentq_array(lambda x, i: _fhat_half(s2[i], c2[i], l, L0, x), xa, xb, fa, fb)
+
+
+def _threshold_root(a: float, b: float, bound: bool) -> float:
+    """x = kappa l of the bound level, or x = kl of label 0, on a = L0 c2 and b = l s2.
+
+    The bound level (c2 < 0 < T = a + b) is the root of phi = b tanh(x) + a x
+    in (0, KAPPA_CEILING): phi is concave, phi(0) = 0 and phi'(0) = T.  The
+    start min(-b / a, KAPPA_CEILING) has phi < 0, and so has sqrt(6 (1 - t)),
+    t = -a / b, where 1 - t < 0.2, as tanh x <= x - x^3 / 3 + 2 x^5 / 15.
+    Label 0 (T < 0) is the root of phi = b sin(x) + a x cos(x) in
+    (0, pi / 2]: phi'' = -(2a + b) sin(x) - a x cos(x) > 0, and the start
+    min(pi / 2, sqrt(-3 T / b)), pi / 2 where b = 0, lies above the root as
+    tan x >= x + x^3 / 3.  From there each tangent's zero lies between the
+    root and the last iterate, so Newton's method falls monotonically onto
+    the root; it stops at the first step that does not decrease x.
+    ScanExhausted, the witness, is raised unless that happens within
+    _NEWTON_MAXITER steps and inside the window.
+    """
+    top = KAPPA_CEILING if bound else math.pi / 2
+    if bound:
+        x, t = min(-b / a, top), -a / b
+        if 1.0 - t < 0.2:
+            x = min(x, math.sqrt(6.0 * (1.0 - t)))
+    else:
+        x = top if b == 0.0 else min(top, math.sqrt(-3.0 * (a + b) / b))
+    for _ in range(_NEWTON_MAXITER):
+        if bound:
+            h = math.tanh(x)
+            y = x - (b * h + a * x) / (b * (1.0 - h * h) + a)
+        else:
+            sin, cos = math.sin(x), math.cos(x)
+            y = x - (b * sin + a * x * cos) / ((a + b) * cos - a * x * sin)
+        if not y < x:
+            # x <= top holds, as the start does and x only falls.
+            if 0.0 < x and (x < top or not bound):
+                return x
+            break
+        x = y
+    raise ScanExhausted(f"Newton's method did not stop inside the window of its level, at x={x!r}")
 
 
 def _branch_estimate(m, s2, c2, l: float, L0: float) -> np.ndarray:
-    """kl of the positive root of F of branch label m, within one grid cell.
+    """kl of the positive root of F of branch label m >= 1, within one grid cell.
 
     The root solves x = m pi - atan2(x a, b), x = kl, a = L0 c2 and
     b = l s2 >= 0, on its half-branch (see _scan_rows); three steps of that
-    map place it.  For m >= 1 they start at the centre of the half-branch,
-    at most pi / 4 off, where the map's slope, -ab / (b^2 + a^2 x^2), is at
-    most 1 / (2x) <= 1 / pi in size: (pi / 4) / pi^3 < 0.0254 is left.
-    Label 0 (T = a + b < 0 only) solves tan(x) / x = t = -a / b on
-    (0, pi / 2), where the map is x <- atan(t x), concave.  Its start
-    x0 = min(pi / 2, sqrt(3 (t - 1))), t - 1 = -T / b, lies at or above the
-    root, as tan x >= x + x^3 / 3, so the steps fall monotonically onto it,
-    each shrinking the error by sin(2 x*) / (2 x*) at most.  That error
-    depends on t alone, and a dense grid of roots x* in (0, pi / 2) bounds
-    it by 0.0268.  Both are under the cell pi / 64 that _scan_rows needs.
+    map from the centre of the half-branch, at most pi / 4 off, place it:
+    there the map's slope, -ab / (b^2 + a^2 x^2), is at most 1 / (2x) <=
+    1 / pi in size, so (pi / 4) / pi^3 < 0.0254 is left, under the cell
+    pi / 64 that _scan_rows needs.
     """
     a, b = L0 * c2, l * s2
     mpi = m * np.pi
-    # x0 is pi / 2 where b underflows to 0, and NaN, not taken, for m >= 1;
-    # where x a overflows, atan2 of +-inf is the limit +-pi/2.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x0 = np.minimum(np.sqrt(-3.0 * (a + b) / b), np.pi / 2)
-        x = np.where(m == 0, x0, mpi - np.copysign(np.pi / 4, c2))
+    x = mpi - np.copysign(np.pi / 4, c2)
+    # Where x a overflows, atan2 of +-inf is the limit +-pi/2.
+    with np.errstate(over="ignore"):
         for _ in range(3):
             x = mpi - np.arctan2(x * a, b)
     return x
 
 
 def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
-    """Fill out[r, first[r]:] with the positive roots of F of labels m0[r] on.
+    """Fill out[r, first[r]:] with the positive roots of F of labels m0[r] >= 1 on.
 
     Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0),
     and its p-th positive column, out[r, first[r] + p], gets the root of
-    branch label m0[r] + p; solve_channels decides where each ladder starts.
-    The root of label m = (kl + atan2(k L0 c2, s2)) / pi lies, as s2 >= 0,
-    in kl in [m pi - pi/2, m pi] when c2 >= 0 and in [m pi, m pi + pi/2]
-    when c2 < 0 (label 0 only when T < 0, so in (0, pi/2]).  The window of
-    label m, its half-branch and a cell at each end, holds no other root,
-    and F/k (-1)^(m + 1) is >= 0 in it up to the root and < 0 past it.  The
-    root's cell of the grid step * j is found in one pass over all roots:
-    _branch_estimate lies within one cell of the root, and the count of the
-    4 grid points around it, none below the origin, where that sign is >= 0
+    branch label m0[r] + p; solve_channels decides where each ladder starts
+    and solves any level below label 1 itself.  The root of label
+    m = (kl + atan2(k L0 c2, s2)) / pi lies, as s2 >= 0, in kl in
+    [m pi - pi/2, m pi] when c2 >= 0 and in [m pi, m pi + pi/2] when
+    c2 < 0.  The window of label m, its half-branch and a cell at each end,
+    holds no other root, and F/k (-1)^(m + 1) is >= 0 in it up to the root
+    and < 0 past it.  The root's cell of the grid step * j is found in one
+    pass over all roots: _branch_estimate lies within one cell of the root,
+    and the count of the 4 grid points around it where that sign is >= 0
     places it.  ScanExhausted is raised unless each cell lies in its window
     and F/k changes sign across it so.  Brent refines the roots, all rows
     together; a root where F/k is exactly 0 is that grid point.
@@ -516,13 +524,12 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
     if not r.size:
         return
     m = (m0 - first)[r] + col
-    lo = np.maximum(m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))[r], 0)
+    lo = m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))[r]
     # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
     sign = (m & 1) * 2.0 - 1.0
     s2, c2 = s2[r], c2[r]
     estimate = _branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
-    # F/k is even in k, so a probe below the origin would read the wrong side.
-    start = np.maximum(np.floor(estimate).astype(np.intp) - 1, 0)
+    start = np.floor(estimate).astype(np.intp) - 1
     # Root i probes the points start[i] ... start[i] + 3, as row i of v.
     v = _fhat_half(
         (s2 * sign)[:, None], (c2 * sign)[:, None], l, L0, step * (start[:, None] + np.arange(4)),
@@ -539,10 +546,7 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
         raise ScanExhausted("F/k does not change sign in the window of every branch label")
     k = step * j
     at = np.flatnonzero(ga)
-    k[at] = _refine(
-        _fhat_scalar, _fhat_half, s2, c2, l, L0, at, k[at], step * (j[at] + 1),
-        ga[at] * sign[at], gb[at] * sign[at],
-    )
+    k[at] = _refine(s2, c2, l, L0, at, k[at], step * (j[at] + 1), ga[at] * sign[at], gb[at] * sign[at])
     out[r, col] = k
 
 
@@ -587,20 +591,22 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     """solve_channel for every eigenphase in ``thetas`` on one box, in one batch.
 
     Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  Every
-    root of every channel is searched in the same passes and refined in one
-    _refine call, so a batch costs array operations, not a loop per channel.
-    The threshold T = l sin(theta/2) + L0 cos(theta/2) alone decides where a
-    row's ladder starts, here and nowhere else:
+    root of label >= 1 of every channel is searched in the same passes and
+    refined in one _refine call, so a batch costs array operations, not a
+    loop per channel.  The threshold T = l sin(theta/2) + L0 cos(theta/2)
+    alone decides where a row's ladder starts, here and nowhere else:
 
     * a zero-energy level where |T| <= ZERO_LEVEL_TOL (l + L0);
-    * else a bound level where cos(theta/2) < 0 < T and G/kappa < 0 at the
-      floor, cap = KAPPA_CEILING / l (G/kappa = T at 0), refined by Brent
-      on [0, cap], all rows together like the positive roots;
-    * the first positive level has branch label 0 where T < 0 and the row
-      has no zero-energy level, else label 1.  At T = 0,
+    * else a bound level where cos(theta/2) < 0 < T and its root lies below
+      the floor, kappa l < KAPPA_CEILING, as b tanh(x) + a x < 0 there
+      (a = L0 cos(theta/2), b = l sin(theta/2));
+    * else, where T < 0, the positive level of branch label 0, in
+      kl in (0, pi/2];
+    * then the positive levels of labels 1, 2, ...  At T = 0,
       F/k = l sin(theta/2) (sin(x)/x - cos(x)) with x = kl is positive on
       (0, pi/2], so label 0's half-branch holds no positive root.
 
+    A bound or label-0 level is solved on its row alone by _threshold_root.
     ``from_label``, one integer per eigenphase, opens a label window: where
     from_label[r] >= 1, row r holds the n levels of branch label
     m = (kl + atan2(k L0 cos(theta/2), sin(theta/2))) / pi from
@@ -632,42 +638,34 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
         labels = labels.tolist()
     s2 = np.empty(rows)
     c2 = np.empty(rows)
-    # Each row's label of its first positive root, and 1 where a bound or
-    # zero-energy level comes before that root.
+    # Each row's label of its first root of label >= 1, and 1 where a
+    # level below label 1 comes before that root.
     m0 = np.ones(rows, dtype=np.intp)
     first = np.zeros(rows, dtype=np.intp)
     k_or_kappa = np.empty((rows, n))
-    cap = KAPPA_CEILING / l
-    brackets = []
+    bound = []
     for r, (theta, label) in enumerate(zip(thetas, labels)):
         s, c = _half_angle(theta % (2.0 * math.pi))
         s2[r], c2[r] = s, c
         if label > 0:
             m0[r] = label
             continue
-        t0 = l * s + L0 * c
+        a, b = L0 * c, l * s
+        t0 = b + a
         if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
             # At the threshold T = 0 the E = 0 level is recorded as such;
             # searching for a bound root there would only rediscover it at
             # kappa ~ 0.
-            first[r] = 1
-            k_or_kappa[r, 0] = 0.0
+            x = 0.0
         elif t0 < 0.0:
-            m0[r] = 0
-        elif c < 0.0:
-            # The unique bound root is kept only below the ceiling, where
-            # sinh cannot overflow; a deeper level is out of desk scale.
-            g_cap = _ghat_scalar(s, c, l, L0, cap)
-            if g_cap < 0.0:
-                # t0 is G/kappa at 0 to the bit: sinhc is 1 there and cosh(0) is 1.
-                brackets.append((r, t0, g_cap))
-    bound = [r for r, _, _ in brackets]
-    if bound:
-        at, ga, gb = (np.array(v) for v in zip(*brackets))
-        first[at] = 1
-        k_or_kappa[at, 0] = _refine(
-            _ghat_scalar, _ghat_half, s2, c2, l, L0, at, np.zeros(at.size), np.full(at.size, cap), ga, gb,
-        )
+            x = _threshold_root(a, b, bound=False)
+        elif c < 0.0 and b * math.tanh(KAPPA_CEILING) + a * KAPPA_CEILING < 0.0:
+            x = _threshold_root(a, b, bound=True)
+            bound.append(r)
+        else:
+            continue
+        first[r] = 1
+        k_or_kappa[r, 0] = x / l
     _scan_rows(s2, c2, l, L0, k_or_kappa, first, m0)
     with np.errstate(over="ignore"):
         E = k_or_kappa * k_or_kappa

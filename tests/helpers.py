@@ -88,3 +88,32 @@ def det_matrix(bc, k: complex) -> np.ndarray:
     if k == 0:
         raise ValueError("k must be nonzero; the zero-energy level is tested separately")
     return connection_matrix(bc.u, bc.L0, np.sin(k * bc.l), k * np.cos(k * bc.l))
+
+
+def point_interaction_matrix(a: np.ndarray, b: np.ndarray, L0: float) -> np.ndarray:
+    """The U of the junction condition A phi + B dphi = 0, in boundary's convention.
+
+    Multiplying (U - I) phi + i L0 (U + I) dphi = 0 by L0 A + i B turns it
+    into A phi + B dphi = 0 exactly when U = -(L0 A + i B)^-1 (L0 A - i B),
+    which is unitary where A B^dagger is Hermitian and (A, B) has rank 2.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return -np.linalg.solve(L0 * a + 1j * b, L0 * a - 1j * b)
+
+
+def delta_matrix(v: float, L0: float) -> np.ndarray:
+    """The delta defect of strength v: psi continuous, psi'(0+) - psi'(0-) = v psi(0).
+
+    With dphi = (-psi'(0+), psi'(0-)) the jump reads
+    -dphi_0 - dphi_1 - v (phi_0 + phi_1) / 2 = 0.
+    """
+    return point_interaction_matrix([[1.0, -1.0], [-v / 2, -v / 2]], [[0.0, 0.0], [-1.0, -1.0]], L0)
+
+
+def epsilon_matrix(u: float, L0: float) -> np.ndarray:
+    """The epsilon (delta') defect of strength u: psi' continuous, psi(0+) - psi(0-) = u psi'(0).
+
+    Continuity reads dphi_0 + dphi_1 = 0, and the jump, with
+    psi'(0) = (dphi_1 - dphi_0) / 2, phi_0 - phi_1 - u (dphi_1 - dphi_0) / 2 = 0.
+    """
+    return point_interaction_matrix([[0.0, 0.0], [1.0, -1.0]], [[1.0, 1.0], [u / 2, -u / 2]], L0)

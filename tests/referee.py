@@ -28,7 +28,9 @@ pole.  Branch 0 holds a root where the threshold T has the sign opposite to
 its upper pole's.  The Illinois variant of regula falsi refines each bracket.
 
 fd_levels does the same for the finite-difference operator, whose channel
-functions are those of its discrete waves.
+functions are those of its discrete waves.  threshold_root takes the
+channel solver's own coefficient doubles instead of U, and returns the root
+of its bound or label-0 level.
 """
 
 import mpmath
@@ -189,3 +191,27 @@ def fd_levels(bc, n: int, n_interior: int) -> list[float]:
                     continue
                 levels.append((2 / h * mpmath.sin(q * h / 2)) ** 2)
         return sorted(float(e) for e in levels)[:n]
+
+
+def threshold_root(a: float, b: float):
+    """The channel solver's level below label 1 on its coefficient doubles, as an mpf.
+
+    a = L0 cos(theta / 2) and b = l sin(theta / 2) >= 0 are taken exactly.
+    Where T = a + b > 0 with a < 0 the root is x = kappa l of the bound
+    level, the zero of b tanh(x) / x + a on (0, inf), below or above the
+    floor x = KAPPA_CEILING; it lies below -2 b / a, where the function is
+    negative.  Where T < 0 it is x = kl of label 0, the zero of
+    b sin(x) / x + a cos(x) on (0, pi / 2].  Each function is T at 0 and
+    changes sign once, so bisection keeps the bracket.
+    """
+    with mpmath.workdps(_DPS):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if a + b > 0:
+            top = max(mpmath.mpf(KAPPA_CEILING), -2 * b / a)
+            f = lambda x: b * mpmath.tanh(x) / x + a
+        else:
+            top = mpmath.pi / 2
+            f = lambda x: b * mpmath.sin(x) / x + a * mpmath.cos(x)
+        if f(top) <= 0 < -(a + b):  # label 0 with b = 0: the root is pi / 2
+            return top
+        return _bisect(f, mpmath.mpf(0), top, a + b)

@@ -61,6 +61,19 @@ def test_pathspec_validation():
             PathSpec(winding=(1, 0), base=BASE, **{name: value})
 
 
+def test_pathspec_counts_take_integers_only():
+    # An infinite n_steps once made trace_path append t = 0 forever; each
+    # count is an integer of at least its minimum, or a ValueError at
+    # construction that names it.  No bad spec is traced.
+    for name, minimum in (("n_steps", 64), ("levels_tracked", 2)):
+        for value in (math.inf, math.nan, minimum + 0.5, minimum - 1):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer of at least {minimum}, "):
+                PathSpec(winding=(1, 0), base=BASE, **{name: value})
+    whole = PathSpec(winding=(1, 0), base=BASE, n_steps=64.0, levels_tracked=2.0)
+    assert (whole.n_steps, whole.levels_tracked) == (64, 2)
+    assert type(whole.n_steps) is int and type(whole.levels_tracked) is int
+
+
 # ----------------------------------------------------------------- tracing
 
 
@@ -204,46 +217,47 @@ def test_start_ladders_are_one_batch(monkeypatch, winding):
 
 @pytest.mark.parametrize("winding", [(1, 0), (2, -1)])
 def test_trace_refines_only_the_tracked_labels(monkeypatch, winding):
-    # Work counter: an interior sample of a moving channel refines no more
-    # roots than the channel tracks, and a sample whose label window starts
-    # at label >= 1 refines no bound level.  Per solve_channels call the
-    # counters hold the positive roots each row searches and refines (all
-    # but its first column when that is bound or zero) and the bound levels
-    # it refines.
-    positive, bound = [], []
-    scan_rows, refine = spectrum._scan_rows, spectrum._refine
+    # Work counter: an interior sample of a moving channel solves no more
+    # levels than the channel tracks, and a sample whose label window starts
+    # at label >= 1 solves no level below label 1.  Per solve_channels call
+    # the counters hold the roots of label >= 1 each row searches and
+    # refines, the rows that start with a level below label 1 (first), and
+    # the bound levels solved by Newton's method.
+    positive, below, bounds = [], [], []
+    scan_rows, threshold_root = spectrum._scan_rows, spectrum._threshold_root
 
     def counting_scan(s2, c2, l, L0, out, first, *rest):
         positive.append(out.shape[1] - first)
+        below.append(first.copy())
         return scan_rows(s2, c2, l, L0, out, first, *rest)
 
-    def counting_refine(scalar, vector, s2, c2, l, L0, rows, *brackets):
-        if scalar is spectrum._ghat_scalar:
-            bound[-1] = np.bincount(rows, minlength=bound[-1].size)
-        return refine(scalar, vector, s2, c2, l, L0, rows, *brackets)
+    def counting_root(a, b, bound):
+        bounds[-1] += bound
+        return threshold_root(a, b, bound=bound)
 
     def counting(thetas, n, l=1.0, L0=1.0, from_label=None):
-        bound.append(np.zeros(len(thetas), int))
+        bounds.append(0)
         calls.append((thetas[0], from_label))
         return solve_channels(thetas, n, l, L0, from_label)
 
     calls = []
     monkeypatch.setattr(spectrum, "_scan_rows", counting_scan)
-    monkeypatch.setattr(spectrum, "_refine", counting_refine)
+    monkeypatch.setattr(spectrum, "_threshold_root", counting_root)
     monkeypatch.setattr(anholonomy, "solve_channels", counting)
     path = PathSpec(winding=winding, base=BASE, n_steps=64, levels_tracked=6)
     trajectories = trace_path(path)
     assert trajectory_shifts(trajectories, winding) == winding
 
     windows = bottom_bound = 0
-    for (theta, from_label), roots, bound_roots in zip(calls[1:], positive[1:], bound[1:]):
+    for (theta, from_label), roots, first, bound_roots in zip(calls[1:], positive[1:], below[1:], bounds[1:]):
         ch = "plus" if theta == BASE.theta_plus + 2.0 * math.pi * winding[0] / 64 else "minus"
         count = sum(1 for tr in trajectories if tr.channel == ch)
-        assert np.all(roots + bound_roots <= count)
+        assert np.all(roots + first <= count)
         window = np.asarray(from_label) >= 1
-        assert np.all(bound_roots[window] == 0)
+        assert np.all(first[window] == 0)
+        assert bound_roots <= first.sum()
         windows += int(window.sum())
-        bottom_bound += int(bound_roots.sum())
+        bottom_bound += bound_roots
     assert len(calls) == 1 + sum(1 for w in winding if w)
     # Every loop opens label windows; only a channel wound downwards reaches
     # the bottom of its ladder, where this base has a bound level.

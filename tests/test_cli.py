@@ -513,11 +513,14 @@ def test_trace_accepts_a_scalar_defect(capsys):
 # brackets of one walk in the signed wavenumber, cut at E = 0: its
 # max_level_deviation went from 7.1e-15 to 3.6e-15, and det's largest error
 # against the 50-digit referee over its 14 frames from 5.0e-14 to 1.8e-13.
+# trace-1-0-bound was recorded again when the bound level and label 0 came
+# to be solved by Newton's method in x = kappa l or kl: its points of E < 0
+# and of label 0 moved by up to 5e-14 (relative), and no other value.
 PINNED_STDOUT_SHA256 = [
     (
         ("trace", "--theta-plus", "3.5", "--theta-minus", "1.0", "--w-plus", "1",
          "--steps", "64", "--tracked", "4"),
-        "f8bf44996e96504b8dd85b611a86ce134b7d8d888422d2a9802d35303f718d33",
+        "dac847f41aad01b871453444afaa6f1511acbb776087676d7039776ed3e3ae40",
     ),
     (
         ("trace", "--xi", "2.2", "--rho", "0.8", "--L0", "0.3", "--steps", "64", "--tracked", "4"),
@@ -588,6 +591,9 @@ def test_ladder_stdout_is_pinned(capsys, argv, digest):
 # roots, and every exit code held.  The two fd pins were recorded again when
 # FD came to place its knots above E = 0 by Newton's method and at piece
 # ends: E_fd of level 5 moved by 1.6e-14 in E l^2, within Brent's tolerance.
+# The trace-floored, trace-floored-first and trace-two-moving pins were
+# recorded again when the bound level and label 0 came to be solved by
+# Newton's method: only their points of E < 0 and of label 0 moved.
 PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "64",
@@ -635,41 +641,41 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "-1", "--steps", "128",
          "--tracked", "6"),
-        0, "b13e87dd663502d735fce36da084ac9112aec103079238742fcea61f37648cd2",
+        0, "dce1bf5cb8a0de37264732cc35e91a455ae1d5b09b88aaf225a476eca37865e8",
     ),
     (
         ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "-1", "--steps", "128",
          "--tracked", "6", "--format", "csv"),
-        0, "f1eb1780b0fa0f34f8d50581065d6b88d58a5c1d7bd89fd64a1d8a83c183c584",
+        0, "d6443485d8621bd934d2a7bf95b7c7ab5c978580349e12106611f5f485b28609",
     ),
     # The first trajectory leaves through the floor, so it is the shortest:
     # the points of the others need the t values it never reaches.
     (
         ("trace", "--xi", "0.5", "--rho", "0.4", "--w-minus", "-1", "--steps", "64",
          "--tracked", "4"),
-        0, "565cb0d5d5cb3020cebf893ccf6516a103ccdf57a25e47d1f089e633fc65ab30",
+        0, "b4e11349b3902f4e73fb07580b71ba4519dad1a1436999eadf63d9d3ae7e37c5",
     ),
     (
         ("trace", "--xi", "0.5", "--rho", "0.4", "--w-minus", "-1", "--steps", "64",
          "--tracked", "4", "--format", "csv"),
-        0, "934c2361dec4628a71f15f542e5ea57c1f908188c77753df163094d279509405",
+        0, "b9218a7abcd7e3eb5100a78d65992e529490f03e89a6af8abb51152b4ec2deda",
     ),
     # Both channels move and |w| = 2: two plus levels leave through the
     # floor and E reaches -304.
     (
         ("trace", "--xi", "0.5", "--rho", "0.4", "--w-plus", "-2", "--w-minus", "1",
          "--steps", "64", "--tracked", "6"),
-        0, "d9735a40fdc6b573574cd5d908a65ca844b38fc1a8d584a1bb566476e4ec3542",
+        0, "6a21d5229f2d7b6f8dc7cd4a47d9dd361f5141e404996a0f897690721ba7c3ee",
     ),
     (
         ("trace", "--xi", "0.5", "--rho", "0.4", "--w-plus", "-2", "--w-minus", "1",
          "--steps", "64", "--tracked", "6", "--format", "csv"),
-        0, "c6e057ab81fbfae48ec0880ded55ff183730980a57a775b16722ceebc6b4d741",
+        0, "f2fff4dd45309c215fa565f653f282b3ae853a0d48cee9b656d3db54d2e17bb0",
     ),
     (
         ("trace", "--xi", "0.5", "--rho", "0.4", "--w-plus", "2", "--w-minus", "-1",
          "--steps", "64", "--tracked", "6"),
-        0, "7b4a32e6de0b4fd87339f9339eb0b6f2754a93702c740f366faebecec1e84776",
+        0, "9516dcdd61c6728b4fe63077e32b3b0f35e21dbe0835978ee5664bb913e52f2a",
     ),
     (
         ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",

@@ -51,6 +51,17 @@ def test_grid_validation():
         SphereGrid.default(0, 4)
 
 
+def test_default_grid_sizes_take_integers_only():
+    # 2.5, NaN and inf raised TypeError from numpy; each size is an integer
+    # of at least 1, or a ValueError that names it.
+    for value in (2.5, math.nan, math.inf, 0):
+        with pytest.raises(ValueError, match="^n_mu_interior must be an integer of at least 1, "):
+            SphereGrid.default(value, 4)
+        with pytest.raises(ValueError, match="^n_nu must be an integer of at least 1, "):
+            SphereGrid.default(4, value)
+    assert SphereGrid.default(2.0, 3.0) == SphereGrid.default(2, 3)
+
+
 # ----------------------------------------------------------------- families
 
 

@@ -1,7 +1,7 @@
 """Property tests: each fast path returns the doubles of its plain form.
 
-The root refiners evaluate F/k and G/kappa one float at a time on scalar
-forms of the grid functions, the channel solver merges two ladders solved
+Brent's refiner evaluates F/k one float at a time on a scalar form of the
+grid function, the channel solver merges two ladders solved
 only as deep as the merge reaches, and a loop's samples are solved in one
 batch.  The printed levels stay the same only
 while every scalar form returns exactly the double its vector form returns,
@@ -13,13 +13,18 @@ label window is held to the row solved from the bottom of its ladder.  The
 branch labels that place each channel root are held to consecutive integers
 within 1e-6, and the label each row returns to its first level's.  Every
 solver's Spectrum is held to one level record, and det's
-partners to the list-based pairing rule kept here as the reference.
+partners to the list-based pairing rule kept here as the reference.  The
+bound and label-0 levels, which Newton's method solves, are held to the
+50-digit referee within two rounding units, and with every FD level to
+exact scale covariance.
 """
 
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
+import referee
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -39,15 +44,14 @@ from defectline import anholonomy
 from defectline.spectrum import (
     KAPPA_CEILING,
     ZERO_LEVEL_TOL,
-    _brentq,
     _fhat_scalar,
-    _ghat_scalar,
     _half_angle,
     solve_channels,
 )
-from test_spectrum import _fhat, _ghat, _scan_positive_reference
+from test_spectrum import _fhat, _reference_from_label_1
 
 PI = math.pi
+EPS = float(np.finfo(float).eps)
 TWO_PI = 2.0 * PI
 
 lengths = st.floats(-2.0, 2.0).map(lambda e: 10.0**e)
@@ -86,8 +90,8 @@ def channels(draw):
 
 
 def _points(seed, top):
-    # 64 points on [0, top]: the ends, three around the sinhc series switch
-    # and 59 uniform ones.
+    # 64 points on [0, top]: the ends, three near the origin and 59 uniform
+    # ones.
     spread = np.random.default_rng(seed).uniform(0.0, top, 59)
     return np.concatenate([[0.0, 5e-9, 1e-8, 2e-8, top], spread])
 
@@ -101,32 +105,74 @@ def test_fhat_scalar_equals_vector_form(ch, seed):
     assert [_fhat_scalar(s2, c2, l, L0, x) for x in k.tolist()] == vec.tolist()
 
 
-@given(channels(), seeds)
-def test_ghat_scalar_equals_vector_form(ch, seed):
+@st.composite
+def thresholds(draw):
+    """(theta, l, L0): an eigenphase from phases(l, L0), or one within
+    1e-9...1e-2 of the threshold T = 0, or one whose bound level lies
+    within 1e-9...1e-2 (relative) of the kappa l = 50 floor, on either
+    side of it."""
+    l, L0 = draw(lengths), draw(lengths)
+    region = draw(st.integers(0, 3))
+    if region < 2:
+        return draw(phases(l, L0)), l, L0
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    offset = side * draw(st.floats(-9.0, -2.0).map(lambda e: 10.0**e))
+    if region == 2:
+        return 2.0 * math.atan2(L0, -l) + offset, l, L0
+    # tan(theta/2) = -50 L0 / (l f) puts the root at kappa l near 50 / f.
+    return 2.0 * (PI - math.atan(KAPPA_CEILING * L0 / (l * (1.0 + offset)))), l, L0
+
+
+@given(thresholds())
+def test_levels_below_label_1_lie_within_two_rounding_units_of_the_referee(ch):
+    # The bound level and label 0 against the 50-digit root at the solver's
+    # own coefficients a = L0 cos(theta/2) and b = l sin(theta/2): within
+    # 2 eps (kappa_phi + x) in x = kappa l or kl, where kappa_phi =
+    # (|b S(x)| + |a x C(x)|) / |phi'(x)| is what rounding each term of
+    # phi = b S(x) + a x C(x) once moves the root by, S = tanh and C = 1 for
+    # the bound level, S = sin and C = cos for label 0.  A bound level is
+    # dropped only where its root lies above the floor within that bound.
     theta, l, L0 = ch
-    s2, c2 = _half_angle(theta)
-    kappa = _points(seed, KAPPA_CEILING / l)
-    kappa[1:4] /= l  # kappa l straddles the 1e-8 switch of sinhc
-    vec = _ghat(theta, l, L0, kappa)
-    scalar = [_ghat_scalar(s2, c2, l, L0, x) for x in kappa.tolist()]
-    assert scalar == vec.tolist()
-    assert scalar == [float(_ghat(theta, l, L0, x)) for x in kappa.tolist()]
+    rows = solve_channels([theta], 1, l, L0)
+    s2, c2 = _half_angle(theta % TWO_PI)
+    a, b = L0 * c2, l * s2
+    if abs(a + b) <= ZERO_LEVEL_TOL * (l + L0):
+        assert rows.E[0, 0] == 0.0
+        return
+    if a + b > 0.0 and c2 >= 0.0:
+        assert rows.label[0] == 1
+        return
+    with mpmath.workdps(50):
+        x = referee.threshold_root(a, b)
+        if a + b > 0.0:
+            sx, cx, slope = mpmath.tanh(x), 1, b / mpmath.cosh(x) ** 2 + a
+        else:
+            sx, cx = mpmath.sin(x), mpmath.cos(x)
+            slope = (a + b) * cx - a * x * sx
+        gate = 2 * EPS * ((abs(b * sx) + abs(a * x * cx)) / abs(slope) + x)
+        if rows.label[0] == 1:  # a bound level dropped at the floor
+            assert a + b > 0.0 and x >= KAPPA_CEILING - gate
+            return
+        assert (rows.E[0, 0] < 0.0) == (a + b > 0.0)
+        assert abs(mpmath.mpf(rows.k_or_kappa[0, 0]) * l - x) <= gate
 
 
-@given(channels())
-def test_bound_level_equals_brent_on_the_vector_form(ch):
-    ch = Channel(*ch)
-    theta, l, L0 = ch.theta, ch.l, ch.L0
-    s2, c2 = _half_angle(theta)
-    cap = KAPPA_CEILING / l
-    t0 = l * s2 + L0 * c2
-    g = lambda kappa: float(_ghat(theta, l, L0, kappa))
-    first = solve_channel(ch, 1).levels[0]
-    if abs(t0) <= ZERO_LEVEL_TOL * (l + L0) or c2 >= 0.0 or t0 <= 0.0 or g(cap) >= 0.0:
-        assert first.kind != "bound"
-    else:
-        assert first.kind == "bound"
-        assert first.k_or_kappa == _brentq(g, 0.0, cap, g(0.0), g(cap))
+@given(thresholds(), phases(1.0, 1.0), st.integers(-40, 40))
+def test_levels_below_label_1_and_fd_levels_scale_exactly(ch, theta_minus, j):
+    # E(s l, s L0) = E(l, L0) / s^2, and s = 2^j scales every input exactly:
+    # the channel solver's bound and label-0 levels, and every FD level,
+    # come back bit for bit, times s^2.
+    theta, l, L0 = ch
+    s = 2.0**j
+    rows = solve_channels([theta], 1, l, L0)
+    scaled = solve_channels([theta], 1, s * l, s * L0)
+    assert scaled.label.tolist() == rows.label.tolist()
+    if rows.label[0] == 0:
+        assert scaled.E[0, 0] * s * s == rows.E[0, 0]
+    u = params_to_matrix(UnitaryParams((theta + theta_minus) / 2.0, (theta - theta_minus) / 2.0))
+    fd = fd_spectrum(BoundaryCondition(u, l, L0), 6, n_interior=64).E
+    fd_scaled = fd_spectrum(BoundaryCondition(u, s * l, s * L0), 6, n_interior=64).E
+    assert (fd_scaled * (s * s)).tolist() == fd.tolist()
 
 
 @st.composite
@@ -187,15 +233,14 @@ def test_positive_roots_carry_consecutive_branch_labels(batch, n):
 @given(batches(), st.floats(1.5, 50.0), st.integers(1, 200))
 def test_batch_roots_equal_the_per_cell_reference(batch, f, n):
     # Every row of a batch, whatever its first level, against the per-cell
-    # scan with scipy's brentq that the branch-label search replaces; a row
-    # at the threshold leaves out the origin cell, as the batch does.  One
-    # more row has a bound level at kappa l near 50 / f, off the floor.
+    # scan with scipy's brentq that the branch-label search replaces, at
+    # every label >= 1.  One more row has a bound level at kappa l near
+    # 50 / f, off the floor.
     thetas, l, L0 = batch
     thetas = [*thetas, 2.0 * (PI - math.atan(KAPPA_CEILING * L0 / (l * f)))]
     rows = solve_channels(thetas, n, l, L0)
     for r, theta in enumerate(thetas):
-        first = int(rows.E[r, 0] <= 0.0)  # a bound or zero-energy level
-        reference = _scan_positive_reference(theta % TWO_PI, l, L0, n - first, rows.E[r, 0] == 0.0)
+        first, reference = _reference_from_label_1(theta % TWO_PI, l, L0, rows, r)
         assert rows.k_or_kappa[r, first:].tolist() == reference
 
 

@@ -9,6 +9,7 @@ and are pasted here frozen to full double precision.
 import ast
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,7 +39,6 @@ from defectline.spectrum import (
     _brentq_array,
     _fhat_half,
     _fhat_scalar,
-    _ghat_half,
     _half_angle,
     solve_channels,
 )
@@ -138,9 +138,11 @@ def _fhat(theta, l, L0, k):
 
 
 def _ghat(theta, l, L0, kappa):
-    # G(kappa)/kappa of the channel theta, likewise.
+    # G(kappa)/kappa of the channel theta on numpy arrays, T at 0.
     s2, c2 = _half_angle(theta)
-    return _ghat_half(s2, c2, l, L0, np.asarray(kappa, dtype=float))
+    x = np.asarray(kappa, dtype=float) * l
+    sinhc = np.where(x == 0.0, 1.0, np.sinh(x) / np.where(x == 0.0, 1.0, x))
+    return l * sinhc * s2 + L0 * np.cosh(x) * c2
 
 
 def _random_channel(rng):
@@ -217,21 +219,30 @@ def _scan_positive_reference(theta, l, L0, n, skip_origin):
     return roots
 
 
+def _reference_from_label_1(theta, l, L0, rows, r):
+    # The first column of row r that holds a root of label >= 1, and the
+    # per-cell scan's roots for the row's columns from there: the scan
+    # leaves out the origin cell where the row has a zero level, and label
+    # 0's positive root, which the row solves by Newton, where it has one.
+    first = int(rows.label[r] == 0)  # a level below label 1
+    label_0 = int(first and rows.E[r, 0] > 0.0)
+    n = rows.E.shape[1] - first + label_0
+    return first, _scan_positive_reference(theta, l, L0, n, rows.E[r, 0] == 0.0)[label_0:]
+
+
 def _check_positive_roots(theta, l, L0, n):
-    # The positive levels of a channel solved n deep against the per-cell
-    # scan, which leaves the origin cell out where the row has a zero level;
-    # returns that zero flag.
+    # The roots of labels >= 1 of a channel solved n deep against the
+    # per-cell scan; returns the row's zero flag.
     rows = solve_channels([theta], n, l, L0)
-    first = int(rows.E[0, 0] <= 0.0)  # a bound or zero-energy level
-    zero = bool(rows.E[0, 0] == 0.0)
-    reference = _scan_positive_reference(theta, l, L0, n - first, zero)
+    first, reference = _reference_from_label_1(theta, l, L0, rows, 0)
     assert rows.k_or_kappa[0, first:].tolist() == reference
-    return zero
+    return bool(rows.E[0, 0] == 0.0)
 
 
 def test_scan_matches_per_cell_reference():
     # Short scans refine one bracket at a time, long ones (n at or above
-    # _ARRAY_BRENT_MIN) in lock step; both must give the reference doubles.
+    # _ARRAY_BRENT_MIN) in lock step; both must give the reference doubles
+    # at every label >= 1.
     rng = np.random.default_rng(73)
     for i in range(34):
         theta, l, L0 = _random_channel(rng)
@@ -495,10 +506,11 @@ def test_channel_tag_passthrough():
 
 
 def test_root_search_probes_four_points_per_root_at_every_label(monkeypatch):
-    # A root of every label, 0 included, is searched at the 4 grid points
-    # around its branch-equation estimate, where a sign scan of the grid
-    # took 64 per root.  Brent refines one bracket at a time here, on the
-    # scalar F/k, so every evaluation of the array F/k is the search's.
+    # A root of every label >= 1 is searched at the 4 grid points around
+    # its branch-equation estimate, where a sign scan of the grid took 64
+    # per root; label 0 is solved by Newton's method, with no probe.  Brent
+    # refines one bracket at a time here, on the scalar F/k, so every
+    # evaluation of the array F/k is the search's.
     evaluations = []
     fhat_half = spectrum._fhat_half
 
@@ -513,12 +525,13 @@ def test_root_search_probes_four_points_per_root_at_every_label(monkeypatch):
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi=1.1, rho=0.7, mu=0.3, nu=2.0)))
     solve_spectrum(bc, 2000)
     assert sum(evaluations) == 4 * 2 * ((2000 + 1) // 2 + 2)
-    # Row 0 lies below the threshold, so its first positive root has label 0.
+    # Row 0 lies below the threshold, so its first positive root has label
+    # 0 and the grid searches 299 of its roots.
     assert threshold(Channel(5.5)) < 0.0 < threshold(Channel(1.0))
     evaluations.clear()
     rows = solve_channels([5.5, 1.0], 300)
     assert rows.label.tolist() == [0, 1] and (rows.E > 0.0).all()
-    assert sum(evaluations) == 4 * 2 * 300
+    assert sum(evaluations) == 4 * (299 + 300)
 
 
 def test_scan_rows_has_one_probe_layout_and_solve_channels_decides_the_rows():
@@ -573,39 +586,51 @@ def _threshold_theta(l, L0):
     st.integers(1, 2000),
 )
 def test_branch_estimate_lies_within_one_cell_of_the_root(where, log_l, log_L0, n):
-    # Three steps of the branch equation put kl within one grid cell of the
-    # refined root of its label, from the centre of a half-branch for a
-    # label m >= 1 and from a bound on the root for label 0: at theta = 0,
-    # pi and 2 pi-, where roots sit on the ends of their half-branches,
-    # within delta of the threshold T = 0, and anywhere between.
+    # Three steps of the branch equation from the centre of a half-branch
+    # put kl within one grid cell of the refined root of its label m >= 1:
+    # at theta = 0, pi and 2 pi-, where roots sit on the ends of their
+    # half-branches, within delta of the threshold T = 0, and anywhere
+    # between.
     l, L0 = 10.0 ** log_l, 10.0 ** log_L0
     kind, value = where
     theta = value if kind == "at" else _threshold_theta(l, L0) + value
     rows = solve_channels([theta], n, l, L0)
     s2, c2 = _half_angle(theta % TWO_PI)
-    first = int(rows.E[0, 0] <= 0.0)  # a bound or zero-energy level, label 0
+    first = int(rows.label[0] == 0)  # a level below label 1
     x = rows.k_or_kappa[0, first:] * l
     m = np.rint((x + np.arctan2(x * L0 * c2, l * s2)) / math.pi).astype(np.intp)
-    # The p-th positive level carries the row's label, plus one past a
-    # bound or zero-energy level, plus p.
-    assert (m == rows.label[0] + first + np.arange(m.size)).all()
+    # The p-th level from label 1 on carries label 1 + p.
+    assert (m == 1 + np.arange(m.size)).all()
     estimate = spectrum._branch_estimate(m, np.full(m.size, s2), np.full(m.size, c2), l, L0)
     assert np.abs(estimate - x).max(initial=0.0) <= math.pi / GRID_DENSITY
 
 
-def test_branch_estimate_of_label_0_lies_within_0_0268_of_every_root():
-    # Below the threshold the root of label 0 solves tan(x) / x = t on
-    # (0, pi / 2), and three steps of x <- atan(t x) from
-    # min(pi / 2, sqrt(3 (t - 1))) leave an error that depends on t alone.
-    # A dense grid of roots x* bounds it over every t > 1: at most 0.0268,
-    # near x* = 0.79, against a cell of pi / 64 = 0.049.  Each root is the
-    # channel with l = L0 = 1 and cot(phi) = t, half-angles (sin phi, -cos phi).
-    x = np.linspace(0.0, math.pi / 2, 200_001)[1:-1]
-    phi = np.arctan2(x, np.tan(x))
-    estimate = spectrum._branch_estimate(np.zeros(x.size, dtype=np.intp), np.sin(phi), -np.cos(phi), 1.0, 1.0)
-    error = estimate - x
-    assert np.abs(error).max() <= 0.0268 < math.pi / GRID_DENSITY
-    assert error.max() > 0.0267
+def test_threshold_root_falls_monotonically_onto_every_root(monkeypatch):
+    # Newton's method on the level below label 1 starts at or above its
+    # root and falls onto it: every evaluation is at a smaller x than the
+    # last, and the root is where the first step that does not fall
+    # starts.  A dense set of roots x* of each kind, with b = 1 and a = -t:
+    # the bound level's tanh(x*) / x* = t across (0, KAPPA_CEILING), label
+    # 0's tan(x*) / x* = t across (0, pi / 2), both down to 1e-7 from the
+    # threshold t = 1.  Each takes at most 8 steps, 9 evaluations.
+    visited = []
+
+    def record(f):
+        return lambda x: (visited.append(x), f(x))[1]
+
+    monkeypatch.setattr(spectrum, "math", SimpleNamespace(
+        pi=math.pi, sqrt=math.sqrt, cos=math.cos, tanh=record(math.tanh), sin=record(math.sin),
+    ))
+    small = np.geomspace(1e-7, 0.1, 1000)
+    for bound, x, t in (
+        (True, np.concatenate([small, np.linspace(0.1, 49.9, 2000)]), np.tanh),
+        (False, np.concatenate([small, np.linspace(0.1, math.pi / 2, 1000)]), np.tan),
+    ):
+        for a in (-t(x) / x).tolist():
+            visited.clear()
+            root = spectrum._threshold_root(a, 1.0, bound)
+            assert root == visited[-1]
+            assert (np.diff(visited) < 0.0).all() and len(visited) <= 9
 
 
 @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
