@@ -14,39 +14,38 @@ functions, evaluated centred on U's trace (_Form).  Det takes (sigma, tau)
 = (sin(kl)/k, cos(kl)) above E = 0 and (tanh(kappa l)/kappa, 1) below, so g
 is det M divided by E, which removes the spurious zero every system has at
 k = 0 (_Projection); FD takes them from the discrete wave that solves its
-stencil.  Each keeps its own wave, dispersion, knots and rounding bound,
-and no eigenvalue solver runs.  Brent refines on the raw form; the walk
-decides on the read.  Each solver's read is its wave, _Form.__call__ and
-its rounding bound, and its raw g, the one function Brent's method calls
-once per step, carries the wave's and the form's operations inline, in
-their order, so it returns the double the read starts from.
+stencil.  Each keeps its own wave, Newton's method and rounding bound, and
+no eigenvalue solver runs.  Brent refines on the raw form; the walk
+decides on the read: the wave, _Form.__call__ and the rounding bound.  The
+raw g, the one function Brent's method calls once per step, carries the
+wave's and the form's operations inline, so it returns the read's double.
 
 No grid is sampled.  The direction psi of (sigma, tau) rises monotonically
 with E from the kappa l = 50 floor, and g = (sigma^2 + tau^2) q(psi).  q has
 two extreme directions a right angle apart (_Form.directions): the vertex,
 whose two roots lie within pi/4 of it, and the end, with none that near.
 So knots at both directions split the walk into turns of psi by pi, each
-holding exactly two roots.  Both solvers walk one walk (_roots) over their
-own knots, and one rule decides every turn, across E = 0 too (_turn): a
-root on each side of the vertex where g there reads with the sign opposite
-to the ends', that of a0 + a2, and a double root at the vertex otherwise.
-g reads 0 where it lies within its rounding bound, which comes from the
-centred terms of the form, so no tolerance is set by hand.  A bracket's
-ends carry the values the walk read, so an end that reads 0 is the root,
-and for both solvers a zero level is a turn whose g(0) reads 0.  Neither
-knot direction is an eigenphase, and no square root of D is taken.  Both
-place their knots alike, each with its own arithmetic: an end knot near
-the direction of sigma = 0 is taken in closed form where g there reads
-with the end's sign (det also takes the pole, tau = 0), every other knot
-above E = 0 comes from Newton's method on the solver's knot numerator
-(_knot, in k, from branch 1 on; _fd_knot, in the discrete wavenumber q),
-and Brent's method places the rest and is the fallback.  Roots are refined
-with spectrum._brentq, a port of scipy's brentq.
+holding exactly two roots.  Both solvers walk one walk (_roots) over knots
+placed by one rule (_knots) between the points where their wave is known
+in closed form: the floor, E = 0, and every quarter turn kl = j pi / 2 for
+det, every piece end ql = m pi for FD.  An end knot within pi/4 of such a
+point's direction is that point wherever g there reads with the end's
+sign; every other knot comes from the solver's own Newton method (_knot
+in k, _fd_knot in the discrete wavenumber q), or below E = 0 from det's
+solve of tanh(x) / x, with Brent's method as the fallback.  One rule
+decides every turn (_turn): a root on each side of the vertex where g
+there reads with the sign opposite to the ends', that of a0 + a2, and a
+double root at the vertex otherwise.  g reads 0 within its rounding bound,
+from the centred terms of the form, so no tolerance is set by hand; an
+end that reads 0 is the root, and a zero level is a turn whose g(0) reads
+0.  No knot direction is an eigenphase, and no square root of D is taken.
+Roots are refined with spectrum._brentq, a port of scipy's brentq.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -124,13 +123,8 @@ class _Form:
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
     def __call__(self, sigma: float, tau: float) -> tuple[complex, complex, complex, float]:
-        """(alpha, w, z, g) at (sigma, tau), z = det N.
-
-        Brent refines on the raw form; the walk decides on the read.  Both
-        reads call this on their wave, and each solver's raw g carries these
-        operations inline, in this order, so it returns the double this
-        call gives.
-        """
+        """(alpha, w, z, g) at (sigma, tau), z = det N: both reads call it, and each
+        raw g carries its operations inline, in this order, for the same double."""
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
@@ -163,8 +157,7 @@ class _Projection(_Form):
     at (sigma, tau) = (sin(kl) / k, cos(kl)) above E = 0; below it det M is
     also divided by cosh^2(kappa l), which keeps g of order one and moves
     no root, and (sigma, tau) = (tanh(kappa l) / kappa, 1).  Both are (l, 1)
-    at E = 0.  g keeps the wave's and the form's arithmetic inline: Brent's
-    method calls it once per step.
+    at E = 0.
     """
 
     def __init__(self, bc: BoundaryCondition):
@@ -197,7 +190,6 @@ class _Projection(_Form):
     def read(self, y: float) -> float:
         """g(y) as the walk's decisions read it: 0 where it lies within its rounding bound.
 
-        Brent refines on the raw form (g); the walk decides on the read.
         sigma rounds by about eps l, and tau by about eps (1 + kl) above
         E = 0 and not at all below; w rounds by about eps a (1 + 3 |t|),
         which w^2 takes to second order where w is as small as that, and z
@@ -215,6 +207,21 @@ class _Projection(_Form):
             + 2.0 * b * dw + 2.0 * b * b + 3.0 * a * ad + 2.0 * abs(z) + _EPS * dw * dw
         )
         return 0.0 if abs(g) <= bound else g
+
+    def ends(self):
+        """(y, sigma, tau) where the wave is known in closed form, ascending (_knots).
+
+        They are the floor, E = 0 and every quarter turn kl = j pi / 2, where
+        (sigma, tau) is (0, +-1) at even j and (+-1 / k, 0) at odd j.
+        SolverError is raised at the first y that overflows a double.
+        """
+        l = self.l
+        turns = itertools.cycle([(-1.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.0, -1.0)])  # j % 4 = 3, 0, 1, 2
+        for j, (a, tau) in enumerate(turns, -1):
+            y = -KAPPA_CEILING / l if j < 0 else 0.5 * j * math.pi / l
+            if math.isinf(y):
+                raise SolverError(f"the levels of the box l={l!r} overflow a double")
+            yield (y, a / y, tau) if j > 0 else (y, *self._wave(y))
 
     def floor_value(self) -> float:
         """g at the kappa l = 50 floor, from rational arithmetic, rounded once.
@@ -241,18 +248,26 @@ class _Projection(_Form):
         return 0.0 if abs(g) <= 16.0 * _EPS * _EPS * float(sigma * sigma + im * im) else g
 
 
-def _knot(l: float, m: int, c: float, s: float) -> float:
-    """The k on branch m of tan (kl within pi/2 of m pi; [0, pi/2) for m = 0)
-    where psi points along (c, s), c >= 0.
+def _knot(l: float, j: int, c: float, s: float) -> float | None:
+    """y of the knot of direction (c, s), c >= 0, on piece j of det's walk (_knots), or None.
 
-    The knot function sigma c - tau s = (c l sin x - s x cos x) / x, x = kl,
-    rises through zero once on the branch, from (-1)^(m+1) c / k at its
-    lower pole to (-1)^m c / k at its upper one; those pole values are taken
-    in closed form, since cos(kl) is only rounding there, and c = 0 puts the
-    knot on the upper pole.  Newton's method on the numerator, from one
-    fixed-point step of x = m pi + atan(s x / (c l)), finds it; _brentq on
-    the knot function is the fallback, and serves branch 0.
+    Below E = 0, j = -1, psi rises monotonically from the floor to atan(l),
+    and the knot solves tanh(x) / x = s / (c l), x = kappa l: one Brent
+    solve, where that lies above the floor.  Above, piece j lies on branch
+    m = (j + 1) // 2 of tan, kl within pi/2 of m pi, [0, pi/2) for m = 0,
+    where the knot function sigma c - tau s = (c l sin x - s x cos x) / x,
+    x = kl, rises through zero once, from (-1)^(m+1) c / k at its lower pole
+    to (-1)^m c / k at its upper one, values taken in closed form; c = 0
+    puts the knot on the upper pole.  Newton's method on the numerator, from
+    one step of x = m pi + atan(s x / (c l)), finds it; _brentq is the
+    fallback, and serves branch 0.
     """
+    if j < 0:
+        t, top = s / (c * l), math.tanh(KAPPA_CEILING) / KAPPA_CEILING
+        if t > top:
+            return -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
+        return None
+    m = (j + 1) // 2
     lo, hi = (m - 0.5) * math.pi, (m + 0.5) * math.pi
     if c == 0.0:
         return hi / l
@@ -275,53 +290,48 @@ def _knot(l: float, m: int, c: float, s: float) -> float:
     )
 
 
-def _knots(proj: _Projection, vertex: tuple[float, float], end: tuple[float, float]):
-    """((y, g(y) as read), is_vertex) for every knot above the floor, ascending, without end.
+def _knots(ends, form: _Form, read, newton, wave):
+    """((x, g(x) as read), is_vertex) for every knot above the floor, ascending.
 
-    The piece below E = 0 comes first.  There psi, the direction of
-    (l tanh(x) / x, 1) with x = kappa l, rises monotonically from
-    atan(l tanh(50) / 50) at the floor to atan(l) at E = 0, so a direction
-    (c, s) has at most one knot, where tanh(x) / x = s / (c l); one Brent
-    solve finds it.  A knot at psi = atan(l) itself falls at E = 0 and is
-    taken there.  Above E = 0 an end knot is taken in closed form at kl =
-    m pi or at the nearer pole, whichever lies within pi/4 of the end
-    direction, wherever g there has the end's sign beyond its rounding
-    bound: no root lies between the two then, so either bounds the same
-    turns.  Elsewhere it is solved for.
+    ends yields (x, sigma, tau) where the solver's wave is known in closed
+    form, ascending from the floor.  psi turns by at most pi from one to
+    the next, so the piece between two holds a knot of direction (c, s)
+    where c sigma - s tau changes sign on it or is 0 at its top, in the
+    order of psi mod pi, 0 read as pi.  An end knot is the end of its piece
+    within pi/4 of its direction, sigma = 0 for |s| <= c and tau = 0 for
+    |s| > c, the one on the knot's side where both are, wherever read gives
+    g there the end's sign: no root lies between the two then.  newton(j,
+    c, s) places every other knot of piece j, j = -1 below E = 0; where it
+    gives None, the top end does for a knot there, and otherwise Brent's
+    method on c sigma - s tau, from wave(x) = (sigma, tau).
     """
-    l = proj.l
-    top = math.tanh(KAPPA_CEILING) / KAPPA_CEILING
-    below = []
-    for (c, s), is_vertex in ((vertex, True), (end, False)):
-        # Where c l underflows to 0, s <= c l means t <= 0: no knot.
-        cl = c * l
-        t = min(s / cl, 1.0) if cl > 0.0 and s <= cl else 0.0
-        if t > top:
-            y = -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
-            below.append(((y, proj.read(y)), is_vertex))
-    yield from sorted(below)
-    order = sorted([(vertex, True), (end, False)], key=lambda d: math.atan2(d[0][1], d[0][0]))
-    m = 0
-    while True:
-        for (c, s), is_vertex in order:
-            if m == 0 and s <= l * c:
-                continue  # on branch 0 psi starts at atan(l): the piece below E = 0 owns this direction
-            k = None
-            if not is_vertex and (m or abs(s) > c):
-                k = (m if abs(s) <= c else m + math.copysign(0.5, s)) * math.pi / l
-                read = proj.read(k)
-                if not read * proj.end_sign > 0.0:
-                    k = None
-            if k is None:
-                k = _knot(l, m, c, s)
-                read = proj.read(k)
-            yield (k, read), is_vertex
-        m += 1
-
-
-def _sign(x: float) -> int:
-    # Signs are compared, not products: a product of two tiny values underflows to 0.
-    return (x > 0.0) - (x < 0.0)
+    vertex, end = form.directions()
+    order = sorted([(*vertex, True), (*end, False)],
+                   key=lambda d: (math.atan2(d[1], d[0]) % math.pi) or math.pi)
+    lo = next(ends)
+    for j, hi in enumerate(ends, -1):
+        for c, s, is_vertex in order:
+            ya, yb = c * lo[1] - s * lo[2], c * hi[1] - s * hi[2]
+            # Signs are compared, not the product, which may underflow to 0.
+            if yb != 0.0 and (ya == 0.0 or (ya > 0.0) == (yb > 0.0)):
+                continue
+            if not is_vertex:
+                zero = 1 if abs(s) <= c else 2
+                near, far = (lo, hi) if s > 0.0 else (hi, lo)
+                at = near if near[zero] == 0.0 else far
+                if at[zero] == 0.0 and (value := read(at[0])) * form.end_sign > 0.0:
+                    yield (at[0], value), is_vertex
+                    continue
+            x = newton(j, c, s)
+            if x is None and yb == 0.0:
+                x = hi[0]
+            elif x is None:
+                def knot_function(x: float) -> float:
+                    sigma, tau = wave(x)
+                    return c * sigma - s * tau
+                x = _brentq(knot_function, lo[0], hi[0], ya, yb)
+            yield (x, read(x)), is_vertex
+        lo = hi
 
 
 def _turn(a, v, b, s: float) -> list[tuple[float, float, float, float]]:
@@ -377,7 +387,7 @@ def _roots(knots, start, end_sign: float, g0: float, g, count: int,
                 root = 0.0
             else:
                 if p < 0.0 < q:  # cut at x = 0, where g0 reads with a sign
-                    same = _sign(g0) == _sign(gp)
+                    same = gp != 0.0 and (g0 > 0.0) == (gp > 0.0)
                     p, gp, q, gq = (0.0, g0, q, gq) if same else (p, gp, 0.0, g0)
                 root = p if p == q else _brentq(g, p, q, gp, gq)
             if limit is not None and root > limit:
@@ -399,26 +409,25 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
 
     g, det M phased to the real axis (_Projection), is one function of the
     signed wavenumber y across E = 0, and _roots walks it up from the
-    kappa l = 50 floor over det's knots (_knots): Brent refines on the raw
-    form (g); the walk decides on the read.  Where g at the floor lies within its
-    rounding bound it is taken from rational arithmetic.  The channel of a
-    level is unknowable on this code path, so the channel column is None,
-    indices are global and any neighbours may pair.  Pairs are decided one
-    level past the cut, as solve_spectrum decides them.  k_max caps the
-    walk's reach.  Raises ScanExhausted if fewer than n levels lie below it,
-    ValueError if n is not an integer of at least 1 (_count) or a given
-    k_max is not finite and positive, and SolverError
-    if the E of a level overflows a double, as on a box of l = 1e-160, or if
-    the form overflows or underflows one (_Form).
+    kappa l = 50 floor over the knots _knots places between det's quarter
+    turns.  Where g at the floor lies within its rounding bound it is taken
+    from rational arithmetic.  The channel of a level is unknowable on this
+    code path, so the channel column is None, indices are global and any
+    neighbours may pair, decided one level past the cut, as solve_spectrum
+    decides them.  k_max caps the walk's reach.  Raises ScanExhausted if
+    fewer than n levels lie below it, ValueError if n is not an integer of
+    at least 1 (_count) or a given k_max is not finite and positive, and
+    SolverError if the E of a level overflows a double, as on a box of
+    l = 1e-160, or if the form overflows or underflows one (_Form).
     """
     n = _count("n", n, 1)
     if k_max is not None:
         _check_positive("k_max", k_max)
     proj = _Projection(bc)
-    vertex, end = proj.directions()
     floor = -KAPPA_CEILING / proj.l
     start = (floor, proj.read(floor) or proj.floor_value())
-    roots = _roots(_knots(proj, vertex, end), start, proj.end_sign, proj.read(0.0), proj.g, n + 1, k_max)
+    knots = _knots(proj.ends(), proj, proj.read, functools.partial(_knot, proj.l), proj._wave)
+    roots = _roots(knots, start, proj.end_sign, proj.read(0.0), proj.g, n + 1, k_max)
     if len(roots) < n:
         raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
     # In floats, so that an E past the cut may overflow without a warning;
@@ -492,65 +501,19 @@ def _fd_knot(n: int, m: int, c: float, s: float) -> float | None:
     return None
 
 
-def _fd_knots(n: int, floor: float, form: _Form, read):
-    """((E l^2, g as read), is_vertex) for every knot above the floor and below the
-    last piece, ascending.
+def _fd_ends(n: int, floor: float):
+    """(E l^2, sigma, tau) where the wave is known in closed form, ascending (_knots).
 
-    The knots of direction (c, s) are the zeros of c sigma - s tau, which is
-    rho sin(psi - psi_d), and psi rises monotonically with E: from less
-    than pi / 2 below pi / 4 at the floor, to pi / 4 at E = 0 and by pi
-    over each piece ql in (m pi, (m+1) pi).  So a direction has at most one
-    knot below E = 0 and one on every piece, where c sigma - s tau changes
-    sign, and on a piece the knots come in the order of psi_d mod pi, with
-    0 read as pi.  At a piece's ends sigma is 0 and cos(ql) is (-1)^m, and
-    there sigma and tau are taken in closed form.  The last piece, which
-    ends at the band edge q = pi / h where sigma = tau = 0, is not walked.
-
-    An end knot within pi/4 of the piece end's direction (1, 0), |s| <= c,
-    is taken at that piece end wherever read gives g there the end's sign:
-    no root lies between the two then, so either bounds the same turns.
-    Every other knot above E = 0 comes from Newton's method (_fd_knot), and
-    _brentq on the knot function serves below E = 0 and as the fallback.
+    They are the floor, E = 0 and the piece ends ql = m pi, 0 < m < n, where
+    sigma = 0 and tau = (-1)^m sin(qh) (1 + c) / (h q): the last piece, up
+    to the band edge q = pi / h, is not walked.
     """
-
-    def piece_end(m: int) -> tuple[float, float, float]:
+    yield (floor, *_fd_wave(n, floor))
+    yield 0.0, 1.0, 1.0
+    for m in range(1, n):
         x = math.sin(0.5 * m * math.pi / n)  # sin(q h / 2)
         tau = 2.0 * x * math.sqrt(1.0 - x * x) * (1.0 + 2.0 * x * x) * n / (m * math.pi)
-        return (2.0 * n * x) ** 2, 0.0, (-tau if m % 2 else tau)
-
-    def knot_function(c: float, s: float):
-        def fun(e: float) -> float:
-            sigma, tau = _fd_wave(n, e)
-            return c * sigma - s * tau
-        return fun
-
-    vertex, end = form.directions()
-    order = sorted([(vertex, True), (end, False)],
-                   key=lambda d: (math.atan2(d[0][1], d[0][0]) % math.pi) or math.pi)
-    ends = itertools.chain(
-        [(floor, *_fd_wave(n, floor)), (0.0, 1.0, 1.0)], map(piece_end, range(1, n)))
-    lo = next(ends)
-    for m, hi in enumerate(ends, -1):  # m = -1 below E = 0
-        for (c, s), is_vertex in order:
-            ya, yb = c * lo[1] - s * lo[2], c * hi[1] - s * hi[2]
-            if yb == 0.0:
-                yield (hi[0], read(hi[0])), is_vertex
-                continue
-            if _sign(ya) * _sign(yb) >= 0:
-                continue
-            # On piece 0 a knot with 0 < s <= c lies below E = 0, so such an
-            # end knot lies on a piece m > 0, next to its lower end.
-            if not is_vertex and m >= 0 and abs(s) <= c:
-                e = lo[0] if s > 0.0 else hi[0]
-                value = read(e)
-                if value * form.end_sign > 0.0:
-                    yield (e, value), is_vertex
-                    continue
-            e = _fd_knot(n, m, c, s) if m >= 0 else None
-            if e is None:
-                e = _brentq(knot_function(c, s), lo[0], hi[0], ya, yb)
-            yield (e, read(e)), is_vertex
-        lo = hi
+        yield (2.0 * n * x) ** 2, 0.0, (-tau if m % 2 else tau)
 
 
 def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpectrum:
@@ -560,18 +523,13 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     cells (h = l / n_interior); the two junction rows encode the connection
     condition with second-order one-sided derivatives.  A discrete wave
     solves the stencil exactly (_fd_wave), so the levels are the zeros of
-    det N, N = alpha U - conj(alpha) I with alpha = sigma + i L0 tau.  Phased,
-    det N is the form g in (sigma, tau) that det walks too (_Form), and the
-    direction psi of (sigma, tau) rises monotonically with E.  So knots at
-    the form's two extreme directions (_fd_knots) split the window into
-    turns of psi by pi, and det's walk (_roots) decides each turn and
-    refines each root with spectrum._brentq: Brent refines on the raw form;
-    the walk decides on the read, its knots, its floor and g(0).  Where g(0)
-    reads 0, the turn that holds E = 0 has its zero level at exactly 0: at
-    E = 0 the discrete wave is the continuum's, (sigma, tau) = (1, 1) in
-    units of l, so the operator has a zero level exactly where the
-    continuum's threshold T = 0 is met.  No matrix is built and no
-    eigenvalue solver runs, so a level's doubles do not depend on n.
+    det N, N = alpha U - conj(alpha) I, alpha = sigma + i L0 tau: the form g
+    that det walks too (_Form), walked (_roots) over the knots _knots places
+    between FD's piece ends.  At E = 0 the discrete wave is the continuum's,
+    (sigma, tau) = (1, 1) in units of l, so the operator has a zero level
+    exactly where the continuum's threshold T = 0 is met.  No matrix is
+    built and no eigenvalue solver runs, so a level's doubles do not
+    depend on n.
 
     Levels at or below kappa l = KAPPA_CEILING, E = -(KAPPA_CEILING / l)^2,
     are dropped, as the channel and determinant solvers drop them, and the
@@ -633,7 +591,9 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         return 0.0 if abs(value) <= bound else value
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
-    knots = _fd_knots(n_interior, floor, form, read)
+    knots = _knots(_fd_ends(n_interior, floor), form, read,
+                   lambda m, c, s: _fd_knot(n_interior, m, c, s) if m >= 0 else None,
+                   lambda e: _fd_wave(n_interior, e))
     roots = _roots(knots, (floor, read(floor)), form.end_sign, read(0.0), g, n)
     if len(roots) < n:
         raise EigenSolverFailure(

@@ -516,8 +516,10 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
     pass over all roots: _branch_estimate lies within one cell of the root,
     and the count of the 4 grid points around it where that sign is >= 0
     places it.  ScanExhausted is raised unless each cell lies in its window
-    and F/k changes sign across it so.  Brent refines the roots, all rows
-    together; a root where F/k is exactly 0 is that grid point.
+    and F/k changes sign across it so, and SolverError where the k of a
+    probe overflows a double, as on a box of l = 2e-308.  Brent refines the
+    roots, all rows together; a root where F/k is exactly 0 is that grid
+    point.
     """
     step = math.pi / (GRID_DENSITY * l)
     r, col = np.nonzero(np.arange(out.shape[1]) >= first[:, None])
@@ -530,6 +532,8 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
     s2, c2 = s2[r], c2[r]
     estimate = _branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
     start = np.floor(estimate).astype(np.intp) - 1
+    if not step * (int(start.max()) + 3) < math.inf:
+        raise SolverError(f"the levels of the box l={l!r} overflow a double")
     # Root i probes the points start[i] ... start[i] + 3, as row i of v.
     v = _fhat_half(
         (s2 * sign)[:, None], (c2 * sign)[:, None], l, L0, step * (start[:, None] + np.arange(4)),

@@ -953,11 +953,22 @@ def test_det_k_max_must_be_finite_and_positive(capsys, k_max):
          "--rho=1.2", "-n", "6", "--format", "csv"),
         # Brent's lock-step interpolation overflows on the way to these levels.
         ("spectrum", "--l=1e-300", "--L0=1e30", "--xi=0.389", "--rho=0.2", "-n", "160"),
+        # k = j pi / 2l of det's walk, and the channel solver's probes,
+        # overflow a double.
+        ("spectrum", "--solver", "det", "--xi", "2.0", "--rho", "0.9", "--l", "2e-308", "-n", "2"),
+        ("isospectral", "--xi", "2.0", "--rho", "0.9", "--l", "2e-308", "-n", "2",
+         "--grid-mu", "1", "--grid-nu", "1"),
+        ("spectrum", "--xi", "2.0", "--rho", "0.9", "--l", "2e-308", "-n", "2"),
+        ("trace", "--xi", "2.0", "--rho", "0.9", "--l", "5e-324", "--w-plus", "1"),
+        ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--l", "2e-308"),
+        ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "--l", "1e-310", "-n", "2"),
     ],
     ids=["channel-tiny-box", "fd-tiny-box", "eigenfunction-huge-box", "det-tiny-box",
          "isospectral-tiny-box", "channel-tiny-l-and-L0", "compare-tiny-l-and-L0",
          "eigenfunction-tiny-l-and-L0", "det-tiny-knot", "eigenfunction-huge-residual",
-         "channel-huge-box-underflow", "fd-huge-box-underflow", "channel-lock-step-tiny-box"],
+         "channel-huge-box-underflow", "fd-huge-box-underflow", "channel-lock-step-tiny-box",
+         "det-subnormal-box", "isospectral-subnormal-box", "channel-subnormal-box",
+         "trace-subnormal-box", "eigenfunction-subnormal-box", "compare-subnormal-box"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_box_whose_values_overflow_is_a_typed_error(capsys, argv):
@@ -1083,11 +1094,16 @@ def _finite_numbers(out: str) -> bool:
 @st.composite
 def _any_command(draw):
     # One valid argv of any subcommand but the det/FD spectrum, on a box in
-    # 10^+-300 for half the draws and in 10^+-2 for the other half, with
-    # the defect as angles, as eigenphases (near the threshold T = 0 of the
-    # plus channel for some) or as a matrix.
-    span = draw(st.sampled_from([300.0, 2.0]))
-    l, L0 = (10.0 ** draw(st.floats(-span, span)) for _ in range(2))
+    # 10^+-300 or in 10^+-2 for a third of the draws each, and with l or L0
+    # at the bottom of the double range, subnormals included, for the rest,
+    # with the defect as angles, as eigenphases (near the threshold T = 0 of
+    # the plus channel for some) or as a matrix.
+    span = draw(st.sampled_from([300.0, 2.0, None]))
+    l, L0 = (10.0 ** draw(st.floats(-(span or 300.0), span or 300.0)) for _ in range(2))
+    if span is None:
+        bottom = draw(st.one_of(st.sampled_from([5e-324, 2e-308]),
+                                st.floats(-323.3, -300.0).map(lambda e: 10.0**e)))
+        l, L0 = (bottom, L0) if draw(st.booleans()) else (l, bottom)
     command = draw(st.sampled_from(["spectrum", "eigenfunction", "oracle-compare", "trace", "isospectral"]))
     angle = st.one_of(st.floats(0.0, 2.0 * PI), st.sampled_from([0.0, PI]))
     form = draw(st.sampled_from(["angles", "eigenphases", "matrix"]))

@@ -6,8 +6,10 @@ couples the odd waves and leaves the even ones on the Neumann ladder
 ((m - 1/2) pi / l)^2.  Both coupled channels solve tan(kl) = -2k/v where
 u = 4/v, so strong delta coupling is weak epsilon coupling: with its
 uncoupled ladder removed, the spectrum of delta(v) is the spectrum of
-epsilon(4/v).  Det never diagonalizes U, so its half of the check does not
-rest on the eigenphases the channel solver reads.
+epsilon(4/v).  Det and FD never diagonalize U, so their halves of the
+check do not rest on the eigenphases the channel solver reads.  FD's
+uncoupled Neumann levels are not the continuum's, so there every coupled
+level of delta(v) is matched to a level of epsilon(4/v).
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from defectline import BoundaryCondition, det_spectrum, solve_spectrum
+from defectline import BoundaryCondition, det_spectrum, fd_spectrum, solve_spectrum
 from helpers import delta_matrix, epsilon_matrix
 
 N_LEVELS = 12
@@ -26,9 +28,13 @@ decades = st.floats(-1.0, 1.0).map(lambda e: 10.0**e)
 
 
 def _coupled(E, l, half):
-    # E less the uncoupled ladder ((m - half) pi / l)^2, m = 1, 2, ...:
-    # every ladder level below the top of E is removed exactly once.
-    ladder = ((np.arange(1, E.size + 2) - half) * math.pi / l) ** 2
+    # E less the uncoupled ladder ((m - half) pi / l)^2, m = 1, 2, ...
+    return _less(E, ((np.arange(1, E.size + 2) - half) * math.pi / l) ** 2)
+
+
+def _less(E, ladder):
+    # E less the ladder: every ladder level below the top of E is removed
+    # exactly once.
     near = np.abs(E[:, None] - ladder) <= 1e-10 * ladder
     assert (near.sum(1) <= 1).all()
     assert (near.sum(0)[ladder < E[-1]] == 1).all()
@@ -59,3 +65,21 @@ def test_delta_and_epsilon_spectra_are_dual(v, l, L0):
     else:
         residual, size = v * math.tanh(k * l) + 2.0 * k, abs(v) + 2.0 * k
     assert abs(residual) <= 1e-9 * size
+
+
+@given(strengths, decades, decades, st.sampled_from([64, 256]))
+def test_fd_delta_and_epsilon_spectra_are_dual(v, l, L0, n_interior):
+    # delta(v) less FD's own Dirichlet ladder, (2n sin(m pi / 2n) / l)^2:
+    # each level below the top of epsilon(4/v)'s is one of those, within
+    # 1e-12 of |E|, or of 1 / l^2 where |E| is smaller.
+    assume(abs(v * l / 2.0 + 50.0) > 1e-6)
+    delta = BoundaryCondition(delta_matrix(v, L0), l=l, L0=L0)
+    epsilon = BoundaryCondition(epsilon_matrix(4.0 / v, L0), l=l, L0=L0)
+    m = np.arange(1, N_LEVELS + 2)
+    ladder = (2.0 * n_interior * np.sin(m * math.pi / (2.0 * n_interior)) / l) ** 2
+    b = fd_spectrum(epsilon, N_LEVELS, n_interior).E
+    a = _less(fd_spectrum(delta, N_LEVELS, n_interior).E, ladder)
+    a = a[a < b[-1]]
+    assert a.size >= N_LEVELS // 2 - 2
+    scale = np.maximum(np.abs(a), 1.0 / l**2)
+    assert (np.abs(a[:, None] - b).min(1) <= 1e-12 * scale).all()

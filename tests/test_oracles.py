@@ -709,19 +709,19 @@ def test_the_inline_kernels_are_the_form_bit_for_bit(angles, l, L0, x, e, n_int,
         y = float(y)
         assert proj.g(y).hex() == oracles._Form.__call__(proj, *proj._wave(y))[3].hex()
         assert proj.read(y).hex() == _det_read_reference(proj, y).hex()
-    captured, roots_, knots_ = {}, oracles._roots, oracles._fd_knots
+    captured, roots_, knots_ = {}, oracles._roots, oracles._knots
 
     def capture_g(*args):
         captured["g"] = args[4]
         return roots_(*args)
 
     def capture_read(*args):
-        captured["read"] = args[3]
+        captured["read"] = args[2]
         return knots_(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracles, "_roots", capture_g)
-        mp.setattr(oracles, "_fd_knots", capture_read)
+        mp.setattr(oracles, "_knots", capture_read)
         roots = fd_spectrum(bc, 3, n_int).E * l * l
     form = oracles._Form(bc.u, bc.L0 / bc.l, 1.0)
     for e in [e, *rng.uniform(-3000.0, 3000.0, 32), *np.outer(roots, 1.0 + near).ravel(),
