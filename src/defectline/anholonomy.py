@@ -29,16 +29,21 @@ The two channels never mix along theta-only paths, so each is labelled on
 its own and a tie between channels, as at a scalar defect, makes no
 trajectory ambiguous.  One solve_channels batch holds the t = 0 ladder of
 each channel, whose lowest levels split the tracked levels between the
-channels in solve_spectrum's merge order (plus first on a tie), and the
-last-sample ladder of each moving channel, solved from the bottom because
-it sets end_index.  A channel wound by w != 0 tracks at least one level,
-and |w| + 1 where w < 0, as it floors out its lowest |w|.  At every other
-sample a moving channel's tracked levels are the count consecutive labels
-from the lowest tracked unwrapped label plus that sample's 2 pi crossings,
-and one more batch solves just those: a window of branch labels where that
-label is >= 1, the bottom of the ladder where it is <= 0 and a tracked
-level may have floored out.  A channel with winding 0 keeps its theta, and
-its start ladder stands for every sample.
+channels in solve_spectrum's merge order (plus first on a tie).  A channel
+wound by w != 0 tracks at least one level, and |w| + 1 where w < 0, as it
+floors out its lowest |w|.  One more batch holds every later sample of
+every wound channel, each row solved only as deep as it is read.  At an
+interior sample a wound channel's tracked levels are the count consecutive
+labels from the lowest tracked unwrapped label plus that sample's 2 pi
+crossings, and its row holds just those: a window of branch labels where
+that label is >= 1, the bottom of the ladder where it is <= 0 and a
+tracked level may have floored out.  The last sample sets end_index and is
+solved from the bottom, n + |w| + 1 deep: a tracked level's index moves by
+at most |w| through the 2 pi crossings and by one as the floor level comes
+and goes.  A channel with winding 0 keeps its theta, and its start ladder
+stands for every sample.  The sample times and each channel's thetas are
+arrays, with the doubles of the repeated addition and of
+theta0 + 2 pi w t at each sample.
 """
 
 from __future__ import annotations
@@ -98,118 +103,76 @@ class LevelTrajectory:
     floored_out: bool = False
 
 
-def _t_grid(n_steps: int) -> list[float]:
-    """The sample times: t <- min(t + 1/n_steps, 1) from 0 until t >= 1 - 1e-12."""
+def _t_grid(n_steps: int) -> np.ndarray:
+    """The sample times: t <- min(t + 1/n_steps, 1) from 0 until t >= 1 - 1e-12.
+
+    np.cumsum adds in order, so each time is the double that repeated
+    addition gives.  The k-th sum strays from k / n_steps by less than
+    (k + 1) eps, under one step for n_steps up to 6e7, so the grid ends
+    within the n_steps + 2 sums taken.
+    """
     h = 1.0 / n_steps
-    ts = [0.0]
-    while ts[-1] < 1.0 - 1e-12:
-        ts.append(min(ts[-1] + h, 1.0))
-    return ts
+    ts = np.full(n_steps + 2, h)
+    ts[0] = 0.0
+    np.minimum(np.cumsum(ts, out=ts), 1.0, out=ts)
+    return ts[:np.flatnonzero(ts >= 1.0 - 1e-12)[0] + 1]
 
 
-def _crossings(thetas: list[float]) -> np.ndarray:
+def _crossings(theta: np.ndarray) -> np.ndarray:
     """How many times solve_channels' reduction into [0, 2 pi) takes 2 pi off each theta.
 
     numpy's float % is Python's (fmod, then the same sign fix), so the
     remainders are the reduced thetas solve_channels works with.
     """
-    theta = np.array(thetas)
     return np.rint((theta - theta % TWO_PI) / TWO_PI).astype(int)
 
 
-def _start_ladders(path: PathSpec, t_end: float) -> dict[str, tuple[float, int, ChannelRows]]:
-    """Each channel's theta, winding and ladders at the ends of the loop.
+def _start_ladders(path: PathSpec) -> ChannelRows:
+    """Both channels' ladders at t = 0, plus then minus, as one solve_channels batch.
 
-    A channel's ladders are the rows of its t = 0 sample and, when it moves,
-    of its last sample, t_end, each n + |w| + 1 deep.  The first n levels
-    at t = 0 split the tracked levels between the channels and start them;
-    the last sample sets end_index, and a tracked level's index moves by at
-    most |w| through the 2 pi crossings and by one as the floor level comes
-    and goes.  All ladders are one solve_channels batch, as deep as the
-    deepest one needs, and each channel keeps its own rows to its own depth:
-    a channel's first levels are the same doubles at any depth and in any
-    batch.
+    Their first n levels split the tracked levels between the channels and
+    start them.  Both rows are n + max|w| + 1 deep, as deep as the deepest
+    last-sample row, and a channel wound by w tracks at most
+    max(n, |w| + 1) levels.
     """
-    n = path.levels_tracked
-    thetas = (path.base.theta_plus, path.base.theta_minus)
-    ends = [theta + TWO_PI * w * t_end for theta, w in zip(thetas, path.winding) if w]
-    rows = solve_channels(
-        [*thetas, *ends], n + max(map(abs, path.winding)) + 1, path.l, path.L0
-    )
-    ladders = {}
-    last = len(thetas)
-    for r, (ch, w) in enumerate(zip((CHANNEL_PLUS, CHANNEL_MINUS), path.winding)):
-        at = [r, last] if w else [r]
-        last += bool(w)
-        depth = n + abs(w) + 1
-        ladders[ch] = (thetas[r], w, ChannelRows(
-            E=rows.E[at, :depth], k_or_kappa=rows.k_or_kappa[at, :depth], label=rows.label[at],
-        ))
-    return ladders
+    thetas = [path.base.theta_plus, path.base.theta_minus]
+    depth = path.levels_tracked + max(map(abs, path.winding)) + 1
+    return solve_channels(thetas, depth, path.l, path.L0)
 
 
-def _tracked_counts(ladders, n: int) -> dict[str, int]:
-    """How many levels each channel tracks (see the module docstring).
+def _tracked_counts(start: ChannelRows, winding: tuple[int, int], n: int) -> list[int]:
+    """How many levels each channel tracks, plus then minus (see the module docstring).
 
     The merge is solve_spectrum's: a stable sort of the plus row, then the
     minus row.  A channel wound by w tracks at least bool(w) + max(0, -w).
     """
-    E = np.concatenate([rows.E[0, :n] for _, _, rows in ladders.values()])
+    E = start.E[:, :n].ravel()
     plus = int(np.count_nonzero(np.argsort(E, kind="stable")[:n] < n))
-    return {
-        ch: max(count, bool(w) + max(0, -w))
-        for count, (ch, (_, w, _)) in zip((plus, n - plus), ladders.items())
-    }
+    return [max(count, bool(w) + max(0, -w)) for count, w in zip((plus, n - plus), winding)]
 
 
 def _follow(
-    channel: str, theta0: float, w: int, ends: ChannelRows, count: int,
-    ts: list[float], path: PathSpec,
+    channel: str, ts: np.ndarray, E: np.ndarray, first: np.ndarray, held: np.ndarray, count: int,
 ) -> list[LevelTrajectory]:
-    """The trajectories of the lowest ``count`` levels of one channel.
+    """The trajectories of the lowest ``count`` levels at t = 0 of one channel.
 
-    ``ends`` holds the channel's ladders at the first and, if it moves, the
-    last sample.
+    Row s of ``E`` holds the channel's levels at ts[s], held[s] of them,
+    and its first level carries the unwrapped label first[s]; each
+    sample's levels carry consecutive labels from there on, so a tracked
+    label below that one has left the ladder through the floor.
     """
-    if w == 0:
-        return [
-            LevelTrajectory(
-                t_values=np.array(ts),
-                E_values=np.full(len(ts), ends.E[0, i]),
-                start_index=i,
-                end_index=i,
-                channel=channel,
-            )
-            for i in range(count)
-        ]
-    thetas = [theta0 + TWO_PI * w * t for t in ts]
-    crossings = _crossings(thetas)
-    tracked = ends.label[0] - crossings[0] + np.arange(count)
-    # The interior samples hold the tracked labels only, from the bottom of
-    # the ladder where the lowest of them is <= 0.
-    inner = solve_channels(
-        thetas[1:-1], count, path.l, path.L0, tracked[0] + crossings[1:-1]
-    )
-    # Each sample's levels carry consecutive labels from the unwrapped label
-    # of its first level on, so a tracked label below that one has left the
-    # ladder through the floor.
-    first = np.concatenate([ends.label[:1], inner.label, ends.label[1:]]) - crossings
-    index = tracked - first[:, None]
-    held = np.full(len(ts), count)
-    held[[0, -1]] = ends.E.shape[1]
-    E = np.full((len(ts), ends.E.shape[1]), np.nan)
-    E[[0, -1]], E[1:-1, :count] = ends.E, inner.E
-    samples = np.arange(len(ts))
+    index = first[0] + np.arange(count) - first[:, None]
+    samples = np.arange(ts.size)
     trajectories = []
     for i in range(count):
         gone = np.flatnonzero(index[:, i] < 0)
-        stop = int(gone[0]) if gone.size else len(ts)
+        stop = int(gone[0]) if gone.size else ts.size
         # A witness: every sample the level reaches holds its label.
         if np.any(index[:stop, i] >= held[:stop]):
             raise ContinuationLost(f"{channel} channel ran out of fetched levels")
         trajectories.append(
             LevelTrajectory(
-                t_values=np.array(ts[:stop]),
+                t_values=ts[:stop].copy(),
                 E_values=E[samples[:stop], index[:stop, i]],
                 start_index=i,
                 end_index=-1 if gone.size else int(index[-1, i]),
@@ -228,13 +191,52 @@ def trace_path(path: PathSpec) -> list[LevelTrajectory]:
     Raises ContinuationLost when a sample's levels stop short of a tracked
     label, and propagates the channel solves' errors.
     """
+    n = path.levels_tracked
     ts = _t_grid(path.n_steps)
-    ladders = _start_ladders(path, ts[-1])
-    counts = _tracked_counts(ladders, path.levels_tracked)
+    start = _start_ladders(path)
+    counts = _tracked_counts(start, path.winding, n)
+    thetas0 = (path.base.theta_plus, path.base.theta_minus)
+    # Every later sample of every wound channel in one batch: the interior
+    # ones as label windows count deep, from the lowest tracked unwrapped
+    # label plus the sample's 2 pi crossings, and the last one from the
+    # bottom of the ladder, n + |w| + 1 deep.
+    wound, thetas, labels, depths = {}, [], [], []
+    later = ts.size - 1
+    for r, w in enumerate(path.winding):
+        if w:
+            theta = thetas0[r] + (TWO_PI * w) * ts
+            crossings = _crossings(theta)
+            label = start.label[r] - crossings[0] + crossings[1:]
+            label[-1] = 0
+            depth = np.full(later, counts[r])
+            depth[-1] = n + abs(w) + 1
+            wound[r] = slice(later * len(thetas), later * (len(thetas) + 1)), crossings, depth
+            thetas.append(theta[1:])
+            labels.append(label)
+            depths.append(depth)
+    if wound:
+        rows = solve_channels(
+            np.concatenate(thetas), np.concatenate(depths), path.l, path.L0, np.concatenate(labels)
+        )
     trajectories = []
-    for ch, (theta0, w, ends) in ladders.items():
-        if counts[ch]:
-            trajectories += _follow(ch, theta0, w, ends, counts[ch], ts, path)
+    for r, ch in enumerate((CHANNEL_PLUS, CHANNEL_MINUS)):
+        if r in wound:
+            at, crossings, depth = wound[r]
+            trajectories += _follow(
+                ch, ts,
+                np.concatenate([start.E[r:r + 1], rows.E[at]]),
+                np.concatenate([start.label[r:r + 1], rows.label[at]]) - crossings,
+                np.concatenate([[start.E.shape[1]], depth]),
+                counts[r],
+            )
+        else:
+            # The channel keeps its theta, and its start ladder stands for
+            # every sample.
+            trajectories += [
+                LevelTrajectory(t_values=ts.copy(), E_values=np.full(ts.size, start.E[r, i]),
+                                start_index=i, end_index=i, channel=ch)
+                for i in range(counts[r])
+            ]
     trajectories.sort(key=lambda tr: tr.E_values[0])
     return trajectories
 

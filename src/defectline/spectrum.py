@@ -31,11 +31,12 @@ doubles.  The search takes many channels of one box at once
 case, so a batch returns the doubles of one solve per channel.
 As each label has its own window, a row may also start at a given label
 above the bottom of its ladder, with the same doubles for the labels it
-shares with the bottom.  The merged spectrum solves its two channels as
-one such batch, only as deep as the labels prove the merge reaches, about
-n/2.  One array sort merges the two rows, one comparison of neighbours over
-n + 1 levels flags degenerate pairs, and the levels stay columns;
-EigenLevel objects are built only when asked for.
+shares with the bottom, and each row may stop at its own depth.  The
+merged spectrum solves its two channels as one such batch, only as deep as
+the labels prove the merge reaches, about n/2.  One array sort merges the
+two rows, one comparison of neighbours over n + 1 levels flags degenerate
+pairs, and the levels stay columns; EigenLevel objects are built only when
+asked for.
 """
 
 from __future__ import annotations
@@ -231,11 +232,12 @@ def threshold(ch: Channel) -> float:
 
 
 def _fhat_half(s2, c2, l: float, L0: float, k: np.ndarray) -> np.ndarray:
-    # F(k)/k at k >= 0, entire in k with value T at 0 and the positive roots
-    # of F, on half-angles that may differ from element to element of k; in
-    # np.sinc's operations: sin(x) / x at x = pi * (kl / pi), eps at x = 0.
+    # F(k)/k at k > 0, with the positive roots of F, on half-angles that may
+    # differ from element to element of k; in np.sinc's operations: sin(x) / x
+    # at x = pi * (kl / pi).  Every scanned label is >= 1, so no probe and no
+    # Brent step comes near k = 0, where this is 0 / 0.
     kl = k * l
-    x = np.maximum(np.pi * (kl / np.pi), _EPS)
+    x = np.pi * (kl / np.pi)
     return l * (np.sin(x) / x) * s2 + L0 * np.cos(kl) * c2
 
 
@@ -250,7 +252,7 @@ def sinc_kl(k: float, l: float) -> float:
 
 
 def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
-    # _fhat_half for one float, with the same double out.
+    # _fhat_half for one float, with the same double out at k > 0.
     return l * sinc_kl(k, l) * s2 + L0 * math.cos(k * l) * c2
 
 
@@ -501,13 +503,14 @@ def _branch_estimate(m, s2, c2, l: float, L0: float) -> np.ndarray:
     return x
 
 
-def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
-    """Fill out[r, first[r]:] with the positive roots of F of labels m0[r] >= 1 on.
+def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -> None:
+    """Fill out[r, first[r]:depth] with the positive roots of F of labels m0[r] >= 1 on.
 
-    Row r is the channel with half-angles (s2[r], c2[r]) on the box (l, L0),
-    and its p-th positive column, out[r, first[r] + p], gets the root of
-    branch label m0[r] + p; solve_channels decides where each ladder starts
-    and solves any level below label 1 itself.  The root of label
+    ``depth`` is one for every row, or a column of one per row.  Row r is
+    the channel with half-angles (s2[r], c2[r]) on the box (l, L0), and its
+    p-th positive column, out[r, first[r] + p], gets the root of branch
+    label m0[r] + p; solve_channels decides where each ladder starts and
+    solves any level below label 1 itself.  The root of label
     m = (kl + atan2(k L0 c2, s2)) / pi lies, as s2 >= 0, in kl in
     [m pi - pi/2, m pi] when c2 >= 0 and in [m pi, m pi + pi/2] when
     c2 < 0.  The window of label m, its half-branch and a cell at each end,
@@ -522,7 +525,8 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0) -> None:
     point.
     """
     step = math.pi / (GRID_DENSITY * l)
-    r, col = np.nonzero(np.arange(out.shape[1]) >= first[:, None])
+    cols = np.arange(out.shape[1])
+    r, col = np.nonzero((cols >= first[:, None]) & (cols < depth))
     if not r.size:
         return
     m = (m0 - first)[r] + col
@@ -573,7 +577,8 @@ class ChannelRows:
 
     Row r holds, in ``E`` and ``k_or_kappa``, the doubles that solve_channel
     returns for the r-th channel: its lowest n levels, or, in a label
-    window, its n levels from a given branch label on.  ``label[r]`` is the
+    window, its n levels from a given branch label on, with NaN past the
+    row's own n where the rows differ in depth.  ``label[r]`` is the
     branch label of row r's first level, the one the solver placed it by,
     and level j of the row carries label[r] + j; a bound or zero-energy
     level, only ever first in its row, carries label 0.
@@ -591,7 +596,25 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=None) -> ChannelRows:
+def _depths(n, rows: int):
+    """The depth of every row, as one int or a column of one per row, and the deepest.
+
+    n is one integer of at least 1, or a sequence of one per row.
+    """
+    if not hasattr(n, "__len__"):
+        n = _count("n", n, 1)
+        return n, n
+    given = np.asarray(n)
+    if given.shape == (rows,):
+        # A NaN, an infinity or a depth past intp casts to another value.
+        with np.errstate(invalid="ignore"):
+            depth = given.astype(np.intp)
+        if (depth == given).all() and (depth >= 1).all():
+            return depth[:, None], int(depth.max(initial=0))
+    raise ValueError("n must hold one integer of at least 1 per eigenphase")
+
+
+def solve_channels(thetas, n, l: float = 1.0, L0: float = 1.0, from_label=None) -> ChannelRows:
     """solve_channel for every eigenphase in ``thetas`` on one box, in one batch.
 
     Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  Every
@@ -617,19 +640,27 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
     from_label[r] on, all positive, each the double a solve from the bottom
     of the ladder returns for its label, and needs no threshold.  A row with
     from_label[r] <= 0, as every row without it, holds the lowest n levels.
-    ValueError is raised where n or a label is not an integer, as 2.5 or
-    NaN is not; a whole float counts as its integer.  Each row's label
+    ``n`` is one depth for every row or one per eigenphase; a row is solved
+    only to its own depth, with the doubles of a solve of that row alone,
+    and its entries past that depth are NaN.
+    ValueError is raised where n or a label is not an integer of its range,
+    as 2.5, 0 or NaN is not, or where a sequence of them does not hold one
+    per eigenphase; a whole float counts as its integer.  Each row's label
     is the one its roots were placed by, checked there (ScanExhausted), so
     a reader of the labels computes none.
     SolverError is raised where the E of a level overflows a double or rounds
     to 0, as on a box of l = 1e-300 or l = 1e200.
     """
-    n = _count("n", n, 1)
+    theta = np.asarray(thetas, dtype=float)
+    rows = theta.size
+    depth, width = _depths(n, rows)
     Channel(0.0, l, L0)  # validates the box
-    if not all(math.isfinite(t) for t in thetas):
+    if not np.isfinite(theta).all():
         raise ValueError("theta must be finite")
-    rows = len(thetas)
-    labels = [0] * rows
+    # Each row's label of its first root of label >= 1, and 1 where a
+    # level below label 1 comes before that root.
+    m0 = np.ones(rows, dtype=np.intp)
+    bottom = range(rows)
     if from_label is not None:
         given = np.asarray(from_label)
         if given.shape != (rows,):
@@ -639,21 +670,18 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
             labels = given.astype(np.intp)
         if (labels != given).any():
             raise ValueError("from_label must hold integer labels")
-        labels = labels.tolist()
-    s2 = np.empty(rows)
-    c2 = np.empty(rows)
-    # Each row's label of its first root of label >= 1, and 1 where a
-    # level below label 1 comes before that root.
-    m0 = np.ones(rows, dtype=np.intp)
+        np.maximum(labels, 1, out=m0)
+        bottom = np.flatnonzero(labels <= 0).tolist()
+    # numpy's sin and cos give math's doubles here, as _fhat_half's do.
+    half = theta % (2.0 * math.pi) / 2.0
+    s2, c2 = np.sin(half), np.cos(half)
     first = np.zeros(rows, dtype=np.intp)
-    k_or_kappa = np.empty((rows, n))
+    # NaN past each row's depth; every held entry is written below.
+    k_or_kappa = np.full((rows, width), np.nan)
     bound = []
-    for r, (theta, label) in enumerate(zip(thetas, labels)):
-        s, c = _half_angle(theta % (2.0 * math.pi))
-        s2[r], c2[r] = s, c
-        if label > 0:
-            m0[r] = label
-            continue
+    s2s, c2s = s2.tolist(), c2.tolist()
+    for r in bottom:
+        s, c = s2s[r], c2s[r]
         a, b = L0 * c, l * s
         t0 = b + a
         if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
@@ -670,15 +698,17 @@ def solve_channels(thetas, n: int, l: float = 1.0, L0: float = 1.0, from_label=N
             continue
         first[r] = 1
         k_or_kappa[r, 0] = x / l
-    _scan_rows(s2, c2, l, L0, k_or_kappa, first, m0)
+    _scan_rows(s2, c2, l, L0, k_or_kappa, first, m0, depth)
     with np.errstate(over="ignore"):
         E = k_or_kappa * k_or_kappa
-    if not np.isfinite(E).all():
+    # NaN marks the entries past a row's depth, so only held levels count.
+    if np.isinf(E).any():
         raise SolverError(f"the levels of the box l={l!r} overflow a double")
     # An E that rounds to 0 ties every such level and the zero-energy one.
     if ((E == 0.0) & (k_or_kappa != 0.0)).any():
         raise SolverError(f"the levels of the box l={l!r} underflow a double")
-    E[bound, 0] *= -1.0
+    if bound:
+        E[bound, 0] *= -1.0
     return ChannelRows(E=E, k_or_kappa=k_or_kappa, label=m0 - first)
 
 

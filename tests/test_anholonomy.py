@@ -143,28 +143,54 @@ def test_sample_count_and_time_range():
         assert tr.t_values[0] == 0.0 and tr.t_values[-1] == 1.0
 
 
+def _repeated_addition_grid(n_steps):
+    h = 1.0 / n_steps
+    ts = [0.0]
+    while ts[-1] < 1.0 - 1e-12:
+        ts.append(min(ts[-1] + h, 1.0))
+    return ts
+
+
+def test_t_grid_is_the_repeated_addition_grid():
+    # The sample times, built by one cumsum, are the doubles of
+    # t <- min(t + 1/n_steps, 1) from 0 until t >= 1 - 1e-12, bit for bit:
+    # every n_steps up to 320, 96 and 192 among them, and a spread to 4096.
+    for n_steps in [*range(64, 321), *range(321, 4096, 61), 4096]:
+        ts = anholonomy._t_grid(n_steps)
+        assert ts.tolist() == _repeated_addition_grid(n_steps)
+        assert ts.size == n_steps + 1
+
+
 def _counting_solves(monkeypatch):
     calls = []
 
     def counting(thetas, n, l=1.0, L0=1.0, from_label=None):
-        calls.append((list(thetas), n, from_label))
+        calls.append((np.array(thetas), n, from_label))
         return solve_channels(thetas, n, l, L0, from_label)
 
     monkeypatch.setattr(anholonomy, "solve_channels", counting)
     return calls
 
 
+def _later_thetas(winding, ts):
+    # Every sample after t = 0 of every wound channel, plus first.
+    return np.concatenate([
+        theta + 2.0 * math.pi * w * ts[1:]
+        for theta, w in zip((BASE.theta_plus, BASE.theta_minus), winding) if w
+    ])
+
+
 def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
-    # Work counter: both channels' t = 0 ladders and the moving channel's
-    # last-sample ladder are one three-row solve, and the moving channel's
-    # interior samples are one batched solve, not one solve per step.
+    # Work counter: both channels' t = 0 ladders are one two-row solve, and
+    # every later sample of the moving channel is one more batched solve,
+    # not one solve per step; the stationary channel is in neither batch.
     calls = _counting_solves(monkeypatch)
     path = PathSpec(winding=(1, 0), base=BASE, n_steps=64, levels_tracked=6)
     trajectories = trace_path(path)
     ts = anholonomy._t_grid(path.n_steps)
-    assert [thetas for thetas, _, _ in calls] == [
-        [BASE.theta_plus, BASE.theta_minus, BASE.theta_plus + 2.0 * math.pi * ts[-1]],
-        [BASE.theta_plus + 2.0 * math.pi * t for t in ts[1:-1]],
+    assert [thetas.tolist() for thetas, _, _ in calls] == [
+        [BASE.theta_plus, BASE.theta_minus],
+        [BASE.theta_plus + 2.0 * math.pi * t for t in ts[1:].tolist()],
     ]
 
     moving = [tr for tr in trajectories if tr.channel == "plus" and not tr.floored_out]
@@ -179,46 +205,39 @@ def test_stationary_channel_is_solved_once_per_loop(monkeypatch):
 
 @pytest.mark.parametrize("winding", [(0, 0), (1, 0), (1, 1), (2, -1)])
 def test_start_ladders_are_one_batch(monkeypatch, winding):
-    # One solve_channels call holds both t = 0 ladders and the last-sample
-    # ladder of each moving channel, as deep as the deepest one needs, and
-    # each moving channel adds one call for its interior samples.  Each
-    # ladder keeps the doubles of a solve of its own row to its own depth,
-    # so the trajectories do not move.
+    # One solve_channels call holds just the two t = 0 ladders, as deep as
+    # the deepest last-sample row, each the doubles of a solve of its own
+    # row.  A loop that winds a channel adds one call for every later
+    # sample of every wound channel, whose last sample of a channel wound
+    # by w is solved from the bottom of its ladder, n + |w| + 1 deep.
     path = PathSpec(winding=winding, base=BASE, n_steps=64, levels_tracked=6)
-    t_end = anholonomy._t_grid(path.n_steps)[-1]
-    ladders = anholonomy._start_ladders(path, t_end)
-    ends = []
-    for ch, theta, w in (("plus", BASE.theta_plus, winding[0]),
-                         ("minus", BASE.theta_minus, winding[1])):
-        own = [theta]
-        if w:
-            ends.append(theta + 2.0 * math.pi * w * t_end)
-            own.append(ends[-1])
-        own = solve_channels(own, 6 + abs(w) + 1)
-        rows = ladders[ch][2]
-        assert ladders[ch][:2] == (theta, w)
+    depth = 6 + max(map(abs, winding)) + 1
+    start = anholonomy._start_ladders(path)
+    for r, theta in enumerate((BASE.theta_plus, BASE.theta_minus)):
+        own = solve_channels([theta], depth)
         for field in ("E", "k_or_kappa", "label"):
-            assert np.array_equal(getattr(rows, field), getattr(own, field))
+            assert np.array_equal(getattr(start, field)[r], getattr(own, field)[0])
 
     calls = _counting_solves(monkeypatch)
-    trajectories = trace_path(path)
-    moving = sum(1 for w in winding if w)
-    assert len(calls) == 1 + moving
-    assert calls[0] == (
-        [BASE.theta_plus, BASE.theta_minus, *ends], 6 + max(map(abs, winding)) + 1, None
-    )
-    # The interior samples of a moving channel are as deep as it has
-    # tracked levels.
-    for thetas, n, from_label in calls[1:]:
-        ch = "plus" if thetas[0] == BASE.theta_plus + 2.0 * math.pi * winding[0] / 64 else "minus"
-        assert n == sum(1 for tr in trajectories if tr.channel == ch)
-        assert len(from_label) == len(thetas) == path.n_steps - 1
+    trace_path(path)
+    wound = [w for w in winding if w]
+    assert len(calls) == 1 + bool(wound)
+    thetas, n, from_label = calls[0]
+    assert (thetas.tolist(), n, from_label) == ([BASE.theta_plus, BASE.theta_minus], depth, None)
+    if not wound:
+        return
+    ts = anholonomy._t_grid(path.n_steps)
+    thetas, n, from_label = calls[1]
+    assert thetas.tobytes() == _later_thetas(winding, ts).tobytes()
+    last = np.cumsum([ts.size - 1] * len(wound)) - 1
+    assert n[last].tolist() == [6 + abs(w) + 1 for w in wound]
+    assert (from_label[last] <= 0).all()
 
 
 @pytest.mark.parametrize("winding", [(1, 0), (2, -1)])
 def test_trace_refines_only_the_tracked_labels(monkeypatch, winding):
-    # Work counter: an interior sample of a moving channel solves no more
-    # levels than the channel tracks, and a sample whose label window starts
+    # Work counter: an interior sample of a moving channel solves exactly
+    # the levels the channel tracks, and a sample whose label window starts
     # at label >= 1 solves no level below label 1.  Per solve_channels call
     # the counters hold the roots of label >= 1 each row searches and
     # refines, the rows that start with a level below label 1 (first), and
@@ -226,10 +245,10 @@ def test_trace_refines_only_the_tracked_labels(monkeypatch, winding):
     positive, below, bounds = [], [], []
     scan_rows, threshold_root = spectrum._scan_rows, spectrum._threshold_root
 
-    def counting_scan(s2, c2, l, L0, out, first, *rest):
-        positive.append(out.shape[1] - first)
+    def counting_scan(s2, c2, l, L0, out, first, m0, depth):
+        positive.append((depth - first[:, None])[:, 0])
         below.append(first.copy())
-        return scan_rows(s2, c2, l, L0, out, first, *rest)
+        return scan_rows(s2, c2, l, L0, out, first, m0, depth)
 
     def counting_root(a, b, bound):
         bounds[-1] += bound
@@ -237,7 +256,7 @@ def test_trace_refines_only_the_tracked_labels(monkeypatch, winding):
 
     def counting(thetas, n, l=1.0, L0=1.0, from_label=None):
         bounds.append(0)
-        calls.append((thetas[0], from_label))
+        calls.append(from_label)
         return solve_channels(thetas, n, l, L0, from_label)
 
     calls = []
@@ -247,21 +266,28 @@ def test_trace_refines_only_the_tracked_labels(monkeypatch, winding):
     path = PathSpec(winding=winding, base=BASE, n_steps=64, levels_tracked=6)
     trajectories = trace_path(path)
     assert trajectory_shifts(trajectories, winding) == winding
+    assert len(calls) == 2
 
-    windows = bottom_bound = 0
-    for (theta, from_label), roots, first, bound_roots in zip(calls[1:], positive[1:], below[1:], bounds[1:]):
-        ch = "plus" if theta == BASE.theta_plus + 2.0 * math.pi * winding[0] / 64 else "minus"
+    # The later samples of each wound channel, plus first: 63 interior
+    # rows, then the last sample's.
+    from_label, roots, first = calls[1], positive[1], below[1]
+    windows = 0
+    for j, (ch, w) in enumerate((ch, w) for ch, w in zip(("plus", "minus"), winding) if w):
+        rows = slice(64 * j, 64 * (j + 1))
         count = sum(1 for tr in trajectories if tr.channel == ch)
-        assert np.all(roots + first <= count)
-        window = np.asarray(from_label) >= 1
-        assert np.all(first[window] == 0)
-        assert bound_roots <= first.sum()
+        label, solved, low = from_label[rows], roots[rows] + first[rows], first[rows]
+        assert (solved[:-1] == count).all()
+        assert solved[-1] == 6 + abs(w) + 1 and label[-1] <= 0
+        window = label[:-1] >= 1
+        assert (low[:-1][window] == 0).all()
         windows += int(window.sum())
-        bottom_bound += bound_roots
-    assert len(calls) == 1 + sum(1 for w in winding if w)
+    # Newton's method solves no more bound levels than the rows that start
+    # below label 1, and none in a window.
+    assert bounds[1] <= first.sum()
     # Every loop opens label windows; only a channel wound downwards reaches
-    # the bottom of its ladder, where this base has a bound level.
-    assert windows and bool(bottom_bound) == (min(winding) < 0)
+    # the bottom of its ladder before its last sample, where this base has a
+    # bound level, and the last samples, back at the base, have none.
+    assert windows and bool(bounds[1]) == (min(winding) < 0)
 
 
 def test_scalar_start_shifts_by_the_winding():
@@ -279,6 +305,14 @@ def test_tracked_levels_split_by_the_spectrum_merge():
     channels = [tr.channel for tr in trace_path(path)]
     merged = solve_spectrum(BoundaryCondition(params_to_matrix(base)), 3).channel.tolist()
     assert channels == merged == ["plus", "minus", "plus"]
+
+
+@pytest.mark.parametrize("winding", [(1, 0), (0, 1), (-1, 2)])
+def test_tied_trajectories_list_plus_first_whichever_channel_moves(winding):
+    # At rho = 0 the channels' levels tie at t = 0; the trajectories are
+    # ordered by starting energy, plus first on a tie, wound or not.
+    path = PathSpec(winding=winding, base=UnitaryParams(1.0, 0.0), n_steps=64, levels_tracked=4)
+    assert [tr.channel for tr in trace_path(path)][:4] == ["plus", "minus", "plus", "minus"]
 
 
 @pytest.mark.parametrize("winding", [(-1, 0), (0, -2), (-2, 1)])

@@ -9,7 +9,8 @@ the shallow merge returns the full-depth one and the batch returns one
 solve per sample, so these tests compare with ==, not with a tolerance, over l
 and L0 across four decades and the edge regions: theta near 0 and pi, the
 threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  A row of a
-label window is held to the row solved from the bottom of its ladder.  The
+label window is held to the row solved from the bottom of its ladder, and
+a row solved to its own depth to the one-row solve at that depth.  The
 branch labels that place each channel root are held to consecutive integers
 within 1e-6, and the label each row returns to its first level's.  Every
 solver's Spectrum is held to one level record, and det's
@@ -290,6 +291,24 @@ def test_label_window_rows_equal_the_bottom_solved_rows(batch, n):
         col = first + int(np.flatnonzero(label == a)[0])
         assert rows.k_or_kappa[r].tolist() == deep.k_or_kappa[r, col:col + n].tolist()
         assert rows.E[r].tolist() == deep.E[r, col:col + n].tolist()
+
+
+@given(windows(), st.lists(st.integers(1, 12), min_size=4, max_size=4))
+def test_rows_solved_to_their_own_depths_equal_one_row_solves(batch, depths):
+    # A batch that mixes label windows and rows from the bottom of their
+    # ladders, each row solved only as deep as it asks: every row is the
+    # one-row solve at its own depth, bit for bit, label included, and NaN
+    # past that depth.
+    thetas, from_label, l, L0 = batch
+    depths = depths[:len(thetas)]
+    rows = solve_channels(thetas, depths, l, L0, from_label)
+    assert rows.E.shape == rows.k_or_kappa.shape == (len(thetas), max(depths))
+    for r, (theta, a, n) in enumerate(zip(thetas, from_label, depths)):
+        own = solve_channels([theta], n, l, L0, [a])
+        assert rows.E[r, :n].tobytes() == own.E[0].tobytes()
+        assert rows.k_or_kappa[r, :n].tobytes() == own.k_or_kappa[0].tobytes()
+        assert rows.label[r] == own.label[0]
+        assert np.isnan(rows.E[r, n:]).all() and np.isnan(rows.k_or_kappa[r, n:]).all()
 
 
 def flag_degenerate(levels):

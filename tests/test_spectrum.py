@@ -132,9 +132,13 @@ def test_root_count_matches_sign_changes():
 
 
 def _fhat(theta, l, L0, k):
-    # F(k)/k of the channel theta: the solver's array form on its half-angles.
+    # F(k)/k of the channel theta: the solver's array form on its half-angles
+    # where kl > 0, and its limit T where kl = 0, at which the solver never
+    # evaluates it.
     s2, c2 = _half_angle(theta)
-    return _fhat_half(s2, c2, l, L0, np.asarray(k, dtype=float))
+    k = np.asarray(k, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(k * l == 0.0, l * s2 + L0 * c2, _fhat_half(s2, c2, l, L0, k))
 
 
 def _ghat(theta, l, L0, kappa):
@@ -252,7 +256,7 @@ def test_scan_matches_per_cell_reference():
     # level, not a positive one.
     s2, c2 = _half_angle(3.3)
     L0 = -s2 / c2
-    assert _fhat(3.3, 1.0, L0, 0.0) == 0.0
+    assert threshold(Channel(3.3, 1.0, L0)) == 0.0
     for n in (5, 2 * _ARRAY_BRENT_MIN):
         assert _check_positive_roots(3.3, 1.0, L0, n)
     # theta at 0 and pi and within 1e-12 of 0, pi and 2 pi, where roots sit
@@ -267,12 +271,18 @@ def test_scan_matches_per_cell_reference():
 
 def test_scan_raises_when_a_root_misses_its_branch_slot(monkeypatch):
     # One grid cell per branch is too coarse for the half-branch of a
-    # channel with cos(theta/2) < 0: its roots land one slot too high, the
-    # first slot stays empty, and the scan must raise rather than leave it.
-    assert math.cos(4.0 / 2.0) < 0.0
+    # channel with cos(theta/2) > 0: label 1's root lies in the cell whose
+    # lower end is the origin, where the scan takes no value of F/k, so no
+    # probe shows its sign change, and the scan must raise rather than
+    # leave the slot.  With cos(theta/2) < 0 the same grid places every
+    # root in its own cell, and the roots are the fine grid's.
+    assert math.cos(2.0 / 2.0) > 0.0 > math.cos(4.0 / 2.0)
+    fine = solve_channel(Channel(4.0), 5).E
     monkeypatch.setattr(spectrum, "GRID_DENSITY", 1)
-    with pytest.raises(ScanExhausted):
-        solve_channel(Channel(4.0), 5)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ScanExhausted):
+            solve_channel(Channel(2.0), 5)
+        assert np.allclose(solve_channel(Channel(4.0), 5).E, fine, rtol=1e-13, atol=0.0)
 
 
 def test_interlacing_gap_bounds():
@@ -568,6 +578,21 @@ def test_level_counts_take_integers_only():
             solve_spectrum(bc, n)
     assert solve_channels([5.5], 2.0).E.tobytes() == solve_channels([5.5], 2).E.tobytes()
     assert solve_spectrum(bc, 2.0).E.tobytes() == solve_spectrum(bc, 2).E.tobytes()
+
+
+def test_per_row_depths_take_one_integer_per_eigenphase():
+    # A sequence n holds one depth per eigenphase, each an integer of at
+    # least 1; a whole float counts as its integer, and empty eigenphases
+    # give empty rows.
+    for n in ([2, 2.5], [2, 0], [2, math.nan], [2, math.inf], [2], [2, 2, 2]):
+        with pytest.raises(ValueError, match="^n must hold one integer of at least 1 per eigenphase$"):
+            solve_channels([5.5, 1.0], n)
+    rows = solve_channels([5.5, 1.0], [2.0, 3])
+    assert rows.E[:, :2].tobytes() == solve_channels([5.5, 1.0], 2).E.tobytes()
+    assert np.isnan(rows.E[0, 2]) and not np.isnan(rows.E[1, 2])
+    for n in (3, []):
+        rows = solve_channels([], n)
+        assert rows.E.shape[0] == rows.k_or_kappa.shape[0] == rows.label.size == 0
 
 
 def _threshold_theta(l, L0):
