@@ -8,10 +8,10 @@ row template, built once from its fields; a command passes plain tuples, and
 the lines are written one by one as they are rendered.
 
 Exit codes: 0 for success, 2 for invalid parameters (including config/flag
-parse problems), 3 for solver failures, 4 for an unexpected internal error
-(one line on stderr, no traceback), 141 when the reader of stdout closed it
-early; oracle-compare exits 1 when all solvers ran but a deviation exceeded
-its tolerance.
+parse problems), 3 for solver failures (a request too large for memory
+too), 4 for an unexpected internal error (one line on stderr, no
+traceback), 141 when the reader of stdout closed it early; oracle-compare
+exits 1 when all solvers ran but a deviation exceeded its tolerance.
 
 Boundary-condition input is either the four angles (--xi/--rho/--mu/--nu),
 the eigenphase pair (--theta-plus/--theta-minus), or the raw matrix entries
@@ -471,6 +471,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        # A request too large to hold, as -n 100000000000 is: the solver
+        # cannot answer it, and --output was not written.
+        print(f"solver failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
     except BrokenPipeError:
         # The reader closed stdout early, as `defectline trace ... | head -1`

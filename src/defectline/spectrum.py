@@ -21,12 +21,12 @@ or x = kl, falling monotonically onto the root, with no bracket.
 
 Every other positive root lies alone on a half-branch of tan, named by its
 branch label m >= 1.  Three steps of the branch equation place it within
-one cell of the grid step * j from the centre of its half-branch, and F/k,
-entire with value T at the origin, at the 4 grid points around that
-estimate finds its cell.  A port of scipy's brentq refines it: one bracket
-at a time on a pure-math F/k for short ladders, and every bracket in lock
-step on numpy arrays from _ARRAY_BRENT_MIN of them on; both give the same
-doubles.  The search takes many channels of one box at once
+one cell of the grid step * j from the centre of its half-branch, F/k at
+the 4 grid points around that estimate finds its cell, and a port of
+scipy's brentq refines it.  A batch of fewer than _ARRAY_SCAN_MIN roots
+takes each root's whole search in Python floats, a longer one every step
+on numpy arrays, with Brent over all brackets in lock step; both give the
+same doubles.  The search takes many channels of one box at once
 (solve_channels, one row per channel), and a single channel is its one-row
 case, so a batch returns the doubles of one solve per channel.
 As each label has its own window, a row may also start at a given label
@@ -86,12 +86,17 @@ _BRENT_RTOL = 1e-15
 _BRENT_MAXITER = 100
 _NEWTON_MAXITER = 100
 
-# _refine takes this many brackets or more in lock step with _brentq_array,
-# fewer one at a time with _brentq: the measured crossover.  Refining the n
-# brackets of one channel at l = L0 = 1, mean over 20 random channels on a
-# 2-core Xeon (best of 15), took 0.18 / 0.22 / 0.26 / 0.30 ms one at a time
-# and 0.21 / 0.22 / 0.23 / 0.23 ms in lock step at n = 40 / 48 / 56 / 64.
-_ARRAY_BRENT_MIN = 56
+# _scan_rows searches fewer roots than this one at a time in Python floats,
+# and this many or more as numpy arrays, with lock-step Brent: the measured
+# crossover.  A solve_channels call of one row of n roots at l = L0 = 1,
+# mean over 20 random channels on a 2-core Xeon (best of 15, the two
+# searches interleaved), took 0.52 / 0.62 / 0.66 / 0.69 / 0.80 ms in floats
+# and 0.63 / 0.66 / 0.66 / 0.65 / 0.68 ms as arrays at n = 40 / 48 / 52 /
+# 56 / 64.
+_ARRAY_SCAN_MIN = 52
+
+# ScanExhausted's text where a probe count finds no cell with a sign change.
+_UNWITNESSED = "F/k does not change sign in the window of every branch label"
 
 _EPS = float(np.finfo(float).eps)
 
@@ -252,8 +257,10 @@ def sinc_kl(k: float, l: float) -> float:
 
 
 def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
-    # _fhat_half for one float, with the same double out at k > 0.
-    return l * sinc_kl(k, l) * s2 + L0 * math.cos(k * l) * c2
+    # _fhat_half for one float, with the same double out, NaN at k = 0 too.
+    kl = k * l
+    x = math.pi * (kl / math.pi)
+    return l * (math.sin(x) / x) * s2 + L0 * math.cos(kl) * c2 if x else math.nan
 
 
 def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
@@ -352,6 +359,8 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
         raise ValueError("f(a) and f(b) must be nonzero and have different signs")
     out = xcur.copy()
     idx = np.arange(out.size)
+    if not idx.size:
+        return out
     xblk[:] = xpre
     fblk[:] = fpre
     np.subtract(xcur, xpre, out=spre)
@@ -425,23 +434,6 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
             np.putmask(spre, new, dx)
             np.putmask(scur, new, dx)
     raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations")
-
-
-def _refine(s2, c2, l: float, L0: float, rows, xa, xb, fa, fb) -> np.ndarray:
-    """Brent roots of F/k on the brackets [xa[i], xb[i]], each of its row's channel.
-
-    Bracket i belongs to the channel with half-angles (s2[rows[i]],
-    c2[rows[i]]).  Fewer than _ARRAY_BRENT_MIN brackets refine one at a time
-    on _fhat_scalar, more in lock step on _fhat_half, with the same doubles.
-    """
-    if rows.size < _ARRAY_BRENT_MIN:
-        s2, c2 = s2.tolist(), c2.tolist()
-        return np.array([
-            _brentq(functools.partial(_fhat_scalar, s2[r], c2[r], l, L0), a, b, u, v)
-            for r, a, b, u, v in zip(rows.tolist(), xa.tolist(), xb.tolist(), fa.tolist(), fb.tolist())
-        ])
-    s2, c2 = s2[rows], c2[rows]
-    return _brentq_array(lambda x, i: _fhat_half(s2[i], c2[i], l, L0, x), xa, xb, fa, fb)
 
 
 def _threshold_root(a: float, b: float, bound: bool) -> float:
@@ -518,11 +510,13 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     and < 0 past it.  The root's cell of the grid step * j is found in one
     pass over all roots: _branch_estimate lies within one cell of the root,
     and the count of the 4 grid points around it where that sign is >= 0
-    places it.  ScanExhausted is raised unless each cell lies in its window
-    and F/k changes sign across it so, and SolverError where the k of a
-    probe overflows a double, as on a box of l = 2e-308.  Brent refines the
-    roots, all rows together; a root where F/k is exactly 0 is that grid
-    point.
+    places it.  SolverError is raised where the k of a probe overflows a
+    double, as on a box of l = 2e-308, before any probe, and ScanExhausted
+    unless each cell lies in its window and F/k changes sign across it so,
+    before any root is refined.  Brent refines the roots; a root where F/k
+    is exactly 0 is that grid point.  Fewer than _ARRAY_SCAN_MIN roots are
+    searched one at a time in Python floats (_scan_floats), more as arrays,
+    with lock-step Brent over every bracket; both give the same doubles.
     """
     step = math.pi / (GRID_DENSITY * l)
     cols = np.arange(out.shape[1])
@@ -530,10 +524,13 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     if not r.size:
         return
     m = (m0 - first)[r] + col
-    lo = m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))[r]
+    s2, c2 = s2[r], c2[r]
+    if r.size < _ARRAY_SCAN_MIN:
+        out[r, col] = _scan_floats(m.tolist(), s2.tolist(), c2.tolist(), l, L0, step)
+        return
+    lo = m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))
     # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
     sign = (m & 1) * 2.0 - 1.0
-    s2, c2 = s2[r], c2[r]
     estimate = _branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
     start = np.floor(estimate).astype(np.intp) - 1
     if not step * (int(start.max()) + 3) < math.inf:
@@ -551,11 +548,58 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     ga = np.where(below > 0, v[i - 1], np.nan)
     gb = np.where(below < 4, v[i], np.nan)
     if not ((j >= lo) & (j - lo <= GRID_DENSITY // 2 + 1) & (ga >= 0.0) & (gb < 0.0)).all():
-        raise ScanExhausted("F/k does not change sign in the window of every branch label")
+        raise ScanExhausted(_UNWITNESSED)
     k = step * j
     at = np.flatnonzero(ga)
-    k[at] = _refine(s2, c2, l, L0, at, k[at], step * (j[at] + 1), ga[at] * sign[at], gb[at] * sign[at])
+    s2, c2 = s2[at], c2[at]
+    k[at] = _brentq_array(
+        lambda x, i: _fhat_half(s2[i], c2[i], l, L0, x),
+        k[at], step * (j[at] + 1), ga[at] * sign[at], gb[at] * sign[at],
+    )
     out[r, col] = k
+
+
+def _scan_floats(m: list, s2: list, c2: list, l: float, L0: float, step: float) -> list:
+    """_scan_rows's search for roots of labels m[i] >= 1 at half-angles (s2[i], c2[i]), in floats.
+
+    Each root takes the array search's steps one float at a time:
+    _branch_estimate's three steps by math.atan2, the 4 probes by
+    _fhat_scalar, which returns _fhat_half's doubles (NaN at k = 0 too), the
+    same witness, and _brentq, which returns _brentq_array's doubles on the
+    same bracket.  A last-bit difference of math.atan2 from np.arctan2 may
+    move a start by one, but not the cell the count finds, as the estimate
+    lies within about half a cell of the root.  So each root is the array
+    search's double, and the errors are its errors, raised in its order.
+    """
+    starts = []
+    for mi, s, c in zip(m, s2, c2):
+        a, b, mpi = L0 * c, l * s, mi * math.pi
+        x = mpi - math.copysign(math.pi / 4, c)
+        for _ in range(3):
+            x = mpi - math.atan2(x * a, b)
+        starts.append(math.floor(x * (GRID_DENSITY / math.pi)) - 1)
+    if not step * (max(starts) + 3) < math.inf:
+        raise SolverError(f"the levels of the box l={l!r} overflow a double")
+    half = GRID_DENSITY // 2
+    cells = []
+    for mi, s, c, start in zip(m, s2, c2, starts):
+        sign = 1.0 if mi & 1 else -1.0
+        probe = functools.partial(_fhat_scalar, s * sign, c * sign, l, L0)
+        g = (probe(step * start), probe(step * (start + 1)),
+             probe(step * (start + 2)), probe(step * (start + 3)))
+        below = (g[0] >= 0.0) + (g[1] >= 0.0) + (g[2] >= 0.0) + (g[3] >= 0.0)
+        j = start - 1 + below
+        ga = g[below - 1] if below > 0 else math.nan
+        gb = g[below] if below < 4 else math.nan
+        lo = mi * GRID_DENSITY - (1 + half * (c >= 0.0))
+        if not (lo <= j <= lo + half + 1 and ga >= 0.0 and gb < 0.0):
+            raise ScanExhausted(_UNWITNESSED)
+        cells.append((j, ga * sign, gb * sign))
+    return [
+        _brentq(functools.partial(_fhat_scalar, s, c, l, L0), step * j, step * (j + 1), fa, fb)
+        if fa else step * j
+        for s, c, (j, fa, fb) in zip(s2, c2, cells)
+    ]
 
 
 def solve_channel(ch: Channel, n: int, tag: str | None = None) -> Spectrum:
@@ -618,9 +662,10 @@ def solve_channels(thetas, n, l: float = 1.0, L0: float = 1.0, from_label=None) 
     """solve_channel for every eigenphase in ``thetas`` on one box, in one batch.
 
     Each eigenphase is reduced into [0, 2 pi) as Channel reduces it.  Every
-    root of label >= 1 of every channel is searched in the same passes and
-    refined in one _refine call, so a batch costs array operations, not a
-    loop per channel.  The threshold T = l sin(theta/2) + L0 cos(theta/2)
+    root of label >= 1 of every channel is searched in one _scan_rows call:
+    a short batch root by root in Python floats, a long one in array passes
+    over all its roots, so a long batch costs array operations, not a loop
+    per channel.  The threshold T = l sin(theta/2) + L0 cos(theta/2)
     alone decides where a row's ladder starts, here and nowhere else:
 
     * a zero-energy level where |T| <= ZERO_LEVEL_TOL (l + L0);

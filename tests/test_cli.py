@@ -1236,6 +1236,31 @@ def test_unexpected_exception_exits_4_with_one_line(tmp_path, capsys, monkeypatc
     assert target.read_text() == "previous results\n"
 
 
+def test_a_request_too_large_for_memory_is_a_solver_failure(tmp_path, capsys, monkeypatch):
+    # `spectrum -n 100000000000` asks numpy for 745 GiB.  Here the solver
+    # raises numpy's MemoryError itself, so no test allocates that much:
+    # one solver-failure line, exit 3, and --output left as it was.
+    message = ("Unable to allocate 745. GiB for an array with shape (2, 50000000002) "
+               "and data type float64")
+
+    raised = [MemoryError(message)]
+
+    def too_large(bc, n):
+        raise raised[0]
+
+    monkeypatch.setattr(cli, "solve_spectrum", too_large)
+    code, out, err = _run(capsys, "spectrum", "-n", "100000000000")
+    assert (code, out, err) == (3, "", f"solver failure: {message}\n")
+    target = tmp_path / "levels.json"
+    target.write_text("previous results\n")
+    code, out, err = _run(capsys, "spectrum", "-n", "100000000000", "--output", str(target))
+    assert (code, out, err) == (3, "", f"solver failure: {message}\n")
+    assert target.read_text() == "previous results\n"
+    # A MemoryError without a message still names its cause.
+    raised[0] = MemoryError()
+    assert _run(capsys, "spectrum", "-n", "2") == (3, "", "solver failure: out of memory\n")
+
+
 # One valid call of every subcommand.
 EVERY_SUBCOMMAND = [
     ("spectrum", "--xi", "2.0", "--rho", "0.9", "-n", "3"),

@@ -1,12 +1,13 @@
 """Property tests: each fast path returns the doubles of its plain form.
 
-Brent's refiner evaluates F/k one float at a time on a scalar form of the
-grid function, the channel solver merges two ladders solved
-only as deep as the merge reaches, and a loop's samples are solved in one
-batch.  The printed levels stay the same only
+The channel root search runs a short batch one float at a time on a scalar
+form of the grid function and a long one on arrays, the channel solver
+merges two ladders solved only as deep as the merge reaches, and a loop's
+samples are solved in one batch.  The printed levels stay the same only
 while every scalar form returns exactly the double its vector form returns,
-the shallow merge returns the full-depth one and the batch returns one
-solve per sample, so these tests compare with ==, not with a tolerance, over l
+both searches return the same doubles and errors, the shallow merge returns
+the full-depth one and the batch returns one solve per sample, so these
+tests compare with ==, not with a tolerance, over l
 and L0 across four decades and the edge regions: theta near 0 and pi, the
 threshold T = 0, the kappa l = 50 floor and rho = 0 or pi.  A row of a
 label window is held to the row solved from the bottom of its ladder, and
@@ -22,6 +23,7 @@ exact scale covariance.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -41,15 +43,16 @@ from defectline import (
     solve_channel,
     solve_spectrum,
 )
-from defectline import anholonomy
+from defectline import SolverError, anholonomy, spectrum
 from defectline.spectrum import (
     KAPPA_CEILING,
     ZERO_LEVEL_TOL,
+    _fhat_half,
     _fhat_scalar,
     _half_angle,
     solve_channels,
 )
-from test_spectrum import _fhat, _reference_from_label_1
+from test_spectrum import _reference_from_label_1
 
 PI = math.pi
 EPS = float(np.finfo(float).eps)
@@ -99,11 +102,14 @@ def _points(seed, top):
 
 @given(channels(), seeds)
 def test_fhat_scalar_equals_vector_form(ch, seed):
+    # Every double of _fhat_half, and NaN where both are 0 / 0 at k = 0.
     theta, l, L0 = ch
     s2, c2 = _half_angle(theta)
     k = _points(seed, 60.0 * PI / l)
-    vec = _fhat(theta, l, L0, k)
-    assert [_fhat_scalar(s2, c2, l, L0, x) for x in k.tolist()] == vec.tolist()
+    with np.errstate(invalid="ignore"):
+        vec = _fhat_half(s2, c2, l, L0, k)
+    assert math.isnan(vec[0]) and math.isnan(_fhat_scalar(s2, c2, l, L0, 0.0))
+    assert np.array_equal([_fhat_scalar(s2, c2, l, L0, x) for x in k.tolist()], vec, equal_nan=True)
 
 
 @st.composite
@@ -309,6 +315,60 @@ def test_rows_solved_to_their_own_depths_equal_one_row_solves(batch, depths):
         assert rows.k_or_kappa[r, :n].tobytes() == own.k_or_kappa[0].tobytes()
         assert rows.label[r] == own.label[0]
         assert np.isnan(rows.E[r, n:]).all() and np.isnan(rows.k_or_kappa[r, n:]).all()
+
+
+@st.composite
+def searches(draw):
+    """(thetas, n, l, L0, from_label): a batch of one to four eigenphases
+    from phases() on a box in 10^+-300 or 10^+-2 for a third of the draws
+    each, with l or L0 at the bottom of the double range, subnormals
+    included, for the rest; one depth or one per row, and maybe a label
+    window per row."""
+    span = draw(st.sampled_from([300.0, 2.0, None]))
+    l, L0 = (10.0 ** draw(st.floats(-(span or 300.0), span or 300.0)) for _ in range(2))
+    if span is None:
+        bottom = draw(st.one_of(st.sampled_from([5e-324, 2e-308]),
+                                st.floats(-323.3, -300.0).map(lambda e: 10.0**e)))
+        l, L0 = (bottom, L0) if draw(st.booleans()) else (l, bottom)
+    rows = draw(st.integers(1, 4))
+    theta = st.one_of(phases(l, L0), st.sampled_from([0.0, PI]))
+    thetas = draw(st.lists(theta, min_size=rows, max_size=rows))
+    n = draw(st.one_of(st.integers(1, 12), st.lists(st.integers(1, 12), min_size=rows, max_size=rows)))
+    from_label = draw(st.none() | st.lists(st.integers(-1, 20), min_size=rows, max_size=rows))
+    return thetas, n, l, L0, from_label
+
+
+def _search(cut, batch):
+    # The batch solved with _scan_rows's search chosen by cut, or the
+    # SolverError it raised, as its type and text.
+    with mock.patch.object(spectrum, "_ARRAY_SCAN_MIN", cut):
+        try:
+            return solve_channels(*batch)
+        except SolverError as exc:
+            return type(exc), str(exc)
+
+
+@given(searches())
+# At theta = 0 every root lies on a grid point, kl = (m - 1/2) pi, and on this
+# L0 F/k underflows to 0 there: row 0's roots are grid points that Brent
+# skips, ahead of row 1's brackets; alone, the row leaves Brent no bracket.
+@example(([0.0, 1.0], 2, 1.0, 7.4e-309, None))
+@example(([0.0], 3, 1.0, 7.4e-309, None))
+def test_float_and_array_searches_return_the_same_doubles_and_errors(batch):
+    # _scan_rows searches short batches in Python floats and long ones as
+    # arrays; each forced on the same batch gives the same doubles and
+    # labels, NaN past each row's depth, or the same error.
+    floats, arrays = _search(10**9, batch), _search(0, batch)
+    if isinstance(arrays, tuple):
+        assert floats == arrays
+        return
+    assert floats.k_or_kappa.tobytes() == arrays.k_or_kappa.tobytes()
+    assert floats.E.tobytes() == arrays.E.tobytes()
+    assert floats.label.tolist() == arrays.label.tolist()
+    thetas, n = batch[:2]
+    depths = np.broadcast_to(n, len(thetas))
+    for r, depth in enumerate(depths.tolist()):
+        assert np.isnan(floats.E[r, depth:]).all() and not np.isnan(floats.E[r, :depth]).any()
 
 
 def flag_degenerate(levels):

@@ -30,7 +30,7 @@ from defectline import (
 )
 from defectline import spectrum
 from defectline.spectrum import (
-    _ARRAY_BRENT_MIN,
+    _ARRAY_SCAN_MIN,
     _BRENT_RTOL,
     _BRENT_XTOL,
     GRID_DENSITY,
@@ -244,20 +244,24 @@ def _check_positive_roots(theta, l, L0, n):
 
 
 def test_scan_matches_per_cell_reference():
-    # Short scans refine one bracket at a time, long ones (n at or above
-    # _ARRAY_BRENT_MIN) in lock step; both must give the reference doubles
-    # at every label >= 1.
+    # Short scans (fewer than _ARRAY_SCAN_MIN roots) search each root in
+    # Python floats, long ones (more than _ARRAY_SCAN_MIN levels, so at
+    # least that many roots even after a level below label 1) as arrays
+    # with lock-step Brent; both must give the reference doubles at every
+    # label >= 1.
     rng = np.random.default_rng(73)
     for i in range(34):
         theta, l, L0 = _random_channel(rng)
-        n = int(rng.integers(1, 24)) if i < 30 else int(rng.integers(_ARRAY_BRENT_MIN, 600))
+        long = i >= 30
+        n = int(rng.integers(_ARRAY_SCAN_MIN + 1, 600) if long else rng.integers(1, _ARRAY_SCAN_MIN))
         _check_positive_roots(theta, l, L0, n)
     # T = 0 exactly: the origin is an exact zero of F/k, and the row's zero
-    # level, not a positive one.
+    # level, not a positive one.  Its roots of labels >= 1 sit on both
+    # sides of the constant: one short of it and exactly at it.
     s2, c2 = _half_angle(3.3)
     L0 = -s2 / c2
     assert threshold(Channel(3.3, 1.0, L0)) == 0.0
-    for n in (5, 2 * _ARRAY_BRENT_MIN):
+    for n in (5, _ARRAY_SCAN_MIN, _ARRAY_SCAN_MIN + 1, 2 * _ARRAY_SCAN_MIN):
         assert _check_positive_roots(3.3, 1.0, L0, n)
     # theta at 0 and pi and within 1e-12 of 0, pi and 2 pi, where roots sit
     # on the ends of their half-branches.
@@ -265,7 +269,7 @@ def test_scan_matches_per_cell_reference():
     for theta in (0.0, math.pi, 1e-12, math.pi - 1e-12, math.pi + 1e-12, TWO_PI - 1e-12):
         for i in range(2):
             _, l, L0 = _random_channel(rng)
-            n = int(rng.integers(1, 24)) if i == 0 else int(rng.integers(_ARRAY_BRENT_MIN, 300))
+            n = int(rng.integers(_ARRAY_SCAN_MIN + 1, 300) if i else rng.integers(1, _ARRAY_SCAN_MIN))
             _check_positive_roots(theta, l, L0, n)
 
 
@@ -518,42 +522,64 @@ def test_channel_tag_passthrough():
 def test_root_search_probes_four_points_per_root_at_every_label(monkeypatch):
     # A root of every label >= 1 is searched at the 4 grid points around
     # its branch-equation estimate, where a sign scan of the grid took 64
-    # per root; label 0 is solved by Newton's method, with no probe.  Brent
-    # refines one bracket at a time here, on the scalar F/k, so every
-    # evaluation of the array F/k is the search's.
-    evaluations = []
-    fhat_half = spectrum._fhat_half
+    # per root; label 0 is solved by Newton's method, with no probe.  Each
+    # search is forced in turn, and counted by its own F/k outside Brent's
+    # method: the float search's _fhat_scalar and the array search's
+    # _fhat_half.
+    probes = {}
+    refining = []
 
-    def counted(s2, c2, l, L0, k):
-        evaluations.append(np.broadcast(s2, k).size)
-        return fhat_half(s2, c2, l, L0, k)
+    def counted(kernel, search):
+        def fhat(s2, c2, l, L0, k):
+            if not refining:
+                probes[search] += np.broadcast(s2, k).size
+            return kernel(s2, c2, l, L0, k)
+        return fhat
 
-    monkeypatch.setattr(spectrum, "_fhat_half", counted)
-    monkeypatch.setattr(spectrum, "_ARRAY_BRENT_MIN", 10**9)
+    def outside(brent):
+        def refine(*args):
+            refining.append(brent)
+            try:
+                return brent(*args)
+            finally:
+                refining.pop()
+        return refine
+
+    monkeypatch.setattr(spectrum, "_fhat_scalar", counted(spectrum._fhat_scalar, "floats"))
+    monkeypatch.setattr(spectrum, "_fhat_half", counted(spectrum._fhat_half, "arrays"))
+    monkeypatch.setattr(spectrum, "_brentq", outside(spectrum._brentq))
+    monkeypatch.setattr(spectrum, "_brentq_array", outside(spectrum._brentq_array))
     # Both eigenphases in (0, pi): no bound or zero level, so each channel
     # is solved to depth (n + 1) // 2 + 2 in positive roots of labels >= 1.
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi=1.1, rho=0.7, mu=0.3, nu=2.0)))
-    solve_spectrum(bc, 2000)
-    assert sum(evaluations) == 4 * 2 * ((2000 + 1) // 2 + 2)
     # Row 0 lies below the threshold, so its first positive root has label
     # 0 and the grid searches 299 of its roots.
     assert threshold(Channel(5.5)) < 0.0 < threshold(Channel(1.0))
-    evaluations.clear()
-    rows = solve_channels([5.5, 1.0], 300)
-    assert rows.label.tolist() == [0, 1] and (rows.E > 0.0).all()
-    assert sum(evaluations) == 4 * (299 + 300)
+    for search, cut in (("floats", 10**9), ("arrays", 0)):
+        monkeypatch.setattr(spectrum, "_ARRAY_SCAN_MIN", cut)
+        probes.update(floats=0, arrays=0)
+        solve_spectrum(bc, 2000)
+        assert probes == {"floats": 0, "arrays": 0, search: 4 * 2 * ((2000 + 1) // 2 + 2)}
+        probes.update(floats=0, arrays=0)
+        rows = solve_channels([5.5, 1.0], 300)
+        assert rows.label.tolist() == [0, 1] and (rows.E > 0.0).all()
+        assert probes == {"floats": 0, "arrays": 0, search: 4 * (299 + 300)}
 
 
 def test_scan_rows_has_one_probe_layout_and_solve_channels_decides_the_rows():
     # One rule places every root: one _fhat_half call over a (roots x 4)
     # block, with no per-root probe counts to repeat, sum or reduce, and no
-    # helper between solve_channels and the scan.
+    # helper between solve_channels and the scan.  The only other
+    # _fhat_half call is the F/k of the one lock-step Brent call.
     tree = ast.parse(Path(spectrum.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_solve_rows" not in functions
-    called = [ast.unparse(node.func) for node in ast.walk(functions["_scan_rows"])
-              if isinstance(node, ast.Call)]
-    assert called.count("_fhat_half") == 1
+    calls = [node for node in ast.walk(functions["_scan_rows"]) if isinstance(node, ast.Call)]
+    called = [ast.unparse(node.func) for node in calls]
+    (brent,) = [node for node, name in zip(calls, called) if name == "_brentq_array"]
+    lock_step = [node for node in ast.walk(brent.args[0]) if isinstance(node, ast.Call)]
+    assert [ast.unparse(node.func) for node in lock_step] == ["_fhat_half"]
+    assert called.count("_fhat_half") == 2
     assert not {"np.repeat", "np.cumsum", "np.add.reduceat"} & set(called)
 
 
