@@ -30,9 +30,9 @@ placed by one rule (_knots) between the points where their wave is known
 in closed form: the floor, E = 0, and every quarter turn kl = j pi / 2 for
 det, every piece end ql = m pi for FD.  An end knot within pi/4 of such a
 point's direction is that point wherever g there reads with the end's
-sign; every other knot comes from the solver's own Newton method (_knot
-in k, _fd_knot in the discrete wavenumber q), or below E = 0 from det's
-solve of tanh(x) / x, with Brent's method as the fallback.  One rule
+sign; every other knot is the solver's own Newton step (_knot in k,
+_fd_knot in the discrete wavenumber q) or, where that declines, the
+walk's one Brent solve of c sigma - s tau on the piece.  One rule
 decides every turn (_turn): a root on each side of the vertex where g
 there reads with the sign opposite to the ends', that of a0 + a2, and a
 double root at the vertex otherwise.  g reads 0 within its rounding bound,
@@ -62,7 +62,6 @@ from .spectrum import (
     _brentq,
     _count,
     degenerate_partners,
-    sinc_kl,
 )
 
 __all__ = [
@@ -251,43 +250,30 @@ class _Projection(_Form):
 def _knot(l: float, j: int, c: float, s: float) -> float | None:
     """y of the knot of direction (c, s), c >= 0, on piece j of det's walk (_knots), or None.
 
-    Below E = 0, j = -1, psi rises monotonically from the floor to atan(l),
-    and the knot solves tanh(x) / x = s / (c l), x = kappa l: one Brent
-    solve, where that lies above the floor.  Above, piece j lies on branch
-    m = (j + 1) // 2 of tan, kl within pi/2 of m pi, [0, pi/2) for m = 0,
+    Piece j lies on branch m = (j + 1) // 2 of tan, kl within pi/2 of m pi,
     where the knot function sigma c - tau s = (c l sin x - s x cos x) / x,
-    x = kl, rises through zero once, from (-1)^(m+1) c / k at its lower pole
-    to (-1)^m c / k at its upper one, values taken in closed form; c = 0
-    puts the knot on the upper pole.  Newton's method on the numerator, from
-    one step of x = m pi + atan(s x / (c l)), finds it; _brentq is the
-    fallback, and serves branch 0.
+    x = kl, rises through zero once between its poles.  On branches m >= 1
+    Newton's method on the numerator, from one step of x = m pi +
+    atan(s x / (c l)), finds it.  None is returned below E = 0, on branch 0,
+    for c = 0 and where a step leaves the branch, and _knots then places the
+    knot as it places FD's: at the piece's closed-form top, or by its one
+    Brent solve.
     """
-    if j < 0:
-        t, top = s / (c * l), math.tanh(KAPPA_CEILING) / KAPPA_CEILING
-        if t > top:
-            return -_brentq(lambda x: math.tanh(x) / x - t, 0.0, KAPPA_CEILING, 1.0 - t, top - t) / l
-        return None
     m = (j + 1) // 2
+    if m < 1 or c == 0.0:
+        return None
     lo, hi = (m - 0.5) * math.pi, (m + 0.5) * math.pi
-    if c == 0.0:
-        return hi / l
-    if m > 0:
-        x = m * math.pi + math.atan2(s * m * math.pi, c * l)
-        for _ in range(8):
-            sx, cx = math.sin(x), math.cos(x)
-            slope = (c * l - s) * cx + s * x * sx
-            step = (c * l * sx - s * x * cx) / slope if slope else math.inf
-            x -= step
-            if not lo < x < hi:
-                break
-            if abs(step) <= 4.0 * _EPS * x:
-                return x / l
-    sign = -1.0 if m % 2 else 1.0
-    k_lo, k_hi = max(lo, 0.0) / l, hi / l
-    return _brentq(
-        lambda k: c * l * sinc_kl(k, l) - s * math.cos(k * l), k_lo, k_hi,
-        -sign * c / k_lo if m else c * l - s, sign * c / k_hi,
-    )
+    x = m * math.pi + math.atan2(s * m * math.pi, c * l)
+    for _ in range(8):
+        sx, cx = math.sin(x), math.cos(x)
+        slope = (c * l - s) * cx + s * x * sx
+        step = (c * l * sx - s * x * cx) / slope if slope else math.inf
+        x -= step
+        if not lo < x < hi:
+            return None
+        if abs(step) <= 4.0 * _EPS * x:
+            return x / l
+    return None
 
 
 def _knots(ends, form: _Form, read, newton, wave):
@@ -300,10 +286,11 @@ def _knots(ends, form: _Form, read, newton, wave):
     order of psi mod pi, 0 read as pi.  An end knot is the end of its piece
     within pi/4 of its direction, sigma = 0 for |s| <= c and tau = 0 for
     |s| > c, the one on the knot's side where both are, wherever read gives
-    g there the end's sign: no root lies between the two then.  newton(j,
-    c, s) places every other knot of piece j, j = -1 below E = 0; where it
-    gives None, the top end does for a knot there, and otherwise Brent's
-    method on c sigma - s tau, from wave(x) = (sigma, tau).
+    g there the end's sign: no root lies between the two then.  So every
+    knot is a closed-form point, the solver's own Newton step newton(j, c,
+    s) on piece j, j = -1 below E = 0, or, where that gives None, the top
+    end for a knot there and otherwise this walk's one Brent solve of
+    c sigma - s tau, from wave(x) = (sigma, tau).
     """
     vertex, end = form.directions()
     order = sorted([(*vertex, True), (*end, False)],
@@ -477,7 +464,10 @@ def _fd_knot(n: int, m: int, c: float, s: float) -> float | None:
     A and B vary slowly with q.  So the knot solves q = p + atan2(B, A), p
     the piece end m pi for s > 0 and (m+1) pi otherwise, and Newton's
     method starts from one step of it, from q = p, or from pi/2 on piece 0.
+    Below E = 0, m = -1, it gives None.
     """
+    if m < 0:
+        return None
 
     def terms(q: float):
         x = math.sin(0.5 * q / n)
@@ -592,8 +582,7 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
     knots = _knots(_fd_ends(n_interior, floor), form, read,
-                   lambda m, c, s: _fd_knot(n_interior, m, c, s) if m >= 0 else None,
-                   lambda e: _fd_wave(n_interior, e))
+                   functools.partial(_fd_knot, n_interior), functools.partial(_fd_wave, n_interior))
     roots = _roots(knots, (floor, read(floor)), form.end_sign, read(0.0), g, n)
     if len(roots) < n:
         raise EigenSolverFailure(

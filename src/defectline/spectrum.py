@@ -246,16 +246,6 @@ def _fhat_half(s2, c2, l: float, L0: float, k: np.ndarray) -> np.ndarray:
     return l * (np.sin(x) / x) * s2 + L0 * np.cos(kl) * c2
 
 
-def sinc_kl(k: float, l: float) -> float:
-    """sin(kl)/(kl) for one float, in np.sinc(k * l / pi)'s operations and order.
-
-    It returns the same double as np.sinc without numpy's per-call overhead.
-    """
-    x = math.pi * (k * l / math.pi)
-    y = x if x else _EPS
-    return math.sin(y) / y
-
-
 def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
     # _fhat_half for one float, with the same double out, NaN at k = 0 too.
     kl = k * l
@@ -510,20 +500,30 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     and < 0 past it.  The root's cell of the grid step * j is found in one
     pass over all roots: _branch_estimate lies within one cell of the root,
     and the count of the 4 grid points around it where that sign is >= 0
-    places it.  SolverError is raised where the k of a probe overflows a
-    double, as on a box of l = 2e-308, before any probe, and ScanExhausted
-    unless each cell lies in its window and F/k changes sign across it so,
-    before any root is refined.  Brent refines the roots; a root where F/k
-    is exactly 0 is that grid point.  Fewer than _ARRAY_SCAN_MIN roots are
-    searched one at a time in Python floats (_scan_floats), more as arrays,
-    with lock-step Brent over every bracket; both give the same doubles.
+    places it.  Before either search, from the labels alone, SolverError
+    is raised where the k of a probe may overflow a double, as on a box of
+    l = 2e-308, and ScanExhausted where a grid index passes half of intp's
+    range.  ScanExhausted is raised unless each cell lies in its window and
+    F/k changes sign across it so, before any root is refined.  Brent
+    refines the roots; a root where F/k is exactly 0 is that grid point.
+    Fewer than _ARRAY_SCAN_MIN roots are searched one at a time in Python
+    floats (_scan_floats), more as arrays, with lock-step Brent over every
+    bracket; both give the same doubles and raise the same errors.
     """
     step = math.pi / (GRID_DENSITY * l)
     cols = np.arange(out.shape[1])
     r, col = np.nonzero((cols >= first[:, None]) & (cols < depth))
     if not r.size:
         return
-    m = (m0 - first)[r] + col
+    m = (m0 - first)[r]
+    # Every probe of label m lies below the grid point GRID_DENSITY (m + 1);
+    # the largest label is bounded in floats, as intp wraps past its range.
+    top = GRID_DENSITY * (float(m.max()) + float(col.max()) + 1.0)
+    if not step * top < math.inf:
+        raise SolverError(f"the levels of the box l={l!r} overflow a double")
+    if not top < np.iinfo(np.intp).max / 2:
+        raise ScanExhausted("a branch label lies past the grid points an intp can index")
+    m += col
     s2, c2 = s2[r], c2[r]
     if r.size < _ARRAY_SCAN_MIN:
         out[r, col] = _scan_floats(m.tolist(), s2.tolist(), c2.tolist(), l, L0, step)
@@ -533,8 +533,6 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     sign = (m & 1) * 2.0 - 1.0
     estimate = _branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
     start = np.floor(estimate).astype(np.intp) - 1
-    if not step * (int(start.max()) + 3) < math.inf:
-        raise SolverError(f"the levels of the box l={l!r} overflow a double")
     # Root i probes the points start[i] ... start[i] + 3, as row i of v.
     v = _fhat_half(
         (s2 * sign)[:, None], (c2 * sign)[:, None], l, L0, step * (start[:, None] + np.arange(4)),
@@ -569,7 +567,7 @@ def _scan_floats(m: list, s2: list, c2: list, l: float, L0: float, step: float) 
     same bracket.  A last-bit difference of math.atan2 from np.arctan2 may
     move a start by one, but not the cell the count finds, as the estimate
     lies within about half a cell of the root.  So each root is the array
-    search's double, and the errors are its errors, raised in its order.
+    search's double, and a cell that fails the witness raises its error.
     """
     starts = []
     for mi, s, c in zip(m, s2, c2):
@@ -578,8 +576,6 @@ def _scan_floats(m: list, s2: list, c2: list, l: float, L0: float, step: float) 
         for _ in range(3):
             x = mpi - math.atan2(x * a, b)
         starts.append(math.floor(x * (GRID_DENSITY / math.pi)) - 1)
-    if not step * (max(starts) + 3) < math.inf:
-        raise SolverError(f"the levels of the box l={l!r} overflow a double")
     half = GRID_DENSITY // 2
     cells = []
     for mi, s, c, start in zip(m, s2, c2, starts):
@@ -640,6 +636,18 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _integers(given: np.ndarray) -> np.ndarray | None:
+    """given as intp, or None unless each entry is a whole number that intp holds."""
+    # A NaN, an infinity or a number past intp casts to another value, or,
+    # held as a Python int, raises OverflowError.
+    try:
+        with np.errstate(invalid="ignore"):
+            cast = given.astype(np.intp)
+    except OverflowError:
+        return None
+    return cast if (cast == given).all() else None
+
+
 def _depths(n, rows: int):
     """The depth of every row, as one int or a column of one per row, and the deepest.
 
@@ -649,13 +657,10 @@ def _depths(n, rows: int):
         n = _count("n", n, 1)
         return n, n
     given = np.asarray(n)
-    if given.shape == (rows,):
-        # A NaN, an infinity or a depth past intp casts to another value.
-        with np.errstate(invalid="ignore"):
-            depth = given.astype(np.intp)
-        if (depth == given).all() and (depth >= 1).all():
-            return depth[:, None], int(depth.max(initial=0))
-    raise ValueError("n must hold one integer of at least 1 per eigenphase")
+    depth = _integers(given) if given.shape == (rows,) else None
+    if depth is None or not (depth >= 1).all():
+        raise ValueError("n must hold one integer of at least 1 per eigenphase")
+    return depth[:, None], int(depth.max(initial=0))
 
 
 def solve_channels(thetas, n, l: float = 1.0, L0: float = 1.0, from_label=None) -> ChannelRows:
@@ -710,10 +715,8 @@ def solve_channels(thetas, n, l: float = 1.0, L0: float = 1.0, from_label=None) 
         given = np.asarray(from_label)
         if given.shape != (rows,):
             raise ValueError("from_label must hold one label per eigenphase")
-        # A NaN, an infinity or a label past intp casts to another value.
-        with np.errstate(invalid="ignore"):
-            labels = given.astype(np.intp)
-        if (labels != given).any():
+        labels = _integers(given)
+        if labels is None:
             raise ValueError("from_label must hold integer labels")
         np.maximum(labels, 1, out=m0)
         bottom = np.flatnonzero(labels <= 0).tolist()

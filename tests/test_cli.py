@@ -516,6 +516,11 @@ def test_trace_accepts_a_scalar_defect(capsys):
 # trace-1-0-bound was recorded again when the bound level and label 0 came
 # to be solved by Newton's method in x = kappa l or kl: its points of E < 0
 # and of label 0 moved by up to 5e-14 (relative), and no other value.
+# iso-bound was recorded again when det's knots below E = 0 and on branch 0
+# came to be placed by the walk's one Brent solve on c sigma - s tau, as
+# FD's are: its max_level_deviation went from 3.6e-15 to 7.1e-15, its worst
+# point from (pi/4, 0) to (pi/2, 3 pi/2), and det's largest error against
+# the 50-digit referee over its 14 frames from 1.79e-13 to 1.78e-13.
 PINNED_STDOUT_SHA256 = [
     (
         ("trace", "--theta-plus", "3.5", "--theta-minus", "1.0", "--w-plus", "1",
@@ -534,7 +539,7 @@ PINNED_STDOUT_SHA256 = [
     (
         ("isospectral", "--xi", "3.6", "--rho", "0.5", "-n", "6", "--l", "2.0", "--L0", "0.5",
          "--grid-mu", "3", "--grid-nu", "4"),
-        "eb78d81b035e92badb0a8b4625a6e37c5179dd62eb1d7a8d7b1142044bfe0585",
+        "2acb81d5c4556b61863090a6b005e24314e935320eb5ad4be453d99621ab3622",
     ),
 ]
 

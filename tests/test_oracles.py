@@ -460,9 +460,9 @@ def test_det_spectrum_puts_a_level_just_above_the_threshold_off_zero():
 
 def test_oracles_take_only_shared_primitives_from_the_channel_solver():
     # The three solvers stay independent: det and FD share Brent's method,
-    # the floor, the level record, the degeneracy rule, sin(kl)/(kl), eps
-    # and the level-count rule with the channel solver, and none of its
-    # grids or tolerances.
+    # the floor, the level record, the degeneracy rule, eps and the
+    # level-count rule with the channel solver, and none of its grids or
+    # tolerances.
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     names = {
         alias.name
@@ -470,8 +470,7 @@ def test_oracles_take_only_shared_primitives_from_the_channel_solver():
         if isinstance(node, ast.ImportFrom) and node.module == "spectrum"
         for alias in node.names
     }
-    assert names == {"_brentq", "KAPPA_CEILING", "Spectrum", "degenerate_partners", "sinc_kl", "_EPS",
-                     "_count"}
+    assert names == {"_brentq", "KAPPA_CEILING", "Spectrum", "degenerate_partners", "_EPS", "_count"}
     assert "spectrum" not in {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
     }
@@ -614,6 +613,24 @@ def test_det_and_fd_share_one_form_and_one_turn_rule():
     assert [name for name, called in callers.items() if "_turn" in called] == ["_roots"]
     assert "_roots" in callers["det_spectrum"] and "_roots" in callers["fd_spectrum"]
     assert sorted(_form_steps(tree)) == ["_Form.__call__", "_Projection.g", "fd_spectrum.g"]
+
+
+def test_det_and_fd_place_every_knot_by_one_rule():
+    # Every knot is a closed-form point, the solver's own Newton step or the
+    # walk's one Brent solve on c sigma - s tau: _brentq is named only by
+    # _knots, which places knots, and _roots, which refines levels.  Det's
+    # Newton step declines the floor piece (j = -1), branch 0 (j = 0) and a
+    # direction of c = 0, and FD's declines the piece below E = 0.
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    users = sorted({node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    for name in ast.walk(node) if isinstance(name, ast.Name) and name.id == "_brentq"})
+    assert users == ["_knots", "_roots"]
+    for l in (0.3, 1.0, 7.0):
+        for c, s in ((0.6, 0.8), (1.0, 0.0), (0.6, -0.8), (1e-12, 1.0)):
+            assert oracles._knot(l, -1, c, s) is None and oracles._knot(l, 0, c, s) is None
+            assert oracles._fd_knot(64, -1, c, s) is None
+        for j in range(-1, 6):
+            assert oracles._knot(l, j, 0.0, 1.0) is None and oracles._knot(l, j, 0.0, -1.0) is None
 
 
 _angles = st.floats(0.0, TWO_PI)

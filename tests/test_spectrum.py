@@ -8,6 +8,7 @@ and are pasted here frozen to full double precision.
 
 import ast
 import math
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -591,6 +592,29 @@ def test_a_label_window_takes_integer_labels_only():
     rows = solve_channels([5.5], 2, from_label=[2.0])
     assert rows.label.tolist() == [2]
     assert rows.k_or_kappa.tobytes() == solve_channels([5.5], 4).k_or_kappa[:, 2:].tobytes()
+
+
+def test_labels_and_depths_past_their_range_raise_one_typed_error(monkeypatch):
+    # Both searches check the labels before they part, so a label whose grid
+    # index passes intp's range raises ScanExhausted, with no warning,
+    # whichever search runs, and both agree below it.  A depth or label of
+    # 2**64 or more in a sequence is a ValueError, as 2**63 is.
+    solved = []
+    for cut in (10**9, 0):
+        monkeypatch.setattr(spectrum, "_ARRAY_SCAN_MIN", cut)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solved.append(solve_channels([1.0], 2, from_label=[2**47]).k_or_kappa.tobytes())
+            for e in (48, 57, 62):
+                with pytest.raises(ScanExhausted):
+                    solve_channels([1.0], 2, from_label=[2**e])
+            for big in (2**63, 2**64, -2**64, 2**70):
+                with pytest.raises(ValueError, match="integer"):
+                    solve_channels([1.0], 2, from_label=[big])
+                if big > 0:
+                    with pytest.raises(ValueError, match="integer"):
+                        solve_channels([1.0, 2.0], [2, big])
+    assert solved[0] == solved[1]
 
 
 def test_level_counts_take_integers_only():
