@@ -39,7 +39,12 @@ double root at the vertex otherwise.  g reads 0 within its rounding bound,
 from the centred terms of the form, so no tolerance is set by hand; an
 end that reads 0 is the root, and a zero level is a turn whose g(0) reads
 0.  No knot direction is an eigenphase, and no square root of D is taken.
-Roots are refined with spectrum._brentq, a port of scipy's brentq.
+Roots are refined with spectrum._brentq, a port of scipy's brentq.  A
+bracket that ends at its turn's vertex v, where q is stationary, is
+refined in t = ((y - v) / (far - v))^2 on [0, 1], y = v + (far - v) sqrt(t),
+in which g is nearly linear near v, to a stop of a few ulps of y; a floor
+turn without a vertex, and a bracket whose vertex end the cut at E = 0
+replaced, are refined in y to brentq's absolute 1e-13.
 """
 
 from __future__ import annotations
@@ -359,8 +364,12 @@ def _roots(knots, start, end_sign: float, g0: float, g, count: int,
     only while the count needs it; an end that reads 0 is the root.  A
     bracket that holds x = 0 is first cut there by the sign of g0, since
     just below E = 0 g is flat, and Brent's method would spend its steps on
-    the far side.  The walk stops at the first root above limit, or where
-    the knots end.
+    the far side.  A bracket with an end at the vertex v, where q is
+    stationary, is refined in t = ((x - v) / (far - v))^2, in which g is
+    nearly linear near v, so Brent's secant steps no longer creep from that
+    end; its stop, 4 eps (sqrt(t) |x| / |far - v| + t) in t, is about
+    2 eps (|x| + |x - v|) in x.  The walk stops at the first root above
+    limit, or where the knots end.
     """
     a, v = start, None
     roots: list[float] = []
@@ -372,11 +381,32 @@ def _roots(knots, start, end_sign: float, g0: float, g, count: int,
         for p, gp, q, gq in _turn(a, v, knot, end_sign):
             if holds_zero and (p == q or p <= 0.0 <= q):
                 root = 0.0
+            elif p == q:
+                root = p
             else:
                 if p < 0.0 < q:  # cut at x = 0, where g0 reads with a sign
                     same = gp != 0.0 and (g0 > 0.0) == (gp > 0.0)
                     p, gp, q, gq = (0.0, g0, q, gq) if same else (p, gp, 0.0, g0)
-                root = p if p == q else _brentq(g, p, q, gp, gq)
+                if v is None or v[0] not in (p, q):
+                    root = _brentq(g, p, q, gp, gq)
+                else:
+                    # q, and so nearly g, is stationary at the vertex end,
+                    # and g is nearly linear in t there.
+                    x0, gv = v
+                    far, gfar = (q, gq) if p == x0 else (p, gp)
+                    d = far - x0
+                    s = x0 / d  # x / d = s + sqrt(t)
+
+                    def g_in_t(t: float) -> float:
+                        return g(x0 + d * math.sqrt(t))
+
+                    def half_width(t: float) -> float:
+                        # A few ulps of x, not of t.
+                        r = math.sqrt(t)
+                        return 4.0 * _EPS * (r * abs(s + r) + t)
+
+                    t = _brentq(g_in_t, 0.0, 1.0, gv, gfar, half_width)
+                    root = far if t == 1.0 else x0 + d * math.sqrt(t)
             if limit is not None and root > limit:
                 return roots
             roots.append(root)

@@ -253,16 +253,24 @@ def _fhat_scalar(s2: float, c2: float, l: float, L0: float, k: float) -> float:
     return l * (math.sin(x) / x) * s2 + L0 * math.cos(kl) * c2 if x else math.nan
 
 
-def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
+def _half_width(x: float) -> float:
+    """brentq.c's stopping half-width at the iterate x: (xtol + rtol |x|) / 2."""
+    return (_BRENT_XTOL + _BRENT_RTOL * abs(x)) / 2
+
+
+def _brentq(f, xa: float, xb: float, fa: float, fb: float, half_width=_half_width) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
     A port of scipy.optimize.brentq (its brentq.c) at xtol = _BRENT_XTOL
     and rtol = _BRENT_RTOL: the same iterates in the same floating-point
     order, so the same double comes back.  ``fa`` and ``fb`` are f(xa) and
-    f(xb), which every caller already holds.  As fpre is never 0 inside the
-    loop and the loop returns as soon as fcur is, brentq.c's sign tests are
-    plain comparisons here; each magnitude is computed once and carried
-    with its value, and spre is carried as its magnitude alone.
+    f(xb), which every caller already holds.  ``half_width(x)`` is the
+    stopping half-width at the iterate x, brentq.c's by default; a caller
+    that refines in a mapped variable passes the half-width that maps to
+    its own tolerance.  As fpre is never 0 inside the loop and the loop
+    returns as soon as fcur is, brentq.c's sign tests are plain comparisons
+    here; each magnitude is computed once and carried with its value, and
+    spre is carried as its magnitude alone.
     """
     xpre, xcur = xa, xb
     fpre, fcur = fa, fb
@@ -287,7 +295,7 @@ def _brentq(f, xa: float, xb: float, fa: float, fb: float) -> float:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
             afpre, afcur, afblk = afcur, afblk, afcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        delta = half_width(xcur)
         sbis = (xblk - xcur) / 2
         asbis = abs(sbis)
         # fcur is nonzero here, as fblk only ever takes nonzero values.
@@ -502,13 +510,15 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     and the count of the 4 grid points around it where that sign is >= 0
     places it.  Before either search, from the labels alone, SolverError
     is raised where the k of a probe may overflow a double, as on a box of
-    l = 2e-308, and ScanExhausted where a grid index passes half of intp's
-    range.  ScanExhausted is raised unless each cell lies in its window and
-    F/k changes sign across it so, before any root is refined.  Brent
-    refines the roots; a root where F/k is exactly 0 is that grid point.
-    Fewer than _ARRAY_SCAN_MIN roots are searched one at a time in Python
-    floats (_scan_floats), more as arrays, with lock-step Brent over every
-    bracket; both give the same doubles and raise the same errors.
+    l = 2e-308, and ScanExhausted where kl's rounding, half the spacing of
+    doubles at the window's top, passes the grid cell pi / GRID_DENSITY, as
+    from labels of about 1.8e14 on.  ScanExhausted is raised unless each
+    cell lies in its window and F/k changes sign across it so, before any
+    root is refined.  Brent refines the roots; a root where F/k is exactly
+    0 is that grid point.  Fewer than _ARRAY_SCAN_MIN roots are searched
+    one at a time in Python floats (_scan_floats), more as arrays, with
+    lock-step Brent over every bracket; both give the same doubles and
+    raise the same errors.
     """
     step = math.pi / (GRID_DENSITY * l)
     cols = np.arange(out.shape[1])
@@ -518,11 +528,12 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     m = (m0 - first)[r]
     # Every probe of label m lies below the grid point GRID_DENSITY (m + 1);
     # the largest label is bounded in floats, as intp wraps past its range.
+    # kl rounds by half its spacing there, which must stay within a cell.
     top = GRID_DENSITY * (float(m.max()) + float(col.max()) + 1.0)
     if not step * top < math.inf:
         raise SolverError(f"the levels of the box l={l!r} overflow a double")
-    if not top < np.iinfo(np.intp).max / 2:
-        raise ScanExhausted("a branch label lies past the grid points an intp can index")
+    if not math.ulp(top * (math.pi / GRID_DENSITY)) / 2.0 <= math.pi / GRID_DENSITY:
+        raise ScanExhausted("a branch label lies so high that the rounding of kl is past the grid cell")
     m += col
     s2, c2 = s2[r], c2[r]
     if r.size < _ARRAY_SCAN_MIN:

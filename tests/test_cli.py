@@ -521,6 +521,10 @@ def test_trace_accepts_a_scalar_defect(capsys):
 # FD's are: its max_level_deviation went from 3.6e-15 to 7.1e-15, its worst
 # point from (pi/4, 0) to (pi/2, 3 pi/2), and det's largest error against
 # the 50-digit referee over its 14 frames from 1.79e-13 to 1.78e-13.
+# iso and iso-bound were recorded again when det came to refine every root
+# beside a turn's vertex in t = ((y - v) / (far - v))^2, to a few ulps of y:
+# iso's max_level_deviation went from 8.9e-16 to 0, and iso-bound's stayed
+# 7.1e-15 with its worst point moved from (pi/2, 3 pi/2) to (pi/4, pi).
 PINNED_STDOUT_SHA256 = [
     (
         ("trace", "--theta-plus", "3.5", "--theta-minus", "1.0", "--w-plus", "1",
@@ -534,12 +538,12 @@ PINNED_STDOUT_SHA256 = [
     (
         ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
          "--grid-nu", "3"),
-        "9355923999ce85cac20ddd23ae2720cdd0d0b0c9748d8e3c85e49558353eb9b7",
+        "9fa88cc1bb0c8609e328d4af893fe087a5832743ecc8388d8e7ee811f0860d92",
     ),
     (
         ("isospectral", "--xi", "3.6", "--rho", "0.5", "-n", "6", "--l", "2.0", "--L0", "0.5",
          "--grid-mu", "3", "--grid-nu", "4"),
-        "2acb81d5c4556b61863090a6b005e24314e935320eb5ad4be453d99621ab3622",
+        "8a8da07529f764665981400922632d924b900b65d894bf3e9ea647cbb9aeb785",
     ),
 ]
 
@@ -598,7 +602,13 @@ def test_ladder_stdout_is_pinned(capsys, argv, digest):
 # ends: E_fd of level 5 moved by 1.6e-14 in E l^2, within Brent's tolerance.
 # The trace-floored, trace-floored-first and trace-two-moving pins were
 # recorded again when the bound level and label 0 came to be solved by
-# Newton's method: only their points of E < 0 and of label 0 moved.
+# Newton's method: only their points of E < 0 and of label 0 moved.  The
+# two fd pins, iso-csv and the three oracle-compare pins were recorded again
+# when det and FD came to refine every root beside a turn's vertex in
+# t = ((y - v) / (far - v))^2, to a few ulps of y: E_fd moved by at most
+# 6.2e-16 relative (2.7258826913456273 -> ...256 against the referee's
+# ...264), E_det of level 0 by 11 ulps, onto the 50-digit root's double,
+# and of level 1 by 3 ulps, iso-csv as iso did, and every exit code held.
 PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "64",
@@ -616,12 +626,12 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128"),
-        0, "ca0d43dbdfb55716df520ace76bfb0e45133e7166fed548a78de4d0d95350e7e",
+        0, "e8a9c291c23c96ca063e0713363e77a562467657e5ab649ff0b6232690e29415",
     ),
     (
         ("spectrum", "--xi", "2.7", "--rho", "1.3", "--l", "1.5", "--L0", "0.4", "-n", "6",
          "--solver", "fd", "--n-interior", "128", "--format", "csv"),
-        0, "8659ddeeb5a888e4a59e7903144549407337b06db4a6181e1c2347eca7c1de2a",
+        0, "e4b2147565c565009b3cee5dd708fcffea2e0a0aca18a2d66ef2d0261e956fbf",
     ),
     (
         ("eigenfunction", "--xi", "2.0", "--rho", "0.9", "--index", "1", "--samples", "40"),
@@ -685,21 +695,21 @@ PINNED_OUTPUT_SHA256 = [
     (
         ("isospectral", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--grid-mu", "2",
          "--grid-nu", "3", "--format", "csv"),
-        0, "f0c61f0ff7b97f40061383028901b819b0f032b0bb3f00c595fa7e8377fbb0f7",
+        0, "ada71150ab3723a11d4bb4d05b0b80e2de39cf20c5bb8ace8bc1357e79e176be",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "4", "--n-interior", "128"),
-        0, "ae08aeafb5a5acc01c0104c8b4b90f9195a40e4a000f03022978c22d545f592c",
+        0, "7204da104a5e817cb2fb26d923d77cdd5ffd20e6098e2aebd0ca3801fa29941e",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18"),
-        1, "339591c5c62e224cf589cd7a54762f4c849e80705b382bfa88fd1c22c3c859b1",
+        1, "a4b2a98f0b3f20da786e1530abb331743c33fea44e19ee35e7e5aa53a961b58a",
     ),
     (
         ("oracle-compare", "--xi", "2.0", "--rho", "0.9", "-n", "3", "--n-interior", "128",
          "--tol-fd", "1e-18", "--format", "csv"),
-        1, "f159065a1b1c0048d28c6d510b3b9cac99c221915ee1ebf926be83c0a746a7d6",
+        1, "0ca1b1756399b23ecd31265b0ddcee10fe2991b8734b511b422a1ee45d1e8959",
     ),
 ]
 

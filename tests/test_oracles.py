@@ -792,9 +792,10 @@ def test_det_counts_an_exact_zero_at_the_vertex_as_a_root():
 
 def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
     # Generic defects have no double root and no zero-energy level, so each
-    # refinement of g is one root.  Only the n + 1 levels that det_spectrum
-    # reads are refined, bound roots included, even where a turn holds one
-    # root past them.  The knot solves refine no root and are left out.
+    # refinement of g, in x or in t beside a vertex, is one root.  Only the
+    # n + 1 levels that det_spectrum reads are refined, bound roots
+    # included, even where a turn holds one root past them.  The knot
+    # solves refine no root and are left out.
     calls = []
 
     def counting(f, *args):
@@ -809,7 +810,7 @@ def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
                               rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
             calls.clear()
             det_spectrum(BoundaryCondition(params_to_matrix(p)), n)
-            assert calls.count("g") == n + 1
+            assert len(calls) - calls.count("knot_function") == n + 1
 
 
 # ------------------------------------------------------------------ FD solver
@@ -921,11 +922,60 @@ def test_fd_spectrum_refines_only_the_roots_it_reads(monkeypatch):
                               rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
             calls.clear()
             fd_spectrum(BoundaryCondition(params_to_matrix(p)), n, 128)
-            knots = [hi for name, hi in calls if name != "g"]
+            knots = [hi for name, hi in calls if name == "knot_function"]
             assert len(calls) - len(knots) == n
             assert all(hi <= 0.0 for hi in knots)
             knot_solves += len(knots)
     assert knot_solves == 10
+
+
+def test_det_and_fd_refine_a_root_in_few_evaluations_of_g(monkeypatch):
+    # Every bracket that ends at a turn's vertex, where q is stationary, is
+    # refined in t = ((x - v) / (far - v))^2, in which g is nearly linear
+    # there: on generic defects and on close pairs, each solver takes at
+    # most 9 evaluations of its raw g per refined root.  Brent's method in
+    # x crept from the vertex end, in about 14 and 32.
+    counts = {"g": 0, "roots": 0}
+    roots_ = oracles._roots
+
+    def counting_roots(knots, start, end_sign, g0, g, *rest):
+        def counted(x):
+            counts["g"] += 1
+            return g(x)
+        return roots_(knots, start, end_sign, g0, counted, *rest)
+
+    def counting_brentq(f, *args):
+        counts["roots"] += f.__name__ != "knot_function"
+        return _brentq(f, *args)
+
+    monkeypatch.setattr(oracles, "_roots", counting_roots)
+    monkeypatch.setattr(oracles, "_brentq", counting_brentq)
+    rng = np.random.default_rng(41)
+    for near_pair in (False, True):
+        for solve in (lambda bc: det_spectrum(bc, 6), lambda bc: fd_spectrum(bc, 6, 128)):
+            counts.update(g=0, roots=0)
+            for _ in range(20):
+                xi, rho, mu, nu = rng.uniform(0.0, TWO_PI, 4)
+                if near_pair:
+                    delta = 10.0 ** rng.uniform(-9.0, -3.0)
+                    rho = rng.choice((delta, math.pi - delta))
+                l, L0 = 10.0 ** rng.uniform(-2.0, 2.0, 2)
+                solve(BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho, mu, nu)), l, L0))
+            assert counts["roots"] >= 100 and counts["g"] <= 9 * counts["roots"]
+
+
+def test_det_levels_scale_exactly_on_boxes_scaled_by_powers_of_two():
+    # E(s l, s L0) = E(l, L0) / s^2, and for s a power of 2 the scaled box
+    # is exact.  g then scales by s^2 exactly, and beside a vertex Brent's
+    # method stops within a few ulps of the root, so det's levels times l^2
+    # hold the l = 1 levels to 8 eps (an absolute stop in x missed them by
+    # up to 14 % at l = 2^66).
+    u = params_to_matrix(UnitaryParams(2.0, 0.9))
+    want = det_spectrum(BoundaryCondition(u), 3).E
+    for j in (-40, 40, 66):
+        l = 2.0 ** j
+        got = det_spectrum(BoundaryCondition(u, l, l), 3).E * (l * l)
+        assert np.all(np.abs(got - want) <= 8.0 * np.finfo(float).eps * want)
 
 
 def _edge_bc(rng, edge: str) -> BoundaryCondition:

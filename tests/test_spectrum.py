@@ -595,18 +595,22 @@ def test_a_label_window_takes_integer_labels_only():
 
 
 def test_labels_and_depths_past_their_range_raise_one_typed_error(monkeypatch):
-    # Both searches check the labels before they part, so a label whose grid
-    # index passes intp's range raises ScanExhausted, with no warning,
-    # whichever search runs, and both agree below it.  A depth or label of
-    # 2**64 or more in a sequence is a ValueError, as 2**63 is.
+    # Both searches check the labels before they part.  From a label of
+    # about 1.8e14 on, kl rounds by more than the grid cell pi / 64, so no
+    # probe could resolve a cell: such a label raises ScanExhausted that
+    # says so, with no warning, whichever search runs (before it, 2**48 to
+    # 2**55 blamed F/k).  2**47 still solves, to the same doubles on both.
+    # A depth or label of 2**64 or more in a sequence is a ValueError, as
+    # 2**63 is.
     solved = []
     for cut in (10**9, 0):
         monkeypatch.setattr(spectrum, "_ARRAY_SCAN_MIN", cut)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             solved.append(solve_channels([1.0], 2, from_label=[2**47]).k_or_kappa.tobytes())
-            for e in (48, 57, 62):
-                with pytest.raises(ScanExhausted):
+            for e in (*range(48, 56), 57, 62):
+                with pytest.raises(ScanExhausted, match="^a branch label lies so high that the "
+                                                        "rounding of kl is past the grid cell$"):
                     solve_channels([1.0], 2, from_label=[2**e])
             for big in (2**63, 2**64, -2**64, 2**70):
                 with pytest.raises(ValueError, match="integer"):
@@ -615,6 +619,8 @@ def test_labels_and_depths_past_their_range_raise_one_typed_error(monkeypatch):
                     with pytest.raises(ValueError, match="integer"):
                         solve_channels([1.0, 2.0], [2, big])
     assert solved[0] == solved[1]
+    assert [x.hex() for x in np.frombuffer(solved[0])] == [
+        "0x1.921fb54442cffp+48", "0x1.921fb54442d31p+48"]
 
 
 def test_level_counts_take_integers_only():
