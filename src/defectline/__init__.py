@@ -43,12 +43,11 @@ from .isospectral import (
     isospectral_family,
     parity_family,
 )
+from .levels import EigenLevel, Spectrum
 from .oracles import FdSpectrum, det_spectrum, fd_spectrum
 from .spectrum import (
     Channel,
     ChannelRows,
-    EigenLevel,
-    Spectrum,
     bound_function,
     channel_function,
     solve_channel,
@@ -77,8 +76,10 @@ __all__ = [
     "BoundaryCondition", "BoundaryVectors", "Eigenfunction",
     "boundary_residual", "build_eigenfunction", "current_mismatch",
     "level_eigenbasis", "reflect", "sample_eigenfunction",
+    # levels
+    "EigenLevel", "Spectrum",
     # spectrum
-    "Channel", "EigenLevel", "Spectrum", "bound_function", "channel_function",
+    "Channel", "bound_function", "channel_function",
     "ChannelRows", "solve_channel", "solve_channels", "solve_spectrum", "threshold",
     # oracles
     "FdSpectrum", "det_spectrum", "fd_spectrum",

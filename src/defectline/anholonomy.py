@@ -54,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContinuationLost, InconsistentShift
-from .spectrum import CHANNEL_MINUS, CHANNEL_PLUS, Channel, ChannelRows, _count, solve_channels
+from .levels import CHANNEL_MINUS, CHANNEL_PLUS, _box, _count
+from .spectrum import ChannelRows, solve_channels
 from .unitary import TWO_PI, UnitaryParams
 
 __all__ = [
@@ -84,7 +85,9 @@ class PathSpec:
         object.__setattr__(self, "winding", (int(w[0]), int(w[1])))
         object.__setattr__(self, "n_steps", _count("n_steps", self.n_steps, 64))
         object.__setattr__(self, "levels_tracked", _count("levels_tracked", self.levels_tracked, 2))
-        Channel(0.0, self.l, self.L0)  # validates the box
+        l, L0 = _box(self.l, self.L0)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "L0", L0)
 
 
 @dataclass(frozen=True)

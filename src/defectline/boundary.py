@@ -26,15 +26,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NotAnEigenvalue, NotUnitary, OutOfDomain, SolverError
+from .levels import _EPS, CHANNEL_MINUS, KIND_BOUND, KIND_POSITIVE, KIND_ZERO, EigenLevel, _box
 from .unitary import INPUT_TOL, UnitaryParams, frame_matrix, is_unitary, matrix_to_params
-
-if TYPE_CHECKING:
-    from .spectrum import EigenLevel
 
 __all__ = [
     "BoundaryCondition",
@@ -54,12 +51,6 @@ _I2 = np.eye(2, dtype=complex)
 # below which its k is accepted as an eigenvalue.
 EIGEN_TOL = 1e-6
 
-_EPS = float(np.finfo(float).eps)
-
-KIND_POSITIVE = "positive"
-KIND_ZERO = "zero"
-KIND_BOUND = "bound"
-
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -73,13 +64,12 @@ class BoundaryCondition:
         u = np.asarray(self.u, dtype=complex)
         if not is_unitary(u, INPUT_TOL):
             raise NotUnitary("defect matrix is not unitary within 1e-10")
-        if not (math.isfinite(self.l) and self.l > 0):
-            raise ValueError("l must be a positive length")
-        if not (math.isfinite(self.L0) and self.L0 > 0):
-            raise ValueError("L0 must be a positive length")
+        l, L0 = _box(self.l, self.L0)
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "L0", L0)
 
     @functools.cached_property
     def params(self) -> UnitaryParams:
@@ -121,7 +111,8 @@ class Eigenfunction:
     ``norm`` records the L2 norm of the piecewise function built from the
     unit-norm amplitude pair, i.e. the constant divided out during
     normalization.  ``degenerate`` marks a level that its solver paired with
-    a level of the other channel, within 1e-10 relative in E.
+    a level of the other channel (levels.degenerate_partners): within
+    1e-10 (1 + max |E|) in E, absolute below |E| of about 1.
     """
 
     kind: str
@@ -222,7 +213,7 @@ def _finish(kind: str, k: float, l: float, amp: np.ndarray, degenerate: bool) ->
     )
 
 
-def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenfunction, ...]:
+def level_eigenbasis(bc: BoundaryCondition, level: EigenLevel) -> tuple[Eigenfunction, ...]:
     """All eigenfunctions of a level: one, or an orthonormal pair for a level
     its solver paired (``degenerate_with``), its own channel's first.
 
@@ -250,7 +241,7 @@ def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenf
         abs(val * (w - 1.0) + 1j * bc.L0 * der * (w + 1.0))
         for w in (cmath.exp(1j * p.theta_plus), cmath.exp(1j * p.theta_minus))
     ]
-    j = int(c[1] < c[0]) if level.channel is None else int(level.channel == "minus")
+    j = int(c[1] < c[0]) if level.channel is None else int(level.channel == CHANNEL_MINUS)
     rounding = 2.0 * _EPS * k * (bc.l + bc.L0 * (1.0 + k * bc.l))
     if c[j] > EIGEN_TOL * (1.0 + abs(val) + bc.L0 * abs(der)) + rounding:
         raise NotAnEigenvalue(f"k={k!r} is not an eigenvalue of this system (kind {kind!r})")
@@ -261,7 +252,7 @@ def level_eigenbasis(bc: BoundaryCondition, level: "EigenLevel") -> tuple[Eigenf
     return tuple(_finish(kind, k, bc.l, flip @ vdag[:, i], degenerate) for i in order)
 
 
-def build_eigenfunction(bc: BoundaryCondition, level: "EigenLevel") -> Eigenfunction:
+def build_eigenfunction(bc: BoundaryCondition, level: EigenLevel) -> Eigenfunction:
     """The eigenfunction of a level (first of the canonical pair if degenerate)."""
     return level_eigenbasis(bc, level)[0]
 

@@ -48,6 +48,7 @@ from .isospectral import (
     SOLVER_DETERMINANT,
     SOLVER_FD,
     SphereGrid,
+    _solve,
     check_isospectral,
 )
 from .oracles import det_spectrum, fd_spectrum
@@ -223,14 +224,7 @@ def _solver_name(args: argparse.Namespace) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace, out: IO[str]) -> int:
-    bc, n = _boundary_condition(args), args.levels
-    solver = _solver_name(args)
-    if solver == SOLVER_CHANNEL:
-        spec = solve_spectrum(bc, n)
-    elif solver == SOLVER_DETERMINANT:
-        spec = det_spectrum(bc, n, k_max=args.k_max)
-    else:
-        spec = fd_spectrum(bc, n, n_interior=args.n_interior)
+    spec = _solve(_boundary_condition(args), _solver_name(args), args.levels, args.n_interior, args.k_max)
     channel = () if spec.channel is None else (spec.channel.tolist(),)
     shape = _LEVEL if channel else _UNCHANNELED_LEVEL
     rows = zip(

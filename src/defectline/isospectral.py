@@ -27,8 +27,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .boundary import BoundaryCondition
+from .levels import Spectrum, _count
 from .oracles import det_spectrum, fd_spectrum
-from .spectrum import _count, solve_spectrum
+from .spectrum import solve_spectrum
 from .unitary import UnitaryParams, params_to_matrix, parity_conjugate
 
 __all__ = [
@@ -118,17 +119,23 @@ def isospectral_family(
     ]
 
 
+def _solve(
+    bc: BoundaryCondition, solver: str, n: int, n_interior: int, k_max: float | None = None
+) -> Spectrum:
+    """The lowest n levels of bc by the solver named ``solver``; only det takes k_max."""
+    if solver == SOLVER_CHANNEL:
+        return solve_spectrum(bc, n)
+    if solver == SOLVER_DETERMINANT:
+        return det_spectrum(bc, n, k_max=k_max)
+    if solver == SOLVER_FD:
+        return fd_spectrum(bc, n, n_interior=n_interior)
+    raise ValueError(f"unknown solver {solver!r}")
+
+
 def _energies(
     u: np.ndarray, solver: str, n: int, l: float, L0: float, n_interior: int
 ) -> np.ndarray:
-    bc = BoundaryCondition(u, l=l, L0=L0)
-    if solver == SOLVER_CHANNEL:
-        return solve_spectrum(bc, n).E
-    if solver == SOLVER_DETERMINANT:
-        return det_spectrum(bc, n).E
-    if solver == SOLVER_FD:
-        return fd_spectrum(bc, n, n_interior=n_interior).E
-    raise ValueError(f"unknown solver {solver!r}")
+    return _solve(BoundaryCondition(u, l=l, L0=L0), solver, n, n_interior).E
 
 
 def check_isospectral(

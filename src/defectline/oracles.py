@@ -1,11 +1,14 @@
 """Two matrix-level solvers that never diagonalize the defect matrix.
 
 Both exist to cross-check the channel solver through entirely different
-arithmetic.  The determinant solver locates the zeros of det M(k), M the
-2x2 matrix of the connection condition over the wall-anchored basis; it
-evaluates det M in centred form and never builds M.  The finite-difference
-solver discretizes the kinetic operator on a uniform grid with the
-connection condition encoded in two junction rows.
+arithmetic, so this module imports nothing from it (spectrum): the level
+record, the degeneracy rule, the floor, eps and Brent's method come from
+levels, which all three solvers share.  The determinant solver locates
+the zeros of det M(k), M the 2x2 matrix of the connection condition over
+the wall-anchored basis; it evaluates det M in centred form and never
+builds M.  The finite-difference solver discretizes the kinetic operator
+on a uniform grid with the connection condition encoded in two junction
+rows.
 
 Both determinants are one form.  Each is det(alpha U - conj(alpha) I) up
 to a column sign, with alpha = sigma + i L0 tau; phased by sqrt(det U) it
@@ -39,7 +42,7 @@ double root at the vertex otherwise.  g reads 0 within its rounding bound,
 from the centred terms of the form, so no tolerance is set by hand; an
 end that reads 0 is the root, and a zero level is a turn whose g(0) reads
 0.  No knot direction is an eigenphase, and no square root of D is taken.
-Roots are refined with spectrum._brentq, a port of scipy's brentq.  A
+Roots are refined with levels._brentq, a port of scipy's brentq.  A
 bracket that ends at its turn's vertex v, where q is stationary, is
 refined in t = ((y - v) / (far - v))^2 on [0, 1], y = v + (far - v) sqrt(t),
 in which g is nearly linear near v, to a stop of a few ulps of y; a floor
@@ -60,14 +63,7 @@ import numpy as np
 
 from .boundary import BoundaryCondition
 from .errors import EigenSolverFailure, ScanExhausted, SolverError
-from .spectrum import (
-    _EPS,
-    KAPPA_CEILING,
-    Spectrum,
-    _brentq,
-    _count,
-    degenerate_partners,
-)
+from .levels import _EPS, KAPPA_CEILING, Spectrum, _brentq, _count, degenerate_partners
 
 __all__ = [
     "FdSpectrum",
@@ -560,14 +556,14 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     and n_interior are integers of at least 1 and 64 (_count).
     """
     n, n_interior = _count("n", n, 1), _count("n_interior", n_interior, 64)
-    l = float(bc.l)
+    l = bc.l
     h = l / n_interior
     # A row of the stencil sums to 4 / h^2 in absolute value.
     if not h * h > 4.0 / sys.float_info.max:
         raise SolverError(f"the FD stencil 4/h^2 at h={h!r} overflows a double")
     # In units of l the operator depends only on n_interior and L0 / l, and
     # every value Brent's method meets is of order one at any box size.
-    form = _Form(bc.u, float(bc.L0) / l, 1.0)
+    form = _Form(bc.u, bc.L0 / l, 1.0)
 
     n2, two_n = n_interior * n_interior, 2.0 * n_interior
     L0, t, d4, phase = form.L0, form.t, form.d4, form.phase

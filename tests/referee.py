@@ -35,7 +35,7 @@ of its bound or label-0 level.
 
 import mpmath
 
-from defectline.spectrum import KAPPA_CEILING
+from defectline.levels import KAPPA_CEILING
 
 _DPS = 50
 # Bisection stops when the bracket is this small relative to the window.

@@ -8,22 +8,28 @@ import pytest
 from defectline import (
     BoundaryCondition,
     BoundaryVectors,
+    Channel,
     NotAnEigenvalue,
     NotUnitary,
     OutOfDomain,
+    PathSpec,
     UnitaryParams,
     boundary_residual,
     build_eigenfunction,
     current_mismatch,
     det_spectrum,
+    fd_spectrum,
     level_eigenbasis,
     params_to_matrix,
     reflect,
     sample_eigenfunction,
+    solve_channel,
+    solve_channels,
     solve_spectrum,
+    trace_path,
 )
 from defectline import boundary
-from defectline.spectrum import EigenLevel
+from defectline.levels import EigenLevel
 from defectline.unitary import SIGMA1
 
 from helpers import connection_matrix, l2_inner
@@ -328,6 +334,30 @@ def test_boundary_condition_geometry_variants():
         assert boundary_residual(bc, v) <= 1e-8 * (1.0 + level.k_or_kappa)
         assert current_mismatch(v) <= 1e-10
         assert abs(l2_inner(_sampler(f), _sampler(f), l=1.7) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("scalar", [np.float64, np.float32])
+def test_a_box_of_numpy_scalars_solves_as_its_floats(scalar):
+    # Every solver meets its box as Python floats, so l and L0 given as
+    # numpy scalars give the doubles of the box (float(l), float(L0)), bit
+    # for bit.  As numpy floats, they once made the channel search's sign
+    # count a numpy bool (TypeError) and det's form overflow in float32.
+    p = UnitaryParams(1.1, 0.7, 0.3, 2.0)
+    u = params_to_matrix(p)
+
+    def solves(l, L0):
+        bc = BoundaryCondition(u, l, L0)
+        assert (type(bc.l), type(bc.L0)) == (float, float)
+        spectra = [solve_spectrum(bc, 8), det_spectrum(bc, 8), fd_spectrum(bc, 8, 64),
+                   solve_channel(Channel(p.theta_plus, l, L0), 5)]
+        rows = solve_channels([p.theta_plus, p.theta_minus], 5, l, L0)
+        path = PathSpec((1, -1), p, n_steps=64, levels_tracked=2, l=l, L0=L0)
+        return ([s.E.tobytes() + s.k_or_kappa.tobytes() for s in spectra]
+                + [rows.E.tobytes() + rows.k_or_kappa.tobytes()]
+                + [tr.t_values.tobytes() + tr.E_values.tobytes() for tr in trace_path(path)])
+
+    l, L0 = scalar(0.7), scalar(1.3)
+    assert solves(l, L0) == solves(float(l), float(L0))
 
 
 def test_eigen_angles_are_computed_once_per_boundary_condition(monkeypatch):

