@@ -133,8 +133,7 @@ def degenerate_partners(E: np.ndarray, index: np.ndarray, row=None) -> np.ndarra
     takes the upper one.  An upper neighbour that overflowed to inf pairs
     with nothing.
     """
-    size = np.abs(E)
-    close = np.abs(E[1:] - E[:-1]) <= 1e-10 * (1.0 + np.maximum(size[:-1], size[1:]))
+    close = np.abs(E[1:] - E[:-1]) <= _pair_window(E[:-1], E[1:])
     close &= np.isfinite(E[1:])
     if row is not None:
         close &= row[:-1] != row[1:]
@@ -143,6 +142,20 @@ def degenerate_partners(E: np.ndarray, index: np.ndarray, row=None) -> np.ndarra
     partner[at + 1] = index[at]
     partner[at] = index[at + 1]  # last, so a level in two pairs keeps the upper one
     return partner
+
+
+def _pair_window(lower, upper):
+    """1e-10 (1 + max |E|) over neighbouring levels, arrays or floats: |dE| within it pairs them."""
+    return 1e-10 * (1.0 + np.maximum(abs(lower), abs(upper)))
+
+
+def _may_pair(lower: float, upper: float) -> bool:
+    """Whether a level at or above upper may pair with the level lower below it.
+
+    upper - lower grows faster in upper than the window does, so a bound on
+    the upper level that misses it by a factor of 2 decides under rounding.
+    """
+    return not upper - lower > 2.0 * _pair_window(lower, upper)
 
 
 def _half_width(x: float) -> float:

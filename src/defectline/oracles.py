@@ -63,7 +63,7 @@ import numpy as np
 
 from .boundary import BoundaryCondition
 from .errors import EigenSolverFailure, ScanExhausted, SolverError
-from .levels import _EPS, KAPPA_CEILING, Spectrum, _brentq, _count, degenerate_partners
+from .levels import _EPS, KAPPA_CEILING, Spectrum, _brentq, _count, _may_pair, degenerate_partners
 
 __all__ = [
     "FdSpectrum",
@@ -345,8 +345,9 @@ def _turn(a, v, b, s: float) -> list[tuple[float, float, float, float]]:
 
 
 def _roots(knots, start, end_sign: float, g0: float, g, count: int,
-           limit: float | None = None) -> list[float]:
-    """The lowest count roots of g above start, ascending, each as often as its multiplicity.
+           limit: float = math.inf, pair=None) -> list[float]:
+    """The lowest count roots of g above start, ascending, each as often as its multiplicity,
+    and one more where pair asks for it.
 
     knots yields ((x, g(x) as read), is_vertex) for the knots of the form's
     two extreme directions above start, ascending; start is the floor knot
@@ -364,17 +365,31 @@ def _roots(knots, start, end_sign: float, g0: float, g, count: int,
     stationary, is refined in t = ((x - v) / (far - v))^2, in which g is
     nearly linear near v, so Brent's secant steps no longer creep from that
     end; its stop, 4 eps (sqrt(t) |x| / |far - v| + t) in t, is about
-    2 eps (|x| + |x - v|) in x.  The walk stops at the first root above
-    limit, or where the knots end.
+    2 eps (|x| + |x - v|) in x.  The walk stops where the knots end and at
+    the first root, bracket or turn above limit.  With count roots in, it
+    refines one more only where pair(last, lo) holds on the lower bound lo
+    of that root that it holds: the next bracket's lower end in the turn,
+    else the turn's end knot, before the next turn's knots are placed.
     """
     a, v = start, None
     roots: list[float] = []
+
+    def needed(lo: float) -> bool:
+        # Whether a root at or above lo may still be returned.
+        if lo > limit or len(roots) > count:
+            return False
+        return len(roots) < count or (pair is not None and pair(roots[-1], lo))
+
     for knot, is_vertex in knots:
         if is_vertex:
             v = knot
             continue
         holds_zero = g0 == 0.0 and a[0] < 0.0 <= knot[0]
         for p, gp, q, gq in _turn(a, v, knot, end_sign):
+            # A lower bound on this root and every later one; where g0 is 0,
+            # a root at the vertex may be the one at x = 0.
+            if not needed(min(p, 0.0) if holds_zero else p):
+                return roots
             if holds_zero and (p == q or p <= 0.0 <= q):
                 root = 0.0
             elif p == q:
@@ -403,13 +418,18 @@ def _roots(knots, start, end_sign: float, g0: float, g, count: int,
 
                     t = _brentq(g_in_t, 0.0, 1.0, gv, gfar, half_width)
                     root = far if t == 1.0 else x0 + d * math.sqrt(t)
-            if limit is not None and root > limit:
+            if root > limit:
                 return roots
             roots.append(root)
-            if len(roots) == count:
-                return roots
+        if not needed(knot[0]):
+            return roots
         a, v = knot, None
     return roots
+
+
+def _energy(y: float) -> float:
+    """E at det's signed wavenumber y: y^2 above E = 0, -y^2 below."""
+    return -y * y if y < 0.0 else y * y
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -427,11 +447,13 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
     from rational arithmetic.  The channel of a level is unknowable on this
     code path, so the channel column is None, indices are global and any
     neighbours may pair, decided one level past the cut, as solve_spectrum
-    decides them.  k_max caps the walk's reach.  Raises ScanExhausted if
-    fewer than n levels lie below it, ValueError if n is not an integer of
-    at least 1 (_count) or a given k_max is not finite and positive, and
-    SolverError if the E of a level overflows a double, as on a box of
-    l = 1e-160, or if the form overflows or underflows one (_Form).
+    decides them; that level is refined only where the walk's lower bound
+    on it may pair with the n-th (levels._may_pair).  k_max caps the walk's
+    reach.  Raises ScanExhausted if fewer than n levels lie below it,
+    ValueError if n is not an integer of at least 1 (_count) or a given
+    k_max is not finite and positive, and SolverError if the E of a level
+    overflows a double, as on a box of l = 1e-160, or if the form overflows
+    or underflows one (_Form).
     """
     n = _count("n", n, 1)
     if k_max is not None:
@@ -440,12 +462,13 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
     floor = -KAPPA_CEILING / proj.l
     start = (floor, proj.read(floor) or proj.floor_value())
     knots = _knots(proj.ends(), proj, proj.read, functools.partial(_knot, proj.l), proj._wave)
-    roots = _roots(knots, start, proj.end_sign, proj.read(0.0), proj.g, n + 1, k_max)
+    roots = _roots(knots, start, proj.end_sign, proj.read(0.0), proj.g, n,
+                   math.inf if k_max is None else k_max, lambda y, lo: _may_pair(_energy(y), _energy(lo)))
     if len(roots) < n:
         raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
     # In floats, so that an E past the cut may overflow without a warning;
     # once the n returned are finite, no pair is decided on inf - inf.
-    E = [-y * y if y < 0.0 else y * y for y in roots]
+    E = list(map(_energy, roots))
     if not all(map(math.isfinite, E[:n])):
         raise SolverError(f"the levels of the box l={bc.l!r} overflow a double")
     E, index = np.array(E), np.arange(len(E))

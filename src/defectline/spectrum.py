@@ -34,11 +34,12 @@ As each label has its own window, a row may also start at a given label
 above the bottom of its ladder, with the same doubles for the labels it
 shares with the bottom, and each row may stop at its own depth.  The
 merged spectrum solves its two channels as one such batch, only as deep as
-the labels prove the merge reaches, about n/2.  One array sort merges the
-two rows, the one degeneracy rule (levels.degenerate_partners) flags pairs
-among n + 1 levels, and the levels stay columns of the shared record,
-levels.Spectrum.  This module is the channel solver alone: it imports
-nothing from det or FD (oracles), nor they from it.
+the labels prove the merge reaches, about n/2, and a batch short by the
+same size rule is also set up and merged in Python floats.  One stable sort
+merges the two ladders, the one degeneracy rule (levels.degenerate_partners)
+flags pairs among n + 1 levels, and the levels stay columns of the shared
+record, levels.Spectrum.  This module is the channel solver alone: it
+imports nothing from det or FD (oracles), nor they from it.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ _NEWTON_MAXITER = 100
 # mean over 20 random channels on a 2-core Xeon (best of 15, the two
 # searches interleaved), took 0.52 / 0.62 / 0.66 / 0.69 / 0.80 ms in floats
 # and 0.63 / 0.66 / 0.66 / 0.65 / 0.68 ms as arrays at n = 40 / 48 / 52 /
-# 56 / 64.
+# 56 / 64.  solve_spectrum sets up and merges a batch this short in floats.
 _ARRAY_SCAN_MIN = 52
 
 # ScanExhausted's text where a probe count finds no cell with a sign change.
@@ -342,20 +343,13 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     lock-step Brent over every bracket; both give the same doubles and
     raise the same errors.
     """
-    step = math.pi / (GRID_DENSITY * l)
     cols = np.arange(out.shape[1])
     r, col = np.nonzero((cols >= first[:, None]) & (cols < depth))
     if not r.size:
         return
     m = (m0 - first)[r]
-    # Every probe of label m lies below the grid point GRID_DENSITY (m + 1);
-    # the largest label is bounded in floats, as intp wraps past its range.
-    # kl rounds by half its spacing there, which must stay within a cell.
-    top = GRID_DENSITY * (float(m.max()) + float(col.max()) + 1.0)
-    if not step * top < math.inf:
-        raise SolverError(f"the levels of the box l={l!r} overflow a double")
-    if not math.ulp(top * (math.pi / GRID_DENSITY)) / 2.0 <= math.pi / GRID_DENSITY:
-        raise ScanExhausted("a branch label lies so high that the rounding of kl is past the grid cell")
+    # The largest label is bounded in floats, as intp wraps past its range.
+    step = _grid_step(l, float(m.max()) + float(col.max()))
     m += col
     s2, c2 = s2[r], c2[r]
     if r.size < _ARRAY_SCAN_MIN:
@@ -388,6 +382,21 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
         k[at], step * (j[at] + 1), ga[at] * sign[at], gb[at] * sign[at],
     )
     out[r, col] = k
+
+
+def _grid_step(l: float, top: float) -> float:
+    """The grid step pi / (GRID_DENSITY l) of a search of branch labels up to top (_scan_rows).
+
+    Every probe of label m lies below the grid point GRID_DENSITY (m + 1): SolverError
+    where its k may overflow, ScanExhausted where kl's rounding there passes a cell.
+    """
+    step = math.pi / (GRID_DENSITY * l)
+    top = GRID_DENSITY * (top + 1.0)
+    if not step * top < math.inf:
+        raise SolverError(f"the levels of the box l={l!r} overflow a double")
+    if not math.ulp(top * (math.pi / GRID_DENSITY)) / 2.0 <= math.pi / GRID_DENSITY:
+        raise ScanExhausted("a branch label lies so high that the rounding of kl is past the grid cell")
+    return step
 
 
 def _scan_floats(m: list, s2: list, c2: list, l: float, L0: float, step: float) -> list:
@@ -429,6 +438,25 @@ def _scan_floats(m: list, s2: list, c2: list, l: float, L0: float, step: float) 
         if fa else step * j
         for s, c, (j, fa, fb) in zip(s2, c2, cells)
     ]
+
+
+def _ladder_start(s2: float, c2: float, l: float, L0: float) -> tuple[float, bool] | None:
+    """(k or kappa, is_bound) of a ladder's level below label 1 at half-angles (s2, c2), or None.
+
+    The threshold T = l s2 + L0 c2 alone decides it, by solve_channels' rules.
+    """
+    a, b = L0 * c2, l * s2
+    t0 = b + a
+    if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
+        # At the threshold T = 0 the E = 0 level is recorded as such;
+        # searching for a bound root there would only rediscover it at
+        # kappa ~ 0.
+        return 0.0, False
+    if t0 < 0.0:
+        return _threshold_root(a, b, bound=False) / l, False
+    if c2 < 0.0 and b * math.tanh(KAPPA_CEILING) + a * KAPPA_CEILING < 0.0:
+        return _threshold_root(a, b, bound=True) / l, True
+    return None
 
 
 def solve_channel(ch: Channel, n: int, tag: str | None = None) -> Spectrum:
@@ -555,23 +583,12 @@ def solve_channels(thetas, n, l: float = 1.0, L0: float = 1.0, from_label=None) 
     bound = []
     s2s, c2s = s2.tolist(), c2.tolist()
     for r in bottom:
-        s, c = s2s[r], c2s[r]
-        a, b = L0 * c, l * s
-        t0 = b + a
-        if abs(t0) <= ZERO_LEVEL_TOL * (l + L0):
-            # At the threshold T = 0 the E = 0 level is recorded as such;
-            # searching for a bound root there would only rediscover it at
-            # kappa ~ 0.
-            x = 0.0
-        elif t0 < 0.0:
-            x = _threshold_root(a, b, bound=False)
-        elif c < 0.0 and b * math.tanh(KAPPA_CEILING) + a * KAPPA_CEILING < 0.0:
-            x = _threshold_root(a, b, bound=True)
-            bound.append(r)
-        else:
-            continue
-        first[r] = 1
-        k_or_kappa[r, 0] = x / l
+        start = _ladder_start(s2s[r], c2s[r], l, L0)
+        if start is not None:
+            first[r] = 1
+            k_or_kappa[r, 0] = start[0]
+            if start[1]:
+                bound.append(r)
     _scan_rows(s2, c2, l, L0, k_or_kappa, first, m0, depth)
     with np.errstate(over="ignore"):
         E = k_or_kappa * k_or_kappa
@@ -586,6 +603,29 @@ def solve_channels(thetas, n, l: float = 1.0, L0: float = 1.0, from_label=None) 
     return ChannelRows(E=E, k_or_kappa=k_or_kappa, label=m0 - first)
 
 
+def _ladders_in_floats(halves, starts, depth: int, l: float, L0: float) -> tuple[list, list]:
+    """(k_or_kappa, E) of both ladders to ``depth``, plus then minus, in Python floats.
+
+    solve_channels' steps after ``starts`` (_ladder_start), in its order, so the
+    same doubles and errors come out: _grid_step, _scan_floats and the E checks.
+    """
+    heads = [[] if start is None else [start[0]] for start in starts]
+    batch = [(m, s, c) for (s, c), head in zip(halves, heads) for m in range(1, depth + 1 - len(head))]
+    m, s2, c2 = zip(*batch)
+    roots = _scan_floats(m, s2, c2, l, L0, _grid_step(l, float(max(m))))
+    cut = depth - len(heads[0])
+    k = [*heads[0], *roots[:cut], *heads[1], *roots[cut:]]
+    E = [x * x for x in k]
+    if math.inf in E:
+        raise SolverError(f"the levels of the box l={l!r} overflow a double")
+    if E.count(0.0) > k.count(0.0):  # an E that rounds to 0 where k does not
+        raise SolverError(f"the levels of the box l={l!r} underflow a double")
+    for r, start in enumerate(starts):
+        if start is not None and start[1]:
+            E[r * depth] = -E[r * depth]
+    return k, E
+
+
 def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     """Lowest n levels of the full system: merge of the two channel solves.
 
@@ -594,7 +634,7 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     among the lowest n + 1 so that no flag depends on n; eigenfunctions read
     the pairs.
 
-    Both channels are solved in one solve_channels batch to
+    Both channels are solved as one batch to
     depth = min(n + 1, (n + 1) // 2 + 2); a channel's first levels are the
     same doubles at any depth.  A channel's positive levels carry
     consecutive branch labels from 0 or 1, from 1 after a bound or zero
@@ -606,21 +646,32 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     below the last level solved in both channels, which witnesses this, and
     ValueError where n is not an integer of at least 1.
 
-    The merge is a stable sort of both rows on (E, channel), plus first
-    where energies tie.
+    The merge is a stable sort of both ladders on (E, channel), plus first
+    where energies tie.  A batch of fewer than _ARRAY_SCAN_MIN roots is set
+    up and sorted in Python floats (_ladders_in_floats), with numpy columns
+    built once, for the record; a longer one is a solve_channels call and an
+    array sort, with the same doubles and errors.
     """
     n = _count("n", n, 1)
-    p = bc.params
+    p, l, L0 = bc.params, bc.l, bc.L0
     depth = min(n + 1, (n + 1) // 2 + 2)
-    rows = solve_channels([p.theta_plus, p.theta_minus], depth, bc.l, bc.L0)
-    E = rows.E.ravel()
-    order = np.argsort(E, kind="stable")[:n + 1]
-    if E[order[-1]] > rows.E[:, -1].min():
+    thetas = [p.theta_plus, p.theta_minus]
+    # math's sin and cos give numpy's doubles here, as in solve_channels.
+    halves = [_half_angle(theta % (2.0 * math.pi)) for theta in thetas]
+    starts = [_ladder_start(s, c, l, L0) for s, c in halves]
+    if 2 * depth - sum(start is not None for start in starts) < _ARRAY_SCAN_MIN:
+        k, E = _ladders_in_floats(halves, starts, depth, l, L0)
+        order = sorted(range(2 * depth), key=E.__getitem__)[:n + 1]
+    else:
+        rows = solve_channels(thetas, depth, l, L0)
+        k, E = rows.k_or_kappa.ravel(), rows.E.ravel()
+        order = np.argsort(E, kind="stable")[:n + 1]
+    if E[order[-1]] > min(E[depth - 1], E[-1]):
         raise ScanExhausted("the merged levels reach past the depth the channels were solved to")
     row, index = np.divmod(order, depth)
-    E = E[order]
+    E = np.asarray(E)[order]
     partner = degenerate_partners(E, index, row)
     return Spectrum(
-        E=E[:n], k_or_kappa=rows.k_or_kappa.ravel()[order[:n]],
+        E=E[:n], k_or_kappa=np.asarray(k)[order[:n]],
         channel=_CHANNEL_NAMES[row[:n]], index=index[:n], partner=partner[:n],
     )

@@ -93,6 +93,17 @@ def test_readme_spectrum_example_byte_identical(capsys):
     assert out == README_STDOUT
 
 
+def test_every_python_block_of_the_readme_runs():
+    # Each ```python block of README.md runs to its end in a fresh
+    # interpreter that imports this checkout, with RuntimeWarning an error.
+    readme = Path(defectline.__file__).resolve().parents[2] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        proc = _python("-W", "error::RuntimeWarning", "-c", block)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_spectrum_theta_flags_match_angle_flags(capsys):
     code, out_theta, _ = _run(
         capsys, "spectrum", "--theta-plus", "3.0", "--theta-minus", "1.4", "-n", "5"

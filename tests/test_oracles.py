@@ -25,7 +25,7 @@ from defectline import (
     solve_spectrum,
 )
 from defectline import oracles
-from defectline.levels import KAPPA_CEILING, KIND_BOUND, KIND_ZERO, _brentq
+from defectline.levels import KAPPA_CEILING, KIND_BOUND, KIND_ZERO, _brentq, degenerate_partners
 from defectline.spectrum import solve_channel
 from defectline.unitary import SIGMA1, SIGMA2, SIGMA3
 import referee
@@ -365,8 +365,8 @@ def _floor_defects(draw):
     st.one_of(st.none(), st.floats(0.5, 60.0)),
 )
 def test_det_spectrum_does_not_depend_on_how_far_it_walks(bc, n, reach):
-    # det_spectrum refines only the lowest n + 1 positive roots; a deeper
-    # call refines more, and a ceiling at kl = reach ends the walk early.
+    # det_spectrum refines only the lowest n roots, and the (n + 1)-th
+    # where it may pair with the n-th; a deeper call refines more, and a ceiling at kl = reach ends the walk early.
     # The first n levels are the same doubles whenever the walk reaches them.
     deeper = det_spectrum(bc, n + 20).levels
     assert det_spectrum(bc, n).levels == deeper[:n]
@@ -683,9 +683,11 @@ def test_det_counts_an_exact_zero_at_the_vertex_as_a_root():
 def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
     # Generic defects have no double root and no zero-energy level, so each
     # refinement of g, in x or in t beside a vertex, is one root.  Only the
-    # n + 1 levels that det_spectrum reads are refined, bound roots
-    # included, even where a turn holds one root past them.  The knot
-    # solves refine no root and are left out.
+    # n levels that det_spectrum returns are refined, bound roots included,
+    # even where a turn holds one root past them: the (n + 1)-th, which
+    # decides whether the n-th has a partner, lies far outside its pair
+    # window on these defects, and the walk's bound on it shows that.  The
+    # knot solves refine no root and are left out.
     calls = []
 
     def counting(f, *args):
@@ -700,7 +702,37 @@ def test_det_spectrum_refines_only_the_roots_it_reads(monkeypatch):
                               rng.uniform(0.0, math.pi), rng.uniform(0.0, TWO_PI))
             calls.clear()
             det_spectrum(BoundaryCondition(params_to_matrix(p)), n)
-            assert len(calls) - calls.count("knot_function") == n + 1
+            assert len(calls) - calls.count("knot_function") == n
+
+
+# rho exactly 0 or pi, where both channels coincide, or 1e-15...1e-5 off,
+# where their levels split by about the pair window 1e-10 (1 + |E|).
+_pair_rhos = st.tuples(
+    st.sampled_from([0.0, math.pi]), st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-15.0, -5.0),
+).map(lambda t: t[0] + t[1] * 10.0 ** t[2])
+
+
+@given(st.floats(0.0, TWO_PI), _pair_rhos, _sizes, _sizes, st.integers(0, 6),
+       st.sampled_from([None, "at", "between", "next", "past"]))
+def test_det_partners_are_the_rule_over_one_level_past_the_cut(xi, rho, l, L0, j, cap):
+    # Where both channels coincide or nearly do, levels come in pairs, and
+    # an odd n cuts between the two of a pair.  det refines its (n + 1)-th
+    # root only where the walk's bound on it may pair with the n-th, yet
+    # its partner column is degenerate_partners over the levels that
+    # det_spectrum(bc, n + 1) returns; so it is with k_max at the n-th
+    # level, between it and the (n + 1)-th, at that one or just past it,
+    # over those of the n + 1 that lie below k_max.
+    n = 2 * j + 1
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho)), l, L0)
+    deeper = det_spectrum(bc, n + 1)
+    E, k_max = deeper.E, None
+    if cap is not None and E[n - 1] > 0.0:
+        lo, hi = deeper.k_or_kappa[n - 1], deeper.k_or_kappa[n]
+        k_max = {"at": lo, "between": 0.5 * (lo + hi), "next": hi, "past": hi * (1.0 + 1e-9)}[cap]
+        E = E[(E <= 0.0) | (deeper.k_or_kappa <= k_max)]
+    spec = det_spectrum(bc, n, k_max)
+    assert spec.E.tobytes() == E[:n].tobytes()
+    assert spec.partner.tolist() == degenerate_partners(E, np.arange(E.size))[:n].tolist()
 
 
 # ------------------------------------------------------------------ FD solver

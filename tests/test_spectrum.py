@@ -21,6 +21,7 @@ from defectline import (
     BoundaryCondition,
     Channel,
     ScanExhausted,
+    SolverError,
     UnitaryParams,
     bound_function,
     channel_function,
@@ -402,32 +403,49 @@ def test_merge_depth_is_verified_against_a_lopsided_ladder(monkeypatch):
     # Channels interlace, so the batch of both is solved about n/2 deep.  A
     # plus channel whose dense ladder lies below the minus channel's first
     # level breaks that and must make solve_spectrum raise, not return a
-    # merge cut short.
-    real = spectrum.solve_channels
-    depths = []
+    # merge cut short: on the short path, whose roots one _scan_floats call
+    # finds (n = 40, 44 roots), and on the long one, one solve_channels call
+    # (n = 100, 104 roots).  Both channels of this defect start at label 1.
+    real_scan, real_rows = spectrum._scan_floats, spectrum.solve_channels
+    calls = []
 
-    def counted(thetas, n, l, L0):
-        depths.append(n)
-        return real(thetas, n, l, L0)
+    def dense(count):
+        E = 1e-3 * np.arange(1, count + 1)
+        return E, np.sqrt(E)
 
-    def lopsided(thetas, n, l, L0):
-        rows = counted(thetas, n, l, L0)
-        rows.E[0] = 1e-3 * np.arange(1, n + 1)
-        rows.k_or_kappa[0] = np.sqrt(rows.E[0])
-        return rows
+    def scan(m, s2, c2, l, L0, step):
+        calls.append(("_scan_floats", len(m) // 2))
+        return real_scan(m, s2, c2, l, L0, step)
+
+    def lopsided_scan(m, s2, c2, l, L0, step):
+        roots = scan(m, s2, c2, l, L0, step)
+        roots[:len(m) // 2] = dense(len(m) // 2)[1].tolist()
+        return roots
+
+    def rows(thetas, n, l, L0):
+        calls.append(("solve_channels", n))
+        return real_rows(thetas, n, l, L0)
+
+    def lopsided_rows(thetas, n, l, L0):
+        solved = rows(thetas, n, l, L0)
+        solved.E[0], solved.k_or_kappa[0] = dense(n)
+        return solved
 
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.0, 0.9)))
-    n = 40
-    monkeypatch.setattr(spectrum, "solve_channels", lopsided)
-    with pytest.raises(ScanExhausted):
-        solve_spectrum(bc, n)
-    assert depths == [22]
+    for n, name, depth in ((40, "_scan_floats", 22), (100, "solve_channels", 52)):
+        monkeypatch.setattr(spectrum, "_scan_floats", lopsided_scan)
+        monkeypatch.setattr(spectrum, "solve_channels", lopsided_rows)
+        calls.clear()
+        with pytest.raises(ScanExhausted):
+            solve_spectrum(bc, n)
+        assert calls == [(name, depth)]
 
-    # The real ladders interlace and the half-depth merge is kept.
-    monkeypatch.setattr(spectrum, "solve_channels", counted)
-    depths.clear()
-    solve_spectrum(bc, n)
-    assert depths == [22]
+        # The real ladders interlace and the half-depth merge is kept.
+        monkeypatch.setattr(spectrum, "_scan_floats", scan)
+        monkeypatch.setattr(spectrum, "solve_channels", rows)
+        calls.clear()
+        solve_spectrum(bc, n)
+        assert calls == [(name, depth)]
 
 
 def test_spectrum_independent_of_frame_angles():
@@ -738,3 +756,72 @@ def test_a_level_of_one_branch_label_rises_monotonically_in_theta(log_l, log_L0)
     # one past it.
     E0 = rows.E[label == 0]
     assert E0[0] < 0.0 < E0[-1]
+
+
+@st.composite
+def _edge_boxes(draw):
+    """(xi, rho, l, L0): the plus eigenphase theta = xi + rho from an edge
+    region of the channel solver, rho anywhere in [0, pi] but exactly 0 or
+    pi in the degenerate region, where both channels coincide."""
+    l, L0 = (10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    at = _threshold_theta(l, L0)  # T = 0: label 0 lies above it, the bound level below
+    region = draw(st.sampled_from(
+        ["threshold", "threshold_near", "floor", "label0", "degenerate", "theta0", "thetapi"]))
+    rho = draw(st.sampled_from([0.0, math.pi])) if region == "degenerate" else draw(st.floats(0.0, math.pi))
+    if region == "threshold":
+        theta = at
+    elif region == "threshold_near":
+        theta = at + draw(st.floats(-1e-3, 1e-3))
+    elif region == "floor":
+        # kappa l within 20 % of the floor KAPPA_CEILING, on both sides.
+        theta = 2.0 * (math.pi - math.atan(KAPPA_CEILING * L0 / (l * draw(st.floats(0.8, 1.2)))))
+    elif region == "label0":
+        theta = draw(st.floats(at, TWO_PI, exclude_max=True))
+    elif region == "degenerate":
+        theta = draw(st.floats(0.0, TWO_PI))
+    else:
+        near = 0.0 if region == "theta0" else math.pi
+        theta = near + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-9.0, -2.0))
+    return theta - rho, rho, l, L0
+
+
+def _solved_by_each_size_rule(xi, rho, l, L0, n):
+    # solve_spectrum's columns as bytes, or its error's type and text,
+    # with every batch on numpy arrays and with every batch in Python floats.
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(xi, rho)), l, L0)
+    outcomes = []
+    for size_rule in (0, 10**6):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "_ARRAY_SCAN_MIN", size_rule)
+            try:
+                spec = solve_spectrum(bc, n)
+            except SolverError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append([column.tobytes() for column in
+                                 (spec.E, spec.k_or_kappa, spec.channel, spec.index, spec.partner)])
+    return outcomes
+
+
+@given(_edge_boxes(), st.integers(1, 40))
+def test_the_size_rule_selects_no_double_and_no_error(box, n):
+    # _ARRAY_SCAN_MIN alone selects between the short path in Python floats
+    # and solve_channels with its array search and merge: both give the
+    # same doubles, channels, indices and partners, on boxes at every edge
+    # of the channel solver.
+    on_arrays, in_floats = _solved_by_each_size_rule(*box, n)
+    assert on_arrays == in_floats
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_size_rule_selects_no_error_on_a_box_past_a_double():
+    # The typed-error boxes of the CLI raise the same error, in the same
+    # words, on both paths, the E underflow of l = 1e200 and the overflow
+    # of a subnormal box included.
+    for xi, rho, l, L0, n in (
+        (2.0, 0.9, 1e-300, 1.0, 2), (2.0, 0.9, 1e-300, 1e-300, 2),
+        (6.013126317700641, 1.2, 1e200, 1.0, 6), (0.389, 0.2, 1e-300, 1e30, 160),
+        (2.0, 0.9, 2e-308, 1.0, 2), (2.0, 0.9, 1e-310, 1.0, 2), (2.0, 0.9, 5e-324, 1.0, 2),
+    ):
+        on_arrays, in_floats = _solved_by_each_size_rule(xi, rho, l, L0, n)
+        assert on_arrays == in_floats and on_arrays[0] is SolverError
