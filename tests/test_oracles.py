@@ -366,7 +366,8 @@ def _floor_defects(draw):
 )
 def test_det_spectrum_does_not_depend_on_how_far_it_walks(bc, n, reach):
     # det_spectrum refines only the lowest n roots, and the (n + 1)-th
-    # where it may pair with the n-th; a deeper call refines more, and a ceiling at kl = reach ends the walk early.
+    # where it may pair with the n-th; a deeper call refines more, and a
+    # ceiling at kl = reach ends the walk early.
     # The first n levels are the same doubles whenever the walk reaches them.
     deeper = det_spectrum(bc, n + 20).levels
     assert det_spectrum(bc, n).levels == deeper[:n]
