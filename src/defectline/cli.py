@@ -18,7 +18,8 @@ the eigenphase pair (--theta-plus/--theta-minus), or the raw matrix entries
 (--matrix).  A key=value config file (--config) supplies the subcommand's
 long flags: each entry is parsed, typed and checked as its flag would be,
 before the command line, whose flags win.  A key that is no long flag of the
-subcommand exits 2.
+subcommand exits 2.  A call is parsed once, by its subcommand's own parser;
+the top-level parser serves help and errors only.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .isospectral import (
     _solve,
     check_isospectral,
 )
-from .oracles import det_spectrum, fd_spectrum
+from .oracles import _check_positive, det_spectrum, fd_spectrum
 from .spectrum import solve_spectrum
 from .unitary import TWO_PI, UnitaryParams, matrix_to_params, params_to_matrix
 
@@ -153,9 +154,20 @@ def _load_config(path: str) -> dict[str, str]:
     return entries
 
 
-def _with_config(
-    parser: argparse.ArgumentParser, argv: list[str], args: argparse.Namespace
-) -> argparse.Namespace:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What ``_build_parser().parse_args(argv)`` gives, parsed by the command's parser alone."""
+    parser = _build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespace:
     """argv parsed again with the --config entries as flags before the command line's own.
 
     An entry is one ``--key=value`` token, so that a value such as -0.5 is
@@ -167,9 +179,8 @@ def _with_config(
     for key in entries:
         if key.replace("-", "_") not in vars(args):
             raise ValueError(f"config key {key!r}: {args.command} has no flag --{key}")
-    at = argv.index(args.command) + 1
     flags = [f"--{key}={value}" for key, value in entries.items()]
-    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
+    return _parse([argv[0], *flags, *argv[1:]])
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -224,7 +235,12 @@ def _solver_name(args: argparse.Namespace) -> str:
 
 
 def _cmd_spectrum(args: argparse.Namespace, out: IO[str]) -> int:
-    spec = _solve(_boundary_condition(args), _solver_name(args), args.levels, args.n_interior, args.k_max)
+    bc, solver, k_max = _boundary_condition(args), _solver_name(args), args.k_max
+    if k_max is not None:
+        _check_positive("k_max", k_max)
+        if solver != SOLVER_DETERMINANT:
+            raise ValueError(f"--k-max is a ceiling on the det search; the {solver} solver takes none")
+    spec = _solve(bc, solver, args.levels, args.n_interior, k_max)
     channel = () if spec.channel is None else (spec.channel.tolist(),)
     shape = _LEVEL if channel else _UNCHANNELED_LEVEL
     rows = zip(
@@ -363,7 +379,8 @@ _HANDLERS = {
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing leaves the parser as it was, and
     # building it costs more than most subcommands.  Each default is written
-    # once, here, and every help text reads it back.
+    # once, here, and every help text reads it back.  _parse hands a call to
+    # its parser in ``subcommands``; this one serves help and errors only.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--xi", type=float, help="overall phase angle (radians; 0 if not given)")
     common.add_argument("--rho", type=float,
@@ -398,6 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spectra of a particle in a box with one point defect labeled by U(2).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices
 
     sp = sub.add_parser("spectrum", parents=[common, sizes],
                         help="lowest levels of one boundary condition")
@@ -441,11 +459,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         if args.config is not None:
-            args = _with_config(parser, argv, args)
+            args = _with_config(argv, args)
         handler = _HANDLERS[args.command]
         if args.output is None:
             code = handler(args, sys.stdout)

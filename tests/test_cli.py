@@ -5,10 +5,12 @@ handling, output formatting, and exit codes exactly as a shell user sees
 them.
 """
 
+import argparse
 import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -952,6 +954,24 @@ def test_det_k_max_must_be_finite_and_positive(capsys, k_max):
     assert err.count("\n") == 1 and "k_max" in err
 
 
+@pytest.mark.parametrize("k_max", ["-1", "0", "nan", "inf", "3.0"])
+@pytest.mark.parametrize("solver", ["channel", "fd"])
+def test_k_max_is_checked_for_every_solver_and_taken_by_det_alone(tmp_path, capsys, solver, k_max):
+    # The channel and fd solvers have no search to cap: they used to print
+    # their levels, some above the ceiling, whatever --k-max said.
+    target = tmp_path / "levels.json"
+    target.write_text("previous results\n")
+    argv = ("spectrum", "--xi", "2", "--rho", "0.9", "-n", "3", "--solver", solver, "--k-max", k_max)
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == "" and err.count("\n") == 1
+    if k_max == "3.0":
+        assert err.startswith("error: --k-max is a ceiling on the det search")
+    else:
+        assert err.startswith("error: k_max must be finite and positive")
+    assert _run(capsys, *argv, "--output", str(target)) == (code, "", err)
+    assert target.read_text() == "previous results\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1307,6 +1327,127 @@ def test_parser_built_once_parses_like_a_fresh_one(capsys, monkeypatch):
     fresh = [_run(capsys, *argv) for argv in EVERY_SUBCOMMAND]
     assert cached == fresh
     assert all(code == 0 for code, _, _ in cached)
+
+
+def _parse_outcome(parse, argv):
+    """What parse(argv) gives: its namespace as reprs, or its exit code; and its output."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = ("parsed", {key: repr(value) for key, value in vars(parse(list(argv))).items()})
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _assert_parses_as_nested(argv):
+    single = _parse_outcome(cli._parse, argv)
+    assert single == _parse_outcome(cli._build_parser().parse_args, argv), argv
+    return single
+
+
+def _long_form(argv):
+    """argv with every flag and its value joined as one --flag=value token."""
+    names = {"-n": "--levels"}
+    return (argv[0], *(f"{names.get(f, f)}={v}" for f, v in zip(argv[1::2], argv[2::2])))
+
+
+SINGLE_PARSE_ARGVS = [
+    *EVERY_SUBCOMMAND,
+    *map(_long_form, EVERY_SUBCOMMAND),
+    ("spectrum", "--xi", "-1e-09"),
+    ("spectrum", "--xi=-1e-09"),
+    ("spectrum", "--rh", "0.9", "--lev", "3", "--n-int=64", "--sol", "fd"),
+    ("spectrum", "--theta", "1.0"),
+    ("spectrum", "--he"),
+    ("oracle-compare", "--tol", "1e-3"),
+    ("trace", "--w", "1"),
+    ("spectrum", "--no-such-flag"),
+    ("spectrum", "--xi", "2", "extra"),
+    ("spectrum", "extra", "more", "--xi", "2"),
+    ("spectrum", "--matrix", "spectrum"),
+    ("--matrix", "spectrum"),
+    ("spectrum", "--", "-n", "3"),
+    ("spectrum", "-n", "3", "--"),
+    ("spectrum", "-n2"),
+    ("spectrum", "-n", "2", "-n", "3"),
+    ("spectrum", "-n", "two"),
+    ("trace", "--steps", "1.5"),
+    ("spectrum", "--format", "xml"),
+    ("spectrum", "--xi"),
+    ("spectrum", "--k-max=-1", "--solver", "fd"),
+    *((command, "-h") for command, *_ in EVERY_SUBCOMMAND),
+    ("eigenfunction", "--index", "1", "--help"),
+    (),
+    ("nosuch",),
+    ("-h",),
+    ("--help", "spectrum"),
+    ("--xi", "2", "spectrum"),
+]
+
+
+@pytest.mark.parametrize("argv", SINGLE_PARSE_ARGVS, ids=" ".join)
+def test_a_call_parsed_once_gives_what_the_nested_parse_gives(argv):
+    _assert_parses_as_nested(argv)
+
+
+_FLAGS_OF = {
+    name: sorted(flag for action in parser._actions for flag in action.option_strings)
+    for name, parser in cli._build_parser().subcommands.items()
+}
+_ABBREVIATIONS = ["--th", "--theta", "--he", "--tol", "--n", "--lev", "--grid", "--w", "--form"]
+_VALUES = [
+    "2.0", "-1e-09", "0.9", "3", "nan", "two", "csv", "xml", "det", "--", "-n2", "-x",
+    "spectrum", "1,0,0,0,0,0,1,0",
+]
+
+
+def _pieces(head):
+    """Token groups after head: mostly one of its own flags with a value most flags take."""
+    own = [f for f in _FLAGS_OF.get(head, ["--xi"]) if f not in ("-h", "--help")]
+    flag = st.sampled_from(sorted(set().union(*_FLAGS_OF.values())) + _ABBREVIATIONS)
+    value = st.sampled_from(_VALUES)
+    return st.one_of(
+        st.tuples(st.sampled_from(own), st.sampled_from(["3", "0.9", "-1e-09"])),
+        st.tuples(flag, value),
+        st.tuples(st.one_of(flag, value)),
+        st.tuples(st.builds("{}={}".format, flag, value)),
+    )
+
+
+@given(
+    st.sampled_from([*_FLAGS_OF, "nosuch", "-h", "--xi"]).flatmap(
+        lambda head: st.tuples(st.just(head), st.lists(_pieces(head), max_size=5))
+    )
+)
+def test_any_token_list_parsed_once_gives_what_the_nested_parse_gives(drawn):
+    head, pieces = drawn
+    _assert_parses_as_nested((head, *itertools.chain.from_iterable(pieces)))
+
+
+def _count_parses(monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=[argv[0] for argv in EVERY_SUBCOMMAND])
+def test_a_call_is_parsed_once_and_twice_with_a_config(tmp_path, capsys, monkeypatch, argv):
+    cli._build_parser()
+    calls = _count_parses(monkeypatch)
+    assert _run(capsys, *argv)[0] == 0
+    assert calls == [f"defectline {argv[0]}"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("xi = 2.0\n")
+    calls.clear()
+    assert _run(capsys, *argv, "--config", str(cfg))[0] == 0
+    assert calls == [f"defectline {argv[0]}"] * 2
 
 
 def test_cli_import_leaves_scipy_unloaded():
