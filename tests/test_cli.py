@@ -957,8 +957,8 @@ def test_det_k_max_must_be_finite_and_positive(capsys, k_max):
 @pytest.mark.parametrize("k_max", ["-1", "0", "nan", "inf", "3.0"])
 @pytest.mark.parametrize("solver", ["channel", "fd"])
 def test_k_max_is_checked_for_every_solver_and_taken_by_det_alone(tmp_path, capsys, solver, k_max):
-    # The channel and fd solvers have no search to cap: they used to print
-    # their levels, some above the ceiling, whatever --k-max said.
+    # The channel and fd solvers have no search to cap, so no --k-max is
+    # theirs to take: a value det would reject is rejected all the same.
     target = tmp_path / "levels.json"
     target.write_text("previous results\n")
     argv = ("spectrum", "--xi", "2", "--rho", "0.9", "-n", "3", "--solver", solver, "--k-max", k_max)
@@ -1341,9 +1341,7 @@ def _parse_outcome(parse, argv):
 
 
 def _assert_parses_as_nested(argv):
-    single = _parse_outcome(cli._parse, argv)
-    assert single == _parse_outcome(cli._build_parser().parse_args, argv), argv
-    return single
+    assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli._build_parser().parse_args, argv), argv
 
 
 def _long_form(argv):
