@@ -183,6 +183,13 @@ def _with_config(argv: list[str], args: argparse.Namespace) -> argparse.Namespac
     return _parse([argv[0], *flags, *argv[1:]])
 
 
+def _check_values(args: argparse.Namespace) -> None:
+    """Raise ValueError for a flag given ``--`` as its value: argparse stores [] for it."""
+    if [] in vars(args).values():
+        dest = next(dest for dest, value in vars(args).items() if value == [])
+        raise ValueError(f"argument --{dest.replace('_', '-')}: expected one argument, got '--'")
+
+
 def _parse_matrix(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 8:
@@ -461,8 +468,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse(argv)
     try:
+        _check_values(args)
         if args.config is not None:
             args = _with_config(argv, args)
+            _check_values(args)
         handler = _HANDLERS[args.command]
         if args.output is None:
             code = handler(args, sys.stdout)

@@ -13,9 +13,13 @@ spectrum.  Both families are generated here and checked numerically with a
 solver that consumes the full matrix (the determinant solver by default);
 checking them with the channel solver would be circular, since it reads the
 spectrum off the eigenphases that conjugation preserves by construction.
-A sweep solves every family member once: SphereGrid.points yields the
+A sweep solves each distinct problem once.  SphereGrid.points yields the
 mu = 0 pole first, and that pole's matrix is D's bit for bit, so it is the
-base every member is compared with.
+base every member is compared with.  The determinant and FD solvers read U
+only through the bits of its form's t, d4 and phase (oracles._key), and
+det also through g at the floor (oracles._Projection.key), so members with
+equal keys, as the mu = pi pole and the base mostly are, share one solve
+within the call.  The channel solver solves every member.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from .boundary import BoundaryCondition
 from .levels import Spectrum, _count
-from .oracles import det_spectrum, fd_spectrum
+from .oracles import _key, _Projection, _reads, det_spectrum, fd_spectrum
 from .spectrum import solve_spectrum
 from .unitary import UnitaryParams, params_to_matrix, parity_conjugate
 
@@ -120,7 +124,7 @@ def isospectral_family(
 
 
 def _solve(
-    bc: BoundaryCondition, solver: str, n: int, n_interior: int, k_max: float | None = None
+    bc: BoundaryCondition | _Projection, solver: str, n: int, n_interior: int, k_max: float | None = None
 ) -> Spectrum:
     """The lowest n levels of bc by the solver named ``solver``; only det takes k_max."""
     if solver == SOLVER_CHANNEL:
@@ -133,9 +137,25 @@ def _solve(
 
 
 def _energies(
-    u: np.ndarray, solver: str, n: int, l: float, L0: float, n_interior: int
+    u: np.ndarray, solved: dict[bytes, np.ndarray], solver: str, n: int, l: float, L0: float,
+    n_interior: int,
 ) -> np.ndarray:
-    return _solve(BoundaryCondition(u, l=l, L0=L0), solver, n, n_interior).E
+    """The levels of u: those kept in solved under u's key, else its solve's, kept there.
+
+    Det's key needs its projection, which det_spectrum then takes as built.
+    The channel solver has no key and keeps nothing.
+    """
+    bc = BoundaryCondition(u, l=l, L0=L0)
+    if solver == SOLVER_DETERMINANT:
+        bc = _Projection(bc)
+        key = bc.key()
+    elif solver == SOLVER_FD:
+        key = _key(*_reads(bc.u))
+    else:
+        return _solve(bc, solver, n, n_interior).E
+    if key not in solved:
+        solved[key] = _solve(bc, solver, n, n_interior).E
+    return solved[key]
 
 
 def check_isospectral(
@@ -148,7 +168,7 @@ def check_isospectral(
     L0: float = 1.0,
     n_interior: int = 256,
 ) -> IsoReport:
-    """Solve every family member and report the worst per-level deviation.
+    """Solve each distinct problem of the family once and report the worst per-level deviation.
 
     Deviations are absolute |E_i - E_i'| after ascending sort for the channel
     and determinant solvers.  For the fd solver they are measured relative to
@@ -158,17 +178,22 @@ def check_isospectral(
     The base is the family's first member, the mu = 0 pole, whose matrix is
     D's bit for bit; it is solved once.  Its deviation is still |base -
     base|, so a NaN base level acts as it did when the pole was solved again.
-    ValueError is raised unless n_levels is an integer of at least 1.
+    A det or fd member whose key an earlier member had takes that solve's
+    levels, which are its own bit for bit.  The key holds the bits of the
+    form's t, d4 and phase, and for det g at the floor too (_energies); the
+    keys are kept for this call only.  ValueError is raised unless n_levels
+    is an integer of at least 1.
     """
     n_levels = _count("n_levels", n_levels, 1)
     members = isospectral_family(d_params, grid)
-    base = _energies(members[0], solver, n_levels, l, L0, n_interior)
+    solved: dict[bytes, np.ndarray] = {}
+    base = _energies(members[0], solved, solver, n_levels, l, L0, n_interior)
     scale = 1.0 + np.abs(base) if solver == SOLVER_FD else np.ones_like(base)
 
     worst = -1.0
     worst_point = (0.0, 0.0)
     for i, (u, (mu, nu)) in enumerate(zip(members, grid.points())):
-        member = base if i == 0 else _energies(u, solver, n_levels, l, L0, n_interior)
+        member = base if i == 0 else _energies(u, solved, solver, n_levels, l, L0, n_interior)
         dev = float(np.max(np.abs(member - base) / scale))
         if dev > worst:
             worst = dev

@@ -22,6 +22,9 @@ no eigenvalue solver runs.  Brent refines on the raw form; the walk
 decides on the read: the wave, _Form.__call__ and the rounding bound.  The
 raw g, the one function Brent's method calls once per step, carries the
 wave's and the form's operations inline, so it returns the read's double.
+Both read U only through the form's t, d4 and phase (_reads), and det also
+through g at the floor: _key and _Projection.key name that as one value,
+so boxes of one l and L0 whose values are equal pose one problem.
 
 No grid is sampled.  The direction psi of (sigma, tau) rises monotonically
 with E from the kappa l = 50 floor, and g = (sigma^2 + tau^2) q(psi).  q has
@@ -56,6 +59,7 @@ import cmath
 import functools
 import itertools
 import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -78,6 +82,19 @@ class FdSpectrum(Spectrum):
 
     h: float
     n_interior: int
+
+
+def _reads(u: np.ndarray) -> tuple[complex, complex, complex]:
+    """t, d4 and phase of U (_Form): all that the form reads of U."""
+    (u00, u01), (u10, u11) = np.asarray(u, dtype=complex).tolist()
+    diff = u00 - u11
+    phase = cmath.exp(0.5j * cmath.phase(u00 * u11 - u01 * u10))
+    return 0.5 * (u00 + u11), 0.25 * diff * diff + u01 * u10, phase
+
+
+def _key(t: complex, d4: complex, phase: complex) -> bytes:
+    """t, d4 and phase bit for bit, so -0.0 is not 0.0: FD's problem on a box of given l and L0."""
+    return struct.pack("6d", t.real, t.imag, d4.real, d4.imag, phase.real, phase.imag)
 
 
 class _Form:
@@ -104,12 +121,9 @@ class _Form:
         if not 64.0 * (sigma_max * sigma_max + L0 * L0) < sys.float_info.max:
             raise SolverError(
                 "the phased determinant of the connection condition overflows a double on this box")
-        (u00, u01), (u10, u11) = np.asarray(u, dtype=complex).tolist()
         self.L0 = L0
-        self.t = t = 0.5 * (u00 + u11)
-        diff = u00 - u11
-        self.d4 = d4 = 0.25 * diff * diff + u01 * u10
-        self.phase = cmath.exp(0.5j * cmath.phase(u00 * u11 - u01 * u10))
+        self.t, self.d4, self.phase = _reads(u)
+        t, d4 = self.t, self.d4
         self.a2 = self._real((1.0 - t) ** 2 - d4)
         self.a1 = self._real(-2j * L0 * (1.0 - t * t + d4))
         self.a0 = self._real(-L0 * L0 * ((1.0 + t) ** 2 - d4))
@@ -157,12 +171,20 @@ class _Projection(_Form):
     at (sigma, tau) = (sin(kl) / k, cos(kl)) above E = 0; below it det M is
     also divided by cosh^2(kappa l), which keeps g of order one and moves
     no root, and (sigma, tau) = (tanh(kappa l) / kappa, 1).  Both are (l, 1)
-    at E = 0.
+    at E = 0.  start is the floor knot (y, g(y)) det's walk starts from: g
+    as read, or, where that is 0, from rational arithmetic (floor_value).
     """
 
     def __init__(self, bc: BoundaryCondition):
         super().__init__(bc.u, bc.L0, bc.l)
         self.u, self.l = bc.u, bc.l
+        floor = -KAPPA_CEILING / bc.l
+        self.start = (floor, self.read(floor) or self.floor_value())
+
+    def key(self) -> bytes:
+        """_key and g at the floor knot: all det reads of U.  floor_value reads
+        U's exact entries, so two matrices of one form may differ there."""
+        return _key(self.t, self.d4, self.phase) + struct.pack("d", self.start[1])
 
     def _wave(self, y: float) -> tuple[float, float]:
         # (sigma, tau) at the signed wavenumber y; g carries it inline.
@@ -437,7 +459,7 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> Spectrum:
+def det_spectrum(bc: BoundaryCondition | _Projection, n: int, k_max: float | None = None) -> Spectrum:
     """Lowest n levels from det M alone; no diagonalization of U anywhere.
 
     g, det M phased to the real axis (_Projection), is one function of the
@@ -453,16 +475,15 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
     ValueError if n is not an integer of at least 1 (_count) or a given
     k_max is not finite and positive, and SolverError if the E of a level
     overflows a double, as on a box of l = 1e-160, or if the form overflows
-    or underflows one (_Form).
+    or underflows one (_Form).  bc may be given as its _Projection, as a
+    caller that has read its key holds it.
     """
     n = _count("n", n, 1)
     if k_max is not None:
         _check_positive("k_max", k_max)
-    proj = _Projection(bc)
-    floor = -KAPPA_CEILING / proj.l
-    start = (floor, proj.read(floor) or proj.floor_value())
+    proj = bc if isinstance(bc, _Projection) else _Projection(bc)
     knots = _knots(proj.ends(), proj, proj.read, functools.partial(_knot, proj.l), proj._wave)
-    roots = _roots(knots, start, proj.end_sign, proj.read(0.0), proj.g, n,
+    roots = _roots(knots, proj.start, proj.end_sign, proj.read(0.0), proj.g, n,
                    math.inf if k_max is None else k_max, lambda y, lo: _may_pair(_energy(y), _energy(lo)))
     if len(roots) < n:
         raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
@@ -470,7 +491,7 @@ def det_spectrum(bc: BoundaryCondition, n: int, k_max: float | None = None) -> S
     # once the n returned are finite, no pair is decided on inf - inf.
     E = list(map(_energy, roots))
     if not all(map(math.isfinite, E[:n])):
-        raise SolverError(f"the levels of the box l={bc.l!r} overflow a double")
+        raise SolverError(f"the levels of the box l={proj.l!r} overflow a double")
     E, index = np.array(E), np.arange(len(E))
     partner = degenerate_partners(E, index)
     return Spectrum(E[:n], np.abs(roots[:n]), None, index[:n], partner[:n])

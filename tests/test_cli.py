@@ -972,6 +972,37 @@ def test_k_max_is_checked_for_every_solver_and_taken_by_det_alone(tmp_path, caps
     assert target.read_text() == "previous results\n"
 
 
+def _valued_flags():
+    # (command, long flag, dest) for every flag of every subcommand that takes a value.
+    return [
+        (command, max(action.option_strings, key=len), action.dest)
+        for command, parser in cli._build_parser().subcommands.items()
+        for action in parser._actions
+        if action.option_strings and action.nargs is None and not isinstance(action, argparse._HelpAction)
+    ]
+
+
+@pytest.mark.parametrize("command, flag, dest", _valued_flags(), ids=lambda v: str(v))
+def test_a_flag_given_a_double_dash_exits_2_on_the_command_line_and_in_a_config(
+        tmp_path, capsys, command, flag, dest):
+    # Python 3.11's argparse stores [] for the value of --flag=--, which no
+    # command can use: the call exits 2 with one error line, before any
+    # command runs, and --output keeps what it held.  A config entry is
+    # parsed as its flag; a config key of its own is overridden by the
+    # --config that names the file.
+    target = tmp_path / "out.txt"
+    target.write_text("previous results\n")
+    want = f"error: argument --{dest.replace('_', '-')}: expected one argument, got '--'\n"
+    assert _run(capsys, command, "--output", str(target), f"{flag}=--") == (2, "", want)
+    if dest == "config":
+        return
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{dest} = --\n")
+    output = () if dest == "output" else ("--output", str(target))
+    assert _run(capsys, command, "--config", str(cfg), *output) == (2, "", want)
+    assert target.read_text() == "previous results\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

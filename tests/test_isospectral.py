@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from defectline import (
     BoundaryCondition,
@@ -16,7 +18,8 @@ from defectline import (
     params_to_matrix,
     parity_family,
 )
-from defectline import isospectral
+from defectline import isospectral, oracles
+from defectline.levels import KAPPA_CEILING
 
 TWO_PI = 2.0 * math.pi
 
@@ -139,13 +142,14 @@ def test_check_isospectral_fd_solver():
     assert report.max_level_deviation <= 5e-3
 
 
-def _sweep_solving_the_pole(d_params, grid, n, solver, n_interior):
+def _sweep_solving_the_pole(d_params, grid, n, solver, n_interior, l=1.0, L0=1.0):
     # check_isospectral as it was before it read the mu = 0 pole from the
-    # base solve: every grid point solved, the pole too.
+    # base solve and shared one solve among the members of one problem:
+    # every grid point solved, the pole too.
     xi, rho = d_params
     def energies(mu, nu):
         u = params_to_matrix(UnitaryParams(xi, rho, mu, nu))
-        return isospectral._energies(u, solver, n, 1.0, 1.0, n_interior)
+        return isospectral._solve(BoundaryCondition(u, l=l, L0=L0), solver, n, n_interior).E
 
     base = energies(0.0, 0.0)
     scale = 1.0 + np.abs(base) if solver == "fd" else np.ones_like(base)
@@ -157,6 +161,19 @@ def _sweep_solving_the_pole(d_params, grid, n, solver, n_interior):
     return worst, worst_point
 
 
+def _keys(d_params, grid, solver, l=1.0, L0=1.0):
+    # What each member's solver reads of U, built from the solvers' own
+    # objects: det's projection, with g at its floor knot, or FD's form.
+    keys = []
+    for u in isospectral_family(d_params, grid):
+        if solver == "determinant":
+            keys.append(oracles._Projection(BoundaryCondition(u, l=l, L0=L0)).key())
+        else:
+            form = oracles._Form(u, L0 / l, 1.0)
+            keys.append(oracles._key(form.t, form.d4, form.phase))
+    return keys
+
+
 @pytest.mark.parametrize(
     "solver, d_params, grid",
     [("determinant", (2.0, 0.9), SphereGrid.default(2, 3)),
@@ -165,19 +182,116 @@ def _sweep_solving_the_pole(d_params, grid, n, solver, n_interior):
 )
 def test_check_isospectral_reads_the_pole_from_the_base_solve(monkeypatch, solver, d_params, grid):
     # The mu = 0 pole is the base matrix bit for bit, so a sweep solves the
-    # base and every other grid point: len(grid) matrices, not len(grid) + 1.
+    # base and every other distinct problem once: for det and fd, one solve
+    # per distinct key, none twice; the channel solver solves len(grid)
+    # matrices, not len(grid) + 1.
     reference = _sweep_solving_the_pole(d_params, grid, 4, solver, 64)
     solved = []
-    energies = isospectral._energies
+    solve = isospectral._solve
 
-    def counting(u, *args):
-        solved.append(u)
-        return energies(u, *args)
+    def counting(bc, *args):
+        if solver == "determinant":
+            solved.append(bc.key())
+        elif solver == "fd":
+            solved.append(oracles._key(*oracles._reads(bc.u)))
+        else:
+            solved.append(None)
+        return solve(bc, *args)
 
-    monkeypatch.setattr(isospectral, "_energies", counting)
+    monkeypatch.setattr(isospectral, "_solve", counting)
     report = check_isospectral(d_params, grid, 4, solver=solver, n_interior=64)
-    assert len(solved) == len(grid)
+    if solver == "channel":
+        assert len(solved) == len(grid)
+    else:
+        assert len(solved) == len(set(solved)) == len(set(_keys(d_params, grid, solver)))
     assert (report.max_level_deviation, report.worst_point) == reference
+
+
+def test_the_sweep_solves_each_distinct_det_problem_once(monkeypatch):
+    # det_spectrum runs once per distinct key, on the projection the key was
+    # read from, and within one call only: a second identical call solves
+    # again.  The mu = pi pole of (2.0, 0.9) is not D's matrix bit for bit,
+    # but its form's t, d4 and phase are, and so is g at the floor, so it
+    # takes the base's solve.
+    walks = []
+    det_spectrum = isospectral.det_spectrum
+
+    def counting(proj, *args, **kwargs):
+        assert isinstance(proj, oracles._Projection)
+        walks.append(proj.key())
+        return det_spectrum(proj, *args, **kwargs)
+
+    monkeypatch.setattr(isospectral, "det_spectrum", counting)
+    grid = SphereGrid.default()
+    keys = _keys((2.0, 0.9), grid, "determinant")
+    for _ in range(2):
+        walks.clear()
+        check_isospectral((2.0, 0.9), grid, 4)
+        assert sorted(walks) == sorted(set(keys)) and len(walks) < len(grid)
+
+    poles = SphereGrid(mu_points=(0.0, math.pi), nu_points=(0.0,))
+    base, pole = isospectral_family((2.0, 0.9), poles)
+    assert base.tobytes() != pole.tobytes()
+    walks.clear()
+    check_isospectral((2.0, 0.9), poles, 4)
+    assert len(walks) == 1
+
+
+def _floor_touch(l, L0, rho):
+    # theta_plus puts the plus channel's bound root on the kappa l = 50
+    # floor, as test_det_bound_levels_at_the_threshold_and_the_floor builds
+    # it: g there reads 0, and det takes it from U's exact entries.
+    kappa = KAPPA_CEILING / l
+    theta_plus = 2.0 * (math.pi - math.atan(kappa * L0 / math.tanh(kappa * l)))
+    return theta_plus - rho, rho
+
+
+@st.composite
+def _sweeps(draw):
+    l, L0 = (10.0 ** draw(st.floats(-2.0, 2.0)) for _ in range(2))
+    xi = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    kind = draw(st.sampled_from(["generic", "scalar", "antiscalar", "floor"]))
+    if kind == "generic":
+        d_params = (xi, draw(st.floats(0.05, math.pi - 0.05)))
+    elif kind == "floor":
+        d_params = _floor_touch(l, L0, draw(st.floats(0.05, 3.0)))
+    else:  # rho = 0 or pi: D and every frame are scalar, up to rounding
+        d_params = (xi, 0.0 if kind == "scalar" else math.pi)
+    grid = SphereGrid.default(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    return kind, d_params, grid, draw(st.integers(1, 5)), l, L0
+
+
+# A floor touch whose frames share t, d4 and phase with frames whose g at
+# the floor has the other sign: a bound level at the floor in one and not
+# in the other, so members of one form still pose det different problems.
+_FLOOR_SPLIT = (1.1150298626945476, 63.36578001821514, 0.47527085752291953)
+
+
+@pytest.mark.parametrize("solver", ["determinant", "fd"])
+@given(_sweeps())
+@example(("floor", _floor_touch(*_FLOOR_SPLIT), SphereGrid.default(), 3, *_FLOOR_SPLIT[:2]))
+def test_the_sweep_gives_the_report_of_a_sweep_that_solves_every_member(solver, drawn):
+    # The deviation bit for bit and the worst point are those of a sweep
+    # that solves every grid point, the pole too, and every member's levels
+    # are its own solve's, bit for bit, whether solved or shared.
+    kind, d_params, grid, n, l, L0 = drawn
+    if kind == "floor" and solver == "determinant":
+        proj = oracles._Projection(BoundaryCondition(isospectral_family(d_params, grid)[0], l, L0))
+        assert proj.read(proj.start[0]) == 0.0
+    worst, worst_point = _sweep_solving_the_pole(d_params, grid, n, solver, 64, l, L0)
+    energies, members = isospectral._energies, []
+
+    def checked(u, *args):
+        E = energies(u, *args)
+        members.append(E.tobytes() == isospectral._solve(BoundaryCondition(u, l, L0), solver, n, 64).E.tobytes())
+        return E
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(isospectral, "_energies", checked)
+        report = check_isospectral(d_params, grid, n, solver=solver, l=l, L0=L0, n_interior=64)
+    assert len(members) == len(grid) and all(members)
+    assert report.max_level_deviation.hex() == worst.hex()
+    assert report.worst_point == worst_point
 
 
 @pytest.mark.parametrize("solver", ["determinant", "channel", "fd"])

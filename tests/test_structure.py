@@ -175,3 +175,61 @@ def test_every_solver_builds_its_levels_through_the_one_record():
     for module, line in calls:
         assert module == "levels.py" and levels.lineno <= line <= levels.end_lineno
     assert "flag_degenerate" not in defined
+
+
+_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "append", "extend", "add", "insert",
+             "__setitem__"}
+
+
+def _written_in_calls(tree, names) -> list[str]:
+    # Each module-level name in names that a function writes into: an item
+    # stored or deleted, a mutating method called, or the name rebound
+    # through a global statement.
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        local = {a.arg for a in ast.walk(function.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(function) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(function):
+            if isinstance(node, ast.Global):
+                found += [name for name in node.names if name in names]
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name)):
+                found.append(node.value.id)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _MUTATORS and isinstance(node.func.value, ast.Name)):
+                found.append(node.func.value.id)
+        found = [name for name in found if name in names and name not in local]
+    return found
+
+
+def test_no_module_holds_a_cache_that_outlives_a_call():
+    # A result kept past its call would let a repeated call skip its work,
+    # and share it between callers.  The one parser, built once per process
+    # and left as it was by each parse, is the exception, and cached_property
+    # keeps a value on its own instance.  So functools' cache and lru_cache
+    # are named only to decorate cli._build_parser, cached_property decorates
+    # methods only, no call writes into a module-level name, and no default
+    # argument is a container a call could fill.
+    caches, properties, memos, defaults = [], [], [], []
+    for name, tree in _trees().items():
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if getattr(node, "id", None) in ("cache", "lru_cache") or getattr(node, "attr", None) in (
+                    "cache", "lru_cache"):
+                caches.append((name, node.lineno))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any("cached_property" in ast.unparse(d) for d in node.decorator_list):
+                    properties.append(id(node) in methods)
+                defaults += [f"{name}.{node.name}" for d in [*node.args.defaults, *node.args.kw_defaults]
+                             if isinstance(d, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp))]
+        top = {t.id for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+               for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+               for t in ast.walk(target) if isinstance(t, ast.Name)}
+        memos += [f"{name}.{n}" for n in _written_in_calls(tree, top)]
+    build = next(node for node in _trees()["cli"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_build_parser")
+    assert caches == [("cli", decorator.lineno) for decorator in build.decorator_list]
+    assert properties and all(properties)
+    assert memos == [] and defaults == []
