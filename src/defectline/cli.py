@@ -3,9 +3,12 @@
 Every subcommand emits either JSON lines (one object per line) or CSV with a
 fixed header, all floating-point values rendered with 17 significant digits
 so output is byte-deterministic and round-trips exactly.  Each record shape
-(a spectrum level, a trace point, ...) has one JSON line template and one CSV
-row template, built once from its fields; a command passes plain tuples, and
-the lines are written one by one as they are rendered.
+(a spectrum level, a trace point, ...) has a JSON line template and a CSV row
+template per variant, built from its fields: a field that many rows share,
+such as a level's channel, kind and degenerate word or a trace point's
+trajectory, is written into its variant's templates, so a row formats only
+its numbers.  A command passes plain tuples, and the lines are written one
+by one as they are rendered.
 
 Exit codes: 0 for success, 2 for invalid parameters (including config/flag
 parse problems), 3 for solver failures (a request too large for memory
@@ -27,7 +30,6 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import itertools
 import math
 import os
 import sys
@@ -52,6 +54,7 @@ from .isospectral import (
     _solve,
     check_isospectral,
 )
+from .levels import CHANNEL_MINUS, KINDS, Spectrum, _kind_codes
 from .oracles import _check_positive, det_spectrum, fd_spectrum
 from .spectrum import solve_spectrum
 from .unitary import TWO_PI, UnitaryParams, matrix_to_params, params_to_matrix
@@ -67,13 +70,14 @@ _SOLVER_ALIASES = {
 
 
 class _Shape:
-    """One record shape: a JSON line template and a CSV row template.
+    """One record shape, or one variant of it: a JSON line template and a CSV row template.
 
     ``fields`` maps each key the shape fills, in output order, to its JSON
     text: ``%d`` an int, ``%.17g`` a float, ``"%s"`` a name that needs no
     escaping (a channel, a kind, a solver), ``%s`` text spelled as output
     (a word ``true``/``false``, or a number formatted once for many rows),
-    or a constant such as ``"point"`` or ``null``.
+    or a constant such as ``"point"`` or ``null``.  A variant writes in, as
+    constants, the fields that all of its rows share.
     The CSV row puts each field under its column of ``columns`` (the keys
     themselves by default) unquoted, with a blank for ``null`` and for the
     columns the shape leaves out.  Both templates take one tuple of the
@@ -95,8 +99,13 @@ _WORD = ("false", "true")  # _WORD[flag] spells a bool for a _W field
 _LEVEL = _Shape(
     {"index": _D, "channel": _S, "kind": _S, "k_or_kappa": _G, "E": _G, "degenerate": _W}
 )
-# The det and fd solvers' levels belong to no channel.
-_UNCHANNELED_LEVEL = _Shape({**_LEVEL.fields, "channel": "null"})
+# _LEVEL's variants, one per channel (plus, minus, or null where the solver
+# knows none, as det and fd do), kind and degenerate word, at the code
+# _level_codes gives: each row fills in (index, k_or_kappa, E) alone.
+_LEVELS = tuple(
+    _Shape({**_LEVEL.fields, "channel": channel, "kind": f'"{kind}"', "degenerate": word})
+    for channel in ('"plus"', '"minus"', "null") for kind in KINDS for word in _WORD
+)
 _EIGEN_META = _Shape(
     {"record": '"level"', **_LEVEL.fields, "residual": _G, "current_mismatch": _G}
 )
@@ -113,28 +122,36 @@ _TRAJECTORY = _Shape({
     "record": '"trajectory"', "trajectory": _D, "channel": _S, "start_index": _D,
     "end_index": _D, "floored_out": _W,
 }, _TRACE_COLUMNS)
-# A point's t comes as text, formatted once per op by _cmd_trace, and so
-# does the one E of a stationary trajectory.
+# A point's t comes as text, formatted once per op by _cmd_trace.  Each
+# trajectory's points have their own variant, with the trajectory written
+# in, and the one E of a stationary trajectory too (_trajectory_points).
 _POINT = _Shape({"record": '"point"', "trajectory": _D, "t": _W, "E": _G}, _TRACE_COLUMNS)
-_STATIONARY_POINT = _Shape({**_POINT.fields, "E": _W}, _TRACE_COLUMNS)
 _SUMMARY = _Shape({"record": '"summary"', "s_plus": _D, "s_minus": _D}, _TRACE_COLUMNS)
 _COMPARE = _Shape(
     {"level": _D, "E_channel": _G, "E_det": _G, "E_fd": _G, "delta_det": _G, "delta_fd": _G}
 )
 
 
-def _write(out: IO[str], fmt: str, *parts: tuple[_Shape, Iterable[tuple]]) -> None:
+def _write(out: IO[str], fmt: str, *parts: tuple[_Shape | tuple[_Shape, ...], Iterable]) -> None:
     """Write (shape, rows) parts as one table; in CSV the first shape's header leads.
 
-    The lines go out one by one through ``writelines``, so a reader that
-    closes the pipe fails the next write.  One large write can instead end
-    in a partial count that drops the error.
+    A part's shape may be a tuple of variants of one shape instead; each of
+    its rows is then (code, values), rendered by the variant at code.  The
+    lines go out one by one through ``writelines``, so a reader that closes
+    the pipe fails the next write.  One large write can instead end in a
+    partial count that drops the error.
     """
-    if fmt == "csv":
-        out.write(parts[0][0].header)
+    csv = fmt == "csv"
+    if csv:
+        first = parts[0][0]
+        out.write((first if isinstance(first, _Shape) else first[0]).header)
     for shape, rows in parts:
-        template = shape.csv if fmt == "csv" else shape.json
-        out.writelines(template % row for row in rows)
+        if isinstance(shape, _Shape):
+            template = shape.csv if csv else shape.json
+            out.writelines(template % row for row in rows)
+        else:
+            templates = [variant.csv if csv else variant.json for variant in shape]
+            out.writelines(templates[code] % row for code, row in rows)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -248,14 +265,19 @@ def _cmd_spectrum(args: argparse.Namespace, out: IO[str]) -> int:
         if solver != SOLVER_DETERMINANT:
             raise ValueError(f"--k-max is a ceiling on the det search; the {solver} solver takes none")
     spec = _solve(bc, solver, args.levels, args.n_interior, k_max)
-    channel = () if spec.channel is None else (spec.channel.tolist(),)
-    shape = _LEVEL if channel else _UNCHANNELED_LEVEL
     rows = zip(
-        spec.index.tolist(), *channel, spec.kind.tolist(), spec.k_or_kappa.tolist(),
-        spec.E.tolist(), [_WORD[p >= 0] for p in spec.partner.tolist()],
+        _level_codes(spec).tolist(),
+        zip(spec.index.tolist(), spec.k_or_kappa.tolist(), spec.E.tolist()),
     )
-    _write(out, args.format, (shape, rows))
+    _write(out, args.format, (_LEVELS, rows))
     return 0
+
+
+def _level_codes(spec: Spectrum) -> np.ndarray:
+    """Each level's variant in _LEVELS: 6 channel + 2 kind + degenerate, with channel 2 for none."""
+    code = _kind_codes(spec.E) * 2 + (spec.partner >= 0)
+    code += 12 if spec.channel is None else (spec.channel == CHANNEL_MINUS) * 6
+    return code
 
 
 def _cmd_eigenfunction(args: argparse.Namespace, out: IO[str]) -> int:
@@ -341,15 +363,26 @@ def _cmd_trace(args: argparse.Namespace, out: IO[str]) -> int:
     for i, tr in enumerate(trajectories):
         header = (i, tr.channel, tr.start_index, tr.end_index, _WORD[tr.floored_out])
         parts.append((_TRAJECTORY, [header]))
-        bits = tr.E_values.view(np.int64)  # bit for bit, so -0.0 is not 0.0
-        if (bits == bits[0]).all():
-            text = itertools.repeat(_G % tr.E_values[0].item(), bits.size)
-            parts.append((_STATIONARY_POINT, zip(itertools.repeat(i), t_text, text)))
-        else:
-            parts.append((_POINT, zip(itertools.repeat(i), t_text, tr.E_values.tolist())))
+        parts.append(_trajectory_points(i, tr.E_values, t_text))
     parts.append((_SUMMARY, [(s_plus, s_minus)]))
     _write(out, args.format, *parts)
     return 0
+
+
+def _trajectory_points(i: int, E: np.ndarray, t_text: list[str]) -> tuple[_Shape, Iterable]:
+    """The (shape, rows) part of trajectory i's points: its _POINT variant and its (t, E) rows.
+
+    The variant has i written in; where every E is the same double, bit for
+    bit (so -0.0 is not 0.0), it has that E written in too, and a row is (t,).
+    """
+    fields = {**_POINT.fields, "trajectory": str(i)}
+    bits = E.view(np.int64)
+    if (bits == bits[0]).all():
+        fields["E"] = _G % E[0].item()
+        rows = zip(t_text[:E.size])
+    else:
+        rows = zip(t_text, E.tolist())
+    return _Shape(fields, _TRACE_COLUMNS), rows
 
 
 def _cmd_oracle_compare(args: argparse.Namespace, out: IO[str]) -> int:

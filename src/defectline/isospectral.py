@@ -5,7 +5,10 @@ spectrum of the box untouched, because the frame only rotates which linear
 combinations of boundary data feel which eigenphase.  The set of such
 conjugates { V^-1 D V } sweeps a two-sphere coordinatized by the frame
 angles (mu, nu) — unless D is a multiple of the identity, in which case the
-whole sphere collapses to the single point D.
+whole sphere collapses, up to rounding, to the single point D: the rounded
+entries of V^-1 D V differ in their last bits from frame to frame, so at
+(xi, rho) = (1.3, 0) the 66 members of the default grid pose 65 distinct
+det problems (oracles._Projection.key).
 
 Parity acts on the defect matrix by conjugation with sigma(c) = c . sigma
 for a unit direction c, which again preserves eigenvalues and therefore the

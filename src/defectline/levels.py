@@ -3,10 +3,11 @@
 The channel solver (spectrum), det M(k) = 0 and FD (oracles) check each
 other, so neither solver module imports the other: both import this one.
 It holds the record every solver returns, Spectrum, with its EigenLevel
-objects and the kind and channel names; the one rule for "degenerate"
-(degenerate_partners); the box check, the level-count rule, the
-bound-state floor and eps; and Brent's method, with which the channel
-solver refines its roots and det and FD refine their levels and knots.
+objects and the kind and channel names; the one kind rule (_kind_codes)
+and the one rule for "degenerate" (degenerate_partners); the box check,
+the level-count rule, the bound-state floor and eps; and Brent's method,
+with which the channel solver refines its roots and det and FD refine
+their levels and knots.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ __all__ = ["EigenLevel", "Spectrum"]
 KIND_POSITIVE = "positive"
 KIND_ZERO = "zero"
 KIND_BOUND = "bound"
+# A kind's name by its code from _kind_codes.
+KINDS = (KIND_POSITIVE, KIND_ZERO, KIND_BOUND)
+_KIND_NAMES = np.array(KINDS)
 
 CHANNEL_PLUS = "plus"
 CHANNEL_MINUS = "minus"
@@ -103,9 +107,8 @@ class Spectrum:
 
     @functools.cached_property
     def kind(self) -> np.ndarray:
-        """Each level's kind by the one rule: bound where E < 0, zero where E == 0, else positive."""
-        E = self.E
-        return np.where(E < 0.0, KIND_BOUND, np.where(E == 0.0, KIND_ZERO, KIND_POSITIVE))
+        """Each level's kind by the one rule, _kind_codes."""
+        return _KIND_NAMES[_kind_codes(self.E)]
 
     @functools.cached_property
     def levels(self) -> tuple[EigenLevel, ...]:
@@ -119,6 +122,11 @@ class Spectrum:
                 self.index.tolist(), self.partner.tolist(),
             )
         )
+
+
+def _kind_codes(E: np.ndarray) -> np.ndarray:
+    """The one kind rule, as codes into KINDS: 2 (bound) where E < 0, 1 (zero) where E == 0, else 0."""
+    return (E < 0.0) * 2 + (E == 0.0)
 
 
 def degenerate_partners(E: np.ndarray, index: np.ndarray, row=None) -> np.ndarray:

@@ -466,9 +466,10 @@ def det_spectrum(bc: BoundaryCondition | _Projection, n: int, k_max: float | Non
     signed wavenumber y across E = 0, and _roots walks it up from the
     kappa l = 50 floor over the knots _knots places between det's quarter
     turns.  Where g at the floor lies within its rounding bound it is taken
-    from rational arithmetic.  The channel of a level is unknowable on this
-    code path, so the channel column is None, indices are global and any
-    neighbours may pair, decided one level past the cut, as solve_spectrum
+    from rational arithmetic.  This code path never reads which eigenphase
+    is named plus and which minus, a naming that matrix_to_params' canonical
+    angles fix, not U, so the channel column is None, indices are global
+    and any neighbours may pair, decided one level past the cut, as solve_spectrum
     decides them; that level is refined only where the walk's lower bound
     on it may pair with the n-th (levels._may_pair).  k_max caps the walk's
     reach.  Raises ScanExhausted if fewer than n levels lie below it,

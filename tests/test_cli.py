@@ -35,7 +35,9 @@ from defectline import (
     params_to_matrix,
     solve_spectrum,
 )
+from defectline.anholonomy import LevelTrajectory
 from defectline.cli import main
+from defectline.levels import Spectrum
 
 PI = math.pi
 
@@ -867,7 +869,23 @@ def test_printf_17g_renders_every_double_as_format_does(x):
     assert "%.17g" % x == format(x, ".17g") == "%.17g" % np.float64(x)
 
 
-SHAPES = {name: v for name, v in vars(cli).items() if isinstance(v, cli._Shape)}
+def _shapes():
+    # Every shape of the module, every variant of a module-level table of
+    # them, and a trace point variant of each kind: one with its trajectory
+    # written in, and one with its E written in too.
+    shapes = {}
+    for name, v in vars(cli).items():
+        if isinstance(v, cli._Shape):
+            shapes[name] = v
+        elif isinstance(v, tuple) and v and all(isinstance(s, cli._Shape) for s in v):
+            shapes.update({f"{name}[{i}]": s for i, s in enumerate(v)})
+    shapes["point of trajectory 3"] = cli._trajectory_points(3, np.array([1.0, 2.0]), ["0", "1"])[0]
+    shapes["stationary point of trajectory 3"] = cli._trajectory_points(
+        3, np.full(2, -1234.5678901234567), ["0", "1"])[0]
+    return shapes
+
+
+SHAPES = _shapes()
 FIELD_VALUES = {
     cli._D: st.integers(-(2**53), 2**53),
     cli._G: st.floats(allow_nan=False, allow_infinity=False),
@@ -904,6 +922,116 @@ def test_every_shape_renders_lines_that_read_back(name, data):
             assert type(value)(cell) == value
         else:
             assert cell == ("" if value is None else value)
+
+
+def test_every_level_variant_is_in_the_shape_test():
+    # 3 channels (plus, minus, none) x 3 kinds x 2 degenerate words.
+    assert len(cli._LEVELS) == 18 and sum(name.startswith("_LEVELS[") for name in SHAPES) == 18
+    assert "_LEVEL" in SHAPES and "_POINT" in SHAPES
+
+
+def _old_kind(E):
+    # The kind rule as Spectrum.kind spelled it before the codes.
+    return np.where(E < 0.0, "bound", np.where(E == 0.0, "zero", "positive"))
+
+
+_LEVEL_NULL_CHANNEL = cli._Shape({**cli._LEVEL.fields, "channel": "null"})
+
+
+def _old_level_lines(spec, fmt):
+    # Each level rendered field by field through _LEVEL, or _LEVEL with a
+    # null channel where the solver knows none.
+    shape = _LEVEL_NULL_CHANNEL if spec.channel is None else cli._LEVEL
+    channel = [] if spec.channel is None else [spec.channel.tolist()]
+    rows = zip(spec.index.tolist(), *channel, _old_kind(spec.E).tolist(), spec.k_or_kappa.tolist(),
+               spec.E.tolist(), [cli._WORD[p >= 0] for p in spec.partner.tolist()])
+    template = shape.csv if fmt == "csv" else shape.json
+    return (shape.header if fmt == "csv" else "") + "".join(template % row for row in rows)
+
+
+def _old_trace_lines(trajectories, shifts, fmt):
+    # Every point rendered field by field through _POINT: its trajectory,
+    # t as 17-digit text, and its own E.
+    pick = (lambda shape: shape.csv) if fmt == "csv" else (lambda shape: shape.json)
+    lines = [cli._TRAJECTORY.header] if fmt == "csv" else []
+    for i, tr in enumerate(trajectories):
+        lines.append(pick(cli._TRAJECTORY) % (i, tr.channel, tr.start_index, tr.end_index,
+                                              cli._WORD[tr.floored_out]))
+        lines += [pick(cli._POINT) % (i, "%.17g" % t, e)
+                  for t, e in zip(tr.t_values.tolist(), tr.E_values.tolist())]
+    lines.append(pick(cli._SUMMARY) % shifts)
+    return "".join(lines)
+
+
+_ENERGIES = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.0, 1.0]),
+)
+
+
+@st.composite
+def _spectra(draw):
+    n = draw(st.integers(0, 12))
+    E = np.array(draw(st.lists(_ENERGIES, min_size=n, max_size=n)), dtype=float)
+    k = np.array(draw(st.lists(st.floats(), min_size=n, max_size=n)), dtype=float)
+    channel = draw(st.one_of(st.none(), st.lists(st.sampled_from(["plus", "minus"]),
+                                                 min_size=n, max_size=n).map(np.array)))
+    if channel is not None and n == 0:
+        channel = np.array([], dtype="<U5")
+    index = np.array(draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n)), dtype=int)
+    partner = np.array(draw(st.lists(st.one_of(st.just(-1), st.integers(0, 10**6)),
+                                     min_size=n, max_size=n)), dtype=int)
+    return Spectrum(E, k, channel, index, partner)
+
+
+@st.composite
+def _trajectories(draw):
+    n_t = draw(st.integers(1, 9))
+    t = np.array(sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=n_t, max_size=n_t))))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        floored = draw(st.booleans())
+        size = draw(st.integers(1, n_t)) if floored else n_t
+        if draw(st.booleans()):
+            E = np.full(size, draw(_ENERGIES))
+        else:
+            E = np.array(draw(st.lists(_ENERGIES, min_size=size, max_size=size)), dtype=float)
+        out.append(LevelTrajectory(t[:size], E, draw(st.integers(0, 20)), -1 if floored else
+                                   draw(st.integers(0, 20)), draw(st.sampled_from(["plus", "minus"])),
+                                   floored))
+    if all(tr.E_values.size < n_t for tr in out):
+        # The longest trajectory carries the whole t grid.
+        tr = out[0]
+        out[0] = LevelTrajectory(t, np.resize(tr.E_values, n_t), tr.start_index, tr.end_index,
+                                 tr.channel, tr.floored_out)
+    return out
+
+
+@given(_spectra(), _trajectories(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+@example(
+    Spectrum(np.array([-0.0, 0.0, 5e-324, -5e-324, math.nan, -math.inf]), np.zeros(6), None,
+             np.arange(6), np.array([1, 0, -1, -1, 7, -1])),
+    [LevelTrajectory(np.array([0.0, 0.5, 1.0]), np.full(3, -0.0), 0, 0, "plus"),
+     LevelTrajectory(np.array([0.0]), np.array([-2.5e3]), 1, -1, "minus", True),
+     LevelTrajectory(np.array([0.0, 0.5]), np.array([0.0, -0.0]), 1, -1, "plus", True)],
+    (0, 0),
+)
+def test_rows_render_as_field_by_field_through_the_base_shapes(spec, trajectories, shifts):
+    # The variants write in what rows share; the lines are those of the
+    # base shapes _LEVEL and _POINT filled in field by field.
+    assert _old_kind(spec.E).tolist() == spec.kind.tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_solve", lambda *args: spec)
+        mp.setattr(cli, "trace_path", lambda path: trajectories)
+        mp.setattr(cli, "trajectory_shifts", lambda trs, winding: shifts)
+        for fmt in ("json", "csv"):
+            for argv, expected in (
+                (["spectrum"], _old_level_lines(spec, fmt)),
+                (["trace"], _old_trace_lines(trajectories, shifts, fmt)),
+            ):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main([*argv, "--format", fmt]) == 0
+                assert out.getvalue() == expected
 
 
 # ------------------------------------------------------- errors and plumbing

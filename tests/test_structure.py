@@ -59,9 +59,10 @@ def test_the_three_solvers_import_one_shared_module_and_nothing_from_each_other(
 
 
 def test_what_the_solvers_share_is_defined_once():
-    # eps, the floor, the kind names and the box check each have one
-    # definition, in levels; every box is checked by that one function (no
-    # throwaway Channel validates one), and its error text exists once.
+    # eps, the floor, the kind names, the kind rule and the box check each
+    # have one definition, in levels; every box is checked by that one
+    # function (no throwaway Channel validates one), and its error text
+    # exists once.
     trees = _trees()
     defined, homes, texts, box_callers = Counter(), {}, Counter(), set()
     for module, tree in trees.items():
@@ -79,7 +80,8 @@ def test_what_the_solvers_share_is_defined_once():
             homes.update(dict.fromkeys(names, module))
         texts.update(node.value for node in ast.walk(tree)
                      if isinstance(node, ast.Constant) and isinstance(node.value, str))
-    shared = ["_EPS", "KAPPA_CEILING", "KIND_POSITIVE", "KIND_ZERO", "KIND_BOUND", "_box"]
+    shared = ["_EPS", "KAPPA_CEILING", "KIND_POSITIVE", "KIND_ZERO", "KIND_BOUND", "KINDS",
+              "_kind_codes", "_box"]
     assert {name: (defined[name], homes[name]) for name in shared} == dict.fromkeys(shared, (1, "levels"))
     assert box_callers == {"Channel", "BoundaryCondition", "PathSpec", "solve_channels"}
     assert texts["l must be a positive length"] == texts["L0 must be a positive length"] == 1
