@@ -7,8 +7,9 @@ so output is byte-deterministic and round-trips exactly.  Each record shape
 template per variant, built from its fields: a field that many rows share,
 such as a level's channel, kind and degenerate word or a trace point's
 trajectory, is written into its variant's templates, so a row formats only
-its numbers.  A command passes plain tuples, and the lines are written one
-by one as they are rendered.
+its numbers.  A command passes its rows as columns, the lists that
+``tolist`` makes, and each table is written in blocks of whole lines, with
+one ``%`` and one write per block.
 
 Exit codes: 0 for success, 2 for invalid parameters (including config/flag
 parse problems), 3 for solver failures (a request too large for memory
@@ -33,7 +34,7 @@ import io
 import math
 import os
 import sys
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -81,7 +82,8 @@ class _Shape:
     The CSV row puts each field under its column of ``columns`` (the keys
     themselves by default) unquoted, with a blank for ``null`` and for the
     columns the shape leaves out.  Both templates take one tuple of the
-    non-constant field values, in order.
+    non-constant field values, in order; a template repeated n times takes
+    n rows' values end to end.
     """
 
     def __init__(self, fields: dict[str, str], columns: Sequence[str] | None = None):
@@ -132,26 +134,51 @@ _COMPARE = _Shape(
 )
 
 
-def _write(out: IO[str], fmt: str, *parts: tuple[_Shape | tuple[_Shape, ...], Iterable]) -> None:
-    """Write (shape, rows) parts as one table; in CSV the first shape's header leads.
+# Lines per write.  A block is written whole, so every write ends a line;
+# its values are gathered per block, so memory stays bounded at -n in the
+# millions; and a long table takes many writes, so a reader that closes the
+# pipe fails a later one (exit 141).
+_BLOCK = 256
 
-    A part's shape may be a tuple of variants of one shape instead; each of
-    its rows is then (code, values), rendered by the variant at code.  The
-    lines go out one by one through ``writelines``, so a reader that closes
-    the pipe fails the next write.  One large write can instead end in a
-    partial count that drops the error.
+
+def _write(out: IO[str], fmt: str, *parts: tuple[_Shape | tuple[_Shape, ...], list | tuple]) -> None:
+    """Write (shape, values) parts as one table; in CSV the first shape's header leads.
+
+    A part's values are its rows' columns, in a list, each column a sequence
+    of one field's values; or, for a part of one row, that row's values in a
+    tuple, a line already in order.  A part's shape may be a tuple of
+    variants of one shape instead; its first column then holds each row's
+    code, and the row is rendered by the variant at that code.  A part is
+    written in blocks of at most _BLOCK lines.  A block's template is the
+    shape's template repeated, or its rows' variant templates joined in
+    order; its values are the columns' slices interleaved row by row, and
+    it takes one ``%`` and one write.  So every write is whole lines, the
+    values held at once stay bounded by the block however long the table,
+    and a long table takes many writes, of which a reader that closes the
+    pipe fails a later one.
     """
     csv = fmt == "csv"
     if csv:
         first = parts[0][0]
         out.write((first if isinstance(first, _Shape) else first[0]).header)
-    for shape, rows in parts:
+    for shape, values in parts:
+        if isinstance(values, tuple):
+            out.write((shape.csv if csv else shape.json) % values)
+            continue
         if isinstance(shape, _Shape):
-            template = shape.csv if csv else shape.json
-            out.writelines(template % row for row in rows)
+            template, codes = shape.csv if csv else shape.json, None
         else:
             templates = [variant.csv if csv else variant.json for variant in shape]
-            out.writelines(templates[code] % row for code, row in rows)
+            codes, *values = values
+        width, n = len(values), len(values[0])
+        for lo in range(0, n, _BLOCK):
+            columns = values if n <= _BLOCK else [column[lo:lo + _BLOCK] for column in values]
+            block = [None] * (width * len(columns[0]))
+            for j, column in enumerate(columns):
+                block[j::width] = column
+            lines = template * len(columns[0]) if codes is None else "".join(
+                [templates[code] for code in codes[lo:lo + _BLOCK]])
+            out.write(lines % tuple(block))
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -265,11 +292,8 @@ def _cmd_spectrum(args: argparse.Namespace, out: IO[str]) -> int:
         if solver != SOLVER_DETERMINANT:
             raise ValueError(f"--k-max is a ceiling on the det search; the {solver} solver takes none")
     spec = _solve(bc, solver, args.levels, args.n_interior, k_max)
-    rows = zip(
-        _level_codes(spec).tolist(),
-        zip(spec.index.tolist(), spec.k_or_kappa.tolist(), spec.E.tolist()),
-    )
-    _write(out, args.format, (_LEVELS, rows))
+    columns = [spec.index.tolist(), spec.k_or_kappa.tolist(), spec.E.tolist()]
+    _write(out, args.format, (_LEVELS, [_level_codes(spec).tolist(), *columns]))
     return 0
 
 
@@ -302,16 +326,16 @@ def _cmd_eigenfunction(args: argparse.Namespace, out: IO[str]) -> int:
     grid = np.concatenate([left, right])
     values = sample_eigenfunction(f, grid)
 
-    rows = zip(grid.tolist(), values.real.tolist(), values.imag.tolist())
+    columns = [grid.tolist(), values.real.tolist(), values.imag.tolist()]
     if args.format == "csv":
-        _write(out, args.format, (_SAMPLE, rows))
+        _write(out, args.format, (_SAMPLE, columns))
         return 0
     v = f.boundary_vectors()
     meta = (
         level.index, level.channel, level.kind, level.k_or_kappa, level.E,
         _WORD[f.degenerate], boundary_residual(bc, v), current_mismatch(v),
     )
-    _write(out, args.format, (_EIGEN_META, [meta]), (_SAMPLE, rows))
+    _write(out, args.format, (_EIGEN_META, meta), (_SAMPLE, columns))
     return 0
 
 
@@ -335,7 +359,7 @@ def _cmd_isospectral(args: argparse.Namespace, out: IO[str]) -> int:
         report.base_params.xi, report.base_params.rho, report.n_levels_checked,
         report.solver_used, len(grid), report.max_level_deviation, *report.worst_point,
     )
-    _write(out, args.format, (_ISO, [record]))
+    _write(out, args.format, (_ISO, record))
     return 0
 
 
@@ -362,27 +386,28 @@ def _cmd_trace(args: argparse.Namespace, out: IO[str]) -> int:
     parts = []
     for i, tr in enumerate(trajectories):
         header = (i, tr.channel, tr.start_index, tr.end_index, _WORD[tr.floored_out])
-        parts.append((_TRAJECTORY, [header]))
+        parts.append((_TRAJECTORY, header))
         parts.append(_trajectory_points(i, tr.E_values, t_text))
-    parts.append((_SUMMARY, [(s_plus, s_minus)]))
+    parts.append((_SUMMARY, (s_plus, s_minus)))
     _write(out, args.format, *parts)
     return 0
 
 
-def _trajectory_points(i: int, E: np.ndarray, t_text: list[str]) -> tuple[_Shape, Iterable]:
-    """The (shape, rows) part of trajectory i's points: its _POINT variant and its (t, E) rows.
+def _trajectory_points(i: int, E: np.ndarray, t_text: list[str]) -> tuple[_Shape, list]:
+    """The (shape, columns) part of trajectory i's points: its _POINT variant and its t and E.
 
     The variant has i written in; where every E is the same double, bit for
-    bit (so -0.0 is not 0.0), it has that E written in too, and a row is (t,).
+    bit (so -0.0 is not 0.0), it has that E written in too, and t is the one
+    column.
     """
     fields = {**_POINT.fields, "trajectory": str(i)}
+    columns = [t_text[:E.size]]
     bits = E.view(np.int64)
     if (bits == bits[0]).all():
         fields["E"] = _G % E[0].item()
-        rows = zip(t_text[:E.size])
     else:
-        rows = zip(t_text, E.tolist())
-    return _Shape(fields, _TRACE_COLUMNS), rows
+        columns.append(E.tolist())
+    return _Shape(fields, _TRACE_COLUMNS), columns
 
 
 def _cmd_oracle_compare(args: argparse.Namespace, out: IO[str]) -> int:
@@ -395,14 +420,13 @@ def _cmd_oracle_compare(args: argparse.Namespace, out: IO[str]) -> int:
     e_det = det_spectrum(bc, n).E.tolist()
     e_fd = fd_spectrum(bc, n, n_interior=args.n_interior).E.tolist()
 
-    ok = True
-    rows = []
-    for i in range(n):
-        delta_det = abs(e_channel[i] - e_det[i])
-        delta_fd = abs(e_channel[i] - e_fd[i]) / (1.0 + abs(e_channel[i]))
-        ok = ok and delta_det <= tol_det and delta_fd <= tol_fd
-        rows.append((i, e_channel[i], e_det[i], e_fd[i], delta_det, delta_fd))
-    _write(out, args.format, (_COMPARE, rows))
+    ok, delta_det, delta_fd = True, [], []
+    for c, d, f in zip(e_channel, e_det, e_fd):
+        dd, df = abs(c - d), abs(c - f) / (1.0 + abs(c))
+        ok = ok and dd <= tol_det and df <= tol_fd
+        delta_det.append(dd)
+        delta_fd.append(df)
+    _write(out, args.format, (_COMPARE, [range(n), e_channel, e_det, e_fd, delta_det, delta_fd]))
     return 0 if ok else 1
 
 

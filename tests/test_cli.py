@@ -563,10 +563,21 @@ PINNED_STDOUT_SHA256 = [
 ]
 
 
+def _at_block_sizes(cases, ids):
+    # Each case at the writer's own block size, under its own id, and at
+    # blocks of 1 and 7 lines: the bytes must not depend on where blocks end.
+    return [
+        pytest.param(*case, block, id=name if block == cli._BLOCK else f"{name}-block-{block}")
+        for case, name in zip(cases, ids) for block in (cli._BLOCK, 1, 7)
+    ]
+
+
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_STDOUT_SHA256, ids=["trace-1-0-bound", "trace-0-0", "iso", "iso-bound"]
+    "argv, digest, block",
+    _at_block_sizes(PINNED_STDOUT_SHA256, ["trace-1-0-bound", "trace-0-0", "iso", "iso-bound"]),
 )
-def test_geometry_stdout_is_pinned(capsys, argv, digest):
+def test_geometry_stdout_is_pinned(capsys, monkeypatch, argv, digest, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -593,9 +604,11 @@ PINNED_LADDER_SHA256 = [
 
 
 @pytest.mark.parametrize(
-    "argv, digest", PINNED_LADDER_SHA256, ids=["generic-2000", "threshold-512", "rho0-64"]
+    "argv, digest, block",
+    _at_block_sizes(PINNED_LADDER_SHA256, ["generic-2000", "threshold-512", "rho0-64"]),
 )
-def test_ladder_stdout_is_pinned(capsys, argv, digest):
+def test_ladder_stdout_is_pinned(capsys, monkeypatch, argv, digest, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
     code, out, _ = _run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -730,18 +743,18 @@ PINNED_OUTPUT_SHA256 = [
 
 
 @pytest.mark.parametrize(
-    "argv, code, digest",
-    PINNED_OUTPUT_SHA256,
-    ids=[
+    "argv, code, digest, block",
+    _at_block_sizes(PINNED_OUTPUT_SHA256, [
         "spectrum-csv", "spectrum-csv-degenerate", "spectrum-det-degenerate", "spectrum-fd",
         "spectrum-fd-csv", "eigenfunction", "eigenfunction-degenerate", "eigenfunction-csv",
         "trace-csv", "trace-floored", "trace-floored-csv", "trace-floored-first",
         "trace-floored-first-csv", "trace-two-moving", "trace-two-moving-csv",
         "trace-two-moving-reversed", "iso-csv", "compare-pass",
         "compare-fail", "compare-fail-csv",
-    ],
+    ]),
 )
-def test_output_is_pinned(capsys, argv, code, digest):
+def test_output_is_pinned(capsys, monkeypatch, argv, code, digest, block):
+    monkeypatch.setattr(cli, "_BLOCK", block)
     got, out, _ = _run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -1007,7 +1020,10 @@ def _trajectories(draw):
     return out
 
 
-@given(_spectra(), _trajectories(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+@given(
+    _spectra(), _trajectories(), st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.integers(1, 5),
+)
 @example(
     Spectrum(np.array([-0.0, 0.0, 5e-324, -5e-324, math.nan, -math.inf]), np.zeros(6), None,
              np.arange(6), np.array([1, 0, -1, -1, 7, -1])),
@@ -1015,12 +1031,16 @@ def _trajectories(draw):
      LevelTrajectory(np.array([0.0]), np.array([-2.5e3]), 1, -1, "minus", True),
      LevelTrajectory(np.array([0.0, 0.5]), np.array([0.0, -0.0]), 1, -1, "plus", True)],
     (0, 0),
+    2,
 )
-def test_rows_render_as_field_by_field_through_the_base_shapes(spec, trajectories, shifts):
+def test_rows_render_as_field_by_field_through_the_base_shapes(spec, trajectories, shifts, block):
     # The variants write in what rows share; the lines are those of the
-    # base shapes _LEVEL and _POINT filled in field by field.
+    # base shapes _LEVEL and _POINT filled in field by field, whatever the
+    # block size, so blocks end inside a table and variants change inside
+    # a block and at its edge.
     assert _old_kind(spec.E).tolist() == spec.kind.tolist()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BLOCK", block)
         mp.setattr(cli, "_solve", lambda *args: spec)
         mp.setattr(cli, "trace_path", lambda path: trajectories)
         mp.setattr(cli, "trajectory_shifts", lambda trs, winding: shifts)
@@ -1386,6 +1406,34 @@ def test_python_dash_m_runs_main(capsys):
     assert proc.returncode == code == 0
     assert proc.stdout == out
     assert _python("-m", "defectline", "spectrum", "-n", "0").returncode == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv",
+    [("spectrum", "--xi", "2", "--rho", "0.9", "-n", "2000"),
+     ("trace", "--xi", "2.2", "--rho", "0.8", "--w-plus", "1", "--steps", "512")],
+    ids=["spectrum-2000", "trace-512"],
+)
+def test_every_write_is_a_block_of_whole_lines(argv, fmt):
+    # A reader of the pipe never sees part of a line, and no write holds
+    # more than one block however long the table.
+    writes = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    with contextlib.redirect_stdout(Recorder()) as out:
+        assert main([*argv, "--format", fmt]) == 0
+    assert "".join(writes) == out.getvalue()
+    if fmt == "csv":
+        assert writes.pop(0).count("\n") == 1
+    lines = [text.count("\n") for text in writes]
+    assert all(text.endswith("\n") for text in writes)
+    assert max(lines) == cli._BLOCK and sum(lines) > 4 * cli._BLOCK
+    assert len(writes) < sum(lines) / 16
 
 
 def test_closed_stdout_exits_141_without_a_traceback():
