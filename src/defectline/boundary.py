@@ -25,13 +25,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotAnEigenvalue, NotUnitary, OutOfDomain, SolverError
 from .levels import _EPS, CHANNEL_MINUS, KIND_BOUND, KIND_POSITIVE, KIND_ZERO, EigenLevel, _box
-from .unitary import INPUT_TOL, UnitaryParams, frame_matrix, is_unitary, matrix_to_params
+from .unitary import UnitaryParams, frame_matrix, is_unitary, matrix_to_params
 
 __all__ = [
     "BoundaryCondition",
@@ -62,7 +62,7 @@ class BoundaryCondition:
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=complex)
-        if not is_unitary(u, INPUT_TOL):
+        if not is_unitary(u):
             raise NotUnitary("defect matrix is not unitary within 1e-10")
         l, L0 = _box(self.l, self.L0)
         u = u.copy()
@@ -264,15 +264,7 @@ def reflect(f: Eigenfunction) -> Eigenfunction:
     and negates the two amplitudes.  If f solves the system with matrix U, the
     result solves the system with sigma1 U sigma1 at the same energy.
     """
-    return Eigenfunction(
-        kind=f.kind,
-        k=f.k,
-        l=f.l,
-        ampL=-f.ampR,
-        ampR=-f.ampL,
-        norm=f.norm,
-        degenerate=f.degenerate,
-    )
+    return replace(f, ampL=-f.ampR, ampR=-f.ampL)
 
 
 def _profile(kind: str, k: float, arg: np.ndarray) -> np.ndarray:

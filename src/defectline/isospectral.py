@@ -191,7 +191,7 @@ def check_isospectral(
     members = isospectral_family(d_params, grid)
     solved: dict[bytes, np.ndarray] = {}
     base = _energies(members[0], solved, solver, n_levels, l, L0, n_interior)
-    scale = 1.0 + np.abs(base) if solver == SOLVER_FD else np.ones_like(base)
+    scale = 1.0 + np.abs(base) if solver == SOLVER_FD else 1.0
 
     worst = -1.0
     worst_point = (0.0, 0.0)

@@ -20,8 +20,10 @@ k = 0 (_Projection); FD takes them from the discrete wave that solves its
 stencil.  Each keeps its own wave, Newton's method and rounding bound, and
 no eigenvalue solver runs.  Brent refines on the raw form; the walk
 decides on the read: the wave, _Form.__call__ and the rounding bound.  The
-raw g, the one function Brent's method calls once per step, carries the
-wave's and the form's operations inline, so it returns the read's double.
+raw g, the one function Brent's method calls once per step, is
+_Form.raw(wave): the solver's own wave and the form's operations in
+__call__'s order, so it returns the read's double.  Each wave is written
+once, and the form's arithmetic only in _Form.
 Both read U only through the form's t, d4 and phase (_reads), and det also
 through g at the floor: _key and _Projection.key name that as one value,
 so boxes of one l and L0 whose values are equal pose one problem.
@@ -137,12 +139,29 @@ class _Form:
         return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
     def __call__(self, sigma: float, tau: float) -> tuple[complex, complex, complex, float]:
-        """(alpha, w, z, g) at (sigma, tau), z = det N: both reads call it, and each
-        raw g carries its operations inline, in this order, for the same double."""
+        """(alpha, w, z, g) at (sigma, tau), z = det N: what both reads need.
+        raw repeats these operations, in this order, for the same double."""
         alpha = complex(sigma, self.L0 * tau)
         w = alpha.conjugate() - alpha * self.t
         z = w * w - alpha * alpha * self.d4
         return alpha, w, z, self._real(z)
+
+    def raw(self, wave):
+        """g at x from wave(x) = (sigma, tau), raw: the function Brent's method calls.
+
+        It binds the form's constants once and returns __call__'s g, by the
+        same operations; it does not call __call__, which would cost a call
+        and a 4-tuple per step.
+        """
+        L0, t, d4, re, im = self.L0, self.t, self.d4, self.phase.real, self.phase.imag
+
+        def g(x: float) -> float:
+            sigma, tau = wave(x)
+            alpha = complex(sigma, L0 * tau)
+            w = alpha.conjugate() - alpha * t
+            z = w * w - alpha * alpha * d4
+            return -(z.real * re + z.imag * im)
+        return g
 
     def directions(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """(cos, sin) of q's vertex and end directions, each with cos >= 0.
@@ -187,27 +206,13 @@ class _Projection(_Form):
         return _key(self.t, self.d4, self.phase) + struct.pack("d", self.start[1])
 
     def _wave(self, y: float) -> tuple[float, float]:
-        # (sigma, tau) at the signed wavenumber y; g carries it inline.
+        # (sigma, tau) at the signed wavenumber y: the wave of both g and read.
         x = y * self.l
         if y > 0.0:
             return math.sin(x) / y, math.cos(x)
         if y < 0.0:
             return self.l * (math.tanh(-x) / -x), 1.0
         return self.l, 1.0
-
-    def g(self, y: float) -> float:
-        """g at the signed wavenumber y, raw: _wave and the form's arithmetic, inline."""
-        x = y * self.l
-        if y > 0.0:
-            sigma, tau = math.sin(x) / y, math.cos(x)
-        elif y < 0.0:
-            sigma, tau = self.l * (math.tanh(-x) / -x), 1.0
-        else:
-            sigma, tau = self.l, 1.0
-        alpha = complex(sigma, self.L0 * tau)
-        w = alpha.conjugate() - alpha * self.t
-        z = w * w - alpha * alpha * self.d4
-        return -(z.real * self.phase.real + z.imag * self.phase.imag)
 
     def read(self, y: float) -> float:
         """g(y) as the walk's decisions read it: 0 where it lies within its rounding bound.
@@ -484,7 +489,7 @@ def det_spectrum(bc: BoundaryCondition | _Projection, n: int, k_max: float | Non
         _check_positive("k_max", k_max)
     proj = bc if isinstance(bc, _Projection) else _Projection(bc)
     knots = _knots(proj.ends(), proj, proj.read, functools.partial(_knot, proj.l), proj._wave)
-    roots = _roots(knots, proj.start, proj.end_sign, proj.read(0.0), proj.g, n,
+    roots = _roots(knots, proj.start, proj.end_sign, proj.read(0.0), proj.raw(proj._wave), n,
                    math.inf if k_max is None else k_max, lambda y, lo: _may_pair(_energy(y), _energy(lo)))
     if len(roots) < n:
         raise ScanExhausted(f"found {len(roots)} levels below k_max={k_max!r}, needed {n}")
@@ -610,26 +615,9 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
     # every value Brent's method meets is of order one at any box size.
     form = _Form(bc.u, bc.L0 / l, 1.0)
 
-    n2, two_n = n_interior * n_interior, 2.0 * n_interior
-    L0, t, d4, phase = form.L0, form.t, form.d4, form.phase
-    abs_t, abs_d4 = abs(t), abs(d4)
-
-    def g(e: float) -> float:
-        """g at E l^2 = e, raw: _fd_wave and the form's arithmetic inline, in their order."""
-        x = 0.5 * math.sqrt(abs(e)) / n_interior
-        if e >= 0.0:
-            q = two_n * math.asin(x)
-            s0, c0, sh = math.sin(q), math.cos(q), 2.0 * x * math.sqrt(1.0 - x * x)
-        else:
-            q = two_n * math.asinh(x)
-            s0, c0, sh = math.tanh(q), 1.0, 2.0 * x * math.sqrt(1.0 + x * x)
-        c = 0.5 * e / n2
-        sigma = s0 / q if q else 1.0
-        tau = n_interior * (c * c * sigma + (sh / q if q else 1.0 / n_interior) * (1.0 + c) * c0)
-        alpha = complex(sigma, L0 * tau)
-        w = alpha.conjugate() - alpha * t
-        z = w * w - alpha * alpha * d4
-        return -(z.real * phase.real + z.imag * phase.imag)
+    n2, L0 = n_interior * n_interior, form.L0
+    abs_t, abs_d4 = abs(form.t), abs(form.d4)
+    wave = functools.partial(_fd_wave, n_interior)
 
     def read(e: float) -> float:
         """g at E l^2 = e as the walk reads it: 0 where it lies within its rounding bound.
@@ -642,7 +630,7 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         2 |alpha| |d4| da, and w^2, alpha^2 d4 and the projection each round
         by about eps times the sizes of their terms.
         """
-        alpha, w, z, value = form(*_fd_wave(n_interior, e))
+        alpha, w, z, value = form(*wave(e))
         a, b, x, c = abs(alpha), abs(w), 1.0 + math.sqrt(abs(e)), 0.5 * abs(e) / n2
         d_tau = 4.0 * _EPS * x * (1.0 + c + c * c * n_interior)
         da = 2.0 * _EPS * x + L0 * d_tau
@@ -652,9 +640,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         return 0.0 if abs(value) <= bound else value
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
-    knots = _knots(_fd_ends(n_interior, floor), form, read,
-                   functools.partial(_fd_knot, n_interior), functools.partial(_fd_wave, n_interior))
-    roots = _roots(knots, (floor, read(floor)), form.end_sign, read(0.0), g, n)
+    knots = _knots(_fd_ends(n_interior, floor), form, read, functools.partial(_fd_knot, n_interior), wave)
+    roots = _roots(knots, (floor, read(floor)), form.end_sign, read(0.0), form.raw(wave), n)
     if len(roots) < n:
         raise EigenSolverFailure(
             f"only {len(roots)} levels lie below the band edge at n_interior={n_interior}, needed {n}"

@@ -459,17 +459,16 @@ def _ladder_start(s2: float, c2: float, l: float, L0: float) -> tuple[float, boo
     return None
 
 
-def solve_channel(ch: Channel, n: int, tag: str | None = None) -> Spectrum:
+def solve_channel(ch: Channel, n: int) -> Spectrum:
     """The lowest n levels of one channel, ascending in E.
 
     Comprises at most one bound level, a zero-energy level exactly at the
     threshold T = 0, and positive roots of F refined to |dk| <= 1e-12 (1 + k).
-    ``tag`` is recorded in the channel column, which is None without it; a
-    channel never repeats a level, so no level has a partner.
+    The channel column is None; a channel never repeats a level, so no
+    level has a partner.
     """
     rows = solve_channels([ch.theta], n, ch.l, ch.L0)
-    channel = None if tag is None else np.full(n, tag)
-    return Spectrum(rows.E[0], rows.k_or_kappa[0], channel, np.arange(n), np.full(n, -1))
+    return Spectrum(rows.E[0], rows.k_or_kappa[0], None, np.arange(n), np.full(n, -1))
 
 
 @dataclass(frozen=True)
@@ -603,12 +602,16 @@ def solve_channels(thetas, n, l: float = 1.0, L0: float = 1.0, from_label=None) 
     return ChannelRows(E=E, k_or_kappa=k_or_kappa, label=m0 - first)
 
 
-def _ladders_in_floats(halves, starts, depth: int, l: float, L0: float) -> tuple[list, list]:
+def _ladders_in_floats(thetas, depth: int, l: float, L0: float) -> tuple[list, list]:
     """(k_or_kappa, E) of both ladders to ``depth``, plus then minus, in Python floats.
 
-    solve_channels' steps after ``starts`` (_ladder_start), in its order, so the
-    same doubles and errors come out: _grid_step, _scan_floats and the E checks.
+    solve_channels' steps, in its order, so the same doubles and errors come
+    out: the half-angles, _ladder_start, _grid_step, _scan_floats and the E
+    checks.
     """
+    # math's sin and cos give numpy's doubles here, as in solve_channels.
+    halves = [_half_angle(theta % (2.0 * math.pi)) for theta in thetas]
+    starts = [_ladder_start(s, c, l, L0) for s, c in halves]
     heads = [[] if start is None else [start[0]] for start in starts]
     batch = [(m, s, c) for (s, c), head in zip(halves, heads) for m in range(1, depth + 1 - len(head))]
     m, s2, c2 = zip(*batch)
@@ -647,20 +650,18 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     ValueError where n is not an integer of at least 1.
 
     The merge is a stable sort of both ladders on (E, channel), plus first
-    where energies tie.  A batch of fewer than _ARRAY_SCAN_MIN roots is set
-    up and sorted in Python floats (_ladders_in_floats), with numpy columns
-    built once, for the record; a longer one is a solve_channels call and an
-    array sort, with the same doubles and errors.
+    where energies tie.  The depth alone picks the path: where both ladders
+    hold fewer than _ARRAY_SCAN_MIN levels together, 2 depth, they are set
+    up, searched and sorted in Python floats (_ladders_in_floats), with
+    numpy columns built once, for the record; deeper ones are a
+    solve_channels call and an array sort, with the same doubles and errors.
     """
     n = _count("n", n, 1)
     p, l, L0 = bc.params, bc.l, bc.L0
     depth = min(n + 1, (n + 1) // 2 + 2)
     thetas = [p.theta_plus, p.theta_minus]
-    # math's sin and cos give numpy's doubles here, as in solve_channels.
-    halves = [_half_angle(theta % (2.0 * math.pi)) for theta in thetas]
-    starts = [_ladder_start(s, c, l, L0) for s, c in halves]
-    if 2 * depth - sum(start is not None for start in starts) < _ARRAY_SCAN_MIN:
-        k, E = _ladders_in_floats(halves, starts, depth, l, L0)
+    if 2 * depth < _ARRAY_SCAN_MIN:
+        k, E = _ladders_in_floats(thetas, depth, l, L0)
         order = sorted(range(2 * depth), key=E.__getitem__)[:n + 1]
     else:
         rows = solve_channels(thetas, depth, l, L0)

@@ -133,7 +133,7 @@ def matrix_to_params(u: np.ndarray) -> UnitaryParams:
     mu = nu = 0.  Raises NotUnitary if ``u`` is not unitary to 1e-10.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, INPUT_TOL):
+    if not is_unitary(u):
         raise NotUnitary("matrix is not unitary within 1e-10")
 
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
@@ -187,7 +187,7 @@ def parity_conjugate(u: np.ndarray, direction) -> np.ndarray:
     the spectrum of the original boundary condition.
     """
     u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, INPUT_TOL):
+    if not is_unitary(u):
         raise NotUnitary("matrix is not unitary within 1e-10")
     c = np.asarray(direction, dtype=float)
     if c.shape != (3,) or not np.all(np.isfinite(c)):

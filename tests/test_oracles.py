@@ -422,15 +422,19 @@ def test_det_bound_levels_match_the_referee(bc):
 
 def test_det_spectrum_of_a_defect_without_bound_levels_scans_no_bound_grid(monkeypatch):
     # g at the floor and at a knot below E = 0, if a direction has one
-    # there: at most three evaluations of g below E = 0 decide.
+    # there: at most three evaluations of the raw g below E = 0 decide.
     calls = []
-    g = oracles._Projection.g
+    raw = oracles._Form.raw
 
-    def counting(proj, y):
-        calls.append(y)
-        return g(proj, y)
+    def counting(form, wave):
+        g = raw(form, wave)
 
-    monkeypatch.setattr(oracles._Projection, "g", counting)
+        def counted(y):
+            calls.append(y)
+            return g(y)
+        return counted
+
+    monkeypatch.setattr(oracles._Form, "raw", counting)
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(2.2, 0.8, 0.7, 4.1)))
     assert "bound" not in solve_spectrum(bc, 6).kind
     assert _det_vs_channel(bc, 6) <= 1e-9
@@ -478,9 +482,9 @@ def _form_steps(node, scope=()) -> list[str]:
 def test_det_and_fd_share_one_form_and_one_turn_rule():
     # One class sets the form's coefficients and owns its direction rule,
     # one function returns turn brackets, and one walk calls it: _roots,
-    # which det and FD both call.  The form's arithmetic exists in the form's
-    # own call and in one inline kernel per solver, the g Brent's method
-    # calls; each read calls the form.
+    # which det and FD both call.  The form's arithmetic exists only in the
+    # form's own call, which each read calls, and in the raw g it returns
+    # for Brent's method on either solver's wave.
     tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
     forms, turns, callers, methods = [], [], {}, {}
     for node in ast.walk(tree):
@@ -503,7 +507,7 @@ def test_det_and_fd_share_one_form_and_one_turn_rule():
     assert turns == ["_turn"]
     assert [name for name, called in callers.items() if "_turn" in called] == ["_roots"]
     assert "_roots" in callers["det_spectrum"] and "_roots" in callers["fd_spectrum"]
-    assert sorted(_form_steps(tree)) == ["_Form.__call__", "_Projection.g", "fd_spectrum.g"]
+    assert sorted(_form_steps(tree)) == ["_Form.__call__", "_Form.raw.g"]
 
 
 def test_det_and_fd_place_every_knot_by_one_rule():
@@ -598,12 +602,12 @@ def _det_read_reference(proj, y: float) -> float:
     st.integers(0, 2**32 - 1),
 )
 def test_the_inline_kernels_are_the_form_bit_for_bit(angles, l, L0, x, e, n_int, seed):
-    # det's g and FD's g, the functions Brent's method calls, evaluate their
-    # wave and the form inline; each must return the double the form's own
-    # call gives, so the copies cannot drift from _Form.  Each read, the
-    # wave, the form's call and a rounding bound, must match its reference.
-    # Each runs at the drawn point and at 32 more from the seed, x = y l and
-    # e across E = 0.
+    # det's g and FD's g, the functions Brent's method calls, are the form's
+    # raw kernel on each solver's wave; each must return the double the
+    # form's own call gives at that wave, so the kernel cannot drift from
+    # _Form.__call__.  Each read, the wave, the form's call and a rounding
+    # bound, must match its reference.  Each runs at the drawn point and at
+    # 32 more from the seed, x = y l and e across E = 0.
     bc = BoundaryCondition(params_to_matrix(UnitaryParams(*angles)), l, L0)
     rng = np.random.default_rng(seed)
     proj = oracles._Projection(bc)
@@ -612,10 +616,11 @@ def test_the_inline_kernels_are_the_form_bit_for_bit(angles, l, L0, x, e, n_int,
     near = 2.0 ** np.arange(-52.0, -20.0, 2.0)
     spec = det_spectrum(bc, 3)
     roots = np.copysign(spec.k_or_kappa, spec.E)
+    g = proj.raw(proj._wave)
     for y in [x / l, *rng.uniform(-60.0, 300.0, 32) / l, *np.outer(roots, 1.0 + near).ravel(),
               *np.outer(roots, 1.0 - near).ravel()]:
         y = float(y)
-        assert proj.g(y).hex() == oracles._Form.__call__(proj, *proj._wave(y))[3].hex()
+        assert g(y).hex() == oracles._Form.__call__(proj, *proj._wave(y))[3].hex()
         assert proj.read(y).hex() == _det_read_reference(proj, y).hex()
     captured, roots_, knots_ = {}, oracles._roots, oracles._knots
 

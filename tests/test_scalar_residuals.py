@@ -408,8 +408,9 @@ def test_solve_spectrum_equals_the_full_depth_merge(bc, n):
     # Pairs are decided one level past the cut, so the n-th level may name a
     # partner that is not among the n levels returned.
     p = matrix_to_params(bc.u)
-    full = list(solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n + 1, "plus").levels)
-    full += solve_channel(Channel(p.theta_minus, bc.l, bc.L0), n + 1, "minus").levels
+    full = [replace(lv, channel=name)
+            for theta, name in ((p.theta_plus, "plus"), (p.theta_minus, "minus"))
+            for lv in solve_channel(Channel(theta, bc.l, bc.L0), n + 1).levels]
     full.sort(key=lambda lv: (lv.E, lv.channel != "plus"))
     assert solve_spectrum(bc, n).levels == tuple(flag_degenerate(full[:n + 1])[:n])
 
@@ -439,7 +440,7 @@ def test_every_solver_returns_one_level_record(bc, n):
     p = matrix_to_params(bc.u)
     spectra = {
         "channel": solve_spectrum(bc, n),
-        "one channel": solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n, "plus"),
+        "one channel": solve_channel(Channel(p.theta_plus, bc.l, bc.L0), n),
         "det": det_spectrum(bc, n),
         "fd": fd_spectrum(bc, n, n_interior=64),
     }
@@ -450,8 +451,7 @@ def test_every_solver_returns_one_level_record(bc, n):
         sign = np.where(E < 0.0, "bound", np.where(E > 0.0, "positive", "zero"))
         assert spec.kind.tolist() == sign.tolist(), name
         assert (np.abs(spec.k_or_kappa**2 - np.abs(E)) <= 4.0 * np.spacing(np.abs(E))).all(), name
-    assert spectra["one channel"].channel.tolist() == ["plus"] * n
-    assert spectra["det"].channel is None and spectra["fd"].channel is None
+    assert all(spectra[name].channel is None for name in ("one channel", "det", "fd"))
     assert (spectra["fd"].partner == -1).all()
     unpaired = [replace(lv, degenerate_with=None) for lv in det_spectrum(bc, n + 1).levels]
     assert spectra["det"].levels == tuple(flag_degenerate(unpaired)[:n])

@@ -532,8 +532,6 @@ def test_label_window_needs_one_label_per_eigenphase():
 
 
 def test_channel_tag_passthrough():
-    levels = solve_channel(Channel(0.7), 3, tag="plus").levels
-    assert all(lv.channel == "plus" for lv in levels)
     untagged = solve_channel(Channel(0.7), 3).levels
     assert all(lv.channel is None for lv in untagged)
 
@@ -785,6 +783,24 @@ def _edge_boxes(draw):
     return theta - rho, rho, l, L0
 
 
+def test_solve_spectrum_starts_each_ladder_once(monkeypatch):
+    # Each channel's ladder start is solved once per solve_spectrum, on the
+    # short path in Python floats and on the long one through solve_channels.
+    calls = []
+    start = spectrum._ladder_start
+
+    def counting(*args):
+        calls.append(args)
+        return start(*args)
+
+    monkeypatch.setattr(spectrum, "_ladder_start", counting)
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(1.1, 0.7, 0.3, 2.0)))
+    for n in (6, 200):
+        calls.clear()
+        assert len(solve_spectrum(bc, n).E) == n
+        assert len(calls) == 2
+
+
 def _solved_by_each_size_rule(xi, rho, l, L0, n):
     # solve_spectrum's columns as bytes, or its error's type and text,
     # with every batch on numpy arrays and with every batch in Python floats.
@@ -803,12 +819,14 @@ def _solved_by_each_size_rule(xi, rho, l, L0, n):
     return outcomes
 
 
-@given(_edge_boxes(), st.integers(1, 40))
+@given(_edge_boxes(), st.integers(1, 60))
 def test_the_size_rule_selects_no_double_and_no_error(box, n):
     # _ARRAY_SCAN_MIN alone selects between the short path in Python floats
     # and solve_channels with its array search and merge: both give the
     # same doubles, channels, indices and partners, on boxes at every edge
-    # of the channel solver.
+    # of the channel solver.  n reaches past n = 47, where 2 depth reaches
+    # the default _ARRAY_SCAN_MIN and the default rule switches paths, so
+    # both paths are compared on either side of that switch.
     on_arrays, in_floats = _solved_by_each_size_rule(*box, n)
     assert on_arrays == in_floats
 
