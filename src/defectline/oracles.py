@@ -503,8 +503,8 @@ def det_spectrum(bc: BoundaryCondition | _Projection, n: int, k_max: float | Non
     return Spectrum(E[:n], np.abs(roots[:n]), None, index[:n], partner[:n])
 
 
-def _fd_wave(n: int, e: float) -> tuple[float, float]:
-    """(sigma, tau) of the discrete wave at E l^2 = e, in units of l.
+def _fd_wave(n: int):
+    """The discrete wave of n cells a half: e -> (sigma, tau) at E l^2 = e, in units of l.
 
     On each half the stencil with phi = 0 at the wall is solved by
     s_j = sin(q (l - j h)) at E = (2/h)^2 sin^2(q h / 2) >= 0, and by
@@ -515,18 +515,23 @@ def _fd_wave(n: int, e: float) -> tuple[float, float]:
     = h^2 E / 2 in both regimes (sinh and cosh below E = 0, both over
     cosh(kappa l), which keeps them of order one and moves no root).  In
     units of l, h = 1 / n.  Both are continuous at E = 0, where they are
-    (1, 1).
+    (1, 1).  The products 2 n and n^2 are exact, so they are bound once,
+    for every evaluation of one solve.
     """
-    x = 0.5 * math.sqrt(abs(e)) / n  # sin(q h / 2), or sinh(kappa h / 2)
-    if e >= 0.0:
-        q = 2.0 * n * math.asin(x)
-        s0, c0, sh = math.sin(q), math.cos(q), 2.0 * x * math.sqrt(1.0 - x * x)
-    else:
-        q = 2.0 * n * math.asinh(x)
-        s0, c0, sh = math.tanh(q), 1.0, 2.0 * x * math.sqrt(1.0 + x * x)
-    c = 0.5 * e / (n * n)
-    sigma = s0 / q if q else 1.0
-    return sigma, n * (c * c * sigma + (sh / q if q else 1.0 / n) * (1.0 + c) * c0)
+    two_n, n2 = 2.0 * n, n * n
+
+    def wave(e: float) -> tuple[float, float]:
+        x = 0.5 * math.sqrt(abs(e)) / n  # sin(q h / 2), or sinh(kappa h / 2)
+        if e >= 0.0:
+            q = two_n * math.asin(x)
+            s0, c0, sh = math.sin(q), math.cos(q), 2.0 * x * math.sqrt(1.0 - x * x)
+        else:
+            q = two_n * math.asinh(x)
+            s0, c0, sh = math.tanh(q), 1.0, 2.0 * x * math.sqrt(1.0 + x * x)
+        c = 0.5 * e / n2
+        sigma = s0 / q if q else 1.0
+        return sigma, n * (c * c * sigma + (sh / q if q else 1.0 / n) * (1.0 + c) * c0)
+    return wave
 
 
 def _fd_knot(n: int, m: int, c: float, s: float) -> float | None:
@@ -567,14 +572,15 @@ def _fd_knot(n: int, m: int, c: float, s: float) -> float | None:
     return None
 
 
-def _fd_ends(n: int, floor: float):
+def _fd_ends(n: int, floor: float, wave):
     """(E l^2, sigma, tau) where the wave is known in closed form, ascending (_knots).
 
-    They are the floor, E = 0 and the piece ends ql = m pi, 0 < m < n, where
-    sigma = 0 and tau = (-1)^m sin(qh) (1 + c) / (h q): the last piece, up
-    to the band edge q = pi / h, is not walked.
+    They are the floor, where ``wave`` gives them, E = 0 and the piece
+    ends ql = m pi, 0 < m < n, where sigma = 0 and
+    tau = (-1)^m sin(qh) (1 + c) / (h q): the last piece, up to the band
+    edge q = pi / h, is not walked.
     """
-    yield (floor, *_fd_wave(n, floor))
+    yield (floor, *wave(floor))
     yield 0.0, 1.0, 1.0
     for m in range(1, n):
         x = math.sin(0.5 * m * math.pi / n)  # sin(q h / 2)
@@ -617,7 +623,7 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
 
     n2, L0 = n_interior * n_interior, form.L0
     abs_t, abs_d4 = abs(form.t), abs(form.d4)
-    wave = functools.partial(_fd_wave, n_interior)
+    wave = _fd_wave(n_interior)
 
     def read(e: float) -> float:
         """g at E l^2 = e as the walk reads it: 0 where it lies within its rounding bound.
@@ -640,7 +646,8 @@ def fd_spectrum(bc: BoundaryCondition, n: int, n_interior: int = 256) -> FdSpect
         return 0.0 if abs(value) <= bound else value
 
     floor = -KAPPA_CEILING ** 2  # E l^2 at kappa l = KAPPA_CEILING
-    knots = _knots(_fd_ends(n_interior, floor), form, read, functools.partial(_fd_knot, n_interior), wave)
+    ends = _fd_ends(n_interior, floor, wave)
+    knots = _knots(ends, form, read, functools.partial(_fd_knot, n_interior), wave)
     roots = _roots(knots, (floor, read(floor)), form.end_sign, read(0.0), form.raw(wave), n)
     if len(roots) < n:
         raise EigenSolverFailure(

@@ -21,12 +21,19 @@ or x = kl, falling monotonically onto the root, with no bracket.
 
 Every other positive root lies alone on a half-branch of tan, named by its
 branch label m >= 1.  Three steps of the branch equation place it within
-one cell of the grid step * j from the centre of its half-branch, F/k at
-the 4 grid points around that estimate finds its cell, and Brent's
-method (levels._brentq, a port of scipy's brentq) refines it.  A batch
-of fewer than _ARRAY_SCAN_MIN roots takes each root's whole search in
-Python floats, a longer one every step on numpy arrays, with Brent over
-all brackets in lock step; both give the same doubles.  The search takes
+one cell of the grid step * j from the centre of its half-branch.  F/k
+at the two ends of the cell that holds that estimate finds the root's
+cell, and where F/k keeps its sign across it, at one neighbouring grid
+point on the side the signs point to: 2 evaluations for nearly every
+root, 3 at most.  The only sign change of F/k within 31 cells of the
+estimate is the root's: the channel's neighbouring roots lie at least
+pi / 2 in kl, 32 cells, from it, and the estimate within one cell.  So
+this is the cell that a count of signs at any grid points near the
+estimate finds.  Brent's method (levels._brentq, a port of scipy's
+brentq) refines it.  A batch of fewer than _ARRAY_SCAN_MIN levels takes
+each root's whole search in Python floats, a longer one every step on
+numpy arrays, with Brent over all brackets in lock step; both give the
+same doubles.  The search takes
 many channels of one box at once (solve_channels, one row per channel),
 and a single channel is its one-row case, so a batch returns the doubles
 of one solve per channel.
@@ -78,16 +85,18 @@ ZERO_LEVEL_TOL = 1e-12
 
 _NEWTON_MAXITER = 100
 
-# _scan_rows searches fewer roots than this one at a time in Python floats,
-# and this many or more as numpy arrays, with lock-step Brent: the measured
-# crossover.  A solve_channels call of one row of n roots at l = L0 = 1,
-# mean over 20 random channels on a 2-core Xeon (best of 15, the two
-# searches interleaved), took 0.52 / 0.62 / 0.66 / 0.69 / 0.80 ms in floats
-# and 0.63 / 0.66 / 0.66 / 0.65 / 0.68 ms as arrays at n = 40 / 48 / 52 /
-# 56 / 64.  solve_spectrum sets up and merges a batch this short in floats.
+# The size rule (_in_floats): a batch of fewer levels than this is searched
+# one root at a time in Python floats, and solve_spectrum also sets it up
+# and merges it in floats; a batch of this many or more is searched on numpy
+# arrays, with lock-step Brent.  It is the measured crossover: solve_spectrum
+# at l = L0 = 1, mean over 20 random defects on a 2-core Xeon (best of 25,
+# the two paths interleaved in one process), took 330 / 356 / 365 / 378 /
+# 407 / 484 us in floats and 365 / 377 / 370 / 369 / 373 / 381 us on arrays
+# at n = 40 / 44 / 46 / 48 / 52 / 64, that is at 2 depth = 44 / 48 / 50 /
+# 52 / 56 / 68 levels.
 _ARRAY_SCAN_MIN = 52
 
-# ScanExhausted's text where a probe count finds no cell with a sign change.
+# ScanExhausted's text where the cell rule finds no cell with a sign change.
 _UNWITNESSED = "F/k does not change sign in the window of every branch label"
 
 
@@ -169,7 +178,10 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
     the active set when it converges; f is evaluated on the active brackets
     only, as f(x, i) with i the indices of those brackets, so each bracket
     may carry its own function.  The state is the rows of one array, so one
-    index drops the converged brackets from all of them.
+    np.compress drops the converged brackets from all of them.  A step
+    where every active bracket has xpre == xblk, as the first always has,
+    takes the secant everywhere and skips the inverse quadratic pass, which
+    would be thrown away.
     """
     s = np.empty((12, len(xa)))
     s[0], s[1], s[3], s[4] = xa, xb, fa, fb
@@ -211,19 +223,21 @@ def _brentq_array(f, xa, xb, fa, fb) -> np.ndarray:
             if np.count_nonzero(done):
                 out[idx[done]] = xcur[done]
                 go = ~done
-                idx, s = idx[go], s[:, go]
+                idx, s = idx[go], np.compress(go, s, axis=1)
                 if idx.size == 0:
                     return out
                 xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, asbis, afcur = s
             dx = xcur - xpre
             df = fcur - fpre
             nf = -fcur
-            # (fpre - fcur) / (xpre - xcur) is df / dx: both negations are exact.
-            interpolate = nf * dx / df
-            dpre = df / dx
-            dblk = (fblk - fcur) / (xblk - xcur)
-            stry = nf * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            np.putmask(stry, xpre == xblk, interpolate)
+            stry = nf * dx / df  # interpolate
+            extrapolate = xpre != xblk
+            if np.count_nonzero(extrapolate):
+                # (fpre - fcur) / (xpre - xcur) is df / dx: both negations are exact.
+                dpre = df / dx
+                dblk = (fblk - fcur) / (xblk - xcur)
+                quadratic = nf * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                np.putmask(stry, extrapolate, quadratic)
             aspre = np.abs(spre)
             limit = 3 * asbis - delta
             np.minimum(aspre, limit, out=limit)
@@ -330,16 +344,20 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     holds no other root, and F/k (-1)^(m + 1) is >= 0 in it up to the root
     and < 0 past it.  The root's cell of the grid step * j is found in one
     pass over all roots: _branch_estimate lies within one cell of the root,
-    and the count of the 4 grid points around it where that sign is >= 0
-    places it.  Before either search, from the labels alone, SolverError
+    so the root lies in the cell that holds the estimate or in one of its
+    two neighbours.  That sign at the cell's two ends places it there, or,
+    where both ends are < 0, in the cell below, and where both are >= 0, in
+    the cell above, with one more evaluation at that cell's far end.
+    Before either search, from the labels alone, SolverError
     is raised where the k of a probe may overflow a double, as on a box of
     l = 2e-308, and ScanExhausted where kl's rounding, half the spacing of
     doubles at the window's top, passes the grid cell pi / GRID_DENSITY, as
     from labels of about 1.8e14 on.  ScanExhausted is raised unless each
     cell lies in its window and F/k changes sign across it so, before any
     root is refined.  Brent refines the roots; a root where F/k is exactly
-    0 is that grid point.  Fewer than _ARRAY_SCAN_MIN roots are searched
-    one at a time in Python floats (_scan_floats), more as arrays, with
+    0 is that grid point.  A batch of fewer than _ARRAY_SCAN_MIN levels,
+    those below label 1 counted too (_in_floats), is searched one root at
+    a time in Python floats (_scan_floats), a larger one as arrays, with
     lock-step Brent over every bracket; both give the same doubles and
     raise the same errors.
     """
@@ -352,26 +370,26 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
     step = _grid_step(l, float(m.max()) + float(col.max()))
     m += col
     s2, c2 = s2[r], c2[r]
-    if r.size < _ARRAY_SCAN_MIN:
+    # The batch's levels: its roots and each row's level below label 1.
+    if _in_floats(r.size + int(first.sum())):
         out[r, col] = _scan_floats(m.tolist(), s2.tolist(), c2.tolist(), l, L0, step)
         return
     lo = m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))
     # Flipping both half-angles flips F/k exactly: g = F/k (-1)^(m + 1).
     sign = (m & 1) * 2.0 - 1.0
-    estimate = _branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
-    start = np.floor(estimate).astype(np.intp) - 1
-    # Root i probes the points start[i] ... start[i] + 3, as row i of v.
-    v = _fhat_half(
-        (s2 * sign)[:, None], (c2 * sign)[:, None], l, L0, step * (start[:, None] + np.arange(4)),
-    )
-    below = (v >= 0.0).sum(1)
-    j = start - 1 + below
-    # g at j and j + 1, flat entries i - 1 and i of the probes, NaN where no
-    # probe holds it.
-    i = np.arange(0, v.size, 4) + below
-    v = np.append(v, np.nan)
-    ga = np.where(below > 0, v[i - 1], np.nan)
-    gb = np.where(below < 4, v[i], np.nan)
+    s2g, c2g = s2 * sign, c2 * sign
+    # The cell [j, j + 1] that holds the estimate, and g at its two ends.
+    j = np.floor(_branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)).astype(np.intp)
+    ga, gb = _fhat_half(s2g, c2g, l, L0, step * np.stack((j, j + 1)))
+    # Where g keeps its sign across it, the root's cell is the next one on
+    # the side the signs point to: one more probe, at j - 1 or j + 2.
+    up = (ga >= 0.0) & (gb >= 0.0)
+    i = np.flatnonzero(up | ((ga < 0.0) & (gb < 0.0)))
+    if i.size:
+        up = up[i]
+        j[i] += np.where(up, 1, -1)
+        g = _fhat_half(s2g[i], c2g[i], l, L0, step * (j[i] + up))
+        ga[i], gb[i] = np.where(up, gb[i], g), np.where(up, g, ga[i])
     if not ((j >= lo) & (j - lo <= GRID_DENSITY // 2 + 1) & (ga >= 0.0) & (gb < 0.0)).all():
         raise ScanExhausted(_UNWITNESSED)
     k = step * j
@@ -382,6 +400,15 @@ def _scan_rows(s2, c2, l: float, L0: float, out: np.ndarray, first, m0, depth) -
         k[at], step * (j[at] + 1), ga[at] * sign[at], gb[at] * sign[at],
     )
     out[r, col] = k
+
+
+def _in_floats(levels: int) -> bool:
+    """The size rule: whether a batch that holds this many levels is searched in Python floats.
+
+    Both solve_spectrum, for its whole short path, and _scan_rows, for its
+    search, count the levels of the batch, those below label 1 included.
+    """
+    return levels < _ARRAY_SCAN_MIN
 
 
 def _grid_step(l: float, top: float) -> float:
@@ -403,32 +430,33 @@ def _scan_floats(m: list, s2: list, c2: list, l: float, L0: float, step: float) 
     """_scan_rows's search for roots of labels m[i] >= 1 at half-angles (s2[i], c2[i]), in floats.
 
     Each root takes the array search's steps one float at a time:
-    _branch_estimate's three steps by math.atan2, the 4 probes by
-    _fhat_scalar, which returns _fhat_half's doubles (NaN at k = 0 too), the
-    same witness, and _brentq, which returns _brentq_array's doubles on the
-    same bracket.  A last-bit difference of math.atan2 from np.arctan2 may
-    move a start by one, but not the cell the count finds, as the estimate
-    lies within about half a cell of the root.  So each root is the array
-    search's double, and a cell that fails the witness raises its error.
+    _branch_estimate's three steps by math.atan2, the probes at the ends of
+    the estimate's cell and at most one neighbour by _fhat_scalar, which
+    returns _fhat_half's doubles (NaN at k = 0 too), the same witness, and
+    _brentq, which returns _brentq_array's doubles on the same bracket.  A
+    last-bit difference of math.atan2 from np.arctan2 may move the
+    estimate's cell by one, but not the cell the rule finds, as the
+    estimate lies within about half a cell of the root.  So each root is
+    the array search's double, and a cell that fails the witness raises
+    its error.
     """
-    starts = []
+    half = GRID_DENSITY // 2
+    cells = []
     for mi, s, c in zip(m, s2, c2):
         a, b, mpi = L0 * c, l * s, mi * math.pi
         x = mpi - math.copysign(math.pi / 4, c)
         for _ in range(3):
             x = mpi - math.atan2(x * a, b)
-        starts.append(math.floor(x * (GRID_DENSITY / math.pi)) - 1)
-    half = GRID_DENSITY // 2
-    cells = []
-    for mi, s, c, start in zip(m, s2, c2, starts):
+        j = math.floor(x * (GRID_DENSITY / math.pi))
         sign = 1.0 if mi & 1 else -1.0
         probe = functools.partial(_fhat_scalar, s * sign, c * sign, l, L0)
-        g = (probe(step * start), probe(step * (start + 1)),
-             probe(step * (start + 2)), probe(step * (start + 3)))
-        below = (g[0] >= 0.0) + (g[1] >= 0.0) + (g[2] >= 0.0) + (g[3] >= 0.0)
-        j = start - 1 + below
-        ga = g[below - 1] if below > 0 else math.nan
-        gb = g[below] if below < 4 else math.nan
+        ga, gb = probe(step * j), probe(step * (j + 1))
+        if ga >= 0.0 and gb >= 0.0:
+            j += 1
+            ga, gb = gb, probe(step * (j + 1))
+        elif ga < 0.0 and gb < 0.0:
+            j -= 1
+            ga, gb = probe(step * j), ga
         lo = mi * GRID_DENSITY - (1 + half * (c >= 0.0))
         if not (lo <= j <= lo + half + 1 and ga >= 0.0 and gb < 0.0):
             raise ScanExhausted(_UNWITNESSED)
@@ -650,17 +678,18 @@ def solve_spectrum(bc: BoundaryCondition, n: int) -> Spectrum:
     ValueError where n is not an integer of at least 1.
 
     The merge is a stable sort of both ladders on (E, channel), plus first
-    where energies tie.  The depth alone picks the path: where both ladders
-    hold fewer than _ARRAY_SCAN_MIN levels together, 2 depth, they are set
-    up, searched and sorted in Python floats (_ladders_in_floats), with
-    numpy columns built once, for the record; deeper ones are a
-    solve_channels call and an array sort, with the same doubles and errors.
+    where energies tie.  The depth alone picks the path, by the size rule
+    (_in_floats) on the 2 depth levels of both ladders, which _scan_rows
+    counts the same way: a short batch is set up, searched and sorted in
+    Python floats (_ladders_in_floats), with numpy columns built once, for
+    the record; a longer one is a solve_channels call, searched on arrays,
+    and an array sort, with the same doubles and errors.
     """
     n = _count("n", n, 1)
     p, l, L0 = bc.params, bc.l, bc.L0
     depth = min(n + 1, (n + 1) // 2 + 2)
     thetas = [p.theta_plus, p.theta_minus]
-    if 2 * depth < _ARRAY_SCAN_MIN:
+    if _in_floats(2 * depth):
         k, E = _ladders_in_floats(thetas, depth, l, L0)
         order = sorted(range(2 * depth), key=E.__getitem__)[:n + 1]
     else:

@@ -565,7 +565,7 @@ def _fd_read_reference(form, n: int, e: float) -> float:
     # FD's read as the form's own call on _fd_wave gives it, under FD's
     # rounding-bound rule (fd_spectrum's read).
     eps = np.finfo(float).eps
-    alpha, w, z, value = form(*oracles._fd_wave(n, e))
+    alpha, w, z, value = form(*oracles._fd_wave(n)(e))
     x, c = 1.0 + math.sqrt(abs(e)), 0.5 * abs(e) / (n * n)
     a, b, t, d4 = abs(alpha), abs(w), abs(form.t), abs(form.d4)
     d_tau = 4.0 * eps * x * (1.0 + c + c * c * n)
@@ -640,7 +640,7 @@ def test_the_inline_kernels_are_the_form_bit_for_bit(angles, l, L0, x, e, n_int,
     for e in [e, *rng.uniform(-3000.0, 3000.0, 32), *np.outer(roots, 1.0 + near).ravel(),
               *np.outer(roots, 1.0 - near).ravel()]:
         e = float(e)
-        assert captured["g"](e).hex() == form(*oracles._fd_wave(n_int, e))[3].hex()
+        assert captured["g"](e).hex() == form(*oracles._fd_wave(n_int)(e))[3].hex()
         assert captured["read"](e).hex() == _fd_read_reference(form, n_int, e).hex()
 
 

@@ -536,13 +536,15 @@ def test_channel_tag_passthrough():
     assert all(lv.channel is None for lv in untagged)
 
 
-def test_root_search_probes_four_points_per_root_at_every_label(monkeypatch):
-    # A root of every label >= 1 is searched at the 4 grid points around
-    # its branch-equation estimate, where a sign scan of the grid took 64
-    # per root; label 0 is solved by Newton's method, with no probe.  Each
-    # search is forced in turn, and counted by its own F/k outside Brent's
-    # method: the float search's _fhat_scalar and the array search's
-    # _fhat_half.
+def test_root_search_probes_at_most_three_points_per_root_at_every_label(monkeypatch):
+    # A root of every label >= 1 is searched at the two ends of the grid
+    # cell that holds its branch-equation estimate, and at one neighbouring
+    # grid point where F/k keeps its sign across that cell: at most 3
+    # points per root, where the 4-point count took 4 and a sign scan of
+    # the grid 64; label 0 is solved by Newton's method, with no probe.
+    # Each search is forced in turn, and counted by its own F/k outside
+    # Brent's method: the float search's _fhat_scalar and the array
+    # search's _fhat_half.  Both probe the same points.
     probes = {}
     refining = []
 
@@ -572,22 +574,32 @@ def test_root_search_probes_four_points_per_root_at_every_label(monkeypatch):
     # Row 0 lies below the threshold, so its first positive root has label
     # 0 and the grid searches 299 of its roots.
     assert threshold(Channel(5.5)) < 0.0 < threshold(Channel(1.0))
+    # 2000 eigenphases across [0, 2 pi), 3 levels each: 5013 roots of
+    # labels >= 1, of which 23 lie outside their estimate's cell.
+    sweep = (np.arange(2000) * (TWO_PI / 2000)).tolist()
     for search, cut in (("floats", 10**9), ("arrays", 0)):
         monkeypatch.setattr(spectrum, "_ARRAY_SCAN_MIN", cut)
         probes.update(floats=0, arrays=0)
         solve_spectrum(bc, 2000)
-        assert probes == {"floats": 0, "arrays": 0, search: 4 * 2 * ((2000 + 1) // 2 + 2)}
+        assert probes == {"floats": 0, "arrays": 0, search: 2 * 2 * ((2000 + 1) // 2 + 2)}
         probes.update(floats=0, arrays=0)
         rows = solve_channels([5.5, 1.0], 300)
         assert rows.label.tolist() == [0, 1] and (rows.E > 0.0).all()
-        assert probes == {"floats": 0, "arrays": 0, search: 4 * (299 + 300)}
+        assert probes == {"floats": 0, "arrays": 0, search: 2 * (299 + 300)}
+        probes.update(floats=0, arrays=0)
+        rows = solve_channels(sweep, 3)
+        assert int((3 - (rows.label == 0)).sum()) == 5013
+        assert probes == {"floats": 0, "arrays": 0, search: 2 * 5013 + 23}
 
 
 def test_scan_rows_has_one_probe_layout_and_solve_channels_decides_the_rows():
-    # One rule places every root: one _fhat_half call over a (roots x 4)
-    # block, with no per-root probe counts to repeat, sum or reduce, and no
-    # helper between solve_channels and the scan.  The only other
-    # _fhat_half call is the F/k of the one lock-step Brent call.
+    # One rule places every root: one _fhat_half call over a (2 x roots)
+    # block, the two ends of each estimate's cell, and one over the
+    # neighbouring points of the roots whose cell holds no sign change,
+    # with no per-root probe counts to repeat, sum or reduce, and no helper
+    # between solve_channels and the scan.  The only other _fhat_half call
+    # is the F/k of the one lock-step Brent call, and _fhat_half is the
+    # only F/k the array search calls.
     tree = ast.parse(Path(spectrum.__file__).read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert "_solve_rows" not in functions
@@ -596,7 +608,10 @@ def test_scan_rows_has_one_probe_layout_and_solve_channels_decides_the_rows():
     (brent,) = [node for node, name in zip(calls, called) if name == "_brentq_array"]
     lock_step = [node for node in ast.walk(brent.args[0]) if isinstance(node, ast.Call)]
     assert [ast.unparse(node.func) for node in lock_step] == ["_fhat_half"]
-    assert called.count("_fhat_half") == 2
+    probes = [node for node, name in zip(calls, called) if name == "_fhat_half" and node not in lock_step]
+    assert [ast.unparse(node.args[4]) for node in probes] == [
+        "step * np.stack((j, j + 1))", "step * (j[i] + up)"]
+    assert not {"_fhat_scalar", "channel_function", "np.sinc"} & set(called)
     assert not {"np.repeat", "np.cumsum", "np.add.reduceat"} & set(called)
 
 
@@ -702,6 +717,145 @@ def test_branch_estimate_lies_within_one_cell_of_the_root(where, log_l, log_L0, 
     assert np.abs(estimate - x).max(initial=0.0) <= math.pi / GRID_DENSITY
 
 
+def _four_point_cells(m, s2, c2, l, L0, step):
+    # The 4-point count the cell rule replaced, kept as the reference:
+    # g = F/k (-1)^(m + 1) at the 4 grid points around each root's estimate,
+    # and the cell after those where g >= 0.  Returns the cells and F/k at
+    # their ends, or None where a cell fails the witness.
+    sign = (m & 1) * 2.0 - 1.0
+    estimate = spectrum._branch_estimate(m, s2, c2, l, L0) * (GRID_DENSITY / math.pi)
+    start = np.floor(estimate).astype(np.intp) - 1
+    v = _fhat_half((s2 * sign)[:, None], (c2 * sign)[:, None], l, L0, step * (start[:, None] + np.arange(4)))
+    below = (v >= 0.0).sum(1)
+    if not ((below > 0) & (below < 4)).all():
+        return None
+    j = start - 1 + below
+    ga, gb = v[np.arange(m.size), below - 1], v[np.arange(m.size), below]
+    lo = m * GRID_DENSITY - (1 + GRID_DENSITY // 2 * (c2 >= 0.0))
+    if not ((j >= lo) & (j - lo <= GRID_DENSITY // 2 + 1) & (ga >= 0.0) & (gb < 0.0)).all():
+        return None
+    return j, ga * sign, gb * sign
+
+
+def _searched_brackets(theta, n, l, L0, label, cut):
+    # solve_channels' row of n roots from the label on, with the search the
+    # size rule cut picks, and every bracket handed to Brent's method as
+    # (xa, xb, fa, fb); or the ScanExhausted it raised.
+    brackets = []
+
+    def scalar(f, xa, xb, fa, fb):
+        brackets.append((xa, xb, fa, fb))
+        return _brentq(f, xa, xb, fa, fb)
+
+    def lock_step(f, xa, xb, fa, fb):
+        brackets.extend(zip(xa.tolist(), xb.tolist(), fa.tolist(), fb.tolist()))
+        return _brentq_array(f, xa, xb, fa, fb)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_ARRAY_SCAN_MIN", cut)
+        patch.setattr(spectrum, "_brentq", scalar)
+        patch.setattr(spectrum, "_brentq_array", lock_step)
+        try:
+            rows = solve_channels([theta], n, l, L0, from_label=[label])
+        except ScanExhausted as exc:
+            return exc
+    return rows.k_or_kappa[0].tolist(), brackets
+
+
+@given(
+    st.sampled_from(["0", "pi", "2pi-", "near0", "nearpi", "near2pi", "threshold", "floor", "any"]),
+    st.floats(-12.0, -2.0),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.one_of(st.sampled_from([1, 2]), st.integers(10**3, 10**13)),
+    st.integers(1, 4),
+    st.floats(0.0, 1.0),
+)
+def test_the_cell_rule_finds_the_cell_of_the_four_point_count(where, log_delta, log_l, log_L0, label, n, u):
+    # Both searches find each root's cell from the two ends of the cell
+    # that holds its estimate and at most one neighbour.  They find the
+    # cell the 4 points around the estimate counted, with the same F/k at
+    # its ends, and so the same roots bit for bit: at and near theta = 0,
+    # pi and 2 pi-, within delta of the threshold T = 0, near the floor
+    # kappa l = KAPPA_CEILING and anywhere, at label 1 and labels >> 1.
+    l, L0 = 10.0 ** log_l, 10.0 ** log_L0
+    delta = math.copysign(10.0 ** log_delta, u - 0.5)
+    theta = {
+        "0": 0.0, "pi": math.pi, "2pi-": math.nextafter(TWO_PI, 0.0),
+        "near0": abs(delta), "nearpi": math.pi + delta, "near2pi": TWO_PI - abs(delta),
+        "threshold": _threshold_theta(l, L0) + delta,
+        "floor": 2.0 * (math.pi - math.atan(KAPPA_CEILING * L0 / (l * (0.8 + 0.4 * u)))),
+        "any": TWO_PI * u,
+    }[where]
+    half = np.full(n, theta % TWO_PI / 2.0)
+    s2, c2 = np.sin(half), np.cos(half)
+    m = label + np.arange(n)
+    step = spectrum._grid_step(l, float(m.max()))
+    reference = _four_point_cells(m, s2, c2, l, L0, step)
+    outcomes = [_searched_brackets(theta, n, l, L0, label, cut) for cut in (0, 10**9)]
+    if reference is None:
+        for exc in outcomes:
+            assert isinstance(exc, ScanExhausted) and str(exc) == spectrum._UNWITNESSED
+        return
+    cells = list(zip(*(column.tolist() for column in reference)))
+    f = lambda k: _fhat_scalar(float(s2[0]), float(c2[0]), l, L0, k)
+    roots = [_brentq(f, step * i, step * (i + 1), a, b) if a else step * i for i, a, b in cells]
+    brackets = [(step * i, step * (i + 1), a, b) for i, a, b in cells if a]
+    for solved in outcomes:
+        assert solved == (roots, brackets)
+
+
+def test_the_cell_rule_takes_only_a_genuine_sign_change(monkeypatch):
+    # An F/k of signs chosen at the 4 grid points around the estimate of
+    # label 1's root, c - 1 to c + 2 where c is the estimate's cell, on
+    # both searches.  Where the cell's ends hold a sign change from >= 0 to
+    # < 0 it is taken, with no other probe; where they agree in sign, the
+    # neighbour on the side they point to decides.  Where that outer probe
+    # carries the wrong sign, or the cell's ends change sign the wrong
+    # way, no cell is witnessed, and both searches raise ScanExhausted
+    # with the same text.
+    theta, l, L0 = 1.0, 1.0, 1.0
+    s2, c2 = _half_angle(theta)
+    step = math.pi / (GRID_DENSITY * l)
+    c = math.floor(spectrum._branch_estimate(np.array([1]), s2, c2, l, L0)[0] * (GRID_DENSITY / math.pi))
+    values = []
+    probed = []
+
+    def fhat(s2, c2, l, L0, k):
+        # Grid points only: k / step rounds to the point's index.
+        point = np.rint(np.asarray(k) / step).astype(np.intp) - c + 1
+        probed.extend(np.ravel(point).tolist())
+        g = np.array(values)[point]
+        return float(g) if np.ndim(g) == 0 else g
+
+    monkeypatch.setattr(spectrum, "_fhat_half", fhat)
+    monkeypatch.setattr(spectrum, "_fhat_scalar", fhat)
+    monkeypatch.setattr(spectrum, "_brentq", lambda f, xa, xb, fa, fb: xa)
+    monkeypatch.setattr(spectrum, "_brentq_array", lambda f, xa, xb, fa, fb: xa)
+    # g at c - 1, c, c + 1 and c + 2, the cell found, and the points probed
+    # in order, 0 to 3 for c - 1 to c + 2.
+    for case, signs, cell, points in (
+        ("in the cell", (1.0, 1.0, -1.0, -1.0), c, [1, 2]),
+        ("on a grid point", (1.0, 0.0, -1.0, -1.0), c, [1, 2]),
+        ("above it", (1.0, 1.0, 1.0, -1.0), c + 1, [1, 2, 3]),
+        ("below it", (1.0, -1.0, -1.0, -1.0), c - 1, [1, 2, 0]),
+        ("above it, wrong outer sign", (1.0, 1.0, 1.0, 1.0), None, [1, 2, 3]),
+        ("below it, wrong outer sign", (-1.0, -1.0, -1.0, -1.0), None, [1, 2, 0]),
+        ("the wrong way", (1.0, -1.0, 1.0, -1.0), None, [1, 2]),
+        ("NaN at an end", (1.0, math.nan, -1.0, -1.0), None, [1, 2]),
+    ):
+        values[:] = signs
+        for cut in (0, 10**9):
+            monkeypatch.setattr(spectrum, "_ARRAY_SCAN_MIN", cut)
+            probed.clear()
+            if cell is None:
+                with pytest.raises(ScanExhausted, match=f"^{spectrum._UNWITNESSED}$"):
+                    solve_channels([theta], 1, l, L0, from_label=[1])
+            else:
+                assert solve_channels([theta], 1, l, L0, from_label=[1]).k_or_kappa[0, 0] == step * cell
+            assert probed == points, case
+
+
 def test_threshold_root_falls_monotonically_onto_every_root(monkeypatch):
     # Newton's method on the level below label 1 starts at or above its
     # root and falls onto it: every evaluation is at a smaller x than the
@@ -799,6 +953,31 @@ def test_solve_spectrum_starts_each_ladder_once(monkeypatch):
         calls.clear()
         assert len(solve_spectrum(bc, n).E) == n
         assert len(calls) == 2
+
+
+def test_solve_spectrum_and_its_search_count_the_same_levels(monkeypatch):
+    # The size rule counts a batch's levels, each ladder's level below
+    # label 1 included, where solve_spectrum picks its path and where
+    # _scan_rows picks its search: a merged solve searches its roots in
+    # Python floats exactly when it takes the short path, at n = 47 and
+    # 48 too, where 2 depth = 52 levels hold 50 roots.
+    searched = []
+    scan = spectrum._scan_floats
+
+    def counting(m, *args):
+        searched.append(len(m))
+        return scan(m, *args)
+
+    monkeypatch.setattr(spectrum, "_scan_floats", counting)
+    # The plus channel starts with label 0's positive root, the minus one
+    # with its bound level.
+    bc = BoundaryCondition(params_to_matrix(UnitaryParams(4.75, 0.75)))
+    assert solve_channels([5.5, 4.0], 1).label.tolist() == [0, 0]
+    for n in range(40, 61):
+        depth = min(n + 1, (n + 1) // 2 + 2)
+        searched.clear()
+        solve_spectrum(bc, n)
+        assert searched == ([2 * depth - 2] if 2 * depth < _ARRAY_SCAN_MIN else []), n
 
 
 def _solved_by_each_size_rule(xi, rho, l, L0, n):
